@@ -17,10 +17,13 @@
 
 use a2a_mcf::pmcf::solve_path_mcf_colgen_among;
 use a2a_mcf::tscolgen::solve_tsmcf_colgen_among_with;
-use a2a_mcf::{ColGenOptions, ColGenStats, CommoditySet, Stabilization};
+use a2a_mcf::{ColGenOptions, CommoditySet, Stabilization};
 use a2a_topology::{generators, NodeId, Topology};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+mod common;
+use common::assert_identical_rounds;
 
 /// Relative tolerance for cross-configuration `F` agreement (purge tests;
 /// determinism tests compare bit patterns, not tolerances).
@@ -51,65 +54,6 @@ fn production_options(threads: Option<usize>) -> ColGenOptions {
         pricing_threads: threads,
         ..ColGenOptions::default()
     }
-}
-
-/// Asserts two runs produced byte-identical round trajectories. Wall-clock
-/// fields and the recorded thread count are the only fields allowed to
-/// differ.
-fn assert_identical_rounds(tag: &str, serial: &ColGenStats, parallel: &ColGenStats) {
-    assert_eq!(
-        serial.rounds.len(),
-        parallel.rounds.len(),
-        "{tag}: round counts diverge"
-    );
-    for (i, (a, b)) in serial.rounds.iter().zip(&parallel.rounds).enumerate() {
-        assert_eq!(
-            a.columns_added, b.columns_added,
-            "{tag}: round {i} columns_added diverges"
-        );
-        assert_eq!(
-            a.columns_in_master, b.columns_in_master,
-            "{tag}: round {i} columns_in_master diverges"
-        );
-        assert_eq!(
-            a.flow_value.to_bits(),
-            b.flow_value.to_bits(),
-            "{tag}: round {i} flow_value diverges ({} vs {})",
-            a.flow_value,
-            b.flow_value
-        );
-        assert_eq!(
-            a.max_violation.to_bits(),
-            b.max_violation.to_bits(),
-            "{tag}: round {i} max_violation diverges ({} vs {})",
-            a.max_violation,
-            b.max_violation
-        );
-        assert_eq!(
-            a.sources_skipped, b.sources_skipped,
-            "{tag}: round {i} sources_skipped diverges"
-        );
-        assert_eq!(
-            a.columns_purged, b.columns_purged,
-            "{tag}: round {i} columns_purged diverges"
-        );
-        assert_eq!(
-            a.master_iterations, b.master_iterations,
-            "{tag}: round {i} master_iterations diverges"
-        );
-    }
-    assert_eq!(
-        serial.proved_optimal, parallel.proved_optimal,
-        "{tag}: certificates diverge"
-    );
-    assert_eq!(
-        serial.total_columns, parallel.total_columns,
-        "{tag}: total_columns diverges"
-    );
-    assert_eq!(
-        serial.misprices, parallel.misprices,
-        "{tag}: misprices diverge"
-    );
 }
 
 /// The four topology families of the equivalence suite, small enough for a

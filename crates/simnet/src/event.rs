@@ -1368,13 +1368,39 @@ mod tests {
         assert!(capped.report.completion_seconds >= 3.0 * shard / 1e9 - 1e-9);
     }
 
+    /// The static entry point and an event-free timeline agree bit for bit, and
+    /// both sit on the completion times recorded when the static engine still
+    /// had a run loop of its own (PR 11) — the shared loop did not move them.
     #[test]
     fn empty_timeline_reproduces_the_static_engine_exactly() {
-        for topo in [
-            generators::hypercube(3),
-            generators::torus(&[3, 3]),
-            generators::ring(4),
-        ] {
+        // (topology, completion bits, per-step completion bits) at 4 MiB
+        // shards, 128 chunks, α jitter seed 9 in [1, 2].
+        let recorded: [(Topology, u64, &[u64]); 3] = [
+            (
+                generators::hypercube(3),
+                0x3f86_5ac3_4a51_9de5,
+                &[
+                    0x3f75_fd7f_e179_6495,
+                    0x3f83_5cae_a02d_a40a,
+                    0x3f86_3b81_c8cd_fcc8,
+                ],
+            ),
+            (
+                generators::torus(&[3, 3]),
+                0x3f7b_f920_52a5_d805,
+                &[0x3f65_fd7f_e179_6495, 0x3f7b_ba9d_4f9e_95ca],
+            ),
+            (
+                generators::ring(4),
+                0x3f80_da86_0628_9c73,
+                &[
+                    0x3f65_fd7f_e179_6495,
+                    0x3f76_3b17_d52a_20cc,
+                    0x3f80_bba7_4b45_306c,
+                ],
+            ),
+        ];
+        for (topo, completion_bits, step_bits) in recorded {
             let sched = chunked(&topo, None);
             let params = SimParams::default();
             let shard = 4.0 * 1024.0 * 1024.0;
@@ -1405,12 +1431,26 @@ mod tests {
             .unwrap() else {
                 panic!("empty timeline must complete");
             };
-            // Bit-for-bit against the static event engine.
+            // Bit-for-bit against the static entry point...
             assert_eq!(
                 tl_rep.report.completion_seconds,
                 static_rep.report.completion_seconds
             );
             assert_eq!(tl_rep.step_completion_secs, static_rep.step_completion_secs);
+            // ...and against the recorded static-loop values.
+            assert_eq!(
+                tl_rep.report.completion_seconds.to_bits(),
+                completion_bits,
+                "{}: completion moved to {}",
+                topo.name(),
+                tl_rep.report.completion_seconds
+            );
+            let steps: Vec<u64> = tl_rep
+                .step_completion_secs
+                .iter()
+                .map(|s| s.to_bits())
+                .collect();
+            assert_eq!(steps, step_bits, "{}: step completions moved", topo.name());
             // And the analytic == event-sync 1e-9 contract survives.
             let rel = (analytic.completion_seconds - tl_rep.report.completion_seconds).abs()
                 / analytic.completion_seconds;
