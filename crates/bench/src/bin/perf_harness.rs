@@ -12,16 +12,14 @@
 //! Emits `BENCH_pr10.json` (median wall-clock over repetitions, simplex
 //! iteration and pivot counts, presolve row/column reductions, refactorization
 //! counts, colgen round/column/skipped-source counts, the colgen pricing-wall
-//! and pricing-thread columns, the decomposed `master_algo` and
+//! column, the decomposed `master_algo` and
 //! `master_dual_iterations` columns (which algorithm actually solved the
 //! master: the crash-started dual simplex or the primal phases), the
 //! decomposed cold/warm and tsmcf dense/colgen speedups, simulator-vs-LP
 //! agreement columns, and the replan makespan-loss and solve-time columns) so
 //! future PRs have a performance trajectory to compare against, plus a
-//! human-readable summary on stderr. A serial-vs-parallel pricing gate on the
-//! tier's largest path-MCF case asserts thread count never changes results,
-//! and (at ≥ 4 cores) that the parallel sweep cuts the pricing wall at least
-//! 2x. The warm-devex decomposed config additionally gates (both tiers) that
+//! human-readable summary on stderr. The warm-devex decomposed config
+//! additionally gates (both tiers) that
 //! the master actually ran its dual phase — a refactor that silently knocks
 //! the crash basis back to the primal path fails the harness, the same way
 //! the colgen skip-rate gates guard ROADMAP item 2 — and, in the full tier,
@@ -177,7 +175,6 @@ struct Record {
     colgen_columns: Option<usize>,
     colgen_sources_skipped: Option<usize>,
     colgen_pricing_wall_secs: Option<f64>,
-    pricing_threads: Option<usize>,
     sim_completion_secs: Option<f64>,
     lp_predicted_secs: Option<f64>,
     sim_vs_lp: Option<f64>,
@@ -222,7 +219,6 @@ impl Record {
             colgen_columns: None,
             colgen_sources_skipped: None,
             colgen_pricing_wall_secs: None,
-            pricing_threads: None,
             sim_completion_secs: None,
             lp_predicted_secs: None,
             sim_vs_lp: None,
@@ -473,7 +469,6 @@ fn run_path_mcf_colgen(
         colgen_columns: Some(solved.stats.total_columns),
         colgen_sources_skipped: Some(solved.stats.total_sources_skipped()),
         colgen_pricing_wall_secs: Some(solved.stats.total_pricing_wall_secs()),
-        pricing_threads: Some(solved.stats.pricing_threads),
         stage_breakdown,
         ..Record::bare(
             "path-mcf",
@@ -483,82 +478,6 @@ fn run_path_mcf_colgen(
             median(walls),
             solved.schedule.flow_value,
         )
-    }
-}
-
-/// Minimum pricing-wall speedup the parallel sweep must deliver over a forced
-/// serial sweep on the largest path-MCF case. Only gated when the machine has
-/// at least [`PRICING_GATE_MIN_CORES`] cores — below that the parallel sweep
-/// cannot physically win and the gate degrades to an equality-of-results run.
-const PRICING_SPEEDUP_MIN: f64 = 2.0;
-const PRICING_GATE_MIN_CORES: usize = 4;
-
-/// Serial-vs-parallel pricing-wall comparison on one case. Always asserts the
-/// two runs agree on F, rounds, and columns (byte-identical rounds are pinned
-/// by the `parallel_pricing_tests` suite); enforces the ≥2x pricing-wall
-/// speedup only at ≥ 4 cores.
-fn gate_parallel_pricing(case: &Case) {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let opts = |threads: Option<usize>| ColGenOptions {
-        partial_pricing: Some(1e-1),
-        stabilization: Stabilization::Smoothing { alpha: 0.1 },
-        pricing_threads: threads,
-        ..ColGenOptions::default()
-    };
-    let serial = solve_path_mcf_colgen_among(
-        &case.topo,
-        CommoditySet::among(case.hosts.clone()),
-        &opts(Some(1)),
-    )
-    .expect("serial pricing solve");
-    let parallel = solve_path_mcf_colgen_among(
-        &case.topo,
-        CommoditySet::among(case.hosts.clone()),
-        &opts(None),
-    )
-    .expect("parallel pricing solve");
-    assert_eq!(
-        serial.stats.num_rounds(),
-        parallel.stats.num_rounds(),
-        "{}: thread count changed the round trajectory",
-        case.name
-    );
-    assert_eq!(
-        serial.stats.total_columns, parallel.stats.total_columns,
-        "{}: thread count changed the column set",
-        case.name
-    );
-    assert!(
-        (serial.schedule.flow_value - parallel.schedule.flow_value).abs()
-            <= 1e-9 * (1.0 + serial.schedule.flow_value.abs()),
-        "{}: thread count changed F ({} vs {})",
-        case.name,
-        serial.schedule.flow_value,
-        parallel.schedule.flow_value
-    );
-    let sw = serial.stats.total_pricing_wall_secs();
-    let pw = parallel.stats.total_pricing_wall_secs();
-    let speedup = sw / pw.max(1e-12);
-    a2a_obs::info!(
-        "# {}: pricing wall {:.3}s serial vs {:.3}s at {} threads ({:.2}x)",
-        case.name,
-        sw,
-        pw,
-        parallel.stats.pricing_threads,
-        speedup
-    );
-    if cores >= PRICING_GATE_MIN_CORES {
-        assert!(
-            speedup >= PRICING_SPEEDUP_MIN,
-            "{}: parallel pricing speedup {speedup:.2}x below the {PRICING_SPEEDUP_MIN}x gate \
-             at {cores} cores",
-            case.name
-        );
-    } else {
-        a2a_obs::warn!(
-            "# {}: pricing speedup gate skipped ({cores} cores < {PRICING_GATE_MIN_CORES})",
-            case.name
-        );
     }
 }
 
@@ -641,7 +560,6 @@ fn run_tsmcf(
         colgen_columns: Some(cg.stats.total_columns),
         colgen_sources_skipped: Some(cg.stats.total_sources_skipped()),
         colgen_pricing_wall_secs: Some(cg.stats.total_pricing_wall_secs()),
-        pricing_threads: Some(cg.stats.pricing_threads),
         stage_breakdown,
         ..Record::bare(
             "tsmcf",
@@ -1193,11 +1111,10 @@ fn main() {
         records.push(rec);
         let rec = run_path_mcf_colgen(case, reps, &mut reports);
         a2a_obs::info!(
-            "  path-mcf (colgen): median {:.3}s ({:.3}s pricing at {} threads), {} rounds, \
+            "  path-mcf (colgen): median {:.3}s ({:.3}s pricing), {} rounds, \
              {} columns, {} master iterations, {} sources skipped, F = {:.6}",
             rec.median_wall_secs,
             rec.colgen_pricing_wall_secs.unwrap_or(0.0),
-            rec.pricing_threads.unwrap_or(1),
             rec.colgen_rounds.unwrap_or(0),
             rec.colgen_columns.unwrap_or(0),
             rec.iterations.unwrap_or(0),
@@ -1206,16 +1123,6 @@ fn main() {
         );
         records.push(rec);
     }
-
-    // Serial-vs-parallel pricing gate on the largest path-MCF case of the
-    // tier: the parallel sweep must not change any result, and must cut the
-    // pricing wall ≥ 2x when the machine has enough cores to matter.
-    let gate_case = if quick {
-        Case::torus(&[4, 4])
-    } else {
-        Case::torus(&[8, 8])
-    };
-    gate_parallel_pricing(&gate_case);
 
     // Time-stepped MCF workload: dense edge formulation vs time-expanded column
     // generation. The small store-and-forward cases (fig3-scale, the 8-node
@@ -1403,7 +1310,7 @@ fn main() {
              \"presolve_rows_removed\": {}, \"presolve_cols_removed\": {}, \
              \"colgen_rounds\": {}, \"colgen_columns\": {}, \
              \"colgen_sources_skipped\": {}, \"colgen_pricing_wall_secs\": {}, \
-             \"pricing_threads\": {}, \"sim_completion_secs\": {}, \
+             \"sim_completion_secs\": {}, \
              \"lp_predicted_secs\": {}, \"sim_vs_lp\": {}, \
              \"replan_solve_secs\": {}, \"replan_vs_clairvoyant\": {}, \
              \"replan_vs_nominal\": {}, \"flow_value\": {:.9}, \
@@ -1427,7 +1334,6 @@ fn main() {
             json_opt(r.colgen_columns),
             json_opt(r.colgen_sources_skipped),
             json_opt_f64(r.colgen_pricing_wall_secs),
-            json_opt(r.pricing_threads),
             json_opt_f64(r.sim_completion_secs),
             json_opt_f64(r.lp_predicted_secs),
             json_opt_f64(r.sim_vs_lp),

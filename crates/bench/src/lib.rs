@@ -4,8 +4,7 @@
 //! Every binary prints a CSV table with the columns
 //! `figure,topology,series,x,y` so the paper's plots can be regenerated directly from
 //! the output. Binaries accept `--large` to extend the sweep towards the paper's full
-//! scale (the defaults are sized for a single-core CI run) — EXPERIMENTS.md records
-//! which sweep each reported number came from.
+//! scale (the defaults are sized for a single-core CI run).
 
 pub mod diff;
 

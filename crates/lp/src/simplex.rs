@@ -560,18 +560,6 @@ pub struct Solver<'a> {
     d_fresh: bool,
     /// Scratch for the pivotal row `alpha` (dimension: all variables).
     alpha_buf: SparseScratch,
-    /// Env-gated per-phase wall-clock accounting (`A2A_LP_PROFILE`).
-    profile: Option<Box<Profile>>,
-}
-
-#[derive(Debug, Default)]
-struct Profile {
-    btran_y: std::time::Duration,
-    pricing: std::time::Duration,
-    ftran_col: std::time::Duration,
-    pivot: std::time::Duration,
-    refactor: std::time::Duration,
-    head: std::time::Duration,
 }
 
 impl<'a> Solver<'a> {
@@ -662,7 +650,6 @@ impl<'a> Solver<'a> {
             d: vec![0.0; ntotal],
             d_fresh: false,
             alpha_buf: SparseScratch::new(ntotal),
-            profile: std::env::var_os("A2A_LP_PROFILE").map(|_| Box::default()),
         };
 
         let warm = solver.opts.warm_start.take();
@@ -818,13 +805,6 @@ impl<'a> Solver<'a> {
         self.lu = LuFactorization::factorize(self.nrows, &cols)?;
         self.refactorizations += 1;
         OBS_REFACTORIZATIONS.incr();
-        if std::env::var_os("A2A_LP_FILL").is_some() {
-            eprintln!(
-                "refactorize: nrows={} fill_nnz={}",
-                self.nrows,
-                self.lu.fill_nnz()
-            );
-        }
         self.recompute_basic_values();
         // Collapsing the eta file changes the numerics of the dual solves; the
         // incremental reduced costs are rebuilt from fresh duals at next pricing.
@@ -1220,12 +1200,6 @@ impl<'a> Solver<'a> {
     }
 
     fn extract_solution(&self) -> StandardSolution {
-        if let Some(p) = self.profile.as_deref() {
-            eprintln!(
-                "profile: iters={} head={:.2?} btran_y={:.2?} pricing={:.2?} ftran_col={:.2?} pivot={:.2?} refactor={:.2?}",
-                self.iterations, p.head, p.btran_y, p.pricing, p.ftran_col, p.pivot, p.refactor
-            );
-        }
         let x: Vec<f64> = self.x[..self.nstruct].to_vec();
         let mut row_activity = vec![0.0; self.nrows];
         for (j, &v) in x.iter().enumerate() {
@@ -1296,9 +1270,7 @@ impl<'a> Solver<'a> {
         self.weights.iter_mut().for_each(|w| *w = 1.0);
         self.candidates.clear();
         self.d_fresh = false;
-        let debug = std::env::var_os("A2A_LP_DEBUG").is_some();
         loop {
-            let t0 = self.profile.as_ref().map(|_| std::time::Instant::now());
             if self.iterations >= self.opts.max_iterations {
                 return Err(LpError::IterationLimit {
                     iterations: self.iterations,
@@ -1308,18 +1280,6 @@ impl<'a> Solver<'a> {
                 return Ok(());
             }
             let iter_timer = OBS_ITERATION_NANOS.start();
-
-            if debug && self.iterations.is_multiple_of(2000) {
-                eprintln!(
-                    "iter {} phase1={} infeas={:.3e} pivots={} bland={} degen={}",
-                    self.iterations,
-                    phase1,
-                    self.infeasibility(),
-                    self.pivots,
-                    self.use_bland,
-                    self.degenerate_run
-                );
-            }
 
             // Two pricing regimes share this loop. The *incremental* regime
             // (phase-2 devex) maintains exact reduced costs `d` across pivots via
@@ -1341,18 +1301,10 @@ impl<'a> Solver<'a> {
                 OBS_STALL_ESCAPES.incr();
             }
             let entering = if incremental {
-                if let (Some(p), Some(t)) = (self.profile.as_deref_mut(), t0) {
-                    p.head += t.elapsed();
-                }
-                let t1 = self.profile.as_ref().map(|_| std::time::Instant::now());
                 let just_refreshed = !self.d_fresh;
                 if just_refreshed {
                     self.refresh_reduced_costs(phase1);
                 }
-                if let (Some(p), Some(t)) = (self.profile.as_deref_mut(), t1) {
-                    p.btran_y += t.elapsed();
-                }
-                let t2 = self.profile.as_ref().map(|_| std::time::Instant::now());
                 let mut entering = self.price_scan(phase1, true, stall_escape, true);
                 if entering.is_none() && !just_refreshed {
                     // The stored reduced costs may have drifted; only a fresh dual
@@ -1360,39 +1312,21 @@ impl<'a> Solver<'a> {
                     self.refresh_reduced_costs(phase1);
                     entering = self.price_scan(phase1, true, stall_escape, true);
                 }
-                if let (Some(p), Some(t)) = (self.profile.as_deref_mut(), t2) {
-                    p.pricing += t.elapsed();
-                }
                 entering
             } else {
-                if let (Some(p), Some(t)) = (self.profile.as_deref_mut(), t0) {
-                    p.head += t.elapsed();
-                }
                 // Dual vector y = B^{-T} c_B for the phase cost. The cost vector
                 // is hypersparse on network LPs (few basic columns carry cost), so
                 // the BTRAN works on pattern, not dimension.
-                let t1 = self.profile.as_ref().map(|_| std::time::Instant::now());
                 let nonzero_costs = self.compute_duals(phase1);
-                if let (Some(p), Some(t)) = (self.profile.as_deref_mut(), t1) {
-                    p.btran_y += t.elapsed();
-                }
                 if phase1 && nonzero_costs == 0 {
                     // No infeasible basic variable left.
                     return Ok(());
                 }
-                let t2 = self.profile.as_ref().map(|_| std::time::Instant::now());
-                let entering = if self.use_bland
-                    || stall_escape
-                    || matches!(self.opts.pricing, Pricing::Dantzig)
-                {
+                if self.use_bland || stall_escape || matches!(self.opts.pricing, Pricing::Dantzig) {
                     self.price_scan(phase1, false, stall_escape, false)
                 } else {
                     self.price_devex(phase1)
-                };
-                if let (Some(p), Some(t)) = (self.profile.as_deref_mut(), t2) {
-                    p.pricing += t.elapsed();
                 }
-                entering
             };
             let Some((q, direction)) = entering else {
                 if phase1 && self.infeasibility() > self.opts.tol {
@@ -1400,7 +1334,6 @@ impl<'a> Solver<'a> {
                 }
                 return Ok(());
             };
-            let t3 = self.profile.as_ref().map(|_| std::time::Instant::now());
 
             // Direction of basic change: w = B^{-1} A_q (hypersparse FTRAN). The
             // partial result after the lower solve is kept as the Forrest–Tomlin
@@ -1418,26 +1351,15 @@ impl<'a> Solver<'a> {
                 &mut self.lu_scratch,
                 &mut self.spike_buf,
             );
-            if let (Some(p), Some(t)) = (self.profile.as_deref_mut(), t3) {
-                p.ftran_col += t.elapsed();
-            }
-            let t4 = self.profile.as_ref().map(|_| std::time::Instant::now());
             self.iterations += 1;
             OBS_ITERATIONS.incr();
             self.pivot_step(q, direction, phase1)?;
-            if let (Some(p), Some(t)) = (self.profile.as_deref_mut(), t4) {
-                p.pivot += t.elapsed();
-            }
             // Close the iteration sample before the (amortized) refactorization
             // so its spike does not land in the iteration-time distribution.
             drop(iter_timer);
 
             if self.lu.updates() >= self.opts.refactor_interval || self.lu.fill_exceeded() {
-                let t5 = self.profile.as_ref().map(|_| std::time::Instant::now());
                 self.refactorize()?;
-                if let (Some(p), Some(t)) = (self.profile.as_deref_mut(), t5) {
-                    p.refactor += t.elapsed();
-                }
             }
         }
     }
@@ -1723,17 +1645,6 @@ impl<'a> Solver<'a> {
         // the primal continuation prices with must not see the perturbation.
         self.perturb.clear();
         self.refresh_reduced_costs(false);
-        if std::env::var_os("A2A_LP_DEBUG").is_some() {
-            let obj: f64 = (0..self.nstruct).map(|j| self.sf.obj[j] * self.x[j]).sum();
-            let neg = (0..self.ntotal)
-                .filter(|&j| self.eligibility_stored(j).is_some())
-                .count();
-            eprintln!(
-                "dual exit: optimal={} iters={} obj={obj:.6e} dual-infeasible cols={neg}",
-                matches!(outcome, Ok(DualOutcome::Optimal)),
-                self.dual_iterations,
-            );
-        }
         outcome
     }
 
@@ -1772,7 +1683,6 @@ impl<'a> Solver<'a> {
         self.row_weights.resize(self.nrows, 1.0);
         let tol = self.opts.tol;
         let ptol = self.opts.pivot_tol;
-        let debug = std::env::var_os("A2A_LP_DEBUG").is_some();
         // Consecutive degenerate (zero-dual-step) pivots: past the usual switch
         // the entering rule degrades to Bland's (smallest ratio, then smallest
         // index, no long step); persisting far past it, the phase gives up and
@@ -1808,14 +1718,6 @@ impl<'a> Solver<'a> {
                 continue;
             };
             verified = false;
-            if debug && self.dual_iterations.is_multiple_of(2000) {
-                eprintln!(
-                    "dual iter {} infeas={:.3e} pivots={} bland={bland} stall={stall}",
-                    self.dual_iterations,
-                    self.infeasibility(),
-                    self.pivots,
-                );
-            }
             // σ = +1: leaving above its upper bound, the basic must decrease;
             // σ = -1: below its lower bound, it must increase.
             let sigma = if viol > 0.0 { 1.0 } else { -1.0 };
@@ -1879,12 +1781,6 @@ impl<'a> Solver<'a> {
                 // unbounded, i.e. the primal is infeasible. Hand to phase 1 to
                 // re-prove that from cleanly recomputed state.
                 self.alpha_buf = alpha;
-                if debug {
-                    eprintln!(
-                        "dual fallback: no breakpoints at iter {}",
-                        self.dual_iterations
-                    );
-                }
                 return Ok(DualOutcome::Fallback);
             }
 
@@ -1925,12 +1821,6 @@ impl<'a> Solver<'a> {
                 self.alpha_buf = alpha;
                 retries += 1;
                 if retries > 1 {
-                    if debug {
-                        eprintln!(
-                            "dual fallback: alpha_q retry at iter {}",
-                            self.dual_iterations
-                        );
-                    }
                     return Ok(DualOutcome::Fallback);
                 }
                 self.refactorize()?;
@@ -1983,9 +1873,6 @@ impl<'a> Solver<'a> {
                 self.alpha_buf = alpha;
                 retries += 1;
                 if retries > 1 {
-                    if debug {
-                        eprintln!("dual fallback: w_r retry at iter {}", self.dual_iterations);
-                    }
                     return Ok(DualOutcome::Fallback);
                 }
                 self.refactorize()?;
@@ -2066,9 +1953,6 @@ impl<'a> Solver<'a> {
                     bland = true;
                 }
                 if stall >= self.opts.degenerate_switch.saturating_mul(4) {
-                    if debug {
-                        eprintln!("dual fallback: stall at iter {}", self.dual_iterations);
-                    }
                     return Ok(DualOutcome::Fallback);
                 }
             } else {

@@ -1,22 +1,22 @@
 //! Shared restricted-master column-generation core: the **generic round
 //! driver** plus its option/statistics surface.
 //!
-//! Three colgen solvers live in this crate — [`crate::pmcf`] (path-MCF over
-//! the base topology), [`crate::tscolgen`] (time-stepped MCF over the
-//! time-expanded topology) and [`crate::residual`] (re-planning from mid-run
-//! holdings) — and they differ only in how the master LP is built and what a
-//! column means. Everything else is [`run_colgen`]: each solver builds its
-//! restricted master, implements [`PricingOracle`] (price one source into
-//! candidates, lower one candidate into an LP column), and hands the loop to
-//! the driver, which owns
+//! Two restricted masters live in this crate — [`crate::pmcf`] (path-MCF over
+//! the base topology) and the demand-indexed time-expanded master of
+//! [`crate::tscolgen`], which serves both the nominal tsMCF solve and the
+//! mid-run re-planning of [`crate::residual`] — and they differ only in how
+//! the master LP is built and what a column means. Everything else is
+//! [`run_colgen`]: each solver builds its restricted master, implements
+//! [`PricingOracle`] (price one source into candidates, lower one candidate
+//! into an LP column), and hands the loop to the driver, which owns
 //!
 //! * the master re-solve / dual-extraction / pricing-sweep round structure,
 //! * dual stabilization ([`Stabilization`], [`DualStabilizer`]) and the
 //!   misprice-collapse resweep,
 //! * the drift-based partial-pricing tracker ([`PartialPricing`]) and the
 //!   certificate resweep of skipped sources,
-//! * the parallel pricing fan-out (one buffer per source, merged in
-//!   source-index order — see *Determinism* below),
+//! * the serial pricing sweep over the sources, in source-index order (see
+//!   *Determinism* below),
 //! * column-pool aging ([`ColGenOptions::purge_nonbasic_after`]),
 //! * the deterministic sort/cap/record of candidates and all per-round
 //!   statistics ([`ColGenRound`], [`ColGenStats`]).
@@ -45,12 +45,14 @@
 //!
 //! # Determinism
 //!
-//! The pricing sweep fans out over sources ([`ColGenOptions::pricing_threads`])
-//! with one candidate buffer per source, merged in source-index order before
-//! the `(violation desc, owner asc)` sort. Each owner is priced from exactly
-//! one source, so an owner contributes at most one candidate per sweep and
-//! every sort key is unique: serial and parallel runs produce byte-identical
-//! rounds — same columns, same objective trajectory, same certificate.
+//! The pricing sweep is a plain loop over the sources in source-index order
+//! (pricing is under 0.5% of every measured colgen wall — the master is the
+//! cost — so there is nothing to fan out), followed by the
+//! `(violation desc, owner asc)` sort. Each owner is priced from exactly one
+//! source, so an owner contributes at most one candidate per sweep and every
+//! sort key is unique: the rounds of a run are a pure function of the instance
+//! and the options — same columns, same objective trajectory, same
+//! certificate, run after run and machine after machine.
 //!
 //! # Dual stabilization
 //!
@@ -77,8 +79,6 @@ use std::time::Instant;
 
 use a2a_lp::{BasisStatus, NewColumn, Pricing, Solver, StandardSolution};
 use a2a_topology::Path;
-use rayon::prelude::*;
-use rayon::{ThreadPool, ThreadPoolBuilder};
 
 use crate::pmcf::PathSetKind;
 use crate::types::{McfError, McfResult};
@@ -143,10 +143,6 @@ pub struct ColGenOptions {
     pub partial_pricing: Option<f64>,
     /// Dual stabilization of the pricing duals (see [`Stabilization`]).
     pub stabilization: Stabilization,
-    /// Worker threads of the parallel pricing sweep. `None` uses every
-    /// available core; `Some(1)` forces a serial sweep. The choice never
-    /// changes the result — see the *Determinism* section of the module docs.
-    pub pricing_threads: Option<usize>,
     /// Column-pool aging: a master column whose weight has been (numerically)
     /// zero for this many consecutive rounds is dropped from the driver's
     /// `seen` bookkeeping, so pricing may regenerate the path later if the
@@ -177,7 +173,6 @@ impl Default for ColGenOptions {
             pricing: Pricing::default(),
             partial_pricing: Some(1e-1),
             stabilization: Stabilization::Smoothing { alpha: 0.1 },
-            pricing_threads: None,
             purge_nonbasic_after: None,
         }
     }
@@ -222,8 +217,20 @@ impl ColGenOptions {
                 return Err(format!("smoothing weight must be in [0, 1), got {alpha}"));
             }
         }
-        if self.pricing_threads == Some(0) {
-            return Err("pricing_threads must be at least 1 (None means all cores)".into());
+        // A NaN or infinite tolerance makes every `violation > tolerance` test
+        // false, which would "certify" the seed columns after one round.
+        if !(self.tolerance.is_finite() && self.tolerance >= 0.0) {
+            return Err(format!(
+                "pricing tolerance must be finite and non-negative, got {}",
+                self.tolerance
+            ));
+        }
+        if let Some(skip) = self.partial_pricing {
+            if skip.is_nan() || skip < 0.0 {
+                return Err(format!(
+                    "partial-pricing drift tolerance must be non-negative, got {skip}"
+                ));
+            }
         }
         if self.purge_nonbasic_after == Some(0) {
             return Err(
@@ -262,9 +269,6 @@ pub struct ColGenRound {
     /// round (0 when partial pricing is disabled, and 0 on any round that forced
     /// a full re-price to establish the optimality certificate).
     pub sources_skipped: usize,
-    /// Worker threads the pricing sweep fanned out over this round (bounded by
-    /// the sources actually priced; 1 means the sweep ran serially).
-    pub pricing_threads: usize,
     /// Columns dropped from the `seen` bookkeeping by pool aging this round
     /// (0 unless [`ColGenOptions::purge_nonbasic_after`] is set).
     pub columns_purged: usize,
@@ -293,9 +297,6 @@ pub struct ColGenStats {
     /// redone at the raw duals (0 when stabilization is off). Each misprice
     /// resets the stability center.
     pub misprices: usize,
-    /// Resolved worker budget of the parallel pricing sweep (the explicit
-    /// [`ColGenOptions::pricing_threads`], or every available core).
-    pub pricing_threads: usize,
     /// Stall-watchdog trips over the whole solve: round-level trips
     /// (misprice loops, objective plateaus) plus the master solver's
     /// iteration-rate trips. 0 when the watchdog is not configured.
@@ -311,7 +312,6 @@ impl ColGenStats {
             seed_columns,
             total_columns: seed_columns,
             misprices: 0,
-            pricing_threads: 1,
             watchdog_trips: 0,
         }
     }
@@ -349,8 +349,7 @@ impl ColGenStats {
         self.rounds.iter().map(|r| r.master_wall_secs).sum()
     }
 
-    /// Total wall time of dual extraction plus pricing across all rounds —
-    /// the denominator of the parallel-pricing speedup.
+    /// Total wall time of dual extraction plus pricing across all rounds.
     pub fn total_pricing_wall_secs(&self) -> f64 {
         self.rounds.iter().map(|r| r.pricing_wall_secs).sum()
     }
@@ -521,7 +520,7 @@ impl PartialPricing {
 pub struct Candidate {
     /// `μ_owner − cost` under the duals the sweep priced at; `> tolerance`.
     pub violation: f64,
-    /// Owning commodity (pMCF, tsMCF) or demand (residual) index.
+    /// Owning commodity (pMCF) or demand (time-expanded master) index.
     pub owner: usize,
     /// The improving path. Owners see at most one candidate per sweep, so
     /// `(violation, owner)` sort keys are unique — the determinism anchor.
@@ -534,11 +533,11 @@ pub struct Candidate {
 /// An oracle is the bridge between the generic round loop and one concrete
 /// master formulation: it knows how to turn master duals into pricing inputs
 /// (`arc_weights`, `convexity_duals`), how to price one source
-/// (`price_source` — **pure and `Sync`**, the driver fans it out across
-/// threads), and how to lower an accepted candidate into an LP column
-/// (`build_column` — `&mut self`, where the oracle records its own
-/// column-to-path bookkeeping for the final extraction).
-pub trait PricingOracle: Sync {
+/// (`price_source` — `&self`, it only reads), and how to lower an accepted
+/// candidate into an LP column (`build_column` — `&mut self`, where the
+/// oracle records its own column-to-path bookkeeping for the final
+/// extraction).
+pub trait PricingOracle {
     /// Number of pricing sources (Dijkstra trees per sweep). Sources partition
     /// the owners: each owner is priced from exactly one source.
     fn num_sources(&self) -> usize;
@@ -554,9 +553,8 @@ pub trait PricingOracle: Sync {
     fn convexity_duals(&self, y: &[f64]) -> Vec<f64>;
 
     /// Prices source `si` under `weights`/`mu`, pushing every improving path
-    /// not already in `seen[owner]` onto `out`. Must be deterministic and
-    /// must not observe anything mutated during the sweep — the driver calls
-    /// it from multiple threads with disjoint output buffers.
+    /// not already in `seen[owner]` onto `out`. Must be deterministic: the
+    /// candidates of a source may depend only on the arguments.
     fn price_source(
         &self,
         si: usize,
@@ -583,9 +581,9 @@ pub trait PricingOracle: Sync {
 /// pool aging (matches the extraction thresholds of the concrete solvers).
 const PURGE_WEIGHT_TOL: f64 = 1e-9;
 
-// Observability taps for the shared round loop (covers pmcf, tscolgen, and
-// residual — every oracle goes through `run_colgen`). Free when tracing is
-// off; totals accumulate process-wide until `a2a_obs::reset`.
+// Observability taps for the shared round loop (both oracles go through
+// `run_colgen`). Free when tracing is off; totals accumulate process-wide
+// until `a2a_obs::reset`.
 static OBS_ROUNDS: a2a_obs::Counter = a2a_obs::Counter::new("colgen.rounds");
 static OBS_MISPRICES: a2a_obs::Counter = a2a_obs::Counter::new("colgen.misprices");
 static OBS_SOURCES_SKIPPED: a2a_obs::Counter = a2a_obs::Counter::new("colgen.sources_skipped");
@@ -603,35 +601,22 @@ struct PoolEntry {
     purged: bool,
 }
 
-/// Prices `sources` under the `(arc weights, convexity duals)` pair — in
-/// parallel when the pool budget allows — and merges the per-source buffers
-/// in source-index order. Returns the thread count used.
+/// Prices `sources`, in order, under the `(arc weights, convexity duals)`
+/// pair, appending each source's candidates to `out`.
 fn priced_sweep<O: PricingOracle>(
     oracle: &O,
-    pool: &ThreadPool,
     sources: &[usize],
     (weights, mu): (&[f64], &[f64]),
     seen: &[HashSet<Path>],
     partial: &mut PartialPricing,
     out: &mut Vec<Candidate>,
-) -> usize {
-    let threads = pool.current_num_threads().min(sources.len()).max(1);
-    let buffers: Vec<Vec<Candidate>> = pool.install(|| {
-        sources
-            .par_iter()
-            .map(|&si| {
-                let _obs = a2a_obs::span("colgen.price_source");
-                let mut buf = Vec::new();
-                oracle.price_source(si, weights, mu, seen, &mut buf);
-                buf
-            })
-            .collect()
-    });
-    for (&si, buf) in sources.iter().zip(buffers) {
-        partial.mark_priced(si, !buf.is_empty());
-        out.extend(buf);
+) {
+    for &si in sources {
+        let _obs = a2a_obs::span("colgen.price_source");
+        let before = out.len();
+        oracle.price_source(si, weights, mu, seen, out);
+        partial.mark_priced(si, out.len() > before);
     }
-    threads
 }
 
 /// The generic column-generation round loop shared by every colgen solver in
@@ -654,11 +639,6 @@ pub fn run_colgen<O: PricingOracle>(
 ) -> McfResult<(StandardSolution, ColGenStats)> {
     let nsrc = oracle.num_sources();
     let mut stats = ColGenStats::new(seed.len());
-    let pool = ThreadPoolBuilder::new()
-        .num_threads(options.pricing_threads.unwrap_or(0))
-        .build()
-        .expect("the rayon-shim pool builder is infallible");
-    stats.pricing_threads = pool.current_num_threads();
     let mut tracked: Vec<PoolEntry> = seed
         .into_iter()
         .map(|(owner, path)| PoolEntry {
@@ -742,9 +722,8 @@ pub fn run_colgen<O: PricingOracle>(
         let mut sources_skipped = skipped.len();
         let mut mispriced = false;
         let mut candidates: Vec<Candidate> = Vec::new();
-        let mut pricing_threads = priced_sweep(
+        priced_sweep(
             &*oracle,
-            &pool,
             &to_price,
             (&weights, &mu),
             seen,
@@ -769,15 +748,14 @@ pub fn run_colgen<O: PricingOracle>(
             } else {
                 skipped
             };
-            pricing_threads = pricing_threads.max(priced_sweep(
+            priced_sweep(
                 &*oracle,
-                &pool,
                 &resweep,
                 (&weights, &mu),
                 seen,
                 &mut partial,
                 &mut candidates,
-            ));
+            );
             sources_skipped = 0;
         }
         drop(obs_pricing);
@@ -813,7 +791,6 @@ pub fn run_colgen<O: PricingOracle>(
             flow_value,
             max_violation,
             sources_skipped,
-            pricing_threads,
             columns_purged,
             misprice: mispriced,
         });
@@ -857,6 +834,30 @@ pub fn run_colgen<O: PricingOracle>(
             });
             stats.total_columns += 1;
         }
+    }
+}
+
+#[cfg(test)]
+impl ColGenOptions {
+    /// Numerically malformed option values every colgen entry point must
+    /// reject: with a NaN or infinite `tolerance` no candidate ever passes the
+    /// `violation > tolerance` test, so round 1 would "certify" the seed.
+    pub(crate) fn malformed_numeric_cases() -> Vec<Self> {
+        let tolerance = |tolerance| Self {
+            tolerance,
+            ..Self::default()
+        };
+        let partial = |skip| Self {
+            partial_pricing: Some(skip),
+            ..Self::default()
+        };
+        vec![
+            tolerance(f64::NAN),
+            tolerance(f64::INFINITY),
+            tolerance(-1e-7),
+            partial(f64::NAN),
+            partial(-1.0),
+        ]
     }
 }
 

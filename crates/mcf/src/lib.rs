@@ -23,27 +23,30 @@
 //!   generation ([`pmcf::solve_path_mcf_colgen_among`]) that grows the path set
 //!   adaptively by dual-cost shortest-path pricing and certifies optimality of
 //!   the unrestricted path LP on any topology.
-//! * [`colgen`] — the column-generation engine shared by `pmcf`, `tscolgen`,
-//!   and `residual`: the generic round loop ([`colgen::run_colgen`]) over a
-//!   [`colgen::PricingOracle`], with dual stabilization (Wentges smoothing),
-//!   drift-based partial pricing, deterministic multi-threaded pricing, and
-//!   column-pool aging. The certificate invariant lives in its module docs.
+//! * [`colgen`] — the column-generation engine shared by `pmcf` and the
+//!   time-expanded master of `tscolgen`: the generic round loop
+//!   ([`colgen::run_colgen`]) over a [`colgen::PricingOracle`], with dual
+//!   stabilization (Wentges smoothing), drift-based partial pricing, a serial
+//!   deterministic pricing sweep, and column-pool aging. The certificate
+//!   invariant lives in its module docs.
 //! * [`tscolgen`] — tsMCF solved by column generation over **delivery-exact
-//!   time-expanded path columns**: every column is a whole `(0, s) → (steps, d)`
+//!   time-expanded path columns**: every column is a whole `(0, at) → (steps, d)`
 //!   path of the time-expanded graph, so solutions conserve flow exactly and
 //!   carry zero undelivered "junk" flow by construction
 //!   ([`tsmcf::TsMcfSolution::pruned`] is a structural no-op on this backend).
-//!   One Dijkstra tree per source over per-(edge, step) dual costs prices a
-//!   commodity's whole time horizon in one run; on the hardest time-expanded
-//!   LPs (huge degenerate plateaus) this is orders of magnitude faster than the
-//!   dense formulation. See the [`tscolgen`] module docs for when to pick dense
-//!   vs. colgen; [`tsmcf::solve_tsmcf_among_with`] auto-dispatches between the
-//!   two by instance size.
+//!   The one solver is indexed by [`tscolgen::TsDemand`] ("`amount` shards of
+//!   `origin → dest` sit at `at`"); the nominal all-to-all is its
+//!   all-at-source instance. One Dijkstra tree per holding node over
+//!   per-(edge, step) dual costs prices a demand's whole time horizon in one
+//!   run; on the hardest time-expanded LPs (huge degenerate plateaus) this is
+//!   orders of magnitude faster than the dense formulation. See the
+//!   [`tscolgen`] module docs for when to pick dense vs. colgen;
+//!   [`tsmcf::solve_tsmcf_among_with`] auto-dispatches between the two by
+//!   instance size.
 //! * [`residual`] — re-planning after a mid-run failure: a snapshot of where
-//!   the bytes are becomes a list of [`residual::TsDemand`]s solved on the
-//!   punctured topology by the same delivery-exact column generation,
-//!   warm-started from the nominal solve's incumbent column pool
-//!   ([`tscolgen::TsColumn`]).
+//!   the bytes are becomes a list of [`tscolgen::TsDemand`]s handed to that
+//!   same solver on the punctured topology, warm-started from the nominal
+//!   solve's incumbent column pool ([`tscolgen::TsColumn`]).
 //! * [`extract`] — widest-path extraction (MCF-extP, §3.2.1) that converts link flows
 //!   into weighted path schedules for source-routed fabrics.
 //! * [`bounds`] — the analytic throughput upper bound and the Theorem-1 lower bound on
@@ -81,11 +84,11 @@ pub use pmcf::{
 };
 pub use residual::{
     residual_minimum_steps, solve_residual_colgen, warm_seeds_from_columns, ResidualColGen,
-    ResidualSolution, TsDemand,
+    ResidualSolution,
 };
 pub use tscolgen::{
     solve_tsmcf_colgen, solve_tsmcf_colgen_among, solve_tsmcf_colgen_among_with,
-    solve_tsmcf_colgen_auto, TsColGen, TsColumn,
+    solve_tsmcf_colgen_auto, TsColGen, TsColumn, TsDemand,
 };
 pub use tsmcf::{
     solve_tsmcf, solve_tsmcf_among, solve_tsmcf_among_dense, solve_tsmcf_among_dense_with,

@@ -935,7 +935,7 @@ mod tests {
     #[test]
     fn colgen_rejects_zero_caps() {
         let topo = generators::hypercube(2);
-        for opts in [
+        let zero_caps = [
             ColGenOptions {
                 max_rounds: 0,
                 ..ColGenOptions::default()
@@ -944,7 +944,11 @@ mod tests {
                 max_columns_per_round: 0,
                 ..ColGenOptions::default()
             },
-        ] {
+        ];
+        for opts in zero_caps
+            .into_iter()
+            .chain(ColGenOptions::malformed_numeric_cases())
+        {
             let err = solve_path_mcf_colgen(&topo, &opts).unwrap_err();
             assert!(matches!(err, McfError::BadArgument(_)));
         }

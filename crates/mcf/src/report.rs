@@ -98,7 +98,6 @@ mod tests {
             flow_value: 12.5,
             max_violation: 1e-3,
             sources_skipped: 0,
-            pricing_threads: 1,
             columns_purged: 1,
             misprice: true,
         });

@@ -8,17 +8,18 @@
 //! the `origin → dest` commodity currently sit at node `at` and must still
 //! reach `dest`", solved on the punctured topology.
 //!
-//! This module reuses the delivery-exact time-expanded column formulation of
-//! [`crate::tscolgen`] with three changes:
+//! The time-expanded column-generation solver of [`crate::tscolgen`] is
+//! indexed by demand, and the nominal solve is the all-at-source instance of
+//! it; this module is the other caller. What it adds is the residual problem
+//! statement, not a second solver:
 //!
-//! * **demand-indexed convexity**: one convexity row per demand with
-//!   right-hand side `amount` (the nominal solver's rows are `== 1`), so a
-//!   demand's path columns together carry exactly the stranded amount —
-//!   partial chunks re-enter the plan at their holding node without rounding;
-//! * **holding-node sources**: pricing runs one Dijkstra tree per *distinct
-//!   holding node* (not per commodity source) — after a failure many demands
-//!   share the few nodes that were buffering, so the residual pricing is
-//!   cheaper than nominal pricing even before warm starts;
+//! * **demands from holdings**: each demand's convexity row has right-hand
+//!   side `amount`, so its path columns together carry exactly the stranded
+//!   amount — partial chunks re-enter the plan at their holding node without
+//!   rounding — and pricing runs one Dijkstra tree per *distinct holding
+//!   node*: after a failure many demands share the few nodes that were
+//!   buffering, so residual pricing is cheaper than nominal pricing even
+//!   before warm starts;
 //! * **warm seeds**: the caller may seed the restricted master from the
 //!   incumbent column pool of the nominal solve
 //!   ([`warm_seeds_from_columns`] cuts each incumbent trajectory at the
@@ -33,31 +34,12 @@
 
 use std::collections::{HashMap, HashSet};
 
-use a2a_lp::sparse::SparseVec;
-use a2a_lp::{NewColumn, SimplexOptions, Solver, StandardForm, INF};
-use a2a_topology::transform::TimeExpanded;
-use a2a_topology::{paths, EdgeId, NodeId, Path, Topology};
+use a2a_topology::{EdgeId, NodeId, Path, Topology};
 
-use crate::colgen::{run_colgen, Candidate, ColGenOptions, ColGenStats, PricingOracle};
-use crate::tscolgen::{extract_time_stepped, ExpandedLowering, TsColumn};
+use crate::colgen::{ColGenOptions, ColGenStats};
+pub use crate::tscolgen::TsDemand;
+use crate::tscolgen::{shortest_seed, solve_expanded_colgen, TsColumn};
 use crate::types::{CommoditySet, McfError, McfResult};
-
-/// One residual demand: `amount` shards of the original `origin → dest`
-/// commodity currently held at node `at`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TsDemand {
-    /// Source of the original commodity. Provenance label only — the residual
-    /// flow starts at [`TsDemand::at`], not here.
-    pub origin: NodeId,
-    /// Final destination the shards must still reach.
-    pub dest: NodeId,
-    /// Node currently holding the shards: the layer-0 entry of the residual flow.
-    pub at: NodeId,
-    /// Shards still to deliver, as a fraction of one shard
-    /// (`chunks / chunks_per_shard`). May exceed 1 when a snapshot merges
-    /// holdings. Must be positive and finite.
-    pub amount: f64,
-}
 
 /// A solved residual plan: per-demand time-stepped flows on the punctured
 /// topology, in the same `(edge, amount)`-per-step shape the chunk lowering
@@ -245,100 +227,6 @@ pub fn warm_seeds_from_columns(
     seeds
 }
 
-/// [`PricingOracle`] of the residual master: one Dijkstra tree per *distinct
-/// holding node* over the expanded graph prices every demand stranded there.
-/// Columns are lowered through the shared [`ExpandedLowering`]; the only
-/// residual-specific parts are the demand-indexed convexity duals and the
-/// holding-node source grouping.
-struct ResidualPricer<'a> {
-    lower: ExpandedLowering<'a>,
-    demands: &'a [TsDemand],
-    /// Distinct holding nodes, in first-appearance order.
-    starts: Vec<NodeId>,
-    /// Demand indices stranded at each holding node.
-    demands_of_start: Vec<Vec<usize>>,
-    ndem: usize,
-    tol: f64,
-    /// Owning demand of path column `j` (LP column `steps + j`).
-    col_owner: Vec<usize>,
-    /// Fabric arcs of path column `j`, for the extraction.
-    col_arcs: Vec<Vec<(usize, EdgeId, EdgeId)>>,
-}
-
-impl ResidualPricer<'_> {
-    fn push_column(&mut self, k: usize, p: &Path) -> SparseVec {
-        let arcs = self.lower.fabric_arcs(p);
-        let col = self.lower.path_column(k, &arcs);
-        self.col_owner.push(k);
-        self.col_arcs.push(arcs);
-        col
-    }
-}
-
-impl PricingOracle for ResidualPricer<'_> {
-    fn num_sources(&self) -> usize {
-        self.starts.len()
-    }
-
-    fn owners_of_source(&self) -> &[Vec<usize>] {
-        &self.demands_of_start
-    }
-
-    fn arc_weights(&self, y: &[f64]) -> Vec<f64> {
-        self.lower.arc_weights(y)
-    }
-
-    fn convexity_duals(&self, y: &[f64]) -> Vec<f64> {
-        y[self.lower.ncap_rows..self.lower.ncap_rows + self.ndem].to_vec()
-    }
-
-    fn price_source(
-        &self,
-        si: usize,
-        weights: &[f64],
-        mu: &[f64],
-        seen: &[HashSet<Path>],
-        out: &mut Vec<Candidate>,
-    ) {
-        let expanded = self.lower.expanded;
-        let tree = paths::weighted_shortest_path_tree(
-            &expanded.graph,
-            expanded.node_at(0, self.starts[si]),
-            weights,
-        );
-        for &k in &self.demands_of_start[si] {
-            let terminus = expanded.node_at(self.lower.steps, self.demands[k].dest);
-            let cost = tree
-                .distance(terminus)
-                .expect("step budget >= residual diameter keeps termini reachable");
-            let violation = mu[k] - cost;
-            if violation > self.tol {
-                let p = self.lower.shortcut_detours(
-                    &tree
-                        .path_to(terminus)
-                        .expect("finite distance implies a path"),
-                );
-                if !seen[k].contains(&p) {
-                    out.push(Candidate {
-                        violation,
-                        owner: k,
-                        path: p,
-                    });
-                }
-            }
-        }
-    }
-
-    fn build_column(&mut self, owner: usize, path: &Path) -> NewColumn {
-        NewColumn {
-            col: self.push_column(owner, path),
-            obj: 0.0,
-            lower: 0.0,
-            upper: INF,
-        }
-    }
-}
-
 /// Solves a residual instance by column generation, optionally warm-started.
 ///
 /// `warm` holds `(demand index, base-graph path)` seeds — typically from
@@ -363,122 +251,33 @@ pub fn solve_residual_colgen(
             "{steps} steps is below the residual diameter {required}"
         )));
     }
-    options.validate().map_err(McfError::BadArgument)?;
-    let ndem = demands.len();
-    let expanded = TimeExpanded::build(topo, steps);
-
-    // Row layout mirrors the nominal master: one capacity row per
-    // finite-capacity fabric arc (shared lowering), then one convexity row per
-    // demand — with right-hand side `amount` instead of 1, so columns carry
-    // shard units.
-    let (lower, mut row_lower, mut row_upper) = ExpandedLowering::build(topo, &expanded, steps);
-    for d in demands {
-        row_lower.push(d.amount);
-        row_upper.push(d.amount);
-    }
-    let nrows = row_lower.len();
-
-    // Seeds: the earliest-arrival shortest path per demand (guaranteed by the
-    // diameter check above), plus whatever warm suffixes validate.
-    let mut path_sets: Vec<Vec<Path>> = Vec::with_capacity(ndem);
-    for d in demands {
-        let p = paths::shortest_path(topo, d.at, d.dest)
-            .expect("residual_minimum_steps verified reachability");
-        path_sets.push(vec![lower.expand_earliest(&p)]);
-    }
+    // Seeds: the shortest path per demand (guaranteed by the diameter check
+    // above), plus whatever warm suffixes validate.
+    let mut seed_paths: Vec<Vec<Path>> = demands
+        .iter()
+        .map(|d| Ok(vec![shortest_seed(topo, d.at, d.dest)?]))
+        .collect::<McfResult<_>>()?;
     for (idx, p) in warm {
-        let usable = *idx < ndem
+        let usable = *idx < demands.len()
             && p.source() == demands[*idx].at
             && p.dest() == demands[*idx].dest
             && p.hops() <= steps
             && p.is_valid_in(topo);
         if usable {
-            path_sets[*idx].push(lower.expand_earliest(p));
+            seed_paths[*idx].push(p.clone());
         }
     }
-    let mut seen: Vec<HashSet<Path>> = path_sets
-        .iter_mut()
-        .map(|set| {
-            let mut dedup = HashSet::with_capacity(set.len());
-            set.retain(|p| dedup.insert(p.clone()));
-            dedup
-        })
-        .collect();
 
-    // Pricing sources are the *distinct holding nodes*: one Dijkstra tree per
-    // holding node prices every demand stranded there.
-    let mut starts: Vec<NodeId> = Vec::new();
-    let mut demands_of_start: Vec<Vec<usize>> = Vec::new();
-    {
-        let mut index_of_start: HashMap<NodeId, usize> = HashMap::new();
-        for (k, d) in demands.iter().enumerate() {
-            let si = *index_of_start.entry(d.at).or_insert_with(|| {
-                starts.push(d.at);
-                demands_of_start.push(Vec::new());
-                starts.len() - 1
-            });
-            demands_of_start[si].push(k);
-        }
-    }
-    let mut pricer = ResidualPricer {
-        lower,
-        demands,
-        starts,
-        demands_of_start,
-        ndem,
-        tol: options.tolerance,
-        col_owner: Vec::new(),
-        col_arcs: Vec::new(),
-    };
-
-    let mut cols: Vec<SparseVec> = pricer.lower.utilization_columns();
-    let mut obj: Vec<f64> = vec![1.0; steps];
-    let mut seed: Vec<(usize, Path)> = Vec::new();
-    for (k, set) in path_sets.into_iter().enumerate() {
-        for p in set {
-            cols.push(pricer.push_column(k, &p));
-            obj.push(0.0);
-            seed.push((k, p));
-        }
-    }
-    let ncols = cols.len();
-    let sf = StandardForm {
-        nrows,
-        cols,
-        obj,
-        lower: vec![0.0; ncols],
-        upper: vec![INF; ncols],
-        row_lower,
-        row_upper,
-    };
-    let simplex_opts = SimplexOptions {
-        pricing: options.pricing,
-        presolve: false,
-        scaling: false,
-        ..SimplexOptions::default()
-    };
-    let mut solver = Solver::new_owned(sf, simplex_opts)?;
-
-    // The U_t columns occupy structural columns 0..steps; path columns follow.
-    let (sol, stats) = run_colgen(&mut solver, &mut pricer, &mut seen, steps, seed, options)?;
-    let ResidualPricer {
-        col_owner,
-        col_arcs,
-        ..
-    } = pricer;
-
-    let (flows, columns, step_utilization) =
-        extract_time_stepped(&sol, steps, ndem, &col_owner, &col_arcs);
-
+    let solved = solve_expanded_colgen(topo, demands, steps, options, &seed_paths)?;
     Ok(ResidualColGen {
         solution: ResidualSolution {
             demands: demands.to_vec(),
             steps,
-            step_utilization,
-            flows,
+            step_utilization: solved.step_utilization,
+            flows: solved.flows,
         },
-        stats,
-        columns,
+        stats: solved.stats,
+        columns: solved.columns,
     })
 }
 
@@ -490,7 +289,9 @@ mod tests {
     use a2a_topology::generators;
 
     /// A residual instance with every shard still at its origin *is* the
-    /// all-to-all: the solvers must agree on the optimal utilization.
+    /// all-to-all — the nominal entry point is that instance of this solver —
+    /// so the two public entry points must agree round for round and flow for
+    /// flow, to the bit.
     #[test]
     fn full_all_to_all_residual_matches_the_nominal_solve() {
         for topo in [generators::hypercube(2), generators::torus(&[3, 3])] {
@@ -519,13 +320,45 @@ mod tests {
             .unwrap();
             assert!(res.stats.proved_optimal, "{}: certificate", topo.name());
             assert!(res.solution.check_consistency(&topo, 1e-6).is_empty());
-            assert!(
-                (res.solution.total_utilization() - nominal.solution.total_utilization()).abs()
-                    <= 1e-5 * (1.0 + nominal.solution.total_utilization()),
-                "{}: residual U = {} vs nominal U = {}",
-                topo.name(),
-                res.solution.total_utilization(),
-                nominal.solution.total_utilization()
+            let trajectory = |stats: &ColGenStats| -> Vec<_> {
+                stats
+                    .rounds
+                    .iter()
+                    .map(|r| {
+                        (
+                            r.columns_added,
+                            r.master_iterations,
+                            r.master_pivots,
+                            r.flow_value.to_bits(),
+                            r.max_violation.to_bits(),
+                            r.sources_skipped,
+                            r.misprice,
+                        )
+                    })
+                    .collect()
+            };
+            assert_eq!(
+                trajectory(&res.stats),
+                trajectory(&nominal.stats),
+                "{}: round trajectories diverge",
+                topo.name()
+            );
+            let bits = |flows: &[Vec<Vec<(EdgeId, f64)>>]| -> Vec<Vec<Vec<(EdgeId, u64)>>> {
+                flows
+                    .iter()
+                    .map(|steps| {
+                        steps
+                            .iter()
+                            .map(|list| list.iter().map(|&(e, a)| (e, a.to_bits())).collect())
+                            .collect()
+                    })
+                    .collect()
+            };
+            assert_eq!(
+                bits(&res.solution.flows),
+                bits(&nominal.solution.flows),
+                "{}: extracted flows diverge",
+                topo.name()
             );
         }
     }
@@ -718,5 +551,12 @@ mod tests {
             solve_residual_colgen(&topo, &[base], 0, &ColGenOptions::default(), &[]).unwrap_err(),
             McfError::BadArgument(_)
         ));
+        // Malformed options on a well-formed instance.
+        for opts in ColGenOptions::malformed_numeric_cases() {
+            assert!(matches!(
+                solve_residual_colgen(&topo, &[base], 1, &opts, &[]).unwrap_err(),
+                McfError::BadArgument(_)
+            ));
+        }
     }
 }

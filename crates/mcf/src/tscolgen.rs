@@ -45,6 +45,20 @@
 //!
 //! [`ChunkedSchedule::from_tsmcf_exact`]: a2a_schedule::ChunkedSchedule
 //!
+//! # One solver, indexed by demand
+//!
+//! There is exactly one time-expanded master in this crate, and it is indexed
+//! by [`TsDemand`] — "`amount` shards of the `origin → dest` commodity sit at
+//! node `at`" — not by commodity: one convexity row `Σ_p x_{k,p} = amount_k`
+//! per demand, one pricing source (Dijkstra tree) per *distinct holding node*.
+//! The nominal all-to-all is the instance in which every shard still sits at
+//! its source: [`solve_tsmcf_colgen_among_with`] maps the commodity set to
+//! unit demands held at their origins (source-major, so demand index ==
+//! commodity index and the holding nodes come out in endpoint order), seeds
+//! them per [`ColGenSeed`], and re-wraps the result as a [`TsColGen`].
+//! [`crate::residual::solve_residual_colgen`] feeds the same solver the
+//! holdings of an interrupted run.
+//!
 //! # Dense vs. colgen — which to pick
 //!
 //! * **Dense** ([`crate::tsmcf::solve_tsmcf_among_with`]): small instances
@@ -65,8 +79,7 @@ use a2a_lp::{NewColumn, SimplexOptions, Solver, StandardForm, INF};
 use a2a_topology::transform::TimeExpanded;
 use a2a_topology::{paths, EdgeId, NodeId, Path, Topology};
 
-use crate::colgen::ColGenStats;
-use crate::colgen::{run_colgen, Candidate, ColGenOptions, ColGenSeed, PricingOracle};
+use crate::colgen::{run_colgen, Candidate, ColGenOptions, ColGenSeed, ColGenStats, PricingOracle};
 use crate::pmcf::build_path_sets;
 use crate::tsmcf::{minimum_steps, TsMcfSolution};
 use crate::types::{CommoditySet, McfError, McfResult};
@@ -155,28 +168,43 @@ pub struct TsColGen {
     pub columns: Vec<TsColumn>,
 }
 
-/// The LP lowering shared by the time-expanded colgen masters
-/// ([`solve_tsmcf_colgen_among_with`] and
-/// [`crate::residual::solve_residual_colgen`]): the capacity-row layout over
+/// One demand of the time-expanded master: `amount` shards of the original
+/// `origin → dest` commodity currently held at node `at`. The nominal
+/// all-to-all is one unit demand per commodity with `at == origin`; after a
+/// mid-run failure [`crate::residual`] builds them from where the bytes are.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TsDemand {
+    /// Source of the original commodity. Provenance label only — the flow
+    /// starts at [`TsDemand::at`], not here.
+    pub origin: NodeId,
+    /// Final destination the shards must still reach.
+    pub dest: NodeId,
+    /// Node currently holding the shards: the layer-0 entry of the flow.
+    pub at: NodeId,
+    /// Shards still to deliver, as a fraction of one shard
+    /// (`chunks / chunks_per_shard`). May exceed 1 when a snapshot merges
+    /// holdings. Must be positive and finite.
+    pub amount: f64,
+}
+
+/// The LP lowering of the time-expanded master: the capacity-row layout over
 /// the expanded graph, path-to-column lowering, detour splicing, and
-/// earliest-departure seed expansion. The two masters differ only in their
-/// convexity rows (`== 1` per commodity vs. `== amount` per demand) and
-/// pricing sources — everything about *columns* lives here once.
-pub(crate) struct ExpandedLowering<'a> {
-    pub(crate) topo: &'a Topology,
-    pub(crate) expanded: &'a TimeExpanded,
-    pub(crate) steps: usize,
+/// earliest-departure seed expansion — everything about *columns*.
+struct ExpandedLowering<'a> {
+    topo: &'a Topology,
+    expanded: &'a TimeExpanded,
+    steps: usize,
     /// Capacity-row index of each expanded edge (`None` for self edges and
     /// infinite-capacity fabric edges — they are never a bottleneck).
-    pub(crate) arc_row: Vec<Option<usize>>,
-    pub(crate) ncap_rows: usize,
+    arc_row: Vec<Option<usize>>,
+    ncap_rows: usize,
 }
 
 impl<'a> ExpandedLowering<'a> {
     /// Builds the capacity-row layout; returns the lowering plus the capacity
     /// rows' bounds (`-INF <= Σ_paths x − cap_e · U_t <= 0`), to which the
     /// caller appends its convexity rows.
-    pub(crate) fn build(
+    fn build(
         topo: &'a Topology,
         expanded: &'a TimeExpanded,
         steps: usize,
@@ -210,7 +238,7 @@ impl<'a> ExpandedLowering<'a> {
 
     /// The per-step utilization columns `U_0..U_{steps-1}`: coefficient
     /// `-cap` on every capacity row of their step (objective 1 each).
-    pub(crate) fn utilization_columns(&self) -> Vec<SparseVec> {
+    fn utilization_columns(&self) -> Vec<SparseVec> {
         let xg = &self.expanded.graph;
         (0..self.steps)
             .map(|t| {
@@ -226,7 +254,7 @@ impl<'a> ExpandedLowering<'a> {
 
     /// Per-arc pricing costs `w_{e,t} = max(0, −y_{e,t})` from the capacity
     /// duals (self arcs and uncapacitated arcs stay free).
-    pub(crate) fn arc_weights(&self, y: &[f64]) -> Vec<f64> {
+    fn arc_weights(&self, y: &[f64]) -> Vec<f64> {
         let mut weights = vec![0.0; self.expanded.graph.num_edges()];
         for (xe, r) in self.arc_row.iter().enumerate() {
             if let Some(r) = *r {
@@ -239,7 +267,7 @@ impl<'a> ExpandedLowering<'a> {
     /// The fabric arcs of an expanded path, as (step, base edge, expanded
     /// edge) triples — the shape both the column builder and the solution
     /// extraction need.
-    pub(crate) fn fabric_arcs(&self, p: &Path) -> Vec<(usize, EdgeId, EdgeId)> {
+    fn fabric_arcs(&self, p: &Path) -> Vec<(usize, EdgeId, EdgeId)> {
         let xg = &self.expanded.graph;
         let mut arcs = Vec::with_capacity(p.hops());
         for (u, v) in p.links() {
@@ -260,7 +288,7 @@ impl<'a> ExpandedLowering<'a> {
     }
 
     /// Lowers a path's arcs into the LP column of convexity row `k`.
-    pub(crate) fn path_column(&self, k: usize, arcs: &[(usize, EdgeId, EdgeId)]) -> SparseVec {
+    fn path_column(&self, k: usize, arcs: &[(usize, EdgeId, EdgeId)]) -> SparseVec {
         let mut entries: Vec<(usize, f64)> = Vec::with_capacity(arcs.len() + 1);
         for &(_, _, xe) in arcs {
             if let Some(r) = self.arc_row[xe] {
@@ -278,7 +306,7 @@ impl<'a> ExpandedLowering<'a> {
     /// hop tie-break does not prefer buffering); the spliced path costs no
     /// more under any non-negative arc weights — improving candidates stay
     /// improving — and wastes no capacity when lowered.
-    pub(crate) fn shortcut_detours(&self, p: &Path) -> Path {
+    fn shortcut_detours(&self, p: &Path) -> Path {
         let mut out: Vec<usize> = Vec::new();
         let mut pos_of_base: HashMap<usize, usize> = HashMap::new();
         for &x in p.nodes() {
@@ -305,7 +333,7 @@ impl<'a> ExpandedLowering<'a> {
 
     /// Expands a base-graph path to its earliest-departure time expansion,
     /// buffering at the destination through the remaining steps.
-    pub(crate) fn expand_earliest(&self, p: &Path) -> Path {
+    fn expand_earliest(&self, p: &Path) -> Path {
         let mut nodes = Vec::with_capacity(self.steps + 1);
         for (i, &v) in p.nodes().iter().enumerate() {
             nodes.push(self.expanded.node_at(i, v));
@@ -317,65 +345,25 @@ impl<'a> ExpandedLowering<'a> {
     }
 }
 
-/// Extraction shared by the time-expanded masters: aggregates column weights
-/// per (owner, step, base edge) into per-step flow lists, collects the
-/// positive-weight incumbent pool, and reads the per-step utilizations off
-/// the structural `U_t` columns.
-#[allow(clippy::type_complexity)]
-pub(crate) fn extract_time_stepped(
-    sol: &a2a_lp::StandardSolution,
-    steps: usize,
-    nowners: usize,
-    col_owner: &[usize],
-    col_arcs: &[Vec<(usize, EdgeId, EdgeId)>],
-) -> (Vec<Vec<Vec<(EdgeId, f64)>>>, Vec<TsColumn>, Vec<f64>) {
-    let mut flows: Vec<Vec<Vec<(EdgeId, f64)>>> = vec![vec![Vec::new(); steps]; nowners];
-    let mut columns: Vec<TsColumn> = Vec::new();
-    let mut agg: Vec<Vec<HashMap<EdgeId, f64>>> = vec![vec![HashMap::new(); steps]; nowners];
-    for (j, &k) in col_owner.iter().enumerate() {
-        let w = sol.x[steps + j];
-        if w <= FLOW_TOL {
-            continue;
-        }
-        for &(t, base, _) in &col_arcs[j] {
-            *agg[k][t].entry(base).or_insert(0.0) += w;
-        }
-        columns.push(TsColumn {
-            owner: k,
-            weight: w,
-            arcs: col_arcs[j].iter().map(|&(t, base, _)| (t, base)).collect(),
-        });
-    }
-    for (k, per_step) in agg.into_iter().enumerate() {
-        for (t, map) in per_step.into_iter().enumerate() {
-            let mut list: Vec<(EdgeId, f64)> =
-                map.into_iter().filter(|&(_, a)| a > FLOW_TOL).collect();
-            list.sort_unstable_by_key(|&(e, _)| e);
-            flows[k][t] = list;
-        }
-    }
-    let step_utilization: Vec<f64> = (0..steps).map(|t| sol.x[t].max(0.0)).collect();
-    (flows, columns, step_utilization)
-}
-
-/// [`PricingOracle`] of the nominal time-expanded master: one Dijkstra tree
-/// per commodity source over the expanded graph under arc costs
-/// `w_{e,t} = max(0, −y_{e,t})` (self arcs free) prices every destination's
-/// whole time horizon in one run.
-struct TsPricer<'a> {
+/// [`PricingOracle`] of the time-expanded master: one Dijkstra tree per
+/// *distinct holding node* over the expanded graph under arc costs
+/// `w_{e,t} = max(0, −y_{e,t})` (self arcs free) prices every demand held
+/// there — each one's whole time horizon — in one run.
+struct ExpandedPricer<'a> {
     lower: ExpandedLowering<'a>,
-    commodities: &'a CommoditySet,
-    endpoints: Vec<NodeId>,
-    commodities_of_source: Vec<Vec<usize>>,
-    ncomm: usize,
+    demands: &'a [TsDemand],
+    /// Distinct holding nodes, in first-appearance order.
+    starts: Vec<NodeId>,
+    /// Demand indices held at each holding node, ascending.
+    demands_of_start: Vec<Vec<usize>>,
     tol: f64,
-    /// Owning commodity of path column `j` (LP column `steps + j`).
+    /// Owning demand of path column `j` (LP column `steps + j`).
     col_owner: Vec<usize>,
     /// Fabric arcs of path column `j`, for the extraction.
     col_arcs: Vec<Vec<(usize, EdgeId, EdgeId)>>,
 }
 
-impl TsPricer<'_> {
+impl ExpandedPricer<'_> {
     fn push_column(&mut self, k: usize, p: &Path) -> SparseVec {
         let arcs = self.lower.fabric_arcs(p);
         let col = self.lower.path_column(k, &arcs);
@@ -385,13 +373,13 @@ impl TsPricer<'_> {
     }
 }
 
-impl PricingOracle for TsPricer<'_> {
+impl PricingOracle for ExpandedPricer<'_> {
     fn num_sources(&self) -> usize {
-        self.endpoints.len()
+        self.starts.len()
     }
 
     fn owners_of_source(&self) -> &[Vec<usize>] {
-        &self.commodities_of_source
+        &self.demands_of_start
     }
 
     fn arc_weights(&self, y: &[f64]) -> Vec<f64> {
@@ -399,7 +387,7 @@ impl PricingOracle for TsPricer<'_> {
     }
 
     fn convexity_duals(&self, y: &[f64]) -> Vec<f64> {
-        y[self.lower.ncap_rows..self.lower.ncap_rows + self.ncomm].to_vec()
+        y[self.lower.ncap_rows..self.lower.ncap_rows + self.demands.len()].to_vec()
     }
 
     fn price_source(
@@ -411,21 +399,16 @@ impl PricingOracle for TsPricer<'_> {
         out: &mut Vec<Candidate>,
     ) {
         let expanded = self.lower.expanded;
-        let s = self.endpoints[si];
-        let tree =
-            paths::weighted_shortest_path_tree(&expanded.graph, expanded.node_at(0, s), weights);
-        for &d in &self.endpoints {
-            if d == s {
-                continue;
-            }
-            let k = self
-                .commodities
-                .index_of(s, d)
-                .expect("endpoints enumerate the commodity set");
-            let terminus = expanded.node_at(self.lower.steps, d);
+        let tree = paths::weighted_shortest_path_tree(
+            &expanded.graph,
+            expanded.node_at(0, self.starts[si]),
+            weights,
+        );
+        for &k in &self.demands_of_start[si] {
+            let terminus = expanded.node_at(self.lower.steps, self.demands[k].dest);
             let cost = tree
                 .distance(terminus)
-                .expect("step budget >= commodity diameter keeps termini reachable");
+                .expect("step budget >= demand diameter keeps termini reachable");
             let violation = mu[k] - cost;
             if violation > self.tol {
                 let p = self.lower.shortcut_detours(
@@ -456,6 +439,164 @@ impl PricingOracle for TsPricer<'_> {
             upper: INF,
         }
     }
+}
+
+/// What the time-expanded solver returns, before an entry point wraps it in
+/// its own solution type: `flows[demand][step]` lists the positive
+/// `(base edge, amount)` transfers, ascending in edge id.
+pub(crate) struct ExpandedSolve {
+    pub(crate) flows: Vec<Vec<Vec<(EdgeId, f64)>>>,
+    pub(crate) step_utilization: Vec<f64>,
+    pub(crate) stats: ColGenStats,
+    pub(crate) columns: Vec<TsColumn>,
+}
+
+/// The hop-shortest `from → to` base path: the seed every demand can fall
+/// back on once its step budget covers its diameter.
+pub(crate) fn shortest_seed(topo: &Topology, from: NodeId, to: NodeId) -> McfResult<Path> {
+    paths::shortest_path(topo, from, to)
+        .ok_or_else(|| McfError::BadTopology(format!("no {from}->{to} path exists for the seed")))
+}
+
+/// The time-expanded column-generation solver: `min Σ_t U_t` over `steps`
+/// steps such that every demand's `amount` travels from its holding node to
+/// its destination.
+///
+/// `seed_paths[k]` holds the base-graph seed paths of demand `k` (`at → dest`,
+/// valid in `topo`, at most `steps` hops, at least one per demand); each is
+/// lowered to its earliest-departure expansion. The caller has checked that
+/// `steps` covers every demand's hop distance.
+pub(crate) fn solve_expanded_colgen(
+    topo: &Topology,
+    demands: &[TsDemand],
+    steps: usize,
+    options: &ColGenOptions,
+    seed_paths: &[Vec<Path>],
+) -> McfResult<ExpandedSolve> {
+    options.validate().map_err(McfError::BadArgument)?;
+    let ndem = demands.len();
+    debug_assert_eq!(seed_paths.len(), ndem, "one seed list per demand");
+    let expanded = TimeExpanded::build(topo, steps);
+
+    // Row layout: one capacity row per finite-capacity *fabric* arc (self arcs
+    // buffer for free, infinite-capacity fabric edges are never a bottleneck),
+    // then one convexity row (== amount) per demand, so columns carry shard
+    // units. Building the standard form directly keeps row indices stable for
+    // the whole session, which the dual extraction depends on.
+    let (lower, mut row_lower, mut row_upper) = ExpandedLowering::build(topo, &expanded, steps);
+    for d in demands {
+        row_lower.push(d.amount);
+        row_upper.push(d.amount);
+    }
+    let nrows = row_lower.len();
+
+    let mut seen: Vec<HashSet<Path>> = vec![HashSet::new(); ndem];
+    let mut seed: Vec<(usize, Path)> = Vec::new();
+    for (k, set) in seed_paths.iter().enumerate() {
+        for p in set {
+            let lowered = lower.expand_earliest(p);
+            if seen[k].insert(lowered.clone()) {
+                seed.push((k, lowered));
+            }
+        }
+    }
+
+    // Pricing sources are the *distinct holding nodes*: one Dijkstra tree per
+    // holding node prices every demand held there.
+    let mut starts: Vec<NodeId> = Vec::new();
+    let mut demands_of_start: Vec<Vec<usize>> = Vec::new();
+    let mut index_of_start: HashMap<NodeId, usize> = HashMap::new();
+    for (k, d) in demands.iter().enumerate() {
+        let si = *index_of_start.entry(d.at).or_insert_with(|| {
+            starts.push(d.at);
+            demands_of_start.push(Vec::new());
+            starts.len() - 1
+        });
+        demands_of_start[si].push(k);
+    }
+    let mut pricer = ExpandedPricer {
+        lower,
+        demands,
+        starts,
+        demands_of_start,
+        tol: options.tolerance,
+        col_owner: Vec::new(),
+        col_arcs: Vec::new(),
+    };
+
+    // Columns: U_0..U_{steps-1} first (objective 1 each, coefficient -cap on
+    // every capacity row of their step), then the seed columns in demand
+    // order with `col_owner[j]` naming the owning demand.
+    let mut cols: Vec<SparseVec> = pricer.lower.utilization_columns();
+    let mut obj: Vec<f64> = vec![1.0; steps];
+    for (k, p) in &seed {
+        cols.push(pricer.push_column(*k, p));
+        obj.push(0.0);
+    }
+    let ncols = cols.len();
+    let sf = StandardForm {
+        nrows,
+        cols,
+        obj,
+        lower: vec![0.0; ncols],
+        upper: vec![INF; ncols],
+        row_lower,
+        row_upper,
+    };
+
+    // The session works on the core solver: no presolve/scaling, so row and
+    // column indices stay stable and the duals come straight off the basis.
+    let simplex_opts = SimplexOptions {
+        pricing: options.pricing,
+        presolve: false,
+        scaling: false,
+        ..SimplexOptions::default()
+    };
+    let mut solver = Solver::new_owned(sf, simplex_opts)?;
+
+    // The U_t columns occupy structural columns 0..steps; path columns follow.
+    let (sol, stats) = run_colgen(&mut solver, &mut pricer, &mut seen, steps, seed, options)?;
+
+    // Extraction: aggregate column weights per (demand, step, base edge) and
+    // collect the positive-weight incumbent pool. Convexity equality makes
+    // delivery exactly `amount`, and paths conserve flow exactly, so the
+    // solution is junk-free by construction.
+    let mut columns: Vec<TsColumn> = Vec::new();
+    let mut agg: Vec<Vec<HashMap<EdgeId, f64>>> = vec![vec![HashMap::new(); steps]; ndem];
+    for (j, (&k, arcs)) in pricer.col_owner.iter().zip(&pricer.col_arcs).enumerate() {
+        let w = sol.x[steps + j];
+        if w <= FLOW_TOL {
+            continue;
+        }
+        for &(t, base, _) in arcs {
+            *agg[k][t].entry(base).or_insert(0.0) += w;
+        }
+        columns.push(TsColumn {
+            owner: k,
+            weight: w,
+            arcs: arcs.iter().map(|&(t, base, _)| (t, base)).collect(),
+        });
+    }
+    let flows = agg
+        .into_iter()
+        .map(|per_step| {
+            per_step
+                .into_iter()
+                .map(|map| {
+                    let mut list: Vec<(EdgeId, f64)> =
+                        map.into_iter().filter(|&(_, a)| a > FLOW_TOL).collect();
+                    list.sort_unstable_by_key(|&(e, _)| e);
+                    list
+                })
+                .collect()
+        })
+        .collect();
+    Ok(ExpandedSolve {
+        flows,
+        step_utilization: (0..steps).map(|t| sol.x[t].max(0.0)).collect(),
+        stats,
+        columns,
+    })
 }
 
 /// Solves tsMCF by column generation for an all-to-all among all nodes, with an
@@ -501,147 +642,51 @@ pub fn solve_tsmcf_colgen_among_with(
             "{steps} steps is below the commodity diameter {required}"
         )));
     }
-    options.validate().map_err(McfError::BadArgument)?;
-    let ncomm = commodities.len();
-    let expanded = TimeExpanded::build(topo, steps);
 
-    // Row layout: one capacity row per finite-capacity *fabric* arc (self arcs
-    // buffer for free, infinite-capacity fabric edges are never a bottleneck),
-    // then one convexity row (== 1) per commodity. Building the standard form
-    // directly keeps row indices stable for the whole session, which the dual
-    // extraction depends on.
-    let (lower, mut row_lower, mut row_upper) = ExpandedLowering::build(topo, &expanded, steps);
-    for _ in 0..ncomm {
-        row_lower.push(1.0);
-        row_upper.push(1.0);
-    }
-    let nrows = row_lower.len();
-
-    // Seed: one earliest-arrival path per commodity, or a fixed base-graph
-    // family lowered to its earliest-departure expansion (over-long members
-    // dropped; the shortest path is the guaranteed fallback).
-    let mut path_sets: Vec<Vec<Path>> = Vec::with_capacity(ncomm);
-    match options.seed {
-        ColGenSeed::ShortestPath => {
-            for (_, s, d) in commodities.iter() {
-                let p = paths::shortest_path(topo, s, d).ok_or_else(|| {
-                    McfError::BadTopology(format!("no {s}->{d} path exists for the seed"))
-                })?;
-                path_sets.push(vec![lower.expand_earliest(&p)]);
-            }
-        }
-        ColGenSeed::Kind(kind) => {
-            let base_sets = build_path_sets(topo, &commodities, kind)?;
-            for ((_, s, d), set) in commodities.iter().zip(base_sets) {
-                let mut lowered: Vec<Path> = set
-                    .iter()
-                    .filter(|p| p.hops() <= steps)
-                    .map(|p| lower.expand_earliest(p))
-                    .collect();
-                if lowered.is_empty() {
-                    let p = paths::shortest_path(topo, s, d).ok_or_else(|| {
-                        McfError::BadTopology(format!("no {s}->{d} path exists for the seed"))
-                    })?;
-                    lowered.push(lower.expand_earliest(&p));
-                }
-                path_sets.push(lowered);
-            }
-        }
-    }
-    let mut seen: Vec<HashSet<Path>> = path_sets
-        .iter_mut()
-        .map(|set| {
-            let mut dedup = HashSet::with_capacity(set.len());
-            set.retain(|p| dedup.insert(p.clone()));
-            dedup
-        })
-        .collect();
-
-    let endpoints = commodities.endpoints().to_vec();
-    let commodities_of_source: Vec<Vec<usize>> = endpoints
+    // Every shard still at its source. `CommoditySet::iter` is source-major,
+    // so demand index == commodity index and the solver's holding nodes come
+    // out in endpoint order.
+    let demands: Vec<TsDemand> = commodities
         .iter()
-        .map(|&s| {
-            endpoints
-                .iter()
-                .filter(|&&d| d != s)
-                .map(|&d| {
-                    commodities
-                        .index_of(s, d)
-                        .expect("endpoints enumerate the commodity set")
-                })
-                .collect()
+        .map(|(_, s, d)| TsDemand {
+            origin: s,
+            dest: d,
+            at: s,
+            amount: 1.0,
         })
         .collect();
-    let mut pricer = TsPricer {
-        lower,
-        commodities: &commodities,
-        endpoints,
-        commodities_of_source,
-        ncomm,
-        tol: options.tolerance,
-        col_owner: Vec::new(),
-        col_arcs: Vec::new(),
+
+    // Seed: one shortest path per commodity, or a fixed base-graph family
+    // (over-long members dropped; the shortest path is the guaranteed
+    // fallback).
+    let seed_paths: Vec<Vec<Path>> = match options.seed {
+        ColGenSeed::ShortestPath => commodities
+            .iter()
+            .map(|(_, s, d)| Ok(vec![shortest_seed(topo, s, d)?]))
+            .collect::<McfResult<_>>()?,
+        ColGenSeed::Kind(kind) => commodities
+            .iter()
+            .zip(build_path_sets(topo, &commodities, kind)?)
+            .map(|((_, s, d), mut set)| {
+                set.retain(|p| p.hops() <= steps);
+                if set.is_empty() {
+                    set.push(shortest_seed(topo, s, d)?);
+                }
+                Ok(set)
+            })
+            .collect::<McfResult<_>>()?,
     };
 
-    // Columns: U_0..U_{steps-1} first (objective 1 each, coefficient -cap on
-    // every capacity row of their step), then the path columns in append order
-    // with `col_owner[j]` naming the owning commodity. `path_sets` is consumed
-    // here: the session only needs `seen` (dedup) and the pricer's
-    // `col_owner`/`col_arcs` bookkeeping from now on.
-    let mut cols: Vec<SparseVec> = pricer.lower.utilization_columns();
-    let mut obj: Vec<f64> = vec![1.0; steps];
-    let mut seed: Vec<(usize, Path)> = Vec::new();
-    for (k, set) in path_sets.into_iter().enumerate() {
-        for p in set {
-            cols.push(pricer.push_column(k, &p));
-            obj.push(0.0);
-            seed.push((k, p));
-        }
-    }
-    let ncols = cols.len();
-    let sf = StandardForm {
-        nrows,
-        cols,
-        obj,
-        lower: vec![0.0; ncols],
-        upper: vec![INF; ncols],
-        row_lower,
-        row_upper,
-    };
-
-    // The session works on the core solver: no presolve/scaling, so row and
-    // column indices stay stable and the duals come straight off the basis.
-    let simplex_opts = SimplexOptions {
-        pricing: options.pricing,
-        presolve: false,
-        scaling: false,
-        ..SimplexOptions::default()
-    };
-    let mut solver = Solver::new_owned(sf, simplex_opts)?;
-
-    // The U_t columns occupy structural columns 0..steps; path columns follow.
-    let (sol, stats) = run_colgen(&mut solver, &mut pricer, &mut seen, steps, seed, options)?;
-    let TsPricer {
-        col_owner,
-        col_arcs,
-        ..
-    } = pricer;
-
-    // Extraction: aggregate column weights per (commodity, step, base edge).
-    // Convexity equality makes delivery exactly one shard, and paths conserve
-    // flow exactly, so the solution is junk-free by construction.
-    let (flows, columns, step_utilization) =
-        extract_time_stepped(&sol, steps, ncomm, &col_owner, &col_arcs);
-
+    let solved = solve_expanded_colgen(topo, &demands, steps, options, &seed_paths)?;
     Ok(TsColGen {
         solution: TsMcfSolution {
             commodities,
             steps,
-            step_utilization,
-            flows,
+            step_utilization: solved.step_utilization,
+            flows: solved.flows,
         },
-        stats,
-        columns,
+        stats: solved.stats,
+        columns: solved.columns,
     })
 }
 
@@ -789,7 +834,7 @@ mod tests {
     fn zero_caps_are_rejected() {
         use crate::colgen::Stabilization;
         let topo = generators::hypercube(2);
-        for opts in [
+        let zero_caps = [
             ColGenOptions {
                 max_rounds: 0,
                 ..ColGenOptions::default()
@@ -804,7 +849,11 @@ mod tests {
                 stabilization: Stabilization::Smoothing { alpha: 1.0 },
                 ..ColGenOptions::default()
             },
-        ] {
+        ];
+        for opts in zero_caps
+            .into_iter()
+            .chain(ColGenOptions::malformed_numeric_cases())
+        {
             let err = solve_tsmcf_colgen_among_with(&topo, CommoditySet::all_pairs(4), 2, &opts)
                 .unwrap_err();
             assert!(matches!(err, McfError::BadArgument(_)));

@@ -1,18 +1,17 @@
-//! Observability integration: a real pMCF colgen solve, traced end to end.
+//! Observability integration: real solves, traced end to end.
 //!
 //! Pins the two contracts the `a2a_obs` unit suite can only check on
 //! synthetic workloads:
 //!
-//! 1. **Balance** — every span opened during a production colgen solve is
-//!    closed, on every thread, including the rayon-shim worker threads the
-//!    pricing sweep fans out to.
-//! 2. **Thread-count independence** — because the colgen driver itself is
-//!    deterministic across thread counts (see `parallel_pricing_tests`), the
-//!    name-keyed span counts and counter values of a 1-thread and a 4-thread
-//!    traced solve must be identical. Only the *nesting* may differ (inline
-//!    pricing nests `colgen.price_source` under `colgen.pricing`; worker
-//!    threads record it at their own top level), which is why the comparison
-//!    uses `totals_by_name`, not tree paths.
+//! 1. **Balance** — every span opened during a production solve is closed, on
+//!    every thread. The colgen driver runs on the calling thread; the
+//!    decomposed solve fans its child LPs out to rayon-shim worker threads,
+//!    so it is the one that exercises cross-thread recording.
+//! 2. **Run-to-run determinism** — the solvers are deterministic, so the
+//!    name-keyed span counts and counter values of two traced runs of the
+//!    same solve must be identical. The comparison uses `totals_by_name`, not
+//!    tree paths: a worker thread records `decomposed.child` at its own top
+//!    level, an inline run (one core) nests it under `decomposed.solve`.
 //!
 //! Obs state is process-global, so everything obs-touching lives in this one
 //! test function; this file is its own test binary (own process) and never
@@ -21,81 +20,98 @@
 use std::collections::BTreeMap;
 
 use a2a_mcf::pmcf::solve_path_mcf_colgen_among;
-use a2a_mcf::{ColGenOptions, CommoditySet, Stabilization};
+use a2a_mcf::{solve_decomposed_mcf, ColGenOptions, CommoditySet, Stabilization};
 use a2a_obs::summary::{summarize, Summary};
 use a2a_topology::generators;
 
-/// Production-shaped options (smoothing + partial pricing) so the skip and
-/// misprice code paths — and their counters — are exercised.
-fn options(threads: usize) -> ColGenOptions {
-    ColGenOptions {
-        stabilization: Stabilization::Smoothing { alpha: 0.1 },
-        partial_pricing: Some(1e-1),
-        pricing_threads: Some(threads),
-        ..ColGenOptions::default()
-    }
-}
-
-/// Runs one traced solve and returns (flow value, summary).
-fn traced_solve(threads: usize) -> (f64, Summary) {
-    let topo = generators::torus(&[3, 3]);
-    let commodities = CommoditySet::all_pairs(topo.num_nodes());
+/// Runs `solve` traced and returns (its flow value, the trace summary).
+fn traced(solve: impl FnOnce() -> f64) -> (f64, Summary) {
     a2a_obs::reset();
     a2a_obs::enable();
-    let sol = solve_path_mcf_colgen_among(&topo, commodities, &options(threads))
-        .expect("torus-3x3 colgen solves");
+    let flow = solve();
     a2a_obs::disable();
-    let summary = summarize(&a2a_obs::flush());
-    (sol.schedule.flow_value, summary)
+    (flow, summarize(&a2a_obs::flush()))
 }
 
+/// Production-shaped colgen options (smoothing + partial pricing) so the skip
+/// and misprice code paths — and their counters — are exercised.
+fn traced_colgen() -> (f64, Summary) {
+    let topo = generators::torus(&[3, 3]);
+    let commodities = CommoditySet::all_pairs(topo.num_nodes());
+    let options = ColGenOptions {
+        stabilization: Stabilization::Smoothing { alpha: 0.1 },
+        partial_pricing: Some(1e-1),
+        ..ColGenOptions::default()
+    };
+    traced(|| {
+        solve_path_mcf_colgen_among(&topo, commodities, &options)
+            .expect("torus-3x3 colgen solves")
+            .schedule
+            .flow_value
+    })
+}
+
+fn traced_decomposed() -> (f64, Summary) {
+    let topo = generators::torus(&[3, 3]);
+    traced(|| {
+        solve_decomposed_mcf(&topo)
+            .expect("torus-3x3 decomposed solves")
+            .solution
+            .flow_value
+    })
+}
+
+fn span_counts(s: &Summary) -> BTreeMap<String, u64> {
+    s.totals_by_name()
+        .into_iter()
+        .map(|(name, (count, _secs))| (name, count))
+        .collect()
+}
+
+/// (The test id predates the serial pricing sweep, when the two colgen runs
+/// differed in pricing-thread count; it is kept so the tier-1 test list stays
+/// stable. The cross-thread half now rides on the decomposed children.)
 #[test]
 fn traced_colgen_solve_balances_and_is_thread_count_independent() {
-    let (flow1, sum1) = traced_solve(1);
-    let (flow4, sum4) = traced_solve(4);
+    let colgen = [traced_colgen(), traced_colgen()];
+    let decomposed = [traced_decomposed(), traced_decomposed()];
 
-    assert_eq!(
-        flow1.to_bits(),
-        flow4.to_bits(),
-        "colgen itself must stay deterministic across thread counts"
-    );
-    for (tag, s) in [("1-thread", &sum1), ("4-thread", &sum4)] {
-        assert!(s.is_balanced(), "{tag} trace unbalanced:\n{}", s.render());
-        assert_eq!(s.dropped_events, 0, "{tag} trace dropped events");
-        assert!(
-            s.count("colgen.round") >= 1,
-            "{tag}: no colgen rounds traced"
-        );
+    for (tag, runs) in [("colgen", &colgen), ("decomposed", &decomposed)] {
+        for (_, s) in runs {
+            assert!(s.is_balanced(), "{tag} trace unbalanced:\n{}", s.render());
+            assert_eq!(s.dropped_events, 0, "{tag} trace dropped events");
+            assert!(
+                s.count("lp.lu.factor") >= 1,
+                "{tag}: the LP must factorize at least once"
+            );
+        }
+        // Identical work run to run: same flow value, same span counts per
+        // name (wall-clock may differ), same counter values.
+        let [(flow_a, a), (flow_b, b)] = runs;
         assert_eq!(
-            s.count("colgen.master"),
-            s.count("colgen.round"),
-            "{tag}: one master reoptimize per round"
+            flow_a.to_bits(),
+            flow_b.to_bits(),
+            "{tag}: flow value diverges"
         );
-        assert!(
-            s.count("colgen.price_source") >= s.count("colgen.round"),
-            "{tag}: pricing sweep must touch at least one source per round"
-        );
-        assert!(
-            s.count("lp.lu.factor") >= 1,
-            "{tag}: master must factorize at least once"
-        );
+        assert_eq!(span_counts(a), span_counts(b), "{tag}: span counts diverge");
+        assert_eq!(a.counters, b.counters, "{tag}: counter values diverge");
     }
 
-    // Identical work across thread counts: same span counts and totals per
-    // name (wall-clock may differ), same counter values.
-    let counts = |s: &Summary| -> BTreeMap<String, u64> {
-        s.totals_by_name()
-            .into_iter()
-            .map(|(name, (count, _secs))| (name, count))
-            .collect()
-    };
+    let (_, s) = &colgen[0];
+    assert!(s.count("colgen.round") >= 1, "no colgen rounds traced");
     assert_eq!(
-        counts(&sum1),
-        counts(&sum4),
-        "span counts diverge between 1 and 4 pricing threads"
+        s.count("colgen.master"),
+        s.count("colgen.round"),
+        "one master reoptimize per round"
     );
-    assert_eq!(
-        sum1.counters, sum4.counters,
-        "counter values diverge between 1 and 4 pricing threads"
+    assert!(
+        s.count("colgen.price_source") >= s.count("colgen.round"),
+        "pricing sweep must touch at least one source per round"
     );
+
+    // One child LP per source endpoint, recorded on whichever thread ran it.
+    let (_, s) = &decomposed[0];
+    assert_eq!(s.count("decomposed.solve"), 1);
+    assert_eq!(s.count("decomposed.master"), 1);
+    assert_eq!(s.count("decomposed.child"), 9);
 }

@@ -46,13 +46,13 @@
 //! **ordinal** when it first records (the rayon shim spawns scoped workers
 //! per parallel sweep, so each sweep's workers get fresh buffers). [`flush`]
 //! drains every thread's buffer and returns them **sorted by ordinal,
-//! events in recording order within each thread** — the same discipline as
-//! the colgen parallel pricing merge (per-source buffers combined in
-//! source-index order).
+//! events in recording order within each thread**.
 //! Because the solvers themselves are deterministic at any thread count
-//! (pinned by `parallel_pricing_tests`), the [`summary`] tree built from a
-//! flush — span names, nesting, call counts — is identical for 1-thread and
-//! N-thread runs; only wall-clock durations vary.
+//! (the only parallel regions — the decomposed child LPs and widest-path
+//! extraction — return their results in input order), the name-keyed span
+//! and call counts of a flush are identical from run to run and machine to
+//! machine; only the nesting of worker-thread spans and the wall-clock
+//! durations vary.
 //!
 //! Per-thread buffers are capped (default 4Mi events, see
 //! [`set_max_events_per_thread`]); overflow is never silent — dropped events

@@ -6,107 +6,19 @@
 //! contiguous chunks, one per available core, and executed on `std::thread::scope`
 //! threads. Results are returned in input order, matching rayon's indexed semantics.
 
-use std::cell::Cell;
 use std::num::NonZeroUsize;
 
 pub mod prelude {
     pub use crate::{IndexedParallelIterator, IntoParallelRefIterator};
 }
 
-thread_local! {
-    /// Per-thread override of the worker count, installed by
-    /// [`ThreadPool::install`]. `None` means "use every available core",
-    /// matching rayon's global-pool default.
-    static POOL_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// Number of worker threads available to parallel iterators on the calling
-/// thread: the innermost [`ThreadPool::install`] budget, or every available
-/// core outside any pool (rayon's `current_num_threads`).
-pub fn current_num_threads() -> usize {
-    POOL_THREADS.with(|t| t.get()).unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1)
-    })
-}
-
-/// Number of worker threads to use for a job of `len` items.
+/// Number of worker threads to use for a job of `len` items: one per
+/// available core, never more than there are items.
 fn thread_count(len: usize) -> usize {
-    current_num_threads().min(len).max(1)
-}
-
-/// Builder for a bounded [`ThreadPool`], mirroring rayon's API of the same
-/// name. Only the thread count is configurable; the shim spawns scoped threads
-/// per job rather than keeping a resident pool.
-#[derive(Default)]
-pub struct ThreadPoolBuilder {
-    num_threads: Option<usize>,
-}
-
-impl ThreadPoolBuilder {
-    /// A builder with the default (all-cores) configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the worker count. As in rayon, `0` means "use the default".
-    pub fn num_threads(mut self, n: usize) -> Self {
-        self.num_threads = (n > 0).then_some(n);
-        self
-    }
-
-    /// Builds the pool. Infallible in the shim; the `Result` mirrors rayon's
-    /// signature so call sites stay source-compatible.
-    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        Ok(ThreadPool {
-            num_threads: self.num_threads.unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(NonZeroUsize::get)
-                    .unwrap_or(1)
-            }),
-        })
-    }
-}
-
-/// Error type of [`ThreadPoolBuilder::build`]; never produced by the shim.
-#[derive(Debug)]
-pub struct ThreadPoolBuildError(());
-
-impl std::fmt::Display for ThreadPoolBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("thread pool build failed")
-    }
-}
-
-impl std::error::Error for ThreadPoolBuildError {}
-
-/// A bounded worker budget for parallel iterators. [`ThreadPool::install`]
-/// caps every `par_iter` executed inside the closure (on the calling thread)
-/// at the pool's thread count — `num_threads(1)` forces serial execution,
-/// which is what determinism tests pin against.
-pub struct ThreadPool {
-    num_threads: usize,
-}
-
-impl ThreadPool {
-    /// The pool's worker budget.
-    pub fn current_num_threads(&self) -> usize {
-        self.num_threads
-    }
-
-    /// Runs `f` with parallel iterators capped at this pool's thread count.
-    /// Nested installs restore the outer budget on exit (panic-safe).
-    pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        struct Restore(Option<usize>);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                POOL_THREADS.with(|t| t.set(self.0));
-            }
-        }
-        let _restore = Restore(POOL_THREADS.with(|t| t.replace(Some(self.num_threads))));
-        f()
-    }
+    std::thread::available_parallelism()
+        .map_or(1, NonZeroUsize::get)
+        .min(len)
+        .max(1)
 }
 
 /// An indexed parallel computation: a known length plus a per-index item function.
@@ -281,52 +193,5 @@ mod tests {
         let xs: Vec<i32> = Vec::new();
         let out: Vec<i32> = xs.par_iter().map(|&x| x).collect();
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn pool_install_caps_and_restores_thread_budget() {
-        let outside = crate::current_num_threads();
-        let pool = crate::ThreadPoolBuilder::new()
-            .num_threads(2)
-            .build()
-            .unwrap();
-        assert_eq!(pool.current_num_threads(), 2);
-        pool.install(|| {
-            assert_eq!(crate::current_num_threads(), 2);
-            // Nested pools shadow and restore the outer budget.
-            let inner = crate::ThreadPoolBuilder::new()
-                .num_threads(1)
-                .build()
-                .unwrap();
-            inner.install(|| assert_eq!(crate::current_num_threads(), 1));
-            assert_eq!(crate::current_num_threads(), 2);
-        });
-        assert_eq!(crate::current_num_threads(), outside);
-    }
-
-    #[test]
-    fn bounded_pools_preserve_order_and_results() {
-        let xs: Vec<u64> = (0..257).collect();
-        let serial: Vec<u64> = crate::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap()
-            .install(|| xs.par_iter().map(|&x| x * 3 + 1).collect());
-        let wide: Vec<u64> = crate::ThreadPoolBuilder::new()
-            .num_threads(7)
-            .build()
-            .unwrap()
-            .install(|| xs.par_iter().map(|&x| x * 3 + 1).collect());
-        assert_eq!(serial, wide);
-        assert_eq!(serial, xs.iter().map(|&x| x * 3 + 1).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn zero_thread_request_falls_back_to_default() {
-        let pool = crate::ThreadPoolBuilder::new()
-            .num_threads(0)
-            .build()
-            .unwrap();
-        assert!(pool.current_num_threads() >= 1);
     }
 }

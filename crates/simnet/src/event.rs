@@ -250,7 +250,13 @@ pub fn simulate_chunked_event(
         seen_epoch: 0,
     };
     let outcome = match options.model {
-        ExecutionModel::Synchronized => engine.run_synchronized(),
+        // The static scenario is a timeline without boundaries.
+        ExecutionModel::Synchronized => match engine.run_synchronized_timeline(&[]) {
+            TimelineOutcome::Completed(outcome) => outcome,
+            TimelineOutcome::Interrupted(_) => {
+                unreachable!("only an event boundary can interrupt a run")
+            }
+        },
         ExecutionModel::DependencyDriven => engine.run_dependency_driven()?,
     };
     Ok(build_report(
@@ -480,20 +486,9 @@ pub fn simulate_chunked_timeline(
         seen_epoch: 0,
     };
 
-    let times = timeline.dynamic_event_times();
-    if times.is_empty() {
-        let outcome = engine.run_synchronized();
-        return Ok(TimelineRun::Completed(build_report(
-            schedule,
-            shard_bytes,
-            &jobs,
-            &link_bw,
-            outcome,
-        )));
-    }
-
     // Resolve each event boundary into a full capacity table up front.
-    let boundaries: Vec<Boundary> = times
+    let boundaries: Vec<Boundary> = timeline
+        .dynamic_event_times()
         .iter()
         .map(|&te| {
             let sc = timeline.scenario_at(te);
@@ -831,25 +826,6 @@ impl Engine<'_> {
         rate
     }
 
-    /// Drains the given active set to empty, advancing `t` and accumulating per-link
-    /// busy time. New flows never join mid-drain (synchronized step) — the caller
-    /// handles arrivals in the dependency-driven loop via `drain_until`.
-    fn drain_step(&mut self, active: &mut Vec<ActiveFlow>, t: &mut f64, link_busy: &mut [f64]) {
-        while !active.is_empty() {
-            let rates = self.assign_rates(active);
-            let mut dt = f64::INFINITY;
-            for (flow, &r) in active.iter().zip(&rates) {
-                dt = dt.min(if r.is_infinite() {
-                    0.0
-                } else {
-                    flow.remaining / r
-                });
-            }
-            self.advance(active, &rates, dt, t, link_busy);
-            active.retain(|f| f.remaining > DRAIN_EPS * self.jobs[f.job].bytes.max(1.0));
-        }
-    }
-
     /// Advances all active flows by `dt` seconds at the given rates.
     fn advance(
         &mut self,
@@ -881,42 +857,6 @@ impl Engine<'_> {
         *t += dt;
     }
 
-    /// Synchronized (barrier) execution: each step's flows start together and the
-    /// step ends when the last drains, plus the per-step synchronization latency.
-    fn run_synchronized(&mut self) -> Outcome {
-        let mut t = 0.0f64;
-        let mut link_busy = vec![0.0f64; self.link_bw.len()];
-        let mut step_completion = vec![0.0f64; self.num_steps];
-        let mut max_concurrent = 0usize;
-        let mut next_job = 0usize;
-        for step in 0..self.num_steps {
-            let _obs = a2a_obs::span("simnet.step");
-            let mut active = Vec::new();
-            // A barrier waits for its slowest participant, so the step's α is
-            // the per-step sync latency times the worst per-message jitter
-            // factor among the step's transfers (1.0 for an empty step).
-            let mut step_alpha_factor = 1.0f64;
-            while next_job < self.jobs.len() && self.jobs[next_job].step == step {
-                step_alpha_factor = step_alpha_factor.max(self.alpha_factor[next_job]);
-                active.push(ActiveFlow {
-                    job: next_job,
-                    remaining: self.jobs[next_job].bytes,
-                });
-                next_job += 1;
-            }
-            max_concurrent = max_concurrent.max(active.len());
-            self.drain_step(&mut active, &mut t, &mut link_busy);
-            step_completion[step] = t;
-            t += self.params.step_sync_latency_s * step_alpha_factor;
-        }
-        Outcome {
-            completion: t,
-            step_completion,
-            link_busy,
-            max_concurrent,
-        }
-    }
-
     /// True if any transfer that has not finished — an active flow of the current
     /// step or any job of a later step — uses a failed link.
     fn remaining_work_uses_failed(
@@ -929,10 +869,12 @@ impl Engine<'_> {
             || self.jobs[next_job..].iter().any(|j| failed[j.link])
     }
 
-    /// Synchronized execution under timed capacity changes: drains are cut at
-    /// every boundary, capacities are re-read, and a failure that strands
-    /// remaining work interrupts the run. With an empty boundary list this is
-    /// exactly [`Engine::run_synchronized`].
+    /// Synchronized (barrier) execution: each step's flows start together and
+    /// the step ends when the last drains, plus the per-step synchronization
+    /// latency. Under timed capacity changes drains are cut at every boundary,
+    /// capacities are re-read, and a failure that strands remaining work
+    /// interrupts the run; with an empty boundary list (the static scenario)
+    /// the run always completes.
     fn run_synchronized_timeline(&mut self, boundaries: &[Boundary]) -> TimelineOutcome {
         let mut t = 0.0f64;
         let mut link_busy = vec![0.0f64; self.link_bw.len()];
@@ -944,6 +886,9 @@ impl Engine<'_> {
             let _obs = a2a_obs::span("simnet.step");
             let step_first_job = next_job;
             let mut active = Vec::new();
+            // A barrier waits for its slowest participant, so the step's α is
+            // the per-step sync latency times the worst per-message jitter
+            // factor among the step's transfers (1.0 for an empty step).
             let mut step_alpha_factor = 1.0f64;
             while next_job < self.jobs.len() && self.jobs[next_job].step == step {
                 step_alpha_factor = step_alpha_factor.max(self.alpha_factor[next_job]);
