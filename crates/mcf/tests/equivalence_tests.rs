@@ -231,3 +231,57 @@ fn equivalence_on_random_graphs() {
         );
     }
 }
+
+/// Fixed-set path-MCF, pinned: `F` of [`solve_path_mcf_among`] over the
+/// edge-disjoint, all-shortest and widened sets on five fabrics, to 1e-12
+/// relative. Recorded before the fixed-set LP was rebuilt as the colgen
+/// master solved once; a change of formulation, presolve path or extraction
+/// that moves `F` in the twelfth digit shows here.
+#[test]
+fn fixed_set_flow_values_are_pinned() {
+    let ft = generators::fat_tree_two_level(4, 2, 4);
+    let fabrics: [(Topology, Vec<NodeId>); 5] = [
+        (generators::torus(&[4, 4]), (0..16).collect()),
+        (generators::hypercube(4), (0..16).collect()),
+        (generators::generalized_kautz(16, 3), (0..16).collect()),
+        (generators::generalized_kautz(32, 4), (0..32).collect()),
+        (ft.graph, ft.hosts),
+    ];
+    let kinds = [
+        PathSetKind::EdgeDisjoint,
+        PathSetKind::Shortest { max_per_pair: 16 },
+        PathSetKind::Widened { max_per_pair: 16 },
+    ];
+    // recorded[fabric][kind]
+    let recorded: [[f64; 3]; 5] = [
+        [
+            0.12500000000000008,
+            0.12499999999999986,
+            0.12500000000000003,
+        ],
+        [0.125, 0.1250000000000001, 0.12500000000000003],
+        [0.08, 0.08000000000000002, 0.08333333333333348],
+        [
+            0.047058823529411875,
+            0.04166666666666703,
+            0.047058823529411764,
+        ],
+        [
+            0.041666666666666664,
+            0.06666666666666668,
+            0.06666666666666668,
+        ],
+    ];
+    for ((topo, endpoints), row) in fabrics.iter().zip(recorded) {
+        for (kind, want) in kinds.into_iter().zip(row) {
+            let got = solve_path_mcf_among(topo, CommoditySet::among(endpoints.clone()), kind)
+                .unwrap_or_else(|e| panic!("{} {kind:?}: {e}", topo.name()))
+                .flow_value;
+            assert!(
+                (got - want).abs() <= 1e-12 * want,
+                "{} {kind:?}: F = {got:?}, recorded {want:?}",
+                topo.name()
+            );
+        }
+    }
+}

@@ -7,8 +7,11 @@
 //! validator objects and that it names the right violation.
 
 use a2a_mcf::pmcf::{solve_path_mcf, PathSetKind};
+use a2a_mcf::tscolgen::solve_tsmcf_colgen_auto;
 use a2a_mcf::tsmcf::solve_tsmcf_auto;
-use a2a_schedule::{lower_path_schedule, ChunkTransfer, ChunkedSchedule, LashVariant, RouteTable};
+use a2a_schedule::{
+    lower_path_schedule, ChunkTransfer, ChunkedSchedule, LashVariant, RouteTable, ScheduleStep,
+};
 use a2a_topology::{generators, Path, Topology};
 
 fn chunked_on(topo: &Topology) -> ChunkedSchedule {
@@ -136,6 +139,86 @@ fn chunked_validate_reports_every_violation_not_just_the_first() {
     }
     let issues = sched.validate(&topo);
     assert!(issues.len() >= 2, "{issues:?}");
+}
+
+// ---------------------------------------------------------------------------
+// Lowering golden
+// ---------------------------------------------------------------------------
+
+/// Order-sensitive FNV-1a over every `(from, to, origin, final_dest, chunks)`,
+/// with a separator after each step.
+fn transfer_hash(steps: &[ScheduleStep]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |v: usize| {
+        for byte in (v as u64).to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for step in steps {
+        for t in &step.transfers {
+            for v in [t.from, t.to, t.origin, t.final_dest, t.chunks] {
+                mix(v);
+            }
+        }
+        mix(usize::MAX);
+    }
+    h
+}
+
+/// The chunk lowering of colgen tsMCF solutions (default options), pinned
+/// transfer for transfer: step count, transfer count and the ordered hash of
+/// every transfer at 1, 8 and 128 chunks per shard. Recorded before the
+/// nominal and residual quantizers were merged; any change to rounding, the
+/// holdings cap, the flush or the emission order moves a hash.
+#[test]
+fn tsmcf_colgen_lowering_is_pinned() {
+    let recorded: [(Topology, usize, usize, [u64; 3]); 3] = [
+        (
+            generators::torus(&[3, 3]),
+            2,
+            108,
+            [
+                0x6d95_e42a_29a4_5d55,
+                0x954a_9c43_61dd_2e95,
+                0x15c1_6827_b5dd_e695,
+            ],
+        ),
+        (
+            generators::hypercube(3),
+            3,
+            96,
+            [
+                0x5621_adc9_e543_b50d,
+                0xf679_7236_ad63_904d,
+                0x3c36_a4fc_67f8_784d,
+            ],
+        ),
+        (
+            generators::generalized_kautz(8, 2),
+            3,
+            122,
+            [
+                0x6247_fe1d_44a7_924b,
+                0xfcf0_3618_6131_c26b,
+                0xcecb_eac3_1d59_cb6b,
+            ],
+        ),
+    ];
+    for (topo, steps, transfers, hashes) in recorded {
+        let cg = solve_tsmcf_colgen_auto(&topo).unwrap();
+        for (chunks, hash) in [1, 8, 128].into_iter().zip(hashes) {
+            let sched = ChunkedSchedule::from_tsmcf_exact(&topo, &cg.solution, chunks).unwrap();
+            let tag = format!("{} @ {chunks} chunks", topo.name());
+            assert_eq!(sched.num_steps(), steps, "{tag}: steps");
+            assert_eq!(sched.total_transfers(), transfers, "{tag}: transfers");
+            assert_eq!(
+                transfer_hash(&sched.steps),
+                hash,
+                "{tag}: hash {:#018x}",
+                transfer_hash(&sched.steps)
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

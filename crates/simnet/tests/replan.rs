@@ -20,10 +20,10 @@
 //!   silent byte loss.
 
 use a2a_mcf::{solve_tsmcf_colgen_auto, CommoditySet};
-use a2a_schedule::{realized_route_table, ChunkedSchedule};
+use a2a_schedule::{realized_route_table, ChunkedSchedule, ScheduleStep};
 use a2a_simnet::{
     replan_run, simulate_chunked_timeline, ExecutionModel, IncumbentPool, ReplanError,
-    ReplanOptions, Scenario, ScenarioTimeline, SimParams, TimelineRun,
+    ReplanOptions, ReplanRun, Scenario, ScenarioTimeline, SimParams, TimelineRun,
 };
 use a2a_topology::{generators, Topology};
 
@@ -93,7 +93,8 @@ fn clairvoyant(punctured: &Topology, params: &SimParams) -> (f64, usize) {
 /// Runs the pinned mid-run-failure contract on one topology: kill a
 /// schedule-carrying link at `when` times the nominal makespan, replan, and
 /// check completion, quality vs the clairvoyant, and warm-vs-cold solve cost.
-fn pinned_failure_contract(topo: &Topology, when: f64) {
+/// Returns the repaired run.
+fn pinned_failure_contract(topo: &Topology, when: f64) -> ReplanRun {
     let params = SimParams::gpu_testbed();
     let nominal = nominal_plan(topo, &params);
     // The first transfer of the first step is on the critical path by
@@ -138,6 +139,28 @@ fn pinned_failure_contract(topo: &Topology, when: f64) {
         attempt.master_iterations,
         cold_iterations,
     );
+    run
+}
+
+/// Order-sensitive FNV-1a over every `(from, to, origin, final_dest, chunks)`,
+/// with a separator after each step (the hash of
+/// `schedule/tests/validate_tests.rs`'s lowering golden).
+fn transfer_hash(steps: &[ScheduleStep]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |v: usize| {
+        for byte in (v as u64).to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for step in steps {
+        for t in &step.transfers {
+            for v in [t.from, t.to, t.origin, t.final_dest, t.chunks] {
+                mix(v);
+            }
+        }
+        mix(usize::MAX);
+    }
+    h
 }
 
 // The failure instant, as a fraction of the nominal makespan. Late enough that
@@ -149,7 +172,18 @@ const FAILURE_FRACTION: f64 = 0.7;
 
 #[test]
 fn torus_mid_run_failure_stays_within_clairvoyant_budget() {
-    pinned_failure_contract(&generators::torus(&[3, 3]), FAILURE_FRACTION);
+    let run = pinned_failure_contract(&generators::torus(&[3, 3]), FAILURE_FRACTION);
+    // The spliced residual suffix, pinned transfer for transfer (recorded
+    // before the nominal and residual quantizers were merged).
+    let suffix_steps = run.attempts[0].suffix_steps;
+    let suffix = &run.schedule.steps[run.schedule.num_steps() - suffix_steps..];
+    let transfers: usize = suffix.iter().map(|s| s.transfers.len()).sum();
+    assert_eq!(
+        (run.schedule.num_steps(), suffix_steps, transfers),
+        (3, 2, 37)
+    );
+    assert_eq!(transfer_hash(suffix), 0xc466_ed71_4c6f_1d9a);
+    assert_eq!(transfer_hash(&run.schedule.steps), 0x6828_d193_9945_f3e2);
 }
 
 #[test]
