@@ -400,7 +400,9 @@ mod tests {
             .schedule()
             .cloned()
             .unwrap();
-        let tsmcf = a2a_mcf::tsmcf::solve_tsmcf_auto(&topo).unwrap();
+        let tsmcf = a2a_mcf::tscolgen::solve_tsmcf_colgen_auto(&topo)
+            .unwrap()
+            .solution;
         assert!(
             taccl.total_utilization() >= tsmcf.total_utilization() - 1e-6,
             "TACCL-like {} cannot beat tsMCF {}",

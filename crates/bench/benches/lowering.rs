@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use a2a_mcf::pmcf::{solve_path_mcf, PathSetKind};
-use a2a_mcf::tsmcf::solve_tsmcf_auto;
+use a2a_mcf::tscolgen::solve_tsmcf_colgen_auto;
 use a2a_schedule::{
     lower_path_schedule, to_msccl_xml, to_oneccl_xml, ChunkedSchedule, LashVariant,
 };
@@ -13,7 +13,7 @@ use a2a_topology::generators;
 
 fn bench_lowering(c: &mut Criterion) {
     let topo = generators::hypercube(3);
-    let tsmcf = solve_tsmcf_auto(&topo).unwrap();
+    let tsmcf = solve_tsmcf_colgen_auto(&topo).unwrap().solution;
     let chunked = ChunkedSchedule::from_tsmcf(&topo, &tsmcf, 256).unwrap();
     let pmcf = solve_path_mcf(&topo, PathSetKind::EdgeDisjoint).unwrap();
 

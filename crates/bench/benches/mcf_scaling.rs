@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use a2a_mcf::decomposed::solve_master;
+use a2a_mcf::decomposed::{solve_master_with, DecomposedOptions};
 use a2a_mcf::{solve_decomposed_mcf, solve_link_mcf, CommoditySet};
 use a2a_topology::generators;
 
@@ -23,7 +23,13 @@ fn bench_link_mcf_formulations(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("master_lp_only", n), &topo, |b, topo| {
             let commodities = CommoditySet::all_pairs(topo.num_nodes());
-            b.iter(|| black_box(solve_master(topo, &commodities).unwrap().flow_value))
+            b.iter(|| {
+                black_box(
+                    solve_master_with(topo, &commodities, &DecomposedOptions::default())
+                        .unwrap()
+                        .flow_value,
+                )
+            })
         });
     }
     group.finish();
@@ -39,8 +45,9 @@ fn bench_tsmcf(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("tsmcf_auto", name), |b| {
             b.iter(|| {
                 black_box(
-                    a2a_mcf::tsmcf::solve_tsmcf_auto(&topo)
+                    a2a_mcf::tscolgen::solve_tsmcf_colgen_auto(&topo)
                         .unwrap()
+                        .solution
                         .total_utilization(),
                 )
             })

@@ -10,8 +10,9 @@ use std::time::Duration;
 
 use a2a_baselines::{sccl_like_search, taccl_like_heuristic};
 use a2a_bench::*;
-use a2a_mcf::tsmcf::{minimum_steps, solve_tsmcf_among, solve_tsmcf_auto};
-use a2a_mcf::CommoditySet;
+use a2a_mcf::tscolgen::{solve_tsmcf_colgen_among_with, solve_tsmcf_colgen_auto};
+use a2a_mcf::tsmcf::minimum_steps;
+use a2a_mcf::{ColGenOptions, CommoditySet};
 use a2a_topology::transform::HostNicAugmented;
 
 fn main() {
@@ -20,7 +21,9 @@ fn main() {
     let params = gpu_params();
 
     for topo in small_testbed_topologies() {
-        let tsmcf = solve_tsmcf_auto(&topo).expect("tsMCF on the testbed topologies");
+        let tsmcf = solve_tsmcf_colgen_auto(&topo)
+            .expect("tsMCF on the testbed topologies")
+            .solution;
         sweep_upper_bound(
             "fig3",
             &topo,
@@ -59,8 +62,14 @@ fn main() {
         let aug = HostNicAugmented::build(&torus, host_links);
         let commodities = CommoditySet::among(aug.hosts.clone());
         let steps = minimum_steps(&aug.graph, &commodities).expect("augmented torus is connected");
-        let tsmcf = solve_tsmcf_among(&aug.graph, commodities, steps)
-            .expect("bottlenecked tsMCF on the torus");
+        let tsmcf = solve_tsmcf_colgen_among_with(
+            &aug.graph,
+            commodities,
+            steps,
+            &ColGenOptions::stabilized(),
+        )
+        .expect("bottlenecked tsMCF on the torus")
+        .solution;
         sweep_upper_bound(
             "fig3",
             &torus,

@@ -93,7 +93,7 @@ use a2a_mcf::pmcf::{
     solve_path_mcf_among, solve_path_mcf_colgen_among, ColGenOptions, PathSetKind,
 };
 use a2a_mcf::tscolgen::{solve_tsmcf_colgen_among_with, solve_tsmcf_colgen_auto};
-use a2a_mcf::tsmcf::{minimum_steps, solve_tsmcf_among_dense, solve_tsmcf_auto};
+use a2a_mcf::tsmcf::{minimum_steps, solve_tsmcf_among_dense};
 use a2a_mcf::{CommoditySet, Stabilization};
 use a2a_schedule::ChunkedSchedule;
 use a2a_simnet::{
@@ -576,8 +576,8 @@ fn run_tsmcf(
         for _ in 0..reps {
             let commodities = CommoditySet::among(case.hosts.clone());
             let start = Instant::now();
-            // Explicitly dense: `solve_tsmcf_among` now auto-dispatches to colgen
-            // past the size cutover, and this config measures the dense vertex.
+            // The dense reference formulation: this row measures what colgen
+            // replaced, and the gate below holds the two to the same optimum.
             let solved =
                 solve_tsmcf_among_dense(&case.topo, commodities, steps).expect("dense tsMCF solve");
             walls.push(start.elapsed().as_secs_f64());
@@ -618,7 +618,9 @@ const SIM_CHUNKS_PER_SHARD: usize = 128;
 /// (pruning strips undelivered junk flow; on a degenerate vertex the junk can tie a
 /// bottleneck link, making the unpruned bound describe a different schedule).
 fn run_sim(case: &Case, reps: usize, reports: &mut Vec<a2a_obs::SolveReport>) -> Vec<Record> {
-    let solution = solve_tsmcf_auto(&case.topo).expect("tsMCF solve");
+    let solution = solve_tsmcf_colgen_auto(&case.topo)
+        .expect("tsMCF solve")
+        .solution;
     let pruned = solution.pruned(&case.topo);
     let schedule = ChunkedSchedule::from_tsmcf_exact(&case.topo, &pruned, SIM_CHUNKS_PER_SHARD)
         .expect("chunk lowering");

@@ -1,10 +1,13 @@
 //! The Fig. 1 toolchain: formulation selection, schedule generation, lowering and
 //! simulation behind one API.
 
-use a2a_mcf::decomposed::solve_decomposed_mcf_among;
+use a2a_mcf::decomposed::{solve_decomposed_mcf_with, DecomposedOptions};
 use a2a_mcf::pmcf::solve_path_mcf_among;
-use a2a_mcf::tsmcf::{minimum_steps, solve_tsmcf_among, TsMcfSolution};
-use a2a_mcf::{extract_widest_paths, CommoditySet, McfResult, PathSchedule, PathSetKind};
+use a2a_mcf::tscolgen::solve_tsmcf_colgen_among_with;
+use a2a_mcf::tsmcf::{minimum_steps, TsMcfSolution};
+use a2a_mcf::{
+    extract_widest_paths, ColGenOptions, CommoditySet, McfResult, PathSchedule, PathSetKind,
+};
 use a2a_schedule::{
     lower_path_schedule, to_msccl_xml, to_oneccl_xml, ChunkedSchedule, LashVariant, RouteTable,
 };
@@ -87,35 +90,35 @@ impl Toolchain {
     }
 
     fn generate_time_stepped(topo: &Topology, fabric: &FabricSpec) -> McfResult<GeneratedSchedule> {
-        let degree = topo.max_out_degree();
-        if fabric.host_is_bottleneck(degree) {
+        let (topology, hosts) = if fabric.host_is_bottleneck(topo.max_out_degree()) {
             let host_units = fabric
                 .host_injection_in_link_units()
                 .expect("bottleneck implies a host bandwidth");
             let augmented = HostNicAugmented::build(topo, host_units);
-            let commodities = CommoditySet::among(augmented.hosts.clone());
-            let steps = minimum_steps(&augmented.graph, &commodities)?;
-            // Prune undelivered junk flow so the stored solution, the simulation
-            // and the consistency report all describe the executable flow the
-            // lowering produces. (`from_tsmcf` prunes again internally — idempotent,
-            // and negligible next to the tsMCF LP solve.)
-            let solution =
-                solve_tsmcf_among(&augmented.graph, commodities, steps)?.pruned(&augmented.graph);
-            Ok(GeneratedSchedule::TimeStepped {
-                solution,
-                topology: augmented.graph,
-                hosts: Some(augmented.hosts),
-            })
+            (augmented.graph, Some(augmented.hosts))
         } else {
-            let commodities = CommoditySet::all_pairs(topo.num_nodes());
-            let steps = minimum_steps(topo, &commodities)?;
-            let solution = solve_tsmcf_among(topo, commodities, steps)?.pruned(topo);
-            Ok(GeneratedSchedule::TimeStepped {
-                solution,
-                topology: topo.clone(),
-                hosts: None,
-            })
-        }
+            (topo.clone(), None)
+        };
+        let commodities = match &hosts {
+            Some(hosts) => CommoditySet::among(hosts.clone()),
+            None => CommoditySet::all_pairs(topology.num_nodes()),
+        };
+        let steps = minimum_steps(&topology, &commodities)?;
+        let solved = solve_tsmcf_colgen_among_with(
+            &topology,
+            commodities,
+            steps,
+            &ColGenOptions::stabilized(),
+        )?;
+        // Pruned so the stored solution, the simulation and the consistency report
+        // all describe the flow the lowering produces (`from_tsmcf` prunes too; on a
+        // delivery-exact colgen solution the pass strips nothing).
+        let solution = solved.solution.pruned(&topology);
+        Ok(GeneratedSchedule::TimeStepped {
+            solution,
+            topology,
+            hosts,
+        })
     }
 
     fn generate_routed(topo: &Topology, fabric: &FabricSpec) -> McfResult<GeneratedSchedule> {
@@ -123,7 +126,8 @@ impl Toolchain {
         if Self::path_diversity_is_large(topo, fabric.path_diversity_threshold) {
             // High path diversity (e.g. tori): decomposed link MCF + widest-path
             // extraction.
-            let decomposed = solve_decomposed_mcf_among(topo, commodities)?;
+            let decomposed =
+                solve_decomposed_mcf_with(topo, commodities, &DecomposedOptions::default())?;
             let schedule = extract_widest_paths(topo, &decomposed.solution)?;
             Ok(GeneratedSchedule::Routed {
                 schedule,

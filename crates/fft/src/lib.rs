@@ -7,7 +7,7 @@
 //!   compute-phase cost model.
 //! * [`dist3d`] — the slab-decomposed 3D FFT model: every process performs 2D FFTs on
 //!   its slab, participates in a global all-to-all transpose (executed on an
-//!   [`a2a_simnet`] schedule), then finishes with 1D FFTs. The model reports the same
+//!   `a2a_simnet` schedule), then finishes with 1D FFTs. The model reports the same
 //!   three stacked phases the paper plots in Fig. 6.
 
 pub mod dist3d;

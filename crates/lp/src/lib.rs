@@ -35,7 +35,7 @@
 //!   linear constraints and minimize/maximize objectives.
 //! * [`ilp`] — branch-and-bound over the LP solver for the (deliberately small-scale)
 //!   integer-programming baselines in the paper's evaluation.
-//! * [`reference`] — a dense textbook tableau simplex used as an independent oracle in
+//! * [`mod@reference`] — a dense textbook tableau simplex used as an independent oracle in
 //!   tests.
 //!
 //! # Solve pipeline

@@ -364,7 +364,7 @@ impl ColGenStats {
 ///
 /// Driver protocol per round: call [`DualStabilizer::pricing_duals`] with the
 /// master's raw duals and price at the returned vector. If the sweep finds no
-/// candidate and [`DualStabilizer::is_smoothed`] returned true, call
+/// candidate and the returned `smoothed` flag was true, call
 /// [`DualStabilizer::collapse`] and re-price everything at the raw duals — only
 /// that sweep can certify optimality.
 #[derive(Debug, Clone)]

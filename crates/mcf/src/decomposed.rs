@@ -208,15 +208,11 @@ struct ChildOutcome {
 
 /// Solves the decomposed MCF for an all-to-all among all nodes.
 pub fn solve_decomposed_mcf(topo: &Topology) -> McfResult<DecomposedMcf> {
-    solve_decomposed_mcf_among(topo, CommoditySet::all_pairs(topo.num_nodes()))
-}
-
-/// Solves the decomposed MCF for an explicit commodity set with default options.
-pub fn solve_decomposed_mcf_among(
-    topo: &Topology,
-    commodities: CommoditySet,
-) -> McfResult<DecomposedMcf> {
-    solve_decomposed_mcf_with(topo, commodities, &DecomposedOptions::default())
+    solve_decomposed_mcf_with(
+        topo,
+        CommoditySet::all_pairs(topo.num_nodes()),
+        &DecomposedOptions::default(),
+    )
 }
 
 /// Solves the decomposed MCF for an explicit commodity set with explicit solver
@@ -309,11 +305,6 @@ fn destination_at(endpoints: &[NodeId], s_idx: usize, d_pos: usize) -> NodeId {
 
 /// Solves just the master (source-grouped) LP: `maximize F` subject to per-edge
 /// capacities and the grouped conservation constraint (8) of the paper.
-pub fn solve_master(topo: &Topology, commodities: &CommoditySet) -> McfResult<MasterSolution> {
-    solve_master_with(topo, commodities, &DecomposedOptions::default())
-}
-
-/// [`solve_master`] with explicit solver options.
 pub fn solve_master_with(
     topo: &Topology,
     commodities: &CommoditySet,
@@ -811,7 +802,7 @@ mod tests {
     fn master_only_reports_flow_value() {
         let topo = generators::torus(&[3, 3]);
         let commodities = CommoditySet::all_pairs(9);
-        let master = solve_master(&topo, &commodities).unwrap();
+        let master = solve_master_with(&topo, &commodities, &DecomposedOptions::default()).unwrap();
         let original = solve_link_mcf(&topo).unwrap();
         assert!((master.flow_value - original.flow_value).abs() < 1e-5);
     }
@@ -825,7 +816,8 @@ mod tests {
         let torus = generators::torus(&[3, 3, 3]);
         let aug = HostNicAugmented::build(&torus, 4.0); // 100 Gbps / 25 Gbps = 4 links
         let commodities = CommoditySet::among(aug.hosts.clone());
-        let master = solve_master(&aug.graph, &commodities).unwrap();
+        let master =
+            solve_master_with(&aug.graph, &commodities, &DecomposedOptions::default()).unwrap();
         assert!(
             (master.flow_value - 2.0 / 27.0).abs() < 1e-4,
             "bottlenecked F = {}, expected 2/27 = {}",

@@ -14,39 +14,46 @@
 //! * [`decomposed`] — the paper's scalability contribution (§3.1.2): a master
 //!   source-grouped LP with `O(N²)` variables followed by `N` independent child LPs
 //!   (parallelised with rayon) that recover per-commodity flows.
-//! * [`tsmcf`] — the time-stepped MCF over a time-expanded graph (§3.1.3) used for
-//!   store-and-forward (ML accelerator) fabrics, including the host-bottleneck variant
-//!   of Fig. 2. This is the dense edge formulation: one flow variable per
-//!   (commodity, expanded edge), conservation `out ≤ in`, minimize `Σ_t U_t`.
-//! * [`pmcf`] — the path-variable MCF (§3.1.4) over explicit candidate path sets
-//!   (edge-disjoint, shortest, bounded length), plus restricted-master column
-//!   generation ([`pmcf::solve_path_mcf_colgen_among`]) that grows the path set
-//!   adaptively by dual-cost shortest-path pricing and certifies optimality of
-//!   the unrestricted path LP on any topology.
+//! * [`tsmcf`] — what every time-stepped MCF plan (§3.1.3, store-and-forward / ML
+//!   accelerator fabrics, including the host-bottleneck variant of Fig. 2) shares:
+//!   the result type [`tsmcf::TsMcfSolution`] and its junk-flow pruning pass, and —
+//!   written once over `(demands, steps, flows)` — the causality/delivery check and
+//!   the step bound ([`tsmcf::minimum_steps`]). Also the dense edge formulation
+//!   (one flow variable per (commodity, expanded edge), conservation `out ≤ in`),
+//!   kept as one reference function for the equivalence suites:
+//!   [`tsmcf::solve_tsmcf_among_dense`].
+//! * [`pmcf`] — the path-variable MCF (§3.1.4). One master LP, built directly in
+//!   standard form: restricted-master column generation
+//!   ([`pmcf::solve_path_mcf_colgen_among`]) grows the path set adaptively by
+//!   dual-cost shortest-path pricing and certifies optimality of the unrestricted
+//!   path LP on any topology; an explicit candidate path set (edge-disjoint,
+//!   shortest, bounded length — [`pmcf::solve_path_mcf_with_paths`]) is that same
+//!   master solved once.
 //! * [`colgen`] — the column-generation engine shared by `pmcf` and the
 //!   time-expanded master of `tscolgen`: the generic round loop
 //!   ([`colgen::run_colgen`]) over a [`colgen::PricingOracle`], with dual
 //!   stabilization (Wentges smoothing), drift-based partial pricing, a serial
 //!   deterministic pricing sweep, and column-pool aging. The certificate
 //!   invariant lives in its module docs.
-//! * [`tscolgen`] — tsMCF solved by column generation over **delivery-exact
-//!   time-expanded path columns**: every column is a whole `(0, at) → (steps, d)`
-//!   path of the time-expanded graph, so solutions conserve flow exactly and
-//!   carry zero undelivered "junk" flow by construction
-//!   ([`tsmcf::TsMcfSolution::pruned`] is a structural no-op on this backend).
-//!   The one solver is indexed by [`tscolgen::TsDemand`] ("`amount` shards of
-//!   `origin → dest` sit at `at`"); the nominal all-to-all is its
+//! * [`tscolgen`] — the tsMCF solver
+//!   ([`tscolgen::solve_tsmcf_colgen_among_with`]): column generation over
+//!   **delivery-exact time-expanded path columns**. Every column is a whole
+//!   `(0, at) → (steps, d)` path of the time-expanded graph, so solutions
+//!   conserve flow exactly and carry zero undelivered "junk" flow by
+//!   construction ([`tsmcf::TsMcfSolution::pruned`] is a structural no-op on
+//!   them). The one solver is indexed by [`tscolgen::TsDemand`] ("`amount`
+//!   shards of `origin → dest` sit at `at`"); the nominal all-to-all is its
 //!   all-at-source instance. One Dijkstra tree per holding node over
 //!   per-(edge, step) dual costs prices a demand's whole time horizon in one
-//!   run; on the hardest time-expanded LPs (huge degenerate plateaus) this is
-//!   orders of magnitude faster than the dense formulation. See the
-//!   [`tscolgen`] module docs for when to pick dense vs. colgen;
-//!   [`tsmcf::solve_tsmcf_among_with`] auto-dispatches between the two by
-//!   instance size.
+//!   run; on the degenerate time-expanded LPs this is 40–400x faster than the
+//!   dense formulation at 8–9 endpoints and the only backend that finishes
+//!   above them.
 //! * [`residual`] — re-planning after a mid-run failure: a snapshot of where
 //!   the bytes are becomes a list of [`tscolgen::TsDemand`]s handed to that
-//!   same solver on the punctured topology, warm-started from the nominal
-//!   solve's incumbent column pool ([`tscolgen::TsColumn`]).
+//!   same solver on the punctured topology
+//!   ([`residual::solve_residual_colgen`]), warm-started from the nominal
+//!   solve's incumbent column pool ([`tscolgen::TsColumn`]). The plan is
+//!   checked and lowered by the nominal code.
 //! * [`extract`] — widest-path extraction (MCF-extP, §3.2.1) that converts link flows
 //!   into weighted path schedules for source-routed fabrics.
 //! * [`bounds`] — the analytic throughput upper bound and the Theorem-1 lower bound on
@@ -79,19 +86,13 @@ pub use decomposed::{
 };
 pub use extract::extract_widest_paths;
 pub use linkmcf::solve_link_mcf;
-pub use pmcf::{
-    solve_path_mcf, solve_path_mcf_colgen, solve_path_mcf_colgen_among, ColGenPathMcf, PathSetKind,
-};
+pub use pmcf::{solve_path_mcf, solve_path_mcf_colgen_among, ColGenPathMcf, PathSetKind};
 pub use residual::{
     residual_minimum_steps, solve_residual_colgen, warm_seeds_from_columns, ResidualColGen,
     ResidualSolution,
 };
 pub use tscolgen::{
-    solve_tsmcf_colgen, solve_tsmcf_colgen_among, solve_tsmcf_colgen_among_with,
-    solve_tsmcf_colgen_auto, TsColGen, TsColumn, TsDemand,
+    solve_tsmcf_colgen_among_with, solve_tsmcf_colgen_auto, TsColGen, TsColumn, TsDemand,
 };
-pub use tsmcf::{
-    solve_tsmcf, solve_tsmcf_among, solve_tsmcf_among_dense, solve_tsmcf_among_dense_with,
-    solve_tsmcf_among_with, solve_tsmcf_auto, TsMcfSolution, DENSE_COLGEN_CUTOVER_VARS,
-};
+pub use tsmcf::TsMcfSolution;
 pub use types::{CommoditySet, LinkFlowSolution, McfError, McfResult, PathSchedule};

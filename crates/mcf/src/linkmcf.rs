@@ -16,20 +16,16 @@ pub const FLOW_TOL: f64 = 1e-9;
 
 /// Solves the link-based max-concurrent MCF for an all-to-all among all nodes.
 pub fn solve_link_mcf(topo: &Topology) -> McfResult<LinkFlowSolution> {
-    solve_link_mcf_among(topo, CommoditySet::all_pairs(topo.num_nodes()))
+    solve_link_mcf_among_with(
+        topo,
+        CommoditySet::all_pairs(topo.num_nodes()),
+        &SimplexOptions::default(),
+    )
 }
 
 /// Solves the link-based max-concurrent MCF for an explicit commodity set (used by the
-/// host-bottleneck model, where commodities run only between host vertices).
-pub fn solve_link_mcf_among(
-    topo: &Topology,
-    commodities: CommoditySet,
-) -> McfResult<LinkFlowSolution> {
-    solve_link_mcf_among_with(topo, commodities, &SimplexOptions::default())
-}
-
-/// [`solve_link_mcf_among`] with explicit LP solver options (pricing, presolve,
-/// scaling, warm starts).
+/// host-bottleneck model, where commodities run only between host vertices) with
+/// explicit LP solver options (pricing, presolve, scaling, warm starts).
 pub fn solve_link_mcf_among_with(
     topo: &Topology,
     commodities: CommoditySet,
@@ -247,7 +243,8 @@ mod tests {
         let base = generators::bidirectional_ring(4);
         let aug = HostNicAugmented::build(&base, 100.0);
         let commodities = CommoditySet::among(aug.hosts.clone());
-        let sol = solve_link_mcf_among(&aug.graph, commodities).unwrap();
+        let sol =
+            solve_link_mcf_among_with(&aug.graph, commodities, &SimplexOptions::default()).unwrap();
         assert!(
             (sol.flow_value - 0.5).abs() < 1e-5,
             "F = {}",
@@ -266,7 +263,12 @@ mod tests {
     #[test]
     fn invalid_endpoint_is_rejected() {
         let topo = generators::complete(3);
-        let err = solve_link_mcf_among(&topo, CommoditySet::among(vec![0, 5])).unwrap_err();
+        let err = solve_link_mcf_among_with(
+            &topo,
+            CommoditySet::among(vec![0, 5]),
+            &SimplexOptions::default(),
+        )
+        .unwrap_err();
         assert!(matches!(err, McfError::BadArgument(_)));
     }
 }

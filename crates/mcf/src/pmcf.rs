@@ -19,14 +19,17 @@
 //! path prices below its commodity's convexity dual. The certificate at termination
 //! is exactly LP optimality of the unrestricted path formulation, so colgen agrees
 //! with link-MCF and decomposed-MCF on `F` on *any* topology.
+//!
+//! The path LP is written once: a fixed path set is that same master over the
+//! given paths, solved once ([`solve_path_mcf_with_paths`] — no pricing, so it goes
+//! through the presolve/scaling pipeline instead of an incremental session), and
+//! both entry points share the weight extraction.
 
 use std::collections::HashSet;
 
 use a2a_lp::sparse::SparseVec;
-use a2a_lp::{
-    ConstraintSense, LpProblem, NewColumn, SimplexOptions, Solver, StandardForm, VarId, INF,
-};
-use a2a_topology::{paths, NodeId, Path, Topology};
+use a2a_lp::{NewColumn, SimplexOptions, Solver, StandardForm, INF};
+use a2a_topology::{paths, Path, Topology};
 
 use crate::colgen::{run_colgen, Candidate, PricingOracle};
 use crate::linkmcf::validate;
@@ -130,7 +133,8 @@ pub fn build_path_sets(
 }
 
 /// Solves pMCF over explicitly provided candidate path sets (one list per commodity,
-/// ordered as in the commodity set).
+/// ordered as in the commodity set): the column-generation master over exactly
+/// these paths, solved once.
 pub fn solve_path_mcf_with_paths(
     topo: &Topology,
     commodities: CommoditySet,
@@ -143,8 +147,7 @@ pub fn solve_path_mcf_with_paths(
             path_sets.len()
         )));
     }
-    for ((idx, s, d), set) in commodities.iter().zip(&path_sets) {
-        let _ = idx;
+    for ((_, s, d), set) in commodities.iter().zip(&path_sets) {
         if set.is_empty() {
             return Err(McfError::BadArgument(format!(
                 "empty path set for commodity {s}->{d}"
@@ -160,89 +163,15 @@ pub fn solve_path_mcf_with_paths(
         }
     }
 
-    let mut lp = LpProblem::maximize();
-    let f_var = lp.add_var("F", 0.0, INF, 1.0);
-    // One variable per (commodity, path); record which paths cross each edge.
-    let mut edge_incidence: Vec<Vec<VarId>> = vec![Vec::new(); topo.num_edges()];
-    let mut path_vars: Vec<Vec<VarId>> = Vec::with_capacity(path_sets.len());
-    for ((_, s, d), set) in commodities.iter().zip(&path_sets) {
-        let mut vars = Vec::with_capacity(set.len());
-        for (pi, path) in set.iter().enumerate() {
-            let v = lp.add_var(format!("p_{s}_{d}_{pi}"), 0.0, INF, 0.0);
-            for (u, w) in path.links() {
-                let e = topo.find_edge(u, w).expect("validated above");
-                edge_incidence[e].push(v);
-            }
-            vars.push(v);
-        }
-        path_vars.push(vars);
-    }
-
-    // Capacity constraints per edge.
-    for (e, edge) in topo.edges().iter().enumerate() {
-        if edge.capacity.is_infinite() || edge_incidence[e].is_empty() {
-            continue;
-        }
-        lp.add_constraint(
-            edge_incidence[e].iter().map(|&v| (v, 1.0)),
-            ConstraintSense::Le,
-            edge.capacity,
-        );
-    }
-    // Demand constraints per commodity.
-    for vars in &path_vars {
-        lp.add_constraint(
-            vars.iter()
-                .map(|&v| (v, 1.0))
-                .chain(std::iter::once((f_var, -1.0))),
-            ConstraintSense::Ge,
-            0.0,
-        );
-    }
-
-    let sol = lp.solve_with(&SimplexOptions::default())?;
-    let flow_value = sol.value(f_var);
-    if flow_value <= WEIGHT_TOL {
-        return Err(McfError::Lp(
-            "path MCF produced a zero concurrent flow".into(),
-        ));
-    }
-
-    let raw: Vec<Vec<(Path, f64)>> = path_sets
-        .into_iter()
-        .zip(&path_vars)
-        .map(|(set, vars)| {
-            let mut weighted: Vec<(Path, f64)> = set
-                .into_iter()
-                .zip(vars)
-                .filter_map(|(p, &v)| {
-                    let w = sol.value(v);
-                    (w > WEIGHT_TOL).then_some((p, w))
-                })
-                .collect();
-            if weighted.is_empty() {
-                // Numerical corner case: keep the first path with full weight.
-                weighted = Vec::new();
-            }
-            weighted
-        })
-        .collect();
-    // Guard against a commodity losing all of its paths to thresholding.
-    let mut fixed = Vec::with_capacity(raw.len());
-    for ((_, s, d), list) in commodities.iter().zip(raw) {
-        if list.is_empty() {
-            let fallback = paths::shortest_path(topo, s, d).ok_or_else(|| {
-                McfError::BadTopology(format!("no {s}->{d} path exists for fallback"))
-            })?;
-            fixed.push(vec![(fallback, 1.0)]);
-        } else {
-            fixed.push(list);
-        }
-    }
+    // Never priced, so the pricing tolerance is moot.
+    let (sf, pricer, _) = PathPricer::master(topo, &commodities, path_sets, 0.0);
+    let sol = a2a_lp::simplex::solve(&sf, &SimplexOptions::default())?;
+    let flow_value = -sol.objective;
+    let weighted = pricer.into_weighted_paths(&sol.x, flow_value)?;
     Ok(PathSchedule::from_weighted_paths(
         commodities,
         flow_value,
-        fixed,
+        weighted,
     ))
 }
 
@@ -263,11 +192,6 @@ pub struct ColGenPathMcf {
     pub stats: ColGenStats,
 }
 
-/// Solves path-MCF by column generation for an all-to-all among all nodes.
-pub fn solve_path_mcf_colgen(topo: &Topology, options: &ColGenOptions) -> McfResult<ColGenPathMcf> {
-    solve_path_mcf_colgen_among(topo, CommoditySet::all_pairs(topo.num_nodes()), options)
-}
-
 /// [`PricingOracle`] of the path-MCF master: prices one Dijkstra tree per
 /// source over the base topology under dual edge costs `w_e = max(0, −y_e)`
 /// and lowers a path into a column with a `1` on every capacity row it
@@ -275,11 +199,9 @@ pub fn solve_path_mcf_colgen(topo: &Topology, options: &ColGenOptions) -> McfRes
 struct PathPricer<'a> {
     topo: &'a Topology,
     commodities: &'a CommoditySet,
-    endpoints: Vec<NodeId>,
     commodities_of_source: Vec<Vec<usize>>,
     edge_row: Vec<Option<usize>>,
     nedge_rows: usize,
-    ncomm: usize,
     tol: f64,
     /// Candidate paths per commodity, in append order.
     path_sets: Vec<Vec<Path>>,
@@ -287,7 +209,124 @@ struct PathPricer<'a> {
     col_owner: Vec<(usize, usize)>,
 }
 
-impl PathPricer<'_> {
+impl<'a> PathPricer<'a> {
+    /// Builds the path master over `path_sets` (deduplicated per commodity)
+    /// directly in standard form, so row indices stay stable for a whole
+    /// colgen session: one capacity row per finite-capacity edge — even if no
+    /// path crosses it yet, a priced-in column may — then one demand row per
+    /// commodity (its path weights minus `F` is `>= 0`). Column 0 is `F`
+    /// (minimize `-F`); path columns follow in commodity-major append order,
+    /// `col_owner[j - 1]` naming the commodity and within-set index of column
+    /// `j`. Returns the standard form, the pricer holding that bookkeeping,
+    /// and the per-commodity sets of paths already in the master.
+    fn master(
+        topo: &'a Topology,
+        commodities: &'a CommoditySet,
+        path_sets: Vec<Vec<Path>>,
+        tol: f64,
+    ) -> (StandardForm, Self, Vec<HashSet<Path>>) {
+        let ncomm = commodities.len();
+        let mut edge_row: Vec<Option<usize>> = Vec::with_capacity(topo.num_edges());
+        let mut row_lower = Vec::new();
+        let mut row_upper = Vec::new();
+        for edge in topo.edges() {
+            if edge.capacity.is_finite() {
+                edge_row.push(Some(row_lower.len()));
+                row_lower.push(-INF);
+                row_upper.push(edge.capacity);
+            } else {
+                edge_row.push(None);
+            }
+        }
+        let nedge_rows = row_lower.len();
+        for _ in 0..ncomm {
+            row_lower.push(0.0);
+            row_upper.push(INF);
+        }
+        let nrows = row_lower.len();
+
+        let endpoints = commodities.endpoints();
+        // Commodity indices priced from each source, for the drift tracker.
+        let commodities_of_source: Vec<Vec<usize>> = endpoints
+            .iter()
+            .map(|&s| {
+                endpoints
+                    .iter()
+                    .filter(|&&d| d != s)
+                    .map(|&d| {
+                        commodities
+                            .index_of(s, d)
+                            .expect("endpoints enumerate the commodity set")
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut pricer = PathPricer {
+            topo,
+            commodities,
+            commodities_of_source,
+            edge_row,
+            nedge_rows,
+            tol,
+            path_sets: vec![Vec::new(); ncomm],
+            col_owner: Vec::new(),
+        };
+
+        let mut cols = vec![SparseVec::from_entries(
+            (0..ncomm).map(|k| (nedge_rows + k, -1.0)),
+        )];
+        let mut seen: Vec<HashSet<Path>> = Vec::with_capacity(ncomm);
+        for (k, set) in path_sets.into_iter().enumerate() {
+            let mut dedup = HashSet::with_capacity(set.len());
+            for p in set {
+                if dedup.insert(p.clone()) {
+                    cols.push(pricer.push_column(k, p));
+                }
+            }
+            seen.push(dedup);
+        }
+        let ncols = cols.len();
+        let mut obj = vec![0.0; ncols];
+        obj[0] = -1.0;
+        let sf = StandardForm {
+            nrows,
+            cols,
+            obj,
+            lower: vec![0.0; ncols],
+            upper: vec![INF; ncols],
+            row_lower,
+            row_upper,
+        };
+        (sf, pricer, seen)
+    }
+
+    /// Reads the weighted paths of every commodity off a master solution `x`,
+    /// dropping weights below [`WEIGHT_TOL`]; a commodity that loses all of its
+    /// paths to the threshold falls back to its shortest path at full weight.
+    fn into_weighted_paths(self, x: &[f64], flow_value: f64) -> McfResult<Vec<Vec<(Path, f64)>>> {
+        if flow_value <= WEIGHT_TOL {
+            return Err(McfError::Lp(
+                "path MCF produced a zero concurrent flow".into(),
+            ));
+        }
+        let mut weighted: Vec<Vec<(Path, f64)>> = vec![Vec::new(); self.commodities.len()];
+        for (j, &(k, pi)) in self.col_owner.iter().enumerate() {
+            let w = x[j + 1];
+            if w > WEIGHT_TOL {
+                weighted[k].push((self.path_sets[k][pi].clone(), w));
+            }
+        }
+        for ((_, s, d), list) in self.commodities.iter().zip(&mut weighted) {
+            if list.is_empty() {
+                let fallback = paths::shortest_path(self.topo, s, d).ok_or_else(|| {
+                    McfError::BadTopology(format!("no {s}->{d} path exists for fallback"))
+                })?;
+                list.push((fallback, 1.0));
+            }
+        }
+        Ok(weighted)
+    }
+
     fn path_column(&self, k: usize, p: &Path) -> SparseVec {
         let mut entries: Vec<(usize, f64)> = Vec::with_capacity(p.hops() + 1);
         for (u, v) in p.links() {
@@ -315,7 +354,7 @@ impl PathPricer<'_> {
 
 impl PricingOracle for PathPricer<'_> {
     fn num_sources(&self) -> usize {
-        self.endpoints.len()
+        self.commodities.num_endpoints()
     }
 
     fn owners_of_source(&self) -> &[Vec<usize>] {
@@ -336,7 +375,7 @@ impl PricingOracle for PathPricer<'_> {
     }
 
     fn convexity_duals(&self, y: &[f64]) -> Vec<f64> {
-        y[self.nedge_rows..self.nedge_rows + self.ncomm].to_vec()
+        y[self.nedge_rows..self.nedge_rows + self.commodities.len()].to_vec()
     }
 
     fn price_source(
@@ -347,9 +386,10 @@ impl PricingOracle for PathPricer<'_> {
         seen: &[HashSet<Path>],
         out: &mut Vec<Candidate>,
     ) {
-        let s = self.endpoints[si];
+        let endpoints = self.commodities.endpoints();
+        let s = endpoints[si];
         let tree = paths::weighted_shortest_path_tree(self.topo, s, weights);
-        for &d in &self.endpoints {
+        for &d in endpoints {
             if d == s {
                 continue;
             }
@@ -415,12 +455,9 @@ pub fn solve_path_mcf_colgen_among(
 ) -> McfResult<ColGenPathMcf> {
     validate(topo, &commodities)?;
     options.validate().map_err(McfError::BadArgument)?;
-    let ncomm = commodities.len();
-
-    // Seed path sets, deduplicated per commodity.
-    let mut path_sets: Vec<Vec<Path>> = match options.seed {
+    let path_sets: Vec<Vec<Path>> = match options.seed {
         ColGenSeed::ShortestPath => {
-            let mut sets = Vec::with_capacity(ncomm);
+            let mut sets = Vec::with_capacity(commodities.len());
             for (_, s, d) in commodities.iter() {
                 let p = paths::shortest_path(topo, s, d).ok_or_else(|| {
                     McfError::BadTopology(format!("no {s}->{d} path exists for the seed"))
@@ -431,92 +468,13 @@ pub fn solve_path_mcf_colgen_among(
         }
         ColGenSeed::Kind(kind) => build_path_sets(topo, &commodities, kind)?,
     };
-    let mut seen: Vec<HashSet<Path>> = path_sets
-        .iter_mut()
-        .map(|set| {
-            let mut dedup = HashSet::with_capacity(set.len());
-            set.retain(|p| dedup.insert(p.clone()));
-            dedup
-        })
-        .collect();
-
-    // Row layout: one capacity row per finite-capacity edge (even if no seed
-    // path crosses it — a priced-in column may), then one demand row per
-    // commodity. Building the standard form directly keeps row indices stable
-    // for the whole session, which the dual extraction depends on.
-    let mut edge_row: Vec<Option<usize>> = Vec::with_capacity(topo.num_edges());
-    let mut row_lower = Vec::new();
-    let mut row_upper = Vec::new();
-    for edge in topo.edges() {
-        if edge.capacity.is_finite() {
-            edge_row.push(Some(row_lower.len()));
-            row_lower.push(-INF);
-            row_upper.push(edge.capacity);
-        } else {
-            edge_row.push(None);
-        }
-    }
-    let nedge_rows = row_lower.len();
-    // Demand rows: sum of the commodity's path weights minus F is >= 0.
-    for _ in 0..ncomm {
-        row_lower.push(0.0);
-        row_upper.push(INF);
-    }
-    let nrows = row_lower.len();
-
-    let endpoints = commodities.endpoints().to_vec();
-    // Commodity indices priced from each source, for the drift tracker.
-    let commodities_of_source: Vec<Vec<usize>> = endpoints
+    let (sf, mut pricer, mut seen) =
+        PathPricer::master(topo, &commodities, path_sets, options.tolerance);
+    let seed: Vec<(usize, Path)> = pricer
+        .col_owner
         .iter()
-        .map(|&s| {
-            endpoints
-                .iter()
-                .filter(|&&d| d != s)
-                .map(|&d| {
-                    commodities
-                        .index_of(s, d)
-                        .expect("endpoints enumerate the commodity set")
-                })
-                .collect()
-        })
+        .map(|&(k, pi)| (k, pricer.path_sets[k][pi].clone()))
         .collect();
-    let mut pricer = PathPricer {
-        topo,
-        commodities: &commodities,
-        endpoints,
-        commodities_of_source,
-        edge_row,
-        nedge_rows,
-        ncomm,
-        tol: options.tolerance,
-        path_sets: vec![Vec::new(); ncomm],
-        col_owner: Vec::new(),
-    };
-
-    // Column 0 is F (minimize -F); path columns follow in append order, with
-    // `col_owner[j - 1]` naming the commodity and within-set index of column j.
-    let mut cols = vec![SparseVec::from_entries(
-        (0..ncomm).map(|k| (nedge_rows + k, -1.0)),
-    )];
-    let mut obj = vec![-1.0];
-    let mut seed: Vec<(usize, Path)> = Vec::new();
-    for (k, set) in path_sets.into_iter().enumerate() {
-        for p in set {
-            cols.push(pricer.push_column(k, p.clone()));
-            obj.push(0.0);
-            seed.push((k, p));
-        }
-    }
-    let ncols = cols.len();
-    let sf = StandardForm {
-        nrows,
-        cols,
-        obj,
-        lower: vec![0.0; ncols],
-        upper: vec![INF; ncols],
-        row_lower,
-        row_upper,
-    };
 
     // The session works on the core solver: no presolve/scaling, so row and
     // column indices stay stable and the duals come straight off the basis.
@@ -530,41 +488,10 @@ pub fn solve_path_mcf_colgen_among(
 
     // Column 0 is F, so the path columns start at structural column 1.
     let (sol, stats) = run_colgen(&mut solver, &mut pricer, &mut seen, 1, seed, options)?;
-    let PathPricer {
-        col_owner,
-        path_sets,
-        ..
-    } = pricer;
-
     let flow_value = -sol.objective;
-    if flow_value <= WEIGHT_TOL {
-        return Err(McfError::Lp(
-            "column-generation path MCF produced a zero concurrent flow".into(),
-        ));
-    }
-
-    // Collect weighted paths; the thresholding fallback mirrors the fixed-set
-    // solver.
-    let mut raw: Vec<Vec<(Path, f64)>> = vec![Vec::new(); ncomm];
-    for (j, &(k, pi)) in col_owner.iter().enumerate() {
-        let w = sol.x[j + 1];
-        if w > WEIGHT_TOL {
-            raw[k].push((path_sets[k][pi].clone(), w));
-        }
-    }
-    let mut fixed = Vec::with_capacity(ncomm);
-    for ((_, s, d), list) in commodities.iter().zip(raw) {
-        if list.is_empty() {
-            let fallback = paths::shortest_path(topo, s, d).ok_or_else(|| {
-                McfError::BadTopology(format!("no {s}->{d} path exists for fallback"))
-            })?;
-            fixed.push(vec![(fallback, 1.0)]);
-        } else {
-            fixed.push(list);
-        }
-    }
+    let weighted = pricer.into_weighted_paths(&sol.x, flow_value)?;
     Ok(ColGenPathMcf {
-        schedule: PathSchedule::from_weighted_paths(commodities, flow_value, fixed),
+        schedule: PathSchedule::from_weighted_paths(commodities, flow_value, weighted),
         stats,
     })
 }
@@ -575,6 +502,11 @@ mod tests {
     use crate::analysis::max_link_load_of_paths;
     use crate::linkmcf::solve_link_mcf;
     use a2a_topology::generators;
+
+    /// Column generation for an all-to-all among all nodes.
+    fn solve_path_mcf_colgen(topo: &Topology, options: &ColGenOptions) -> McfResult<ColGenPathMcf> {
+        solve_path_mcf_colgen_among(topo, CommoditySet::all_pairs(topo.num_nodes()), options)
+    }
 
     #[test]
     fn disjoint_pmcf_matches_link_mcf_on_hypercube() {

@@ -10,7 +10,9 @@
 //!
 //! The time-expanded column-generation solver of [`crate::tscolgen`] is
 //! indexed by demand, and the nominal solve is the all-at-source instance of
-//! it; this module is the other caller. What it adds is the residual problem
+//! it; this module is the other caller. The consistency check and the step
+//! bound are the nominal ones too (written once in [`crate::tsmcf`] over
+//! `(demands, steps, flows)`). What this module adds is the residual problem
 //! statement, not a second solver:
 //!
 //! * **demands from holdings**: each demand's convexity row has right-hand
@@ -39,6 +41,7 @@ use a2a_topology::{EdgeId, NodeId, Path, Topology};
 use crate::colgen::{ColGenOptions, ColGenStats};
 pub use crate::tscolgen::TsDemand;
 use crate::tscolgen::{shortest_seed, solve_expanded_colgen, TsColumn};
+use crate::tsmcf::{check_flow_consistency, holding_step_bound};
 use crate::types::{CommoditySet, McfError, McfResult};
 
 /// A solved residual plan: per-demand time-stepped flows on the punctured
@@ -69,43 +72,7 @@ impl ResidualSolution {
     /// delivery (every demand's `amount` reaches `dest`) and non-negativity.
     /// Returns human-readable violations; empty means executable.
     pub fn check_consistency(&self, topo: &Topology, tol: f64) -> Vec<String> {
-        let mut issues = Vec::new();
-        for (idx, dem) in self.demands.iter().enumerate() {
-            let mut buffer = vec![0.0f64; topo.num_nodes()];
-            buffer[dem.at] = dem.amount;
-            for step in 0..self.steps {
-                let mut outgoing = vec![0.0f64; topo.num_nodes()];
-                for &(e, amount) in &self.flows[idx][step] {
-                    if amount < -tol {
-                        issues.push(format!(
-                            "demand {idx} ({} at {} -> {}): negative transfer at step {step}",
-                            dem.origin, dem.at, dem.dest
-                        ));
-                    }
-                    outgoing[topo.edge(e).src] += amount;
-                }
-                for (u, &out) in outgoing.iter().enumerate() {
-                    if out > buffer[u] + tol {
-                        issues.push(format!(
-                            "demand {idx}: node {u} sends {out} at step {step} but holds {}",
-                            buffer[u]
-                        ));
-                    }
-                }
-                for &(e, amount) in &self.flows[idx][step] {
-                    let edge = topo.edge(e);
-                    buffer[edge.src] -= amount;
-                    buffer[edge.dst] += amount;
-                }
-            }
-            if buffer[dem.dest] + tol < dem.amount {
-                issues.push(format!(
-                    "demand {idx}: destination {} holds only {} of {} after {} steps",
-                    dem.dest, buffer[dem.dest], dem.amount, self.steps
-                ));
-            }
-        }
-        issues
+        check_flow_consistency(topo, &self.demands, self.steps, &self.flows, tol)
     }
 }
 
@@ -160,21 +127,7 @@ fn validate_demands(topo: &Topology, demands: &[TsDemand]) -> McfResult<()> {
 /// signal of the re-planning loop — [`McfError::BadTopology`], never a panic.
 pub fn residual_minimum_steps(topo: &Topology, demands: &[TsDemand]) -> McfResult<usize> {
     validate_demands(topo, demands)?;
-    let mut dist_from: HashMap<NodeId, Vec<Option<usize>>> = HashMap::new();
-    let mut needed = 1usize;
-    for d in demands {
-        let dist = dist_from
-            .entry(d.at)
-            .or_insert_with(|| topo.bfs_distances(d.at));
-        let hops = dist[d.dest].ok_or_else(|| {
-            McfError::BadTopology(format!(
-                "destination {} is unreachable from holding node {} on this fabric",
-                d.dest, d.at
-            ))
-        })?;
-        needed = needed.max(hops);
-    }
-    Ok(needed)
+    holding_step_bound(topo, demands)
 }
 
 /// Cuts the incumbent column pool of a nominal solve into warm seeds for a
@@ -242,17 +195,9 @@ pub fn solve_residual_colgen(
     options: &ColGenOptions,
     warm: &[(usize, Path)],
 ) -> McfResult<ResidualColGen> {
-    if steps == 0 {
-        return Err(McfError::BadArgument("steps must be at least 1".into()));
-    }
-    let required = residual_minimum_steps(topo, demands)?;
-    if steps < required {
-        return Err(McfError::BadArgument(format!(
-            "{steps} steps is below the residual diameter {required}"
-        )));
-    }
-    // Seeds: the shortest path per demand (guaranteed by the diameter check
-    // above), plus whatever warm suffixes validate.
+    validate_demands(topo, demands)?;
+    // Seeds: the shortest path per demand, plus whatever warm suffixes
+    // validate.
     let mut seed_paths: Vec<Vec<Path>> = demands
         .iter()
         .map(|d| Ok(vec![shortest_seed(topo, d.at, d.dest)?]))
@@ -557,6 +502,23 @@ mod tests {
                 solve_residual_colgen(&topo, &[base], 1, &opts, &[]).unwrap_err(),
                 McfError::BadArgument(_)
             ));
+        }
+        // A malformed *plan* — an edge id or demand node outside the topology,
+        // flows that are not `[demand][step]` — is one issue from the checker,
+        // not an index panic.
+        let plan = |demands: Vec<TsDemand>, flows| ResidualSolution {
+            demands,
+            steps: 1,
+            step_utilization: vec![1.0],
+            flows,
+        };
+        for bad in [
+            plan(vec![base], vec![vec![vec![(topo.num_edges(), 1.0)]]]),
+            plan(vec![base], vec![vec![]]),
+            plan(vec![base], vec![]),
+            plan(vec![TsDemand { dest: 9, ..base }], vec![vec![vec![]]]),
+        ] {
+            assert_eq!(bad.check_consistency(&topo, 1e-6).len(), 1);
         }
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! # Formulation
 //!
-//! The dense [`crate::tsmcf`] edge formulation carries one flow variable per
-//! (commodity, expanded edge) — `O(K · |E| · steps)` columns — and its LPs are
+//! The dense edge formulation ([`crate::tsmcf::solve_tsmcf_among_dense`])
+//! carries one flow variable per (commodity, expanded edge) —
+//! `O(K · |E| · steps)` columns — and its LPs are
 //! the solver's hardest instances: huge degenerate plateaus where the simplex
 //! spends tens of thousands of iterations shuffling flow between equivalent
 //! time-expanded routings. This module reformulates tsMCF as a restricted-master
@@ -38,12 +39,10 @@
 //! here, so [`TsMcfSolution::pruned`] is a structural no-op on this backend —
 //! it finds no junk to strip (at most it re-routes zero-cost ties within the
 //! same arc support, never adding flow or raising a utilization) — and lowered
-//! schedules ([`ChunkedSchedule::from_tsmcf_exact`]) need no pruning pass.
+//! schedules (`a2a_schedule::ChunkedSchedule::from_tsmcf_exact`) need no pruning pass.
 //! Pricing splices detours out of its columns (a path that leaves a base node
 //! and returns is shortened to buffer there instead), so columns waste no
 //! capacity on zero-dual-cost wandering either.
-//!
-//! [`ChunkedSchedule::from_tsmcf_exact`]: a2a_schedule::ChunkedSchedule
 //!
 //! # One solver, indexed by demand
 //!
@@ -53,24 +52,16 @@
 //! per demand, one pricing source (Dijkstra tree) per *distinct holding node*.
 //! The nominal all-to-all is the instance in which every shard still sits at
 //! its source: [`solve_tsmcf_colgen_among_with`] maps the commodity set to
-//! unit demands held at their origins (source-major, so demand index ==
-//! commodity index and the holding nodes come out in endpoint order), seeds
-//! them per [`ColGenSeed`], and re-wraps the result as a [`TsColGen`].
+//! unit demands held at their origins ([`crate::tsmcf::at_source_demands`]),
+//! seeds them per [`ColGenSeed`], and re-wraps the result as a [`TsColGen`].
 //! [`crate::residual::solve_residual_colgen`] feeds the same solver the
 //! holdings of an interrupted run.
 //!
-//! # Dense vs. colgen — which to pick
-//!
-//! * **Dense** ([`crate::tsmcf::solve_tsmcf_among_with`]): small instances
-//!   (≲ 10 endpoints) where the LP fits comfortably, or when per-variable
-//!   control over the formulation matters. Needs [`TsMcfSolution::pruned`]
-//!   before lowering.
-//! * **Colgen** ([`solve_tsmcf_colgen_among_with`]): everything larger. The
-//!   master has `steps · |E| + K` rows instead of `K · steps · |V|`, columns
-//!   grow on demand (typically a few per commodity), and dual stabilization
-//!   ([`crate::colgen::Stabilization`]) keeps pricing convergent on the
-//!   degenerate plateaus. Orders of magnitude faster on fig3/fig4-scale
-//!   workloads, with a proved-optimality certificate and junk-free solutions.
+//! This is the tsMCF backend at every size (the dense edge LP is kept only as
+//! the equivalence suites' reference): the master has `steps · |E| + K` rows
+//! instead of `K · steps · |V|`, columns grow on demand (typically a few per
+//! commodity), and dual stabilization ([`crate::colgen::Stabilization`]) keeps
+//! pricing convergent on the degenerate plateaus.
 
 use std::collections::{HashMap, HashSet};
 
@@ -80,8 +71,9 @@ use a2a_topology::transform::TimeExpanded;
 use a2a_topology::{paths, EdgeId, NodeId, Path, Topology};
 
 use crate::colgen::{run_colgen, Candidate, ColGenOptions, ColGenSeed, ColGenStats, PricingOracle};
+use crate::linkmcf::validate;
 use crate::pmcf::build_path_sets;
-use crate::tsmcf::{minimum_steps, TsMcfSolution};
+use crate::tsmcf::{at_source_demands, holding_step_bound, minimum_steps, TsMcfSolution};
 use crate::types::{CommoditySet, McfError, McfResult};
 
 /// Column weight below which a path's flow is dropped from the extracted
@@ -109,33 +101,11 @@ pub struct TsColumn {
 }
 
 impl TsColumn {
-    /// The base-node trajectory the column implies: `trajectory[t]` is where
-    /// the shard sits after `t` steps, starting from `source` and buffering in
-    /// place on steps without a fabric arc.
-    pub fn node_trajectory(&self, source: NodeId, steps: usize, topo: &Topology) -> Vec<NodeId> {
-        let mut nodes = Vec::with_capacity(steps + 1);
-        nodes.push(source);
-        let mut next_arc = 0;
-        for t in 0..steps {
-            let here = *nodes.last().expect("trajectory starts non-empty");
-            if next_arc < self.arcs.len() && self.arcs[next_arc].0 == t {
-                let edge = topo.edge(self.arcs[next_arc].1);
-                debug_assert_eq!(edge.src, here, "column arcs chain from the source");
-                nodes.push(edge.dst);
-                next_arc += 1;
-            } else {
-                nodes.push(here);
-            }
-        }
-        nodes
-    }
-
     /// The chain of base nodes the column's arcs traverse, buffering steps
     /// compressed away: `[arcs[0].src, arcs[0].dst, ...]` (empty when the
-    /// column never moves). Unlike [`TsColumn::node_trajectory`] this makes no
-    /// assumption about where the chain starts, so it also works on residual
-    /// columns that begin at a mid-fabric holding node rather than at the
-    /// commodity origin.
+    /// column never moves). It is read off the arcs alone, so it also works on
+    /// residual columns that begin at a mid-fabric holding node rather than at
+    /// the commodity origin.
     pub fn move_chain(&self, topo: &Topology) -> Vec<NodeId> {
         let mut nodes = Vec::with_capacity(self.arcs.len() + 1);
         for &(_, e) in &self.arcs {
@@ -464,8 +434,9 @@ pub(crate) fn shortest_seed(topo: &Topology, from: NodeId, to: NodeId) -> McfRes
 ///
 /// `seed_paths[k]` holds the base-graph seed paths of demand `k` (`at → dest`,
 /// valid in `topo`, at most `steps` hops, at least one per demand); each is
-/// lowered to its earliest-departure expansion. The caller has checked that
-/// `steps` covers every demand's hop distance.
+/// lowered to its earliest-departure expansion. The caller has validated the
+/// demands against `topo`; a step budget below their hop distances is
+/// rejected here.
 pub(crate) fn solve_expanded_colgen(
     topo: &Topology,
     demands: &[TsDemand],
@@ -474,6 +445,12 @@ pub(crate) fn solve_expanded_colgen(
     seed_paths: &[Vec<Path>],
 ) -> McfResult<ExpandedSolve> {
     options.validate().map_err(McfError::BadArgument)?;
+    let required = holding_step_bound(topo, demands)?;
+    if steps < required {
+        return Err(McfError::BadArgument(format!(
+            "{steps} steps is below the demand diameter {required}"
+        )));
+    }
     let ndem = demands.len();
     debug_assert_eq!(seed_paths.len(), ndem, "one seed list per demand");
     let expanded = TimeExpanded::build(topo, steps);
@@ -599,62 +576,27 @@ pub(crate) fn solve_expanded_colgen(
     })
 }
 
-/// Solves tsMCF by column generation for an all-to-all among all nodes, with an
-/// explicit step count and default options.
-pub fn solve_tsmcf_colgen(topo: &Topology, steps: usize) -> McfResult<TsColGen> {
-    solve_tsmcf_colgen_among(topo, CommoditySet::all_pairs(topo.num_nodes()), steps)
-}
-
-/// Solves tsMCF by column generation with the minimum feasible number of steps
-/// for an all-to-all among all nodes.
+/// Solves tsMCF by column generation for an all-to-all among all nodes, with
+/// the minimum feasible number of steps and default options.
 pub fn solve_tsmcf_colgen_auto(topo: &Topology) -> McfResult<TsColGen> {
     let commodities = CommoditySet::all_pairs(topo.num_nodes());
     let steps = minimum_steps(topo, &commodities)?;
-    solve_tsmcf_colgen_among(topo, commodities, steps)
-}
-
-/// Solves tsMCF by column generation for an explicit commodity set and step
-/// count, with default options.
-pub fn solve_tsmcf_colgen_among(
-    topo: &Topology,
-    commodities: CommoditySet,
-    steps: usize,
-) -> McfResult<TsColGen> {
     solve_tsmcf_colgen_among_with(topo, commodities, steps, &ColGenOptions::default())
 }
 
-/// [`solve_tsmcf_colgen_among`] with explicit column-generation options (seed,
-/// round/column caps, master pricing, partial pricing, dual stabilization —
-/// [`ColGenOptions::stabilized`] is the recommended configuration for the
-/// degenerate time-expanded masters).
+/// Solves tsMCF by column generation for an explicit commodity set (e.g. host
+/// vertices of a host-bottlenecked augmented topology), step count and
+/// column-generation options (seed, round/column caps, master pricing, partial
+/// pricing, dual stabilization — [`ColGenOptions::stabilized`] is the
+/// recommended configuration for the degenerate time-expanded masters).
 pub fn solve_tsmcf_colgen_among_with(
     topo: &Topology,
     commodities: CommoditySet,
     steps: usize,
     options: &ColGenOptions,
 ) -> McfResult<TsColGen> {
-    if steps == 0 {
-        return Err(McfError::BadArgument("steps must be at least 1".into()));
-    }
-    let required = minimum_steps(topo, &commodities)?;
-    if steps < required {
-        return Err(McfError::BadArgument(format!(
-            "{steps} steps is below the commodity diameter {required}"
-        )));
-    }
-
-    // Every shard still at its source. `CommoditySet::iter` is source-major,
-    // so demand index == commodity index and the solver's holding nodes come
-    // out in endpoint order.
-    let demands: Vec<TsDemand> = commodities
-        .iter()
-        .map(|(_, s, d)| TsDemand {
-            origin: s,
-            dest: d,
-            at: s,
-            amount: 1.0,
-        })
-        .collect();
+    validate(topo, &commodities)?;
+    let demands = at_source_demands(&commodities);
 
     // Seed: one shortest path per commodity, or a fixed base-graph family
     // (over-long members dropped; the shortest path is the guaranteed
@@ -693,8 +635,22 @@ pub fn solve_tsmcf_colgen_among_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tsmcf::{solve_tsmcf, solve_tsmcf_auto};
+    use crate::tsmcf::solve_tsmcf_among_dense;
     use a2a_topology::generators;
+
+    /// All-pairs colgen tsMCF at an explicit step budget, default options.
+    fn solve_tsmcf_colgen(topo: &Topology, steps: usize) -> McfResult<TsColGen> {
+        let commodities = CommoditySet::all_pairs(topo.num_nodes());
+        solve_tsmcf_colgen_among_with(topo, commodities, steps, &ColGenOptions::default())
+    }
+
+    /// The dense reference for an all-to-all among all nodes, at `steps` or the
+    /// minimum step count.
+    fn dense(topo: &Topology, steps: Option<usize>) -> TsMcfSolution {
+        let commodities = CommoditySet::all_pairs(topo.num_nodes());
+        let steps = steps.unwrap_or_else(|| minimum_steps(topo, &commodities).unwrap());
+        solve_tsmcf_among_dense(topo, commodities, steps).unwrap()
+    }
 
     /// Aggregated per-(commodity, step, edge) flow of a solution, for
     /// order-insensitive comparisons.
@@ -729,7 +685,7 @@ mod tests {
             generators::hypercube(3),
             generators::torus(&[3, 3]),
         ] {
-            let dense = solve_tsmcf_auto(&topo).unwrap();
+            let dense = dense(&topo, None);
             let cg = solve_tsmcf_colgen(&topo, dense.steps).unwrap();
             assert!(cg.stats.proved_optimal, "{}: certificate", topo.name());
             assert_eq!(cg.solution.steps, dense.steps);
@@ -809,12 +765,15 @@ mod tests {
 
     #[test]
     fn extra_steps_never_hurt() {
-        let topo = generators::hypercube(2);
-        let tight = solve_tsmcf_colgen(&topo, 2).unwrap();
-        let slack = solve_tsmcf_colgen(&topo, 3).unwrap();
-        assert!(tight.stats.proved_optimal && slack.stats.proved_optimal);
-        assert!(slack.solution.total_utilization() <= tight.solution.total_utilization() + 1e-5);
-        assert!(slack.solution.check_consistency(&topo, 1e-6).is_empty());
+        for topo in [generators::hypercube(2), generators::torus(&[3, 3])] {
+            let tight = solve_tsmcf_colgen(&topo, 2).unwrap();
+            let slack = solve_tsmcf_colgen(&topo, 3).unwrap();
+            assert!(tight.stats.proved_optimal && slack.stats.proved_optimal);
+            assert!(
+                slack.solution.total_utilization() <= tight.solution.total_utilization() + 1e-5
+            );
+            assert!(slack.solution.check_consistency(&topo, 1e-6).is_empty());
+        }
     }
 
     #[test]
@@ -888,7 +847,7 @@ mod tests {
     fn kind_seed_agrees() {
         use crate::pmcf::PathSetKind;
         let topo = generators::hypercube(3);
-        let dense = solve_tsmcf_auto(&topo).unwrap();
+        let dense = dense(&topo, None);
         let cg = solve_tsmcf_colgen_among_with(
             &topo,
             CommoditySet::all_pairs(topo.num_nodes()),
@@ -915,9 +874,14 @@ mod tests {
         let aug = HostNicAugmented::build(&base, 2.0);
         let commodities = CommoditySet::among(aug.hosts.clone());
         let steps = minimum_steps(&aug.graph, &commodities).unwrap();
-        let dense =
-            crate::tsmcf::solve_tsmcf_among(&aug.graph, commodities.clone(), steps).unwrap();
-        let cg = solve_tsmcf_colgen_among(&aug.graph, commodities, steps).unwrap();
+        let dense = solve_tsmcf_among_dense(&aug.graph, commodities.clone(), steps).unwrap();
+        let cg = solve_tsmcf_colgen_among_with(
+            &aug.graph,
+            commodities,
+            steps,
+            &ColGenOptions::default(),
+        )
+        .unwrap();
         assert!(cg.stats.proved_optimal);
         assert!(cg.solution.check_consistency(&aug.graph, 1e-6).is_empty());
         assert!(
@@ -949,13 +913,13 @@ mod tests {
         assert!(cg.solution.check_consistency(&topo, 1e-6).is_empty());
     }
 
-    /// `solve_tsmcf` with an explicit step budget and colgen with the same
-    /// budget agree above the minimum too.
+    /// The dense reference with an explicit step budget and colgen with the
+    /// same budget agree above the minimum too.
     #[test]
     fn explicit_step_budgets_agree() {
         let topo = generators::hypercube(2);
         for steps in [2, 3] {
-            let dense = solve_tsmcf(&topo, steps).unwrap();
+            let dense = dense(&topo, Some(steps));
             let cg = solve_tsmcf_colgen(&topo, steps).unwrap();
             assert!(cg.stats.proved_optimal);
             assert!(

@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 
 use a2a_mcf::tscolgen::solve_tsmcf_colgen_among_with;
-use a2a_mcf::tsmcf::{minimum_steps, solve_tsmcf_among, TsMcfSolution};
+use a2a_mcf::tsmcf::{minimum_steps, solve_tsmcf_among_dense, TsMcfSolution};
 use a2a_mcf::{ColGenOptions, CommoditySet, Stabilization};
 use a2a_topology::{generators, puncture, EdgeId, NodeId, Topology};
 use rand::{Rng, SeedableRng};
@@ -60,7 +60,7 @@ fn check_case(tag: &str, topo: &Topology, endpoints: Vec<NodeId>, stabilized: bo
     let commodities = CommoditySet::among(endpoints);
     let steps = minimum_steps(topo, &commodities)
         .unwrap_or_else(|e| panic!("{tag}: minimum_steps failed: {e}"));
-    let dense = solve_tsmcf_among(topo, commodities.clone(), steps)
+    let dense = solve_tsmcf_among_dense(topo, commodities.clone(), steps)
         .unwrap_or_else(|e| panic!("{tag}: dense tsMCF failed: {e}"));
     let opts = if stabilized {
         ColGenOptions::stabilized()

@@ -171,13 +171,13 @@ impl TransferDag {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use a2a_mcf::tsmcf::{solve_tsmcf, solve_tsmcf_auto};
+    use a2a_mcf::tscolgen::solve_tsmcf_colgen_auto;
     use a2a_topology::generators;
 
     #[test]
     fn complete_graph_jobs_are_independent() {
         let topo = generators::complete(3);
-        let sol = solve_tsmcf(&topo, 1).unwrap();
+        let sol = solve_tsmcf_colgen_auto(&topo).unwrap().solution;
         let sched = ChunkedSchedule::from_tsmcf(&topo, &sol, 8).unwrap();
         let dag = TransferDag::from_schedule(&sched).unwrap();
         assert_eq!(dag.num_jobs(), sched.total_transfers());
@@ -188,7 +188,7 @@ mod tests {
     #[test]
     fn relayed_chunks_depend_on_their_inbound_copy() {
         let topo = generators::ring(3);
-        let sol = solve_tsmcf_auto(&topo).unwrap();
+        let sol = solve_tsmcf_colgen_auto(&topo).unwrap().solution;
         let sched = ChunkedSchedule::from_tsmcf(&topo, &sol, 64).unwrap();
         let dag = TransferDag::from_schedule(&sched).unwrap();
         // The directed 3-ring must relay: some second-hop transfer depends on the
@@ -214,7 +214,7 @@ mod tests {
     #[test]
     fn successors_mirror_dependencies() {
         let topo = generators::hypercube(2);
-        let sol = solve_tsmcf(&topo, 2).unwrap();
+        let sol = solve_tsmcf_colgen_auto(&topo).unwrap().solution;
         let sched = ChunkedSchedule::from_tsmcf(&topo, &sol, 64).unwrap();
         let dag = TransferDag::from_schedule(&sched).unwrap();
         let succ = dag.successors();
@@ -231,7 +231,7 @@ mod tests {
     #[test]
     fn inexecutable_schedules_are_rejected() {
         let topo = generators::complete(3);
-        let sol = solve_tsmcf(&topo, 1).unwrap();
+        let sol = solve_tsmcf_colgen_auto(&topo).unwrap().solution;
         let mut sched = ChunkedSchedule::from_tsmcf(&topo, &sol, 4).unwrap();
         sched.steps[0].transfers.push(crate::ChunkTransfer {
             from: 1,

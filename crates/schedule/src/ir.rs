@@ -4,10 +4,16 @@
 //! chunks, so the lowering (§4) picks a chunk granularity fine enough to represent the
 //! smallest rate in the solution, rounds every transfer to whole chunks, and emits a
 //! per-step list of `(source rank, destination rank, commodity, #chunks)` transfers.
+//!
+//! There is one quantizer, `quantize_flows`, over the `(demands, steps, flows)`
+//! shape every time-stepped plan has. [`ChunkedSchedule::from_tsmcf_exact`] feeds it
+//! the nominal all-to-all (every shard at its source),
+//! [`crate::splice::lower_residual_suffix`] the holdings of an interrupted run.
 
-use a2a_mcf::tsmcf::TsMcfSolution;
+use a2a_mcf::tscolgen::TsDemand;
+use a2a_mcf::tsmcf::{at_source_demands, check_flow_shape, TsMcfSolution};
 use a2a_mcf::CommoditySet;
-use a2a_topology::{NodeId, Topology};
+use a2a_topology::{paths, EdgeId, NodeId, Topology};
 
 /// One chunked transfer: `chunks` chunks of commodity `(origin, final_dest)` move from
 /// `from` to `to` during the enclosing step.
@@ -52,6 +58,110 @@ impl ScheduleStep {
     }
 }
 
+/// Converts a demand's shard amount to its whole-chunk count. A nominal demand
+/// is one shard, and the re-planning snapshot counts whole chunks and builds
+/// amounts as `chunks / cps`, so the round-trip is exact.
+pub(crate) fn demand_chunks(demand: &TsDemand, chunks_per_shard: usize) -> usize {
+    (demand.amount * chunks_per_shard as f64).round() as usize
+}
+
+/// Quantizes fractional per-step flows into whole-chunk transfers at a fixed
+/// granularity.
+///
+/// Each demand's chunks ([`demand_chunks`]) start buffered at its holding
+/// node (demands of one commodity held at different nodes stay separate; the
+/// emitted transfers carry only the commodity labels). Every `(edge, amount)`
+/// is rounded to the nearest chunk count — at least one for a positive amount
+/// — and capped by what the sender still holds; arrivals land after the whole
+/// step. Chunks stranded by rounding (rare: rounding down starved a later hop)
+/// are flushed one hop per extra step along shortest paths of `topo`. Fails
+/// with a description — never panics — on a zero granularity, a plan that does
+/// not fit `topo` ([`check_flow_shape`]), an unreachable flush target, or
+/// rounding that cannot settle.
+pub(crate) fn quantize_flows(
+    topo: &Topology,
+    demands: &[TsDemand],
+    steps: usize,
+    flows: &[Vec<Vec<(EdgeId, f64)>>],
+    chunks_per_shard: usize,
+) -> Result<Vec<ScheduleStep>, String> {
+    if chunks_per_shard == 0 {
+        return Err("granularity must be positive".into());
+    }
+    check_flow_shape(topo, demands, steps, flows)?;
+    let num_ranks = topo.num_nodes();
+    let cps = chunks_per_shard as f64;
+    // Remaining chunks of each demand buffered at each rank.
+    let mut buffered: Vec<Vec<usize>> = vec![vec![0; num_ranks]; demands.len()];
+    for (k, dem) in demands.iter().enumerate() {
+        buffered[k][dem.at] = demand_chunks(dem, chunks_per_shard);
+    }
+    let mut out = Vec::with_capacity(steps);
+    for t in 0..steps {
+        let sends = flows.iter().enumerate().flat_map(|(k, per_step)| {
+            per_step[t].iter().map(move |&(e, amount)| {
+                let edge = topo.edge(e);
+                let want = (amount * cps).round() as usize;
+                (k, edge.src, edge.dst, want.max(usize::from(amount > 1e-9)))
+            })
+        });
+        out.push(send_step(demands, &mut buffered, sends));
+    }
+    for _ in 0..=num_ranks {
+        let mut stranded = Vec::new();
+        for (k, dem) in demands.iter().enumerate() {
+            for rank in 0..num_ranks {
+                if rank == dem.dest || buffered[k][rank] == 0 {
+                    continue;
+                }
+                let path = paths::shortest_path(topo, rank, dem.dest).ok_or_else(|| {
+                    format!(
+                        "demand {k}: destination {} unreachable from {rank} while flushing",
+                        dem.dest
+                    )
+                })?;
+                stranded.push((k, rank, path.nodes()[1], buffered[k][rank]));
+            }
+        }
+        if stranded.is_empty() {
+            return Ok(out);
+        }
+        out.push(send_step(demands, &mut buffered, stranded.into_iter()));
+    }
+    Err("rounding residue failed to settle within the flush budget".into())
+}
+
+/// One step of [`quantize_flows`]: performs each `(demand, from, to, wanted
+/// chunks)` send in order, capped by what `from` still holds. Arrivals land only
+/// after the whole step, so a chunk moves at most one hop per step.
+fn send_step(
+    demands: &[TsDemand],
+    buffered: &mut [Vec<usize>],
+    sends: impl Iterator<Item = (usize, NodeId, NodeId, usize)>,
+) -> ScheduleStep {
+    let mut step = ScheduleStep::default();
+    let mut arrivals: Vec<(usize, NodeId, usize)> = Vec::new();
+    for (k, from, to, want) in sends {
+        let chunks = want.min(buffered[k][from]);
+        if chunks == 0 {
+            continue;
+        }
+        buffered[k][from] -= chunks;
+        arrivals.push((k, to, chunks));
+        step.transfers.push(ChunkTransfer {
+            from,
+            to,
+            origin: demands[k].origin,
+            final_dest: demands[k].dest,
+            chunks,
+        });
+    }
+    for (k, node, chunks) in arrivals {
+        buffered[k][node] += chunks;
+    }
+    step
+}
+
 /// A chunked, executable link-based all-to-all schedule.
 #[derive(Debug, Clone)]
 pub struct ChunkedSchedule {
@@ -87,8 +197,7 @@ impl ChunkedSchedule {
         let solution = solution.pruned(topo);
         let mut granularity = 1usize;
         loop {
-            let candidate = Self::quantize(topo, &solution, granularity);
-            if candidate.validate(topo).is_empty() {
+            if let Ok(candidate) = Self::from_tsmcf_exact(topo, &solution, granularity) {
                 return Ok(candidate);
             }
             if granularity >= max_chunks_per_shard {
@@ -123,10 +232,19 @@ impl ChunkedSchedule {
         solution: &TsMcfSolution,
         chunks_per_shard: usize,
     ) -> Result<Self, String> {
-        if chunks_per_shard == 0 {
-            return Err("granularity must be positive".into());
-        }
-        let candidate = Self::quantize(topo, solution, chunks_per_shard);
+        let steps = quantize_flows(
+            topo,
+            &at_source_demands(&solution.commodities),
+            solution.steps,
+            &solution.flows,
+            chunks_per_shard,
+        )?;
+        let candidate = Self {
+            num_ranks: topo.num_nodes(),
+            commodities: solution.commodities.clone(),
+            chunks_per_shard,
+            steps,
+        };
         let issues = candidate.validate(topo);
         if issues.is_empty() {
             Ok(candidate)
@@ -135,94 +253,6 @@ impl ChunkedSchedule {
                 "granularity {chunks_per_shard} is not executable: {}",
                 issues.join("; ")
             ))
-        }
-    }
-
-    /// Quantizes the fractional per-step flows into whole chunks at a fixed
-    /// granularity, rounding each transfer up (capped by what the sender still holds).
-    fn quantize(topo: &Topology, solution: &TsMcfSolution, chunks_per_shard: usize) -> Self {
-        let num_ranks = topo.num_nodes();
-        let mut steps = Vec::with_capacity(solution.steps);
-        // Remaining chunks of commodity k buffered at each rank.
-        let mut buffered: Vec<Vec<usize>> = vec![vec![0; num_ranks]; solution.commodities.len()];
-        for (idx, s, _) in solution.commodities.iter() {
-            buffered[idx][s] = chunks_per_shard;
-        }
-        for t in 0..solution.steps {
-            let mut step = ScheduleStep::default();
-            let mut arrivals: Vec<(usize, NodeId, usize)> = Vec::new();
-            for (idx, s, d) in solution.commodities.iter() {
-                for &(e, amount) in &solution.flows[idx][t] {
-                    let edge = topo.edge(e);
-                    let want = (amount * chunks_per_shard as f64).round() as usize;
-                    let want = want.max(if amount > 1e-9 { 1 } else { 0 });
-                    let available = buffered[idx][edge.src];
-                    let chunks = want.min(available);
-                    if chunks == 0 {
-                        continue;
-                    }
-                    buffered[idx][edge.src] -= chunks;
-                    arrivals.push((idx, edge.dst, chunks));
-                    step.transfers.push(ChunkTransfer {
-                        from: edge.src,
-                        to: edge.dst,
-                        origin: s,
-                        final_dest: d,
-                        chunks,
-                    });
-                }
-            }
-            for (idx, node, chunks) in arrivals {
-                buffered[idx][node] += chunks;
-            }
-            steps.push(step);
-        }
-        // Flush any chunks stranded by rounding with direct final-hop transfers in
-        // extra steps (rare; happens when rounding down starves a later hop).
-        let mut extra_guard = 0;
-        loop {
-            let mut flush = ScheduleStep::default();
-            let mut flush_arrivals: Vec<(usize, NodeId, usize)> = Vec::new();
-            for (idx, s, d) in solution.commodities.iter() {
-                for rank in 0..num_ranks {
-                    if rank == d || buffered[idx][rank] == 0 {
-                        continue;
-                    }
-                    // Move stranded chunks one hop closer along a shortest path; the
-                    // arrival is applied only after the whole step so a chunk moves at
-                    // most one hop per flush step.
-                    if let Some(path) = a2a_topology::paths::shortest_path(topo, rank, d) {
-                        let next = path.nodes()[1];
-                        let chunks = buffered[idx][rank];
-                        buffered[idx][rank] = 0;
-                        flush_arrivals.push((idx, next, chunks));
-                        flush.transfers.push(ChunkTransfer {
-                            from: rank,
-                            to: next,
-                            origin: s,
-                            final_dest: d,
-                            chunks,
-                        });
-                    }
-                }
-            }
-            for (idx, node, chunks) in flush_arrivals {
-                buffered[idx][node] += chunks;
-            }
-            if flush.transfers.is_empty() {
-                break;
-            }
-            steps.push(flush);
-            extra_guard += 1;
-            if extra_guard > num_ranks {
-                break;
-            }
-        }
-        Self {
-            num_ranks,
-            commodities: solution.commodities.clone(),
-            chunks_per_shard,
-            steps,
         }
     }
 
@@ -308,13 +338,14 @@ impl ChunkedSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use a2a_mcf::tsmcf::{solve_tsmcf, solve_tsmcf_auto};
+    use a2a_mcf::residual::ResidualSolution;
+    use a2a_mcf::tscolgen::solve_tsmcf_colgen_auto;
     use a2a_topology::generators;
 
     #[test]
     fn complete_graph_chunks_to_single_step() {
         let topo = generators::complete(3);
-        let sol = solve_tsmcf(&topo, 1).unwrap();
+        let sol = solve_tsmcf_colgen_auto(&topo).unwrap().solution;
         let sched = ChunkedSchedule::from_tsmcf(&topo, &sol, 64).unwrap();
         assert!(sched.validate(&topo).is_empty());
         assert_eq!(sched.num_steps(), 1);
@@ -325,7 +356,7 @@ mod tests {
     #[test]
     fn ring_schedule_relays_chunks() {
         let topo = generators::ring(3);
-        let sol = solve_tsmcf_auto(&topo).unwrap();
+        let sol = solve_tsmcf_colgen_auto(&topo).unwrap().solution;
         let sched = ChunkedSchedule::from_tsmcf(&topo, &sol, 64).unwrap();
         assert!(sched.validate(&topo).is_empty());
         assert!(sched.num_steps() >= 2);
@@ -339,7 +370,7 @@ mod tests {
     #[test]
     fn hypercube_schedule_is_executable_and_balanced() {
         let topo = generators::hypercube(2);
-        let sol = solve_tsmcf(&topo, 2).unwrap();
+        let sol = solve_tsmcf_colgen_auto(&topo).unwrap().solution;
         let sched = ChunkedSchedule::from_tsmcf(&topo, &sol, 128).unwrap();
         assert!(sched.validate(&topo).is_empty());
         // The simplex returns a vertex solution, so the chunking may or may not need to
@@ -352,7 +383,7 @@ mod tests {
     #[test]
     fn validation_catches_bad_transfers() {
         let topo = generators::complete(3);
-        let sol = solve_tsmcf(&topo, 1).unwrap();
+        let sol = solve_tsmcf_colgen_auto(&topo).unwrap().solution;
         let mut sched = ChunkedSchedule::from_tsmcf(&topo, &sol, 8).unwrap();
         // Inject a transfer of a commodity the sender does not hold.
         sched.steps[0].transfers.push(ChunkTransfer {
@@ -364,6 +395,30 @@ mod tests {
         });
         let issues = sched.validate(&topo);
         assert!(!issues.is_empty());
+
+        // Malformed solutions — an edge id outside the topology, flows whose
+        // outer/inner lengths disagree with the commodity count / step count —
+        // are an `Err` from the lowering and an issue from the checker, not an
+        // index panic.
+        let mut bad_edge = sol.clone();
+        bad_edge.flows[0][0].push((topo.num_edges(), 0.5));
+        let mut short_steps = sol.clone();
+        short_steps.flows[1].clear();
+        let mut short_commodities = sol.clone();
+        short_commodities.flows.pop();
+        for bad in [bad_edge, short_steps, short_commodities] {
+            assert!(ChunkedSchedule::from_tsmcf_exact(&topo, &bad, 8).is_err());
+            assert!(ChunkedSchedule::from_tsmcf(&topo, &bad, 8).is_err());
+            assert_eq!(bad.check_consistency(&topo, 1e-6).len(), 1);
+            let residual = ResidualSolution {
+                demands: at_source_demands(&bad.commodities),
+                steps: bad.steps,
+                step_utilization: bad.step_utilization.clone(),
+                flows: bad.flows.clone(),
+            };
+            assert!(crate::splice::lower_residual_suffix(&topo, &residual, 8).is_err());
+        }
+        assert!(sol.transfers_at_step(sol.steps).is_empty());
     }
 
     #[test]
@@ -371,7 +426,7 @@ mod tests {
         // A solution whose fractions cannot be represented with a single chunk must
         // either refine or fail when the cap is 1.
         let topo = generators::hypercube(2);
-        let sol = solve_tsmcf(&topo, 2).unwrap();
+        let sol = solve_tsmcf_colgen_auto(&topo).unwrap().solution;
         let result = ChunkedSchedule::from_tsmcf(&topo, &sol, 1);
         // Either it fails (cannot represent 0.5 with one chunk) or it succeeds with a
         // valid schedule; both are acceptable, but an invalid schedule is not.

@@ -9,7 +9,7 @@
 //!
 //! * [`lower_residual_suffix`] quantizes the residual flows into whole-chunk
 //!   transfers, starting from the holding nodes instead of the origins — the
-//!   residual analog of [`ChunkedSchedule::from_tsmcf_exact`];
+//!   quantizer [`ChunkedSchedule::from_tsmcf_exact`] runs, fed the holdings;
 //! * [`greedy_reroute_suffix`] is the graceful-degradation fallback when the
 //!   residual LP is unavailable (infeasible puncture pre-check, solve-time
 //!   budget exceeded): every demand walks a shortest path hop by hop, one hop
@@ -32,7 +32,7 @@ use a2a_mcf::residual::{ResidualSolution, TsDemand};
 use a2a_mcf::CommoditySet;
 use a2a_topology::{paths, NodeId, Path, Topology};
 
-use crate::ir::{ChunkTransfer, ChunkedSchedule, ScheduleStep};
+use crate::ir::{demand_chunks, quantize_flows, ChunkTransfer, ChunkedSchedule, ScheduleStep};
 use crate::routes::{CommodityRoutes, Route, RouteTable};
 
 /// A schedule stitched from the executed prefix of an interrupted run and a
@@ -49,113 +49,23 @@ pub struct SplicedSchedule {
     pub suffix_steps: usize,
 }
 
-/// Converts a demand's shard amount to its whole-chunk count. The re-planning
-/// snapshot counts whole chunks and builds amounts as `chunks / cps`, so the
-/// round-trip is exact.
-fn demand_chunks(demand: &TsDemand, chunks_per_shard: usize) -> usize {
-    (demand.amount * chunks_per_shard as f64).round() as usize
-}
-
 /// Quantizes a residual plan into executable schedule steps on the punctured
-/// topology.
-///
-/// Each demand's chunks start buffered at its holding node; fractional
-/// transfers are rounded to whole chunks capped by what the sender holds
-/// (the discipline of the nominal lowering), and chunks stranded by rounding
-/// are flushed one hop per extra step along shortest punctured paths. Fails
-/// with a description when a flush target is unreachable or rounding cannot
-/// settle — never panics.
+/// topology: the holdings of the interrupted run through the one quantizer
+/// (`quantize_flows` in [`crate::ir`]), so the flush can never route through a
+/// dead link. Fails with a description when a flush target is unreachable,
+/// rounding cannot settle or the plan does not fit `punctured` — never panics.
 pub fn lower_residual_suffix(
     punctured: &Topology,
     residual: &ResidualSolution,
     chunks_per_shard: usize,
 ) -> Result<Vec<ScheduleStep>, String> {
-    if chunks_per_shard == 0 {
-        return Err("granularity must be positive".into());
-    }
-    let num_ranks = punctured.num_nodes();
-    let ndem = residual.demands.len();
-    // Remaining chunks of each *demand* at each rank (demands of the same
-    // commodity at different holding nodes stay separate here; the emitted
-    // transfers carry only the commodity labels).
-    let mut buffered: Vec<Vec<usize>> = vec![vec![0; num_ranks]; ndem];
-    for (k, d) in residual.demands.iter().enumerate() {
-        buffered[k][d.at] = demand_chunks(d, chunks_per_shard);
-    }
-    let mut steps = Vec::with_capacity(residual.steps);
-    for t in 0..residual.steps {
-        let mut step = ScheduleStep::default();
-        let mut arrivals: Vec<(usize, NodeId, usize)> = Vec::new();
-        for (k, dem) in residual.demands.iter().enumerate() {
-            for &(e, amount) in &residual.flows[k][t] {
-                let edge = punctured.edge(e);
-                let want = (amount * chunks_per_shard as f64).round() as usize;
-                let want = want.max(if amount > 1e-9 { 1 } else { 0 });
-                let available = buffered[k][edge.src];
-                let chunks = want.min(available);
-                if chunks == 0 {
-                    continue;
-                }
-                buffered[k][edge.src] -= chunks;
-                arrivals.push((k, edge.dst, chunks));
-                step.transfers.push(ChunkTransfer {
-                    from: edge.src,
-                    to: edge.dst,
-                    origin: dem.origin,
-                    final_dest: dem.dest,
-                    chunks,
-                });
-            }
-        }
-        for (k, node, chunks) in arrivals {
-            buffered[k][node] += chunks;
-        }
-        steps.push(step);
-    }
-    // Flush rounding residue one hop per extra step, exactly like the nominal
-    // lowering — but on the punctured fabric, so the flush can never route
-    // through a dead link.
-    let mut extra_guard = 0;
-    loop {
-        let mut flush = ScheduleStep::default();
-        let mut flush_arrivals: Vec<(usize, NodeId, usize)> = Vec::new();
-        for (k, dem) in residual.demands.iter().enumerate() {
-            for rank in 0..num_ranks {
-                if rank == dem.dest || buffered[k][rank] == 0 {
-                    continue;
-                }
-                let path = paths::shortest_path(punctured, rank, dem.dest).ok_or_else(|| {
-                    format!(
-                        "demand {k}: destination {} unreachable from {rank} while flushing",
-                        dem.dest
-                    )
-                })?;
-                let next = path.nodes()[1];
-                let chunks = buffered[k][rank];
-                buffered[k][rank] = 0;
-                flush_arrivals.push((k, next, chunks));
-                flush.transfers.push(ChunkTransfer {
-                    from: rank,
-                    to: next,
-                    origin: dem.origin,
-                    final_dest: dem.dest,
-                    chunks,
-                });
-            }
-        }
-        for (k, node, chunks) in flush_arrivals {
-            buffered[k][node] += chunks;
-        }
-        if flush.transfers.is_empty() {
-            break;
-        }
-        steps.push(flush);
-        extra_guard += 1;
-        if extra_guard > num_ranks {
-            return Err("rounding residue failed to settle within the flush budget".into());
-        }
-    }
-    Ok(steps)
+    quantize_flows(
+        punctured,
+        &residual.demands,
+        residual.steps,
+        &residual.flows,
+        chunks_per_shard,
+    )
 }
 
 /// Graceful-degradation fallback: route every demand along a shortest path of

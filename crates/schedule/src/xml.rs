@@ -113,12 +113,12 @@ pub fn to_oneccl_xml(schedule: &ChunkedSchedule, name: &str) -> String {
 mod tests {
     use super::*;
     use crate::ir::ChunkedSchedule;
-    use a2a_mcf::tsmcf::solve_tsmcf_auto;
+    use a2a_mcf::tscolgen::solve_tsmcf_colgen_auto;
     use a2a_topology::generators;
 
     fn sample_schedule() -> (a2a_topology::Topology, ChunkedSchedule) {
         let topo = generators::ring(3);
-        let sol = solve_tsmcf_auto(&topo).unwrap();
+        let sol = solve_tsmcf_colgen_auto(&topo).unwrap().solution;
         let sched = ChunkedSchedule::from_tsmcf(&topo, &sol, 64).unwrap();
         (topo, sched)
     }

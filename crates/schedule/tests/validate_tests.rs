@@ -8,14 +8,13 @@
 
 use a2a_mcf::pmcf::{solve_path_mcf, PathSetKind};
 use a2a_mcf::tscolgen::solve_tsmcf_colgen_auto;
-use a2a_mcf::tsmcf::solve_tsmcf_auto;
 use a2a_schedule::{
     lower_path_schedule, ChunkTransfer, ChunkedSchedule, LashVariant, RouteTable, ScheduleStep,
 };
 use a2a_topology::{generators, Path, Topology};
 
 fn chunked_on(topo: &Topology) -> ChunkedSchedule {
-    let sol = solve_tsmcf_auto(topo).unwrap();
+    let sol = solve_tsmcf_colgen_auto(topo).unwrap().solution;
     let sched = ChunkedSchedule::from_tsmcf(topo, &sol, 64).unwrap();
     assert!(sched.validate(topo).is_empty(), "baseline must be clean");
     sched

@@ -9,7 +9,7 @@
 //! determined by **max-min fair sharing** over three resource families:
 //!
 //! * each finite-bandwidth link (its effective bandwidth under the
-//!   [`Scenario`](crate::Scenario), shrunk by the
+//!   [`Scenario`], shrunk by the
 //!   [`QpContention`](crate::QpContention) factor for the number of concurrent flows
 //!   it carries),
 //! * each sender's host-injection bandwidth ([`SimParams::host_injection_gbps`]),
@@ -1072,14 +1072,19 @@ impl Engine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use a2a_mcf::tsmcf::{solve_tsmcf, solve_tsmcf_auto};
+    use a2a_mcf::tsmcf::{minimum_steps, solve_tsmcf_among_dense};
+    use a2a_mcf::CommoditySet;
     use a2a_topology::generators;
 
+    /// The lowered *dense-reference* tsMCF schedule at `steps` (default: the
+    /// minimum). Pinned to the dense vertex on purpose: the recorded bit
+    /// patterns of `empty_timeline_reproduces_the_static_engine_exactly` and the
+    /// 1.25x bracket of `dependency_driven_is_bracketed_by_drain_bound_and_sync_overhead`
+    /// are properties of that vertex's schedule.
     fn chunked(topo: &Topology, steps: Option<usize>) -> ChunkedSchedule {
-        let sol = match steps {
-            Some(s) => solve_tsmcf(topo, s).unwrap(),
-            None => solve_tsmcf_auto(topo).unwrap(),
-        };
+        let commodities = CommoditySet::all_pairs(topo.num_nodes());
+        let steps = steps.unwrap_or_else(|| minimum_steps(topo, &commodities).unwrap());
+        let sol = solve_tsmcf_among_dense(topo, commodities, steps).unwrap();
         ChunkedSchedule::from_tsmcf(topo, &sol, 128).unwrap()
     }
 

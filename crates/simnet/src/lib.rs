@@ -3,8 +3,10 @@
 //! Network simulator standing in for the paper's two testbeds (§5.1): the 8-node
 //! A100/Telescent patch-panel cluster (MSCCL runtime, store-and-forward) and the
 //! 27-node TACC torus on the Cerio fabric (OMPI/UCX runtime, cut-through source
-//! routing). Schedules execute under an α–β cost model; two families of backends are
-//! provided behind the [`ScheduleSimulator`] trait:
+//! routing). Schedules execute under an α–β cost model. The backends are plain
+//! functions over `(topology, schedule, shard size, SimParams)` plus their own
+//! options — [`simulate_chunked_event`], [`simulate_chunked_schedule_with`],
+//! [`simulate_path_schedule`] — in three modules:
 //!
 //! * [`event`] — the **discrete-event flow-level engine**: chunk transfers drain as
 //!   fluid flows under per-link max-min fair sharing (folding in the optional
@@ -51,9 +53,6 @@ pub use linksim::{
 pub use pathsim::simulate_path_schedule;
 pub use replan::{replan_run, IncumbentPool, ReplanAttempt, ReplanError, ReplanOptions, ReplanRun};
 pub use scenario::{Scenario, ScenarioTimeline, TimedEvent};
-
-use a2a_schedule::ChunkedSchedule;
-use a2a_topology::Topology;
 
 /// Cost-model parameters of the simulated fabric.
 ///
@@ -167,99 +166,6 @@ impl SimReport {
     }
 }
 
-/// A backend that executes a [`ChunkedSchedule`] on a topology and reports completion
-/// time and throughput.
-///
-/// Two implementations ship with the crate: [`AnalyticBackend`] (the closed-form
-/// synchronized model) and [`EventBackend`] (the discrete-event engine, in either
-/// execution model, with scenario support). On nominal fabrics without injection/QP
-/// limits, `EventBackend` in synchronized mode agrees with `AnalyticBackend` to
-/// round-off — the cross-backend equality tests pin that.
-pub trait ScheduleSimulator {
-    /// Short backend name for reports and logs.
-    fn name(&self) -> &'static str;
-
-    /// Executes `schedule` shipping `shard_bytes` per commodity and reports timing.
-    fn simulate(
-        &self,
-        topo: &Topology,
-        schedule: &ChunkedSchedule,
-        shard_bytes: f64,
-    ) -> SimResult<SimReport>;
-}
-
-/// The closed-form synchronized store-and-forward model as a [`ScheduleSimulator`].
-///
-/// The analytic formula only models link bandwidths and the per-step
-/// synchronization latency: the [`SimParams::host_injection_gbps`] and
-/// [`SimParams::qp_contention`] fields are **ignored** (use [`EventBackend`] for
-/// those effects), which is why the cross-backend equality with the event engine is
-/// stated for parameter sets without them.
-#[derive(Debug, Clone, Default)]
-pub struct AnalyticBackend {
-    /// Cost-model parameters.
-    pub params: SimParams,
-    /// Fabric perturbations (failed links make the simulation fail; bandwidth knobs
-    /// reshape per-step durations).
-    pub scenario: Scenario,
-}
-
-impl ScheduleSimulator for AnalyticBackend {
-    fn name(&self) -> &'static str {
-        "analytic"
-    }
-
-    fn simulate(
-        &self,
-        topo: &Topology,
-        schedule: &ChunkedSchedule,
-        shard_bytes: f64,
-    ) -> SimResult<SimReport> {
-        simulate_chunked_schedule_with(topo, schedule, shard_bytes, &self.params, &self.scenario)
-    }
-}
-
-/// The discrete-event engine as a [`ScheduleSimulator`].
-#[derive(Debug, Clone, Default)]
-pub struct EventBackend {
-    /// Cost-model parameters.
-    pub params: SimParams,
-    /// Execution model and scenario.
-    pub options: EventSimOptions,
-}
-
-impl EventBackend {
-    /// An event backend running the dependency-driven (asynchronous) model.
-    pub fn dependency_driven(params: SimParams) -> Self {
-        Self {
-            params,
-            options: EventSimOptions {
-                model: ExecutionModel::DependencyDriven,
-                scenario: Scenario::nominal(),
-            },
-        }
-    }
-}
-
-impl ScheduleSimulator for EventBackend {
-    fn name(&self) -> &'static str {
-        match self.options.model {
-            ExecutionModel::Synchronized => "event-sync",
-            ExecutionModel::DependencyDriven => "event-dep",
-        }
-    }
-
-    fn simulate(
-        &self,
-        topo: &Topology,
-        schedule: &ChunkedSchedule,
-        shard_bytes: f64,
-    ) -> SimResult<SimReport> {
-        simulate_chunked_event(topo, schedule, shard_bytes, &self.params, &self.options)
-            .map(|r| r.report)
-    }
-}
-
 /// Converts a per-node all-to-all buffer size (the x-axis of Figs. 3–5: `N` shards of
 /// `m` bytes each) into the shard size `m`.
 pub fn shard_bytes_for_buffer(buffer_bytes: f64, num_nodes: usize) -> f64 {
@@ -318,15 +224,5 @@ mod tests {
         let tacc = SimParams::tacc_cluster();
         assert_eq!(tacc.host_injection_gbps, Some(12.5));
         assert!(tacc.qp_contention.is_some());
-    }
-
-    #[test]
-    fn backend_names_identify_the_model() {
-        assert_eq!(AnalyticBackend::default().name(), "analytic");
-        assert_eq!(EventBackend::default().name(), "event-sync");
-        assert_eq!(
-            EventBackend::dependency_driven(SimParams::default()).name(),
-            "event-dep"
-        );
     }
 }

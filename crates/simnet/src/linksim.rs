@@ -116,13 +116,13 @@ pub fn simulate_chunked_schedule_with(
 mod tests {
     use super::*;
     use a2a_mcf::throughput_upper_bound;
-    use a2a_mcf::tsmcf::{solve_tsmcf, solve_tsmcf_auto};
+    use a2a_mcf::tscolgen::solve_tsmcf_colgen_auto;
     use a2a_topology::generators;
 
     #[test]
     fn throughput_approaches_upper_bound_at_large_buffers() {
         let topo = generators::complete(4);
-        let sol = solve_tsmcf(&topo, 1).unwrap();
+        let sol = solve_tsmcf_colgen_auto(&topo).unwrap().solution;
         let params = SimParams::default();
         let report = simulate_link_schedule(&topo, &sol, 256.0 * 1024.0 * 1024.0, &params);
         let bound = throughput_upper_bound(4, 1.0, params.link_bandwidth_gbps);
@@ -133,7 +133,7 @@ mod tests {
     #[test]
     fn small_buffers_are_latency_bound() {
         let topo = generators::hypercube(3);
-        let sol = solve_tsmcf_auto(&topo).unwrap();
+        let sol = solve_tsmcf_colgen_auto(&topo).unwrap().solution;
         let params = SimParams::default();
         let small = simulate_link_schedule(&topo, &sol, 512.0, &params);
         let large = simulate_link_schedule(&topo, &sol, 64.0 * 1024.0 * 1024.0, &params);
@@ -145,7 +145,7 @@ mod tests {
     #[test]
     fn chunked_and_fractional_simulations_agree_at_large_buffers() {
         let topo = generators::ring(3);
-        let sol = solve_tsmcf_auto(&topo).unwrap();
+        let sol = solve_tsmcf_colgen_auto(&topo).unwrap().solution;
         let chunked = a2a_schedule::ChunkedSchedule::from_tsmcf(&topo, &sol, 64).unwrap();
         let params = SimParams::default();
         let shard = 128.0 * 1024.0 * 1024.0;
@@ -164,7 +164,7 @@ mod tests {
     fn better_schedules_simulate_faster() {
         // tsMCF on the hypercube must beat the TACCL-like stand-in at large buffers.
         let topo = generators::hypercube(3);
-        let tsmcf = solve_tsmcf_auto(&topo).unwrap();
+        let tsmcf = solve_tsmcf_colgen_auto(&topo).unwrap().solution;
         let taccl = a2a_baselines::taccl_like_heuristic(&topo, std::time::Duration::from_secs(2))
             .unwrap()
             .schedule()

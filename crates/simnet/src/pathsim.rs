@@ -83,7 +83,9 @@ mod tests {
         // avoid the per-step synchronization of tsMCF.
         let topo = generators::hypercube(3);
         let routed = solve_path_mcf(&topo, PathSetKind::EdgeDisjoint).unwrap();
-        let stepped = a2a_mcf::tsmcf::solve_tsmcf_auto(&topo).unwrap();
+        let stepped = a2a_mcf::tscolgen::solve_tsmcf_colgen_auto(&topo)
+            .unwrap()
+            .solution;
         let params = SimParams::default();
         let shard = 2048.0;
         let fast = simulate_path_schedule(&topo, &routed, shard, &params);

@@ -14,11 +14,11 @@
 //!    re-solved on the punctured topology runs to completion under the same failure
 //!    scenario.
 
-use a2a_mcf::tsmcf::solve_tsmcf_auto;
+use a2a_mcf::tscolgen::solve_tsmcf_colgen_auto;
 use a2a_schedule::ChunkedSchedule;
 use a2a_simnet::{
-    simulate_chunked_event, AnalyticBackend, EventBackend, EventSimOptions, ExecutionModel,
-    Scenario, ScheduleSimulator, SimError, SimParams,
+    simulate_chunked_event, simulate_chunked_schedule_with, EventSimOptions, ExecutionModel,
+    Scenario, SimError, SimParams,
 };
 use a2a_topology::{generators, Topology};
 
@@ -45,26 +45,25 @@ fn families() -> Vec<Topology> {
 }
 
 fn schedule_for(topo: &Topology) -> ChunkedSchedule {
-    let sol = solve_tsmcf_auto(topo).expect("tsMCF solves on connected topologies");
+    let sol = solve_tsmcf_colgen_auto(topo)
+        .expect("tsMCF solves on connected topologies")
+        .solution;
     ChunkedSchedule::from_tsmcf(topo, &sol, CHUNK_CAP).expect("chunking succeeds")
 }
 
 #[test]
 fn analytic_and_event_backends_agree_on_contention_free_schedules() {
     let params = SimParams::default(); // no injection cap, no QP contention
-    let analytic = AnalyticBackend {
-        params: params.clone(),
-        scenario: Scenario::nominal(),
-    };
-    let event = EventBackend {
-        params: params.clone(),
-        options: EventSimOptions::default(), // synchronized
-    };
+    let sync = EventSimOptions::default();
     for topo in families() {
         let sched = schedule_for(&topo);
         for shard in [2048.0, 1024.0 * 1024.0, 32.0 * 1024.0 * 1024.0] {
-            let a = analytic.simulate(&topo, &sched, shard).unwrap();
-            let b = event.simulate(&topo, &sched, shard).unwrap();
+            let a =
+                simulate_chunked_schedule_with(&topo, &sched, shard, &params, &Scenario::nominal())
+                    .unwrap();
+            let b = simulate_chunked_event(&topo, &sched, shard, &params, &sync)
+                .unwrap()
+                .report;
             let rel = (a.completion_seconds - b.completion_seconds).abs() / a.completion_seconds;
             assert!(
                 rel < 1e-9,
@@ -83,7 +82,7 @@ fn event_sim_matches_the_lp_predicted_bound() {
     let params = SimParams::default();
     let shard = 64.0 * 1024.0 * 1024.0;
     for topo in families() {
-        let sol = solve_tsmcf_auto(&topo).unwrap();
+        let sol = solve_tsmcf_colgen_auto(&topo).unwrap().solution;
         // Lowering and prediction both derive from the same pruned solution — the
         // flow the schedule actually executes. Quantize at a fixed fine granularity:
         // the coarsest-valid granularity that `from_tsmcf` picks is executable but
@@ -221,12 +220,8 @@ fn link_failure_with_rerouted_schedule_end_to_end() {
     )
     .unwrap_err();
     assert!(matches!(err, SimError::FailedLink { .. }), "{err}");
-    let analytic = AnalyticBackend {
-        params: params.clone(),
-        scenario: scenario.clone(),
-    };
     assert!(matches!(
-        analytic.simulate(&topo, &stale, shard).unwrap_err(),
+        simulate_chunked_schedule_with(&topo, &stale, shard, &params, &scenario).unwrap_err(),
         SimError::FailedLink { .. }
     ));
 
@@ -234,7 +229,7 @@ fn link_failure_with_rerouted_schedule_end_to_end() {
     // same failure scenario (ranks and the surviving links are unchanged).
     let punctured = topo.without_edges(&[used]);
     assert!(punctured.is_strongly_connected());
-    let rerouted_sol = solve_tsmcf_auto(&punctured).unwrap();
+    let rerouted_sol = solve_tsmcf_colgen_auto(&punctured).unwrap().solution;
     let rerouted = ChunkedSchedule::from_tsmcf(&punctured, &rerouted_sol, CHUNK_CAP).unwrap();
     for model in [
         ExecutionModel::Synchronized,
@@ -350,11 +345,7 @@ fn alpha_jitter_is_seeded_and_backends_stay_equal() {
         );
 
         // Backend equality must survive the jittered scenario.
-        let analytic = AnalyticBackend {
-            params: params.clone(),
-            scenario: jitter.clone(),
-        };
-        let a = analytic.simulate(&topo, &sched, shard).unwrap();
+        let a = simulate_chunked_schedule_with(&topo, &sched, shard, &params, &jitter).unwrap();
         let rel = (a.completion_seconds - jittered.report.completion_seconds).abs()
             / a.completion_seconds;
         assert!(
@@ -439,11 +430,8 @@ fn tsmcf_colgen_schedules_execute_and_validate_like_dense() {
             simulated.report.completion_seconds
         );
         // Cross-backend equality holds for colgen-lowered schedules too.
-        let analytic = AnalyticBackend {
-            params: params.clone(),
-            scenario: Scenario::nominal(),
-        };
-        let a = analytic.simulate(&topo, &sched, shard).unwrap();
+        let a = simulate_chunked_schedule_with(&topo, &sched, shard, &params, &Scenario::nominal())
+            .unwrap();
         let rel = (a.completion_seconds - simulated.report.completion_seconds).abs()
             / a.completion_seconds;
         assert!(rel < 1e-9, "{}: analytic vs event mismatch", topo.name());

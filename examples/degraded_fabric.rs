@@ -10,7 +10,7 @@
 //! and reports what congestion and degradations actually do to it, and a failed link
 //! shows why re-solving on the punctured topology matters.
 
-use a2a_mcf::tsmcf::solve_tsmcf_auto;
+use a2a_mcf::tscolgen::solve_tsmcf_colgen_auto;
 use a2a_schedule::ChunkedSchedule;
 use a2a_simnet::{simulate_chunked_event, EventSimOptions, ExecutionModel, Scenario, SimParams};
 use a2a_topology::generators;
@@ -30,7 +30,10 @@ fn main() {
     // 1. Solve and lower.
     // Lowering and prediction both derive from the pruned solution — the flow the
     // lowered schedule actually executes.
-    let solution = solve_tsmcf_auto(&topo).expect("tsMCF solve").pruned(&topo);
+    let solution = solve_tsmcf_colgen_auto(&topo)
+        .expect("tsMCF solve")
+        .solution
+        .pruned(&topo);
     let schedule =
         ChunkedSchedule::from_tsmcf_exact(&topo, &solution, 128).expect("chunk lowering");
     let predicted = solution.predicted_completion_seconds(
@@ -101,8 +104,9 @@ fn main() {
     // ...so re-solve on the punctured topology and execute the rerouted schedule
     // under the same failure.
     let punctured = topo.without_edges(&[slow_link]);
-    let rerouted_sol = solve_tsmcf_auto(&punctured)
+    let rerouted_sol = solve_tsmcf_colgen_auto(&punctured)
         .expect("re-solve on punctured fabric")
+        .solution
         .pruned(&punctured);
     let rerouted =
         ChunkedSchedule::from_tsmcf_exact(&punctured, &rerouted_sol, 128).expect("relowering");

@@ -13,7 +13,7 @@
 use std::time::Duration;
 
 use a2a_baselines::taccl_like_heuristic;
-use a2a_mcf::tsmcf::solve_tsmcf_auto;
+use a2a_mcf::tscolgen::solve_tsmcf_colgen_auto;
 use a2a_simnet::{shard_bytes_for_buffer, simulate_link_schedule, SimParams};
 use a2a_topology::generators;
 
@@ -28,7 +28,7 @@ fn main() {
     );
 
     println!("generating tsMCF schedule...");
-    let tsmcf = solve_tsmcf_auto(&topo).expect("tsMCF");
+    let tsmcf = solve_tsmcf_colgen_auto(&topo).expect("tsMCF").solution;
     println!(
         "  {} steps, bottleneck utilization {:.3}",
         tsmcf.steps,

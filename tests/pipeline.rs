@@ -10,7 +10,7 @@ use a2a_baselines::{
 };
 use a2a_core::{FabricSpec, GeneratedSchedule, LoweredArtifact, Toolchain};
 use a2a_mcf::analysis::max_link_load_of_paths;
-use a2a_mcf::tsmcf::solve_tsmcf_auto;
+use a2a_mcf::tscolgen::solve_tsmcf_colgen_auto;
 use a2a_mcf::{extract_widest_paths, solve_decomposed_mcf, solve_link_mcf, throughput_upper_bound};
 use a2a_schedule::{lower_path_schedule, to_msccl_xml, ChunkedSchedule, LashVariant};
 use a2a_simnet::{simulate_link_schedule, simulate_path_schedule, SimParams};
@@ -137,7 +137,7 @@ fn link_and_path_simulations_agree_with_paper_ordering_at_small_buffers() {
     // buffers (the Fig. 4 vs Fig. 3 comparison).
     let topo = generators::hypercube(3);
     let params = SimParams::default();
-    let stepped = solve_tsmcf_auto(&topo).unwrap();
+    let stepped = solve_tsmcf_colgen_auto(&topo).unwrap().solution;
     let routed =
         extract_widest_paths(&topo, &solve_decomposed_mcf(&topo).unwrap().solution).unwrap();
     let shard = 1024.0;
