@@ -5,12 +5,32 @@
 //! both stored column-wise in *pivot-position* ("step") space, plus the row
 //! permutation `P` and the pivot-order column permutation.
 //!
-//! Two solve kernels serve the revised simplex method:
+//! Two dense solves serve one-off work (basic values, recovered duals):
 //! [`LuFactorization::solve`] (`B x = b`, "ftran") and
-//! [`LuFactorization::solve_transpose`] (`Bᵀ x = b`, "btran"), plus the
-//! hypersparse variants [`LuFactorization::ftran_sparse`] /
-//! [`LuFactorization::btran_sparse`] that take a sparse right-hand side through
-//! symbolic-reach triangular solves.
+//! [`LuFactorization::solve_transpose`] (`Bᵀ x = b`, "btran"). The per-pivot
+//! solves are [`LuFactorization::ftran_sparse`] /
+//! [`LuFactorization::btran_sparse`], which take a sparse right-hand side and
+//! run each of their triangular stages with one of two [`Kernel`]s.
+//!
+//! # Which kernel runs
+//!
+//! A triangular stage needs a processing order that respects the triangle.
+//! The *reach* kernel finds one by a symbolic DFS from the right-hand side's
+//! pattern and then touches only the positions that DFS reached — O(flops),
+//! the right cost while operands are hypersparse (a unit vector against a
+//! near-triangular basis; the median FTRAN result of a torus-4x4 decomposed
+//! solve marks 19 of 304 rows).
+//! The *in-order* kernel sweeps the stored triangular order itself, skipping
+//! positions nothing has written to, with no symbolic pass — O(n) bookkeeping
+//! plus the same flops, and no DFS. On the ~4.3k-row torus-8x8 decomposed
+//! master none of the dual iteration's operands is hypersparse: `ρ = e_r B⁻¹`
+//! carries 1,479 marked rows (34 %), the FTRANed entering column 2,079 (48 %,
+//! of which only ~980 are numerically nonzero — the symbolic reach cannot see
+//! the ±1 cancellations of a flow basis), and there the DFS costs as much as
+//! the solve it prepares. [`Kernel::Adaptive`] therefore picks per stage, from
+//! the right-hand side's density and a running average of that stage's result
+//! density ([`IN_ORDER_DENSITY`]); the dual simplex asks for it, the primal
+//! call sites ask for [`Kernel::Reach`] (see [`Kernel`] for why).
 //!
 //! # Forrest–Tomlin basis updates
 //!
@@ -31,7 +51,7 @@
 //! the accumulated row-eta file or fill outgrew the base factorization.
 
 use crate::error::{LpError, LpResult};
-use crate::sparse::{SparseScratch, SparseVec};
+use crate::sparse::SparseScratch;
 
 /// Pivot magnitudes below this threshold are considered singular.
 pub const PIVOT_TOL: f64 = 1e-10;
@@ -48,11 +68,79 @@ const FT_FILL_GROWTH_LIMIT: usize = 4;
 // they can sit inside the solve kernels permanently.
 static OBS_FT_UPDATES: a2a_obs::Counter = a2a_obs::Counter::new("lp.ft_updates");
 static OBS_FT_REJECTS: a2a_obs::Counter = a2a_obs::Counter::new("lp.ft_update_rejects");
-// Result-density distributions of the hypersparse solves: the whole point
-// of the symbolic-reach kernels is that these stay tiny on network bases,
-// and the histograms make a density regression visible without a profiler.
+// Result *pattern* sizes of the sparse solves. Under the reach kernel the
+// pattern is the structural reach — a superset of the numeric nonzeros (2,079
+// marked vs ~980 nonzero on the torus-8x8 master's entering column); under the
+// in-order kernel it is the positions a nonzero update actually wrote to.
 static OBS_FTRAN_NNZ: a2a_obs::Histogram = a2a_obs::Histogram::new("lp.ftran_nnz");
 static OBS_BTRAN_NNZ: a2a_obs::Histogram = a2a_obs::Histogram::new("lp.btran_nnz");
+// Which kernel each triangular stage ran (one bump per stage, four per
+// FTRAN + BTRAN pair): the answer to "why did FTRAN get cheaper".
+static OBS_SOLVE_IN_ORDER: a2a_obs::Counter = a2a_obs::Counter::new("lp.solve_in_order");
+static OBS_SOLVE_REACH: a2a_obs::Counter = a2a_obs::Counter::new("lp.solve_reach");
+
+/// How the triangular stages of a sparse solve obtain their processing order
+/// (module docs, "Which kernel runs").
+///
+/// The two kernels compute the same vector but sum each entry's updates in a
+/// different order, so they differ in the last bits. The primal simplex's
+/// pivot choices are pinned bit-for-bit by the colgen trajectory goldens, so
+/// its call sites stay on [`Kernel::Reach`]; only the dual phase, whose
+/// operands are the dense ones, runs [`Kernel::Adaptive`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kernel {
+    /// Symbolic-reach order on every stage.
+    Reach,
+    /// The stored triangular order on every stage (benches and tests).
+    InOrder,
+    /// Per stage: in order once the right-hand side or the stage's running
+    /// result density reaches [`IN_ORDER_DENSITY`], reach below it.
+    Adaptive,
+}
+
+/// Density (pattern size ÷ dimension) from which [`Kernel::Adaptive`] runs a
+/// stage in order — the Hall–McKinnon hypersparsity switch. Applied to the
+/// stage's right-hand side and to the running average of its result density.
+///
+/// Where the crossover sits, from `crates/bench/benches/lu_solve_density.rs`
+/// (µs per solve on the bench box; a 4,096-row network-like basis, fresh
+/// factors; the `arc` right-hand side `e_head − e_mid` is an entering flow
+/// column, half of whose reach cancels to exact zeros):
+///
+/// | result pattern | FTRAN `e_head` reach / in order | FTRAN `arc` reach / in order | BTRAN `e_tail` reach / in order |
+/// |---|---|---|---|
+/// | 0.1 % | 0.10 / 13.4 | 0.11 / 13.6 | 0.10 / 12.4 |
+/// | 1 %   | 0.81 / 13.9 | 0.95 / 15.0 | 0.98 / 12.9 |
+/// | 5 %   | 4.4 / 17.0  | 4.2 / 15.6  | 4.8 / 14.3  |
+/// | 10 %  | 8.9 / 18.4  | 8.3 / 16.5  | 9.9 / 16.3  |
+/// | 25 %  | 23.2 / 24.2 | 22.2 / 19.5 | 25.2 / 22.1 |
+/// | 50 %  | 50.1 / 42.1 | 43.6 / 33.4 | 51.4 / 33.1 |
+///
+/// (With 60 Forrest–Tomlin etas both FTRAN columns gain the same ~10 µs of eta
+/// gathers: 20.0 / 28.3 at 10 %, 37.8 / 38.0 at 25 %, 61.2 / 49.1 at 50 %.)
+/// The in-order kernel's floor is its two O(n) sweeps, ~13 µs here; the reach
+/// kernel's DFS costs about what its numeric pass does. So the reach kernel is
+/// 2× ahead at 10 %, the two are level between 20 % (with cancellation) and
+/// 25 %, and the sweep is 1.2–1.5× ahead at 50 %. The bench's factors are
+/// paths; the torus-8x8 decomposed master's are deeper (its DFS revisits more
+/// edges), and on it constants of 0.05, 0.10 and 0.15 measure alike while 0.25
+/// costs 3–10 % more LU solve time. 0.10 is the sparse end of that bracket:
+/// it gives the sweep every stage it wins, and where it does not the loss is
+/// bounded by one O(n) pass (≤ 10 µs at this size).
+pub const IN_ORDER_DENSITY: f64 = 0.10;
+
+/// Weight of the newest result in a stage's running density average (a memory
+/// of about twenty solves, so one odd right-hand side does not flip the kernel).
+const DENSITY_AVERAGE_WEIGHT: f64 = 0.05;
+
+/// The four triangular stages, indexing [`LuScratch`]'s density averages.
+#[derive(Debug, Clone, Copy)]
+enum Stage {
+    FtranLower,
+    FtranUpper,
+    BtranUpper,
+    BtranLower,
+}
 
 /// One Forrest–Tomlin row transformation `R = I − e_pos·mᵀ`: the elimination
 /// multipliers that zeroed the row spike of one column replacement.
@@ -112,10 +200,10 @@ pub struct LuFactorization {
     current_nnz: usize,
 }
 
-/// Reusable state for the hypersparse solve kernels ([`LuFactorization::ftran_sparse`]
-/// / [`LuFactorization::btran_sparse`]): DFS visit flags, the topological order of the
-/// reach set, and a staging buffer for permutations. Owning it outside the
-/// factorization lets one allocation serve every pivot of a simplex run.
+/// Reusable state for the solve kernels: DFS visit flags, the topological order of
+/// the reach set, staging buffers for permutations, and the per-stage density
+/// averages [`Kernel::Adaptive`] decides from. Owning it outside the factorization
+/// lets one allocation serve every pivot of a simplex run.
 #[derive(Debug, Clone, Default)]
 pub struct LuScratch {
     /// DFS visit flags, reset after every traversal via `order`.
@@ -128,6 +216,14 @@ pub struct LuScratch {
     pairs: Vec<(usize, f64)>,
     /// Row-spike accumulator for Forrest–Tomlin eliminations.
     row_acc: SparseScratch,
+    /// Permuted work vector of the dense [`LuFactorization::solve`] /
+    /// [`LuFactorization::solve_transpose`].
+    dense: Vec<f64>,
+    /// Running average of each [`Stage`]'s result density, updated after every
+    /// stage whichever kernel ran it.
+    density: [f64; 4],
+    /// Stages run by the in-order and by the reach kernel since construction.
+    kernel_runs: [u64; 2],
 }
 
 impl LuScratch {
@@ -139,7 +235,15 @@ impl LuScratch {
             stack: Vec::with_capacity(64),
             pairs: Vec::with_capacity(64),
             row_acc: SparseScratch::new(n),
+            dense: Vec::new(),
+            density: [0.0; 4],
+            kernel_runs: [0; 2],
         }
+    }
+
+    /// `(in-order, reach)` triangular stages run through this scratch so far.
+    pub fn kernel_runs(&self) -> (u64, u64) {
+        (self.kernel_runs[0], self.kernel_runs[1])
     }
 
     /// Grows the scratch to dimension `n`.
@@ -148,6 +252,42 @@ impl LuScratch {
             self.visited.resize(n, false);
         }
         self.row_acc.resize(n);
+    }
+
+    /// Prepares one triangular stage over `adj` for right-hand side `b`: decides
+    /// the kernel and, for the reach kernel, leaves the processing order in
+    /// `self.order`. Returns true when the stage runs in order.
+    fn begin_stage(
+        &mut self,
+        kernel: Kernel,
+        stage: Stage,
+        adj: &[Vec<(usize, f64)>],
+        b: &mut SparseScratch,
+    ) -> bool {
+        let in_order = match kernel {
+            Kernel::Reach => false,
+            Kernel::InOrder => true,
+            Kernel::Adaptive => {
+                b.nnz() as f64 >= IN_ORDER_DENSITY * b.dim() as f64
+                    || self.density[stage as usize] >= IN_ORDER_DENSITY
+            }
+        };
+        if in_order {
+            OBS_SOLVE_IN_ORDER.incr();
+            self.kernel_runs[0] += 1;
+        } else {
+            OBS_SOLVE_REACH.incr();
+            self.kernel_runs[1] += 1;
+            symbolic_reach(adj, b, self);
+        }
+        in_order
+    }
+
+    /// Folds the finished stage's result density into its running average.
+    fn end_stage(&mut self, stage: Stage, b: &SparseScratch) {
+        let density = b.nnz() as f64 / b.dim().max(1) as f64;
+        let avg = &mut self.density[stage as usize];
+        *avg += DENSITY_AVERAGE_WEIGHT * (density - *avg);
     }
 }
 
@@ -186,18 +326,34 @@ fn symbolic_reach(adj: &[Vec<(usize, f64)>], b: &mut SparseScratch, scratch: &mu
     }
 }
 
+/// Runs `body` over one stage's processing order: the stored triangular order
+/// `full` when the stage runs in order, the symbolic reach order otherwise. The
+/// bodies skip unmarked positions — a no-op on a reach order (the symbolic pass
+/// marked all of it), the exact-zero skip of the in-order sweep.
+fn sweep(
+    in_order: bool,
+    full: impl Iterator<Item = usize>,
+    reach: &[usize],
+    mut body: impl FnMut(usize),
+) {
+    if in_order {
+        full.for_each(&mut body);
+    } else {
+        reach.iter().copied().for_each(&mut body);
+    }
+}
+
 impl LuFactorization {
-    /// Factorizes a square matrix given as `n` sparse columns (each of length `n`).
+    /// Factorizes a square matrix given as `n` sparse columns, each an iterator of
+    /// `(row, value)` entries with `row < n` — borrowed straight from wherever the
+    /// caller keeps them (`cols.iter().map(SparseVec::iter)` for a slice).
     ///
     /// Returns an error if the matrix is (numerically) singular.
-    pub fn factorize(n: usize, columns: &[SparseVec]) -> LpResult<Self> {
+    pub fn factorize<C>(n: usize, columns: impl IntoIterator<Item = C>) -> LpResult<Self>
+    where
+        C: IntoIterator<Item = (usize, f64)>,
+    {
         let _obs = a2a_obs::span("lp.lu.factor");
-        assert_eq!(
-            columns.len(),
-            n,
-            "expected {n} columns, got {}",
-            columns.len()
-        );
 
         // Right-looking elimination with Markowitz pivoting: at every step pick the
         // eligible entry minimizing (row_len - 1) * (col_count - 1) among a few
@@ -210,12 +366,16 @@ impl LuFactorization {
         // maintained column index (stale ids are re-validated on use) and
         // `col_count` tracks the exact number of active rows per column.
         let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-        for (j, col) in columns.iter().enumerate() {
-            for (r, v) in col.iter() {
+        let mut ncols = 0;
+        for col in columns {
+            assert!(ncols < n, "expected {n} columns, got more");
+            for (r, v) in col {
                 debug_assert!(r < n);
-                rows[r].push((j, v));
+                rows[r].push((ncols, v));
             }
+            ncols += 1;
         }
+        assert_eq!(ncols, n, "expected {n} columns, got {ncols}");
         let mut col_rows: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut col_count = vec![0usize; n];
         for (i, row) in rows.iter().enumerate() {
@@ -542,13 +702,12 @@ impl LuFactorization {
     }
 
     /// Solves `B x = b` in place: on return `b` holds `x`.
-    pub fn solve(&self, b: &mut [f64]) {
+    pub fn solve(&self, b: &mut [f64], scratch: &mut LuScratch) {
         assert_eq!(b.len(), self.n);
         // y = P b
-        let mut y = vec![0.0; self.n];
-        for k in 0..self.n {
-            y[k] = b[self.row_perm[k]];
-        }
+        let y = &mut scratch.dense;
+        y.clear();
+        y.extend(self.row_perm.iter().map(|&r| b[r]));
         // Forward solve L y = P b (unit diagonal), column oriented.
         for k in 0..self.n {
             let yk = y[k];
@@ -586,12 +745,14 @@ impl LuFactorization {
     }
 
     /// Solves `Bᵀ x = b` in place: on return `b` holds `x`.
-    pub fn solve_transpose(&self, b: &mut [f64]) {
+    pub fn solve_transpose(&self, b: &mut [f64], scratch: &mut LuScratch) {
         assert_eq!(b.len(), self.n);
         // Solve Uᵀ t = b (forward, in triangular order). Input component `b[j]`
         // belongs to factorization step `col_pos[j]`, i.e. step k reads
         // `b[col_perm[k]]`.
-        let mut t = vec![0.0; self.n];
+        let t = &mut scratch.dense;
+        t.clear();
+        t.resize(self.n, 0.0);
         for &k in &self.order {
             let mut acc = b[self.col_perm[k]];
             for &(pos, uv) in &self.u_cols[k] {
@@ -622,18 +783,14 @@ impl LuFactorization {
         }
     }
 
-    /// Hypersparse FTRAN: solves `B x = b` where `b` arrives as a sparse vector in
-    /// *original-row* space; on return the scratch holds `x` in column/position space.
-    ///
-    /// Instead of scanning all `n` positions per triangular solve (as
-    /// [`Self::solve`] does), a symbolic DFS over the factor patterns first finds
-    /// the reach set of the right-hand side, and the numeric passes touch only
-    /// those positions — O(flops) rather than O(n) per solve, the decisive cost on
-    /// network bases where a pivot column has 2–4 nonzeros.
-    pub fn ftran_sparse(&self, b: &mut SparseScratch, scratch: &mut LuScratch) {
+    /// Sparse FTRAN: solves `B x = b` where `b` arrives as a sparse vector in
+    /// *original-row* space; on return the scratch holds `x` in column/position
+    /// space. `kernel` picks how each triangular stage is ordered (module docs,
+    /// "Which kernel runs").
+    pub fn ftran_sparse(&self, kernel: Kernel, b: &mut SparseScratch, scratch: &mut LuScratch) {
         let _obs = a2a_obs::span("lp.lu.ftran");
-        self.ftran_lower(b, scratch);
-        self.ftran_upper(b, scratch);
+        self.ftran_lower(kernel, b, scratch);
+        self.ftran_upper(kernel, b, scratch);
         OBS_FTRAN_NNZ.record(b.nnz() as u64);
     }
 
@@ -643,12 +800,13 @@ impl LuFactorization {
     /// spike [`Self::replace_column`] needs when `b` is the entering column.
     pub fn ftran_sparse_with_partial(
         &self,
+        kernel: Kernel,
         b: &mut SparseScratch,
         scratch: &mut LuScratch,
         partial: &mut SparseScratch,
     ) {
         let _obs = a2a_obs::span("lp.lu.ftran");
-        self.ftran_lower(b, scratch);
+        self.ftran_lower(kernel, b, scratch);
         partial.resize(self.n);
         partial.clear();
         for (i, v) in b.iter() {
@@ -656,13 +814,13 @@ impl LuFactorization {
                 partial.set(i, v);
             }
         }
-        self.ftran_upper(b, scratch);
+        self.ftran_upper(kernel, b, scratch);
         OBS_FTRAN_NNZ.record(b.nnz() as u64);
     }
 
-    /// Permutation + lower-triangular + row-eta half of the hypersparse FTRAN:
+    /// Permutation + lower-triangular + row-eta half of the sparse FTRAN:
     /// leaves `w = R·L⁻¹·P·b` in `b` (step space).
-    fn ftran_lower(&self, b: &mut SparseScratch, scratch: &mut LuScratch) {
+    fn ftran_lower(&self, kernel: Kernel, b: &mut SparseScratch, scratch: &mut LuScratch) {
         debug_assert_eq!(b.dim(), self.n);
         scratch.resize(self.n);
         // y = P b (sparse permutation via the staging buffer).
@@ -671,18 +829,21 @@ impl LuFactorization {
             let (r, v) = scratch.pairs[i];
             b.set(self.row_pos[r], v);
         }
-        // Forward solve L y = P b, column oriented over the reach set.
-        symbolic_reach(&self.l_cols, b, scratch);
-        for i in 0..scratch.order.len() {
-            let k = scratch.order[i];
+        // Forward solve L y = P b, column oriented.
+        let in_order = scratch.begin_stage(kernel, Stage::FtranLower, &self.l_cols, b);
+        sweep(in_order, 0..self.n, &scratch.order, |k| {
+            if !b.is_marked(k) {
+                return;
+            }
             let yk = b.get(k);
             if yk == 0.0 {
-                continue;
+                return;
             }
             for &(pos, lv) in &self.l_cols[k] {
                 b.add(pos, -lv * yk);
             }
-        }
+        });
+        scratch.end_stage(Stage::FtranLower, b);
         // Forrest–Tomlin row transformations, in creation order: each gathers the
         // eta support and updates the single spiked position.
         for eta in &self.ft_etas {
@@ -699,22 +860,30 @@ impl LuFactorization {
         }
     }
 
-    /// Upper-triangular + column-permutation half of the hypersparse FTRAN.
-    fn ftran_upper(&self, b: &mut SparseScratch, scratch: &mut LuScratch) {
-        // Back solve U x = y over the reach set (edges point to earlier-ordered
-        // positions; the DFS topological order handles the update permutation).
-        symbolic_reach(&self.u_cols, b, scratch);
-        for i in 0..scratch.order.len() {
-            let k = scratch.order[i];
-            let xk = b.get(k) / self.u_diag[k];
-            b.set(k, xk);
-            if xk == 0.0 {
-                continue;
-            }
-            for &(pos, uv) in &self.u_cols[k] {
-                b.add(pos, -uv * xk);
-            }
-        }
+    /// Upper-triangular + column-permutation half of the sparse FTRAN.
+    fn ftran_upper(&self, kernel: Kernel, b: &mut SparseScratch, scratch: &mut LuScratch) {
+        // Back solve U x = y (edges point to earlier-ordered positions; either
+        // order handles the Forrest–Tomlin update permutation).
+        let in_order = scratch.begin_stage(kernel, Stage::FtranUpper, &self.u_cols, b);
+        sweep(
+            in_order,
+            self.order.iter().rev().copied(),
+            &scratch.order,
+            |k| {
+                if !b.is_marked(k) {
+                    return;
+                }
+                let xk = b.get(k) / self.u_diag[k];
+                b.set(k, xk);
+                if xk == 0.0 {
+                    return;
+                }
+                for &(pos, uv) in &self.u_cols[k] {
+                    b.add(pos, -uv * xk);
+                }
+            },
+        );
+        scratch.end_stage(Stage::FtranUpper, b);
         // Scatter the result back through the column permutation.
         b.drain_into(&mut scratch.pairs);
         for i in 0..scratch.pairs.len() {
@@ -723,9 +892,9 @@ impl LuFactorization {
         }
     }
 
-    /// Hypersparse BTRAN: solves `Bᵀ x = b` where `b` arrives as a sparse vector in
+    /// Sparse BTRAN: solves `Bᵀ x = b` where `b` arrives as a sparse vector in
     /// *position* space; on return the scratch holds `x` in original-row space.
-    pub fn btran_sparse(&self, b: &mut SparseScratch, scratch: &mut LuScratch) {
+    pub fn btran_sparse(&self, kernel: Kernel, b: &mut SparseScratch, scratch: &mut LuScratch) {
         let _obs = a2a_obs::span("lp.lu.btran");
         debug_assert_eq!(b.dim(), self.n);
         scratch.resize(self.n);
@@ -736,18 +905,21 @@ impl LuFactorization {
             b.set(self.col_pos[j], v);
         }
         // Solve Uᵀ t = b in push form: nonzeros propagate along rows of U.
-        symbolic_reach(&self.u_rows, b, scratch);
-        for i in 0..scratch.order.len() {
-            let k = scratch.order[i];
+        let in_order = scratch.begin_stage(kernel, Stage::BtranUpper, &self.u_rows, b);
+        sweep(in_order, self.order.iter().copied(), &scratch.order, |k| {
+            if !b.is_marked(k) {
+                return;
+            }
             let tk = b.get(k) / self.u_diag[k];
             b.set(k, tk);
             if tk == 0.0 {
-                continue;
+                return;
             }
             for &(col, uv) in &self.u_rows[k] {
                 b.add(col, -uv * tk);
             }
-        }
+        });
+        scratch.end_stage(Stage::BtranUpper, b);
         // Transposed Forrest–Tomlin row transformations, in reverse creation order:
         // each scatters the spiked position's value into the eta support.
         for eta in self.ft_etas.iter().rev() {
@@ -763,17 +935,20 @@ impl LuFactorization {
             }
         }
         // Solve Lᵀ w = t in push form (unit diagonal): propagate along rows of L.
-        symbolic_reach(&self.l_rows, b, scratch);
-        for i in 0..scratch.order.len() {
-            let k = scratch.order[i];
+        let in_order = scratch.begin_stage(kernel, Stage::BtranLower, &self.l_rows, b);
+        sweep(in_order, (0..self.n).rev(), &scratch.order, |k| {
+            if !b.is_marked(k) {
+                return;
+            }
             let wk = b.get(k);
             if wk == 0.0 {
-                continue;
+                return;
             }
             for &(col, lv) in &self.l_rows[k] {
                 b.add(col, -lv * wk);
             }
-        }
+        });
+        scratch.end_stage(Stage::BtranLower, b);
         // x = Pᵀ w: scatter back to original-row space.
         b.drain_into(&mut scratch.pairs);
         for i in 0..scratch.pairs.len() {
@@ -928,6 +1103,7 @@ impl LuFactorization {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sparse::SparseVec;
 
     fn dense_to_columns(a: &[Vec<f64>]) -> (usize, Vec<SparseVec>) {
         let n = a.len();
@@ -965,12 +1141,13 @@ mod tests {
             vec![0.0, 0.0, 1.0],
         ];
         let (n, cols) = dense_to_columns(&a);
-        let lu = LuFactorization::factorize(n, &cols).unwrap();
+        let lu = LuFactorization::factorize(n, cols.iter().map(SparseVec::iter)).unwrap();
+        let mut scratch = LuScratch::new(n);
         let mut b = vec![3.0, -1.0, 2.0];
-        lu.solve(&mut b);
+        lu.solve(&mut b, &mut scratch);
         assert_close(&b, &[3.0, -1.0, 2.0], 1e-12);
         let mut b = vec![3.0, -1.0, 2.0];
-        lu.solve_transpose(&mut b);
+        lu.solve_transpose(&mut b, &mut scratch);
         assert_close(&b, &[3.0, -1.0, 2.0], 1e-12);
     }
 
@@ -983,13 +1160,14 @@ mod tests {
             vec![4.0, 1.0, 3.0],
         ];
         let (n, cols) = dense_to_columns(&a);
-        let lu = LuFactorization::factorize(n, &cols).unwrap();
+        let lu = LuFactorization::factorize(n, cols.iter().map(SparseVec::iter)).unwrap();
+        let mut scratch = LuScratch::new(n);
         let x_true = vec![1.0, -2.0, 3.0];
         let mut b = dense_matvec(&a, &x_true);
-        lu.solve(&mut b);
+        lu.solve(&mut b, &mut scratch);
         assert_close(&b, &x_true, 1e-10);
         let mut bt = dense_matvec_t(&a, &x_true);
-        lu.solve_transpose(&mut bt);
+        lu.solve_transpose(&mut bt, &mut scratch);
         assert_close(&bt, &x_true, 1e-10);
     }
 
@@ -1002,7 +1180,7 @@ mod tests {
         ];
         let (n, cols) = dense_to_columns(&a);
         assert!(matches!(
-            LuFactorization::factorize(n, &cols),
+            LuFactorization::factorize(n, cols.iter().map(SparseVec::iter)),
             Err(LpError::Numerical(_))
         ));
     }
@@ -1029,13 +1207,14 @@ mod tests {
             a[i][i] += 4.0;
         }
         let (dim, cols) = dense_to_columns(&a);
-        let lu = LuFactorization::factorize(dim, &cols).unwrap();
+        let lu = LuFactorization::factorize(dim, cols.iter().map(SparseVec::iter)).unwrap();
+        let mut scratch = LuScratch::new(n);
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64) * 0.25 - 3.0).collect();
         let mut b = dense_matvec(&a, &x_true);
-        lu.solve(&mut b);
+        lu.solve(&mut b, &mut scratch);
         assert_close(&b, &x_true, 1e-8);
         let mut bt = dense_matvec_t(&a, &x_true);
-        lu.solve_transpose(&mut bt);
+        lu.solve_transpose(&mut bt, &mut scratch);
         assert_close(&bt, &x_true, 1e-8);
         assert!(lu.fill_nnz() >= n);
     }
@@ -1061,7 +1240,7 @@ mod tests {
             a[i][i] += 3.0;
         }
         let (dim, cols) = dense_to_columns(&a);
-        let lu = LuFactorization::factorize(dim, &cols).unwrap();
+        let lu = LuFactorization::factorize(dim, cols.iter().map(SparseVec::iter)).unwrap();
         let mut scratch = LuScratch::new(n);
 
         // Hypersparse RHS: two nonzeros.
@@ -1069,40 +1248,138 @@ mod tests {
         b_dense[3] = 1.5;
         b_dense[17] = -2.0;
         let mut expected = b_dense.clone();
-        lu.solve(&mut expected);
+        lu.solve(&mut expected, &mut scratch);
         let mut b = SparseScratch::new(n);
         b.set(3, 1.5);
         b.set(17, -2.0);
-        lu.ftran_sparse(&mut b, &mut scratch);
+        lu.ftran_sparse(Kernel::Reach, &mut b, &mut scratch);
         assert_close(b.values(), &expected, 1e-10);
 
         let mut expected_t = b_dense.clone();
-        lu.solve_transpose(&mut expected_t);
+        lu.solve_transpose(&mut expected_t, &mut scratch);
         let mut bt = SparseScratch::new(n);
         bt.set(3, 1.5);
         bt.set(17, -2.0);
-        lu.btran_sparse(&mut bt, &mut scratch);
+        lu.btran_sparse(Kernel::Reach, &mut bt, &mut scratch);
         assert_close(bt.values(), &expected_t, 1e-10);
 
         // Fully dense RHS through the sparse kernels (pattern = everything).
         let full: Vec<f64> = (0..n).map(|i| (i as f64) * 0.5 - 4.0).collect();
         let mut expected_full = full.clone();
-        lu.solve(&mut expected_full);
+        lu.solve(&mut expected_full, &mut scratch);
         let mut bf = SparseScratch::new(n);
         for (i, &v) in full.iter().enumerate() {
             bf.set(i, v);
         }
-        lu.ftran_sparse(&mut bf, &mut scratch);
+        lu.ftran_sparse(Kernel::Reach, &mut bf, &mut scratch);
         assert_close(bf.values(), &expected_full, 1e-9);
 
         let mut expected_full_t = full.clone();
-        lu.solve_transpose(&mut expected_full_t);
+        lu.solve_transpose(&mut expected_full_t, &mut scratch);
         let mut bft = SparseScratch::new(n);
         for (i, &v) in full.iter().enumerate() {
             bft.set(i, v);
         }
-        lu.btran_sparse(&mut bft, &mut scratch);
+        lu.btran_sparse(Kernel::Reach, &mut bft, &mut scratch);
         assert_close(bft.values(), &expected_full_t, 1e-9);
+    }
+
+    #[test]
+    fn reach_and_in_order_kernels_agree() {
+        // Seeded sparse, row-dominant bases, fresh and after 1..=50 Forrest–Tomlin
+        // updates (every third one hits the previous position again), against
+        // right-hand sides from one nonzero to fully dense: the reach kernel, the
+        // in-order kernel, the adaptive choice between them and the dense solves
+        // must all agree, and every nonzero of a sparse result must be in its
+        // pattern.
+        let n = 90;
+        for seed in [0x5EED_0001u64, 0x5EED_0002, 0x5EED_0003] {
+            let mut state = seed;
+            let mut next = move || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((state >> 33) as f64 / (1u64 << 31) as f64) - 0.5
+            };
+            let mut a = vec![vec![0.0; n]; n];
+            for i in 0..n {
+                for j in 0..n {
+                    let v = next();
+                    a[i][j] = if next() > 0.45 { v } else { 0.0 };
+                }
+                a[i][i] = 3.0 + next();
+            }
+            let (dim, cols) = dense_to_columns(&a);
+            let mut lu = LuFactorization::factorize(dim, cols.iter().map(SparseVec::iter)).unwrap();
+            let mut scratch = LuScratch::new(n);
+            // The adaptive kernel keeps its own scratch so its density averages
+            // see one consistent stream of solves.
+            let mut adaptive = LuScratch::new(n);
+            let mut col = 0;
+            for update in 0..=50usize {
+                if update > 0 {
+                    if update % 3 != 0 {
+                        col = (next().abs() * 2.0 * n as f64) as usize % n;
+                    }
+                    let mut newcol = vec![0.0; n];
+                    newcol[col] = 2.5 + next().abs();
+                    newcol[(col + 5) % n] = 0.5 * next();
+                    newcol[(col + 11) % n] = 0.5 * next();
+                    // Alternate the kernel that computes the spike as well.
+                    let kernel = [Kernel::Reach, Kernel::InOrder][update % 2];
+                    ft_replace(kernel, &mut lu, &mut scratch, col, &newcol);
+                }
+                for nnz in [1, 2, 5, n / 10, n / 2, n] {
+                    let mut rhs = vec![0.0; n];
+                    let start = (next().abs() * 2.0 * n as f64) as usize;
+                    for t in 0..nnz {
+                        // 7 is coprime to n, so the positions are distinct.
+                        rhs[(start + 7 * t) % n] = 1.0 + next();
+                    }
+                    let mut expected = [rhs.clone(), rhs.clone()];
+                    lu.solve(&mut expected[0], &mut scratch);
+                    lu.solve_transpose(&mut expected[1], &mut scratch);
+                    for (transpose, expected) in expected.iter().enumerate() {
+                        let scale = expected.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+                        for kernel in [Kernel::Reach, Kernel::InOrder, Kernel::Adaptive] {
+                            let scratch = if kernel == Kernel::Adaptive {
+                                &mut adaptive
+                            } else {
+                                &mut scratch
+                            };
+                            let mut b = SparseScratch::new(n);
+                            for (i, &v) in rhs.iter().enumerate() {
+                                if v != 0.0 {
+                                    b.set(i, v);
+                                }
+                            }
+                            if transpose == 0 {
+                                lu.ftran_sparse(kernel, &mut b, scratch);
+                            } else {
+                                lu.btran_sparse(kernel, &mut b, scratch);
+                            }
+                            for i in 0..n {
+                                assert!(
+                                    (b.get(i) - expected[i]).abs() <= 1e-10 * scale,
+                                    "{kernel:?} transpose={transpose} update={update} nnz={nnz}: \
+                                     entry {i} is {} not {}",
+                                    b.get(i),
+                                    expected[i]
+                                );
+                                assert!(b.get(i) == 0.0 || b.is_marked(i));
+                            }
+                        }
+                    }
+                }
+            }
+            let (reach_in_order, reach_reach) = scratch.kernel_runs();
+            assert!(reach_in_order > 0 && reach_reach > 0);
+            let (in_order, reach) = adaptive.kernel_runs();
+            assert!(
+                in_order > 0 && reach > 0,
+                "adaptive ran {in_order} stages in order and {reach} by reach"
+            );
+        }
     }
 
     #[test]
@@ -1118,11 +1395,11 @@ mod tests {
             }
         }
         let (dim, cols) = dense_to_columns(&a);
-        let lu = LuFactorization::factorize(dim, &cols).unwrap();
+        let lu = LuFactorization::factorize(dim, cols.iter().map(SparseVec::iter)).unwrap();
         let mut scratch = LuScratch::new(n);
         let mut b = SparseScratch::new(n);
         b.set(n - 2, 1.0);
-        lu.ftran_sparse(&mut b, &mut scratch);
+        lu.ftran_sparse(Kernel::Reach, &mut b, &mut scratch);
         assert!(
             b.nnz() <= 4,
             "reach of a near-last unit vector should be tiny, got {}",
@@ -1131,13 +1408,19 @@ mod tests {
         // And the values must match the dense solve.
         let mut expected = vec![0.0; n];
         expected[n - 2] = 1.0;
-        lu.solve(&mut expected);
+        lu.solve(&mut expected, &mut scratch);
         assert_close(b.values(), &expected, 1e-12);
     }
 
     /// Runs one Forrest–Tomlin replacement of `col` with `newcol` on `lu`,
     /// asserting the update committed.
-    fn ft_replace(lu: &mut LuFactorization, scratch: &mut LuScratch, col: usize, newcol: &[f64]) {
+    fn ft_replace(
+        kernel: Kernel,
+        lu: &mut LuFactorization,
+        scratch: &mut LuScratch,
+        col: usize,
+        newcol: &[f64],
+    ) {
         let n = newcol.len();
         let mut b = SparseScratch::new(n);
         for (i, &v) in newcol.iter().enumerate() {
@@ -1146,7 +1429,7 @@ mod tests {
             }
         }
         let mut partial = SparseScratch::new(n);
-        lu.ftran_sparse_with_partial(&mut b, scratch, &mut partial);
+        lu.ftran_sparse_with_partial(kernel, &mut b, scratch, &mut partial);
         assert!(
             lu.replace_column(col, &partial, scratch),
             "stable update should commit"
@@ -1175,7 +1458,7 @@ mod tests {
             a[i][i] += 3.0;
         }
         let (dim, cols) = dense_to_columns(&a);
-        let mut lu = LuFactorization::factorize(dim, &cols).unwrap();
+        let mut lu = LuFactorization::factorize(dim, cols.iter().map(SparseVec::iter)).unwrap();
         let mut scratch = LuScratch::new(n);
 
         for round in 0..8usize {
@@ -1184,7 +1467,7 @@ mod tests {
             newcol[col] = 2.5 + next().abs();
             newcol[(col + 5) % n] = next();
             newcol[(col + 11) % n] = next();
-            ft_replace(&mut lu, &mut scratch, col, &newcol);
+            ft_replace(Kernel::Reach, &mut lu, &mut scratch, col, &newcol);
             for (i, row) in a.iter_mut().enumerate() {
                 row[col] = newcol[i];
             }
@@ -1195,10 +1478,10 @@ mod tests {
 
             let x_true: Vec<f64> = (0..n).map(|i| (i as f64) * 0.3 - 2.0).collect();
             let mut b = dense_matvec(&a, &x_true);
-            lu.solve(&mut b);
+            lu.solve(&mut b, &mut scratch);
             assert_close(&b, &x_true, 1e-7);
             let mut bt = dense_matvec_t(&a, &x_true);
-            lu.solve_transpose(&mut bt);
+            lu.solve_transpose(&mut bt, &mut scratch);
             assert_close(&bt, &x_true, 1e-7);
 
             // Hypersparse kernels agree with the dense ones after updates.
@@ -1208,8 +1491,8 @@ mod tests {
             let mut s = SparseScratch::new(n);
             s.set((col + 3) % n, 1.0);
             s.set((col + 9) % n, -2.5);
-            lu.ftran_sparse(&mut s, &mut scratch);
-            lu.solve(&mut expected);
+            lu.ftran_sparse(Kernel::Reach, &mut s, &mut scratch);
+            lu.solve(&mut expected, &mut scratch);
             assert_close(s.values(), &expected, 1e-8);
 
             let mut expected_t = vec![0.0; n];
@@ -1218,8 +1501,8 @@ mod tests {
             let mut st = SparseScratch::new(n);
             st.set((col + 3) % n, 1.0);
             st.set((col + 9) % n, -2.5);
-            lu.btran_sparse(&mut st, &mut scratch);
-            lu.solve_transpose(&mut expected_t);
+            lu.btran_sparse(Kernel::Reach, &mut st, &mut scratch);
+            lu.solve_transpose(&mut expected_t, &mut scratch);
             assert_close(st.values(), &expected_t, 1e-8);
         }
     }
@@ -1234,7 +1517,7 @@ mod tests {
             vec![0.0, 1.0, 4.0],
         ];
         let (n, cols) = dense_to_columns(&a);
-        let mut lu = LuFactorization::factorize(n, &cols).unwrap();
+        let mut lu = LuFactorization::factorize(n, cols.iter().map(SparseVec::iter)).unwrap();
         let mut scratch = LuScratch::new(n);
         let dup: Vec<f64> = (0..n).map(|i| a[i][0]).collect();
         let mut b = SparseScratch::new(n);
@@ -1244,7 +1527,7 @@ mod tests {
             }
         }
         let mut partial = SparseScratch::new(n);
-        lu.ftran_sparse_with_partial(&mut b, &mut scratch, &mut partial);
+        lu.ftran_sparse_with_partial(Kernel::Reach, &mut b, &mut scratch, &mut partial);
         assert!(!lu.replace_column(1, &partial, &mut scratch));
     }
 
@@ -1262,22 +1545,22 @@ mod tests {
             }
         }
         let (dim, cols) = dense_to_columns(&a);
-        let mut lu = LuFactorization::factorize(dim, &cols).unwrap();
+        let mut lu = LuFactorization::factorize(dim, cols.iter().map(SparseVec::iter)).unwrap();
         let mut scratch = LuScratch::new(n);
         for round in 0..5usize {
             let mut newcol = vec![0.0; n];
             newcol[4] = 1.5 + round as f64 * 0.25;
             newcol[(round + 1) % n] = 0.75;
-            ft_replace(&mut lu, &mut scratch, 4, &newcol);
+            ft_replace(Kernel::Reach, &mut lu, &mut scratch, 4, &newcol);
             for (i, row) in a.iter_mut().enumerate() {
                 row[4] = newcol[i];
             }
             let x_true: Vec<f64> = (0..n).map(|i| 1.0 - (i as f64) * 0.1).collect();
             let mut b = dense_matvec(&a, &x_true);
-            lu.solve(&mut b);
+            lu.solve(&mut b, &mut scratch);
             assert_close(&b, &x_true, 1e-8);
             let mut bt = dense_matvec_t(&a, &x_true);
-            lu.solve_transpose(&mut bt);
+            lu.solve_transpose(&mut bt, &mut scratch);
             assert_close(&bt, &x_true, 1e-8);
         }
     }
@@ -1290,7 +1573,7 @@ mod tests {
             vec![3.0, 0.0, 0.0],
         ];
         let (n, cols) = dense_to_columns(&a);
-        let lu = LuFactorization::factorize(n, &cols).unwrap();
+        let lu = LuFactorization::factorize(n, cols.iter().map(SparseVec::iter)).unwrap();
         let mut seen = vec![false; n];
         for k in 0..n {
             let r = lu.pivot_row(k);

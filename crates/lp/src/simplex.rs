@@ -20,10 +20,13 @@
 //! unbounded product-form eta file. The basis is refactorized from scratch only when
 //! the update count reaches [`SimplexOptions::refactor_interval`], when update fill
 //! outgrows the base factorization, or when an update reports instability. All
-//! per-pivot linear algebra is *hypersparse*: FTRAN/BTRAN take sparse right-hand
-//! sides through symbolic-reach triangular solves
-//! ([`crate::lu::LuFactorization::ftran_sparse`]) and the ratio test and step update
-//! iterate nonzero patterns instead of dense work arrays.
+//! per-pivot linear algebra works on sparse vectors: FTRAN/BTRAN take sparse
+//! right-hand sides ([`crate::lu::LuFactorization::ftran_sparse`]) and the ratio
+//! test and step update iterate nonzero patterns instead of dense work arrays.
+//! The primal phases order their triangular solves by symbolic reach; the dual
+//! phase, whose operands fill a third to a half of the dimension on the masters
+//! it serves, lets each solve stage pick between that and a plain in-order sweep
+//! from the density it sees ([`crate::lu::Kernel`]).
 //!
 //! # Pricing
 //!
@@ -98,7 +101,7 @@
 use std::borrow::Cow;
 
 use crate::error::{LpError, LpResult};
-use crate::lu::{LuFactorization, LuScratch};
+use crate::lu::{Kernel, LuFactorization, LuScratch};
 use crate::sparse::{SparseScratch, SparseVec};
 use crate::INF;
 
@@ -417,29 +420,31 @@ pub fn recover_row_duals(sf: &StandardForm, basis: &WarmStart) -> LpResult<Vec<f
             nstruct + sf.nrows
         )));
     }
-    let mut cols = Vec::with_capacity(sf.nrows);
-    let mut cb = Vec::with_capacity(sf.nrows);
-    for (j, st) in basis.statuses.iter().enumerate() {
-        if matches!(st, BasisStatus::Basic) {
-            if j < nstruct {
-                cols.push(sf.cols[j].clone());
-                cb.push(sf.obj[j]);
-            } else {
-                cols.push(SparseVec::from_entries([(j - nstruct, -1.0)]));
-                cb.push(0.0);
-            }
-        }
-    }
-    if cols.len() != sf.nrows {
+    let basics = || {
+        let statuses = basis.statuses.iter().enumerate();
+        statuses.filter_map(|(j, st)| matches!(st, BasisStatus::Basic).then_some(j))
+    };
+    let mut cb: Vec<f64> = basics()
+        .map(|j| sf.obj.get(j).copied().unwrap_or(0.0))
+        .collect();
+    if cb.len() != sf.nrows {
         return Err(LpError::InvalidModel(format!(
             "basis has {} basic variables, expected {}",
-            cols.len(),
+            cb.len(),
             sf.nrows
         )));
     }
-    let lu = LuFactorization::factorize(sf.nrows, &cols)?;
-    lu.solve_transpose(&mut cb);
+    let lu = LuFactorization::factorize(sf.nrows, basics().map(|j| column_entries(sf, j)))?;
+    lu.solve_transpose(&mut cb, &mut LuScratch::new(sf.nrows));
     Ok(cb)
+}
+
+/// Entries of variable `j`'s constraint column, borrowed from `sf`: the
+/// structural column, or the single `-1` of the logical of row `j - ncols`.
+fn column_entries(sf: &StandardForm, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+    let structural = sf.cols.get(j).map(SparseVec::iter);
+    let logical = (j >= sf.cols.len()).then(|| (j - sf.cols.len(), -1.0));
+    structural.into_iter().flatten().chain(logical)
 }
 
 /// How a dual-simplex phase ended (internal to [`Solver::reoptimize`]).
@@ -545,6 +550,8 @@ pub struct Solver<'a> {
     spike_buf: SparseScratch,
     /// Scratch for the LU symbolic/numeric solves.
     lu_scratch: LuScratch,
+    /// Scratch: dense right-hand side of the basic-value and bound-flip solves.
+    rhs_buf: Vec<f64>,
     /// Row-wise copy of the structural matrix: `a_rows[i]` lists `(column, value)`
     /// of row `i`. Used to expand the pivotal row `alpha = rho A` from `rho`'s
     /// sparse pattern in O(touched-row lengths) instead of O(nnz(A)).
@@ -622,7 +629,7 @@ impl<'a> Solver<'a> {
             status: Vec::new(),
             basis: Vec::new(),
             x: Vec::new(),
-            lu: LuFactorization::factorize(0, &[])?,
+            lu: LuFactorization::factorize(0, std::iter::empty::<[(usize, f64); 0]>())?,
             iterations: 0,
             dual_iterations: 0,
             pivots: 0,
@@ -645,6 +652,7 @@ impl<'a> Solver<'a> {
             row_buf: SparseScratch::new(nrows),
             spike_buf: SparseScratch::new(nrows),
             lu_scratch: LuScratch::new(nrows),
+            rhs_buf: Vec::new(),
             a_rows,
             a_rows_built: use_devex,
             d: vec![0.0; ntotal],
@@ -791,18 +799,8 @@ impl<'a> Solver<'a> {
 
     /// Rebuilds the LU factorization of the current basis and recomputes basic values.
     fn refactorize(&mut self) -> LpResult<()> {
-        let cols: Vec<SparseVec> = self
-            .basis
-            .iter()
-            .map(|&j| {
-                if j < self.nstruct {
-                    self.sf.cols[j].clone()
-                } else {
-                    SparseVec::from_entries([(j - self.nstruct, -1.0)])
-                }
-            })
-            .collect();
-        self.lu = LuFactorization::factorize(self.nrows, &cols)?;
+        let cols = self.basis.iter().map(|&j| column_entries(&self.sf, j));
+        self.lu = LuFactorization::factorize(self.nrows, cols)?;
         self.refactorizations += 1;
         OBS_REFACTORIZATIONS.incr();
         self.recompute_basic_values();
@@ -837,7 +835,7 @@ impl<'a> Solver<'a> {
 
     /// Recomputes the values of basic variables from the nonbasic values.
     fn recompute_basic_values(&mut self) {
-        let mut rhs = vec![0.0; self.nrows];
+        let mut rhs = self.take_zeroed_rhs();
         for j in 0..self.ntotal {
             match self.status[j] {
                 VarStatus::Basic(_) => {}
@@ -849,10 +847,20 @@ impl<'a> Solver<'a> {
                 }
             }
         }
-        self.lu.solve(&mut rhs);
+        self.lu.solve(&mut rhs, &mut self.lu_scratch);
         for (pos, &j) in self.basis.iter().enumerate() {
             self.x[j] = rhs[pos];
         }
+        self.rhs_buf = rhs;
+    }
+
+    /// Takes the dense right-hand-side buffer, zeroed to `nrows` entries; the
+    /// caller hands it back to `rhs_buf` when done.
+    fn take_zeroed_rhs(&mut self) -> Vec<f64> {
+        let mut rhs = std::mem::take(&mut self.rhs_buf);
+        rhs.clear();
+        rhs.resize(self.nrows, 0.0);
+        rhs
     }
 
     /// Total bound violation of the basic variables.
@@ -1347,6 +1355,7 @@ impl<'a> Solver<'a> {
                 self.col_buf.set(q - self.nstruct, -1.0);
             }
             self.lu.ftran_sparse_with_partial(
+                Kernel::Reach,
                 &mut self.col_buf,
                 &mut self.lu_scratch,
                 &mut self.spike_buf,
@@ -1386,7 +1395,7 @@ impl<'a> Solver<'a> {
         }
         if nonzero > 0 {
             self.lu
-                .btran_sparse(&mut self.dual_buf, &mut self.lu_scratch);
+                .btran_sparse(Kernel::Reach, &mut self.dual_buf, &mut self.lu_scratch);
         }
         nonzero
     }
@@ -1469,25 +1478,17 @@ impl<'a> Solver<'a> {
     }
 
     /// Computes the pivotal row `rho = e_r B^{-1}` into the (taken) row buffer.
-    fn compute_pivotal_rho(&mut self, r: usize) -> SparseScratch {
+    fn compute_pivotal_rho(&mut self, r: usize, kernel: Kernel) -> SparseScratch {
         let mut rho = std::mem::take(&mut self.row_buf);
         rho.clear();
         rho.set(r, 1.0);
-        self.lu.btran_sparse(&mut rho, &mut self.lu_scratch);
+        self.lu.btran_sparse(kernel, &mut rho, &mut self.lu_scratch);
         rho
     }
 
-    /// Post-pivot update of the incremental regime: expands the pivotal row
-    /// `alpha = e_r B^{-1} A` from the row-wise matrix copy, updates every touched
-    /// reduced cost exactly (`d_j -= (d_q/alpha_q) alpha_j`) and refreshes the
-    /// devex weights of the touched columns (with the usual reference-framework
-    /// reset when the entering weight has grown too large).
-    fn update_incremental(&mut self, q: usize, r: usize, alpha_q: f64, leaving_var: usize) {
-        let dq = self.d[q];
-        let ratio = dq / alpha_q;
-        let rho = self.compute_pivotal_rho(r);
-        // alpha = rho A over rho's pattern (logical column i carries -rho_i).
-        let mut alpha = std::mem::take(&mut self.alpha_buf);
+    /// Expands the pivotal row `alpha = rho A` over `rho`'s pattern from the
+    /// row-wise matrix copy (the logical column of row `i` carries `-rho_i`).
+    fn expand_pivotal_row(&self, rho: &SparseScratch, alpha: &mut SparseScratch) {
         alpha.clear();
         for (i, rv) in rho.iter() {
             if rv == 0.0 {
@@ -1498,6 +1499,19 @@ impl<'a> Solver<'a> {
             }
             alpha.add(self.nstruct + i, -rv);
         }
+    }
+
+    /// Post-pivot update of the incremental regime: expands the pivotal row
+    /// `alpha = e_r B^{-1} A` from the row-wise matrix copy, updates every touched
+    /// reduced cost exactly (`d_j -= (d_q/alpha_q) alpha_j`) and refreshes the
+    /// devex weights of the touched columns (with the usual reference-framework
+    /// reset when the entering weight has grown too large).
+    fn update_incremental(&mut self, q: usize, r: usize, alpha_q: f64, leaving_var: usize) {
+        let dq = self.d[q];
+        let ratio = dq / alpha_q;
+        let rho = self.compute_pivotal_rho(r, Kernel::Reach);
+        let mut alpha = std::mem::take(&mut self.alpha_buf);
+        self.expand_pivotal_row(&rho, &mut alpha);
         let wq = self.devex_entering_weight(q);
         let piv2 = alpha_q * alpha_q;
         for (j, aj) in alpha.iter() {
@@ -1722,23 +1736,15 @@ impl<'a> Solver<'a> {
             // σ = -1: below its lower bound, it must increase.
             let sigma = if viol > 0.0 { 1.0 } else { -1.0 };
 
-            // Pivotal row alpha = e_r B^{-1} A over rho's pattern (the logical
-            // column of row i carries -rho_i).
-            let rho = self.compute_pivotal_rho(r);
+            // Pivotal row alpha = e_r B^{-1} A. The three solves of a dual
+            // iteration run the density-adaptive kernel: on the masters this
+            // phase exists for, none of their operands is hypersparse.
+            let rho = self.compute_pivotal_rho(r, Kernel::Adaptive);
             // Exact steepest-edge weight of the leaving row — a free byproduct
             // of the pivotal row the iteration needs anyway.
             let kappa: f64 = rho.iter().map(|(_, v)| v * v).sum();
             let mut alpha = std::mem::take(&mut self.alpha_buf);
-            alpha.clear();
-            for (i, rv) in rho.iter() {
-                if rv == 0.0 {
-                    continue;
-                }
-                for &(j, a) in &self.a_rows[i] {
-                    alpha.add(j, rv * a);
-                }
-                alpha.add(self.nstruct + i, -rv);
-            }
+            self.expand_pivotal_row(&rho, &mut alpha);
             self.row_buf = rho;
 
             // Breakpoints: nonbasic columns whose reduced cost starts changing
@@ -1831,7 +1837,7 @@ impl<'a> Solver<'a> {
             // Apply the accumulated bound flips in one aggregated FTRAN: the
             // basics absorb the combined column delta of every flipped column.
             if !flips.is_empty() {
-                let mut rhs = vec![0.0; self.nrows];
+                let mut rhs = self.take_zeroed_rhs();
                 for &j in &flips {
                     let (l, u) = (self.var_lower(j), self.var_upper(j));
                     let (st, v) = match self.status[j] {
@@ -1846,12 +1852,13 @@ impl<'a> Solver<'a> {
                     self.status[j] = st;
                     self.x[j] = v;
                 }
-                self.lu.solve(&mut rhs);
+                self.lu.solve(&mut rhs, &mut self.lu_scratch);
                 for (pos, &jb) in self.basis.iter().enumerate() {
                     if rhs[pos] != 0.0 {
                         self.x[jb] -= rhs[pos];
                     }
                 }
+                self.rhs_buf = rhs;
             }
 
             // FTRAN the entering column; the partial result is the FT spike.
@@ -1864,6 +1871,7 @@ impl<'a> Solver<'a> {
                 self.col_buf.set(q - self.nstruct, -1.0);
             }
             self.lu.ftran_sparse_with_partial(
+                Kernel::Adaptive,
                 &mut self.col_buf,
                 &mut self.lu_scratch,
                 &mut self.spike_buf,
@@ -1899,7 +1907,8 @@ impl<'a> Solver<'a> {
             // Steepest-edge cross terms tau = B^{-1} rho, FTRANed in place over
             // the rho buffer (dead once the pivotal row has been expanded).
             let mut tau = std::mem::take(&mut self.row_buf);
-            self.lu.ftran_sparse(&mut tau, &mut self.lu_scratch);
+            self.lu
+                .ftran_sparse(Kernel::Adaptive, &mut tau, &mut self.lu_scratch);
             self.update_dual_row_weights(r, w_r, kappa, &tau);
             self.row_buf = tau;
 
@@ -2097,7 +2106,7 @@ impl<'a> Solver<'a> {
             return;
         }
         // rho = e_r B^{-1}: the pivotal row in original-row space, hypersparse.
-        let rho = self.compute_pivotal_rho(r);
+        let rho = self.compute_pivotal_rho(r, Kernel::Reach);
         for idx in 0..self.candidates.len() {
             let j = self.candidates[idx];
             if j == q || matches!(self.status[j], VarStatus::Basic(_)) {

@@ -119,16 +119,24 @@ impl SparseVec {
     }
 }
 
-/// A dense-value / explicit-pattern workspace vector for hypersparse kernels.
+/// A dense-value / explicit-pattern workspace vector for the sparse solve kernels.
 ///
-/// The revised simplex spends most of its time in triangular solves whose inputs and
-/// outputs have only a handful of nonzeros. `SparseScratch` pairs a dense value
-/// array (O(1) random access) with an explicit nonzero pattern and mark bits, so a
-/// solve can iterate just the pattern instead of scanning the whole dimension, and
-/// [`SparseScratch::clear`] costs O(nnz) rather than O(n).
+/// The revised simplex spends most of its time in triangular solves. Their inputs
+/// have a handful of nonzeros (a unit vector, a 2–4-entry column) and so do many
+/// of their outputs — the median FTRAN result of a torus-4x4 decomposed solve
+/// marks 19 of 304 rows — but not all: on the ~4.3k-row torus-8x8 decomposed
+/// master `ρ = e_r B⁻¹` marks 34 % of the rows and the FTRANed entering column
+/// 48 %. `SparseScratch` pairs a dense value array (O(1) random
+/// access) with an explicit nonzero pattern and mark bits, so a solve can iterate
+/// just the pattern when it is short, sweep the mark bits when it is not (see
+/// [`crate::lu::Kernel`] for which), and [`SparseScratch::clear`] costs O(nnz)
+/// rather than O(n).
 ///
 /// The pattern is a *superset* of the true nonzeros: entries that cancel to exactly
 /// zero stay marked, which is harmless (a little wasted work, never a wrong value).
+/// Under the symbolic-reach kernel it is the whole structural reach, which on a
+/// flow basis is about twice the numeric nonzeros (2,079 marked vs ~980 nonzero
+/// on that master's entering column).
 #[derive(Debug, Clone, Default)]
 pub struct SparseScratch {
     values: Vec<f64>,
