@@ -8,7 +8,8 @@
 //!
 //! Dependencies are resolved by provenance replay: the extraction walks the steps in
 //! order, keeping a FIFO of chunk provenances per `(commodity, rank)` buffer (which job
-//! delivered each buffered chunk, or none for chunks resident at the origin). A
+//! delivered each buffered chunk, or none for chunks resident at the origin), stored as
+//! runs of equal provenance — one entry per arrival, not per chunk. A
 //! transfer consumes from the front of its sender's FIFO, so the dependency assignment
 //! is deterministic and matches the buffering discipline that
 //! [`crate::ChunkedSchedule::validate`] checks. Because arrivals of a step are only
@@ -63,6 +64,48 @@ pub struct TransferDag {
     pub num_steps: usize,
 }
 
+/// The chunks one rank buffers of one commodity, oldest first, as runs of
+/// `(delivering job, chunk count)` — `None` for chunks resident at the origin.
+/// Every stored run is non-empty.
+#[derive(Debug, Clone, Default)]
+struct ProvenanceFifo {
+    runs: VecDeque<(Option<usize>, usize)>,
+    /// Total chunks over all runs.
+    chunks: usize,
+}
+
+impl ProvenanceFifo {
+    fn push(&mut self, job: Option<usize>, chunks: usize) {
+        if chunks > 0 {
+            self.runs.push_back((job, chunks));
+            self.chunks += chunks;
+        }
+    }
+
+    /// Removes the oldest `chunks` chunks (the caller has checked that many are
+    /// held), splitting the last run touched, and returns the jobs that
+    /// delivered them — one entry per run, so unsorted and possibly repeated.
+    fn drain(&mut self, chunks: usize) -> Vec<usize> {
+        self.chunks -= chunks;
+        let mut jobs = Vec::new();
+        let mut wanted = chunks;
+        while wanted > 0 {
+            let (job, held) = self
+                .runs
+                .front_mut()
+                .expect("caller checked the chunk count");
+            jobs.extend(*job);
+            if *held > wanted {
+                *held -= wanted;
+                break;
+            }
+            wanted -= *held;
+            self.runs.pop_front();
+        }
+        jobs
+    }
+}
+
 impl TransferDag {
     /// Extracts the dependency DAG from a chunked schedule.
     ///
@@ -70,13 +113,12 @@ impl TransferDag {
     /// executable (a rank sends chunks it does not hold, or a transfer names an
     /// unknown commodity) — the same conditions [`ChunkedSchedule::validate`] reports.
     pub fn from_schedule(schedule: &ChunkedSchedule) -> Result<Self, String> {
-        let ncomm = schedule.commodities.len();
-        // Provenance FIFO per (commodity, rank): the job that delivered each buffered
-        // chunk (`None` for chunks initially resident at the origin).
-        let mut buffers: Vec<Vec<VecDeque<Option<usize>>>> =
-            vec![vec![VecDeque::new(); schedule.num_ranks]; ncomm];
+        // Provenance FIFO per (commodity, rank), run-length encoded: chunks that
+        // arrived with one job (or sat at the origin) are one run.
+        let mut buffers =
+            vec![vec![ProvenanceFifo::default(); schedule.num_ranks]; schedule.commodities.len()];
         for (idx, s, _) in schedule.commodities.iter() {
-            buffers[idx][s].extend(std::iter::repeat_n(None, schedule.chunks_per_shard));
+            buffers[idx][s].push(None, schedule.chunks_per_shard);
         }
 
         let mut jobs: Vec<TransferJob> = Vec::new();
@@ -94,18 +136,14 @@ impl TransferDag {
                         )
                     })?;
                 let fifo = &mut buffers[idx][tr.from];
-                if fifo.len() < tr.chunks {
+                if fifo.chunks < tr.chunks {
                     return Err(format!(
                         "step {t}: rank {} sends {} chunks of {}->{} but holds {}",
-                        tr.from,
-                        tr.chunks,
-                        tr.origin,
-                        tr.final_dest,
-                        fifo.len()
+                        tr.from, tr.chunks, tr.origin, tr.final_dest, fifo.chunks
                     ));
                 }
                 let job_id = jobs.len();
-                let mut deps: Vec<usize> = fifo.drain(..tr.chunks).flatten().collect();
+                let mut deps = fifo.drain(tr.chunks);
                 deps.sort_unstable();
                 deps.dedup();
                 debug_assert!(deps.iter().all(|&d| d < job_id));
@@ -122,7 +160,7 @@ impl TransferDag {
                 });
             }
             for (idx, node, chunks, job_id) in arrivals {
-                buffers[idx][node].extend(std::iter::repeat_n(Some(job_id), chunks));
+                buffers[idx][node].push(Some(job_id), chunks);
             }
         }
         Ok(Self {
@@ -242,5 +280,83 @@ mod tests {
         });
         let err = TransferDag::from_schedule(&sched).unwrap_err();
         assert!(err.contains("holds"), "{err}");
+    }
+
+    /// Dependency extraction with one FIFO entry per *chunk* — the
+    /// implementation the run-length [`ProvenanceFifo`] replaced, kept as its
+    /// reference. Returns every job's `deps` (the schedule must be executable).
+    fn per_chunk_deps(schedule: &ChunkedSchedule) -> Vec<Vec<usize>> {
+        let ncomm = schedule.commodities.len();
+        let mut buffers: Vec<Vec<VecDeque<Option<usize>>>> =
+            vec![vec![VecDeque::new(); schedule.num_ranks]; ncomm];
+        for (idx, s, _) in schedule.commodities.iter() {
+            buffers[idx][s].extend(std::iter::repeat_n(None, schedule.chunks_per_shard));
+        }
+        let mut all_deps: Vec<Vec<usize>> = Vec::new();
+        for step in &schedule.steps {
+            let mut arrivals: Vec<(usize, NodeId, usize, usize)> = Vec::new();
+            for tr in &step.transfers {
+                let idx = schedule
+                    .commodities
+                    .index_of(tr.origin, tr.final_dest)
+                    .unwrap();
+                let fifo = &mut buffers[idx][tr.from];
+                let job_id = all_deps.len();
+                let mut deps: Vec<usize> = fifo.drain(..tr.chunks).flatten().collect();
+                deps.sort_unstable();
+                deps.dedup();
+                arrivals.push((idx, tr.to, tr.chunks, job_id));
+                all_deps.push(deps);
+            }
+            for (idx, node, chunks, job_id) in arrivals {
+                buffers[idx][node].extend(std::iter::repeat_n(Some(job_id), chunks));
+            }
+        }
+        all_deps
+    }
+
+    #[test]
+    fn run_length_fifos_reproduce_the_per_chunk_dependencies() {
+        for topo in [
+            generators::torus(&[3, 3]),
+            generators::hypercube(3),
+            generators::generalized_kautz(8, 2),
+        ] {
+            let sol = solve_tsmcf_colgen_auto(&topo).unwrap().solution;
+            for chunks in [1, 8, 128] {
+                let sched = ChunkedSchedule::from_tsmcf(&topo, &sol, chunks).unwrap();
+                let dag = TransferDag::from_schedule(&sched).unwrap();
+                let expected = per_chunk_deps(&sched);
+                assert_eq!(dag.num_jobs(), expected.len());
+                for (id, (job, deps)) in dag.jobs.iter().zip(&expected).enumerate() {
+                    assert_eq!(&job.deps, deps, "{} @ {chunks}: job {id}", topo.name());
+                }
+            }
+        }
+        // The lowered schedules never forward chunks of two arrivals in one
+        // transfer; this one does, and splits the second arrival's run.
+        let relay = |from, to, chunks| crate::ChunkTransfer {
+            from,
+            to,
+            origin: 0,
+            final_dest: 2,
+            chunks,
+        };
+        let sched = ChunkedSchedule {
+            num_ranks: 3,
+            commodities: a2a_mcf::CommoditySet::all_pairs(3),
+            chunks_per_shard: 4,
+            steps: [
+                vec![relay(0, 1, 2), relay(0, 1, 2)],
+                vec![relay(1, 2, 3)],
+                vec![relay(1, 2, 1)],
+            ]
+            .map(|transfers| crate::ScheduleStep { transfers })
+            .to_vec(),
+        };
+        let dag = TransferDag::from_schedule(&sched).unwrap();
+        let deps: Vec<&[usize]> = dag.jobs.iter().map(|j| j.deps.as_slice()).collect();
+        assert_eq!(deps, [&[][..], &[], &[0, 1], &[1]]);
+        assert_eq!(per_chunk_deps(&sched), deps);
     }
 }

@@ -15,10 +15,41 @@
 //! * each sender's host-injection bandwidth ([`SimParams::host_injection_gbps`]),
 //! * each receiver's host-ejection bandwidth (same cap).
 //!
-//! Rates are recomputed at every event (progressive filling), so a link speeds its
-//! survivors up the moment one of its flows drains — a link with pending bytes is
-//! never idle, which is what makes the synchronized mode agree exactly with the
-//! closed-form model of [`crate::linksim`].
+//! Rates are recomputed at every event, so a link speeds its survivors up the
+//! moment one of its flows drains — a link with pending bytes is never idle, which
+//! is what makes the synchronized mode agree exactly with the closed-form model of
+//! [`crate::linksim`].
+//!
+//! # The fair-share kernel
+//!
+//! One recompute is progressive filling: every resource with unfrozen flows has a
+//! *level* `residual capacity / unfrozen flows`; the resource with the lowest level
+//! is the bottleneck, its unfrozen flows are frozen at that level, the level is
+//! charged to the (at most two) other resources of each frozen flow, and the
+//! search repeats until every flow is frozen. Flows that touch no finite resource
+//! run at an infinite rate (they drain within the event).
+//!
+//! **Tie rule.** Among equal levels the bottleneck is the resource with the lowest
+//! index, and resources are indexed per recompute in a fixed order: finite links by
+//! first appearance walking the active flows in order, then — under a host cap —
+//! each flow's injection resource followed by its ejection resource, again by
+//! first appearance in flow order. The order of freezes decides in which order
+//! `residual` is charged, hence the last bits of every later level; the recorded
+//! `f64` bit patterns of the test suites (and the equality with the
+//! table-rebuilding, linear-scan kernel kept as the tests' reference) rest on
+//! this rule.
+//!
+//! **Cost.** With `F` active flows on `R` resources (`R ≤ edges + 2·nodes`), one
+//! recompute is `O(F + R log R)` and allocates nothing once the engine's scratch
+//! tables have grown to the widest active set: resources are numbered through
+//! epoch-stamped per-edge and per-node slots, a flow's resources are a fixed
+//! triple, member lists are one CSR array, and candidate bottlenecks sit in a
+//! min-heap keyed `(level, resource index)` with lazy invalidation — a freeze
+//! pushes a fresh entry only for the other resources it charged. On the 27-node
+//! torus at 128 chunks (162 links, some 700 active flows on average) a recompute
+//! costs about 14 µs of a 19 µs event with links as the only resource, and
+//! 30–37 µs of 32–42 µs under host caps plus QP contention; the rest is advancing
+//! and retiring the flows (`cargo bench -p a2a_bench --bench fair_share`).
 //!
 //! # Execution models (the α–β split)
 //!
@@ -106,6 +137,11 @@ pub enum SimError {
     },
     /// The requested run mode is not implemented for this engine configuration.
     Unsupported(String),
+    /// A numeric input is outside the range the cost model is defined on (a
+    /// non-finite or negative shard size, a bandwidth that is not finite and
+    /// positive, a latency or contention penalty that is not finite and
+    /// non-negative).
+    InvalidInput(String),
 }
 
 impl std::fmt::Display for SimError {
@@ -122,6 +158,7 @@ impl std::fmt::Display for SimError {
                 write!(f, "simulation stalled after {completed}/{total} jobs")
             }
             SimError::Unsupported(msg) => write!(f, "unsupported run mode: {msg}"),
+            SimError::InvalidInput(msg) => write!(f, "invalid input: {msg}"),
         }
     }
 }
@@ -227,6 +264,7 @@ pub fn simulate_chunked_event(
     options: &EventSimOptions,
 ) -> SimResult<EventReport> {
     let _obs = a2a_obs::span("simnet.run");
+    check_inputs(shard_bytes, params)?;
     let dag = TransferDag::from_schedule(schedule).map_err(SimError::InvalidSchedule)?;
     let (jobs, link_bw) =
         resolve_jobs(topo, schedule, shard_bytes, params, &options.scenario, &dag)?;
@@ -238,17 +276,7 @@ pub fn simulate_chunked_event(
         .map(|id| options.scenario.alpha_factor(id))
         .collect();
 
-    let mut engine = Engine {
-        jobs: &jobs,
-        dag: &dag,
-        link_bw: link_bw.clone(),
-        params,
-        alpha_factor: &alpha_factor,
-        num_nodes: topo.num_nodes(),
-        num_steps: dag.num_steps,
-        link_seen: vec![0; topo.num_edges()],
-        seen_epoch: 0,
-    };
+    let mut engine = Engine::new(topo, &jobs, &dag, link_bw.clone(), params, &alpha_factor);
     let outcome = match options.model {
         // The static scenario is a timeline without boundaries.
         ExecutionModel::Synchronized => match engine.run_synchronized_timeline(&[]) {
@@ -266,6 +294,37 @@ pub fn simulate_chunked_event(
         &link_bw,
         outcome,
     ))
+}
+
+/// Rejects numeric inputs the cost model is not defined on, before they turn
+/// into infinite, negative or NaN completion times.
+fn check_inputs(shard_bytes: f64, params: &SimParams) -> SimResult<()> {
+    // `(name, value if set, must be strictly positive)`: bandwidths divide byte
+    // counts, everything else may be zero; all must be finite.
+    let qp_penalty = params.qp_contention.map(|qp| qp.penalty_per_flow);
+    let inputs = [
+        ("shard_bytes", Some(shard_bytes), false),
+        (
+            "link_bandwidth_gbps",
+            Some(params.link_bandwidth_gbps),
+            true,
+        ),
+        ("host_injection_gbps", params.host_injection_gbps, true),
+        (
+            "step_sync_latency_s",
+            Some(params.step_sync_latency_s),
+            false,
+        ),
+        ("per_hop_latency_s", Some(params.per_hop_latency_s), false),
+        ("qp_contention.penalty_per_flow", qp_penalty, false),
+    ];
+    for (name, value, positive) in inputs {
+        let Some(v) = value else { continue };
+        if !(v.is_finite() && v >= 0.0 && (v > 0.0 || !positive)) {
+            return Err(SimError::InvalidInput(format!("{name} = {v}")));
+        }
+    }
+    Ok(())
 }
 
 /// Resolves every transfer of the schedule onto a live link up front, under the
@@ -462,6 +521,7 @@ pub fn simulate_chunked_timeline(
     model: ExecutionModel,
 ) -> SimResult<TimelineRun> {
     let _obs = a2a_obs::span("simnet.run");
+    check_inputs(shard_bytes, params)?;
     if model != ExecutionModel::Synchronized {
         return Err(SimError::Unsupported(
             "timeline simulation is only implemented for synchronized execution".into(),
@@ -474,17 +534,7 @@ pub fn simulate_chunked_timeline(
     let (jobs, link_bw) = resolve_jobs(topo, schedule, shard_bytes, params, &start, &dag)?;
     let alpha_factor: Vec<f64> = (0..jobs.len()).map(|id| start.alpha_factor(id)).collect();
 
-    let mut engine = Engine {
-        jobs: &jobs,
-        dag: &dag,
-        link_bw: link_bw.clone(),
-        params,
-        alpha_factor: &alpha_factor,
-        num_nodes: topo.num_nodes(),
-        num_steps: dag.num_steps,
-        link_seen: vec![0; topo.num_edges()],
-        seen_epoch: 0,
-    };
+    let mut engine = Engine::new(topo, &jobs, &dag, link_bw.clone(), params, &alpha_factor);
 
     // Resolve each event boundary into a full capacity table up front.
     let boundaries: Vec<Boundary> = timeline
@@ -709,6 +759,324 @@ struct ActiveFlow {
     remaining: f64,
 }
 
+/// Marks an unused entry of a flow's resource triple.
+const NO_RESOURCE: usize = usize::MAX;
+
+/// Map from a dense key space to the resource index a key received in the
+/// current fair-share pass. Starting a pass forgets every entry without
+/// touching the tables (entries carry the number of the pass that wrote them).
+struct SlotMap {
+    pass: u64,
+    written_in: Vec<u64>,
+    slot: Vec<usize>,
+}
+
+impl SlotMap {
+    fn new(keys: usize) -> Self {
+        Self {
+            pass: 0,
+            written_in: vec![0; keys],
+            slot: vec![0; keys],
+        }
+    }
+
+    fn start_pass(&mut self) {
+        self.pass += 1;
+    }
+
+    /// The resource index of `key` in this pass; a key seen for the first time
+    /// takes `next` and reports `true`.
+    fn get_or_insert(&mut self, key: usize, next: usize) -> (usize, bool) {
+        let fresh = self.written_in[key] != self.pass;
+        if fresh {
+            self.written_in[key] = self.pass;
+            self.slot[key] = next;
+        }
+        (self.slot[key], fresh)
+    }
+}
+
+/// The fair-share kernel and its tables, owned by the [`Engine`] and reused
+/// across events so that a recompute allocates nothing once the tables have
+/// grown to the widest active set.
+///
+/// Resources are numbered exactly once per pass, in this order: finite links by
+/// first appearance in the active list, then — under a host cap — each flow's
+/// sender injection and receiver ejection resource, again by first appearance
+/// walking the flows in order. The bottleneck rule (module docs) breaks level
+/// ties by this index, so the numbering is part of the result.
+struct FairShare {
+    num_edges: usize,
+    num_nodes: usize,
+    /// Resource slots keyed `e` for link `e`, `num_edges + v` for injection at
+    /// node `v` and `num_edges + num_nodes + v` for ejection at `v`.
+    slots: SlotMap,
+    /// Per resource: capacity not yet handed to a frozen flow.
+    residual: Vec<f64>,
+    /// Per resource: member flows not yet frozen.
+    users: Vec<usize>,
+    /// Per link resource (a prefix of the resource indices): its edge.
+    link_edge: Vec<EdgeId>,
+    /// CSR member lists: resource `r` owns `members[start[r]..start[r + 1]]`,
+    /// flow indices ascending.
+    start: Vec<usize>,
+    members: Vec<usize>,
+    /// Per flow: its link, injection and ejection resource ([`NO_RESOURCE`] for
+    /// an infinite link or an absent host cap).
+    flow_res: Vec<[usize; 3]>,
+    /// Candidate bottlenecks, lowest `(level, resource index)` first. An entry
+    /// is current iff its level still equals `residual / users` of its resource;
+    /// a freeze pushes a fresh entry for every other resource it charged and
+    /// leaves the outdated one behind to be skipped when it surfaces.
+    heap: BinaryHeap<Reverse<(OrdF64, usize)>>,
+    /// Resources charged by the freeze in progress, each once (`touched_in`
+    /// holds the freeze number that last listed the resource).
+    touched: Vec<usize>,
+    touched_in: Vec<u64>,
+    freezes: u64,
+}
+
+impl FairShare {
+    fn new(num_edges: usize, num_nodes: usize) -> Self {
+        Self {
+            num_edges,
+            num_nodes,
+            slots: SlotMap::new(num_edges + 2 * num_nodes),
+            residual: Vec::new(),
+            users: Vec::new(),
+            link_edge: Vec::new(),
+            start: Vec::new(),
+            members: Vec::new(),
+            flow_res: Vec::new(),
+            heap: BinaryHeap::new(),
+            touched: Vec::new(),
+            touched_in: Vec::new(),
+            freezes: 0,
+        }
+    }
+
+    /// Numbers the resources of this pass and fills `residual` (capacities),
+    /// `users` (member counts), `flow_res` and the CSR member lists.
+    fn build_tables(
+        &mut self,
+        jobs: &[SimJob],
+        link_bw: &[f64],
+        params: &SimParams,
+        active: &[ActiveFlow],
+    ) {
+        self.slots.start_pass();
+        self.residual.clear();
+        self.users.clear();
+        self.link_edge.clear();
+        self.flow_res.clear();
+        // Links (finite bandwidth only).
+        for flow in active {
+            let e = jobs[flow.job].link;
+            let mut res = [NO_RESOURCE; 3];
+            if !link_bw[e].is_infinite() {
+                let (ri, fresh) = self.slots.get_or_insert(e, self.residual.len());
+                if fresh {
+                    self.residual.push(link_bw[e]);
+                    self.users.push(0);
+                    self.link_edge.push(e);
+                }
+                self.users[ri] += 1;
+                res[0] = ri;
+            }
+            self.flow_res.push(res);
+        }
+        // QP contention shrinks a link's capacity by its concurrent-flow count.
+        if let Some(qp) = params.qp_contention {
+            for (ri, &e) in self.link_edge.iter().enumerate() {
+                self.residual[ri] = link_bw[e] * qp.bandwidth_factor(self.users[ri]);
+            }
+        }
+        // Host injection / ejection caps, one resource per involved node side.
+        if let Some(gbps) = params.host_injection_gbps {
+            let cap = gbps * 1e9;
+            for (flow, res) in active.iter().zip(&mut self.flow_res) {
+                let job = &jobs[flow.job];
+                let sides = [
+                    self.num_edges + job.src,
+                    self.num_edges + self.num_nodes + job.dst,
+                ];
+                for (k, key) in sides.into_iter().enumerate() {
+                    let (ri, fresh) = self.slots.get_or_insert(key, self.residual.len());
+                    if fresh {
+                        self.residual.push(cap);
+                        self.users.push(0);
+                    }
+                    self.users[ri] += 1;
+                    res[1 + k] = ri;
+                }
+            }
+        }
+        // Member lists: offsets from the counts, then one fill in flow order.
+        // `users` doubles as the per-resource fill cursor and ends the fill
+        // back at the member counts.
+        let nr = self.residual.len();
+        self.start.clear();
+        self.start.push(0);
+        for ri in 0..nr {
+            self.start.push(self.start[ri] + self.users[ri]);
+            self.users[ri] = 0;
+        }
+        self.members.clear();
+        self.members.resize(self.start[nr], 0);
+        for (fi, res) in self.flow_res.iter().enumerate() {
+            for &ri in res.iter().filter(|&&ri| ri != NO_RESOURCE) {
+                self.members[self.start[ri] + self.users[ri]] = fi;
+                self.users[ri] += 1;
+            }
+        }
+    }
+
+    /// Max-min fair rates (bytes/s) for the active flows under link, injection
+    /// and ejection capacities, written to `rates` (progressive filling; see the
+    /// module docs for the bottleneck rule).
+    fn assign_rates(
+        &mut self,
+        jobs: &[SimJob],
+        link_bw: &[f64],
+        params: &SimParams,
+        active: &[ActiveFlow],
+        rates: &mut Vec<f64>,
+    ) {
+        OBS_FAIR_SHARE_RECOMPUTES.incr();
+        let recompute_timer = OBS_FAIR_SHARE_NANOS.start();
+        self.build_tables(jobs, link_bw, params, active);
+        let nr = self.residual.len();
+        // A flow's rate is infinite until it is frozen at a (finite) level; a
+        // flow that no finite resource constrains never is.
+        rates.clear();
+        rates.resize(active.len(), f64::INFINITY);
+        // Freeze numbers only grow, so stamps of earlier passes never match.
+        if self.touched_in.len() < nr {
+            self.touched_in.resize(nr, 0);
+        }
+        self.heap.clear();
+        for ri in 0..nr {
+            let level = self.residual[ri] / self.users[ri] as f64;
+            self.heap.push(Reverse((OrdF64(level), ri)));
+        }
+        let mut unfrozen = active.len();
+        while unfrozen > 0 {
+            let Some(Reverse((OrdF64(level), ri))) = self.heap.pop() else {
+                break;
+            };
+            if self.users[ri] == 0
+                || (self.residual[ri] / self.users[ri] as f64).to_bits() != level.to_bits()
+            {
+                continue;
+            }
+            // Freeze the bottleneck resource's flows at the fair level and charge
+            // their share to every resource they touch.
+            debug_assert!(level.is_finite(), "capacities are finite");
+            self.freezes += 1;
+            for &fi in &self.members[self.start[ri]..self.start[ri + 1]] {
+                if rates[fi].is_finite() {
+                    continue;
+                }
+                unfrozen -= 1;
+                rates[fi] = level;
+                for &rj in self.flow_res[fi].iter().filter(|&&rj| rj != NO_RESOURCE) {
+                    self.residual[rj] = (self.residual[rj] - level).max(0.0);
+                    self.users[rj] -= 1;
+                    if rj != ri && self.touched_in[rj] != self.freezes {
+                        self.touched_in[rj] = self.freezes;
+                        self.touched.push(rj);
+                    }
+                }
+            }
+            for rj in self.touched.drain(..) {
+                if self.users[rj] > 0 {
+                    let level = self.residual[rj] / self.users[rj] as f64;
+                    self.heap.push(Reverse((OrdF64(level), rj)));
+                }
+            }
+        }
+        drop(recompute_timer);
+        #[cfg(debug_assertions)]
+        certify_max_min(jobs, link_bw, self.num_nodes, params, active, rates);
+    }
+}
+
+/// The max-min certificate of one recompute, checked without any of the
+/// kernel's tables (debug builds only): no resource carries more than its
+/// capacity, and every flow either touches no finite resource (infinite rate)
+/// or sits on a saturated resource none of whose members runs faster — the
+/// bottleneck condition that characterises the max-min fair allocation.
+#[cfg(debug_assertions)]
+fn certify_max_min(
+    jobs: &[SimJob],
+    link_bw: &[f64],
+    num_nodes: usize,
+    params: &SimParams,
+    active: &[ActiveFlow],
+    rates: &[f64],
+) {
+    #[derive(Clone, Copy, Default)]
+    struct Load {
+        capacity: f64,
+        members: usize,
+        sum: f64,
+        max: f64,
+    }
+    // Links, then injection sides, then ejection sides.
+    let num_edges = link_bw.len();
+    let resources_of = |flow: &ActiveFlow| {
+        let job = &jobs[flow.job];
+        let link = (!link_bw[job.link].is_infinite()).then_some(job.link);
+        let host = params.host_injection_gbps.is_some();
+        let send = host.then_some(num_edges + job.src);
+        let recv = host.then_some(num_edges + num_nodes + job.dst);
+        [link, send, recv].into_iter().flatten()
+    };
+    let mut loads = vec![Load::default(); num_edges + 2 * num_nodes];
+    for (flow, &rate) in active.iter().zip(rates) {
+        for r in resources_of(flow) {
+            loads[r].members += 1;
+            loads[r].sum += rate;
+            loads[r].max = loads[r].max.max(rate);
+        }
+    }
+    let host_capacity = params
+        .host_injection_gbps
+        .map_or(f64::INFINITY, |gbps| gbps * 1e9);
+    for (r, load) in loads.iter_mut().enumerate() {
+        load.capacity = if r < num_edges {
+            let qp = params.qp_contention;
+            link_bw[r] * qp.map_or(1.0, |qp| qp.bandwidth_factor(load.members))
+        } else {
+            host_capacity
+        };
+        assert!(
+            load.members == 0 || load.sum <= load.capacity * (1.0 + 1e-12),
+            "resource {r} carries {} B/s over its capacity {}",
+            load.sum,
+            load.capacity
+        );
+    }
+    for (fi, (flow, &rate)) in active.iter().zip(rates).enumerate() {
+        let mut constrained = false;
+        let mut bottlenecked = false;
+        for load in resources_of(flow).map(|r| &loads[r]) {
+            constrained = true;
+            bottlenecked |=
+                load.sum >= load.capacity * (1.0 - 1e-9) && rate >= load.max * (1.0 - 1e-9);
+        }
+        assert!(
+            if constrained {
+                rate.is_finite() && bottlenecked
+            } else {
+                rate == f64::INFINITY
+            },
+            "flow {fi} (job {}) at {rate} B/s has no bottleneck resource",
+            flow.job
+        );
+    }
+}
+
 struct Engine<'a> {
     jobs: &'a [SimJob],
     dag: &'a TransferDag,
@@ -719,111 +1087,39 @@ struct Engine<'a> {
     /// Per-job α multiplier from the scenario's per-message jitter (all 1.0
     /// when jitter is off).
     alpha_factor: &'a [f64],
-    num_nodes: usize,
     num_steps: usize,
     /// Scratch for per-event busy-time dedup (see [`Engine::advance`]).
     link_seen: Vec<u64>,
     seen_epoch: u64,
+    fair: FairShare,
 }
 
-impl Engine<'_> {
-    /// Max-min fair rates (bytes/s) for the active flows under link, injection and
-    /// ejection capacities (progressive filling).
-    fn assign_rates(&self, active: &[ActiveFlow]) -> Vec<f64> {
-        OBS_FAIR_SHARE_RECOMPUTES.incr();
-        let _recompute_timer = OBS_FAIR_SHARE_NANOS.start();
-        let nf = active.len();
-        // Resource table: capacity, the flows using each resource, and (for the O(1)
-        // freeze update) each flow's own resource list — a flow touches at most
-        // three resources: its link, its sender's injection cap, its receiver's
-        // ejection cap.
-        let mut caps: Vec<f64> = Vec::new();
-        let mut members: Vec<Vec<usize>> = Vec::new();
-        let mut flow_res: Vec<Vec<usize>> = vec![Vec::with_capacity(3); nf];
-        {
-            // Links (finite bandwidth only; QP contention shrinks the capacity by the
-            // concurrent-flow count).
-            let mut link_res: std::collections::HashMap<EdgeId, usize> =
-                std::collections::HashMap::new();
-            for (fi, flow) in active.iter().enumerate() {
-                let e = self.jobs[flow.job].link;
-                if self.link_bw[e].is_infinite() {
-                    continue;
-                }
-                let ri = *link_res.entry(e).or_insert_with(|| {
-                    caps.push(self.link_bw[e]);
-                    members.push(Vec::new());
-                    caps.len() - 1
-                });
-                members[ri].push(fi);
-                flow_res[fi].push(ri);
-            }
-            if let Some(qp) = self.params.qp_contention {
-                for (&e, &ri) in &link_res {
-                    caps[ri] = self.link_bw[e] * qp.bandwidth_factor(members[ri].len());
-                }
-            }
-            // Host injection / ejection caps, one resource per involved node side.
-            if let Some(gbps) = self.params.host_injection_gbps {
-                let cap = gbps * 1e9;
-                let mut send_res = vec![usize::MAX; self.num_nodes];
-                let mut recv_res = vec![usize::MAX; self.num_nodes];
-                for (fi, flow) in active.iter().enumerate() {
-                    let job = &self.jobs[flow.job];
-                    for (node, table) in [(job.src, &mut send_res), (job.dst, &mut recv_res)] {
-                        if table[node] == usize::MAX {
-                            table[node] = caps.len();
-                            caps.push(cap);
-                            members.push(Vec::new());
-                        }
-                        members[table[node]].push(fi);
-                        flow_res[fi].push(table[node]);
-                    }
-                }
-            }
+impl<'a> Engine<'a> {
+    fn new(
+        topo: &Topology,
+        jobs: &'a [SimJob],
+        dag: &'a TransferDag,
+        link_bw: Vec<f64>,
+        params: &'a SimParams,
+        alpha_factor: &'a [f64],
+    ) -> Self {
+        Self {
+            jobs,
+            dag,
+            link_bw,
+            params,
+            alpha_factor,
+            num_steps: dag.num_steps,
+            link_seen: vec![0; topo.num_edges()],
+            seen_epoch: 0,
+            fair: FairShare::new(topo.num_edges(), topo.num_nodes()),
         }
+    }
 
-        let mut rate = vec![0.0f64; nf];
-        let mut frozen = vec![false; nf];
-        let mut residual = caps;
-        let mut users: Vec<usize> = members.iter().map(Vec::len).collect();
-        let mut unfrozen = nf;
-        while unfrozen > 0 {
-            let mut best: Option<(f64, usize)> = None;
-            for (ri, &u) in users.iter().enumerate() {
-                if u == 0 {
-                    continue;
-                }
-                let level = residual[ri] / u as f64;
-                if best.is_none_or(|(b, _)| level < b) {
-                    best = Some((level, ri));
-                }
-            }
-            let Some((level, ri)) = best else {
-                // No finite resource constrains the survivors.
-                for (fi, r) in rate.iter_mut().enumerate() {
-                    if !frozen[fi] {
-                        *r = f64::INFINITY;
-                    }
-                }
-                break;
-            };
-            // Freeze the bottleneck resource's flows at the fair level and charge
-            // their share to every resource they touch.
-            for fi in members[ri].clone() {
-                if frozen[fi] {
-                    continue;
-                }
-                frozen[fi] = true;
-                unfrozen -= 1;
-                rate[fi] = level;
-                for &rj in &flow_res[fi] {
-                    residual[rj] = (residual[rj] - level).max(0.0);
-                    users[rj] -= 1;
-                }
-            }
-        }
-        rate
+    /// Recomputes the active flows' max-min fair rates into `rates`.
+    fn assign_rates(&mut self, active: &[ActiveFlow], rates: &mut Vec<f64>) {
+        self.fair
+            .assign_rates(self.jobs, &self.link_bw, self.params, active, rates);
     }
 
     /// Advances all active flows by `dt` seconds at the given rates.
@@ -882,6 +1178,7 @@ impl Engine<'_> {
         let mut max_concurrent = 0usize;
         let mut next_job = 0usize;
         let mut bi = 0usize;
+        let mut rates = Vec::new();
         for step in 0..self.num_steps {
             let _obs = a2a_obs::span("simnet.step");
             let step_first_job = next_job;
@@ -900,7 +1197,7 @@ impl Engine<'_> {
             }
             max_concurrent = max_concurrent.max(active.len());
             while !active.is_empty() {
-                let rates = self.assign_rates(&active);
+                self.assign_rates(&active, &mut rates);
                 let mut dt = f64::INFINITY;
                 for (flow, &r) in active.iter().zip(&rates) {
                     dt = dt.min(if r.is_infinite() {
@@ -992,6 +1289,7 @@ impl Engine<'_> {
         let mut link_busy = vec![0.0f64; self.link_bw.len()];
         let mut step_completion = vec![0.0f64; self.num_steps];
         let mut active: Vec<ActiveFlow> = Vec::new();
+        let mut rates = Vec::new();
         let mut completed = 0usize;
         let mut max_concurrent = 0usize;
         // Each iteration activates or completes at least one job, so 2n + 1 bounds the
@@ -1026,7 +1324,7 @@ impl Engine<'_> {
             }
             max_concurrent = max_concurrent.max(active.len());
 
-            let rates = self.assign_rates(&active);
+            self.assign_rates(&active, &mut rates);
             let mut dt = f64::INFINITY;
             for (flow, &r) in active.iter().zip(&rates) {
                 dt = dt.min(if r.is_infinite() {
@@ -1610,5 +1908,335 @@ mod tests {
             contended.report.completion_seconds,
             clean.report.completion_seconds
         );
+    }
+
+    /// Progressive filling written the obvious way — tables rebuilt from
+    /// scratch, the bottleneck found by a linear scan with a strict `<` — as the
+    /// engine ran it before [`FairShare`], verbatim but for taking its inputs as
+    /// arguments: the reference [`FairShare::assign_rates`] must match bit for bit.
+    fn assign_rates_reference(
+        jobs: &[SimJob],
+        link_bw: &[f64],
+        params: &SimParams,
+        num_nodes: usize,
+        active: &[ActiveFlow],
+    ) -> Vec<f64> {
+        let nf = active.len();
+        // Resource table: capacity, the flows using each resource, and (for the O(1)
+        // freeze update) each flow's own resource list — a flow touches at most
+        // three resources: its link, its sender's injection cap, its receiver's
+        // ejection cap.
+        let mut caps: Vec<f64> = Vec::new();
+        let mut members: Vec<Vec<usize>> = Vec::new();
+        let mut flow_res: Vec<Vec<usize>> = vec![Vec::with_capacity(3); nf];
+        {
+            // Links (finite bandwidth only; QP contention shrinks the capacity by the
+            // concurrent-flow count).
+            let mut link_res: std::collections::HashMap<EdgeId, usize> =
+                std::collections::HashMap::new();
+            for (fi, flow) in active.iter().enumerate() {
+                let e = jobs[flow.job].link;
+                if link_bw[e].is_infinite() {
+                    continue;
+                }
+                let ri = *link_res.entry(e).or_insert_with(|| {
+                    caps.push(link_bw[e]);
+                    members.push(Vec::new());
+                    caps.len() - 1
+                });
+                members[ri].push(fi);
+                flow_res[fi].push(ri);
+            }
+            if let Some(qp) = params.qp_contention {
+                for (&e, &ri) in &link_res {
+                    caps[ri] = link_bw[e] * qp.bandwidth_factor(members[ri].len());
+                }
+            }
+            // Host injection / ejection caps, one resource per involved node side.
+            if let Some(gbps) = params.host_injection_gbps {
+                let cap = gbps * 1e9;
+                let mut send_res = vec![usize::MAX; num_nodes];
+                let mut recv_res = vec![usize::MAX; num_nodes];
+                for (fi, flow) in active.iter().enumerate() {
+                    let job = &jobs[flow.job];
+                    for (node, table) in [(job.src, &mut send_res), (job.dst, &mut recv_res)] {
+                        if table[node] == usize::MAX {
+                            table[node] = caps.len();
+                            caps.push(cap);
+                            members.push(Vec::new());
+                        }
+                        members[table[node]].push(fi);
+                        flow_res[fi].push(table[node]);
+                    }
+                }
+            }
+        }
+
+        let mut rate = vec![0.0f64; nf];
+        let mut frozen = vec![false; nf];
+        let mut residual = caps;
+        let mut users: Vec<usize> = members.iter().map(Vec::len).collect();
+        let mut unfrozen = nf;
+        while unfrozen > 0 {
+            let mut best: Option<(f64, usize)> = None;
+            for (ri, &u) in users.iter().enumerate() {
+                if u == 0 {
+                    continue;
+                }
+                let level = residual[ri] / u as f64;
+                if best.is_none_or(|(b, _)| level < b) {
+                    best = Some((level, ri));
+                }
+            }
+            let Some((level, ri)) = best else {
+                // No finite resource constrains the survivors.
+                for (fi, r) in rate.iter_mut().enumerate() {
+                    if !frozen[fi] {
+                        *r = f64::INFINITY;
+                    }
+                }
+                break;
+            };
+            // Freeze the bottleneck resource's flows at the fair level and charge
+            // their share to every resource they touch.
+            for fi in members[ri].clone() {
+                if frozen[fi] {
+                    continue;
+                }
+                frozen[fi] = true;
+                unfrozen -= 1;
+                rate[fi] = level;
+                for &rj in &flow_res[fi] {
+                    residual[rj] = (residual[rj] - level).max(0.0);
+                    users[rj] -= 1;
+                }
+            }
+        }
+        rate
+    }
+
+    /// One job per directed link of `topo`, so that an active set is a list of
+    /// link ids (repeats allowed).
+    fn one_job_per_link(topo: &Topology) -> Vec<SimJob> {
+        (0..topo.num_edges())
+            .map(|e| SimJob {
+                link: e,
+                src: topo.edge(e).src,
+                dst: topo.edge(e).dst,
+                bytes: 1.0,
+                step: 0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fair_share_kernel_matches_the_reference_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let topo = generators::torus(&[3, 3, 3]);
+        let jobs = one_job_per_link(&topo);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(15);
+        // One scratch across all passes: stale slots and heap entries of an
+        // earlier, wider pass must never leak into a later one.
+        let mut fair = FairShare::new(topo.num_edges(), topo.num_nodes());
+        let mut rates = Vec::new();
+        let mut unconstrained = 0usize;
+        for round in 0..300 {
+            // A few distinct bandwidths, so that levels tie across resources;
+            // one link in ten is infinitely fast.
+            let link_bw: Vec<f64> = (0..topo.num_edges())
+                .map(|_| match rng.random_range(0..10) {
+                    0 => f64::INFINITY,
+                    1..=4 => 3.125e9,
+                    5..=6 => 1.5625e9,
+                    _ => 1e9 * (0.5 + 3.0 * rng.random_f64()),
+                })
+                .collect();
+            let flows = if round % 5 == 0 {
+                rng.random_range(1..9)
+            } else {
+                rng.random_range(1..801)
+            };
+            // Narrow sets draw from a few links only, so links repeat at every width.
+            let span = rng.random_range(1..topo.num_edges() + 1);
+            let active: Vec<ActiveFlow> = (0..flows)
+                .map(|_| ActiveFlow {
+                    job: rng.random_range(0..span),
+                    remaining: 1.0,
+                })
+                .collect();
+            let host = Some(0.5 + 12.0 * rng.random_f64());
+            let qp = Some(crate::QpContention {
+                free_flows_per_link: rng.random_range(0..9),
+                penalty_per_flow: 0.5 * rng.random_f64(),
+            });
+            for (host_injection_gbps, qp_contention) in
+                [(None, None), (host, None), (None, qp), (host, qp)]
+            {
+                let params = SimParams {
+                    host_injection_gbps,
+                    qp_contention,
+                    ..SimParams::default()
+                };
+                let expected =
+                    assign_rates_reference(&jobs, &link_bw, &params, topo.num_nodes(), &active);
+                fair.assign_rates(&jobs, &link_bw, &params, &active, &mut rates);
+                let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+                assert_eq!(
+                    bits(&rates),
+                    bits(&expected),
+                    "round {round}, {flows} flows, host {host_injection_gbps:?}, qp {qp_contention:?}"
+                );
+                unconstrained += rates.iter().filter(|r| r.is_infinite()).count();
+            }
+        }
+        assert!(
+            unconstrained > 0,
+            "no flow ran on an infinite link uncapped"
+        );
+    }
+
+    /// The debug certificate is not vacuous: it rejects an allocation that
+    /// leaves a bottleneck's capacity on the table, and one that overbooks it.
+    #[cfg(debug_assertions)]
+    mod certificate {
+        use super::*;
+
+        fn certify_scaled(scale: f64) {
+            let topo = generators::ring(4);
+            let jobs = one_job_per_link(&topo);
+            let link_bw = vec![3.125e9; topo.num_edges()];
+            let params = SimParams::default();
+            let active: Vec<ActiveFlow> = [0, 0, 1]
+                .iter()
+                .map(|&job| ActiveFlow {
+                    job,
+                    remaining: 1.0,
+                })
+                .collect();
+            let mut rates = Vec::new();
+            FairShare::new(topo.num_edges(), topo.num_nodes())
+                .assign_rates(&jobs, &link_bw, &params, &active, &mut rates);
+            assert_eq!(rates, [1.5625e9, 1.5625e9, 3.125e9]);
+            for r in &mut rates {
+                *r *= scale;
+            }
+            certify_max_min(&jobs, &link_bw, topo.num_nodes(), &params, &active, &rates);
+        }
+
+        #[test]
+        #[should_panic(expected = "has no bottleneck resource")]
+        fn rejects_an_underfilled_allocation() {
+            certify_scaled(0.9);
+        }
+
+        #[test]
+        #[should_panic(expected = "over its capacity")]
+        fn rejects_an_overbooked_allocation() {
+            certify_scaled(1.1);
+        }
+    }
+
+    #[test]
+    fn hostile_numeric_input_is_a_typed_error() {
+        let topo = generators::ring(4);
+        let sched = chunked(&topo, None);
+        let ok = SimParams::default();
+        let qp = |penalty_per_flow| {
+            Some(crate::QpContention {
+                free_flows_per_link: 1,
+                penalty_per_flow,
+            })
+        };
+        let link = |link_bandwidth_gbps| SimParams {
+            link_bandwidth_gbps,
+            ..SimParams::default()
+        };
+        let host = |gbps| SimParams {
+            host_injection_gbps: Some(gbps),
+            ..SimParams::default()
+        };
+        let cases = [
+            ("shard_bytes", f64::NAN, ok.clone()),
+            ("shard_bytes", f64::INFINITY, ok.clone()),
+            ("shard_bytes", -1.0, ok.clone()),
+            ("link_bandwidth_gbps", 1024.0, link(0.0)),
+            ("link_bandwidth_gbps", 1024.0, link(f64::NAN)),
+            ("link_bandwidth_gbps", 1024.0, link(-1.0)),
+            ("link_bandwidth_gbps", 1024.0, link(f64::INFINITY)),
+            ("host_injection_gbps", 1024.0, host(0.0)),
+            ("host_injection_gbps", 1024.0, host(f64::NAN)),
+            (
+                "step_sync_latency_s",
+                1024.0,
+                SimParams {
+                    step_sync_latency_s: -1e-6,
+                    ..ok.clone()
+                },
+            ),
+            (
+                "per_hop_latency_s",
+                1024.0,
+                SimParams {
+                    per_hop_latency_s: f64::INFINITY,
+                    ..ok.clone()
+                },
+            ),
+            (
+                "qp_contention.penalty_per_flow",
+                1024.0,
+                SimParams {
+                    qp_contention: qp(f64::NAN),
+                    ..ok.clone()
+                },
+            ),
+            (
+                "qp_contention.penalty_per_flow",
+                1024.0,
+                SimParams {
+                    qp_contention: qp(-0.1),
+                    ..ok.clone()
+                },
+            ),
+        ];
+        for (name, shard, params) in cases {
+            for model in [
+                ExecutionModel::Synchronized,
+                ExecutionModel::DependencyDriven,
+            ] {
+                let options = EventSimOptions {
+                    model,
+                    ..EventSimOptions::default()
+                };
+                let err = simulate_chunked_event(&topo, &sched, shard, &params, &options)
+                    .expect_err(name);
+                assert!(
+                    matches!(&err, SimError::InvalidInput(msg) if msg.starts_with(name)),
+                    "{name} under {model:?}: {err}"
+                );
+            }
+            let err = simulate_chunked_timeline(
+                &topo,
+                &sched,
+                shard,
+                &params,
+                &ScenarioTimeline::nominal(),
+                ExecutionModel::Synchronized,
+            )
+            .expect_err(name);
+            assert!(matches!(err, SimError::InvalidInput(_)), "{name}: {err}");
+        }
+        // An empty shard is a valid (latency-only) run.
+        for model in [
+            ExecutionModel::Synchronized,
+            ExecutionModel::DependencyDriven,
+        ] {
+            let options = EventSimOptions {
+                model,
+                ..EventSimOptions::default()
+            };
+            let rep = simulate_chunked_event(&topo, &sched, 0.0, &ok, &options).unwrap();
+            assert!(rep.report.completion_seconds > 0.0);
+            assert_eq!(rep.report.throughput_gbps, 0.0);
+        }
     }
 }
