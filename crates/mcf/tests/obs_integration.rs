@@ -4,9 +4,10 @@
 //! synthetic workloads:
 //!
 //! 1. **Balance** — every span opened during a production solve is closed, on
-//!    every thread. The colgen driver runs on the calling thread; the
-//!    decomposed solve fans its child LPs out to rayon-shim worker threads,
-//!    so it is the one that exercises cross-thread recording.
+//!    every thread. The colgen driver (path-MCF and time-expanded masters
+//!    alike) runs on the calling thread; the decomposed solve fans its child
+//!    LPs out to rayon-shim worker threads, so it is the one that exercises
+//!    cross-thread recording.
 //! 2. **Run-to-run determinism** — the solvers are deterministic, so the
 //!    name-keyed span counts and counter values of two traced runs of the
 //!    same solve must be identical. The comparison uses `totals_by_name`, not
@@ -20,6 +21,8 @@
 use std::collections::BTreeMap;
 
 use a2a_mcf::pmcf::solve_path_mcf_colgen_among;
+use a2a_mcf::tscolgen::solve_tsmcf_colgen_among_with;
+use a2a_mcf::tsmcf::minimum_steps;
 use a2a_mcf::{solve_decomposed_mcf, ColGenOptions, CommoditySet, Stabilization};
 use a2a_obs::summary::{summarize, Summary};
 use a2a_topology::generators;
@@ -51,6 +54,25 @@ fn traced_colgen() -> (f64, Summary) {
     })
 }
 
+/// The time-expanded master under the benchmark configuration (the drift
+/// tolerance at which its partial-pricing skip fires).
+fn traced_tscolgen() -> (f64, Summary) {
+    let topo = generators::torus(&[3, 3]);
+    let commodities = CommoditySet::all_pairs(topo.num_nodes());
+    let steps = minimum_steps(&topo, &commodities).expect("step bound");
+    let options = ColGenOptions {
+        stabilization: Stabilization::Smoothing { alpha: 0.1 },
+        partial_pricing: Some(7.0),
+        ..ColGenOptions::default()
+    };
+    traced(|| {
+        solve_tsmcf_colgen_among_with(&topo, commodities, steps, &options)
+            .expect("torus-3x3 tsMCF colgen solves")
+            .solution
+            .total_utilization()
+    })
+}
+
 fn traced_decomposed() -> (f64, Summary) {
     let topo = generators::torus(&[3, 3]);
     traced(|| {
@@ -74,9 +96,14 @@ fn span_counts(s: &Summary) -> BTreeMap<String, u64> {
 #[test]
 fn traced_colgen_solve_balances_and_is_thread_count_independent() {
     let colgen = [traced_colgen(), traced_colgen()];
+    let tscolgen = [traced_tscolgen(), traced_tscolgen()];
     let decomposed = [traced_decomposed(), traced_decomposed()];
 
-    for (tag, runs) in [("colgen", &colgen), ("decomposed", &decomposed)] {
+    for (tag, runs) in [
+        ("colgen", &colgen),
+        ("tscolgen", &tscolgen),
+        ("decomposed", &decomposed),
+    ] {
         for (_, s) in runs {
             assert!(s.is_balanced(), "{tag} trace unbalanced:\n{}", s.render());
             assert_eq!(s.dropped_events, 0, "{tag} trace dropped events");
@@ -97,17 +124,19 @@ fn traced_colgen_solve_balances_and_is_thread_count_independent() {
         assert_eq!(a.counters, b.counters, "{tag}: counter values diverge");
     }
 
-    let (_, s) = &colgen[0];
-    assert!(s.count("colgen.round") >= 1, "no colgen rounds traced");
-    assert_eq!(
-        s.count("colgen.master"),
-        s.count("colgen.round"),
-        "one master reoptimize per round"
-    );
-    assert!(
-        s.count("colgen.price_source") >= s.count("colgen.round"),
-        "pricing sweep must touch at least one source per round"
-    );
+    for (_, s) in [&colgen[0], &tscolgen[0]] {
+        assert!(s.count("colgen.round") >= 1, "no colgen rounds traced");
+        assert_eq!(
+            s.count("colgen.master"),
+            s.count("colgen.round"),
+            "one master reoptimize per round"
+        );
+        assert!(
+            s.count("colgen.price_source") >= s.count("colgen.round"),
+            "pricing sweep must touch at least one source per round"
+        );
+        assert!(s.count("colgen.pricing") >= 1, "no pricing sweep traced");
+    }
 
     // One child LP per source endpoint, recorded on whichever thread ran it.
     let (_, s) = &decomposed[0];

@@ -1,19 +1,30 @@
-//! Golden colgen trajectories of the time-expanded (tsMCF) master.
+//! Golden colgen trajectories: the time-expanded (tsMCF) master and the
+//! path-MCF master under the production configuration.
 //!
 //! Pins, per instance and configuration, the per-round
-//! `(columns_added, master_iterations)` sequence and the bit pattern of the
-//! final `flow_value` (`Σ_t U_t`). Any refactor of the tsMCF colgen path —
-//! master construction, pricing-source order, candidate order, extraction —
-//! that is supposed to be behaviour-preserving must leave every number here
-//! untouched; a change that *means* to move the trajectory re-records them and
-//! says so.
+//! `(columns_added, master_iterations, sources_skipped)` sequence and the bit
+//! pattern of the final `flow_value` (`Σ_t U_t` for tsMCF, `F` for path-MCF).
+//! Any refactor of a colgen path — master construction, pricing-source order,
+//! candidate order, partial-pricing skip rule, extraction — that is supposed
+//! to be behaviour-preserving must leave every number here untouched; a change
+//! that *means* to move the trajectory re-records them and says so.
+//!
+//! These counts repeat exactly from run to run and machine to machine, which
+//! makes this file the regression gate on the colgen engines' work: a solve
+//! that starts needing more rounds, columns or master iterations, or that
+//! stops skipping sources, fails here whatever the wall clock of the box.
 
+use a2a_mcf::decomposed::{solve_decomposed_mcf_with, DecomposedOptions};
+use a2a_mcf::pmcf::solve_path_mcf_colgen_among;
 use a2a_mcf::tscolgen::solve_tsmcf_colgen_among_with;
 use a2a_mcf::tsmcf::minimum_steps;
-use a2a_mcf::{ColGenOptions, CommoditySet, Stabilization};
-use a2a_topology::{generators, Topology};
+use a2a_mcf::{ColGenOptions, ColGenStats, CommoditySet, Stabilization};
+use a2a_topology::{generators, NodeId, Topology};
 
 /// The `tsmcf-torus3x3x3` / `replan-` / `simsweep-` benchmark configuration.
+/// The drift tolerance is looser than path-MCF's because drift accumulates
+/// over the time-expanded arc space (`|E| · steps` dimensions): at `1e-1` no
+/// source is ever skipped on these masters.
 fn benchmark_options() -> ColGenOptions {
     ColGenOptions {
         partial_pricing: Some(7.0),
@@ -22,15 +33,58 @@ fn benchmark_options() -> ColGenOptions {
     }
 }
 
-/// One recorded run: per-round `(columns_added, master_iterations)`, the
-/// columns in the master at termination, and `flow_value.to_bits()` of the
-/// last round.
+/// The path-MCF production configuration, spelled out so the rows do not move
+/// with the library default: light Wentges smoothing (at `α = 0.5` the lagging
+/// duals triple the round count on torus-8x8) and the drift tolerance at which
+/// the partial-pricing skip fires without costing the certificate.
+fn production_options() -> ColGenOptions {
+    ColGenOptions {
+        partial_pricing: Some(1e-1),
+        stabilization: Stabilization::Smoothing { alpha: 0.1 },
+        ..ColGenOptions::default()
+    }
+}
+
+/// One recorded run: per-round
+/// `(columns_added, master_iterations, sources_skipped)`, the columns in the
+/// master at termination, and `flow_value.to_bits()` of the last round.
 struct Golden {
     config: &'static str,
     options: ColGenOptions,
-    rounds: &'static [(usize, usize)],
+    /// Set on the configurations chosen to make partial pricing — the
+    /// production speed-up mechanism — fire: a re-recording that quietly lets
+    /// it stop must fail rather than pin the zeros.
+    skips_sources: bool,
+    rounds: &'static [(usize, usize, usize)],
     total_columns: usize,
     flow_bits: u64,
+}
+
+impl Golden {
+    fn check(&self, tag: &str, stats: &ColGenStats) {
+        assert!(stats.proved_optimal, "{tag}: certificate missing");
+        let rounds: Vec<(usize, usize, usize)> = stats
+            .rounds
+            .iter()
+            .map(|r| (r.columns_added, r.master_iterations, r.sources_skipped))
+            .collect();
+        assert_eq!(rounds, self.rounds, "{tag}: round trajectory moved");
+        assert_eq!(
+            stats.total_columns, self.total_columns,
+            "{tag}: column count moved"
+        );
+        let last = stats.rounds.last().expect("at least one round");
+        assert_eq!(
+            last.flow_value.to_bits(),
+            self.flow_bits,
+            "{tag}: final flow value moved (now {})",
+            last.flow_value
+        );
+        assert!(
+            !self.skips_sources || stats.total_sources_skipped() > 0,
+            "{tag}: stabilized partial pricing skipped no source"
+        );
+    }
 }
 
 fn check(name: &str, topo: &Topology, goldens: &[Golden]) {
@@ -40,25 +94,7 @@ fn check(name: &str, topo: &Topology, goldens: &[Golden]) {
         let steps = minimum_steps(topo, &commodities).unwrap();
         let cg = solve_tsmcf_colgen_among_with(topo, commodities, steps, &g.options)
             .unwrap_or_else(|e| panic!("{tag}: solve failed: {e}"));
-        assert!(cg.stats.proved_optimal, "{tag}: certificate missing");
-        let rounds: Vec<(usize, usize)> = cg
-            .stats
-            .rounds
-            .iter()
-            .map(|r| (r.columns_added, r.master_iterations))
-            .collect();
-        assert_eq!(rounds, g.rounds, "{tag}: round trajectory moved");
-        assert_eq!(
-            cg.stats.total_columns, g.total_columns,
-            "{tag}: column count moved"
-        );
-        let last = cg.stats.rounds.last().expect("at least one round");
-        assert_eq!(
-            last.flow_value.to_bits(),
-            g.flow_bits,
-            "{tag}: final flow value moved (now {})",
-            last.flow_value
-        );
+        g.check(&tag, &cg.stats);
     }
 }
 
@@ -72,25 +108,26 @@ fn tsmcf_colgen_trajectories_are_pinned() {
             Golden {
                 config: "benchmark",
                 options: benchmark_options(),
+                skips_sources: true,
                 rounds: &[
-                    (4, 103),
-                    (5, 2),
-                    (5, 6),
-                    (5, 4),
-                    (3, 5),
-                    (4, 3),
-                    (4, 10),
-                    (5, 7),
-                    (3, 23),
-                    (1, 9),
-                    (8, 5),
-                    (3, 1),
-                    (4, 15),
-                    (12, 10),
-                    (5, 12),
-                    (1, 8),
-                    (9, 3),
-                    (0, 4),
+                    (4, 103, 0),
+                    (5, 2, 0),
+                    (5, 6, 6),
+                    (5, 4, 1),
+                    (3, 5, 5),
+                    (4, 3, 7),
+                    (4, 10, 4),
+                    (5, 7, 3),
+                    (3, 23, 4),
+                    (1, 9, 7),
+                    (8, 5, 4),
+                    (3, 1, 0),
+                    (4, 15, 8),
+                    (12, 10, 0),
+                    (5, 12, 2),
+                    (1, 8, 7),
+                    (9, 3, 0),
+                    (0, 4, 0),
                 ],
                 total_columns: 153,
                 flow_bits: 0x4008_0000_0000_0000,
@@ -99,19 +136,20 @@ fn tsmcf_colgen_trajectories_are_pinned() {
             Golden {
                 config: "default",
                 options: ColGenOptions::default(),
+                skips_sources: false,
                 rounds: &[
-                    (4, 103),
-                    (5, 2),
-                    (6, 6),
-                    (5, 3),
-                    (5, 6),
-                    (6, 7),
-                    (4, 10),
-                    (6, 16),
-                    (8, 12),
-                    (6, 8),
-                    (7, 8),
-                    (0, 5),
+                    (4, 103, 0),
+                    (5, 2, 0),
+                    (6, 6, 0),
+                    (5, 3, 0),
+                    (5, 6, 0),
+                    (6, 7, 0),
+                    (4, 10, 0),
+                    (6, 16, 0),
+                    (8, 12, 0),
+                    (6, 8, 0),
+                    (7, 8, 0),
+                    (0, 5, 0),
                 ],
                 total_columns: 134,
                 flow_bits: 0x4008_0000_0000_0000,
@@ -120,20 +158,21 @@ fn tsmcf_colgen_trajectories_are_pinned() {
             Golden {
                 config: "stabilized",
                 options: ColGenOptions::stabilized(),
+                skips_sources: false,
                 rounds: &[
-                    (4, 103),
-                    (5, 2),
-                    (6, 6),
-                    (5, 3),
-                    (5, 6),
-                    (6, 7),
-                    (4, 10),
-                    (6, 16),
-                    (7, 12),
-                    (8, 7),
-                    (6, 6),
-                    (8, 17),
-                    (0, 4),
+                    (4, 103, 0),
+                    (5, 2, 0),
+                    (6, 6, 0),
+                    (5, 3, 0),
+                    (5, 6, 0),
+                    (6, 7, 0),
+                    (4, 10, 0),
+                    (6, 16, 0),
+                    (7, 12, 0),
+                    (8, 7, 0),
+                    (6, 6, 0),
+                    (8, 17, 0),
+                    (0, 4, 0),
                 ],
                 total_columns: 142,
                 flow_bits: 0x4008_0000_0000_0000,
@@ -149,17 +188,18 @@ fn tsmcf_colgen_trajectories_are_pinned() {
             Golden {
                 config: "benchmark",
                 options: benchmark_options(),
+                skips_sources: true,
                 rounds: &[
-                    (8, 94),
-                    (3, 9),
-                    (11, 2),
-                    (11, 13),
-                    (8, 19),
-                    (21, 20),
-                    (33, 50),
-                    (31, 75),
-                    (1, 17),
-                    (0, 0),
+                    (8, 94, 0),
+                    (3, 9, 5),
+                    (11, 2, 2),
+                    (11, 13, 1),
+                    (8, 19, 3),
+                    (21, 20, 2),
+                    (33, 50, 0),
+                    (31, 75, 0),
+                    (1, 17, 0),
+                    (0, 0, 0),
                 ],
                 total_columns: 183,
                 flow_bits: 0x400f_ffff_ffff_fffe,
@@ -168,16 +208,17 @@ fn tsmcf_colgen_trajectories_are_pinned() {
             Golden {
                 config: "default",
                 options: ColGenOptions::default(),
+                skips_sources: false,
                 rounds: &[
-                    (8, 94),
-                    (11, 9),
-                    (9, 10),
-                    (10, 11),
-                    (16, 20),
-                    (22, 24),
-                    (32, 83),
-                    (5, 48),
-                    (0, 0),
+                    (8, 94, 0),
+                    (11, 9, 0),
+                    (9, 10, 0),
+                    (10, 11, 0),
+                    (16, 20, 0),
+                    (22, 24, 0),
+                    (32, 83, 0),
+                    (5, 48, 0),
+                    (0, 0, 0),
                 ],
                 total_columns: 169,
                 flow_bits: 0x4010_0000_0000_0000,
@@ -186,20 +227,102 @@ fn tsmcf_colgen_trajectories_are_pinned() {
             Golden {
                 config: "stabilized",
                 options: ColGenOptions::stabilized(),
+                skips_sources: false,
                 rounds: &[
-                    (8, 94),
-                    (11, 9),
-                    (9, 10),
-                    (10, 11),
-                    (16, 20),
-                    (21, 24),
-                    (34, 84),
-                    (1, 55),
-                    (0, 0),
+                    (8, 94, 0),
+                    (11, 9, 0),
+                    (9, 10, 0),
+                    (10, 11, 0),
+                    (16, 20, 0),
+                    (21, 24, 0),
+                    (34, 84, 0),
+                    (1, 55, 0),
+                    (0, 0, 0),
                 ],
                 total_columns: 166,
                 flow_bits: 0x4010_0000_0000_0000,
             },
         ],
     );
+}
+
+#[test]
+fn path_mcf_production_colgen_trajectories_are_pinned() {
+    let fat_tree = generators::fat_tree_two_level(4, 2, 4);
+    let torus = generators::torus(&[4, 4]);
+    let cases: [(&str, &Topology, Vec<NodeId>, Golden); 2] = [
+        (
+            "torus-4x4",
+            &torus,
+            (0..torus.num_nodes()).collect(),
+            Golden {
+                config: "production",
+                options: production_options(),
+                skips_sources: true,
+                rounds: &[
+                    (21, 241, 0),
+                    (17, 6, 7),
+                    (25, 17, 0),
+                    (19, 4, 0),
+                    (33, 21, 0),
+                    (17, 3, 0),
+                    (23, 21, 0),
+                    (31, 90, 0),
+                    (57, 45, 0),
+                    (73, 140, 0),
+                    (19, 87, 0),
+                    (0, 0, 0),
+                ],
+                total_columns: 575,
+                flow_bits: 0x3fbf_ffff_ffff_ffee,
+            },
+        ),
+        (
+            "fattree-16h",
+            &fat_tree.graph,
+            fat_tree.hosts.clone(),
+            Golden {
+                config: "production",
+                options: production_options(),
+                skips_sources: true,
+                rounds: &[
+                    (48, 241, 0),
+                    (32, 2, 4),
+                    (48, 1, 4),
+                    (48, 1, 4),
+                    (16, 95, 3),
+                    (0, 0, 0),
+                ],
+                total_columns: 432,
+                flow_bits: 0x3fb1_1111_1111_1112,
+            },
+        ),
+    ];
+    for (name, topo, hosts, golden) in &cases {
+        let tag = format!("{name} / path-mcf {}", golden.config);
+        let cg =
+            solve_path_mcf_colgen_among(topo, CommoditySet::among(hosts.clone()), &golden.options)
+                .unwrap_or_else(|e| panic!("{tag}: solve failed: {e}"));
+        golden.check(&tag, &cg.stats);
+        assert_eq!(
+            cg.schedule.flow_value.to_bits(),
+            golden.flow_bits,
+            "{tag}: the extracted schedule's F is not the master's"
+        );
+        // The pinned bits are the optimum, not just a number: the exact
+        // decomposed formulation reaches the same F.
+        let exact = solve_decomposed_mcf_with(
+            topo,
+            CommoditySet::among(hosts.clone()),
+            &DecomposedOptions::default(),
+        )
+        .unwrap_or_else(|e| panic!("{tag}: decomposed solve failed: {e}"))
+        .solution
+        .flow_value;
+        assert!(
+            (cg.schedule.flow_value - exact).abs() <= 1e-6 * (1.0 + exact),
+            "{tag}: colgen F = {} vs decomposed F = {exact}",
+            cg.schedule.flow_value
+        );
+    }
 }
