@@ -5,8 +5,11 @@
 //! `figure,topology,series,x,y` so the paper's plots can be regenerated directly from
 //! the output. Binaries accept `--large` to extend the sweep towards the paper's full
 //! scale (the defaults are sized for a single-core CI run).
-
-pub mod diff;
+//!
+//! This crate measures nothing a claim can rest on: performance numbers come from the
+//! repo benchmark (`BENCHMARK.json`, `benchmark/`), the benches under `benches/` time
+//! single layers, and `HISTORY.md` keeps the PR 1–9 trail of the harness that used to
+//! live here.
 
 use a2a_mcf::tsmcf::TsMcfSolution;
 use a2a_mcf::PathSchedule;

@@ -216,7 +216,7 @@ pub fn solve_decomposed_mcf(topo: &Topology) -> McfResult<DecomposedMcf> {
 }
 
 /// Solves the decomposed MCF for an explicit commodity set with explicit solver
-/// options (the perf harness uses this to compare cold/warm and pricing configs).
+/// options (the tests and the benchmark compare cold/warm and pricing configs here).
 pub fn solve_decomposed_mcf_with(
     topo: &Topology,
     commodities: CommoditySet,
@@ -808,7 +808,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "several-minute LP on a single core; covered by the fig3 bench harness"]
     fn host_bottleneck_reduces_flow_value() {
         use a2a_topology::transform::HostNicAugmented;
         // 3x3x3 torus with host bandwidth below node bandwidth: the paper reports

@@ -407,7 +407,7 @@ pub fn minimum_steps(topo: &Topology, commodities: &CommoditySet) -> McfResult<u
 }
 
 /// The dense edge formulation of tsMCF: the **reference** that the equivalence
-/// suites and the bench harness's `dense` rows hold column generation
+/// suites hold column generation
 /// ([`crate::tscolgen::solve_tsmcf_colgen_among_with`], 40–400x faster at 8–9
 /// endpoints and alone in finishing above them) against — not a production path.
 ///

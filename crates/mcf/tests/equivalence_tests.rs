@@ -3,7 +3,7 @@
 //! Three exact formulations of the max-concurrent all-to-all MCF live in this
 //! crate — link-MCF, decomposed-MCF, and path-MCF solved by column generation —
 //! and they must agree on the concurrent flow value `F` on *every* topology.
-//! The fattree-16h regression of `BENCH_pr1.json` (a fixed path set silently
+//! The fattree-16h regression of PR 1's measurements (a fixed path set silently
 //! capping `F` at 1/24 instead of 1/15) is exactly the class of bug this suite
 //! pins down: 200+ seeded-ChaCha8 random connected topologies across four
 //! families (tori, fat trees, punctured graphs, random regular/directed

@@ -1,18 +1,19 @@
 //! Chrome trace-event sink: writes a [`crate::TraceData`] flush as a JSON
 //! array with **one event object per line** (JSONL-style but still a single
 //! valid JSON document), loadable in `chrome://tracing` and Perfetto, and a
-//! matching zero-dependency parser/validator used by the tests, the perf
-//! harness's `--trace` self-check, and CI.
+//! matching zero-dependency parser/validator used by the tests and the
+//! `trace_solve` example's self-check.
 //!
 //! Span enters/exits map to `"B"`/`"E"` duration events, instants to `"i"`,
-//! and counter/gauge snapshots to one `"C"` sample each at the trace's last
+//! and counter snapshots to one `"C"` sample each at the trace's last
 //! timestamp. `tid` is the obs thread ordinal; `ts` is microseconds since
 //! the obs epoch with nanosecond resolution.
 
 use crate::{EventKind, TraceData};
 use std::io::{self, Write};
 
-fn escape(s: &str) -> String {
+/// JSON string-body escaping, shared with the [`crate::report`] writer.
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -68,14 +69,6 @@ pub fn chrome_trace_string(data: &TraceData) -> String {
             escape(c.name),
             micros(last_ts),
             c.value,
-        ));
-    }
-    for g in &data.gauges {
-        lines.push(format!(
-            "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{:.3},\"pid\":1,\"args\":{{\"value\":{}}}}}",
-            escape(g.name),
-            micros(last_ts),
-            g.value,
         ));
     }
     let mut out = String::from("[\n");

@@ -1,12 +1,11 @@
-//! Named counters and gauges: statics at instrumentation sites, relaxed
-//! atomics, lazy self-registration into a global registry so [`crate::flush`]
-//! can enumerate them without any central declaration list.
+//! Named counters: statics at instrumentation sites, relaxed atomics, lazy
+//! self-registration into a global registry so [`crate::flush`] can enumerate
+//! them without any central declaration list.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 static COUNTERS: Mutex<Vec<&'static Counter>> = Mutex::new(Vec::new());
-static GAUGES: Mutex<Vec<&'static Gauge>> = Mutex::new(Vec::new());
 
 /// Monotonic event counter. Declare as a `static` next to the code it
 /// counts:
@@ -72,66 +71,11 @@ impl Counter {
     }
 }
 
-/// Last-write-wins instantaneous value (e.g. pool size, active columns).
-/// Same registration and overhead contract as [`Counter`].
-pub struct Gauge {
-    name: &'static str,
-    value: AtomicI64,
-    registered: AtomicBool,
-}
-
-impl Gauge {
-    pub const fn new(name: &'static str) -> Self {
-        Gauge {
-            name,
-            value: AtomicI64::new(0),
-            registered: AtomicBool::new(false),
-        }
-    }
-
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    #[inline]
-    pub fn set(&'static self, v: i64) {
-        if !crate::is_enabled() {
-            return;
-        }
-        if !self.registered.load(Ordering::Relaxed) {
-            self.register_slow();
-        }
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    pub fn value(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    #[cold]
-    fn register_slow(&'static self) {
-        let Ok(mut reg) = GAUGES.lock() else {
-            return;
-        };
-        if !self.registered.load(Ordering::Relaxed) {
-            reg.push(self);
-            self.registered.store(true, Ordering::Relaxed);
-        }
-    }
-}
-
 /// Point-in-time counter value captured by [`crate::flush`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CounterSnapshot {
     pub name: &'static str,
     pub value: u64,
-}
-
-/// Point-in-time gauge value captured by [`crate::flush`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GaugeSnapshot {
-    pub name: &'static str,
-    pub value: i64,
 }
 
 pub(crate) fn snapshot() -> Vec<CounterSnapshot> {
@@ -149,30 +93,10 @@ pub(crate) fn snapshot() -> Vec<CounterSnapshot> {
     out
 }
 
-pub(crate) fn gauge_snapshot() -> Vec<GaugeSnapshot> {
-    let mut out: Vec<GaugeSnapshot> = match GAUGES.lock() {
-        Ok(reg) => reg
-            .iter()
-            .map(|g| GaugeSnapshot {
-                name: g.name,
-                value: g.value(),
-            })
-            .collect(),
-        Err(_) => Vec::new(),
-    };
-    out.sort_by_key(|s| s.name);
-    out
-}
-
 pub(crate) fn reset_all() {
     if let Ok(reg) = COUNTERS.lock() {
         for c in reg.iter() {
             c.value.store(0, Ordering::Relaxed);
-        }
-    }
-    if let Ok(reg) = GAUGES.lock() {
-        for g in reg.iter() {
-            g.value.store(0, Ordering::Relaxed);
         }
     }
 }

@@ -1,20 +1,19 @@
 //! `a2a_obs` — zero-dependency instrumentation core for the all-to-all
-//! toolchain: RAII [`span`]s, [`Counter`]/[`Gauge`]/[`Histogram`]
-//! registries, a Chrome trace-event writer ([`chrome`]), an aggregated
-//! [`summary`] tree, serializable per-solve diagnostics ([`report`]), an
-//! in-process stall [`watchdog`], and a small leveled [`logger`].
+//! toolchain: RAII [`span`]s, [`Counter`]/[`Histogram`] registries, a
+//! Chrome trace-event writer ([`chrome`]), an aggregated [`summary`] tree,
+//! serializable per-solve diagnostics ([`report`]), and an in-process stall
+//! [`watchdog`].
 //!
 //! # Choosing spans vs counters vs histograms
 //!
 //! - **[`span`]** — when you need *where the wall time went*: a region with
 //!   a begin and an end that nests (solve → master → pricing). Spans feed
-//!   the summary tree and the Chrome trace; their totals become the
-//!   harness's `stage_breakdown`. Cost while enabled: two clock reads and
+//!   the summary tree and the Chrome trace; their totals become a
+//!   [`SolveReport`]'s `stage_breakdown`. Cost while enabled: two clock reads and
 //!   two buffered events per call — fine at refactorization/round cadence,
 //!   too heavy *per pivot*.
-//! - **[`Counter`] / [`Gauge`]** — when you need *how often* (pivots,
-//!   misprices, watchdog trips) or *how big right now* (pool size). One
-//!   relaxed `fetch_add`/`store`; safe in the innermost loops.
+//! - **[`Counter`]** — when you need *how often* (pivots, misprices,
+//!   watchdog trips). One relaxed `fetch_add`; safe in the innermost loops.
 //! - **[`Histogram`]** — when the *distribution* matters, not just the
 //!   total: per-iteration latency (is the tail collapsing?), FTRAN/BTRAN
 //!   result density, colgen round walls. A few relaxed atomics per record
@@ -29,12 +28,12 @@
 //!
 //! Instrumentation is **off by default** and gated on one process-global
 //! switch ([`enable`]/[`disable`]). While disabled, every instrumentation
-//! call — [`span`], [`instant`], [`Counter::add`], [`Gauge::set`] — costs a
-//! single branch on a relaxed atomic load: **no allocation, no clock read,
-//! no thread-local access, no registration**. This is what lets the LP
+//! call — [`span`], [`instant`], [`Counter::add`], [`Histogram::record`] —
+//! costs a single branch on a relaxed atomic load: **no allocation, no clock
+//! read, no thread-local access, no registration**. This is what lets the LP
 //! pivot loop and the LU solve kernels carry spans permanently without
-//! moving the perf-harness medians (the quick-tier baseline gate runs with
-//! instrumentation off and must stay within noise).
+//! moving the benchmark's untraced walls (its traced rep reports the
+//! enabled-mode cost as `obs.overhead_ratio`).
 //!
 //! While enabled, spans record two monotonic timestamps (enter/exit) into a
 //! **thread-local** event buffer — no locks on the hot path, no cross-thread
@@ -70,14 +69,12 @@ use std::time::Instant;
 pub mod chrome;
 mod counters;
 mod histogram;
-pub mod logger;
 pub mod report;
 pub mod summary;
 pub mod watchdog;
 
-pub use counters::{Counter, CounterSnapshot, Gauge, GaugeSnapshot};
+pub use counters::{Counter, CounterSnapshot};
 pub use histogram::{Histogram, HistogramSnapshot, HistogramTimer};
-pub use logger::{log_level, set_log_level, LogLevel};
 pub use report::{ConvergenceRound, SimplexProgress, SolveReport};
 pub use watchdog::{StallWatchdog, WatchdogConfig};
 
@@ -85,7 +82,7 @@ pub use watchdog::{StallWatchdog, WatchdogConfig};
 /// crate-level overhead contract.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Monotonic clock epoch shared by trace events and the logger.
+/// Monotonic clock epoch of every trace-event timestamp.
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 /// Per-thread event-buffer cap; overflow increments the thread's dropped
@@ -102,7 +99,7 @@ static NEXT_ORDINAL: AtomicU64 = AtomicU64::new(0);
 static BUFFERS: Mutex<Vec<Arc<SharedBuf>>> = Mutex::new(Vec::new());
 
 /// Turns instrumentation on. Also pins the clock epoch on first call so all
-/// subsequent timestamps (and logger prefixes) share one time base.
+/// subsequent timestamps share one time base.
 pub fn enable() {
     let _ = EPOCH.get_or_init(Instant::now);
     ENABLED.store(true, Ordering::Relaxed);
@@ -164,15 +161,13 @@ pub struct ThreadTrace {
 }
 
 /// Everything a [`flush`] returns: per-thread event buffers in ordinal
-/// order plus a snapshot of every registered counter and gauge.
+/// order plus a snapshot of every registered counter and histogram.
 #[derive(Clone, Debug)]
 pub struct TraceData {
     /// Sorted by `ordinal`; events within a thread are in recording order.
     pub threads: Vec<ThreadTrace>,
     /// Name-sorted snapshot of all registered counters.
     pub counters: Vec<CounterSnapshot>,
-    /// Name-sorted snapshot of all registered gauges.
-    pub gauges: Vec<GaugeSnapshot>,
     /// Name-sorted snapshot of all registered histograms.
     pub histograms: Vec<HistogramSnapshot>,
     /// Total events dropped across all threads (buffer-cap overflow). Never
@@ -273,7 +268,7 @@ pub fn counter_snapshot() -> Vec<CounterSnapshot> {
 }
 
 /// Drains every thread's event buffer and snapshots every registered
-/// counter/gauge. Buffers come back sorted by thread ordinal (see the
+/// counter and histogram. Buffers come back sorted by thread ordinal (see the
 /// deterministic merge rule in the crate docs). Counter values are
 /// snapshotted, not cleared — use [`reset`] to zero.
 pub fn flush() -> TraceData {
@@ -302,14 +297,13 @@ pub fn flush() -> TraceData {
     TraceData {
         threads,
         counters: counters::snapshot(),
-        gauges: counters::gauge_snapshot(),
         histograms: histogram::snapshot(),
         dropped_events,
     }
 }
 
 /// Clears every thread's buffered events and zeroes every registered
-/// counter and gauge. Call between scoped measurements from the
+/// counter and histogram. Call between scoped measurements from the
 /// coordinating thread while no instrumented workers are recording.
 pub fn reset() {
     if let Ok(mut all) = BUFFERS.lock() {

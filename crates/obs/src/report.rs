@@ -1,8 +1,8 @@
 //! Structured per-solve diagnostics: convergence trajectories, simplex
 //! progress samples, counter/stage snapshots — serialized as one JSON
-//! document per solve. This is the machine-readable artifact the perf
-//! harness writes per production config and the response-metadata format
-//! the planner-as-a-service layer will attach to answers (ROADMAP item 1).
+//! document per solve. This is the machine-readable artifact the
+//! `solve_report` example writes and the response-metadata format a
+//! planner-as-a-service layer would attach to answers.
 //!
 //! The structs here are solver-agnostic (this crate cannot depend on the
 //! solvers); `a2a_mcf::report` adapts `ColGenStats`/`DecomposedTimings`/
@@ -14,7 +14,7 @@
 //! {
 //!   "schema": "a2a.solve_report.v1",
 //!   "solver": "pmcf-colgen",            // which solver produced this
-//!   "workload": "pmcf",                 // harness workload id (or "")
+//!   "workload": "pmcf",                 // caller's workload id (or "")
 //!   "topology": "torus-8x8",
 //!   "config": "stabilized",
 //!   "wall_secs": 1.234,
@@ -42,6 +42,7 @@
 //! Non-finite floats serialize as `null`. Arrays are empty (never absent)
 //! when a section does not apply, so consumers can index unconditionally.
 
+use crate::chrome::escape;
 use crate::summary::Summary;
 use std::io::{self, Write};
 
@@ -110,20 +111,6 @@ pub struct SolveReport {
     pub histograms: Vec<HistogramReport>,
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn num(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
@@ -163,10 +150,16 @@ impl SolveReport {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str("  \"schema\": \"a2a.solve_report.v1\",\n");
-        out.push_str(&format!("  \"solver\": \"{}\",\n", esc(&self.solver)));
-        out.push_str(&format!("  \"workload\": \"{}\",\n", esc(&self.workload)));
-        out.push_str(&format!("  \"topology\": \"{}\",\n", esc(&self.topology)));
-        out.push_str(&format!("  \"config\": \"{}\",\n", esc(&self.config)));
+        out.push_str(&format!("  \"solver\": \"{}\",\n", escape(&self.solver)));
+        out.push_str(&format!(
+            "  \"workload\": \"{}\",\n",
+            escape(&self.workload)
+        ));
+        out.push_str(&format!(
+            "  \"topology\": \"{}\",\n",
+            escape(&self.topology)
+        ));
+        out.push_str(&format!("  \"config\": \"{}\",\n", escape(&self.config)));
         out.push_str(&format!("  \"wall_secs\": {},\n", num(self.wall_secs)));
         out.push_str(&format!("  \"objective\": {},\n", num(self.objective)));
         out.push_str(&format!(
@@ -227,7 +220,7 @@ impl SolveReport {
         let counters: Vec<String> = self
             .counters
             .iter()
-            .map(|(name, v)| format!("    \"{}\": {}", esc(name), v))
+            .map(|(name, v)| format!("    \"{}\": {}", escape(name), v))
             .collect();
         out.push_str(&format!(
             "  \"counters\": {{\n{}\n  }},\n",
@@ -239,7 +232,7 @@ impl SolveReport {
         let stages: Vec<String> = self
             .stage_breakdown
             .iter()
-            .map(|(name, secs)| format!("    \"{}\": {}", esc(name), num(*secs)))
+            .map(|(name, secs)| format!("    \"{}\": {}", escape(name), num(*secs)))
             .collect();
         out.push_str(&format!(
             "  \"stage_breakdown\": {{\n{}\n  }},\n",
@@ -255,7 +248,7 @@ impl SolveReport {
                 format!(
                     "    {{\"name\": \"{}\", \"count\": {}, \"mean\": {}, \"p50\": {}, \
                      \"p90\": {}, \"p99\": {}, \"max\": {}}}",
-                    esc(&h.name),
+                    escape(&h.name),
                     h.count,
                     num(h.mean),
                     h.p50,

@@ -21,14 +21,13 @@ pub struct SummaryNode {
     pub children: Vec<SummaryNode>,
 }
 
-/// Aggregated view of a flush: span tree + counter/gauge snapshots +
+/// Aggregated view of a flush: span tree + counter/histogram snapshots +
 /// well-formedness accounting.
 #[derive(Clone, Debug)]
 pub struct Summary {
     /// Synthetic root (empty name); its children are the top-level spans.
     pub root: SummaryNode,
     pub counters: Vec<(String, u64)>,
-    pub gauges: Vec<(String, i64)>,
     /// Name-sorted histogram snapshots (quantiles computed on demand).
     pub histograms: Vec<HistogramSnapshot>,
     /// Exit events that did not match the innermost open span on their
@@ -140,11 +139,6 @@ pub fn summarize(data: &TraceData) -> Summary {
             .iter()
             .map(|c| (c.name.to_string(), c.value))
             .collect(),
-        gauges: data
-            .gauges
-            .iter()
-            .map(|g| (g.name.to_string(), g.value))
-            .collect(),
         histograms: data.histograms.clone(),
         malformed_exits,
         unclosed_spans,
@@ -189,8 +183,8 @@ impl Summary {
     }
 
     /// Renders the tree (indented, name-sorted) plus nonzero counters and
-    /// gauges — the human-readable breakdown the perf harness attaches to
-    /// regression-gate failures.
+    /// non-empty histograms — the human-readable breakdown `trace_solve`
+    /// prints and the trace tests attach to their failures.
     pub fn render(&self) -> String {
         let mut out = String::new();
         fn walk(node: &SummaryNode, depth: usize, out: &mut String) {
@@ -217,13 +211,6 @@ impl Summary {
         if !counters.is_empty() {
             out.push_str("counters:\n");
             for (name, value) in counters {
-                out.push_str(&format!("  {name:<32} {value}\n"));
-            }
-        }
-        let gauges: Vec<&(String, i64)> = self.gauges.iter().filter(|(_, v)| *v != 0).collect();
-        if !gauges.is_empty() {
-            out.push_str("gauges:\n");
-            for (name, value) in gauges {
                 out.push_str(&format!("  {name:<32} {value}\n"));
             }
         }

@@ -10,9 +10,9 @@
 //! so that interleaved solves (a decomposed master and its children, say)
 //! never pollute each other's rate windows. On a trip the watchdog emits a
 //! structured diagnostic dump — the recent trajectory window plus a
-//! snapshot of every nonzero counter — through the leveled logger at
-//! `warn`, increments the process-wide trip count ([`total_trips`]), and
-//! returns `true` so the caller can surface `watchdog_trips` in its stats.
+//! snapshot of every nonzero counter — on stderr, increments the
+//! process-wide trip count ([`total_trips`]), and returns `true` so the
+//! caller can surface `watchdog_trips` in its stats.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,7 +87,7 @@ pub fn total_trips() -> u64 {
     TOTAL_TRIPS.load(Ordering::Relaxed)
 }
 
-/// Zeroes [`total_trips`] (test/harness hook).
+/// Zeroes [`total_trips`] (test hook).
 pub fn reset_trips() {
     TOTAL_TRIPS.store(0, Ordering::Relaxed);
 }
@@ -279,7 +279,13 @@ impl StallWatchdog {
         self.trips += 1;
         TOTAL_TRIPS.fetch_add(1, Ordering::Relaxed);
         OBS_TRIPS.incr();
-        crate::warn!("watchdog[{}]: {}: {detail}", self.ctx, reason.tag());
+        // Straight to stderr, stamped with the obs clock so the dump lines up
+        // with trace-event timestamps.
+        let secs = crate::now_nanos() as f64 / 1e9;
+        let say = |line: std::fmt::Arguments<'_>| {
+            eprintln!("[{secs:9.3}s  WARN] watchdog[{}]: {line}", self.ctx);
+        };
+        say(format_args!("{}: {detail}", reason.tag()));
         let window: Vec<String> = self
             .samples
             .iter()
@@ -297,18 +303,14 @@ impl StallWatchdog {
                 }
             })
             .collect();
-        crate::warn!(
-            "watchdog[{}]: recent window: {}",
-            self.ctx,
-            window.join(" ")
-        );
+        say(format_args!("recent window: {}", window.join(" ")));
         let counters: Vec<String> = crate::counter_snapshot()
             .into_iter()
             .filter(|c| c.value > 0)
             .map(|c| format!("{}={}", c.name, c.value))
             .collect();
         if !counters.is_empty() {
-            crate::warn!("watchdog[{}]: counters: {}", self.ctx, counters.join(" "));
+            say(format_args!("counters: {}", counters.join(" ")));
         }
     }
 }

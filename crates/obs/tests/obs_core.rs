@@ -3,7 +3,7 @@
 //! no-silent-caps rule. Obs state is process-global, so every test
 //! serializes on one lock and leaves the switch off and buffers empty.
 
-use a2a_obs::{chrome, summary, Counter, Gauge};
+use a2a_obs::{chrome, summary, Counter};
 use std::sync::Mutex;
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
@@ -23,14 +23,12 @@ fn disabled_mode_records_nothing() {
     let _g = locked();
     clean_slate();
     static DISABLED_CTR: Counter = Counter::new("test.disabled_ctr");
-    static DISABLED_GAUGE: Gauge = Gauge::new("test.disabled_gauge");
 
     assert!(!a2a_obs::is_enabled());
     {
         let _s = a2a_obs::span("test.disabled_span");
         a2a_obs::instant("test.disabled_instant");
         DISABLED_CTR.add(7);
-        DISABLED_GAUGE.set(42);
     }
     let data = a2a_obs::flush();
     assert!(
@@ -38,7 +36,6 @@ fn disabled_mode_records_nothing() {
         "disabled spans must record no events"
     );
     assert_eq!(DISABLED_CTR.value(), 0, "disabled counters stay untouched");
-    assert_eq!(DISABLED_GAUGE.value(), 0, "disabled gauges stay untouched");
     assert!(
         !data.counters.iter().any(|c| c.name == "test.disabled_ctr"),
         "disabled counters must not even register"

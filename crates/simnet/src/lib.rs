@@ -177,8 +177,8 @@ pub fn shard_bytes_for_buffer(buffer_bytes: f64, num_nodes: usize) -> f64 {
 /// ([`a2a_mcf::tsmcf::TsMcfSolution::predicted_completion_seconds`] of the *pruned*
 /// solution) when schedules are quantized at 128 chunks per shard. The budget covers
 /// nearest-1/128-shard rounding (measured: within 1% across all evaluated topology
-/// families). Shared by the cross-backend test suite and the perf harness's
-/// quick-tier sim smoke gate so the two contracts cannot drift apart.
+/// families). Shared by the cross-backend test suite and the repo benchmark's
+/// `tsmcf-` workload check so the two contracts cannot drift apart.
 pub const SIM_VS_LP_AGREEMENT_WINDOW: (f64, f64) = (0.98, 1.05);
 
 #[cfg(test)]

@@ -32,7 +32,7 @@
 //!    [`ReplanOptions::max_attempts`] times, each attempt warm-started from
 //!    the previous solve's column pool.
 //!
-//! The bench harness compares the replanned makespan against a *clairvoyant*
+//! The benchmark compares the replanned makespan against a *clairvoyant*
 //! re-solve (full all-to-all on the punctured topology, as if the failure had
 //! been known before the run) and against the nominal no-failure run; the
 //! per-attempt [`ReplanAttempt`] records expose the solve cost side of that

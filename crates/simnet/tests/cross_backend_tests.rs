@@ -114,8 +114,8 @@ fn event_sim_matches_the_lp_predicted_bound() {
         // Chunk quantization rounds each transfer to the nearest 1/128 shard, so the
         // simulated completion tracks the fractional LP bound to that margin on both
         // sides (measured: within 1% across all families once undelivered junk flow
-        // is pruned from the tsMCF vertex). Same window as the perf harness's
-        // quick-tier sim smoke gate.
+        // is pruned from the tsMCF vertex). Same window as the repo benchmark's
+        // `tsmcf-` workload check.
         let (lo, hi) = a2a_simnet::SIM_VS_LP_AGREEMENT_WINDOW;
         assert!(
             ratio >= lo,

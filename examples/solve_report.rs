@@ -10,10 +10,10 @@
 //! trajectory (objective, dual violation, columns added/purged, misprices,
 //! master/pricing walls), nonzero counters, per-stage wall breakdown, and
 //! latency histogram summaries — and writes it to `solve_report.json` (the
-//! same `a2a.solve_report.v1` schema the perf harness emits one file per
-//! production config under `solve_reports/`). A few derived views are
-//! printed: the convergence table, the top stages, and the iteration-time
-//! percentiles, so the walkthrough doubles as a guide to reading the JSON.
+//! `a2a.solve_report.v1` schema documented in `a2a_obs::report`). A few
+//! derived views are printed: the convergence table, the top stages, and the
+//! iteration-time percentiles, so the walkthrough doubles as a guide to
+//! reading the JSON.
 
 use a2a_mcf::pmcf::{solve_path_mcf_colgen_among, ColGenOptions};
 use a2a_mcf::{CommoditySet, Stabilization};

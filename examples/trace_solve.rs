@@ -11,8 +11,9 @@
 //! or <https://ui.perfetto.dev>. The master solve, every per-destination
 //! child, the LU factorizations and the Forrest–Tomlin updates all show up as
 //! nested spans; the simplex iteration counters ride along as counter tracks.
-//! The in-process summary tree — the same aggregation the perf harness embeds
-//! in its `stage_breakdown` columns — is printed to stdout.
+//! The in-process summary tree — the same aggregation a `SolveReport` carries
+//! as its `stage_breakdown` and the repo benchmark reads its per-layer
+//! timings from — is printed to stdout.
 
 use a2a_lp::Pricing;
 use a2a_mcf::decomposed::{solve_decomposed_mcf_with, DecomposedOptions};
