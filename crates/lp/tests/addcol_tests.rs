@@ -479,3 +479,82 @@ fn session_objective_update_validation() {
     assert!((flipped.objective - 0.0).abs() < 1e-9);
     assert!((flipped.x[0] - 0.0).abs() < 1e-9);
 }
+
+/// A seeded packing column: 2–4 positive coefficients on distinct rows, a
+/// negative (maximize-sense) cost, and now and then a finite upper bound so
+/// bound flips occur next to basis changes.
+fn packing_column(rng: &mut ChaCha8Rng, nrows: usize) -> NewColumn {
+    let mut entries: Vec<(usize, f64)> = Vec::new();
+    for _ in 0..rng.random_range(2..5) {
+        let r = rng.random_range(0..nrows);
+        if entries.iter().all(|&(i, _)| i != r) {
+            entries.push((r, rng.random_range(1..5) as f64));
+        }
+    }
+    NewColumn {
+        col: SparseVec::from_entries(entries),
+        obj: -(rng.random_range(1..12) as f64),
+        lower: 0.0,
+        upper: if rng.random_range(0..4) == 0 {
+            rng.random_range(1..4) as f64
+        } else {
+            INF
+        },
+    }
+}
+
+/// Count pin of a column-generation-shaped session at the LP level: a seeded
+/// 120-row packing LP grown from 150 to 600 columns in three appends, each
+/// followed by a `reoptimize` under the default refactorization cadence. The
+/// first round's 77 pivots are all still in the Forrest–Tomlin file when the
+/// first batch lands (no refactorization yet), and the later rounds cross
+/// refactorizations triggered both by the interval and by fill — so the
+/// per-round `(iterations, pivots, refactorizations, objective bits)` move with
+/// any change to which pivots are taken, to their arithmetic, or to how
+/// `add_columns` splices into a live basis.
+#[test]
+fn session_trajectory_across_appends_and_refactorizations_is_pinned() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xADD_901D);
+    let nrows = 120;
+    let mut sf = StandardForm {
+        nrows,
+        cols: Vec::new(),
+        obj: Vec::new(),
+        lower: Vec::new(),
+        upper: Vec::new(),
+        row_lower: vec![-INF; nrows],
+        row_upper: (0..nrows).map(|_| rng.random_range(4..20) as f64).collect(),
+    };
+    for _ in 0..150 {
+        let c = packing_column(&mut rng, nrows);
+        sf.cols.push(c.col);
+        sf.obj.push(c.obj);
+        sf.lower.push(c.lower);
+        sf.upper.push(c.upper);
+    }
+    let mut solver = Solver::new_owned(sf, opts(false, false)).unwrap();
+    let mut rounds = Vec::new();
+    for round in 0..4 {
+        if round > 0 {
+            let batch: Vec<NewColumn> = (0..150).map(|_| packing_column(&mut rng, nrows)).collect();
+            solver.add_columns(&batch).unwrap();
+        }
+        let s = solver.reoptimize().unwrap();
+        rounds.push((
+            s.iterations,
+            s.pivots,
+            s.refactorizations,
+            s.objective.to_bits(),
+        ));
+    }
+    assert_eq!(
+        rounds,
+        [
+            (83, 77, 0, 0xc092_2579_48b0_fcd6),
+            (104, 99, 2, 0xc099_9c9f_0000_0000),
+            (145, 143, 3, 0xc09f_e7b8_ca7a_9a87),
+            (160, 159, 3, 0xc0a3_8f68_b80e_7d3d),
+        ],
+        "session trajectory moved"
+    );
+}

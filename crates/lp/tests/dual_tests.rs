@@ -454,3 +454,42 @@ fn dual_phase_agrees_with_primal_across_the_kernel_switch() {
     );
     assert_primal_feasible(&tightened, &warm.values);
 }
+
+/// Count pin of the dual loop at the LP level: the seeded covering LP of
+/// [`dual_phase_agrees_with_primal_across_the_kernel_switch`] (same seed, same
+/// draws) runs entirely in the dual phase and crosses one refactorization, so
+/// its `(iterations, dual iterations, pivots, refactorizations)` and objective
+/// bits move with any change to which dual pivots are taken, to their
+/// arithmetic, or to the refactorization cadence.
+#[test]
+fn covering_lp_dual_trajectory_is_pinned() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xDE45E_51317);
+    let (nrows, nvars) = (160, 320);
+    let mut covering = LpProblem::minimize();
+    let vars: Vec<_> = (0..nvars)
+        .map(|j| covering.add_var(format!("x{j}"), 0.0, INF, rng.random_range(1..20) as f64))
+        .collect();
+    for i in 0..nrows {
+        let mut coeffs = vec![(vars[i], 1.0 + rng.random_range(0..4) as f64)];
+        for _ in 0..7 {
+            let j = rng.random_range(0..nvars);
+            if coeffs.iter().all(|&(v, _)| v != vars[j]) {
+                coeffs.push((vars[j], 1.0 + rng.random_range(0..4) as f64));
+            }
+        }
+        covering.add_constraint(coeffs, ConstraintSense::Ge, rng.random_range(1..10) as f64);
+    }
+    let dual = covering.solve_with(&opts(DualSimplex::Always)).unwrap();
+    assert_eq!(
+        (
+            dual.iterations,
+            dual.dual_iterations,
+            dual.pivots,
+            dual.refactorizations,
+            dual.objective_value.to_bits()
+        ),
+        (105, 105, 105, 1, 0x407c_7d06_d481_f304),
+        "covering LP: dual trajectory moved (objective now {})",
+        dual.objective_value
+    );
+}

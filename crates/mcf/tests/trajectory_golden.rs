@@ -7,7 +7,9 @@
 //! Any refactor of a colgen path — master construction, pricing-source order,
 //! candidate order, partial-pricing skip rule, extraction — that is supposed
 //! to be behaviour-preserving must leave every number here untouched; a change
-//! that *means* to move the trajectory re-records them and says so.
+//! that *means* to move the trajectory re-records them and says so. The
+//! decomposed rows at the end do the same for the dual-simplex master and the
+//! warm-started child LPs, which no colgen row reaches.
 //!
 //! These counts repeat exactly from run to run and machine to machine, which
 //! makes this file the regression gate on the colgen engines' work: a solve
@@ -323,6 +325,99 @@ fn path_mcf_production_colgen_trajectories_are_pinned() {
             (cg.schedule.flow_value - exact).abs() <= 1e-6 * (1.0 + exact),
             "{tag}: colgen F = {} vs decomposed F = {exact}",
             cg.schedule.flow_value
+        );
+    }
+}
+
+/// One recorded decomposed solve under [`DecomposedOptions::default`]: the
+/// dual-simplex master's `(iterations, dual_iterations, pivots,
+/// refactorizations)`, the per-child iteration and refactorization vectors
+/// (children run the primal phases from a projected crash basis) and
+/// `F.to_bits()`.
+struct DecomposedGolden {
+    name: &'static str,
+    master: (usize, usize, usize, usize),
+    child_iterations: &'static [usize],
+    child_refactorizations: &'static [usize],
+    flow_bits: u64,
+}
+
+/// The dual loop's count pin (the colgen rows above only reach the primal
+/// loop): a change to the LP core that is supposed to leave every pivot where
+/// it is must repeat these numbers, whichever phase the pivot belongs to.
+#[test]
+fn decomposed_trajectories_are_pinned() {
+    let cases: [(Topology, DecomposedGolden); 3] = [
+        (
+            generators::torus(&[4, 4]),
+            DecomposedGolden {
+                name: "torus-4x4",
+                master: (637, 637, 637, 6),
+                child_iterations: &[
+                    32, 27, 25, 29, 32, 20, 20, 36, 28, 17, 35, 20, 23, 21, 28, 21,
+                ],
+                child_refactorizations: &[0; 16],
+                flow_bits: 0x3fc0_0000_0000_0000,
+            },
+        ),
+        (
+            generators::torus(&[5, 5]),
+            DecomposedGolden {
+                name: "torus-5x5",
+                master: (1429, 1429, 1429, 14),
+                child_iterations: &[
+                    36, 36, 39, 41, 41, 47, 44, 36, 36, 41, 36, 36, 56, 36, 36, 36, 42, 43, 36, 42,
+                    36, 41, 40, 36, 42,
+                ],
+                child_refactorizations: &[0; 25],
+                flow_bits: 0x3fb1_1111_1111_1111,
+            },
+        ),
+        (
+            generators::generalized_kautz(16, 4),
+            DecomposedGolden {
+                name: "genkautz-16",
+                master: (553, 553, 553, 5),
+                child_iterations: &[
+                    34, 20, 18, 18, 14, 22, 16, 29, 20, 13, 36, 22, 13, 41, 25, 30,
+                ],
+                child_refactorizations: &[0; 16],
+                flow_bits: 0x3fc0_e7d9_5bc6_09aa,
+            },
+        ),
+    ];
+    for (topo, golden) in &cases {
+        let name = golden.name;
+        let solved = solve_decomposed_mcf_with(
+            topo,
+            CommoditySet::all_pairs(topo.num_nodes()),
+            &DecomposedOptions::default(),
+        )
+        .unwrap_or_else(|e| panic!("{name}: decomposed solve failed: {e}"));
+        let t = &solved.timings;
+        assert_eq!(
+            (
+                t.master_iterations,
+                t.master_dual_iterations,
+                t.master_pivots,
+                t.master_refactorizations
+            ),
+            golden.master,
+            "{name}: master (iterations, dual iterations, pivots, refactorizations) moved"
+        );
+        assert_eq!(
+            t.child_iterations, golden.child_iterations,
+            "{name}: child iterations moved"
+        );
+        assert_eq!(
+            t.child_refactorizations, golden.child_refactorizations,
+            "{name}: child refactorizations moved"
+        );
+        assert_eq!(
+            solved.solution.flow_value.to_bits(),
+            golden.flow_bits,
+            "{name}: F moved (now {})",
+            solved.solution.flow_value
         );
     }
 }
