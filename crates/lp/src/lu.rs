@@ -32,6 +32,32 @@
 //! density ([`IN_ORDER_DENSITY`]); the dual simplex asks for it, the primal
 //! call sites ask for [`Kernel::Reach`] (see [`Kernel`] for why).
 //!
+//! The primal colgen masters are not hypersparse either — on the genkautz path
+//! masters (~1.8k rows) the FTRANed entering column's reach marks all but a
+//! handful of rows — and there the symbolic pass is over half of the solve:
+//! timers around it on `pmcf-genkautz` put it at 2.82 s of the 5.20 s the
+//! 80,000 FTRANs and BTRANs of two reps took (54 %), ~1,500 DFS nodes a solve.
+//! Those call sites keep paying for it because the in-order sweep sums in a
+//! different order and the primal pivot sequence is pinned bit for bit
+//! ([`Kernel`]); what they no longer pay is the overhead around the same
+//! operations. The DFS keeps its current frame in locals and gives childless
+//! nodes no frame at all (same order; 1.98 s on the same run), and once it
+//! has marked the whole reach the numeric pass writes the raw value slice
+//! instead of testing a mark per update (same arithmetic) — together 5.20 →
+//! 3.80 s for those 80,000 solves.
+//!
+//! # Finding the pivot
+//!
+//! [`LuFactorization::factorize`] peels singleton rows and columns off
+//! worklists and falls back to a Markowitz search among the four active
+//! columns with the fewest active rows. On the near-triangular decomposed
+//! masters the fallback is rare; on the genkautz path masters, whose bump is
+//! most of the basis, 61 % of all elimination steps take it. Those four
+//! columns come out of count-bucketed bitsets (`CountBuckets`) in the same
+//! `(count, index)` order a scan over every active column would produce, at
+//! the cost of one bit move per count change instead of an O(active columns)
+//! pass per step.
+//!
 //! # Forrest–Tomlin basis updates
 //!
 //! A simplex pivot replaces one basis column. Instead of appending a product-form
@@ -49,6 +75,9 @@
 //! standard FT stability trigger — and callers should also refactorize once
 //! [`LuFactorization::updates`] or [`LuFactorization::fill_exceeded`] report that
 //! the accumulated row-eta file or fill outgrew the base factorization.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::error::{LpError, LpResult};
 use crate::sparse::SparseScratch;
@@ -210,12 +239,19 @@ pub struct LuScratch {
     visited: Vec<bool>,
     /// Reverse-postorder (= topological order) of the reach set of the current phase.
     order: Vec<usize>,
-    /// Explicit DFS stack of `(node, next_child_index)` frames.
+    /// Explicit DFS stack: `(node, next_child_index)` frames of the ancestors
+    /// of the node being expanded (whose own frame lives in locals).
     stack: Vec<(usize, usize)>,
     /// Staging buffer for sparse permutations.
     pairs: Vec<(usize, f64)>,
     /// Row-spike accumulator for Forrest–Tomlin eliminations.
     row_acc: SparseScratch,
+    /// Forrest–Tomlin elimination queue: `(order rank, step)` of the row-spike
+    /// entries still to eliminate. Empty between updates.
+    ft_heap: BinaryHeap<Reverse<(usize, usize)>>,
+    /// Multipliers of the row eta under construction; copied out at its exact
+    /// size when the update commits.
+    ft_entries: Vec<(usize, f64)>,
     /// Permuted work vector of the dense [`LuFactorization::solve`] /
     /// [`LuFactorization::solve_transpose`].
     dense: Vec<f64>,
@@ -224,6 +260,11 @@ pub struct LuScratch {
     density: [f64; 4],
     /// Stages run by the in-order and by the reach kernel since construction.
     kernel_runs: [u64; 2],
+    /// Differential tests only: run the reach kernel as it was before its DFS
+    /// and its numeric pass were trimmed (`tests::symbolic_reach_reference`, then the
+    /// mark-testing sweep body over the reach order).
+    #[cfg(test)]
+    reference_reach: bool,
 }
 
 impl LuScratch {
@@ -235,9 +276,13 @@ impl LuScratch {
             stack: Vec::with_capacity(64),
             pairs: Vec::with_capacity(64),
             row_acc: SparseScratch::new(n),
+            ft_heap: BinaryHeap::new(),
+            ft_entries: Vec::new(),
             dense: Vec::new(),
             density: [0.0; 4],
             kernel_runs: [0; 2],
+            #[cfg(test)]
+            reference_reach: false,
         }
     }
 
@@ -278,6 +323,11 @@ impl LuScratch {
         } else {
             OBS_SOLVE_REACH.incr();
             self.kernel_runs[1] += 1;
+            #[cfg(test)]
+            if self.reference_reach {
+                tests::symbolic_reach_reference(adj, b, self);
+                return false;
+            }
             symbolic_reach(adj, b, self);
         }
         in_order
@@ -295,52 +345,297 @@ impl LuScratch {
 /// reachable from `b`'s pattern along `adj` edges, leaving it in `scratch.order`
 /// (reverse postorder, i.e. process front-to-back). Marks the discovered fill
 /// positions in `b` so its pattern covers the numeric result.
+///
+/// The frame being expanded (node, adjacency slice, child cursor) lives in
+/// locals; the explicit stack is touched only to descend into a node that has
+/// children of its own and to return from one, and a childless node is emitted
+/// on discovery without ever getting a frame. Against the traversal that kept
+/// every frame on the stack and re-read it at each step
+/// (`symbolic_reach_reference` in the tests; same order), the `lu_reach` group
+/// of `crates/bench/benches/lu_solve_density.rs` — both symbolic passes of one
+/// FTRAN over a 4,096-row path basis with nothing to do numerically, µs per
+/// solve, median (range) of three runs — and the pass itself inside a
+/// `pmcf-genkautz` run (timers on a scratch copy, 80,000 solves of ~1,500
+/// nodes; a real factor has the childless nodes a path has not):
+///
+/// | result pattern | every frame on the stack | frame in locals |
+/// |---|---|---|
+/// | 1 % | 0.74 (0.71 – 0.79) | 0.68 (0.66 – 0.85) |
+/// | 10 % | 8.5 (7.8 – 8.7) | 7.2 (6.9 – 7.8) |
+/// | 50 % | 46.9 (44.4 – 48.4) | 39.7 (38.8 – 40.4) |
+/// | 100 % | 102 (94 – 102) | 82 (82 – 83) |
+/// | `pmcf-genkautz`, all symbolic passes of two reps | 2.82 s | 1.98 s |
 fn symbolic_reach(adj: &[Vec<(usize, f64)>], b: &mut SparseScratch, scratch: &mut LuScratch) {
-    scratch.order.clear();
-    // Iterate over a snapshot of the seed pattern; fill discovered below is appended
-    // to `b.pattern` but never needs re-seeding (DFS already visits it).
-    for seed_idx in 0..b.pattern().len() {
-        let seed = b.pattern()[seed_idx];
-        if scratch.visited[seed] {
+    let LuScratch {
+        visited,
+        order,
+        stack,
+        ..
+    } = scratch;
+    order.clear();
+    // The seeds are `b`'s pattern as it stands; the fill discovered below joins
+    // the pattern only once the traversal is over.
+    for &seed in b.pattern() {
+        if visited[seed] {
             continue;
         }
-        scratch.visited[seed] = true;
-        scratch.stack.push((seed, 0));
-        while let Some(&mut (node, ref mut child)) = scratch.stack.last_mut() {
-            if let Some(&(next, _)) = adj[node].get(*child) {
-                *child += 1;
-                if !scratch.visited[next] {
-                    scratch.visited[next] = true;
-                    scratch.stack.push((next, 0));
+        visited[seed] = true;
+        let (mut node, mut edges, mut child) = (seed, adj[seed].as_slice(), 0);
+        loop {
+            if let Some(&(next, _)) = edges.get(child) {
+                child += 1;
+                if !visited[next] {
+                    visited[next] = true;
+                    let next_edges = adj[next].as_slice();
+                    if next_edges.is_empty() {
+                        order.push(next);
+                    } else {
+                        stack.push((node, child));
+                        (node, edges, child) = (next, next_edges, 0);
+                    }
                 }
             } else {
-                scratch.stack.pop();
-                scratch.order.push(node);
+                order.push(node);
+                let Some((parent, cursor)) = stack.pop() else {
+                    break;
+                };
+                (node, edges, child) = (parent, adj[parent].as_slice(), cursor);
             }
         }
     }
-    scratch.order.reverse();
-    for &i in &scratch.order {
-        scratch.visited[i] = false;
+    order.reverse();
+    for &i in order.iter() {
+        visited[i] = false;
         b.mark(i);
     }
 }
 
-/// Runs `body` over one stage's processing order: the stored triangular order
-/// `full` when the stage runs in order, the symbolic reach order otherwise. The
-/// bodies skip unmarked positions — a no-op on a reach order (the symbolic pass
-/// marked all of it), the exact-zero skip of the in-order sweep.
-fn sweep(
-    in_order: bool,
-    full: impl Iterator<Item = usize>,
+/// Numeric pass of one triangular stage over `adj` (columns of `L` / `U` for
+/// FTRAN, rows for BTRAN, all in push form): every processed position `k` is
+/// divided by `diag[k]` unless the triangle has a `UNIT` diagonal, and its value
+/// is pushed along `adj[k]`.
+///
+/// `in_order` carries the stored triangular order when the stage sweeps it;
+/// the sweep skips positions nothing has written to and marks the ones it
+/// writes. Otherwise the stage follows `reach`, the order the symbolic pass
+/// left — which has marked every position the stage can touch, so this variant
+/// works on the raw value slice with no mark tests at all
+/// ([`SparseScratch::values_mut`]). Both perform the same floating-point
+/// operations on the positions they share, in the order they are given.
+fn solve_stage<const UNIT: bool>(
+    adj: &[Vec<(usize, f64)>],
+    diag: &[f64],
+    in_order: Option<impl Iterator<Item = usize>>,
     reach: &[usize],
-    mut body: impl FnMut(usize),
+    b: &mut SparseScratch,
 ) {
-    if in_order {
-        full.for_each(&mut body);
+    if let Some(full) = in_order {
+        for k in full {
+            if !b.is_marked(k) {
+                continue;
+            }
+            let mut xk = b.get(k);
+            if !UNIT {
+                xk /= diag[k];
+                b.set(k, xk);
+            }
+            if xk == 0.0 {
+                continue;
+            }
+            for &(pos, v) in &adj[k] {
+                b.add(pos, -v * xk);
+            }
+        }
     } else {
-        reach.iter().copied().for_each(&mut body);
+        let values = b.values_mut();
+        for &k in reach {
+            let mut xk = values[k];
+            if !UNIT {
+                xk /= diag[k];
+                values[k] = xk;
+            }
+            if xk == 0.0 {
+                continue;
+            }
+            for &(pos, v) in &adj[k] {
+                values[pos] += -v * xk;
+            }
+        }
     }
+}
+
+/// How many smallest-count columns the Markowitz pivot search examines per step.
+const SEARCH_COLS: usize = 4;
+
+/// The column side of the Markowitz search in [`LuFactorization::factorize`]:
+/// the exact active-row count of every active column, and the lookup of the
+/// active columns that come first in `(count, index)` order.
+trait ColumnSearch {
+    /// Every column active, with the given active-row counts.
+    fn new(count: Vec<usize>) -> Self;
+
+    /// Active-row count of column `c` (zero once it is deactivated).
+    fn count(&self, c: usize) -> usize;
+
+    /// Records a new active-row count for the active column `c`.
+    fn set_count(&mut self, c: usize, count: usize);
+
+    /// Takes the pivoted column `c` out of the search for good.
+    fn deactivate(&mut self, c: usize);
+
+    /// Writes the up to [`SEARCH_COLS`] active columns smallest in
+    /// `(count, index)` order to the front of `cand`, in that order, and
+    /// returns how many there are.
+    fn candidates(&mut self, cand: &mut [usize; SEARCH_COLS]) -> usize;
+
+    /// One active row fewer in column `c`; returns the new count.
+    fn decrement(&mut self, c: usize) -> usize {
+        let count = self.count(c) - 1;
+        self.set_count(c, count);
+        count
+    }
+
+    /// One active row more in column `c`.
+    fn increment(&mut self, c: usize) {
+        self.set_count(c, self.count(c) + 1);
+    }
+}
+
+/// Active-row counts from which columns share the overflow bucket of
+/// [`CountBuckets`]. Correctness does not depend on it (the overflow bucket is
+/// searched exactly); it only has to sit above the counts the search actually
+/// picks. Measured at candidate time on the four solve workloads of the repo
+/// benchmark, the largest count of a *selected* column was 19 on
+/// `pmcf-genkautz`, 22 on `extp-torus8x8` and 33 on `tsmcf-torus3x3x3` /
+/// `replan-torus3x3x3` (the largest count of any active column: 2,029, 3,881
+/// and 174 — the `F` column and the capacity rows' heavy hitters, which a
+/// smallest-count search never reaches). At 32 the overflow bucket was
+/// consulted by 0 of 440,000, 0 of 360,000, 24 of 80,000 and 48 of 220,000
+/// lookups; at 16 by up to 3 %.
+const BUCKET_CAP: usize = 32;
+
+/// [`ColumnSearch`] by count-bucketed bitsets: one `n`-bit set per active-row
+/// count below [`BUCKET_CAP`], and one overflow set for every count from the cap
+/// up. Reading the sets out in bucket order, lowest bit first, yields the
+/// active columns in `(count, index)` order — exactly below the cap; the few
+/// slots still empty after that are filled from the overflow set by comparing
+/// its members' exact counts, so the answer never depends on where the cap is.
+/// A count change moves one bit; a lookup touches `n / 64` words per non-empty
+/// bucket instead of every active column.
+///
+/// Against the scan it replaced (compact the active-column list, insertion-scan
+/// all of it — `ActiveScan` in the tests), same pivots, same factors:
+///
+/// | | scan | buckets |
+/// |---|---|---|
+/// | `lu_factor/bump60%` of `crates/bench/benches/lu_solve_density.rs` (2,048 rows, banded 1,229-row bump, per factorization; three runs each) | 3.59 ms (3.56 – 4.45) | 2.00 ms (1.87 – 2.14) |
+/// | `lp.lu_factor_s` of a traced `pmcf-genkautz` run (203 refactorizations per rep; two runs each) | 0.84, 0.87 s | 0.39, 0.34 s |
+struct CountBuckets {
+    /// Exact active-row count per column.
+    count: Vec<usize>,
+    /// `u64` words per bucket.
+    words: usize,
+    /// Bucket-major membership: bit `c` of bucket `k` is set iff column `c` is
+    /// active and `min(count[c], BUCKET_CAP) == k`.
+    bits: Vec<u64>,
+    /// Columns per bucket, so a lookup skips the empty ones.
+    members: [usize; BUCKET_CAP + 1],
+}
+
+impl CountBuckets {
+    fn flip(&mut self, bucket: usize, c: usize) {
+        self.bits[bucket * self.words + c / 64] ^= 1 << (c % 64);
+    }
+
+    /// Members of `bucket` in increasing index order.
+    fn iter(&self, bucket: usize) -> impl Iterator<Item = usize> + '_ {
+        let words = &self.bits[bucket * self.words..(bucket + 1) * self.words];
+        words.iter().enumerate().flat_map(|(w, &word)| {
+            std::iter::successors((word != 0).then_some(word), |&rest| {
+                let rest = rest & (rest - 1);
+                (rest != 0).then_some(rest)
+            })
+            .map(move |rest| w * 64 + rest.trailing_zeros() as usize)
+        })
+    }
+}
+
+impl ColumnSearch for CountBuckets {
+    fn new(count: Vec<usize>) -> Self {
+        let words = count.len().div_ceil(64);
+        let mut buckets = Self {
+            words,
+            bits: vec![0; (BUCKET_CAP + 1) * words],
+            members: [0; BUCKET_CAP + 1],
+            count,
+        };
+        for c in 0..buckets.count.len() {
+            let bucket = buckets.count[c].min(BUCKET_CAP);
+            buckets.flip(bucket, c);
+            buckets.members[bucket] += 1;
+        }
+        buckets
+    }
+
+    fn count(&self, c: usize) -> usize {
+        self.count[c]
+    }
+
+    fn set_count(&mut self, c: usize, count: usize) {
+        let (from, to) = (self.count[c].min(BUCKET_CAP), count.min(BUCKET_CAP));
+        self.count[c] = count;
+        if from != to {
+            self.flip(from, c);
+            self.flip(to, c);
+            self.members[from] -= 1;
+            self.members[to] += 1;
+        }
+    }
+
+    fn deactivate(&mut self, c: usize) {
+        let bucket = self.count[c].min(BUCKET_CAP);
+        self.flip(bucket, c);
+        self.members[bucket] -= 1;
+        self.count[c] = 0;
+    }
+
+    fn candidates(&mut self, cand: &mut [usize; SEARCH_COLS]) -> usize {
+        let mut len = 0;
+        for bucket in (0..BUCKET_CAP).filter(|&k| self.members[k] > 0) {
+            for c in self.iter(bucket) {
+                cand[len] = c;
+                len += 1;
+                if len == SEARCH_COLS {
+                    return len;
+                }
+            }
+        }
+        if self.members[BUCKET_CAP] > 0 {
+            for c in self.iter(BUCKET_CAP) {
+                insert_candidate(&self.count, cand, &mut len, c);
+            }
+        }
+        len
+    }
+}
+
+/// One step of the insertion scan that keeps `cand[..len]` the smallest columns
+/// in `(count, index)` order among those offered so far, given that columns are
+/// offered in increasing index order: `c` takes its place after every
+/// candidate whose count does not exceed its own.
+fn insert_candidate(count: &[usize], cand: &mut [usize; SEARCH_COLS], len: &mut usize, c: usize) {
+    let cc = count[c];
+    let mut k = (*len).min(SEARCH_COLS - 1);
+    if *len < SEARCH_COLS {
+        *len += 1;
+    } else if count[cand[SEARCH_COLS - 1]] <= cc {
+        return;
+    }
+    while k > 0 && count[cand[k - 1]] > cc {
+        cand[k] = cand[k - 1];
+        k -= 1;
+    }
+    cand[k] = c;
 }
 
 impl LuFactorization {
@@ -351,6 +646,16 @@ impl LuFactorization {
     /// Returns an error if the matrix is (numerically) singular.
     pub fn factorize<C>(n: usize, columns: impl IntoIterator<Item = C>) -> LpResult<Self>
     where
+        C: IntoIterator<Item = (usize, f64)>,
+    {
+        Self::factorize_with::<CountBuckets, C>(n, columns)
+    }
+
+    /// [`Self::factorize`] over a chosen candidate search (the tests run the
+    /// scan that [`CountBuckets`] replaced through the same elimination).
+    fn factorize_with<S, C>(n: usize, columns: impl IntoIterator<Item = C>) -> LpResult<Self>
+    where
+        S: ColumnSearch,
         C: IntoIterator<Item = (usize, f64)>,
     {
         let _obs = a2a_obs::span("lp.lu.factor");
@@ -364,7 +669,7 @@ impl LuFactorization {
         //
         // The active submatrix is stored row-major; `col_rows` is a lazily
         // maintained column index (stale ids are re-validated on use) and
-        // `col_count` tracks the exact number of active rows per column.
+        // `search` tracks the exact number of active rows per column.
         let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
         let mut ncols = 0;
         for col in columns {
@@ -385,7 +690,6 @@ impl LuFactorization {
             }
         }
         let mut row_active = vec![true; n];
-        let mut col_active = vec![true; n];
 
         let mut l_cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
         let mut u_diag = vec![0.0; n];
@@ -402,8 +706,6 @@ impl LuFactorization {
         let mut row_mark = vec![0u32; n];
         let mut stamp = 0u32;
 
-        /// How many smallest-count columns the pivot search examines per step.
-        const SEARCH_COLS: usize = 4;
         /// Relative magnitude threshold for pivot eligibility.
         const THRESHOLD: f64 = 0.05;
 
@@ -412,15 +714,19 @@ impl LuFactorization {
         // scan) makes the common path O(nnz). Entries are validated on pop.
         let mut sing_cols: Vec<usize> = (0..n).filter(|&c| col_count[c] == 1).collect();
         let mut sing_rows: Vec<usize> = (0..n).filter(|&r| rows[r].len() == 1).collect();
-        // Active-column list for the Markowitz fallback scan (compacted lazily).
-        let mut active_cols: Vec<usize> = (0..n).collect();
+        // Smallest-count lookup for the Markowitz fallback; every count change
+        // below goes through it. All columns start active.
+        let mut search = S::new(col_count);
+        // Per-candidate and per-eliminated-row staging, reused across steps.
+        let mut valid: Vec<(usize, f64)> = Vec::new();
+        let mut fills: Vec<usize> = Vec::new();
 
         for step in 0..n {
             // --- Fast path: a singleton column (its single active row) or a
             // singleton row (its single active column).
             let mut pivot: Option<(usize, usize, f64)> = None; // (row, col, val)
             while let Some(c) = sing_cols.pop() {
-                if !col_active[c] || col_count[c] != 1 {
+                if search.count(c) != 1 {
                     continue;
                 }
                 let found = col_rows[c].iter().copied().find_map(|i| {
@@ -468,23 +774,8 @@ impl LuFactorization {
 
             // --- Markowitz fallback: score a few smallest-count active columns.
             if pivot.is_none() {
-                active_cols.retain(|&c| col_active[c]);
-                let mut cand: [usize; SEARCH_COLS] = [usize::MAX; SEARCH_COLS];
-                let mut cand_len = 0usize;
-                for &c in &active_cols {
-                    let cc = col_count[c];
-                    let mut k = cand_len.min(SEARCH_COLS - 1);
-                    if cand_len < SEARCH_COLS {
-                        cand_len += 1;
-                    } else if col_count[cand[SEARCH_COLS - 1]] <= cc {
-                        continue;
-                    }
-                    while k > 0 && col_count[cand[k - 1]] > cc {
-                        cand[k] = cand[k - 1];
-                        k -= 1;
-                    }
-                    cand[k] = c;
-                }
+                let mut cand = [usize::MAX; SEARCH_COLS];
+                let cand_len = search.candidates(&mut cand);
                 if cand_len == 0 {
                     return Err(LpError::Numerical(format!(
                         "singular basis: no active column left at step {step}"
@@ -494,26 +785,28 @@ impl LuFactorization {
                 for &c in cand.iter().take(cand_len) {
                     // Validate and compact this column's row index while scanning.
                     stamp += 1;
-                    let mut valid = Vec::with_capacity(col_count[c]);
+                    valid.clear();
                     let mut colmax = 0.0f64;
-                    let ids = std::mem::take(&mut col_rows[c]);
-                    for i in ids {
+                    let mut ids = std::mem::take(&mut col_rows[c]);
+                    ids.retain(|&i| {
                         if !row_active[i] || row_mark[i] == stamp {
-                            continue;
+                            return false;
                         }
                         row_mark[i] = stamp;
-                        if let Some(&(_, v)) = rows[i].iter().find(|&&(cc, _)| cc == c) {
-                            colmax = colmax.max(v.abs());
-                            valid.push((i, v));
-                        }
-                    }
-                    col_rows[c] = valid.iter().map(|&(i, _)| i).collect();
-                    col_count[c] = col_rows[c].len();
+                        let Some(&(_, v)) = rows[i].iter().find(|&&(cc, _)| cc == c) else {
+                            return false;
+                        };
+                        colmax = colmax.max(v.abs());
+                        valid.push((i, v));
+                        true
+                    });
+                    col_rows[c] = ids;
+                    search.set_count(c, valid.len());
                     for &(i, v) in &valid {
                         if v.abs() < PIVOT_TOL || v.abs() < THRESHOLD * colmax {
                             continue;
                         }
-                        let score = (rows[i].len() - 1) * (col_count[c] - 1);
+                        let score = (rows[i].len() - 1) * (valid.len() - 1);
                         let better = match best {
                             None => true,
                             Some((s, a, ..)) => score < s || (score == s && v.abs() > a),
@@ -541,7 +834,7 @@ impl LuFactorization {
             col_pos[pcol] = step;
             u_diag[step] = piv_val;
             row_active[prow_id] = false;
-            col_active[pcol] = false;
+            search.deactivate(pcol);
 
             // Detach the pivot row; its remaining entries form row `step` of U, and
             // each of their columns loses this row from the active submatrix.
@@ -552,8 +845,7 @@ impl LuFactorization {
                 .expect("pivot entry in pivot row");
             prow.swap_remove(pidx);
             for &(c2, _) in &prow {
-                col_count[c2] -= 1;
-                if col_count[c2] == 1 {
+                if search.decrement(c2) == 1 {
                     sing_cols.push(c2);
                 }
             }
@@ -580,13 +872,13 @@ impl LuFactorization {
                 if prow.is_empty() {
                     continue;
                 }
-                // rows[i] -= l * prow, via dense scatter/gather.
-                let old = std::mem::take(&mut rows[i]);
-                for &(c2, v) in &old {
+                // rows[i] -= l * prow, via dense scatter/gather; the row is
+                // rewritten in place, surviving entries first, then the fill.
+                for &(c2, v) in &rows[i] {
                     work[c2] = v;
                     in_row[c2] = true;
                 }
-                let mut fills: Vec<usize> = Vec::new();
+                fills.clear();
                 for &(c2, v) in &prow {
                     if in_row[c2] {
                         work[c2] -= l * v;
@@ -596,36 +888,30 @@ impl LuFactorization {
                         fills.push(c2);
                     }
                 }
-                let mut newrow = Vec::with_capacity(old.len() + fills.len());
-                for &(c2, _) in &old {
-                    let v = work[c2];
-                    if v != 0.0 {
-                        newrow.push((c2, v));
-                    } else {
-                        col_count[c2] -= 1; // exact cancellation
-                        if col_count[c2] == 1 {
-                            sing_cols.push(c2);
-                        }
-                    }
+                rows[i].retain_mut(|(c2, v)| {
+                    let c2 = *c2;
+                    *v = work[c2];
                     in_row[c2] = false;
                     work[c2] = 0.0;
-                }
+                    if *v == 0.0 && search.decrement(c2) == 1 {
+                        sing_cols.push(c2); // exact cancellation
+                    }
+                    *v != 0.0
+                });
                 for &c2 in &fills {
                     let v = work[c2];
                     if v != 0.0 {
-                        newrow.push((c2, v));
-                        col_count[c2] += 1;
+                        rows[i].push((c2, v));
+                        search.increment(c2);
                         col_rows[c2].push(i);
                     }
                     in_row[c2] = false;
                     work[c2] = 0.0;
                 }
-                if newrow.len() == 1 {
+                if rows[i].len() == 1 {
                     sing_rows.push(i);
                 }
-                rows[i] = newrow;
             }
-            col_count[pcol] = 0;
             l_cols[step] = lcol;
             u_pivot_rows.push(prow);
         }
@@ -783,6 +1069,59 @@ impl LuFactorization {
         }
     }
 
+    /// Runs one triangular stage of a sparse solve on `b` (step space): picks
+    /// the kernel, orders the stage accordingly and makes the numeric pass.
+    fn run_stage(
+        &self,
+        kernel: Kernel,
+        stage: Stage,
+        b: &mut SparseScratch,
+        scratch: &mut LuScratch,
+    ) {
+        let adj = match stage {
+            Stage::FtranLower => &self.l_cols,
+            Stage::FtranUpper => &self.u_cols,
+            Stage::BtranUpper => &self.u_rows,
+            Stage::BtranLower => &self.l_rows,
+        };
+        let in_order = scratch.begin_stage(kernel, stage, adj, b);
+        let (diag, reach) = (self.u_diag.as_slice(), scratch.order.as_slice());
+        #[cfg(test)]
+        if scratch.reference_reach && !in_order {
+            let marked = Some(reach.iter().copied());
+            match stage {
+                Stage::FtranLower | Stage::BtranLower => {
+                    solve_stage::<true>(adj, diag, marked, &[], b)
+                }
+                Stage::FtranUpper | Stage::BtranUpper => {
+                    solve_stage::<false>(adj, diag, marked, &[], b)
+                }
+            }
+            scratch.end_stage(stage, b);
+            return;
+        }
+        // Edges of `U`'s columns point to earlier-ordered positions and those of
+        // its rows to later ones, in the triangular order the Forrest–Tomlin
+        // updates permute; `L` stays in step order.
+        match stage {
+            Stage::FtranLower => {
+                solve_stage::<true>(adj, diag, in_order.then_some(0..self.n), reach, b)
+            }
+            Stage::FtranUpper => {
+                let full = in_order.then(|| self.order.iter().rev().copied());
+                solve_stage::<false>(adj, diag, full, reach, b)
+            }
+            Stage::BtranUpper => {
+                let full = in_order.then(|| self.order.iter().copied());
+                solve_stage::<false>(adj, diag, full, reach, b)
+            }
+            Stage::BtranLower => {
+                solve_stage::<true>(adj, diag, in_order.then_some((0..self.n).rev()), reach, b)
+            }
+        }
+        scratch.end_stage(stage, b);
+    }
+
     /// Sparse FTRAN: solves `B x = b` where `b` arrives as a sparse vector in
     /// *original-row* space; on return the scratch holds `x` in column/position
     /// space. `kernel` picks how each triangular stage is ordered (module docs,
@@ -830,20 +1169,7 @@ impl LuFactorization {
             b.set(self.row_pos[r], v);
         }
         // Forward solve L y = P b, column oriented.
-        let in_order = scratch.begin_stage(kernel, Stage::FtranLower, &self.l_cols, b);
-        sweep(in_order, 0..self.n, &scratch.order, |k| {
-            if !b.is_marked(k) {
-                return;
-            }
-            let yk = b.get(k);
-            if yk == 0.0 {
-                return;
-            }
-            for &(pos, lv) in &self.l_cols[k] {
-                b.add(pos, -lv * yk);
-            }
-        });
-        scratch.end_stage(Stage::FtranLower, b);
+        self.run_stage(kernel, Stage::FtranLower, b, scratch);
         // Forrest–Tomlin row transformations, in creation order: each gathers the
         // eta support and updates the single spiked position.
         for eta in &self.ft_etas {
@@ -862,28 +1188,8 @@ impl LuFactorization {
 
     /// Upper-triangular + column-permutation half of the sparse FTRAN.
     fn ftran_upper(&self, kernel: Kernel, b: &mut SparseScratch, scratch: &mut LuScratch) {
-        // Back solve U x = y (edges point to earlier-ordered positions; either
-        // order handles the Forrest–Tomlin update permutation).
-        let in_order = scratch.begin_stage(kernel, Stage::FtranUpper, &self.u_cols, b);
-        sweep(
-            in_order,
-            self.order.iter().rev().copied(),
-            &scratch.order,
-            |k| {
-                if !b.is_marked(k) {
-                    return;
-                }
-                let xk = b.get(k) / self.u_diag[k];
-                b.set(k, xk);
-                if xk == 0.0 {
-                    return;
-                }
-                for &(pos, uv) in &self.u_cols[k] {
-                    b.add(pos, -uv * xk);
-                }
-            },
-        );
-        scratch.end_stage(Stage::FtranUpper, b);
+        // Back solve U x = y.
+        self.run_stage(kernel, Stage::FtranUpper, b, scratch);
         // Scatter the result back through the column permutation.
         b.drain_into(&mut scratch.pairs);
         for i in 0..scratch.pairs.len() {
@@ -905,21 +1211,7 @@ impl LuFactorization {
             b.set(self.col_pos[j], v);
         }
         // Solve Uᵀ t = b in push form: nonzeros propagate along rows of U.
-        let in_order = scratch.begin_stage(kernel, Stage::BtranUpper, &self.u_rows, b);
-        sweep(in_order, self.order.iter().copied(), &scratch.order, |k| {
-            if !b.is_marked(k) {
-                return;
-            }
-            let tk = b.get(k) / self.u_diag[k];
-            b.set(k, tk);
-            if tk == 0.0 {
-                return;
-            }
-            for &(col, uv) in &self.u_rows[k] {
-                b.add(col, -uv * tk);
-            }
-        });
-        scratch.end_stage(Stage::BtranUpper, b);
+        self.run_stage(kernel, Stage::BtranUpper, b, scratch);
         // Transposed Forrest–Tomlin row transformations, in reverse creation order:
         // each scatters the spiked position's value into the eta support.
         for eta in self.ft_etas.iter().rev() {
@@ -935,20 +1227,7 @@ impl LuFactorization {
             }
         }
         // Solve Lᵀ w = t in push form (unit diagonal): propagate along rows of L.
-        let in_order = scratch.begin_stage(kernel, Stage::BtranLower, &self.l_rows, b);
-        sweep(in_order, (0..self.n).rev(), &scratch.order, |k| {
-            if !b.is_marked(k) {
-                return;
-            }
-            let wk = b.get(k);
-            if wk == 0.0 {
-                return;
-            }
-            for &(col, lv) in &self.l_rows[k] {
-                b.add(col, -lv * wk);
-            }
-        });
-        scratch.end_stage(Stage::BtranLower, b);
+        self.run_stage(kernel, Stage::BtranLower, b, scratch);
         // x = Pᵀ w: scatter back to original-row space.
         b.drain_into(&mut scratch.pairs);
         for i in 0..scratch.pairs.len() {
@@ -972,25 +1251,23 @@ impl LuFactorization {
         scratch: &mut LuScratch,
     ) -> bool {
         let _obs = a2a_obs::span("lp.lu.ft_update");
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
         let p = self.col_pos[col];
         scratch.resize(self.n);
 
         // 1. Remove the old column p of U from the row lists.
-        let old_col = std::mem::take(&mut self.u_cols[p]);
-        for &(i, _) in &old_col {
+        let mut ucol = std::mem::take(&mut self.u_cols[p]);
+        for &(i, _) in &ucol {
             if let Some(k) = self.u_rows[i].iter().position(|&(c, _)| c == p) {
                 self.u_rows[i].swap_remove(k);
             }
         }
+        let old_col_len = ucol.len();
 
-        // 2. Insert the spike as the new column p; its entry at row p seeds the
-        //    new diagonal.
+        // 2. Insert the spike as the new column p (in the old column's buffer);
+        //    its entry at row p seeds the new diagonal.
         let mut new_diag = 0.0;
         let mut spike_max = 0.0f64;
-        let mut ncol = Vec::with_capacity(spike.nnz());
+        ucol.clear();
         for (i, v) in spike.iter() {
             if v == 0.0 {
                 continue;
@@ -999,11 +1276,11 @@ impl LuFactorization {
             if i == p {
                 new_diag = v;
             } else {
-                ncol.push((i, v));
+                ucol.push((i, v));
                 self.u_rows[i].push((p, v));
             }
         }
-        self.u_cols[p] = ncol;
+        self.u_cols[p] = ucol;
 
         // 3. Move p to the end of the triangular order.
         let t = self.order_pos[p];
@@ -1020,10 +1297,16 @@ impl LuFactorization {
         //    against row j subtracts `m·row_j`, which can only create fill at
         //    later-ordered columns (including the spike column p, which feeds the
         //    new diagonal instead of the heap).
-        let row_p = std::mem::take(&mut self.u_rows[p]);
-        let acc = &mut scratch.row_acc;
+        let mut row_p = std::mem::take(&mut self.u_rows[p]);
+        let LuScratch {
+            row_acc: acc,
+            ft_heap: heap,
+            ft_entries: entries,
+            ..
+        } = scratch;
         acc.clear();
-        let mut heap: BinaryHeap<Reverse<(usize, usize)>> = BinaryHeap::with_capacity(row_p.len());
+        heap.clear();
+        entries.clear();
         for &(c, v) in &row_p {
             if let Some(k) = self.u_cols[c].iter().position(|&(i, _)| i == p) {
                 self.u_cols[c].swap_remove(k);
@@ -1033,7 +1316,6 @@ impl LuFactorization {
                 heap.push(Reverse((self.order_pos[c], c)));
             }
         }
-        let mut entries: Vec<(usize, f64)> = Vec::new();
         while let Some(Reverse((_, j))) = heap.pop() {
             let vj = acc.get(j);
             // Zero: already eliminated (duplicate heap entry) or exact cancellation.
@@ -1056,6 +1338,11 @@ impl LuFactorization {
             }
         }
         acc.clear();
+        // Row p is empty now; it keeps its buffer for the fill later updates
+        // put there.
+        let old_row_len = row_p.len();
+        row_p.clear();
+        self.u_rows[p] = row_p;
 
         // 5. Stability gate: a tiny new diagonal relative to the spike means the
         //    replacement basis is (near-)singular in this update path; demand a
@@ -1068,10 +1355,13 @@ impl LuFactorization {
         // 6. Commit. The running nonzero count gains the spike and the new row
         //    eta and loses the dropped column and the eliminated row.
         self.current_nnz = (self.current_nnz + self.u_cols[p].len() + entries.len())
-            .saturating_sub(old_col.len() + row_p.len());
+            .saturating_sub(old_col_len + old_row_len);
         self.u_diag[p] = new_diag;
         if !entries.is_empty() {
-            self.ft_etas.push(FtEta { pos: p, entries });
+            self.ft_etas.push(FtEta {
+                pos: p,
+                entries: entries.clone(),
+            });
         }
         self.updates += 1;
         OBS_FT_UPDATES.incr();
@@ -1563,6 +1853,363 @@ mod tests {
             lu.solve_transpose(&mut bt, &mut scratch);
             assert_close(&bt, &x_true, 1e-8);
         }
+    }
+
+    /// The candidate scan [`CountBuckets`] replaced, kept as the reference the
+    /// differential tests factorize against: compact the active-column list, then
+    /// run the insertion scan over all of it.
+    struct ActiveScan {
+        count: Vec<usize>,
+        active: Vec<bool>,
+        active_cols: Vec<usize>,
+    }
+
+    impl ColumnSearch for ActiveScan {
+        fn new(count: Vec<usize>) -> Self {
+            Self {
+                active: vec![true; count.len()],
+                active_cols: (0..count.len()).collect(),
+                count,
+            }
+        }
+
+        fn count(&self, c: usize) -> usize {
+            self.count[c]
+        }
+
+        fn set_count(&mut self, c: usize, count: usize) {
+            self.count[c] = count;
+        }
+
+        fn deactivate(&mut self, c: usize) {
+            self.active[c] = false;
+            self.count[c] = 0;
+        }
+
+        fn candidates(&mut self, cand: &mut [usize; SEARCH_COLS]) -> usize {
+            self.active_cols.retain(|&c| self.active[c]);
+            let mut len = 0;
+            for &c in &self.active_cols {
+                insert_candidate(&self.count, cand, &mut len, c);
+            }
+            len
+        }
+    }
+
+    /// [`symbolic_reach`] as it was when every step of the traversal went through
+    /// the explicit stack — the reference the differential tests compare orders
+    /// with.
+    pub(super) fn symbolic_reach_reference(
+        adj: &[Vec<(usize, f64)>],
+        b: &mut SparseScratch,
+        scratch: &mut LuScratch,
+    ) {
+        scratch.order.clear();
+        for seed_idx in 0..b.pattern().len() {
+            let seed = b.pattern()[seed_idx];
+            if scratch.visited[seed] {
+                continue;
+            }
+            scratch.visited[seed] = true;
+            scratch.stack.push((seed, 0));
+            while let Some(&mut (node, ref mut child)) = scratch.stack.last_mut() {
+                if let Some(&(next, _)) = adj[node].get(*child) {
+                    *child += 1;
+                    if !scratch.visited[next] {
+                        scratch.visited[next] = true;
+                        scratch.stack.push((next, 0));
+                    }
+                } else {
+                    scratch.stack.pop();
+                    scratch.order.push(node);
+                }
+            }
+        }
+        scratch.order.reverse();
+        for &i in &scratch.order {
+            scratch.visited[i] = false;
+            b.mark(i);
+        }
+    }
+
+    /// Deterministic generator for the differential tests below.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            self.0 >> 33
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            self.next() as usize % n
+        }
+
+        /// Uniform in `[0.5, 1.5)`, random sign.
+        fn coeff(&mut self) -> f64 {
+            let magnitude = 0.5 + self.next() as f64 / (1u64 << 31) as f64;
+            if self.next() & 1 == 0 {
+                magnitude
+            } else {
+                -magnitude
+            }
+        }
+    }
+
+    type Column = Vec<(usize, f64)>;
+
+    /// A seeded network-like basis: a strongly coupled bump over at least half
+    /// of the rows (every bump row and column holds two entries or more, so the
+    /// singleton worklists run dry and the Markowitz search does the work), three
+    /// bump columns heavier than [`BUCKET_CAP`] — all of them when `dense`, so
+    /// that the search has nothing but the overflow bucket to pick from — and
+    /// a triangular rest of slack and path columns hanging off the bump, under
+    /// seeded row and column relabellings. `defect` 1 turns one slack entry
+    /// into a below-[`PIVOT_TOL`] singleton, 2 duplicates a bump column
+    /// (singular).
+    fn seeded_basis(seed: u64, dense: bool, defect: u64) -> (usize, Vec<Column>) {
+        let mut rng = Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        let n = 100 + rng.below(140);
+        let m = n / 2 + rng.below(n / 4);
+        let mut cols: Vec<Column> = Vec::with_capacity(n);
+        for j in 0..m {
+            let mut col = vec![(j, rng.coeff()), ((j + 1) % m, rng.coeff())];
+            for _ in 0..1 + rng.below(3) {
+                let r = rng.below(m);
+                if col.iter().all(|&(i, _)| i != r) {
+                    col.push((r, rng.coeff()));
+                }
+            }
+            cols.push(col);
+        }
+        let heavy: Vec<usize> = if dense {
+            (0..m).collect()
+        } else {
+            (0..3).map(|_| rng.below(m)).collect()
+        };
+        for j in heavy {
+            let target = BUCKET_CAP + 2 + rng.below(10);
+            while cols[j].len() < target {
+                let r = rng.below(m);
+                if cols[j].iter().all(|&(i, _)| i != r) {
+                    cols[j].push((r, rng.coeff()));
+                }
+            }
+        }
+        for r in m..n {
+            if rng.next() & 1 == 0 {
+                cols.push(vec![(r, -1.0)]);
+            } else {
+                // A path arc into the next row, loading one bump row.
+                let mut col = vec![(r, 1.0), (rng.below(m), 1.0)];
+                if r + 1 < n {
+                    col.push((r + 1, -1.0));
+                }
+                cols.push(col);
+            }
+        }
+        match defect {
+            1 => {
+                let j = m + rng.below(n - m);
+                cols[j][0].1 = 1e-12;
+            }
+            2 => {
+                let from = rng.below(m);
+                let to = (from + 1 + rng.below(m - 1)) % m;
+                cols[to] = cols[from].clone();
+            }
+            _ => {}
+        }
+        // Relabel rows and columns (Fisher–Yates), so neither the buckets' index
+        // order nor the scan's coincides with the construction order.
+        let mut row_label: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            row_label.swap(i, rng.below(i + 1));
+            cols.swap(i, rng.below(i + 1));
+        }
+        for col in &mut cols {
+            for entry in col.iter_mut() {
+                entry.0 = row_label[entry.0];
+            }
+        }
+        (n, cols)
+    }
+
+    fn bits(cols: &[Vec<(usize, f64)>]) -> Vec<Vec<(usize, u64)>> {
+        cols.iter()
+            .map(|col| col.iter().map(|&(i, v)| (i, v.to_bits())).collect())
+            .collect()
+    }
+
+    fn factorize_both(n: usize, cols: &[Column]) -> [LpResult<LuFactorization>; 2] {
+        let columns = || cols.iter().map(|c| c.iter().copied());
+        [
+            LuFactorization::factorize_with::<ActiveScan, _>(n, columns()),
+            LuFactorization::factorize(n, columns()),
+        ]
+    }
+
+    #[test]
+    fn bucketed_search_factorizes_like_the_active_column_scan() {
+        let (mut factorized, mut heavy, mut singular) = (0, 0, 0);
+        for seed in 0..240u64 {
+            // Every eighth basis has a dense bump, every eighth carries a tiny
+            // singleton, every eighth a duplicated column.
+            let defect = match seed % 8 {
+                6 => 1,
+                7 => 2,
+                _ => 0,
+            };
+            let (n, cols) = seeded_basis(seed, seed % 8 == 5, defect);
+            heavy += cols.iter().filter(|c| c.len() > BUCKET_CAP).count();
+            match factorize_both(n, &cols) {
+                [Ok(scan), Ok(buckets)] => {
+                    assert_eq!(scan.row_perm, buckets.row_perm, "seed {seed}: row order");
+                    assert_eq!(scan.col_perm, buckets.col_perm, "seed {seed}: column order");
+                    assert_eq!(bits(&scan.l_cols), bits(&buckets.l_cols), "seed {seed}: L");
+                    assert_eq!(bits(&scan.u_cols), bits(&buckets.u_cols), "seed {seed}: U");
+                    assert_eq!(
+                        scan.u_diag.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        buckets
+                            .u_diag
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect::<Vec<_>>(),
+                        "seed {seed}: diagonal"
+                    );
+                    // The bump really went through the Markowitz search: it
+                    // cannot be eliminated without multipliers.
+                    assert!(scan.l_cols.iter().any(|c| !c.is_empty()), "seed {seed}");
+                    assert_ne!(defect, 2, "seed {seed}: duplicated column factorized");
+                    factorized += 1;
+                }
+                [Err(scan), Err(buckets)] => {
+                    // Same verdict at the same elimination step.
+                    assert_eq!(scan, buckets, "seed {seed}");
+                    assert_ne!(defect, 0, "seed {seed}: healthy basis failed: {scan}");
+                    singular += 1;
+                }
+                [scan, buckets] => panic!(
+                    "seed {seed}: scan {:?} vs buckets {:?}",
+                    scan.map(|_| ()),
+                    buckets.map(|_| ())
+                ),
+            }
+        }
+        assert_eq!((factorized, singular), (180, 60));
+        assert!(
+            heavy >= 30 * 50,
+            "only {heavy} columns beyond the bucket cap"
+        );
+    }
+
+    /// Seeds `count` distinct positions of a dimension-`n` right-hand side.
+    fn seeded_rhs(rng: &mut Lcg, n: usize, count: usize) -> SparseScratch {
+        let mut b = SparseScratch::new(n);
+        let mut positions: Vec<usize> = (0..n).collect();
+        for k in 0..count {
+            positions.swap(k, k + rng.below(n - k));
+            b.set(positions[k], rng.coeff());
+        }
+        b
+    }
+
+    /// Old and new reach kernel side by side on one factorization: the symbolic
+    /// orders of all four triangular stages, then whole FTRANs and BTRANs, for
+    /// right-hand sides from one seed to `n`.
+    fn assert_reach_kernels_agree(tag: &str, lu: &LuFactorization, rng: &mut Lcg) {
+        let n = lu.dim();
+        let mut new = LuScratch::new(n);
+        let mut old = LuScratch::new(n);
+        old.reference_reach = true;
+        let mut count = 1;
+        while count <= n {
+            let rhs = seeded_rhs(rng, n, count);
+            for adj in [&lu.l_cols, &lu.u_cols, &lu.u_rows, &lu.l_rows] {
+                let (mut b_new, mut b_old) = (rhs.clone(), rhs.clone());
+                symbolic_reach(adj, &mut b_new, &mut new);
+                symbolic_reach_reference(adj, &mut b_old, &mut old);
+                assert_eq!(new.order, old.order, "{tag}: order from {count} seeds");
+                assert_eq!(b_new.pattern(), b_old.pattern(), "{tag}: pattern");
+                assert!(new.stack.is_empty() && new.visited.iter().all(|&v| !v));
+            }
+            for transpose in [false, true] {
+                let (mut b_new, mut b_old) = (rhs.clone(), rhs.clone());
+                if transpose {
+                    lu.btran_sparse(Kernel::Reach, &mut b_new, &mut new);
+                    lu.btran_sparse(Kernel::Reach, &mut b_old, &mut old);
+                } else {
+                    lu.ftran_sparse(Kernel::Reach, &mut b_new, &mut new);
+                    lu.ftran_sparse(Kernel::Reach, &mut b_old, &mut old);
+                }
+                assert_eq!(
+                    b_new.pattern(),
+                    b_old.pattern(),
+                    "{tag}: transpose={transpose}, result pattern from {count} seeds"
+                );
+                for (i, (x, y)) in b_new.values().iter().zip(b_old.values()).enumerate() {
+                    assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "{tag}: transpose={transpose}, entry {i} from {count} seeds"
+                    );
+                }
+            }
+            count = if count == n {
+                n + 1
+            } else {
+                (count * 2).min(n)
+            };
+        }
+    }
+
+    #[test]
+    fn trimmed_reach_kernel_repeats_the_reference_bit_for_bit() {
+        let mut rng = Lcg(0xD1FF_5EED);
+        let mut updated = 0;
+        for seed in (0..240u64).filter(|s| s % 8 < 5).step_by(4) {
+            let (n, mut cols) = seeded_basis(seed, false, 0);
+            let mut lu = LuFactorization::factorize(n, cols.iter().map(|c| c.iter().copied()))
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            assert_reach_kernels_agree(&format!("seed {seed}, fresh"), &lu, &mut rng);
+
+            // Fifty Forrest–Tomlin updates: a rescaled copy of a column with one
+            // more entry replaces it. An update the stability gate refuses
+            // poisons the factors, so it is rolled back and another is drawn.
+            let mut scratch = LuScratch::new(n);
+            let (mut b, mut spike) = (SparseScratch::new(n), SparseScratch::new(n));
+            let mut committed = 0;
+            for _ in 0..200 {
+                if committed == 50 {
+                    break;
+                }
+                let j = rng.below(n);
+                let mut newcol: Column = cols[j].iter().map(|&(i, v)| (i, 1.25 * v)).collect();
+                let extra = rng.below(n);
+                if newcol.iter().all(|&(i, _)| i != extra) {
+                    newcol.push((extra, 0.25));
+                }
+                b.clear();
+                for &(i, v) in &newcol {
+                    b.set(i, v);
+                }
+                let backup = lu.clone();
+                lu.ftran_sparse_with_partial(Kernel::Reach, &mut b, &mut scratch, &mut spike);
+                if lu.replace_column(j, &spike, &mut scratch) {
+                    cols[j] = newcol;
+                    committed += 1;
+                } else {
+                    lu = backup;
+                }
+            }
+            assert_eq!(committed, 50, "seed {seed}: too many refused updates");
+            assert_reach_kernels_agree(&format!("seed {seed}, 50 updates"), &lu, &mut rng);
+            updated += 1;
+        }
+        assert!(updated >= 30);
     }
 
     #[test]

@@ -447,6 +447,17 @@ fn column_entries(sf: &StandardForm, j: usize) -> impl Iterator<Item = (usize, f
     structural.into_iter().flatten().chain(logical)
 }
 
+/// Adds a nonbasic column's entry to a row of the partitioned row-wise matrix
+/// copy (`Solver::a_rows`) whose nonbasic prefix is `nb` long: the entry is
+/// appended, trades places with the first basic entry, and the prefix grows
+/// over it.
+fn push_nonbasic(row: &mut Vec<(usize, f64)>, nb: &mut usize, entry: (usize, f64)) {
+    row.push(entry);
+    let last = row.len() - 1;
+    row.swap(*nb, last);
+    *nb += 1;
+}
+
 /// How a dual-simplex phase ended (internal to [`Solver::reoptimize`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DualOutcome {
@@ -552,10 +563,30 @@ pub struct Solver<'a> {
     lu_scratch: LuScratch,
     /// Scratch: dense right-hand side of the basic-value and bound-flip solves.
     rhs_buf: Vec<f64>,
+    /// Lower bound of every variable, structurals then logicals — `sf.lower`
+    /// followed by `sf.row_lower`, flat, so the per-column scans (pricing, the
+    /// ratio tests, dual row selection) read one array with no structural /
+    /// logical branch. Rebuilt wherever the model's bounds change:
+    /// construction, [`Solver::add_columns`], [`Solver::deactivate_columns`].
+    lower: Vec<f64>,
+    /// Upper bound of every variable; see `lower`.
+    upper: Vec<f64>,
     /// Row-wise copy of the structural matrix: `a_rows[i]` lists `(column, value)`
     /// of row `i`. Used to expand the pivotal row `alpha = rho A` from `rho`'s
     /// sparse pattern in O(touched-row lengths) instead of O(nnz(A)).
+    ///
+    /// Each row is partitioned by basis status: its nonbasic columns come first
+    /// (`a_rows[i][..nb_len[i]]`), its basic ones after. The pivotal row is only
+    /// ever needed at nonbasic columns, so the expansion reads the prefixes
+    /// and never sees a basic column (a third of the entries it used to
+    /// accumulate and the update loops then skipped one by one on the
+    /// genkautz path masters). The order inside either part is arbitrary; each
+    /// `alpha_j` accumulates over `rho`'s pattern in pattern order whatever
+    /// it is. [`Solver::change_basis`] keeps the partition across pivots,
+    /// [`Solver::ensure_a_rows`] builds it against the installed basis.
     a_rows: Vec<Vec<(usize, f64)>>,
+    /// Length of the nonbasic prefix of each row of `a_rows`.
+    nb_len: Vec<usize>,
     /// Whether `a_rows` is populated (devex construction, or on demand for the
     /// dual phase under Dantzig pricing).
     a_rows_built: bool,
@@ -567,6 +598,11 @@ pub struct Solver<'a> {
     d_fresh: bool,
     /// Scratch for the pivotal row `alpha` (dimension: all variables).
     alpha_buf: SparseScratch,
+    /// Differential tests only: expand the pivotal row by walking whole
+    /// `a_rows` rows and testing each column's status, as the expansion did
+    /// before the rows were partitioned.
+    #[cfg(test)]
+    full_row_expansion: bool,
 }
 
 impl<'a> Solver<'a> {
@@ -606,19 +642,8 @@ impl<'a> Solver<'a> {
         }
         let ntotal = nstruct + nrows;
         let use_devex = matches!(opts.pricing, Pricing::Devex);
-        // Only the phase-2 devex regime reads the row-wise copy; Dantzig
-        // solves skip the O(nnz) construction and the doubled footprint.
-        let a_rows = if use_devex {
-            let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); nrows];
-            for (j, col) in sf.cols.iter().enumerate() {
-                for (i, v) in col.iter() {
-                    rows[i].push((j, v));
-                }
-            }
-            rows
-        } else {
-            Vec::new()
-        };
+        let lower = [sf.lower.as_slice(), sf.row_lower.as_slice()].concat();
+        let upper = [sf.upper.as_slice(), sf.row_upper.as_slice()].concat();
 
         let mut solver = Self {
             sf,
@@ -653,11 +678,16 @@ impl<'a> Solver<'a> {
             spike_buf: SparseScratch::new(nrows),
             lu_scratch: LuScratch::new(nrows),
             rhs_buf: Vec::new(),
-            a_rows,
-            a_rows_built: use_devex,
+            lower,
+            upper,
+            a_rows: Vec::new(),
+            nb_len: Vec::new(),
+            a_rows_built: false,
             d: vec![0.0; ntotal],
             d_fresh: false,
             alpha_buf: SparseScratch::new(ntotal),
+            #[cfg(test)]
+            full_row_expansion: false,
         };
 
         let warm = solver.opts.warm_start.take();
@@ -670,6 +700,12 @@ impl<'a> Solver<'a> {
             solver.refactorize()?;
         }
         solver.warm_installed = installed;
+        // Only the phase-2 devex regime reads the row-wise copy; Dantzig
+        // solves skip the O(nnz) construction and the doubled footprint
+        // (until a dual phase asks for it).
+        if use_devex {
+            solver.ensure_a_rows();
+        }
         Ok(solver)
     }
 
@@ -750,20 +786,14 @@ impl<'a> Solver<'a> {
         }
     }
 
+    #[inline]
     fn var_lower(&self, j: usize) -> f64 {
-        if j < self.nstruct {
-            self.sf.lower[j]
-        } else {
-            self.sf.row_lower[j - self.nstruct]
-        }
+        self.lower[j]
     }
 
+    #[inline]
     fn var_upper(&self, j: usize) -> f64 {
-        if j < self.nstruct {
-            self.sf.upper[j]
-        } else {
-            self.sf.row_upper[j - self.nstruct]
-        }
+        self.upper[j]
     }
 
     fn var_cost(&self, j: usize) -> f64 {
@@ -801,6 +831,7 @@ impl<'a> Solver<'a> {
     fn refactorize(&mut self) -> LpResult<()> {
         let cols = self.basis.iter().map(|&j| column_entries(&self.sf, j));
         self.lu = LuFactorization::factorize(self.nrows, cols)?;
+        debug_assert!(self.a_rows_partitioned(), "a_rows partition broken");
         self.refactorizations += 1;
         OBS_REFACTORIZATIONS.incr();
         self.recompute_basic_values();
@@ -1021,6 +1052,10 @@ impl<'a> Solver<'a> {
         }
         self.status.splice(old_nstruct..old_nstruct, new_status);
         self.x.splice(old_nstruct..old_nstruct, new_x);
+        self.lower
+            .splice(old_nstruct..old_nstruct, cols.iter().map(|c| c.lower));
+        self.upper
+            .splice(old_nstruct..old_nstruct, cols.iter().map(|c| c.upper));
         self.weights
             .splice(old_nstruct..old_nstruct, std::iter::repeat_n(1.0, k));
         self.d
@@ -1035,12 +1070,13 @@ impl<'a> Solver<'a> {
         self.ntotal += k;
         self.alpha_buf.resize(self.ntotal);
         // The phase-2 devex regime (and the dual phase) expand the pivotal row
-        // from the row-wise matrix copy; keep it current when it exists.
+        // from the row-wise matrix copy; keep it current when it exists. The
+        // new columns are nonbasic, so each entry joins its row's prefix.
         if self.a_rows_built {
             for (idx, c) in cols.iter().enumerate() {
                 let j = old_nstruct + idx;
                 for (i, v) in c.col.iter() {
-                    self.a_rows[i].push((j, v));
+                    push_nonbasic(&mut self.a_rows[i], &mut self.nb_len[i], (j, v));
                 }
             }
         }
@@ -1130,6 +1166,8 @@ impl<'a> Solver<'a> {
         for &j in cols {
             sf.lower[j] = 0.0;
             sf.upper[j] = 0.0;
+            self.lower[j] = 0.0;
+            self.upper[j] = 0.0;
         }
         let mut any_moved = false;
         for &j in cols {
@@ -1487,17 +1525,32 @@ impl<'a> Solver<'a> {
     }
 
     /// Expands the pivotal row `alpha = rho A` over `rho`'s pattern from the
-    /// row-wise matrix copy (the logical column of row `i` carries `-rho_i`).
+    /// nonbasic prefixes of the row-wise matrix copy (the logical column of row
+    /// `i` carries `-rho_i`). `alpha` ends up holding nonbasic columns only.
     fn expand_pivotal_row(&self, rho: &SparseScratch, alpha: &mut SparseScratch) {
         alpha.clear();
         for (i, rv) in rho.iter() {
             if rv == 0.0 {
                 continue;
             }
-            for &(j, a) in &self.a_rows[i] {
+            #[cfg(test)]
+            if self.full_row_expansion {
+                for &(j, a) in &self.a_rows[i] {
+                    if !matches!(self.status[j], VarStatus::Basic(_)) {
+                        alpha.add(j, rv * a);
+                    }
+                }
+                if !matches!(self.status[self.nstruct + i], VarStatus::Basic(_)) {
+                    alpha.add(self.nstruct + i, -rv);
+                }
+                continue;
+            }
+            for &(j, a) in &self.a_rows[i][..self.nb_len[i]] {
                 alpha.add(j, rv * a);
             }
-            alpha.add(self.nstruct + i, -rv);
+            if !matches!(self.status[self.nstruct + i], VarStatus::Basic(_)) {
+                alpha.add(self.nstruct + i, -rv);
+            }
         }
     }
 
@@ -1514,8 +1567,9 @@ impl<'a> Solver<'a> {
         self.expand_pivotal_row(&rho, &mut alpha);
         let wq = self.devex_entering_weight(q);
         let piv2 = alpha_q * alpha_q;
+        // `alpha` holds nonbasic columns only (see `a_rows`).
         for (j, aj) in alpha.iter() {
-            if j == q || aj == 0.0 || matches!(self.status[j], VarStatus::Basic(_)) {
+            if j == q || aj == 0.0 {
                 continue;
             }
             self.d[j] -= ratio * aj;
@@ -1536,20 +1590,83 @@ impl<'a> Solver<'a> {
         self.alpha_buf = alpha;
     }
 
-    /// Builds the row-wise matrix copy on demand: Dantzig solvers skip it at
-    /// construction, but the dual phase needs it for pivotal-row expansion.
+    /// Builds the row-wise matrix copy on demand, partitioned against the
+    /// current basis: devex solvers right after the basis install, Dantzig
+    /// solvers only if a dual phase needs it for pivotal-row expansion.
     fn ensure_a_rows(&mut self) {
         if self.a_rows_built {
             return;
         }
         let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); self.nrows];
+        let mut nb_len = vec![0; self.nrows];
         for (j, col) in self.sf.cols.iter().enumerate() {
+            let basic = matches!(self.status[j], VarStatus::Basic(_));
             for (i, v) in col.iter() {
-                rows[i].push((j, v));
+                if basic {
+                    rows[i].push((j, v));
+                } else {
+                    push_nonbasic(&mut rows[i], &mut nb_len[i], (j, v));
+                }
             }
         }
         self.a_rows = rows;
+        self.nb_len = nb_len;
         self.a_rows_built = true;
+    }
+
+    /// Moves column `j`'s entries across the nonbasic / basic boundary of
+    /// their `a_rows` rows as `j` enters (`to_basic`) or leaves the basis: each
+    /// entry trades places with the entry on its side of the boundary, and
+    /// the boundary steps over it.
+    fn move_in_a_rows(&mut self, j: usize, to_basic: bool) {
+        if !self.a_rows_built || j >= self.nstruct {
+            return;
+        }
+        for (i, _) in self.sf.cols[j].iter() {
+            let row = &mut self.a_rows[i];
+            let nb = &mut self.nb_len[i];
+            if to_basic {
+                let at = row[..*nb]
+                    .iter()
+                    .position(|&(c, _)| c == j)
+                    .expect("an entering column sits in the nonbasic prefixes");
+                *nb -= 1;
+                row.swap(at, *nb);
+            } else {
+                let at = *nb
+                    + row[*nb..]
+                        .iter()
+                        .position(|&(c, _)| c == j)
+                        .expect("a leaving column sits in the basic suffixes");
+                row.swap(at, *nb);
+                *nb += 1;
+            }
+        }
+    }
+
+    /// The one place a basis change is written down, for the primal and the
+    /// dual loop alike: `q` becomes basic at position `r`, the variable it
+    /// replaces turns nonbasic with `leaving_status`, and the `a_rows`
+    /// partition follows both.
+    fn change_basis(&mut self, r: usize, q: usize, leaving_status: VarStatus) {
+        let leaving_var = self.basis[r];
+        self.status[leaving_var] = leaving_status;
+        self.status[q] = VarStatus::Basic(r);
+        self.basis[r] = q;
+        self.move_in_a_rows(leaving_var, false);
+        self.move_in_a_rows(q, true);
+    }
+
+    /// Whether every row of `a_rows` has exactly its nonbasic columns in its
+    /// prefix (vacuously true while the copy is not built). Debug builds
+    /// assert it at every refactorization.
+    fn a_rows_partitioned(&self) -> bool {
+        !self.a_rows_built
+            || self.a_rows.iter().zip(&self.nb_len).all(|(row, &nb)| {
+                row.iter()
+                    .enumerate()
+                    .all(|(k, &(j, _))| (k < nb) != matches!(self.status[j], VarStatus::Basic(_)))
+            })
     }
 
     /// Whether the current basis prices dual-feasible against the *real*
@@ -1691,6 +1808,29 @@ impl<'a> Solver<'a> {
         self.refresh_reduced_costs(false);
     }
 
+    /// Dual ratio-test breakpoint of column `j` of the pivotal row (`aj`, a
+    /// nonbasic column by construction of the row): `Some(ratio)` when the
+    /// column is not fixed and its reduced cost moves toward its sign limit as
+    /// the dual step grows. `abar = σ·alpha_j` normalizes both leaving
+    /// directions to one sign convention, so an eligible column always has
+    /// ratio `d_j / abar >= 0` (clamped — a within-tolerance dual violation
+    /// must not produce a negative step).
+    #[inline]
+    fn dual_breakpoint(&self, j: usize, aj: f64, sigma: f64) -> Option<f64> {
+        if self.var_lower(j) == self.var_upper(j) {
+            return None;
+        }
+        let ptol = self.opts.pivot_tol;
+        let abar = sigma * aj;
+        let eligible = match self.status[j] {
+            VarStatus::AtLower => abar > ptol,
+            VarStatus::AtUpper => abar < -ptol,
+            VarStatus::FreeZero => abar.abs() > ptol,
+            VarStatus::Basic(_) => false,
+        };
+        eligible.then(|| (self.d[j] / abar).max(0.0))
+    }
+
     fn dual_phase_loop(&mut self) -> LpResult<DualOutcome> {
         self.ensure_a_rows();
         self.row_weights.clear();
@@ -1748,41 +1888,26 @@ impl<'a> Solver<'a> {
             self.row_buf = rho;
 
             // Breakpoints: nonbasic columns whose reduced cost starts changing
-            // toward its sign limit as the dual step grows. `abar = σ·alpha_j`
-            // normalizes both leaving directions to one sign convention, so an
-            // eligible column always has ratio `d_j / abar >= 0` (clamped — a
-            // within-tolerance dual violation must not produce a negative step).
-            // The minimum ratio (ties by smallest index — the same order the
-            // sorted walk below uses) is tracked inline: on LPs whose columns
+            // toward its sign limit as the dual step grows
+            // ([`Self::dual_breakpoint`]). The minimum ratio (ties by smallest
+            // index — the same order the sorted walk below uses) is tracked
+            // inline and the breakpoints are only counted: on LPs whose columns
             // are mostly unboxed the walk cannot pass the first breakpoint
-            // anyway, and the O(B log B) sort is skipped entirely.
-            breaks.clear();
+            // anyway, and neither the list nor its O(B log B) sort is needed.
             let mut q_min = usize::MAX;
             let mut r_min = f64::INFINITY;
+            let mut nbreaks = 0usize;
             for (j, aj) in alpha.iter() {
-                if matches!(self.status[j], VarStatus::Basic(_))
-                    || self.var_lower(j) == self.var_upper(j)
-                {
+                let Some(ratio) = self.dual_breakpoint(j, aj, sigma) else {
                     continue;
-                }
-                let abar = sigma * aj;
-                let eligible = match self.status[j] {
-                    VarStatus::AtLower => abar > ptol,
-                    VarStatus::AtUpper => abar < -ptol,
-                    VarStatus::FreeZero => abar.abs() > ptol,
-                    VarStatus::Basic(_) => false,
                 };
-                if !eligible {
-                    continue;
-                }
-                let ratio = (self.d[j] / abar).max(0.0);
                 if ratio < r_min || (ratio == r_min && j < q_min) {
                     r_min = ratio;
                     q_min = j;
                 }
-                breaks.push((j, ratio));
+                nbreaks += 1;
             }
-            if breaks.is_empty() {
+            if nbreaks == 0 {
                 // No entering candidate for an infeasible row: the dual is
                 // unbounded, i.e. the primal is infeasible. Hand to phase 1 to
                 // re-prove that from cleanly recomputed state.
@@ -1794,14 +1919,17 @@ impl<'a> Solver<'a> {
             // them; the breakpoint the slope dies on (or the first unboxed one)
             // enters. Bland's mode takes the smallest-ratio/smallest-index
             // breakpoint directly, with no long step — exactly the tracked
-            // minimum. The ratio order (and hence the sort) is only needed
-            // when the minimum-ratio breakpoint is boxed and could be flipped.
+            // minimum. The ratio order is only needed when the minimum-ratio
+            // breakpoint is boxed and could be flipped; only then does a second
+            // pass over the row collect the breakpoints to sort.
             flips.clear();
             let mut entering = q_min;
-            if !bland
-                && breaks.len() > 1
-                && (self.var_upper(q_min) - self.var_lower(q_min)).is_finite()
+            if !bland && nbreaks > 1 && (self.var_upper(q_min) - self.var_lower(q_min)).is_finite()
             {
+                breaks.clear();
+                breaks.extend(alpha.iter().filter_map(|(j, aj)| {
+                    self.dual_breakpoint(j, aj, sigma).map(|ratio| (j, ratio))
+                }));
                 breaks.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
                 let mut slope = viol.abs();
                 for (idx, &(j, _)) in breaks.iter().enumerate() {
@@ -1894,7 +2022,7 @@ impl<'a> Solver<'a> {
             let theta_signed = sigma * theta;
             if theta_signed != 0.0 {
                 for (j, aj) in alpha.iter() {
-                    if j == q || aj == 0.0 || matches!(self.status[j], VarStatus::Basic(_)) {
+                    if j == q || aj == 0.0 {
                         continue;
                     }
                     self.d[j] -= theta_signed * aj;
@@ -1930,13 +2058,12 @@ impl<'a> Solver<'a> {
                 self.x[q] += t;
             }
             self.x[leaving_var] = bound;
-            self.status[leaving_var] = if sigma > 0.0 {
+            let leaving_status = if sigma > 0.0 {
                 VarStatus::AtUpper
             } else {
                 VarStatus::AtLower
             };
-            self.status[q] = VarStatus::Basic(r);
-            self.basis[r] = q;
+            self.change_basis(r, q, leaving_status);
             self.iterations += 1;
             self.dual_iterations += 1;
             OBS_ITERATIONS.incr();
@@ -2258,7 +2385,7 @@ impl<'a> Solver<'a> {
         // The leaving variable exits exactly at the bound it hit.
         let leaving_var = self.basis[r];
         self.x[leaving_var] = bound;
-        self.status[leaving_var] = if (bound - self.var_lower(leaving_var)).abs()
+        let leaving_status = if (bound - self.var_lower(leaving_var)).abs()
             <= (bound - self.var_upper(leaving_var)).abs()
         {
             VarStatus::AtLower
@@ -2279,8 +2406,7 @@ impl<'a> Solver<'a> {
         }
 
         // The entering variable becomes basic at its stepped value.
-        self.status[q] = VarStatus::Basic(r);
-        self.basis[r] = q;
+        self.change_basis(r, q, leaving_status);
         self.pivots += 1;
 
         // Forrest–Tomlin update of the factorization from the spike saved by the
@@ -2309,6 +2435,8 @@ impl<'a> Solver<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn col(entries: &[(usize, f64)]) -> SparseVec {
         SparseVec::from_entries(entries.iter().copied())
@@ -2607,6 +2735,163 @@ mod tests {
         };
         let sol = solve(&sf, &opts).unwrap();
         assert!((sol.objective + 5.0).abs() < 1e-7);
+    }
+
+    /// A seeded column for the partition sessions: 2–4 positive coefficients
+    /// on distinct rows, cost of the given sign, sometimes boxed.
+    fn session_column(rng: &mut ChaCha8Rng, nrows: usize, cost_sign: f64) -> NewColumn {
+        let mut entries: Vec<(usize, f64)> = Vec::new();
+        for _ in 0..rng.random_range(2..5) {
+            let r = rng.random_range(0..nrows);
+            if entries.iter().all(|&(i, _)| i != r) {
+                entries.push((r, rng.random_range(1..5) as f64));
+            }
+        }
+        NewColumn {
+            col: SparseVec::from_entries(entries),
+            obj: cost_sign * rng.random_range(1..12) as f64,
+            lower: 0.0,
+            upper: if rng.random_range(0..3) == 0 {
+                rng.random_range(1..4) as f64
+            } else {
+                INF
+            },
+        }
+    }
+
+    fn push_column(sf: &mut StandardForm, c: &NewColumn) {
+        sf.cols.push(c.col.clone());
+        sf.obj.push(c.obj);
+        sf.lower.push(c.lower);
+        sf.upper.push(c.upper);
+    }
+
+    /// One seeded session through everything that moves a column across the
+    /// `a_rows` partition or splices into it — primal pivots, dual pivots with
+    /// bound flips, `add_columns` with and without Forrest–Tomlin updates
+    /// pending, `deactivate_columns`, a warm start from an exported basis —
+    /// returning `(iterations, dual iterations, objective bits)` of every
+    /// `reoptimize`. With `full_rows` the pivotal rows are expanded the old
+    /// way; without, the partition invariant is asserted after every step.
+    fn partition_session(seed: u64, full_rows: bool) -> Vec<(usize, usize, u64)> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut trail = Vec::new();
+        let nrows = rng.random_range(30..70);
+        let opts = SimplexOptions {
+            // Dantzig solvers build the row copy lazily, inside a dual phase.
+            pricing: [Pricing::Devex, Pricing::Dantzig][(seed % 2) as usize],
+            dual_simplex: DualSimplex::Always,
+            refactor_interval: [3, 17, 100][(seed % 3) as usize],
+            presolve: false,
+            scaling: false,
+            ..SimplexOptions::default()
+        };
+        let step = |solver: &mut Solver<'_>, trail: &mut Vec<(usize, usize, u64)>| {
+            solver.full_row_expansion = full_rows;
+            let sol = solver.reoptimize().expect("feasible and bounded");
+            assert!(full_rows || solver.a_rows_partitioned(), "seed {seed}");
+            trail.push((sol.iterations, sol.dual_iterations, sol.objective.to_bits()));
+            sol
+        };
+
+        // Packing rows, maximize: the slack basis is feasible, the primal
+        // phase 2 does the work, columns arrive in batches and idle ones go.
+        let mut packing = StandardForm {
+            nrows,
+            cols: Vec::new(),
+            obj: Vec::new(),
+            lower: Vec::new(),
+            upper: Vec::new(),
+            row_lower: vec![-INF; nrows],
+            row_upper: (0..nrows).map(|_| rng.random_range(4..20) as f64).collect(),
+        };
+        for _ in 0..nrows {
+            push_column(&mut packing, &session_column(&mut rng, nrows, -1.0));
+        }
+        let mut solver = Solver::new_owned(packing, opts.clone()).unwrap();
+        for round in 0..4 {
+            if round > 0 {
+                let batch: Vec<NewColumn> = (0..nrows / 2)
+                    .map(|_| session_column(&mut rng, nrows, -1.0))
+                    .collect();
+                solver.add_columns(&batch).unwrap();
+                assert!(full_rows || solver.a_rows_partitioned(), "seed {seed}");
+            }
+            let sol = step(&mut solver, &mut trail);
+            let idle: Vec<usize> = (0..sol.x.len())
+                .filter(|&j| {
+                    sol.basis.statuses[j] == BasisStatus::AtLower && rng.random_range(0..8) == 0
+                })
+                .collect();
+            solver.deactivate_columns(&idle).unwrap();
+            assert!(full_rows || solver.a_rows_partitioned(), "seed {seed}");
+        }
+
+        // Covering rows, minimize: the slack basis is dual feasible and primal
+        // infeasible, so the dual phase runs (boxed columns flip); appended
+        // columns hand over to the primal phase 2.
+        let mut covering = StandardForm {
+            nrows,
+            cols: Vec::new(),
+            obj: Vec::new(),
+            lower: Vec::new(),
+            upper: Vec::new(),
+            row_lower: (0..nrows).map(|_| rng.random_range(1..10) as f64).collect(),
+            row_upper: vec![INF; nrows],
+        };
+        for i in 0..nrows {
+            // Row i's own unboxed column keeps the LP feasible.
+            let own = NewColumn {
+                col: SparseVec::from_entries([(i, rng.random_range(1..4) as f64)]),
+                obj: rng.random_range(5..20) as f64,
+                lower: 0.0,
+                upper: INF,
+            };
+            push_column(&mut covering, &own);
+            push_column(&mut covering, &session_column(&mut rng, nrows, 1.0));
+        }
+        let mut solver = Solver::new(&covering, opts.clone()).unwrap();
+        step(&mut solver, &mut trail);
+        let batch: Vec<NewColumn> = (0..nrows)
+            .map(|_| session_column(&mut rng, nrows, 1.0))
+            .collect();
+        solver.add_columns(&batch).unwrap();
+        assert!(full_rows || solver.a_rows_partitioned(), "seed {seed}");
+        let solved = step(&mut solver, &mut trail);
+
+        // Warm start on the grown model with tightened rows: the old optimal
+        // basis stays dual feasible, so the dual phase repairs it.
+        let mut tightened = covering.clone();
+        batch.iter().for_each(|c| push_column(&mut tightened, c));
+        for b in tightened.row_lower.iter_mut() {
+            *b += rng.random_range(0..4) as f64;
+        }
+        let warm_opts = SimplexOptions {
+            warm_start: Some(solved.basis),
+            dual_simplex: DualSimplex::Auto,
+            ..opts
+        };
+        let mut solver = Solver::new(&tightened, warm_opts).unwrap();
+        assert!(full_rows || solver.a_rows_partitioned(), "seed {seed}");
+        let warm = step(&mut solver, &mut trail);
+        assert!(warm.dual_iterations > 0, "seed {seed}: warm start not dual");
+        trail
+    }
+
+    #[test]
+    fn partitioned_rows_repeat_the_full_row_expansion() {
+        let (mut primal, mut dual) = (0, 0);
+        for seed in 0..36 {
+            let trail = partition_session(seed, false);
+            assert_eq!(
+                trail,
+                partition_session(seed, true),
+                "seed {seed}: (iterations, dual iterations, objective bits) per reoptimize"
+            );
+            primal += trail.iter().map(|t| t.0 - t.1).sum::<usize>();
+            dual += trail.iter().map(|t| t.1).sum::<usize>();
+        }
+        assert!(primal > 3_000 && dual > 1_000, "{primal} / {dual}");
     }
 
     #[test]

@@ -228,6 +228,19 @@ impl SparseScratch {
         &self.values
     }
 
+    /// The dense value array, writable without the mark test of [`Self::set`] /
+    /// [`Self::add`]. Legal only for positions already in the pattern:
+    /// [`Self::clear`] and [`Self::drain_into`] zero what the pattern lists, so
+    /// a nonzero written to an unmarked position would survive them and
+    /// corrupt every later use of the workspace. The reach kernel of
+    /// [`crate::lu`] qualifies — its symbolic pass marks the whole structural
+    /// reach before the numeric pass writes anything; the in-order sweep, which
+    /// discovers its pattern as it goes, does not.
+    #[inline]
+    pub(crate) fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.values
+    }
+
     /// Iterates `(index, value)` over the pattern.
     pub fn iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
         self.pattern.iter().map(move |&i| (i, self.values[i]))
