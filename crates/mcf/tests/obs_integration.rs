@@ -90,6 +90,11 @@ fn span_counts(s: &Summary) -> BTreeMap<String, u64> {
         .collect()
 }
 
+/// The value of a counter, `None` when the summary does not list it.
+fn counter(s: &Summary, name: &str) -> Option<u64> {
+    s.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+}
+
 /// (The test id predates the serial pricing sweep, when the two colgen runs
 /// differed in pricing-thread count; it is kept so the tier-1 test list stays
 /// stable. The cross-thread half now rides on the decomposed children.)
@@ -143,4 +148,36 @@ fn traced_colgen_solve_balances_and_is_thread_count_independent() {
     assert_eq!(s.count("decomposed.solve"), 1);
     assert_eq!(s.count("decomposed.master"), 1);
     assert_eq!(s.count("decomposed.child"), 9);
+
+    // The repo benchmark's traced rep (`benchmark/src/lib.rs::traced_metrics`)
+    // looks its signals up by name and reads a missing one as 0.0, so a renamed
+    // or deleted signal would zero a per-layer metric without failing anything
+    // else. Every name it reads from a solve is held here; the simulator's are
+    // in `crates/simnet/tests/obs_integration.rs`. (`lp.ft_update_rejects`
+    // cannot be: a counter registers at its first increment, and no solve here
+    // or in the benchmark rejects a Forrest–Tomlin update.)
+    let (_, s) = &colgen[0];
+    for name in ["lp.refactorizations", "lp.degenerate_pivots"] {
+        assert!(counter(s, name).is_some(), "colgen: no counter {name}");
+    }
+    for name in ["lp.iterations", "lp.ft_updates"] {
+        assert!(counter(s, name) > Some(0), "colgen: counter {name}");
+    }
+    let iteration_nanos = s.histograms.iter().find(|h| h.name == "lp.iteration_nanos");
+    assert!(
+        iteration_nanos.is_some_and(|h| h.count > 0),
+        "colgen: histogram lp.iteration_nanos"
+    );
+    for name in [
+        "lp.phase2",
+        "lp.lu.factor",
+        "lp.lu.ftran",
+        "lp.lu.btran",
+        "lp.lu.ft_update",
+    ] {
+        assert!(s.count(name) > 0, "colgen: span {name}");
+    }
+    let (_, s) = &decomposed[0];
+    assert!(counter(s, "lp.dual_iterations") > Some(0), "decomposed");
+    assert!(s.count("lp.dual") > 0, "decomposed: span lp.dual");
 }

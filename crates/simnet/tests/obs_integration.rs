@@ -132,4 +132,21 @@ fn traced_simulation_and_replan_balance_and_repeat() {
         assert_eq!(s.count(name), 1, "{name}");
     }
     assert!(s.count("colgen.round") >= 1, "the residual solve is colgen");
+
+    // The simulator-side names `benchmark/src/lib.rs::traced_metrics` looks up
+    // (a missing one reads as 0.0 there); `replan.splice` is counted above.
+    for (tag, (_, s)) in [
+        ("sync", &sync[0]),
+        ("dep", &dep[0]),
+        ("replan", &replanned[0]),
+    ] {
+        let recomputes = s
+            .counters
+            .iter()
+            .find(|(n, _)| n == "simnet.fair_share_recomputes");
+        assert!(
+            recomputes.is_some_and(|(_, v)| *v > 0),
+            "{tag}: counter simnet.fair_share_recomputes"
+        );
+    }
 }

@@ -485,6 +485,68 @@ mod tests {
         assert!(m.is_strongly_connected());
     }
 
+    /// The per-node coordinate walk `grid` used through PR 18, kept as the
+    /// reference for its replacement: edge ids and order fix the column order
+    /// of every LP built on a torus or a mesh.
+    fn grid_by_coordinates(dims: &[usize], wrap: bool) -> Topology {
+        assert!(!dims.is_empty(), "at least one dimension required");
+        assert!(dims.iter().all(|&d| d >= 1), "dimension sizes must be >= 1");
+        let n: usize = dims.iter().product();
+        let kind = if wrap { "torus" } else { "mesh" };
+        let label = dims
+            .iter()
+            .map(usize::to_string)
+            .collect::<Vec<_>>()
+            .join("x");
+        let mut t = Topology::new(n, format!("{kind}-{label}"));
+        for node in 0..n {
+            let coords = node_to_coords(node, dims);
+            for (dim, &size) in dims.iter().enumerate() {
+                if size < 2 {
+                    continue;
+                }
+                let mut next = coords.clone();
+                next[dim] = (coords[dim] + 1) % size;
+                let is_wrap = next[dim] == 0 && coords[dim] == size - 1;
+                if is_wrap && (!wrap || size == 2) {
+                    // No wraparound in meshes; in tori a size-2 dimension would duplicate
+                    // the +1 link.
+                    continue;
+                }
+                let v = coords_to_node(&next, dims);
+                if !t.has_edge(node, v) {
+                    t.add_bidirectional(node, v, 1.0);
+                }
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn grid_repeats_the_coordinate_walk_edge_for_edge() {
+        let shapes: [&[usize]; 10] = [
+            &[8, 8],
+            &[3, 3, 3],
+            &[4, 4, 2],
+            &[3, 3, 2],
+            &[2, 3, 1, 4],
+            &[6, 1, 2],
+            &[2, 2],
+            &[5],
+            &[2],
+            &[1],
+        ];
+        for dims in shapes {
+            for wrap in [true, false] {
+                let got = if wrap { torus(dims) } else { mesh(dims) };
+                let want = grid_by_coordinates(dims, wrap);
+                assert_eq!(got.name(), want.name());
+                assert_eq!(got.num_nodes(), want.num_nodes(), "{}", want.name());
+                assert_eq!(got.edges(), want.edges(), "{}", want.name());
+            }
+        }
+    }
+
     #[test]
     fn coordinates_roundtrip() {
         let dims = [3, 4, 5];
