@@ -95,14 +95,6 @@ pub struct LpSolution {
     pub presolve_rows_removed: usize,
     /// Variables removed by presolve before the simplex ran.
     pub presolve_cols_removed: usize,
-    /// Zero-step-length (degenerate) iterations across both phases.
-    pub degenerate_pivots: usize,
-    /// Per-refactorization progress samples (cumulative iterations, wall
-    /// seconds, objective in minimize sense). Captured only while tracing
-    /// or the stall watchdog is active; empty otherwise.
-    pub progress: Vec<a2a_obs::SimplexProgress>,
-    /// Stall-watchdog trips during this solve (0 when the watchdog is off).
-    pub watchdog_trips: u64,
     /// Final simplex basis: structural variables in [`VarId::index`] order followed
     /// by one logical variable per constraint. Feed it back through
     /// [`crate::SimplexOptions::warm_start`] to re-solve this (or a structurally
@@ -455,9 +447,6 @@ impl LpProblem {
             refactorizations: sol.refactorizations,
             presolve_rows_removed: sol.presolve_rows_removed,
             presolve_cols_removed: sol.presolve_cols_removed,
-            degenerate_pivots: sol.degenerate_pivots,
-            progress: sol.progress,
-            watchdog_trips: sol.watchdog_trips,
             basis: sol.basis,
         })
     }

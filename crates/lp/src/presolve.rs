@@ -483,9 +483,6 @@ impl Reduction {
             refactorizations: sol.refactorizations,
             presolve_rows_removed: self.rows_removed(),
             presolve_cols_removed: self.cols_removed(),
-            degenerate_pivots: sol.degenerate_pivots,
-            progress: sol.progress,
-            watchdog_trips: sol.watchdog_trips,
             basis: WarmStart { statuses },
         }
     }

@@ -232,8 +232,6 @@ static OBS_ITERATIONS: a2a_obs::Counter = a2a_obs::Counter::new("lp.iterations")
 static OBS_DUAL_ITERATIONS: a2a_obs::Counter = a2a_obs::Counter::new("lp.dual_iterations");
 static OBS_REFACTORIZATIONS: a2a_obs::Counter = a2a_obs::Counter::new("lp.refactorizations");
 static OBS_STALL_ESCAPES: a2a_obs::Counter = a2a_obs::Counter::new("lp.stall_escapes");
-static OBS_DUAL_PERTURBATIONS: a2a_obs::Counter = a2a_obs::Counter::new("lp.dual_perturbations");
-static OBS_DUAL_ENGAGEMENTS: a2a_obs::Counter = a2a_obs::Counter::new("lp.dual_engagements");
 static OBS_DEGENERATE_PIVOTS: a2a_obs::Counter = a2a_obs::Counter::new("lp.degenerate_pivots");
 static OBS_ITERATION_NANOS: a2a_obs::Histogram = a2a_obs::Histogram::new("lp.iteration_nanos");
 
@@ -279,15 +277,6 @@ pub struct StandardSolution {
     pub presolve_rows_removed: usize,
     /// Structural columns removed by presolve (0 when presolve was disabled).
     pub presolve_cols_removed: usize,
-    /// Zero-step-length (degenerate) iterations across both the primal and
-    /// dual phases — the degeneracy signal the diagnostics layer reports.
-    pub degenerate_pivots: usize,
-    /// Per-refactorization progress samples (cumulative iterations, wall
-    /// seconds, objective). Captured only while tracing or the stall
-    /// watchdog is active; empty otherwise.
-    pub progress: Vec<a2a_obs::SimplexProgress>,
-    /// Stall-watchdog trips during this solve (0 when the watchdog is off).
-    pub watchdog_trips: u64,
     /// Final basis, reusable as [`SimplexOptions::warm_start`] for a related solve.
     pub basis: WarmStart,
 }
@@ -522,14 +511,6 @@ pub struct Solver<'a> {
     pivots: usize,
     refactorizations: usize,
     degenerate_run: usize,
-    degenerate_pivots: usize,
-    /// Per-refactorization progress samples for the current `reoptimize`
-    /// call (captured only while tracing or the watchdog is active).
-    progress: Vec<a2a_obs::SimplexProgress>,
-    /// Wall-clock anchor for progress samples, pinned per `reoptimize`.
-    solve_start: Option<std::time::Instant>,
-    /// Per-solve stall watchdog (None unless configured process-globally).
-    watchdog: Option<a2a_obs::StallWatchdog>,
     use_bland: bool,
     /// Whether a caller-provided warm/crash basis was actually installed (the
     /// [`DualSimplex::Auto`] trigger; slack fallbacks leave this false).
@@ -660,10 +641,6 @@ impl<'a> Solver<'a> {
             pivots: 0,
             refactorizations: 0,
             degenerate_run: 0,
-            degenerate_pivots: 0,
-            progress: Vec::new(),
-            solve_start: None,
-            watchdog: None,
             use_bland: false,
             warm_installed: false,
             weights: vec![1.0; ntotal],
@@ -838,30 +815,7 @@ impl<'a> Solver<'a> {
         // Collapsing the eta file changes the numerics of the dual solves; the
         // incremental reduced costs are rebuilt from fresh duals at next pricing.
         self.d_fresh = false;
-        self.sample_progress();
         Ok(())
-    }
-
-    /// Captures a per-refactorization progress sample (cumulative
-    /// iterations, wall seconds, objective) and feeds the stall watchdog.
-    /// Skipped entirely when neither tracing nor the watchdog is active, so
-    /// an uninstrumented solve never reads the clock or the objective here.
-    fn sample_progress(&mut self) {
-        if self.watchdog.is_none() && !a2a_obs::is_enabled() {
-            return;
-        }
-        let Some(start) = self.solve_start else {
-            return; // Initial basis setup, before any reoptimize().
-        };
-        let sample = a2a_obs::SimplexProgress {
-            iterations: self.iterations as u64,
-            wall_secs: start.elapsed().as_secs_f64(),
-            objective: (0..self.nstruct).map(|j| self.sf.obj[j] * self.x[j]).sum(),
-        };
-        self.progress.push(sample);
-        if let Some(wd) = self.watchdog.as_mut() {
-            wd.observe_simplex(sample.iterations, sample.wall_secs, sample.objective);
-        }
     }
 
     /// Recomputes the values of basic variables from the nonbasic values.
@@ -930,10 +884,6 @@ impl<'a> Solver<'a> {
         self.pivots = 0;
         // Count only in-solve refactorizations, not the initial basis setup.
         self.refactorizations = 0;
-        self.degenerate_pivots = 0;
-        self.progress.clear();
-        self.solve_start = Some(std::time::Instant::now());
-        self.watchdog = a2a_obs::StallWatchdog::if_configured("lp");
         if self.infeasibility() > self.opts.tol {
             // A primal-infeasible start that prices dual-feasible (a warm basis
             // after a bound/rhs change, or a zero-cost crash basis) is the dual
@@ -1264,9 +1214,6 @@ impl<'a> Solver<'a> {
             refactorizations: self.refactorizations,
             presolve_rows_removed: 0,
             presolve_cols_removed: 0,
-            degenerate_pivots: self.degenerate_pivots,
-            progress: self.progress.clone(),
-            watchdog_trips: self.watchdog.as_ref().map_or(0, |wd| wd.trips()),
             basis: self.export_basis(),
         }
     }
@@ -1769,7 +1716,6 @@ impl<'a> Solver<'a> {
     fn run_dual_phase(&mut self) -> LpResult<DualOutcome> {
         let _obs = a2a_obs::span("lp.dual");
         a2a_obs::instant("lp.dual_engaged");
-        OBS_DUAL_ENGAGEMENTS.incr();
         self.install_dual_perturbation();
         let outcome = self.dual_phase_loop();
         // Back to true costs no matter how the phase ended; the reduced costs
@@ -1804,7 +1750,6 @@ impl<'a> Solver<'a> {
                 VarStatus::Basic(_) | VarStatus::FreeZero => {}
             }
         }
-        OBS_DUAL_PERTURBATIONS.incr();
         self.refresh_reduced_costs(false);
     }
 
@@ -2083,7 +2028,6 @@ impl<'a> Solver<'a> {
             // Degenerate-stall bookkeeping on the *dual* step.
             if theta <= tol {
                 stall += 1;
-                self.degenerate_pivots += 1;
                 OBS_DEGENERATE_PIVOTS.incr();
                 if stall >= self.opts.degenerate_switch {
                     bland = true;
@@ -2341,7 +2285,6 @@ impl<'a> Solver<'a> {
         // Degeneracy bookkeeping.
         if t <= tol {
             self.degenerate_run += 1;
-            self.degenerate_pivots += 1;
             OBS_DEGENERATE_PIVOTS.incr();
             if self.degenerate_run >= self.opts.degenerate_switch {
                 self.use_bland = true;

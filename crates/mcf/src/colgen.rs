@@ -297,10 +297,6 @@ pub struct ColGenStats {
     /// redone at the raw duals (0 when stabilization is off). Each misprice
     /// resets the stability center.
     pub misprices: usize,
-    /// Stall-watchdog trips over the whole solve: round-level trips
-    /// (misprice loops, objective plateaus) plus the master solver's
-    /// iteration-rate trips. 0 when the watchdog is not configured.
-    pub watchdog_trips: u64,
 }
 
 impl ColGenStats {
@@ -312,7 +308,6 @@ impl ColGenStats {
             seed_columns,
             total_columns: seed_columns,
             misprices: 0,
-            watchdog_trips: 0,
         }
     }
 
@@ -581,17 +576,6 @@ pub trait PricingOracle {
 /// pool aging (matches the extraction thresholds of the concrete solvers).
 const PURGE_WEIGHT_TOL: f64 = 1e-9;
 
-// Observability taps for the shared round loop (both oracles go through
-// `run_colgen`). Free when tracing is off; totals accumulate process-wide
-// until `a2a_obs::reset`.
-static OBS_ROUNDS: a2a_obs::Counter = a2a_obs::Counter::new("colgen.rounds");
-static OBS_MISPRICES: a2a_obs::Counter = a2a_obs::Counter::new("colgen.misprices");
-static OBS_SOURCES_SKIPPED: a2a_obs::Counter = a2a_obs::Counter::new("colgen.sources_skipped");
-static OBS_COLUMNS_PURGED: a2a_obs::Counter = a2a_obs::Counter::new("colgen.columns_purged");
-static OBS_COLUMNS_ADDED: a2a_obs::Counter = a2a_obs::Counter::new("colgen.columns_added");
-static OBS_ROUND_WALL_NANOS: a2a_obs::Histogram =
-    a2a_obs::Histogram::new("colgen.round_wall_nanos");
-
 /// Pool-aging record of one appended path column: LP column
 /// `structural_cols + index in this list`.
 struct PoolEntry {
@@ -650,11 +634,8 @@ pub fn run_colgen<O: PricingOracle>(
         .collect();
     let mut stabilizer = DualStabilizer::new(options.stabilization);
     let mut partial = PartialPricing::new(options.partial_pricing, nsrc);
-    let mut watchdog = a2a_obs::StallWatchdog::if_configured("colgen");
     loop {
         let _obs_round = a2a_obs::span("colgen.round");
-        let _round_timer = OBS_ROUND_WALL_NANOS.start();
-        OBS_ROUNDS.incr();
         let t_master = Instant::now();
         let sol = {
             let _obs = a2a_obs::span("colgen.master");
@@ -700,7 +681,6 @@ pub fn run_colgen<O: PricingOracle>(
                 .deactivate_columns(&deactivate)
                 .map_err(McfError::from)?;
         }
-        OBS_COLUMNS_PURGED.add(columns_purged as u64);
 
         let t_pricing = Instant::now();
         let obs_pricing = a2a_obs::span("colgen.pricing");
@@ -739,7 +719,6 @@ pub fn run_colgen<O: PricingOracle>(
             let resweep: Vec<usize> = if smoothed {
                 stats.misprices += 1;
                 mispriced = true;
-                OBS_MISPRICES.incr();
                 stabilizer.collapse(&y_raw);
                 weights = oracle.arc_weights(&y_raw);
                 mu = oracle.convexity_duals(&y_raw);
@@ -760,7 +739,6 @@ pub fn run_colgen<O: PricingOracle>(
         }
         drop(obs_pricing);
         let pricing_wall_secs = t_pricing.elapsed().as_secs_f64();
-        OBS_SOURCES_SKIPPED.add(sources_skipped as u64);
 
         // Most violating candidates first; the owner index breaks ties so the
         // round is deterministic. The certificate and the recorded violation
@@ -794,21 +772,6 @@ pub fn run_colgen<O: PricingOracle>(
             columns_purged,
             misprice: mispriced,
         });
-        // Master-solver trips (iteration-rate collapse) roll up into the
-        // colgen stats alongside the round-level detectors.
-        stats.watchdog_trips += sol.watchdog_trips;
-        if let Some(wd) = watchdog.as_mut() {
-            let round = stats.rounds.last().expect("round was just pushed");
-            let before = wd.trips();
-            wd.observe_round(
-                stats.rounds.len(),
-                flow_value,
-                max_violation,
-                round.columns_added,
-                mispriced,
-            );
-            stats.watchdog_trips += wd.trips() - before;
-        }
 
         if proved {
             stats.proved_optimal = true;
@@ -818,7 +781,6 @@ pub fn run_colgen<O: PricingOracle>(
             return Ok((sol, stats));
         }
 
-        OBS_COLUMNS_ADDED.add(candidates.len() as u64);
         let new_cols: Vec<NewColumn> = candidates
             .iter()
             .map(|c| oracle.build_column(c.owner, &c.path))

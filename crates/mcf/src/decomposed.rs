@@ -109,12 +109,6 @@ pub struct DecomposedTimings {
     pub master_presolve_rows_removed: usize,
     /// Variables presolve removed from the master LP.
     pub master_presolve_cols_removed: usize,
-    /// Per-refactorization progress samples of the master LP (empty unless
-    /// tracing or the stall watchdog was active during the solve).
-    pub master_progress: Vec<a2a_obs::SimplexProgress>,
-    /// Stall-watchdog trips across the master and every child (0 when the
-    /// watchdog is not configured).
-    pub watchdog_trips: u64,
 }
 
 impl DecomposedTimings {
@@ -189,10 +183,6 @@ pub struct MasterSolution {
     pub presolve_rows_removed: usize,
     /// Variables presolve removed from the master LP.
     pub presolve_cols_removed: usize,
-    /// Per-refactorization progress samples (see [`a2a_obs::SimplexProgress`]).
-    pub progress: Vec<a2a_obs::SimplexProgress>,
-    /// Stall-watchdog trips during the master solve.
-    pub watchdog_trips: u64,
 }
 
 /// Per-child solve output: per-destination flows plus solver statistics.
@@ -203,7 +193,6 @@ struct ChildOutcome {
     dual_iterations: usize,
     pivots: usize,
     refactorizations: usize,
-    watchdog_trips: u64,
 }
 
 /// Solves the decomposed MCF for an all-to-all among all nodes.
@@ -249,10 +238,8 @@ pub fn solve_decomposed_mcf_with(
     let mut child_pivots = Vec::with_capacity(endpoints.len());
     let mut child_refactorizations = Vec::with_capacity(endpoints.len());
     let mut flows = vec![Vec::new(); commodities.len()];
-    let mut watchdog_trips = master.watchdog_trips;
     for (s_idx, result) in child_results.into_iter().enumerate() {
         let outcome = result?;
-        watchdog_trips += outcome.watchdog_trips;
         child_secs.push(outcome.secs);
         child_iterations.push(outcome.iterations);
         child_dual_iterations.push(outcome.dual_iterations);
@@ -289,8 +276,6 @@ pub fn solve_decomposed_mcf_with(
             child_refactorizations,
             master_presolve_rows_removed: master.presolve_rows_removed,
             master_presolve_cols_removed: master.presolve_cols_removed,
-            master_progress: master.progress,
-            watchdog_trips,
         },
     })
 }
@@ -412,8 +397,6 @@ pub fn solve_master_with(
         refactorizations: sol.refactorizations,
         presolve_rows_removed: sol.presolve_rows_removed,
         presolve_cols_removed: sol.presolve_cols_removed,
-        progress: sol.progress,
-        watchdog_trips: sol.watchdog_trips,
     })
 }
 
@@ -514,7 +497,6 @@ fn solve_child(
             dual_iterations: 0,
             pivots: 0,
             refactorizations: 0,
-            watchdog_trips: 0,
         });
     }
 
@@ -642,7 +624,6 @@ fn solve_child(
         dual_iterations: sol.dual_iterations,
         pivots: sol.pivots,
         refactorizations: sol.refactorizations,
-        watchdog_trips: sol.watchdog_trips,
     })
 }
 

@@ -68,7 +68,6 @@ pub mod decomposed;
 pub mod extract;
 pub mod linkmcf;
 pub mod pmcf;
-pub mod report;
 pub mod residual;
 pub mod tscolgen;
 pub mod tsmcf;

@@ -37,7 +37,7 @@ fn traced(solve: impl FnOnce() -> f64) -> (f64, Summary) {
 }
 
 /// Production-shaped colgen options (smoothing + partial pricing) so the skip
-/// and misprice code paths — and their counters — are exercised.
+/// and misprice resweeps — and the `colgen.price_source` spans in them — run.
 fn traced_colgen() -> (f64, Summary) {
     let topo = generators::torus(&[3, 3]);
     let commodities = CommoditySet::all_pairs(topo.num_nodes());

@@ -10,10 +10,9 @@
 //! the obs epoch with nanosecond resolution.
 
 use crate::{EventKind, TraceData};
-use std::io::{self, Write};
 
-/// JSON string-body escaping, shared with the [`crate::report`] writer.
-pub(crate) fn escape(s: &str) -> String {
+/// JSON string-body escaping.
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -75,11 +74,6 @@ pub fn chrome_trace_string(data: &TraceData) -> String {
     out.push_str(&lines.join(",\n"));
     out.push_str("\n]\n");
     out
-}
-
-/// Writes [`chrome_trace_string`] to a writer.
-pub fn write_chrome_trace(data: &TraceData, w: &mut dyn Write) -> io::Result<()> {
-    w.write_all(chrome_trace_string(data).as_bytes())
 }
 
 /// One event parsed back out of a Chrome trace produced by this module.

@@ -1,22 +1,20 @@
 //! `a2a_obs` — zero-dependency instrumentation core for the all-to-all
 //! toolchain: RAII [`span`]s, [`Counter`]/[`Histogram`] registries, a
-//! Chrome trace-event writer ([`chrome`]), an aggregated [`summary`] tree,
-//! serializable per-solve diagnostics ([`report`]), and an in-process stall
-//! [`watchdog`].
+//! Chrome trace-event writer ([`chrome`]) and an aggregated [`summary`] tree.
 //!
 //! # Choosing spans vs counters vs histograms
 //!
 //! - **[`span`]** — when you need *where the wall time went*: a region with
 //!   a begin and an end that nests (solve → master → pricing). Spans feed
-//!   the summary tree and the Chrome trace; their totals become a
-//!   [`SolveReport`]'s `stage_breakdown`. Cost while enabled: two clock reads and
-//!   two buffered events per call — fine at refactorization/round cadence,
-//!   too heavy *per pivot*.
-//! - **[`Counter`]** — when you need *how often* (pivots, misprices,
-//!   watchdog trips). One relaxed `fetch_add`; safe in the innermost loops.
+//!   the summary tree and the Chrome trace. Cost while enabled: two clock
+//!   reads and two buffered events per call — fine at refactorization/round
+//!   cadence, too heavy *per pivot*.
+//! - **[`Counter`]** — when you need *how often* (pivots, refactorizations,
+//!   rejected basis updates). One relaxed `fetch_add`; safe in the innermost
+//!   loops.
 //! - **[`Histogram`]** — when the *distribution* matters, not just the
 //!   total: per-iteration latency (is the tail collapsing?), FTRAN/BTRAN
-//!   result density, colgen round walls. A few relaxed atomics per record
+//!   result density, fair-share recomputes. A few relaxed atomics per record
 //!   and a fixed-size bucket array; safe in the innermost loops, and the
 //!   summary tree renders p50/p90/p99/max.
 //!
@@ -69,14 +67,10 @@ use std::time::Instant;
 pub mod chrome;
 mod counters;
 mod histogram;
-pub mod report;
 pub mod summary;
-pub mod watchdog;
 
 pub use counters::{Counter, CounterSnapshot};
 pub use histogram::{Histogram, HistogramSnapshot, HistogramTimer};
-pub use report::{ConvergenceRound, SimplexProgress, SolveReport};
-pub use watchdog::{StallWatchdog, WatchdogConfig};
 
 /// Process-global instrumentation switch. Relaxed loads only — see the
 /// crate-level overhead contract.
@@ -258,13 +252,6 @@ pub fn instant(name: &'static str) {
     if is_enabled() {
         record(EventKind::Instant, name);
     }
-}
-
-/// Non-destructive name-sorted snapshot of every registered counter
-/// (values are not cleared and no buffers are drained). The watchdog's
-/// diagnostic dump uses this; [`flush`] embeds the same snapshot.
-pub fn counter_snapshot() -> Vec<CounterSnapshot> {
-    counters::snapshot()
 }
 
 /// Drains every thread's event buffer and snapshots every registered

@@ -55,10 +55,6 @@ use crate::event::{
 use crate::scenario::ScenarioTimeline;
 use crate::SimParams;
 
-// Observability counters. Process-wide; accumulate until `a2a_obs::reset()`.
-static OBS_REPLAN_ATTEMPTS: a2a_obs::Counter = a2a_obs::Counter::new("replan.attempts");
-static OBS_REPLAN_FALLBACKS: a2a_obs::Counter = a2a_obs::Counter::new("replan.fallbacks");
-
 /// The incumbent column pool of the nominal solve, used to warm-start residual
 /// re-solves. `columns` and `steps` come from the
 /// [`a2a_mcf::TsColGen`] that produced the running schedule; `commodities`
@@ -263,7 +259,6 @@ fn repair(
     options: &ReplanOptions,
 ) -> Result<(ChunkedSchedule, ReplanAttempt, Option<IncumbentPool>), ReplanError> {
     let _obs = a2a_obs::span("replan.repair");
-    OBS_REPLAN_ATTEMPTS.incr();
     let obs_snapshot = a2a_obs::span("replan.snapshot");
     let cps = snapshot.chunks_per_shard as f64;
     let punctured = topo.without_edges(&snapshot.failed_links);
@@ -388,7 +383,6 @@ fn repair(
         }
         None => {
             attempt.used_fallback = true;
-            OBS_REPLAN_FALLBACKS.incr();
             let suffix = greedy_reroute_suffix(&punctured, &demands, snapshot.chunks_per_shard)
                 .map_err(ReplanError::Unrepairable)?;
             (suffix, None)

@@ -144,20 +144,20 @@ fn grid(dims: &[usize], wrap: bool) -> Topology {
         .join("x");
     let mut t = Topology::new(n, format!("{kind}-{label}"));
     for node in 0..n {
-        let coords = node_to_coords(node, dims);
-        for (dim, &size) in dims.iter().enumerate() {
-            if size < 2 {
-                continue;
-            }
-            let mut next = coords.clone();
-            next[dim] = (coords[dim] + 1) % size;
-            let is_wrap = next[dim] == 0 && coords[dim] == size - 1;
-            if is_wrap && (!wrap || size == 2) {
+        // Row-major ids: a step along a dimension adds the product of the later sizes.
+        let mut stride = n;
+        for &size in dims {
+            stride /= size;
+            let coord = node / stride % size;
+            let v = if coord + 1 < size {
+                node + stride
+            } else if wrap && size > 2 {
+                node - coord * stride
+            } else {
                 // No wraparound in meshes; in tori a size-2 dimension would duplicate
-                // the +1 link.
+                // the +1 link (and a size-1 dimension has no link at all).
                 continue;
-            }
-            let v = coords_to_node(&next, dims);
+            };
             if !t.has_edge(node, v) {
                 t.add_bidirectional(node, v, 1.0);
             }

@@ -11,11 +11,10 @@
 //! or <https://ui.perfetto.dev>. The master solve, every per-destination
 //! child, the LU factorizations and the Forrest–Tomlin updates all show up as
 //! nested spans; the simplex iteration counters ride along as counter tracks.
-//! The in-process summary tree — the same aggregation a `SolveReport` carries
-//! as its `stage_breakdown` and the repo benchmark reads its per-layer
-//! timings from — is printed to stdout.
+//! The in-process summary tree — span totals, counters and histogram
+//! percentiles, the aggregation the repo benchmark reads its per-layer metrics
+//! from — is printed to stdout.
 
-use a2a_lp::Pricing;
 use a2a_mcf::decomposed::{solve_decomposed_mcf_with, DecomposedOptions};
 use a2a_mcf::CommoditySet;
 use a2a_topology::generators;
@@ -27,13 +26,8 @@ fn main() {
 
     let topo = generators::torus(&[4, 4]);
     let commodities = CommoditySet::all_pairs(topo.num_nodes());
-    let opts = DecomposedOptions {
-        pricing: Pricing::Devex,
-        warm_start_children: true,
-        crash_master: true,
-        ..DecomposedOptions::default()
-    };
-    let solved = solve_decomposed_mcf_with(&topo, commodities, &opts).expect("decomposed solve");
+    let solved = solve_decomposed_mcf_with(&topo, commodities, &DecomposedOptions::default())
+        .expect("decomposed solve");
 
     a2a_obs::disable();
     let data = a2a_obs::flush();
