@@ -16,11 +16,12 @@
 //! that starts needing more rounds, columns or master iterations, or that
 //! stops skipping sources, fails here whatever the wall clock of the box.
 
-use a2a_mcf::decomposed::{solve_decomposed_mcf_with, DecomposedOptions};
+use a2a_mcf::decomposed::{solve_decomposed_mcf_with, solve_master_with, DecomposedOptions};
 use a2a_mcf::pmcf::solve_path_mcf_colgen_among;
 use a2a_mcf::tscolgen::solve_tsmcf_colgen_among_with;
 use a2a_mcf::tsmcf::minimum_steps;
 use a2a_mcf::{ColGenOptions, ColGenStats, CommoditySet, Stabilization};
+use a2a_topology::transform::HostNicAugmented;
 use a2a_topology::{generators, NodeId, Topology};
 
 /// The `tsmcf-torus3x3x3` / `replan-` / `simsweep-` benchmark configuration.
@@ -418,6 +419,87 @@ fn decomposed_trajectories_are_pinned() {
             golden.flow_bits,
             "{name}: F moved (now {})",
             solved.solution.flow_value
+        );
+    }
+}
+
+/// `topo` with its nodes shuffled by a SplitMix64-seeded Fisher–Yates
+/// permutation (the benchmark's `--instance` relabelling): edges keep their
+/// order and ids, only the node names move.
+fn relabelled(topo: &Topology, seed: u64) -> Topology {
+    let mut state = seed;
+    let mut next = || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut perm: Vec<NodeId> = (0..topo.num_nodes()).collect();
+    for i in (1..perm.len()).rev() {
+        perm.swap(i, (next() % (i as u64 + 1)) as usize);
+    }
+    let mut out = Topology::new(topo.num_nodes(), topo.name());
+    for e in topo.edges() {
+        out.add_edge(perm[e.src], perm[e.dst], e.capacity);
+    }
+    out
+}
+
+/// The decomposed master alone, on fabrics the rows above do not reach: the
+/// paper's host-bottleneck fabric (hosts behind capacity-4 links, transit
+/// nodes that only forward; `F = 2/27`), a larger Kautz graph, and a torus
+/// whose node order is not the generator's. Pins `(iterations,
+/// dual_iterations, pivots, refactorizations)` and `F.to_bits()`.
+#[test]
+fn decomposed_master_trajectories_are_pinned() {
+    let torus = generators::torus(&[3, 3, 3]);
+    let aug = HostNicAugmented::build(&torus, 4.0);
+    let kautz = generators::generalized_kautz(32, 4);
+    let shuffled = relabelled(&generators::torus(&[6, 6]), 1);
+    let cases = [
+        (
+            "host-augmented torus-3x3x3",
+            &aug.graph,
+            CommoditySet::among(aug.hosts.clone()),
+            (6469, 6469, 6469, 64),
+            0x3fb2_f684_bda1_2f68_u64,
+        ),
+        (
+            "genkautz-32",
+            &kautz,
+            CommoditySet::all_pairs(kautz.num_nodes()),
+            (3771, 3771, 3771, 37),
+            0x3fa8_1818_1818_1818,
+        ),
+        (
+            "relabelled torus-6x6",
+            &shuffled,
+            CommoditySet::all_pairs(shuffled.num_nodes()),
+            (3981, 3981, 3981, 39),
+            // 1/27 + 1 ulp.
+            0x3fa2_f684_bda1_2f69,
+        ),
+    ];
+    for (name, topo, commodities, counts, flow_bits) in &cases {
+        let master = solve_master_with(topo, commodities, &DecomposedOptions::default())
+            .unwrap_or_else(|e| panic!("{name}: master solve failed: {e}"));
+        assert_eq!(
+            (
+                master.iterations,
+                master.dual_iterations,
+                master.pivots,
+                master.refactorizations
+            ),
+            *counts,
+            "{name}: master (iterations, dual iterations, pivots, refactorizations) moved"
+        );
+        assert_eq!(
+            master.flow_value.to_bits(),
+            *flow_bits,
+            "{name}: F moved (now {} = {:#x})",
+            master.flow_value,
+            master.flow_value.to_bits()
         );
     }
 }
