@@ -14,19 +14,12 @@
 //!   FTRAN spikes the replaced `U` column, the row spike is eliminated into one
 //!   bounded row eta, and the factorization refuses unstable updates so the
 //!   simplex refactorizes exactly when the numerics demand it.
-//! * [`presolve`] — reductions applied before the simplex sees a model
-//!   (fixed-variable elimination, singleton-row substitution, empty/redundant-row
-//!   removal) plus geometric-mean row/column scaling rounded to powers of two,
-//!   with a postsolve that maps primal values and the exported basis back to the
-//!   original model so warm starts keep working end to end.
 //! * [`simplex`] — a bounded-variable revised simplex method with a two-phase
 //!   start. Pricing defaults to devex with incrementally maintained reduced costs
 //!   ([`simplex::Pricing::Devex`]); Dantzig remains available, starts can be
 //!   warm ([`simplex::SimplexOptions::warm_start`], [`simplex::triangular_crash`])
-//!   and every solution exports its basis for reuse. Presolve and scaling are on
-//!   by default ([`simplex::SimplexOptions::presolve`] /
-//!   [`simplex::SimplexOptions::scaling`]). A [`simplex::Solver`] can also be
-//!   held open as an incremental *session* for column generation:
+//!   and every solution exports its basis for reuse. A [`simplex::Solver`] can
+//!   also be held open as an incremental *session* for column generation:
 //!   [`simplex::Solver::add_columns`] appends structural columns without
 //!   disturbing the factorized basis and [`simplex::Solver::reoptimize`]
 //!   continues from it, while [`simplex::Solver::current_duals`] /
@@ -40,13 +33,16 @@
 //!
 //! # Solve pipeline
 //!
-//! [`simplex::solve`] runs `presolve → scale → simplex (FT-updated basis) →
-//! postsolve`. The presolve typically strips the hundreds of forced-zero flow
-//! variables every MCF formulation carries (for example "no flow back into the
-//! source" edges) and the rows they empty; the Forrest–Tomlin update policy
-//! refactorizes after [`simplex::SimplexOptions::refactor_interval`] updates,
-//! on fill growth past a fixed multiple of the base factorization, or
-//! immediately when an update's new diagonal is too small relative to its spike.
+//! There is one way into the LP: a [`simplex::StandardForm`] (built directly, or
+//! lowered from an [`LpProblem`]) goes to a [`simplex::Solver`] as it is —
+//! [`simplex::solve`] is `Solver::new(sf, options)?.solve()`. Nothing is removed
+//! or rescaled on the way, so indices, the exported basis and the duals refer to
+//! the caller's model. The MCF builders emit only the columns that can carry flow
+//! (no "flow back into the source" variables fixed at zero), with ±1
+//! coefficients. The Forrest–Tomlin update policy refactorizes after
+//! [`simplex::SimplexOptions::refactor_interval`] updates, on fill growth past a
+//! fixed multiple of the base factorization, or immediately when an update's new
+//! diagonal is too small relative to its spike.
 //!
 //! The solver targets the structure of network-flow LPs: very sparse columns (2–4
 //! nonzeros), coefficients of ±1 and modest right-hand sides. It is exact (up to
@@ -57,14 +53,12 @@ pub mod error;
 pub mod ilp;
 pub mod lu;
 pub mod model;
-pub mod presolve;
 pub mod reference;
 pub mod simplex;
 pub mod sparse;
 
 pub use error::{LpError, LpResult};
 pub use model::{ConstraintSense, LpProblem, LpSolution, Objective, SolveStatus, VarId};
-pub use presolve::Reduction;
 pub use simplex::{
     recover_row_duals, triangular_crash, BasisStatus, DualSimplex, NewColumn, Pricing,
     SimplexOptions, Solver, StandardForm, StandardSolution, WarmStart,

@@ -91,10 +91,6 @@ pub struct LpSolution {
     pub pivots: usize,
     /// Basis refactorizations performed during the solve.
     pub refactorizations: usize,
-    /// Constraint rows removed by presolve before the simplex ran.
-    pub presolve_rows_removed: usize,
-    /// Variables removed by presolve before the simplex ran.
-    pub presolve_cols_removed: usize,
     /// Final simplex basis: structural variables in [`VarId::index`] order followed
     /// by one logical variable per constraint. Feed it back through
     /// [`crate::SimplexOptions::warm_start`] to re-solve this (or a structurally
@@ -346,9 +342,8 @@ impl LpProblem {
     /// variables appended since then are spliced in as nonbasic at their
     /// default bound, exactly mirroring what [`crate::simplex::Solver::add_columns`]
     /// does to a live session. The extended basis is then handed to
-    /// [`Self::solve_with`] as a warm start, so it composes with presolve and
-    /// scaling (the warm start is mapped into the reduced space as usual) and
-    /// any `warm_start` already present in `options` is replaced.
+    /// [`Self::solve_with`] as a warm start; any `warm_start` already present in
+    /// `options` is replaced.
     ///
     /// The constraint set must be unchanged since the basis was exported; only
     /// columns may have been appended.
@@ -401,26 +396,11 @@ impl LpProblem {
     /// variable's reduced cost is `c_j - sum_i y[i] a_ij` (non-positive for
     /// at-lower-bound nonbasic variables at a maximum).
     ///
-    /// A basis postsolved out of the presolve reductions can be *dual*-degenerate
-    /// in the original space (a singleton row turned into a variable bound keeps
-    /// its price on the bound, not the row), so the duals are recovered in two
-    /// steps: a presolve-free solve warm-started from the solution's exported
-    /// basis re-verifies optimality against the original model — near-free when
-    /// the basis is already dual-consistent — and the verified basis is then
-    /// factorized once for the transposed dual solve
-    /// ([`crate::simplex::recover_row_duals`]).
+    /// The solution's exported basis is factorized once for the transposed dual
+    /// solve ([`crate::simplex::recover_row_duals`]).
     pub fn row_duals(&self, solution: &LpSolution) -> LpResult<Vec<f64>> {
         let sf = self.to_standard_form()?;
-        let verify = simplex::solve(
-            &sf,
-            &SimplexOptions {
-                warm_start: Some(solution.basis.clone()),
-                presolve: false,
-                scaling: false,
-                ..SimplexOptions::default()
-            },
-        )?;
-        let y = simplex::recover_row_duals(&sf, &verify.basis)?;
+        let y = simplex::recover_row_duals(&sf, &solution.basis)?;
         let sign = match self.objective {
             Objective::Minimize => 1.0,
             Objective::Maximize => -1.0,
@@ -445,8 +425,6 @@ impl LpProblem {
             dual_iterations: sol.dual_iterations,
             pivots: sol.pivots,
             refactorizations: sol.refactorizations,
-            presolve_rows_removed: sol.presolve_rows_removed,
-            presolve_cols_removed: sol.presolve_cols_removed,
             basis: sol.basis,
         })
     }

@@ -6,10 +6,10 @@
 //! the basic variables (a piecewise-linear infeasibility objective), phase 2 minimizes
 //! the real objective.
 //!
-//! By default [`solve`] first runs the [`crate::presolve`] reductions (fixed-variable
-//! elimination, singleton-row substitution, empty/redundant-row removal, and
-//! geometric-mean row/column scaling) and maps the reduced solution back through the
-//! postsolve — disable via [`SimplexOptions::presolve`] / [`SimplexOptions::scaling`].
+//! The solver works on the model exactly as the caller built it — no row or column
+//! is removed or rescaled — so row and column indices, the exported basis and the
+//! duals all refer to the caller's [`StandardForm`]. The MCF builders emit only
+//! columns that can carry flow, with ±1 coefficients.
 //!
 //! The basis inverse is maintained as a sparse LU factorization ([`crate::lu`]) kept
 //! current across pivots by **Forrest–Tomlin updates**
@@ -181,17 +181,8 @@ pub struct SimplexOptions {
     /// column count. Ignored under [`Pricing::Dantzig`].
     pub candidate_list_size: usize,
     /// Optional starting basis (see [`WarmStart`]). Falls back to the all-slack
-    /// basis when absent, malformed or singular. With presolve enabled the start
-    /// is mapped into the reduced space (and falls back silently if the mapping
-    /// leaves the wrong number of basics).
+    /// basis when absent, malformed or singular.
     pub warm_start: Option<WarmStart>,
-    /// Run the [`crate::presolve`] reductions (fixed-variable elimination,
-    /// singleton-row substitution, empty/redundant-row removal) before the
-    /// simplex sees the model, and map the solution back afterwards.
-    pub presolve: bool,
-    /// Apply geometric-mean row/column scaling (rounded to powers of two, so the
-    /// transform is exact in floating point) to the model the simplex solves.
-    pub scaling: bool,
 }
 
 impl Default for SimplexOptions {
@@ -206,8 +197,6 @@ impl Default for SimplexOptions {
             dual_simplex: DualSimplex::default(),
             candidate_list_size: 0,
             warm_start: None,
-            presolve: true,
-            scaling: true,
         }
     }
 }
@@ -273,30 +262,12 @@ pub struct StandardSolution {
     pub pivots: usize,
     /// Basis refactorizations performed (initial factorization excluded).
     pub refactorizations: usize,
-    /// Constraint rows removed by presolve (0 when presolve was disabled).
-    pub presolve_rows_removed: usize,
-    /// Structural columns removed by presolve (0 when presolve was disabled).
-    pub presolve_cols_removed: usize,
     /// Final basis, reusable as [`SimplexOptions::warm_start`] for a related solve.
     pub basis: WarmStart,
 }
 
-/// Solves a standard-form LP: presolve + scaling reductions (unless disabled via
-/// [`SimplexOptions::presolve`] / [`SimplexOptions::scaling`]) around the core
-/// [`Solver`], with the solution postsolved back to the original model.
+/// Solves a standard-form LP to optimality with a one-shot [`Solver`].
 pub fn solve(sf: &StandardForm, options: &SimplexOptions) -> LpResult<StandardSolution> {
-    if options.presolve || options.scaling {
-        crate::presolve::solve_with_reductions(sf, options)
-    } else {
-        solve_core(sf, options)
-    }
-}
-
-/// Solves a standard-form LP with the bare simplex (no presolve, no scaling).
-pub(crate) fn solve_core(
-    sf: &StandardForm,
-    options: &SimplexOptions,
-) -> LpResult<StandardSolution> {
     Solver::new(sf, options.clone())?.solve()
 }
 
@@ -393,9 +364,7 @@ pub fn triangular_crash(sf: &StandardForm, preference: &[f64]) -> WarmStart {
 
 /// Recomputes the row duals `y` of a basis exported by a finished solve:
 /// collects the basic columns named by `basis`, factorizes them once, and
-/// solves `Bᵀy = c_B`. Works on the *original* (unreduced, unscaled) standard
-/// form, so it composes with presolve: the exported basis of a presolved solve
-/// is already mapped back to the full model.
+/// solves `Bᵀy = c_B`.
 ///
 /// The duals are in the minimize sense of `sf`; the model layer
 /// ([`crate::LpProblem::row_duals`]) flips the sign for maximization problems.
@@ -942,10 +911,6 @@ impl<'a> Solver<'a> {
     /// append can rebuild the equivalent start by splicing the new columns'
     /// statuses in at position `old_ncols` (the model layer's
     /// [`crate::LpProblem::resolve_with`] does exactly that).
-    ///
-    /// This method works on the *core* standard form: a session solver never
-    /// applies presolve or scaling, so row/column indices are stable across the
-    /// whole session.
     pub fn add_columns(&mut self, cols: &[NewColumn]) -> LpResult<()> {
         if cols.is_empty() {
             return Ok(());
@@ -1212,8 +1177,6 @@ impl<'a> Solver<'a> {
             dual_iterations: self.dual_iterations,
             pivots: self.pivots,
             refactorizations: self.refactorizations,
-            presolve_rows_removed: 0,
-            presolve_cols_removed: 0,
             basis: self.export_basis(),
         }
     }
@@ -2565,8 +2528,6 @@ mod tests {
     fn warm_start_roundtrip_skips_work() {
         // Solve once cold, then re-solve warm-started from the optimal basis: the
         // warm solve must agree on the optimum and need (near) zero pivots.
-        // Presolve is off — its doubleton pass would solve this model outright,
-        // and the point here is the *simplex* warm-start path.
         let sf = StandardForm {
             nrows: 2,
             cols: vec![col(&[(0, 1.0), (1, 1.0)]), col(&[(0, 1.0), (1, -1.0)])],
@@ -2576,16 +2537,11 @@ mod tests {
             row_lower: vec![5.0, 1.0],
             row_upper: vec![5.0, 1.0],
         };
-        let core = SimplexOptions {
-            presolve: false,
-            scaling: false,
-            ..SimplexOptions::default()
-        };
-        let cold = solve(&sf, &core).unwrap();
+        let cold = solve(&sf, &SimplexOptions::default()).unwrap();
         assert!(cold.pivots > 0);
         let warm_opts = SimplexOptions {
             warm_start: Some(cold.basis.clone()),
-            ..core
+            ..SimplexOptions::default()
         };
         let warm = solve(&sf, &warm_opts).unwrap();
         assert!((warm.objective - cold.objective).abs() < 1e-9);
@@ -2725,8 +2681,6 @@ mod tests {
             pricing: [Pricing::Devex, Pricing::Dantzig][(seed % 2) as usize],
             dual_simplex: DualSimplex::Always,
             refactor_interval: [3, 17, 100][(seed % 3) as usize],
-            presolve: false,
-            scaling: false,
             ..SimplexOptions::default()
         };
         let step = |solver: &mut Solver<'_>, trail: &mut Vec<(usize, usize, u64)>| {

@@ -2,8 +2,8 @@
 //! appending columns to a solved model, the extended solve must match a cold
 //! solve of the full model —
 //!
-//! * at the model layer (`LpProblem::add_column` + `resolve_with`) across the
-//!   presolve on/off × warm-start on/off matrix, and
+//! * at the model layer (`LpProblem::add_column` + `resolve_with`), cold and
+//!   warm-started, and
 //! * at the session layer (`Solver::add_columns` + `reoptimize`), where the
 //!   basis carries over *mid Forrest–Tomlin update cycle* (a large
 //!   `refactor_interval` keeps every pivot of the previous round in the update
@@ -17,14 +17,6 @@ use a2a_lp::{
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-
-fn opts(presolve: bool, scaling: bool) -> SimplexOptions {
-    SimplexOptions {
-        presolve,
-        scaling,
-        ..SimplexOptions::default()
-    }
-}
 
 fn random_bounds(rng: &mut ChaCha8Rng) -> (f64, f64) {
     match rng.random_range(0..8) {
@@ -118,8 +110,7 @@ fn random_scenario(rng: &mut ChaCha8Rng) -> Scenario {
 }
 
 /// Model layer: `resolve_with` from the pre-append basis must agree with a cold
-/// solve of the extended model, under every presolve/scaling × warm-start
-/// combination.
+/// solve of the extended model.
 #[test]
 fn model_add_column_matrix_matches_cold_solve() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xADD_C01);
@@ -136,48 +127,26 @@ fn model_add_column_matrix_matches_cold_solve() {
 
         // Cold reference on the extended model (solver defaults).
         let cold = base.solve();
-        for presolve in [false, true] {
-            for scaling in [false, true] {
-                let cfg = opts(presolve, scaling);
-                let cold_cfg = base.solve_with(&cfg);
-                let warm_cfg = base.resolve_with(&first.basis, &cfg);
-                match (&cold, &cold_cfg, &warm_cfg) {
-                    (Ok(a), Ok(b), Ok(c)) => {
-                        exercised += 1;
-                        let scale = 1.0 + a.objective_value.abs();
-                        assert!(
-                            (a.objective_value - b.objective_value).abs() < 1e-6 * scale,
-                            "{tag} p={presolve} s={scaling}: cold {} vs cold-cfg {}",
-                            a.objective_value,
-                            b.objective_value
-                        );
-                        assert!(
-                            (a.objective_value - c.objective_value).abs() < 1e-6 * scale,
-                            "{tag} p={presolve} s={scaling}: cold {} vs resolve {}",
-                            a.objective_value,
-                            c.objective_value
-                        );
-                    }
-                    (Err(LpError::Unbounded), Err(LpError::Unbounded), Err(LpError::Unbounded)) => {
-                    }
-                    // A forced nonzero lower bound on an appended column can make
-                    // the extended model infeasible; all paths must agree on it.
-                    (
-                        Err(LpError::Infeasible),
-                        Err(LpError::Infeasible),
-                        Err(LpError::Infeasible),
-                    ) => {}
-                    (a, b, c) => {
-                        panic!("{tag} p={presolve} s={scaling}: cold {a:?} / cold-cfg {b:?} / resolve {c:?} disagree")
-                    }
-                }
+        let warm = base.resolve_with(&first.basis, &SimplexOptions::default());
+        match (&cold, &warm) {
+            (Ok(a), Ok(c)) => {
+                exercised += 1;
+                let scale = 1.0 + a.objective_value.abs();
+                assert!(
+                    (a.objective_value - c.objective_value).abs() < 1e-6 * scale,
+                    "{tag}: cold {} vs resolve {}",
+                    a.objective_value,
+                    c.objective_value
+                );
             }
+            (Err(LpError::Unbounded), Err(LpError::Unbounded)) => {}
+            // A forced nonzero lower bound on an appended column can make
+            // the extended model infeasible; both paths must agree on it.
+            (Err(LpError::Infeasible), Err(LpError::Infeasible)) => {}
+            (a, c) => panic!("{tag}: cold {a:?} / resolve {c:?} disagree"),
         }
     }
-    assert!(
-        exercised > 100,
-        "only {exercised} optimal matrix checks ran"
-    );
+    assert!(exercised > 25, "only {exercised} optimal cases ran");
 }
 
 /// Converts a scenario to standard form plus the `NewColumn` batch for the
@@ -222,8 +191,6 @@ fn session_add_columns_mid_ft_cycle_matches_cold_solve() {
             // so the append happens mid-update-cycle, never on a fresh basis.
             let session_opts = SimplexOptions {
                 pricing,
-                presolve: false,
-                scaling: false,
                 refactor_interval: 10_000,
                 ..SimplexOptions::default()
             };
@@ -250,8 +217,6 @@ fn session_add_columns_mid_ft_cycle_matches_cold_solve() {
                 &full_sf,
                 &SimplexOptions {
                     pricing,
-                    presolve: false,
-                    scaling: false,
                     ..SimplexOptions::default()
                 },
             );
@@ -320,8 +285,6 @@ fn session_append_validation() {
     let mut solver = Solver::new(
         &sf,
         SimplexOptions {
-            presolve: false,
-            scaling: false,
             ..SimplexOptions::default()
         },
     )
@@ -388,8 +351,6 @@ fn session_objective_updates_match_cold_solve() {
         let (base_sf, full_sf, batch) = scenario_standard_forms(&scenario);
         let tag = format!("obj-update case {case}");
         let session_opts = SimplexOptions {
-            presolve: false,
-            scaling: false,
             refactor_interval: 10_000,
             ..SimplexOptions::default()
         };
@@ -457,8 +418,6 @@ fn session_objective_update_validation() {
     let mut solver = Solver::new(
         &sf,
         SimplexOptions {
-            presolve: false,
-            scaling: false,
             ..SimplexOptions::default()
         },
     )
@@ -532,7 +491,7 @@ fn session_trajectory_across_appends_and_refactorizations_is_pinned() {
         sf.lower.push(c.lower);
         sf.upper.push(c.upper);
     }
-    let mut solver = Solver::new_owned(sf, opts(false, false)).unwrap();
+    let mut solver = Solver::new_owned(sf, SimplexOptions::default()).unwrap();
     let mut rounds = Vec::new();
     for round in 0..4 {
         if round > 0 {

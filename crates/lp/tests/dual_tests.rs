@@ -113,12 +113,8 @@ fn assert_primal_feasible(lp: &LpProblem, values: &[f64]) {
 }
 
 fn opts(dual: DualSimplex) -> SimplexOptions {
-    // Presolve off so tiny LPs are not solved away before the simplex runs —
-    // the engagement counts below would otherwise be vacuous.
     SimplexOptions {
         dual_simplex: dual,
-        presolve: false,
-        scaling: false,
         ..SimplexOptions::default()
     }
 }

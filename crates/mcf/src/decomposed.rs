@@ -9,6 +9,12 @@
 //!    into per-destination flows on the capacity-restricted subgraph. The children are
 //!    embarrassingly parallel and are dispatched with rayon.
 //!
+//! Both builders emit only what can carry flow: the master has no column for an
+//! edge into its own source, and a child gives destination `d` a column only for
+//! the master-used edges on some `s → d` path (the restricted subgraph's
+//! reachability, one BFS each way), with a capacity row only where some
+//! destination keeps the edge.
+//!
 //! The decomposition preserves the optimal `F` of the original formulation (the master
 //! is a relaxation obtained by aggregating commodities per source, and the children
 //! prove the aggregate is splittable), while reducing the dominant LP from `O(N³)` to
@@ -22,12 +28,11 @@ use a2a_lp::{
 use a2a_topology::{EdgeId, NodeId, Topology};
 use rayon::prelude::*;
 
-use crate::linkmcf::{validate, FLOW_TOL};
+use crate::linkmcf::{columns, no_fixed_columns, validate, FLOW_TOL};
 use crate::types::{CommoditySet, LinkFlowSolution, McfError, McfResult};
 
 /// Solver configuration for the decomposed MCF: which pricing rule the simplex
-/// uses, whether the child LPs are seeded from the master's solution, and
-/// whether the LP-layer presolve/scaling reductions run before each solve.
+/// uses and how the master and the child LPs start.
 #[derive(Debug, Clone)]
 pub struct DecomposedOptions {
     /// Pricing rule for both the master and the child LPs.
@@ -36,11 +41,6 @@ pub struct DecomposedOptions {
     /// (columns on edges that carry master flow are preferred into the basis)
     /// instead of starting every child from the all-slack basis.
     pub warm_start_children: bool,
-    /// Run the LP presolve reductions (fixed-variable elimination, singleton-row
-    /// substitution, empty/redundant-row removal) on the master and child LPs.
-    pub presolve: bool,
-    /// Apply geometric-mean row/column scaling to the (presolved) LPs.
-    pub scaling: bool,
     /// Start the master LP from a structural crash basis instead of the
     /// all-slack basis: `F` gets a finite upper bound from the endpoint cut
     /// argument and is crashed nonbasic *at* that bound, while per-source BFS
@@ -56,8 +56,6 @@ impl Default for DecomposedOptions {
         Self {
             pricing: Pricing::default(),
             warm_start_children: true,
-            presolve: true,
-            scaling: true,
             crash_master: true,
         }
     }
@@ -69,8 +67,6 @@ impl DecomposedOptions {
     fn simplex_options(&self) -> SimplexOptions {
         SimplexOptions {
             pricing: self.pricing,
-            presolve: self.presolve,
-            scaling: self.scaling,
             ..SimplexOptions::default()
         }
     }
@@ -105,10 +101,6 @@ pub struct DecomposedTimings {
     pub master_refactorizations: usize,
     /// Basis refactorizations per child LP.
     pub child_refactorizations: Vec<usize>,
-    /// Constraint rows presolve removed from the master LP.
-    pub master_presolve_rows_removed: usize,
-    /// Variables presolve removed from the master LP.
-    pub master_presolve_cols_removed: usize,
 }
 
 impl DecomposedTimings {
@@ -179,10 +171,6 @@ pub struct MasterSolution {
     pub pivots: usize,
     /// Basis refactorizations of the master LP.
     pub refactorizations: usize,
-    /// Constraint rows presolve removed from the master LP.
-    pub presolve_rows_removed: usize,
-    /// Variables presolve removed from the master LP.
-    pub presolve_cols_removed: usize,
 }
 
 /// Per-child solve output: per-destination flows plus solver statistics.
@@ -274,8 +262,6 @@ pub fn solve_decomposed_mcf_with(
             child_pivots,
             master_refactorizations: master.refactorizations,
             child_refactorizations,
-            master_presolve_rows_removed: master.presolve_rows_removed,
-            master_presolve_cols_removed: master.presolve_cols_removed,
         },
     })
 }
@@ -303,13 +289,15 @@ pub fn solve_master_with(
 
     let mut lp = LpProblem::maximize();
     let f_var = lp.add_var("F", 0.0, INF, 1.0);
-    // vars[s_idx][e] = aggregate flow of source s over edge e.
-    let vars: Vec<Vec<VarId>> = endpoints
+    // vars[s_idx][e] = aggregate flow of source s over edge e. Flow back into
+    // the source is useless, so edges into it get no column.
+    let vars: Vec<Vec<Option<VarId>>> = endpoints
         .iter()
         .map(|&s| {
-            (0..topo.num_edges())
-                .map(|e| lp.add_var(format!("g_{s}_e{e}"), 0.0, INF, 0.0))
-                .collect()
+            let per_edge = topo.edges().iter().enumerate().map(|(e, edge)| {
+                (edge.dst != s).then(|| lp.add_var(format!("g_{s}_e{e}"), 0.0, INF, 0.0))
+            });
+            per_edge.collect()
         })
         .collect();
 
@@ -319,7 +307,9 @@ pub fn solve_master_with(
             continue;
         }
         lp.add_constraint(
-            vars.iter().map(|per_edge| (per_edge[e], 1.0)),
+            vars.iter()
+                .filter_map(|per_edge| per_edge[e])
+                .map(|v| (v, 1.0)),
             ConstraintSense::Le,
             edge.capacity,
         );
@@ -333,11 +323,9 @@ pub fn solve_master_with(
             if u == s || (topo.out_degree(u) == 0 && topo.in_degree(u) == 0) {
                 continue;
             }
-            let coeffs = topo
-                .out_edges(u)
-                .iter()
-                .map(|&e| (per_edge[e], 1.0))
-                .chain(topo.in_edges(u).iter().map(|&e| (per_edge[e], -1.0)));
+            let coeffs = columns(per_edge, topo.out_edges(u))
+                .map(|v| (v, 1.0))
+                .chain(columns(per_edge, topo.in_edges(u)).map(|v| (v, -1.0)));
             if is_endpoint[u] {
                 lp.add_constraint(
                     coeffs.chain(std::iter::once((f_var, 1.0))),
@@ -348,32 +336,32 @@ pub fn solve_master_with(
                 lp.add_constraint(coeffs, ConstraintSense::Le, 0.0);
             }
         }
-        // Useless flow back into the source is forbidden.
-        for &e in topo.in_edges(s) {
-            lp.set_bounds(per_edge[e], 0.0, 0.0);
-        }
     }
 
-    let mut opts = options.simplex_options();
-    if options.crash_master {
-        let f_upper = master_flow_upper_bound(topo, endpoints);
-        if f_upper.is_finite() {
-            // Bounding F is what lets the crash park it *at* a bound: with the
-            // zero-cost basis below, y = 0, so F (the only costed column) is
-            // dual-feasible exactly when it sits at its upper bound.
-            lp.set_bounds(f_var, 0.0, f_upper);
-            let mut preference = vec![0.0; lp.num_vars()];
-            for (s_idx, &s) in endpoints.iter().enumerate() {
-                bfs_tree_edge_counts(topo, s, &is_endpoint, &vars[s_idx], &mut preference);
-            }
-            let sf = lp.to_standard_form()?;
-            let mut crash = triangular_crash(&sf, &preference);
-            crash.statuses[f_var.index()] = BasisStatus::AtUpper;
-            opts.warm_start = Some(crash);
-        }
+    let f_upper = master_flow_upper_bound(topo, endpoints);
+    let crash = options.crash_master && f_upper.is_finite();
+    if crash {
+        // Bounding F is what lets the crash park it *at* a bound: with the
+        // zero-cost basis below, y = 0, so F (the only costed column) is
+        // dual-feasible exactly when it sits at its upper bound.
+        lp.set_bounds(f_var, 0.0, f_upper);
     }
-    let sol = lp.solve_with(&opts)?;
-    let flow_value = sol.value(f_var);
+    // Lower once and solve on the standard form directly: it minimizes −F, and
+    // its column values need no sign flip.
+    let sf = lp.to_standard_form()?;
+    debug_assert!(no_fixed_columns(&sf), "the master emits a fixed column");
+    let mut opts = options.simplex_options();
+    if crash {
+        let mut preference = vec![0.0; sf.cols.len()];
+        for (s_idx, &s) in endpoints.iter().enumerate() {
+            bfs_tree_edge_counts(topo, s, &is_endpoint, &vars[s_idx], &mut preference);
+        }
+        let mut start = triangular_crash(&sf, &preference);
+        start.statuses[f_var.index()] = BasisStatus::AtUpper;
+        opts.warm_start = Some(start);
+    }
+    let sol = a2a_lp::simplex::solve(&sf, &opts)?;
+    let flow_value = sol.x[f_var.index()];
     let source_flows = vars
         .iter()
         .map(|per_edge| {
@@ -381,7 +369,7 @@ pub fn solve_master_with(
                 .iter()
                 .enumerate()
                 .filter_map(|(e, &v)| {
-                    let val = sol.value(v);
+                    let val = sol.x[v?.index()];
                     (val > FLOW_TOL).then_some((e, val))
                 })
                 .collect()
@@ -395,8 +383,6 @@ pub fn solve_master_with(
         dual_iterations: sol.dual_iterations,
         pivots: sol.pivots,
         refactorizations: sol.refactorizations,
-        presolve_rows_removed: sol.presolve_rows_removed,
-        presolve_cols_removed: sol.presolve_cols_removed,
     })
 }
 
@@ -435,7 +421,7 @@ fn bfs_tree_edge_counts(
     topo: &Topology,
     s: NodeId,
     is_endpoint: &[bool],
-    per_edge: &[VarId],
+    per_edge: &[Option<VarId>],
     preference: &mut [f64],
 ) {
     let mut parent_edge = vec![usize::MAX; topo.num_nodes()];
@@ -459,7 +445,8 @@ fn bfs_tree_edge_counts(
         let mut u = d;
         while u != s {
             let e = parent_edge[u];
-            preference[per_edge[e].index()] += 1.0;
+            let v = per_edge[e].expect("tree edges never enter the root");
+            preference[v.index()] += 1.0;
             u = topo.edge(e).src;
         }
     }
@@ -469,6 +456,14 @@ fn bfs_tree_edge_counts(
 /// flows of value `flow_value` each, minimizing total flow (paper constraints
 /// (10)–(14)). Returns per-destination `(edge, flow)` lists (destinations in endpoint
 /// order, skipping `s`) and the solve statistics.
+///
+/// The child lives on the subgraph of edges the master routes `s`'s flow over,
+/// and destination `d` gets a column only for a used edge on some `s → d` path:
+/// its tail is reachable from `s` and its head reaches `d` without passing
+/// through `d` or `s` respectively, and no kept edge leaves `d` or enters `s`.
+/// Flow on any other edge could only end in a cycle or a dead end, which the
+/// minimum-flow objective never pays for, so the restriction loses nothing. A
+/// capacity row is emitted only for an edge some destination keeps.
 ///
 /// With [`DecomposedOptions::warm_start_children`] the child does not start from the
 /// all-slack basis: the master's solution is *projected* onto the child by building
@@ -511,60 +506,63 @@ fn solve_child(
             "master LP routed no flow out of source {s}"
         )));
     }
-    let mut lp = LpProblem::minimize();
-    // vars[d_pos][local edge index]
-    let vars: Vec<Vec<VarId>> = dests
-        .iter()
-        .map(|&d| {
-            used_edges
-                .iter()
-                .map(|&(e, _)| lp.add_var(format!("h_{s}_{d}_e{e}"), 0.0, INF, 1.0))
-                .collect()
-        })
-        .collect();
+    let n = topo.num_nodes();
+    let mut out_used = vec![Vec::new(); n];
+    let mut in_used = vec![Vec::new(); n];
+    for (local, &(e, _)) in used_edges.iter().enumerate() {
+        let edge = topo.edge(e);
+        out_used[edge.src].push(local);
+        in_used[edge.dst].push(local);
+    }
+    let tail = |local: usize| topo.edge(used_edges[local].0).src;
+    let head = |local: usize| topo.edge(used_edges[local].0).dst;
 
-    // Capacity: per used edge, sum over destinations <= master flow (with a hair of
-    // numerical slack so that tolerance-level noise cannot make the child infeasible).
-    for (local, &(_, cap)) in used_edges.iter().enumerate() {
-        lp.add_constraint(
-            vars.iter().map(|per_edge| (per_edge[local], 1.0)),
-            ConstraintSense::Le,
-            cap + 1e-9,
-        );
+    let mut lp = LpProblem::minimize();
+    // vars[d_pos] = (local edge index, column) of every edge d keeps.
+    let mut vars: Vec<Vec<(usize, VarId)>> = Vec::with_capacity(dests.len());
+    for &d in &dests {
+        let from_s = reachable(n, s, d, &out_used, head);
+        let to_d = reachable(n, d, s, &in_used, tail);
+        let kept = (0..used_edges.len())
+            .filter(|&l| tail(l) != d && head(l) != s && from_s[tail(l)] && to_d[head(l)]);
+        let columns = kept.map(|l| {
+            let name = format!("h_{s}_{d}_e{}", used_edges[l].0);
+            (l, lp.add_var(name, 0.0, INF, 1.0))
+        });
+        vars.push(columns.collect());
+    }
+
+    // Capacity: per kept edge, sum over destinations <= master flow (with a hair
+    // of numerical slack so that tolerance-level noise cannot make the child
+    // infeasible).
+    let mut sharing = vec![Vec::new(); used_edges.len()];
+    for &(l, v) in vars.iter().flatten() {
+        sharing[l].push((v, 1.0));
+    }
+    for (coeffs, &(_, cap)) in sharing.into_iter().zip(&used_edges) {
+        if !coeffs.is_empty() {
+            lp.add_constraint(coeffs, ConstraintSense::Le, cap + 1e-9);
+        }
     }
 
     // Conservation and demand per destination.
     let demand = flow_value * (1.0 - 1e-7);
-    for (d_pos, &d) in dests.iter().enumerate() {
-        let per_edge = &vars[d_pos];
-        for u in 0..topo.num_nodes() {
-            if u == s || u == d {
-                continue;
-            }
-            let coeffs: Vec<(VarId, f64)> = used_edges
-                .iter()
-                .enumerate()
-                .filter_map(|(local, &(e, _))| {
-                    let edge = topo.edge(e);
-                    if edge.src == u {
-                        Some((per_edge[local], 1.0))
-                    } else if edge.dst == u {
-                        Some((per_edge[local], -1.0))
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            if !coeffs.is_empty() {
-                lp.add_constraint(coeffs, ConstraintSense::Le, 0.0);
-            }
+    let mut at_node: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); n];
+    for (per_dest, &d) in vars.iter().zip(&dests) {
+        for &(l, v) in per_dest {
+            at_node[tail(l)].push((v, 1.0));
+            at_node[head(l)].push((v, -1.0));
         }
-        let inflow: Vec<(VarId, f64)> = used_edges
+        for (u, coeffs) in at_node.iter_mut().enumerate() {
+            if u != s && u != d && !coeffs.is_empty() {
+                lp.add_constraint(coeffs.drain(..), ConstraintSense::Le, 0.0);
+            }
+            coeffs.clear();
+        }
+        let inflow: Vec<(VarId, f64)> = per_dest
             .iter()
-            .enumerate()
-            .filter_map(|(local, &(e, _))| {
-                (topo.edge(e).dst == d).then_some((per_edge[local], 1.0))
-            })
+            .filter(|&&(l, _)| head(l) == d)
+            .map(|&(_, v)| (v, 1.0))
             .collect();
         if inflow.is_empty() {
             return Err(McfError::Lp(format!(
@@ -572,28 +570,21 @@ fn solve_child(
             )));
         }
         lp.add_constraint(inflow, ConstraintSense::Ge, demand);
-        // No flow may leave the destination.
-        for (local, &(e, _)) in used_edges.iter().enumerate() {
-            if topo.edge(e).src == d {
-                lp.set_bounds(per_edge[local], 0.0, 0.0);
-            }
-        }
     }
 
     // Lower once and solve on the standard form directly (the model wrapper
     // would lower a second time); the child is a minimization, so objective and
     // variable values need no sign flip.
     let sf = lp.to_standard_form()?;
+    debug_assert!(no_fixed_columns(&sf), "a child emits a fixed column");
     let warm_start = if options.warm_start_children {
         // Project the master basis: child columns are preferred into the crash
         // basis in proportion to the master flow their edge carries (with INF
         // upper bounds, positive master flow implies the aggregate variable was
         // basic in the master).
         let mut preference = vec![0.0; lp.num_vars()];
-        for per_edge in &vars {
-            for (local, &v) in per_edge.iter().enumerate() {
-                preference[v.index()] = used_edges[local].1;
-            }
+        for &(l, v) in vars.iter().flatten() {
+            preference[v.index()] = used_edges[l].1;
         }
         Some(triangular_crash(&sf, &preference))
     } else {
@@ -606,13 +597,12 @@ fn solve_child(
     let sol = a2a_lp::simplex::solve(&sf, &opts)?;
     let per_dest = vars
         .iter()
-        .map(|per_edge| {
-            per_edge
+        .map(|per_dest| {
+            per_dest
                 .iter()
-                .enumerate()
-                .filter_map(|(local, &v)| {
+                .filter_map(|&(l, v)| {
                     let val = sol.x[v.index()];
-                    (val > FLOW_TOL).then_some((used_edges[local].0, val))
+                    (val > FLOW_TOL).then_some((used_edges[l].0, val))
                 })
                 .collect()
         })
@@ -625,6 +615,33 @@ fn solve_child(
         pivots: sol.pivots,
         refactorizations: sol.refactorizations,
     })
+}
+
+/// The nodes reachable from `from` over the edges `adj` lists per node (`far`
+/// maps an edge to the node it leads to), never leaving `stop`.
+fn reachable(
+    n: usize,
+    from: NodeId,
+    stop: NodeId,
+    adj: &[Vec<usize>],
+    far: impl Fn(usize) -> NodeId,
+) -> Vec<bool> {
+    let mut seen = vec![false; n];
+    seen[from] = true;
+    let mut stack = vec![from];
+    while let Some(u) = stack.pop() {
+        if u == stop {
+            continue;
+        }
+        for &l in &adj[u] {
+            let v = far(l);
+            if !seen[v] {
+                seen[v] = true;
+                stack.push(v);
+            }
+        }
+    }
+    seen
 }
 
 #[cfg(test)]

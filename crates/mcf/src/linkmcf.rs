@@ -5,8 +5,11 @@
 //! but unscalable formulation that the decomposition in [`crate::decomposed`] speeds
 //! up; it is kept both as the ground truth for tests and as the "MCF-original" series
 //! of Fig. 7.
+//!
+//! Flow entering a commodity's source or leaving its destination can only form
+//! useless cycles, so those (commodity, edge) pairs get no variable at all.
 
-use a2a_lp::{ConstraintSense, LpProblem, SimplexOptions, VarId, INF};
+use a2a_lp::{ConstraintSense, LpProblem, SimplexOptions, StandardForm, VarId, INF};
 use a2a_topology::Topology;
 
 use crate::types::{CommoditySet, LinkFlowSolution, McfError, McfResult};
@@ -25,7 +28,7 @@ pub fn solve_link_mcf(topo: &Topology) -> McfResult<LinkFlowSolution> {
 
 /// Solves the link-based max-concurrent MCF for an explicit commodity set (used by the
 /// host-bottleneck model, where commodities run only between host vertices) with
-/// explicit LP solver options (pricing, presolve, scaling, warm starts).
+/// explicit LP solver options (pricing, warm starts).
 pub fn solve_link_mcf_among_with(
     topo: &Topology,
     commodities: CommoditySet,
@@ -35,17 +38,23 @@ pub fn solve_link_mcf_among_with(
     let mut lp = LpProblem::maximize();
     let f_var = lp.add_var("F", 0.0, INF, 1.0);
 
-    // flow variables: vars[commodity][edge]
-    let mut vars: Vec<Vec<VarId>> = Vec::with_capacity(commodities.len());
+    // flow variables: vars[commodity][edge], none into the source or out of
+    // the destination
+    let mut vars: Vec<Vec<Option<VarId>>> = Vec::with_capacity(commodities.len());
     for (_, s, d) in commodities.iter() {
-        let per_edge: Vec<VarId> = (0..topo.num_edges())
-            .map(|e| lp.add_var(format!("f_{s}_{d}_e{e}"), 0.0, INF, 0.0))
-            .collect();
-        vars.push(per_edge);
+        let per_edge = topo.edges().iter().enumerate().map(|(e, edge)| {
+            let useful = edge.dst != s && edge.src != d;
+            useful.then(|| lp.add_var(format!("f_{s}_{d}_e{e}"), 0.0, INF, 0.0))
+        });
+        vars.push(per_edge.collect());
     }
 
     add_capacity_constraints(&mut lp, topo, &vars);
-    add_commodity_constraints(&mut lp, topo, &commodities, &vars, f_var, None);
+    add_commodity_constraints(&mut lp, topo, &commodities, &vars, f_var);
+    debug_assert!(
+        lp.to_standard_form().is_ok_and(|sf| no_fixed_columns(&sf)),
+        "link MCF emits a fixed column"
+    );
 
     let sol = lp.solve_with(options)?;
     let flow_value = sol.value(f_var);
@@ -84,31 +93,45 @@ pub(crate) fn validate(topo: &Topology, commodities: &CommoditySet) -> McfResult
     Ok(())
 }
 
+/// No column of `sf` is fixed (`lower == upper`): the MCF builders emit only
+/// variables that can carry flow.
+pub(crate) fn no_fixed_columns(sf: &StandardForm) -> bool {
+    sf.lower.iter().zip(&sf.upper).all(|(l, u)| l < u)
+}
+
+/// The columns `per_edge` holds for `edges` (edges without one are skipped).
+pub(crate) fn columns<'a>(
+    per_edge: &'a [Option<VarId>],
+    edges: &'a [usize],
+) -> impl Iterator<Item = VarId> + 'a {
+    edges.iter().filter_map(|&e| per_edge[e])
+}
+
 /// Adds per-edge capacity constraints `sum over commodities <= cap` (skipping
 /// infinite-capacity edges).
-pub(crate) fn add_capacity_constraints(lp: &mut LpProblem, topo: &Topology, vars: &[Vec<VarId>]) {
+fn add_capacity_constraints(lp: &mut LpProblem, topo: &Topology, vars: &[Vec<Option<VarId>>]) {
     for (e, edge) in topo.edges().iter().enumerate() {
         if edge.capacity.is_infinite() {
             continue;
         }
         lp.add_constraint(
-            vars.iter().map(|per_edge| (per_edge[e], 1.0)),
+            vars.iter()
+                .filter_map(|per_edge| per_edge[e])
+                .map(|v| (v, 1.0)),
             ConstraintSense::Le,
             edge.capacity,
         );
     }
 }
 
-/// Adds, for every commodity, flow conservation at intermediate nodes and the demand
-/// constraint at the destination. If `fixed_demand` is `Some(v)`, the demand is the
-/// constant `v`; otherwise it is the concurrent variable `f_var`.
-pub(crate) fn add_commodity_constraints(
+/// Adds, for every commodity, flow conservation at intermediate nodes and the
+/// demand constraint `inflow >= F` at the destination.
+fn add_commodity_constraints(
     lp: &mut LpProblem,
     topo: &Topology,
     commodities: &CommoditySet,
-    vars: &[Vec<VarId>],
+    vars: &[Vec<Option<VarId>>],
     f_var: VarId,
-    fixed_demand: Option<f64>,
 ) {
     for (idx, s, d) in commodities.iter() {
         let per_edge = &vars[idx];
@@ -120,43 +143,26 @@ pub(crate) fn add_commodity_constraints(
             if topo.out_degree(u) == 0 && topo.in_degree(u) == 0 {
                 continue;
             }
-            let coeffs = topo
-                .out_edges(u)
-                .iter()
-                .map(|&e| (per_edge[e], 1.0))
-                .chain(topo.in_edges(u).iter().map(|&e| (per_edge[e], -1.0)));
+            let coeffs = columns(per_edge, topo.out_edges(u))
+                .map(|v| (v, 1.0))
+                .chain(columns(per_edge, topo.in_edges(u)).map(|v| (v, -1.0)));
             lp.add_constraint(coeffs, ConstraintSense::Le, 0.0);
         }
-        // Demand: inflow at destination >= F (or a fixed value).
-        let inflow = topo.in_edges(d).iter().map(|&e| (per_edge[e], 1.0));
-        match fixed_demand {
-            Some(v) => {
-                lp.add_constraint(inflow, ConstraintSense::Ge, v);
-            }
-            None => {
-                lp.add_constraint(
-                    inflow.chain(std::iter::once((f_var, -1.0))),
-                    ConstraintSense::Ge,
-                    0.0,
-                );
-            }
-        }
-        // Forbid flow entering the source or leaving the destination: such flow can
-        // only form useless cycles, and excluding it keeps the extracted flows clean.
-        for &e in topo.in_edges(s) {
-            lp.set_bounds(per_edge[e], 0.0, 0.0);
-        }
-        for &e in topo.out_edges(d) {
-            lp.set_bounds(per_edge[e], 0.0, 0.0);
-        }
+        // Demand: inflow at destination >= F.
+        let inflow = columns(per_edge, topo.in_edges(d)).map(|v| (v, 1.0));
+        lp.add_constraint(
+            inflow.chain(std::iter::once((f_var, -1.0))),
+            ConstraintSense::Ge,
+            0.0,
+        );
     }
 }
 
 /// Extracts positive per-commodity edge flows from solved variable values.
-pub(crate) fn extract_flows<F: Fn(VarId) -> f64>(
+fn extract_flows<F: Fn(VarId) -> f64>(
     topo: &Topology,
     commodities: &CommoditySet,
-    vars: &[Vec<VarId>],
+    vars: &[Vec<Option<VarId>>],
     value: F,
 ) -> Vec<Vec<(usize, f64)>> {
     commodities
@@ -164,7 +170,7 @@ pub(crate) fn extract_flows<F: Fn(VarId) -> f64>(
         .map(|(idx, _, _)| {
             (0..topo.num_edges())
                 .filter_map(|e| {
-                    let v = value(vars[idx][e]);
+                    let v = value(vars[idx][e]?);
                     (v > FLOW_TOL).then_some((e, v))
                 })
                 .collect()

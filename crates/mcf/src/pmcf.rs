@@ -21,9 +21,9 @@
 //! with link-MCF and decomposed-MCF on `F` on *any* topology.
 //!
 //! The path LP is written once: a fixed path set is that same master over the
-//! given paths, solved once ([`solve_path_mcf_with_paths`] — no pricing, so it goes
-//! through the presolve/scaling pipeline instead of an incremental session), and
-//! both entry points share the weight extraction.
+//! given paths, solved once ([`solve_path_mcf_with_paths`] — no pricing, so a
+//! one-shot solve instead of an incremental session), and both entry points share
+//! the weight extraction.
 
 use std::collections::HashSet;
 
@@ -476,12 +476,8 @@ pub fn solve_path_mcf_colgen_among(
         .map(|&(k, pi)| (k, pricer.path_sets[k][pi].clone()))
         .collect();
 
-    // The session works on the core solver: no presolve/scaling, so row and
-    // column indices stay stable and the duals come straight off the basis.
     let simplex_opts = SimplexOptions {
         pricing: options.pricing,
-        presolve: false,
-        scaling: false,
         ..SimplexOptions::default()
     };
     let mut solver = Solver::new_owned(sf, simplex_opts)?;

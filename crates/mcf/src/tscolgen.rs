@@ -521,12 +521,8 @@ pub(crate) fn solve_expanded_colgen(
         row_upper,
     };
 
-    // The session works on the core solver: no presolve/scaling, so row and
-    // column indices stay stable and the duals come straight off the basis.
     let simplex_opts = SimplexOptions {
         pricing: options.pricing,
-        presolve: false,
-        scaling: false,
         ..SimplexOptions::default()
     };
     let mut solver = Solver::new_owned(sf, simplex_opts)?;

@@ -22,7 +22,7 @@ use a2a_lp::{ConstraintSense, LpProblem, VarId, INF};
 use a2a_topology::transform::TimeExpanded;
 use a2a_topology::{EdgeId, NodeId, Topology};
 
-use crate::linkmcf::validate;
+use crate::linkmcf::{columns, no_fixed_columns, validate};
 use crate::tscolgen::TsDemand;
 use crate::types::{CommoditySet, McfError, McfResult};
 
@@ -438,23 +438,19 @@ pub fn solve_tsmcf_among_dense(
         .map(|t| lp.add_var(format!("U_{t}"), 0.0, INF, 1.0))
         .collect();
 
-    // Flow variables per commodity per expanded edge.
-    let mut vars: Vec<Vec<VarId>> = Vec::with_capacity(commodities.len());
+    // Flow variables per commodity per expanded edge. Useless flow — anything
+    // (other than buffering) entering the source or leaving the destination of
+    // this commodity — gets no variable.
+    let mut vars: Vec<Vec<Option<VarId>>> = Vec::with_capacity(commodities.len());
     for (_, s, d) in commodities.iter() {
-        let per_edge: Vec<VarId> = (0..xg.num_edges())
-            .map(|e| {
-                let edge = xg.edge(e);
-                let self_edge = expanded.is_self_edge(e);
-                let src_base = expanded.base_of(edge.src);
-                let dst_base = expanded.base_of(edge.dst);
-                // Useless flow: anything (other than buffering) entering the source or
-                // leaving the destination of this commodity.
-                let useless = (!self_edge) && (dst_base == s || src_base == d);
-                let upper = if useless { 0.0 } else { 1.0 };
-                lp.add_var(format!("t_{s}_{d}_e{e}"), 0.0, upper, 0.0)
-            })
-            .collect();
-        vars.push(per_edge);
+        let per_edge = (0..xg.num_edges()).map(|e| {
+            let edge = xg.edge(e);
+            let src_base = expanded.base_of(edge.src);
+            let dst_base = expanded.base_of(edge.dst);
+            let useless = !expanded.is_self_edge(e) && (dst_base == s || src_base == d);
+            (!useless).then(|| lp.add_var(format!("t_{s}_{d}_e{e}"), 0.0, 1.0, 0.0))
+        });
+        vars.push(per_edge.collect());
     }
 
     // (16) Per-step utilization: for every fabric edge in layer t,
@@ -467,7 +463,8 @@ pub fn solve_tsmcf_among_dense(
         let t = expanded.layer_of(edge.src);
         lp.add_constraint(
             vars.iter()
-                .map(|per_edge| (per_edge[e], 1.0))
+                .filter_map(|per_edge| per_edge[e])
+                .map(|v| (v, 1.0))
                 .chain(std::iter::once((u_vars[t], -edge.capacity))),
             ConstraintSense::Le,
             0.0,
@@ -488,19 +485,21 @@ pub fn solve_tsmcf_among_dense(
             if xg.out_degree(node) == 0 && xg.in_degree(node) == 0 {
                 continue;
             }
-            let coeffs = xg
-                .out_edges(node)
-                .iter()
-                .map(|&e| (per_edge[e], 1.0))
-                .chain(xg.in_edges(node).iter().map(|&e| (per_edge[e], -1.0)));
+            let coeffs = columns(per_edge, xg.out_edges(node))
+                .map(|v| (v, 1.0))
+                .chain(columns(per_edge, xg.in_edges(node)).map(|v| (v, -1.0)));
             lp.add_constraint(coeffs, ConstraintSense::Le, 0.0);
         }
         lp.add_constraint(
-            xg.in_edges(terminus).iter().map(|&e| (per_edge[e], 1.0)),
+            columns(per_edge, xg.in_edges(terminus)).map(|v| (v, 1.0)),
             ConstraintSense::Ge,
             1.0,
         );
     }
+    debug_assert!(
+        lp.to_standard_form().is_ok_and(|sf| no_fixed_columns(&sf)),
+        "the dense tsMCF emits a fixed column"
+    );
 
     let sol = lp.solve()?;
 
@@ -511,7 +510,8 @@ pub fn solve_tsmcf_among_dense(
             if expanded.is_self_edge(e) {
                 continue;
             }
-            let value = sol.value(vars[idx][e]);
+            let Some(var) = vars[idx][e] else { continue };
+            let value = sol.value(var);
             if value > FLOW_TOL {
                 let edge = xg.edge(e);
                 let t = expanded.layer_of(edge.src);
