@@ -355,7 +355,7 @@ fn decomposed_trajectories_are_pinned() {
                 name: "torus-4x4",
                 master: (637, 637, 637, 6),
                 child_iterations: &[
-                    32, 27, 25, 29, 32, 20, 20, 36, 28, 17, 35, 20, 23, 21, 28, 21,
+                    45, 40, 38, 42, 43, 34, 34, 45, 41, 32, 47, 34, 37, 36, 41, 36,
                 ],
                 child_refactorizations: &[0; 16],
                 flow_bits: 0x3fc0_0000_0000_0000,
@@ -367,8 +367,8 @@ fn decomposed_trajectories_are_pinned() {
                 name: "torus-5x5",
                 master: (1429, 1429, 1429, 14),
                 child_iterations: &[
-                    36, 36, 39, 41, 41, 47, 44, 36, 36, 41, 36, 36, 56, 36, 36, 36, 42, 43, 36, 42,
-                    36, 41, 40, 36, 42,
+                    60, 60, 63, 64, 66, 68, 65, 60, 60, 63, 60, 60, 76, 60, 60, 60, 64, 65, 60, 64,
+                    60, 64, 62, 60, 65,
                 ],
                 child_refactorizations: &[0; 25],
                 flow_bits: 0x3fb1_1111_1111_1111,
@@ -380,7 +380,7 @@ fn decomposed_trajectories_are_pinned() {
                 name: "genkautz-16",
                 master: (553, 553, 553, 5),
                 child_iterations: &[
-                    34, 20, 18, 18, 14, 22, 16, 29, 20, 13, 36, 22, 13, 41, 25, 30,
+                    44, 34, 32, 32, 28, 34, 30, 40, 33, 28, 47, 34, 28, 54, 39, 43,
                 ],
                 child_refactorizations: &[0; 16],
                 flow_bits: 0x3fc0_e7d9_5bc6_09aa,

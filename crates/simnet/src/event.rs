@@ -1626,25 +1626,25 @@ mod tests {
         let recorded: [(Topology, u64, &[u64]); 3] = [
             (
                 generators::hypercube(3),
-                0x3f86_5ac3_4a51_9de5,
+                0x3f83_9a9a_f5db_557b,
                 &[
-                    0x3f75_fd7f_e179_6495,
-                    0x3f83_5cae_a02d_a40a,
-                    0x3f86_3b81_c8cd_fcc8,
+                    0x3f70_7e1f_e91b_0b70,
+                    0x3f7b_ba9d_4f9e_95c9,
+                    0x3f83_7b59_7457_b45e,
                 ],
             ),
             (
                 generators::torus(&[3, 3]),
-                0x3f7b_f920_52a5_d805,
-                &[0x3f65_fd7f_e179_6495, 0x3f7b_ba9d_4f9e_95ca],
+                0x3f80_bc40_2582_1894,
+                &[0x3f70_7e1f_e91b_0b70, 0x3f80_9cfe_a3fe_7777],
             ),
             (
                 generators::ring(4),
-                0x3f80_da86_0628_9c73,
+                0x3f80_da86_0628_9c72,
                 &[
-                    0x3f65_fd7f_e179_6495,
-                    0x3f76_3b17_d52a_20cc,
-                    0x3f80_bba7_4b45_306c,
+                    0x3f70_7e1f_e91b_0b70,
+                    0x3f7b_ba77_cd88_79f0,
+                    0x3f80_bba7_4b45_306b,
                 ],
             ),
         ];

@@ -173,132 +173,132 @@ fn ring_4_event_outcomes_are_bit_stable() {
 const HYPERCUBE_3D: Recorded = [
     // dep
     (
-        0x3f8e76e07c93a851,
-        &[0x3f813b7d1847c689, 0x3f8bb5f6f306ea0a, 0x3f8e76e07c93a851],
-        0x15eaac4286edaaa0,
+        0x3f9231b7b3083cb4,
+        &[0x3f8687004c6ecd93, 0x3f8a3247a8afe139, 0x3f9231b7b3083cb4],
+        0xbade61f30a6ea338,
     ),
     // sync+host
     (
-        0x3fa47dfefde42d25,
-        &[0x3f9353cd652bb168, 0x3fa135c396dfb197, 0x3fa4762e9d8344de],
-        0x916513abbd21f4c7,
+        0x3fa2581f6acd8b5d,
+        &[0x3f8e1094d643f785, 0x3f99d48139abf7e4, 0x3fa2504f0a6ca316],
+        0x172ec0f14a8bf0d8,
     ),
     // dep+host
     (
-        0x3fa3a1e61e2aeca0,
-        &[0x3f9533cd434cf0bc, 0x3fa1b649777e1d47, 0x3fa3a1e61e2aeca0],
-        0x6e4e295b535021a8,
+        0x3fa16f93d9be197d,
+        &[0x3f9194e1295f509b, 0x3f9e5bd874b9f1c7, 0x3fa16f93d9be197d],
+        0x43d213972e9b5199,
     ),
     // sync+qp
     (
-        0x3f9d2ca8aa1cd2cb,
-        &[0x3f913a69931e7589, 0x3f9bad9e550ad5de, 0x3f9d1d07e95b023c],
-        0xfa56b75dcc143409,
+        0x3f9fec1c7a287173,
+        &[0x3f913a69931e758a, 0x3f956960ead6ee6a, 0x3f9fdc7bb966a0e4],
+        0x2357d1b7080d1ec7,
     ),
     // dep+qp
     (
-        0x3f9ac13fd9497192,
-        &[0x3f933dfc8f170478, 0x3f9960607253720a, 0x3f9ac13fd9497192],
-        0x9e2a4ece7db87fbe,
+        0x3fa2ffeeacaad3e0,
+        &[0x3f9daaae66cf5b8d, 0x3f9fbab56119e166, 0x3fa2ffeeacaad3e0],
+        0x46d07fcbee7992f0,
     ),
     // sync+host+qp
     (
-        0x3f946dc8b99940f3,
-        &[0x3f84ac7eb08af373, 0x3f92042e65ccdfd5, 0x3f945e27f8d77064],
-        0x805940458637faef,
+        0x3f95f47c8b5704af,
+        &[0x3f84ac7eb08af373, 0x3f8c6e0d60d4f7bd, 0x3f95e4dbca953420],
+        0x1b0822a14b7db22a,
     ),
     // dep+host+qp
     (
-        0x3f90a0efd6560258,
-        &[0x3f84ad51b418c2ae, 0x3f8e80f6231f466a, 0x3f90a0efd6560258],
-        0x1f4551ebaa45bdf2,
+        0x3f95f1d60e1f1fd6,
+        &[0x3f8d9dbb3e047ca3, 0x3f913e1793860072, 0x3f95f1d60e1f1fd6],
+        0x0bbbf48027d56d43,
     ),
 ];
 const TORUS_3X3: Recorded = [
     // dep
     (
-        0x3f878a1a8bf3ac3e,
-        &[0x3f84c896d9b59426, 0x3f878a1a8bf3ac3e],
-        0x2e20a59d94494c34,
+        0x3f9151962a0b3e7e,
+        &[0x3f8d22ccb9143425, 0x3f9151962a0b3e7e],
+        0xd7e67018ed1f07e3,
     ),
     // sync+host
     (
-        0x3fa13d93f74099dd,
-        &[0x3f912e0be826d695, 0x3fa135c396dfb196],
-        0x269276004243f9e0,
+        0x3fa4763632c7e21a,
+        &[0x3f95798ee2308c3a, 0x3fa46e65d266f9d3],
+        0x82e318744c99998e,
     ),
     // dep+host
     (
-        0x3fa1ce2d0b2cf767,
-        &[0x3f96b973bdd7ecc8, 0x3fa1ce2d0b2cf767],
-        0x177f9d7f5845ee18,
+        0x3fa386265e6d95de,
+        &[0x3f9803e35724ac94, 0x3fa386265e6d95de],
+        0x0eea2a7efac48da0,
     ),
     // sync+qp
     (
-        0x3f92c1e5773bb69b,
-        &[0x3f84c78ac8f554a1, 0x3f92b244b679e60c],
-        0x438cdfaea0aa30de,
+        0x3fa0393842420a55,
+        &[0x3f94c78ac8f554a0, 0x3fa03167e1e1220e],
+        0x6f20ab444de4778c,
     ),
     // dep+qp
     (
-        0x3f9628b11074c0e0,
-        &[0x3f94c7ef3755b4d5, 0x3f9628b11074c0e0],
-        0x5357b84288bed8db,
+        0x3fa5d9cb6f08068b,
+        &[0x3fa3c9fff130d85f, 0x3fa5d9cb6f08068b],
+        0x6ce283c001b21555,
     ),
     // sync+host+qp
     (
-        0x3f896065f53c40fd,
-        &[0x3f7e79fec056c063, 0x3f89412473b89fe0],
-        0x8ae8ea2b73926c23,
+        0x3f9435497a0f9ca4,
+        &[0x3f88ef73578ccbf2, 0x3f9425a8b94dcc15],
+        0x383b9be2bbbb4d11,
     ),
     // dep+host+qp
     (
-        0x3f8bb1f14300e918,
-        &[0x3f88f06d90c2d100, 0x3f8bb1f14300e918],
-        0xc4cd2f402a90b256,
+        0x3f9616769af19a3d,
+        &[0x3f9222376de8246d, 0x3f9616769af19a3d],
+        0x0bebd58220ca51be,
     ),
 ];
 const RING_4: Recorded = [
     // dep
     (
-        0x3f971b2383c596ce,
-        &[0x3f8ab6db6f518fa0, 0x3f943b4b5e472ded, 0x3f971b2383c596ce],
-        0xb67f0d5a994ac73c,
+        0x3f971b66f0577247,
+        &[0x3f8ab76c953091c1, 0x3f943b755cf9c785, 0x3f971b66f0577247],
+        0x1b960a7cfe54105e,
     ),
     // sync+host
     (
-        0x3f94f5bdd77c1d23,
-        &[0x3f7bb4b90bf1c62c, 0x3f8bd38505ca2448, 0x3f94e64e7a0a671f],
-        0xcbebb5014b7bc16a,
+        0x3f94f5bdd77c1d22,
+        &[0x3f84c78ac8f554a0, 0x3f916059a4634ae9, 0x3f94e64e7a0a671e],
+        0x9efaf1293f4f0587,
     ),
     // dep+host
     (
-        0x3f96cbf7cea86393,
-        &[0x3f8af4060ac24573, 0x3f93ec1fa929fab2, 0x3f96cbf7cea86393],
-        0xc6e15c4b7040e0ec,
+        0x3f96cc5349e65729,
+        &[0x3f8af56703a566df, 0x3f93ec61b688ac67, 0x3f96cc5349e65729],
+        0xec32709349aa3eb9,
     ),
     // sync+qp
     (
-        0x3f9f59833bf6c772,
-        &[0x3f84c78ac8f554a1, 0x3f94d6f0c5e183ae, 0x3f9f4a13de85116e],
-        0x5de3d71edcdbc88c,
+        0x3fa1680d2eba801c,
+        &[0x3f94c78ac8f554a1, 0x3f9f3ab62a5c2dff, 0x3fa160558001a51a],
+        0x298165c15d394db4,
     ),
     // dep+qp
     (
-        0x3fa89b66c4492403,
-        &[0x3f9dd908a3326176, 0x3fa72b7ab189ef93, 0x3fa89b66c4492403],
-        0xfbae5e8dfde7ce11,
+        0x3fa899c498c1f828,
+        &[0x3f9dd39c1ea69600, 0x3fa729cbcf1322c8, 0x3fa899c498c1f828],
+        0xea6df93df9c7a70d,
     ),
     // sync+host+qp
     (
-        0x3f9709b21ec7d8cd,
-        &[0x3f7e79fec056c064, 0x3f8e98caba2f1e80, 0x3f96fa42c15622c9],
-        0x2907a58120337dd0,
+        0x3f97bb038be11759,
+        &[0x3f88ef73578ccbf2, 0x3f94259f58c84520, 0x3f97ab942e6f6155],
+        0x412f2d74fe51dd34,
     ),
     // dep+host+qp
     (
-        0x3f9d419b5a17a1f2,
-        &[0x3f9366a6a95cb9b6, 0x3f9a61c334993911, 0x3f9d419b5a17a1f2],
-        0x58d8207b2c0c13fa,
+        0x3f9d41a846f6ae60,
+        &[0x3f93669260c2da67, 0x3f9a61b6b399039e, 0x3f9d41a846f6ae60],
+        0xfb3ddf2c7d4ccf27,
     ),
 ];
