@@ -414,10 +414,6 @@ pub fn minimum_steps(topo: &Topology, commodities: &CommoditySet) -> McfResult<u
 /// One flow variable per (commodity, expanded edge), conservation `out ≤ in`,
 /// minimize `Σ_t U_t`, default LP options. The simplex vertex may carry
 /// undelivered junk flow ([`TsMcfSolution::pruned`]); colgen solutions never do.
-///
-/// Open `a2a_lp` lead (ROADMAP item 4): torus-3x3 at 3 steps (one slack step)
-/// fails here with `McfError::Lp("numerical failure: singular basis: no acceptable
-/// pivot at step 2482")`, where colgen certifies `Σ_t U_t = 3`.
 pub fn solve_tsmcf_among_dense(
     topo: &Topology,
     commodities: CommoditySet,
@@ -684,8 +680,7 @@ mod tests {
 
     #[test]
     fn extra_steps_never_hurt() {
-        // torus-3x3 with one slack step is the instance whose dense LP hits a
-        // singular basis (see `solve_tsmcf_among_dense`); its optimum is 3.
+        // torus-3x3 with one slack step: its optimum is still 3.
         for (topo, optimum) in [
             (generators::hypercube(2), 2.0),
             (generators::torus(&[3, 3]), 3.0),

@@ -236,7 +236,7 @@ fn equivalence_on_random_graphs() {
 /// Fixed-set path-MCF, pinned: `F` of [`solve_path_mcf_among`] over the
 /// edge-disjoint, all-shortest and widened sets on five fabrics, to 1e-12
 /// relative. Recorded before the fixed-set LP was rebuilt as the colgen
-/// master solved once; a change of formulation, presolve path or extraction
+/// master solved once; a change of formulation, solve path or extraction
 /// that moves `F` in the twelfth digit shows here.
 #[test]
 fn fixed_set_flow_values_are_pinned() {

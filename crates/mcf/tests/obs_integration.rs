@@ -95,11 +95,9 @@ fn counter(s: &Summary, name: &str) -> Option<u64> {
     s.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
 }
 
-/// (The test id predates the serial pricing sweep, when the two colgen runs
-/// differed in pricing-thread count; it is kept so the tier-1 test list stays
-/// stable. The cross-thread half now rides on the decomposed children.)
+/// Traces every solver twice: each trace balances, and the two runs repeat.
 #[test]
-fn traced_colgen_solve_balances_and_is_thread_count_independent() {
+fn traced_colgen_solve_balances_and_repeats() {
     let colgen = [traced_colgen(), traced_colgen()];
     let tscolgen = [traced_tscolgen(), traced_tscolgen()];
     let decomposed = [traced_decomposed(), traced_decomposed()];

@@ -1,9 +1,5 @@
 //! Column-pool aging suite for the shared colgen driver.
 //!
-//! (The file name is historical: it used to hold the serial-vs-parallel
-//! pricing determinism suite too. The pricing sweep is a plain serial loop
-//! now, so only the purge contracts remain.)
-//!
 //! An aggressive purge schedule still terminates with the optimality
 //! certificate and the same flow value — a purged-then-repriced column
 //! re-enters as a fresh column without corrupting the master or the
@@ -68,11 +64,9 @@ fn purged_columns_reenter_cleanly() {
 }
 
 /// The purge pass reads only the master solution, so the purge schedule is
-/// deterministic: two runs purge the same columns in the same rounds. (The
-/// test id predates the serial sweep, when the two runs differed in thread
-/// count; it is kept so the tier-1 test list stays stable.)
+/// deterministic: two runs purge the same columns in the same rounds.
 #[test]
-fn purging_is_thread_count_independent() {
+fn purge_schedule_is_deterministic() {
     let topo = generators::torus(&[3, 3]);
     let commodities = CommoditySet::all_pairs(topo.num_nodes());
     let opts = aggressive_purge_options();
