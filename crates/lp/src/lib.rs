@@ -38,8 +38,8 @@
 //! [`simplex::solve`] is `Solver::new(sf, options)?.solve()`. Nothing is removed
 //! or rescaled on the way, so indices, the exported basis and the duals refer to
 //! the caller's model. The MCF builders emit only the columns that can carry flow
-//! (no "flow back into the source" variables fixed at zero), with ±1
-//! coefficients. The Forrest–Tomlin update policy refactorizes after
+//! (no "flow back into the source" variables fixed at zero). The Forrest–Tomlin
+//! update policy refactorizes after
 //! [`simplex::SimplexOptions::refactor_interval`] updates, on fill growth past a
 //! fixed multiple of the base factorization, or immediately when an update's new
 //! diagonal is too small relative to its spike.

@@ -8,8 +8,7 @@
 //!
 //! The solver works on the model exactly as the caller built it — no row or column
 //! is removed or rescaled — so row and column indices, the exported basis and the
-//! duals all refer to the caller's [`StandardForm`]. The MCF builders emit only
-//! columns that can carry flow, with ±1 coefficients.
+//! duals all refer to the caller's [`StandardForm`].
 //!
 //! The basis inverse is maintained as a sparse LU factorization ([`crate::lu`]) kept
 //! current across pivots by **Forrest–Tomlin updates**

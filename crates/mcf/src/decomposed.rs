@@ -12,7 +12,7 @@
 //! Both builders emit only what can carry flow: the master has no column for an
 //! edge into its own source, and a child gives destination `d` a column only for
 //! the master-used edges on some `s → d` path (the restricted subgraph's
-//! reachability, one BFS each way), with a capacity row only where some
+//! reachability, one graph search each way), with a capacity row only where some
 //! destination keeps the edge.
 //!
 //! The decomposition preserves the optimal `F` of the original formulation (the master
@@ -91,9 +91,10 @@ pub struct DecomposedTimings {
     pub master_pivots: usize,
     /// Simplex iterations per child LP.
     pub child_iterations: Vec<usize>,
-    /// Iterations taken by the dual simplex phase per child LP (children warm
-    /// start primal-feasible, so these are nonzero only when a child engages
-    /// the dual under [`SimplexOptions::dual_simplex`] `Always`).
+    /// Iterations taken by the dual simplex phase per child LP. A child's
+    /// projected crash basis prices dual-feasible (every cost is positive and
+    /// every nonbasic column sits at its zero lower bound), so with
+    /// [`DecomposedOptions::warm_start_children`] the children solve dually.
     pub child_dual_iterations: Vec<usize>,
     /// Basis changes (pivots) per child LP.
     pub child_pivots: Vec<usize>,

@@ -333,7 +333,7 @@ fn path_mcf_production_colgen_trajectories_are_pinned() {
 /// One recorded decomposed solve under [`DecomposedOptions::default`]: the
 /// dual-simplex master's `(iterations, dual_iterations, pivots,
 /// refactorizations)`, the per-child iteration and refactorization vectors
-/// (children run the primal phases from a projected crash basis) and
+/// (children run the dual simplex from a projected crash basis) and
 /// `F.to_bits()`.
 struct DecomposedGolden {
     name: &'static str,
