@@ -1,6 +1,9 @@
-//! Helpers shared by the colgen trajectory suites (`mod common;` in each).
+//! Helpers shared by the mcf test suites (`mod common;` in each). Every suite
+//! compiles the whole module and uses only some of it.
+#![allow(dead_code)]
 
 use a2a_mcf::ColGenStats;
+use a2a_topology::{NodeId, Topology};
 
 /// Asserts two runs produced byte-identical round trajectories. Wall-clock
 /// fields are the only fields allowed to differ.
@@ -60,4 +63,33 @@ pub fn assert_identical_rounds(tag: &str, a: &ColGenStats, b: &ColGenStats) {
         "{tag}: total_columns diverges"
     );
     assert_eq!(a.misprices, b.misprices, "{tag}: misprices diverge");
+}
+
+/// A SplitMix64-seeded Fisher–Yates permutation of `0..n` (the benchmark's
+/// `--instance` relabelling).
+pub fn permutation(n: usize, seed: u64) -> Vec<NodeId> {
+    let mut state = seed;
+    let mut next = || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut perm: Vec<NodeId> = (0..n).collect();
+    for i in (1..perm.len()).rev() {
+        perm.swap(i, (next() % (i as u64 + 1)) as usize);
+    }
+    perm
+}
+
+/// `topo` with node `u` renamed `permutation(n, seed)[u]`: edges keep their
+/// order and ids, only the node names move.
+pub fn relabelled(topo: &Topology, seed: u64) -> Topology {
+    let perm = permutation(topo.num_nodes(), seed);
+    let mut out = Topology::new(topo.num_nodes(), topo.name());
+    for e in topo.edges() {
+        out.add_edge(perm[e.src], perm[e.dst], e.capacity);
+    }
+    out
 }

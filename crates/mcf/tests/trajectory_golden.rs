@@ -24,6 +24,9 @@ use a2a_mcf::{ColGenOptions, ColGenStats, CommoditySet, Stabilization};
 use a2a_topology::transform::HostNicAugmented;
 use a2a_topology::{generators, NodeId, Topology};
 
+mod common;
+use common::relabelled;
+
 /// The `tsmcf-torus3x3x3` / `replan-` / `simsweep-` benchmark configuration.
 /// The drift tolerance is looser than path-MCF's because drift accumulates
 /// over the time-expanded arc space (`|E| · steps` dimensions): at `1e-1` no
@@ -421,29 +424,6 @@ fn decomposed_trajectories_are_pinned() {
             solved.solution.flow_value
         );
     }
-}
-
-/// `topo` with its nodes shuffled by a SplitMix64-seeded Fisher–Yates
-/// permutation (the benchmark's `--instance` relabelling): edges keep their
-/// order and ids, only the node names move.
-fn relabelled(topo: &Topology, seed: u64) -> Topology {
-    let mut state = seed;
-    let mut next = || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
-    let mut perm: Vec<NodeId> = (0..topo.num_nodes()).collect();
-    for i in (1..perm.len()).rev() {
-        perm.swap(i, (next() % (i as u64 + 1)) as usize);
-    }
-    let mut out = Topology::new(topo.num_nodes(), topo.name());
-    for e in topo.edges() {
-        out.add_edge(perm[e.src], perm[e.dst], e.capacity);
-    }
-    out
 }
 
 /// The decomposed master alone, on fabrics the rows above do not reach: the
