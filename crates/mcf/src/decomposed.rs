@@ -19,13 +19,39 @@
 //! is a relaxation obtained by aggregating commodities per source, and the children
 //! prove the aggregate is splittable), while reducing the dominant LP from `O(N³)` to
 //! `O(N²)` variables.
+//!
+//! ## One orbit instead of `N` copies
+//!
+//! On a torus every source's block of the master is a relabelled copy of every
+//! other's. Whenever an automorphism `π_s` of the fabric takes the first endpoint
+//! `s0` to each endpoint `s` (arcs to arcs of equal capacity, endpoints to
+//! endpoints), [`solve_decomposed_mcf_with`] solves for `s0` alone. Every
+//! automorphism maps feasible flows to feasible flows of the same `F`, and the LP is
+//! convex, so averaging an optimal solution over the finite group the `π_s`
+//! generate gives an optimal solution the group leaves unchanged: one with
+//! `f_s = π_s · f_0` for every `s` (Bödi, Herr & Joswig, "Algorithms for highly
+//! symmetric linear and integer programs", *Math. Program.* 137, 2013). Restricting
+//! the master to such flows therefore loses nothing. The **orbit master** has one
+//! source block — `s0`'s columns and conservation rows — and, per edge `e`, the
+//! folded capacity row `Σ_s f_0(π_s⁻¹(e)) ≤ c_e`, each distinct row kept once (4
+//! rows on torus-8×8). It starts from the same crash as the general master. One
+//! child LP splits `f_0` into per-destination flows; every other source's aggregate
+//! and per-destination flows are their images under `π_s`.
+//!
+//! [`a2a_topology::symmetry::transversal`] finds the `π_s` (tori, hypercubes,
+//! rings, complete bipartite graphs, the host-bottleneck torus among its hosts, in
+//! any node order) or reports that it cannot (meshes, generalized Kautz graphs,
+//! punctured or re-weighted tori); then the general master over every source and
+//! one child per source run as before. [`solve_master_with`] is always the general
+//! master.
 
+use std::collections::HashSet;
 use std::time::Instant;
 
 use a2a_lp::{
     triangular_crash, BasisStatus, ConstraintSense, LpProblem, Pricing, SimplexOptions, VarId, INF,
 };
-use a2a_topology::{EdgeId, NodeId, Topology};
+use a2a_topology::{symmetry, EdgeId, NodeId, Topology};
 use rayon::prelude::*;
 
 use crate::linkmcf::{columns, no_fixed_columns, validate, FLOW_TOL};
@@ -75,11 +101,18 @@ impl DecomposedOptions {
 /// Wall-clock breakdown of a decomposed solve. On a single-core machine the children
 /// run sequentially; `max_child_secs` is the per-child critical path, i.e. the child
 /// contribution to runtime if the children were spread over `N` cores as in the paper.
+///
+/// On a fabric solved as one orbit (see the module docs) one child LP runs and every
+/// other source's child is *mapped* from it: a mapped child reports the time its
+/// mapping took and zero iterations, pivots and refactorizations, so the totals
+/// count exactly the LP work done.
 #[derive(Debug, Clone)]
 pub struct DecomposedTimings {
-    /// Time spent in the master (source-grouped) LP.
+    /// Time spent in the master (source-grouped) LP, including the symmetry search
+    /// that decides which master to build.
     pub master_secs: f64,
-    /// Time spent in each child LP, indexed by source endpoint position.
+    /// Time spent in each child LP (or in mapping it), indexed by source endpoint
+    /// position.
     pub child_secs: Vec<f64>,
     /// Simplex iterations of the master LP.
     pub master_iterations: usize,
@@ -89,7 +122,7 @@ pub struct DecomposedTimings {
     pub master_dual_iterations: usize,
     /// Basis changes (pivots) of the master LP.
     pub master_pivots: usize,
-    /// Simplex iterations per child LP.
+    /// Simplex iterations per child LP (0 for a mapped child).
     pub child_iterations: Vec<usize>,
     /// Iterations taken by the dual simplex phase per child LP. A child's
     /// projected crash basis prices dual-feasible (every cost is positive and
@@ -116,7 +149,9 @@ impl DecomposedTimings {
     }
 
     /// Estimated runtime with all children run in parallel on `N` cores (what the
-    /// paper reports for MCF-decomp).
+    /// paper reports for MCF-decomp). When the fabric is solved as one orbit, the one
+    /// solved child is the critical path, and this is the sequential time less the
+    /// mapped children's (small) mapping time.
     pub fn parallel_estimate_secs(&self) -> f64 {
         self.master_secs + self.max_child_secs()
     }
@@ -177,11 +212,78 @@ pub struct MasterSolution {
 /// Per-child solve output: per-destination flows plus solver statistics.
 struct ChildOutcome {
     per_dest: Vec<Vec<(EdgeId, f64)>>,
+    stats: ChildStats,
+}
+
+/// What one child cost; all zero but the time for a mapped child.
+#[derive(Clone, Copy, Default)]
+struct ChildStats {
     secs: f64,
     iterations: usize,
     dual_iterations: usize,
     pivots: usize,
     refactorizations: usize,
+}
+
+/// An automorphism of the fabric as the solve applies it: the image of every node
+/// and of every edge.
+struct Relabelling {
+    nodes: Vec<NodeId>,
+    edges: Vec<EdgeId>,
+}
+
+impl Relabelling {
+    fn new(topo: &Topology, nodes: Vec<NodeId>) -> Self {
+        let image = |e: &a2a_topology::Edge| topo.find_edge(nodes[e.src], nodes[e.dst]);
+        let edges = topo.edges().iter().map(image).collect::<Option<_>>();
+        Self {
+            edges: edges.expect("an automorphism maps arcs to arcs"),
+            nodes,
+        }
+    }
+}
+
+/// `flow` carried through `image` (`None`: the identity), in edge order.
+fn carry(image: Option<&Relabelling>, flow: &[(EdgeId, f64)]) -> Vec<(EdgeId, f64)> {
+    let Some(image) = image else {
+        return flow.to_vec();
+    };
+    let mut carried: Vec<(EdgeId, f64)> = flow.iter().map(|&(e, f)| (image.edges[e], f)).collect();
+    carried.sort_unstable_by_key(|&(e, _)| e);
+    carried
+}
+
+/// The source orbits a master is built over. Orbit `o` gets the columns and
+/// conservation rows of its representative, the endpoint at position `reps[o]`.
+/// The endpoint at position `i` sends orbit `members[i].0`'s flow carried through
+/// `members[i].1` (`None` for a representative, which sends its own).
+struct SourceOrbits {
+    reps: Vec<usize>,
+    members: Vec<(usize, Option<Relabelling>)>,
+}
+
+impl SourceOrbits {
+    /// Every one of `k` sources its own orbit: the general master.
+    fn trivial(k: usize) -> Self {
+        Self {
+            reps: (0..k).collect(),
+            members: (0..k).map(|i| (i, None)).collect(),
+        }
+    }
+
+    /// One orbit, represented by the first endpoint: `transversal[i]` maps it to
+    /// the endpoint at position `i` (`transversal[0]` is the identity).
+    fn transitive(topo: &Topology, transversal: Vec<Vec<NodeId>>) -> Self {
+        let members = transversal
+            .into_iter()
+            .enumerate()
+            .map(|(i, nodes)| (0, (i > 0).then(|| Relabelling::new(topo, nodes))))
+            .collect();
+        Self {
+            reps: vec![0],
+            members,
+        }
+    }
 }
 
 /// Solves the decomposed MCF for an all-to-all among all nodes.
@@ -195,55 +297,74 @@ pub fn solve_decomposed_mcf(topo: &Topology) -> McfResult<DecomposedMcf> {
 
 /// Solves the decomposed MCF for an explicit commodity set with explicit solver
 /// options (the tests and the benchmark compare cold/warm and pricing configs here).
+///
+/// A fabric on which [`symmetry::transversal`] finds an automorphism from the first
+/// endpoint to every other is solved as one orbit (see the module docs): one source's
+/// master and one child LP, every other source mapped.
 pub fn solve_decomposed_mcf_with(
     topo: &Topology,
     commodities: CommoditySet,
     options: &DecomposedOptions,
 ) -> McfResult<DecomposedMcf> {
     let _obs = a2a_obs::span("decomposed.solve");
-    let master = solve_master_with(topo, &commodities, options)?;
+    validate(topo, &commodities)?;
+    let endpoints = commodities.endpoints();
+    let search = Instant::now();
+    let transversal = {
+        let _obs = a2a_obs::span("decomposed.symmetry");
+        symmetry::transversal(topo, endpoints)
+    };
+    let orbits = match transversal {
+        Some(transversal) => SourceOrbits::transitive(topo, transversal),
+        None => SourceOrbits::trivial(endpoints.len()),
+    };
+    let search_secs = search.elapsed().as_secs_f64();
+    let mut master = solve_master_over(topo, &commodities, &orbits, options)?;
+    master.elapsed_secs += search_secs;
     let flow_value = master.flow_value;
 
-    // Child LPs, one per source endpoint, dispatched in parallel.
-    let endpoints = commodities.endpoints().to_vec();
-    let child_results: Vec<McfResult<ChildOutcome>> = endpoints
+    // Child LPs, one per orbit representative, dispatched in parallel.
+    let solved: Vec<McfResult<ChildOutcome>> = orbits
+        .reps
         .par_iter()
-        .enumerate()
-        .map(|(s_idx, &s)| {
+        .map(|&rep| {
             solve_child(
                 topo,
                 &commodities,
-                s,
-                &master.source_flows[s_idx],
+                endpoints[rep],
+                &master.source_flows[rep],
                 flow_value,
                 options,
             )
         })
         .collect();
+    let solved: Vec<ChildOutcome> = solved.into_iter().collect::<McfResult<_>>()?;
 
-    let mut child_secs = Vec::with_capacity(endpoints.len());
-    let mut child_iterations = Vec::with_capacity(endpoints.len());
-    let mut child_dual_iterations = Vec::with_capacity(endpoints.len());
-    let mut child_pivots = Vec::with_capacity(endpoints.len());
-    let mut child_refactorizations = Vec::with_capacity(endpoints.len());
+    let k = endpoints.len();
+    let mut stats = Vec::with_capacity(k);
     let mut flows = vec![Vec::new(); commodities.len()];
-    for (s_idx, result) in child_results.into_iter().enumerate() {
-        let outcome = result?;
-        child_secs.push(outcome.secs);
-        child_iterations.push(outcome.iterations);
-        child_dual_iterations.push(outcome.dual_iterations);
-        child_pivots.push(outcome.pivots);
-        child_refactorizations.push(outcome.refactorizations);
-        let s = endpoints[s_idx];
-        for (d_pos, flow) in outcome.per_dest.into_iter().enumerate() {
-            // d_pos enumerates destinations in endpoint order, skipping the source.
-            let d = destination_at(&endpoints, s_idx, d_pos);
+    for (s_idx, (orbit, image)) in orbits.members.iter().enumerate() {
+        let start = Instant::now();
+        let (rep, child) = (orbits.reps[*orbit], &solved[*orbit]);
+        for (d_pos, flow) in child.per_dest.iter().enumerate() {
+            // d_pos enumerates the representative's destinations in endpoint
+            // order, skipping the representative.
+            let d = destination_at(endpoints, rep, d_pos);
+            let d = image.as_ref().map_or(d, |image| image.nodes[d]);
             let idx = commodities
-                .index_of(s, d)
+                .index_of(endpoints[s_idx], d)
                 .expect("destination is an endpoint");
-            flows[idx] = flow;
+            flows[idx] = carry(image.as_ref(), flow);
         }
+        stats.push(match image {
+            None => child.stats,
+            Some(_) => ChildStats {
+                secs: start.elapsed().as_secs_f64(),
+                ..ChildStats::default()
+            },
+        });
     }
+    let per_child = |field: fn(&ChildStats) -> usize| stats.iter().map(field).collect();
 
     Ok(DecomposedMcf {
         solution: LinkFlowSolution {
@@ -254,15 +375,15 @@ pub fn solve_decomposed_mcf_with(
         source_flows: master.source_flows,
         timings: DecomposedTimings {
             master_secs: master.elapsed_secs,
-            child_secs,
+            child_secs: stats.iter().map(|c| c.secs).collect(),
             master_iterations: master.iterations,
             master_dual_iterations: master.dual_iterations,
             master_pivots: master.pivots,
-            child_iterations,
-            child_dual_iterations,
-            child_pivots,
+            child_iterations: per_child(|c| c.iterations),
+            child_dual_iterations: per_child(|c| c.dual_iterations),
+            child_pivots: per_child(|c| c.pivots),
             master_refactorizations: master.refactorizations,
-            child_refactorizations,
+            child_refactorizations: per_child(|c| c.refactorizations),
         },
     })
 }
@@ -276,23 +397,38 @@ fn destination_at(endpoints: &[NodeId], s_idx: usize, d_pos: usize) -> NodeId {
 }
 
 /// Solves just the master (source-grouped) LP: `maximize F` subject to per-edge
-/// capacities and the grouped conservation constraint (8) of the paper.
+/// capacities and the grouped conservation constraint (8) of the paper. This is
+/// always the general master, one source block per endpoint; no symmetry is used.
 pub fn solve_master_with(
     topo: &Topology,
     commodities: &CommoditySet,
     options: &DecomposedOptions,
 ) -> McfResult<MasterSolution> {
-    let _obs = a2a_obs::span("decomposed.master");
     validate(topo, commodities)?;
+    let orbits = SourceOrbits::trivial(commodities.num_endpoints());
+    solve_master_over(topo, commodities, &orbits, options)
+}
+
+/// The master over the source blocks `orbits` names: the general master when every
+/// source is its own orbit, the orbit master when one block stands for all. Returns
+/// every endpoint's aggregate flow.
+fn solve_master_over(
+    topo: &Topology,
+    commodities: &CommoditySet,
+    orbits: &SourceOrbits,
+    options: &DecomposedOptions,
+) -> McfResult<MasterSolution> {
+    let _obs = a2a_obs::span("decomposed.master");
     let start = Instant::now();
     let endpoints = commodities.endpoints();
     let is_endpoint = endpoint_mask(topo, endpoints);
+    let reps: Vec<NodeId> = orbits.reps.iter().map(|&i| endpoints[i]).collect();
 
     let mut lp = LpProblem::maximize();
     let f_var = lp.add_var("F", 0.0, INF, 1.0);
-    // vars[s_idx][e] = aggregate flow of source s over edge e. Flow back into
-    // the source is useless, so edges into it get no column.
-    let vars: Vec<Vec<Option<VarId>>> = endpoints
+    // vars[o][e] = aggregate flow of orbit o's representative over edge e. Flow
+    // back into the source is useless, so edges into it get no column.
+    let vars: Vec<Vec<Option<VarId>>> = reps
         .iter()
         .map(|&s| {
             let per_edge = topo.edges().iter().enumerate().map(|(e, edge)| {
@@ -302,24 +438,42 @@ pub fn solve_master_with(
         })
         .collect();
 
-    // Capacity: sum over sources <= cap(e).
-    for (e, edge) in topo.edges().iter().enumerate() {
+    // Capacity: sum over sources <= cap(e). A source's flow over e is its
+    // orbit's column at the edge its relabelling carries onto e; rows that fold
+    // to the same sum are emitted once.
+    let mut sharing: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); topo.num_edges()];
+    for (orbit, image) in &orbits.members {
+        for (e, &v) in vars[*orbit].iter().enumerate() {
+            if let Some(v) = v {
+                sharing[image.as_ref().map_or(e, |image| image.edges[e])].push((v, 1.0));
+            }
+        }
+    }
+    let mut emitted = HashSet::new();
+    for (mut coeffs, edge) in sharing.into_iter().zip(topo.edges()) {
         if edge.capacity.is_infinite() {
             continue;
         }
-        lp.add_constraint(
-            vars.iter()
-                .filter_map(|per_edge| per_edge[e])
-                .map(|v| (v, 1.0)),
-            ConstraintSense::Le,
-            edge.capacity,
-        );
+        coeffs.sort_unstable_by_key(|&(v, _)| v.index());
+        coeffs.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
+        let row: Vec<(usize, u64)> = coeffs
+            .iter()
+            .map(|&(v, c)| (v.index(), c.to_bits()))
+            .collect();
+        if emitted.insert((row, edge.capacity.to_bits())) {
+            lp.add_constraint(coeffs, ConstraintSense::Le, edge.capacity);
+        }
     }
 
     // Grouped conservation / demand. For endpoint u != s the node must sink F; for
     // non-endpoint transit nodes plain conservation holds.
-    for (s_idx, &s) in endpoints.iter().enumerate() {
-        let per_edge = &vars[s_idx];
+    for (per_edge, &s) in vars.iter().zip(&reps) {
         for u in 0..topo.num_nodes() {
             if u == s || (topo.out_degree(u) == 0 && topo.in_degree(u) == 0) {
                 continue;
@@ -354,8 +508,8 @@ pub fn solve_master_with(
     let mut opts = options.simplex_options();
     if crash {
         let mut preference = vec![0.0; sf.cols.len()];
-        for (s_idx, &s) in endpoints.iter().enumerate() {
-            bfs_tree_edge_counts(topo, s, &is_endpoint, &vars[s_idx], &mut preference);
+        for (per_edge, &s) in vars.iter().zip(&reps) {
+            bfs_tree_edge_counts(topo, s, &is_endpoint, per_edge, &mut preference);
         }
         let mut start = triangular_crash(&sf, &preference);
         start.statuses[f_var.index()] = BasisStatus::AtUpper;
@@ -363,7 +517,7 @@ pub fn solve_master_with(
     }
     let sol = a2a_lp::simplex::solve(&sf, &opts)?;
     let flow_value = sol.x[f_var.index()];
-    let source_flows = vars
+    let orbit_flows: Vec<Vec<(EdgeId, f64)>> = vars
         .iter()
         .map(|per_edge| {
             per_edge
@@ -375,6 +529,11 @@ pub fn solve_master_with(
                 })
                 .collect()
         })
+        .collect();
+    let source_flows = orbits
+        .members
+        .iter()
+        .map(|(orbit, image)| carry(image.as_ref(), &orbit_flows[*orbit]))
         .collect();
     Ok(MasterSolution {
         flow_value,
@@ -488,11 +647,10 @@ fn solve_child(
         // Degenerate: nothing to route.
         return Ok(ChildOutcome {
             per_dest: vec![Vec::new(); dests.len()],
-            secs: start.elapsed().as_secs_f64(),
-            iterations: 0,
-            dual_iterations: 0,
-            pivots: 0,
-            refactorizations: 0,
+            stats: ChildStats {
+                secs: start.elapsed().as_secs_f64(),
+                ..ChildStats::default()
+            },
         });
     }
 
@@ -610,11 +768,13 @@ fn solve_child(
         .collect();
     Ok(ChildOutcome {
         per_dest,
-        secs: start.elapsed().as_secs_f64(),
-        iterations: sol.iterations,
-        dual_iterations: sol.dual_iterations,
-        pivots: sol.pivots,
-        refactorizations: sol.refactorizations,
+        stats: ChildStats {
+            secs: start.elapsed().as_secs_f64(),
+            iterations: sol.iterations,
+            dual_iterations: sol.dual_iterations,
+            pivots: sol.pivots,
+            refactorizations: sol.refactorizations,
+        },
     })
 }
 

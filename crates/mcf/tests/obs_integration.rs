@@ -5,9 +5,9 @@
 //!
 //! 1. **Balance** — every span opened during a production solve is closed, on
 //!    every thread. The colgen driver (path-MCF and time-expanded masters
-//!    alike) runs on the calling thread; the decomposed solve fans its child
-//!    LPs out to rayon-shim worker threads, so it is the one that exercises
-//!    cross-thread recording.
+//!    alike) runs on the calling thread; the decomposed solve on a mesh (no
+//!    symmetry to use) fans its nine child LPs out to rayon-shim worker
+//!    threads, so it is the one that exercises cross-thread recording.
 //! 2. **Run-to-run determinism** — the solvers are deterministic, so the
 //!    name-keyed span counts and counter values of two traced runs of the
 //!    same solve must be identical. The comparison uses `totals_by_name`, not
@@ -25,7 +25,7 @@ use a2a_mcf::tscolgen::solve_tsmcf_colgen_among_with;
 use a2a_mcf::tsmcf::minimum_steps;
 use a2a_mcf::{solve_decomposed_mcf, ColGenOptions, CommoditySet, Stabilization};
 use a2a_obs::summary::{summarize, Summary};
-use a2a_topology::generators;
+use a2a_topology::{generators, Topology};
 
 /// Runs `solve` traced and returns (its flow value, the trace summary).
 fn traced(solve: impl FnOnce() -> f64) -> (f64, Summary) {
@@ -73,11 +73,10 @@ fn traced_tscolgen() -> (f64, Summary) {
     })
 }
 
-fn traced_decomposed() -> (f64, Summary) {
-    let topo = generators::torus(&[3, 3]);
+fn traced_decomposed(topo: &Topology) -> (f64, Summary) {
     traced(|| {
-        solve_decomposed_mcf(&topo)
-            .expect("torus-3x3 decomposed solves")
+        solve_decomposed_mcf(topo)
+            .unwrap_or_else(|e| panic!("{}: decomposed solve failed: {e}", topo.name()))
             .solution
             .flow_value
     })
@@ -100,12 +99,16 @@ fn counter(s: &Summary, name: &str) -> Option<u64> {
 fn traced_colgen_solve_balances_and_repeats() {
     let colgen = [traced_colgen(), traced_colgen()];
     let tscolgen = [traced_tscolgen(), traced_tscolgen()];
-    let decomposed = [traced_decomposed(), traced_decomposed()];
+    let torus = generators::torus(&[3, 3]);
+    let decomposed = [traced_decomposed(&torus), traced_decomposed(&torus)];
+    let mesh = generators::mesh(&[3, 3]);
+    let decomposed_mesh = [traced_decomposed(&mesh), traced_decomposed(&mesh)];
 
     for (tag, runs) in [
         ("colgen", &colgen),
         ("tscolgen", &tscolgen),
         ("decomposed", &decomposed),
+        ("decomposed mesh", &decomposed_mesh),
     ] {
         for (_, s) in runs {
             assert!(s.is_balanced(), "{tag} trace unbalanced:\n{}", s.render());
@@ -141,11 +144,16 @@ fn traced_colgen_solve_balances_and_repeats() {
         assert!(s.count("colgen.pricing") >= 1, "no pricing sweep traced");
     }
 
-    // One child LP per source endpoint, recorded on whichever thread ran it.
-    let (_, s) = &decomposed[0];
-    assert_eq!(s.count("decomposed.solve"), 1);
-    assert_eq!(s.count("decomposed.master"), 1);
-    assert_eq!(s.count("decomposed.child"), 9);
+    // One symmetry search per solve. The torus is one orbit: one child LP
+    // runs and the other sources' children are mapped from it. The mesh has
+    // no automorphism between its corners and its centre, so it solves one
+    // child LP per source endpoint, recorded on whichever thread ran it.
+    for ((_, s), children) in [(&decomposed[0], 9), (&decomposed_mesh[0], 9)] {
+        assert_eq!(s.count("decomposed.solve"), 1);
+        assert_eq!(s.count("decomposed.symmetry"), 1);
+        assert_eq!(s.count("decomposed.master"), 1);
+        assert_eq!(s.count("decomposed.child"), children);
+    }
 
     // The repo benchmark's traced rep (`benchmark/src/lib.rs::traced_metrics`)
     // looks its signals up by name and reads a missing one as 0.0, so a renamed

@@ -21,12 +21,16 @@
 //!   the host↔NIC bottleneck augmentation of Fig. 2 (§3.2.2).
 //! * [`puncture`] — random edge/node removal used for the punctured-torus and
 //!   disabled-links experiments (Fig. 5, Fig. 9).
+//! * [`symmetry`] — a checked automorphism per endpoint taking the first
+//!   endpoint to it, found by colour refinement and individualization; the
+//!   decomposed MCF solves one source's LPs and maps the rest through them.
 
 pub mod generators;
 pub mod graph;
 pub mod metrics;
 pub mod paths;
 pub mod puncture;
+pub mod symmetry;
 pub mod transform;
 
 pub use graph::{Edge, EdgeId, NodeId, Topology};
