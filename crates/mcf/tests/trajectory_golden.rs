@@ -356,11 +356,9 @@ fn decomposed_trajectories_are_pinned() {
             generators::torus(&[4, 4]),
             DecomposedGolden {
                 name: "torus-4x4",
-                master: (637, 637, 637, 6),
-                child_iterations: &[
-                    45, 40, 38, 42, 43, 34, 34, 45, 41, 32, 47, 34, 37, 36, 41, 36,
-                ],
-                child_refactorizations: &[0; 16],
+                master: (43, 43, 43, 1),
+                child_iterations: &[94, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                child_refactorizations: &[1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
                 flow_bits: 0x3fc0_0000_0000_0000,
             },
         ),
@@ -368,10 +366,9 @@ fn decomposed_trajectories_are_pinned() {
             generators::torus(&[5, 5]),
             DecomposedGolden {
                 name: "torus-5x5",
-                master: (1429, 1429, 1429, 14),
+                master: (46, 46, 46, 1),
                 child_iterations: &[
-                    60, 60, 63, 64, 66, 68, 65, 60, 60, 63, 60, 60, 76, 60, 60, 60, 64, 65, 60, 64,
-                    60, 64, 62, 60, 65,
+                    60, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
                 ],
                 child_refactorizations: &[0; 25],
                 flow_bits: 0x3fb1_1111_1111_1111,
