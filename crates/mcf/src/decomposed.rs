@@ -439,33 +439,24 @@ fn solve_master_over(
         .collect();
 
     // Capacity: sum over sources <= cap(e). A source's flow over e is its
-    // orbit's column at the edge its relabelling carries onto e; rows that fold
-    // to the same sum are emitted once.
-    let mut sharing: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); topo.num_edges()];
+    // orbit's column at the edge its relabelling carries onto e (a column may
+    // recur; the lowering sums it). Rows that fold to the same sum are emitted
+    // once.
+    let mut sharing: Vec<Vec<VarId>> = vec![Vec::new(); topo.num_edges()];
     for (orbit, image) in &orbits.members {
         for (e, &v) in vars[*orbit].iter().enumerate() {
             if let Some(v) = v {
-                sharing[image.as_ref().map_or(e, |image| image.edges[e])].push((v, 1.0));
+                sharing[image.as_ref().map_or(e, |image| image.edges[e])].push(v);
             }
         }
     }
     let mut emitted = HashSet::new();
-    for (mut coeffs, edge) in sharing.into_iter().zip(topo.edges()) {
+    for (mut row, edge) in sharing.into_iter().zip(topo.edges()) {
         if edge.capacity.is_infinite() {
             continue;
         }
-        coeffs.sort_unstable_by_key(|&(v, _)| v.index());
-        coeffs.dedup_by(|later, kept| {
-            let same = later.0 == kept.0;
-            if same {
-                kept.1 += later.1;
-            }
-            same
-        });
-        let row: Vec<(usize, u64)> = coeffs
-            .iter()
-            .map(|&(v, c)| (v.index(), c.to_bits()))
-            .collect();
+        row.sort_unstable();
+        let coeffs: Vec<(VarId, f64)> = row.iter().map(|&v| (v, 1.0)).collect();
         if emitted.insert((row, edge.capacity.to_bits())) {
             lp.add_constraint(coeffs, ConstraintSense::Le, edge.capacity);
         }
