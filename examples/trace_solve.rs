@@ -8,9 +8,12 @@
 //! the decomposed-MCF pipeline (structural crash basis + dual simplex master,
 //! warm-started children — the production configuration), and writes
 //! `trace.json`: a Chrome trace-event file you can open in `chrome://tracing`
-//! or <https://ui.perfetto.dev>. The master solve, every per-destination
-//! child, the LU factorizations and the Forrest–Tomlin updates all show up as
-//! nested spans; the simplex iteration counters ride along as counter tracks.
+//! or <https://ui.perfetto.dev>. The torus is one orbit under its
+//! automorphisms, so the trace shows one `decomposed.symmetry` search, the
+//! one-source master and a single `decomposed.child` (the other fifteen
+//! sources' flows are mapped from it, with no LP), with the LU factorizations
+//! and Forrest–Tomlin updates nested inside; the simplex iteration counters
+//! ride along as counter tracks.
 //! The in-process summary tree — span totals, counters and histogram
 //! percentiles, the aggregation the repo benchmark reads its per-layer metrics
 //! from — is printed to stdout.
