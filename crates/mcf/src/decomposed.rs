@@ -340,8 +340,7 @@ pub fn solve_decomposed_mcf_with(
         .collect();
     let solved: Vec<ChildOutcome> = solved.into_iter().collect::<McfResult<_>>()?;
 
-    let k = endpoints.len();
-    let mut stats = Vec::with_capacity(k);
+    let mut stats = Vec::with_capacity(endpoints.len());
     let mut flows = vec![Vec::new(); commodities.len()];
     for (s_idx, (orbit, image)) in orbits.members.iter().enumerate() {
         let start = Instant::now();
