@@ -64,7 +64,9 @@ impl RouteTable {
             .unwrap_or(0)
     }
 
-    /// Validates that chunk assignments cover each shard exactly.
+    /// Validates that chunk assignments cover each shard exactly, that routes
+    /// join their commodity's endpoints, and that every layer is deadlock-free
+    /// (its channel dependency graph has no cycle).
     pub fn validate(&self) -> Vec<String> {
         let mut issues = Vec::new();
         for c in &self.commodities {
@@ -90,7 +92,71 @@ impl RouteTable {
                 }
             }
         }
+        for layer in self.cyclic_layers() {
+            issues.push(format!(
+                "layer {layer}: channel dependency graph has a cycle (deadlock)"
+            ));
+        }
         issues
+    }
+
+    /// Layers whose channel dependency graph (an arc from each link of a route
+    /// to the next) has a cycle, by Kahn's algorithm over locally interned links.
+    fn cyclic_layers(&self) -> Vec<usize> {
+        // `link_ids[u]` holds `(v, id)` for each link `u → v` seen so far.
+        let mut link_ids: Vec<Vec<(NodeId, usize)>> = Vec::new();
+        let mut num_links = 0;
+        // Per layer, the deduplicated dependency arcs out of each link id.
+        let mut arcs: Vec<Vec<Vec<usize>>> = vec![Vec::new(); self.num_layers];
+        for r in self.commodities.iter().flat_map(|c| &c.routes) {
+            let mut prev = None;
+            for (u, v) in r.path.links() {
+                if link_ids.len() <= u {
+                    link_ids.resize_with(u + 1, Vec::new);
+                }
+                let id = match link_ids[u].iter().find(|&&(w, _)| w == v) {
+                    Some(&(_, id)) => id,
+                    None => {
+                        link_ids[u].push((v, num_links));
+                        num_links += 1;
+                        num_links - 1
+                    }
+                };
+                if let (Some(from), Some(layer)) = (prev, arcs.get_mut(r.layer)) {
+                    if layer.len() <= from {
+                        layer.resize_with(from + 1, Vec::new);
+                    }
+                    if !layer[from].contains(&id) {
+                        layer[from].push(id);
+                    }
+                }
+                prev = Some(id);
+            }
+        }
+        let mut in_degree = vec![0usize; num_links];
+        let mut ready = Vec::new();
+        let mut cyclic = Vec::new();
+        for (layer, out) in arcs.iter().enumerate() {
+            for &to in out.iter().flatten() {
+                in_degree[to] += 1;
+            }
+            ready.extend((0..num_links).filter(|&l| in_degree[l] == 0));
+            let mut peeled = 0;
+            while let Some(link) = ready.pop() {
+                peeled += 1;
+                for &to in out.get(link).into_iter().flatten() {
+                    in_degree[to] -= 1;
+                    if in_degree[to] == 0 {
+                        ready.push(to);
+                    }
+                }
+            }
+            if peeled < num_links {
+                cyclic.push(layer);
+                in_degree.fill(0);
+            }
+        }
+        cyclic
     }
 }
 

@@ -32,6 +32,7 @@ use a2a_mcf::residual::{ResidualSolution, TsDemand};
 use a2a_mcf::CommoditySet;
 use a2a_topology::{paths, NodeId, Path, Topology};
 
+use crate::deadlock::{assign_virtual_channels, LashVariant};
 use crate::ir::{demand_chunks, quantize_flows, ChunkTransfer, ChunkedSchedule, ScheduleStep};
 use crate::routes::{CommodityRoutes, Route, RouteTable};
 
@@ -180,10 +181,11 @@ pub fn splice_schedule(
 /// [`crate::exec::TransferDag`]: a transfer forwards the oldest buffered
 /// chunks of its commodity at the sender, so every chunk's node trajectory is
 /// deterministic. Identical trajectories aggregate into one [`Route`] whose
-/// chunk count and weight reflect how many chunks actually travelled it
-/// (single layer — the table describes realized store-and-forward movement,
-/// not a VC assignment). Fails when some commodity does not deliver all its
-/// chunks — for a validated [`SplicedSchedule`] this cannot happen.
+/// chunk count and weight reflect how many chunks actually travelled it. The
+/// routes get LASH-sequential layers over the links the schedule uses, so the
+/// table is deadlock-free like any other. Fails when some commodity does not
+/// deliver all its chunks — for a validated [`SplicedSchedule`] this cannot
+/// happen.
 pub fn realized_route_table(
     schedule: &ChunkedSchedule,
     commodities: &CommoditySet,
@@ -261,10 +263,28 @@ pub fn realized_route_table(
                 .collect(),
         });
     }
+    let mut fabric = Topology::new(schedule.num_ranks, "realized");
+    for tr in schedule.steps.iter().flat_map(|step| &step.transfers) {
+        if !fabric.has_edge(tr.from, tr.to) {
+            fabric.add_edge(tr.from, tr.to, 1.0);
+        }
+    }
+    let routes: Vec<&Path> = table
+        .iter()
+        .flat_map(|c| c.routes.iter().map(|r| &r.path))
+        .collect();
+    let vc = assign_virtual_channels(&fabric, &routes, LashVariant::Sequential);
+    for (route, &layer) in table
+        .iter_mut()
+        .flat_map(|c| &mut c.routes)
+        .zip(vc.layers())
+    {
+        route.layer = layer;
+    }
     Ok(RouteTable {
         commodities: table,
         chunks_per_shard: schedule.chunks_per_shard,
-        num_layers: 1,
+        num_layers: vc.num_layers(),
     })
 }
 

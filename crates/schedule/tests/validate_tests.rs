@@ -8,9 +8,12 @@
 
 use a2a_mcf::pmcf::{solve_path_mcf, PathSetKind};
 use a2a_mcf::tscolgen::solve_tsmcf_colgen_auto;
+use a2a_schedule::routes::{CommodityRoutes, Route};
 use a2a_schedule::{
-    lower_path_schedule, ChunkTransfer, ChunkedSchedule, LashVariant, RouteTable, ScheduleStep,
+    assign_virtual_channels, lower_path_schedule, ChunkTransfer, ChunkedSchedule, LashVariant,
+    RouteTable, ScheduleStep,
 };
+use a2a_topology::paths::shortest_path;
 use a2a_topology::{generators, Path, Topology};
 
 fn chunked_on(topo: &Topology) -> ChunkedSchedule {
@@ -290,4 +293,47 @@ fn route_table_validate_accumulates_violations_across_commodities() {
     table.commodities[1].routes[0].layer = table.num_layers;
     let issues = table.validate();
     assert!(issues.len() >= 2, "{issues:?}");
+}
+
+#[test]
+fn route_table_validate_flags_cyclic_layers() {
+    // All-pairs shortest routes on a bidirectional ring close a dependency
+    // cycle in each direction; put them in one layer (of two) and it deadlocks.
+    let topo = generators::bidirectional_ring(6);
+    let commodities: Vec<CommodityRoutes> = (0..6)
+        .flat_map(|s| (0..6).filter(move |&d| d != s).map(move |d| (s, d)))
+        .map(|(src, dst)| CommodityRoutes {
+            src,
+            dst,
+            routes: vec![Route {
+                path: shortest_path(&topo, src, dst).unwrap(),
+                weight: 1.0,
+                chunks: 1,
+                layer: 1,
+            }],
+        })
+        .collect();
+    let mut table = RouteTable {
+        commodities,
+        chunks_per_shard: 1,
+        num_layers: 2,
+    };
+    let issues = table.validate();
+    assert_eq!(issues.len(), 1, "{issues:?}");
+    assert!(
+        issues[0].contains("layer 1") && issues[0].contains("cycle"),
+        "{issues:?}"
+    );
+    // LASH's own layers for the same routes pass.
+    let refs: Vec<&Path> = table
+        .commodities
+        .iter()
+        .map(|c| &c.routes[0].path)
+        .collect();
+    let vc = assign_virtual_channels(&topo, &refs, LashVariant::Sequential);
+    for (c, &layer) in table.commodities.iter_mut().zip(vc.layers()) {
+        c.routes[0].layer = layer;
+    }
+    table.num_layers = vc.num_layers();
+    assert!(table.validate().is_empty(), "{:?}", table.validate());
 }
