@@ -1,11 +1,17 @@
 //! Criterion micro-benchmarks for schedule compilation (§4): chunking, XML emission,
 //! route-table lowering and LASH virtual-channel assignment.
+//!
+//! `route_lowering_torus8x8_extp` and `route_validate_torus8x8_extp` time the
+//! benchmark's `extp-torus8x8` lowering on its own input: the 4,032 widest
+//! paths extracted from the decomposed torus-8×8 solve, 16 chunks per shard,
+//! LASH-sequential (five layers).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use a2a_mcf::pmcf::{solve_path_mcf, PathSetKind};
 use a2a_mcf::tscolgen::solve_tsmcf_colgen_auto;
+use a2a_mcf::{extract_widest_paths, solve_decomposed_mcf_with, CommoditySet, DecomposedOptions};
 use a2a_schedule::{
     lower_path_schedule, to_msccl_xml, to_oneccl_xml, ChunkedSchedule, LashVariant,
 };
@@ -47,5 +53,27 @@ fn bench_lowering(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_lowering);
+fn bench_lowering_torus8x8_extp(c: &mut Criterion) {
+    let topo = generators::torus(&[8, 8]);
+    let commodities = CommoditySet::all_pairs(topo.num_nodes());
+    let solved =
+        solve_decomposed_mcf_with(&topo, commodities, &DecomposedOptions::default()).unwrap();
+    let paths = extract_widest_paths(&topo, &solved.solution).unwrap();
+    let table = lower_path_schedule(&topo, &paths, 16, LashVariant::Sequential);
+    assert_eq!(table.total_routes(), 4032);
+
+    let mut group = c.benchmark_group("schedule_compilation");
+    group.sample_size(20);
+    group.bench_function("route_lowering_torus8x8_extp", |b| {
+        b.iter(|| {
+            black_box(lower_path_schedule(&topo, &paths, 16, LashVariant::Sequential).num_layers)
+        })
+    });
+    group.bench_function("route_validate_torus8x8_extp", |b| {
+        b.iter(|| black_box(table.validate().len()))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_lowering, bench_lowering_torus8x8_extp);
 criterion_main!(benches);
