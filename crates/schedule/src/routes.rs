@@ -101,59 +101,65 @@ impl RouteTable {
     }
 
     /// Layers whose channel dependency graph (an arc from each link of a route
-    /// to the next) has a cycle, by Kahn's algorithm over locally interned links.
+    /// to the next) has a cycle, by Kahn's algorithm over locally interned links,
+    /// one layer at a time.
     fn cyclic_layers(&self) -> Vec<usize> {
+        let routes = || self.commodities.iter().flat_map(|c| &c.routes);
+        let layers_used = routes()
+            .map(|r| r.layer)
+            .filter(|&layer| layer < self.num_layers)
+            .max()
+            .map_or(0, |layer| layer + 1);
         // `link_ids[u]` holds `(v, id)` for each link `u → v` seen so far.
         let mut link_ids: Vec<Vec<(NodeId, usize)>> = Vec::new();
-        let mut num_links = 0;
-        // Per layer, the deduplicated dependency arcs out of each link id.
-        let mut arcs: Vec<Vec<Vec<usize>>> = vec![Vec::new(); self.num_layers];
-        for r in self.commodities.iter().flat_map(|c| &c.routes) {
-            let mut prev = None;
-            for (u, v) in r.path.links() {
-                if link_ids.len() <= u {
-                    link_ids.resize_with(u + 1, Vec::new);
-                }
-                let id = match link_ids[u].iter().find(|&&(w, _)| w == v) {
-                    Some(&(_, id)) => id,
-                    None => {
-                        link_ids[u].push((v, num_links));
-                        num_links += 1;
-                        num_links - 1
-                    }
-                };
-                if let (Some(from), Some(layer)) = (prev, arcs.get_mut(r.layer)) {
-                    if layer.len() <= from {
-                        layer.resize_with(from + 1, Vec::new);
-                    }
-                    if !layer[from].contains(&id) {
-                        layer[from].push(id);
-                    }
-                }
-                prev = Some(id);
-            }
-        }
-        let mut in_degree = vec![0usize; num_links];
+        // The layer's deduplicated dependency arcs out of each link id.
+        let mut out: Vec<Vec<usize>> = Vec::new();
+        let mut in_degree: Vec<usize> = Vec::new();
         let mut ready = Vec::new();
         let mut cyclic = Vec::new();
-        for (layer, out) in arcs.iter().enumerate() {
+        for layer in 0..layers_used {
+            out.iter_mut().for_each(Vec::clear);
+            for r in routes().filter(|r| r.layer == layer) {
+                let mut prev: Option<usize> = None;
+                for (u, v) in r.path.links() {
+                    if link_ids.len() <= u {
+                        link_ids.resize_with(u + 1, Vec::new);
+                    }
+                    let id = match link_ids[u].iter().find(|&&(w, _)| w == v) {
+                        Some(&(_, id)) => id,
+                        None => {
+                            link_ids[u].push((v, out.len()));
+                            out.push(Vec::new());
+                            out.len() - 1
+                        }
+                    };
+                    if let Some(from) = prev {
+                        if !out[from].contains(&id) {
+                            out[from].push(id);
+                        }
+                    }
+                    prev = Some(id);
+                }
+            }
+            // Peel links of in-degree zero; any left over lie on a cycle.
+            in_degree.clear();
+            in_degree.resize(out.len(), 0);
             for &to in out.iter().flatten() {
                 in_degree[to] += 1;
             }
-            ready.extend((0..num_links).filter(|&l| in_degree[l] == 0));
+            ready.extend((0..out.len()).filter(|&link| in_degree[link] == 0));
             let mut peeled = 0;
             while let Some(link) = ready.pop() {
                 peeled += 1;
-                for &to in out.get(link).into_iter().flatten() {
+                for &to in &out[link] {
                     in_degree[to] -= 1;
                     if in_degree[to] == 0 {
                         ready.push(to);
                     }
                 }
             }
-            if peeled < num_links {
+            if peeled < out.len() {
                 cyclic.push(layer);
-                in_degree.fill(0);
             }
         }
         cyclic
