@@ -66,8 +66,8 @@ struct ChainSearch {
     /// Index of each link on the current route; `usize::MAX` off the route.
     pos: Vec<usize>,
     /// `seen[e] == stamp` marks the links the current layer test has visited.
-    seen: Vec<u32>,
-    stamp: u32,
+    seen: Vec<usize>,
+    stamp: usize,
     stack: Vec<EdgeId>,
 }
 
@@ -85,11 +85,7 @@ impl ChainSearch {
     /// layer `adj` closes a cycle, i.e. some `route[j]` reaches an earlier
     /// `route[i]` in `adj`. `pos` must hold the route's link indices.
     fn closes_cycle(&mut self, adj: &[Vec<EdgeId>], route: &[EdgeId]) -> bool {
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            self.seen.fill(0);
-            self.stamp = 1;
-        }
+        self.stamp += 1;
         // Latest link first: whatever the search from `route[j']` visited cannot
         // reach a link before `j'`, so nor one before `j < j'`, and stays marked.
         for j in (1..route.len()).rev() {
