@@ -2791,24 +2791,19 @@ mod tests {
     }
 
     #[test]
-    fn devex_and_dantzig_agree_on_degenerate_lp() {
+    fn degenerate_transportation_lp_matches_reference() {
         // A degenerate transportation-style LP where many bases are optimal.
-        let sf = StandardForm {
-            nrows: 4,
-            cols: vec![
-                col(&[(0, 1.0), (2, 1.0)]),
-                col(&[(0, 1.0), (3, 1.0)]),
-                col(&[(1, 1.0), (2, 1.0)]),
-                col(&[(1, 1.0), (3, 1.0)]),
-            ],
-            obj: vec![1.0, 2.0, 3.0, 4.0],
-            lower: vec![0.0; 4],
-            upper: vec![INF; 4],
-            row_lower: vec![2.0, 2.0, 2.0, 2.0],
-            row_upper: vec![2.0, 2.0, 2.0, 2.0],
-        };
-        let a = solve(&sf, &opts_with(Pricing::Dantzig)).unwrap();
-        let b = solve(&sf, &opts_with(Pricing::Devex)).unwrap();
-        assert!((a.objective - b.objective).abs() < 1e-7);
+        let mut lp = crate::LpProblem::minimize();
+        let x: Vec<_> = [1.0, 2.0, 3.0, 4.0]
+            .into_iter()
+            .enumerate()
+            .map(|(j, c)| lp.add_var(format!("x{j}"), 0.0, INF, c))
+            .collect();
+        for (a, b) in [(0, 1), (2, 3), (0, 2), (1, 3)] {
+            lp.add_constraint([(x[a], 1.0), (x[b], 1.0)], crate::ConstraintSense::Eq, 2.0);
+        }
+        let sol = solve(&lp.to_standard_form().unwrap(), &SimplexOptions::default()).unwrap();
+        let reference = crate::reference::solve_reference(&lp).unwrap();
+        assert!((sol.objective - reference.objective_value).abs() < 1e-7);
     }
 }

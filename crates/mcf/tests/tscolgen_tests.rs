@@ -270,3 +270,29 @@ fn tsmcf_stabilization_is_objective_neutral() {
         stab.solution.total_utilization()
     );
 }
+
+/// The dense reference on torus-3×3 all-to-all one step past the minimum
+/// (3 steps) once failed with "singular basis: no acceptable pivot" on the
+/// presolved model. It must solve to `Σ_t U_t = 3` and agree with colgen at
+/// the same steps. Release builds only: the dense LP takes seconds there and
+/// far longer in the debug profile.
+#[cfg(not(debug_assertions))]
+#[test]
+fn dense_tsmcf_on_torus3x3_one_step_past_minimum_solves() {
+    let topo = generators::torus(&[3, 3]);
+    let commodities = CommoditySet::all_pairs(topo.num_nodes());
+    let steps = minimum_steps(&topo, &commodities).unwrap() + 1;
+    assert_eq!(steps, 3);
+    let dense = solve_tsmcf_among_dense(&topo, commodities.clone(), steps)
+        .unwrap_or_else(|e| panic!("dense tsMCF failed: {e}"));
+    let du = dense.total_utilization();
+    assert!((du - 3.0).abs() <= 1e-9, "dense U = {du}");
+    let cg = solve_tsmcf_colgen_among_with(&topo, commodities, steps, &ColGenOptions::default())
+        .unwrap();
+    assert!(cg.stats.proved_optimal, "colgen certificate missing");
+    let cu = cg.solution.total_utilization();
+    assert!(
+        (du - cu).abs() <= REL_TOL * (1.0 + du.abs()),
+        "dense U = {du} vs colgen U = {cu}"
+    );
+}
