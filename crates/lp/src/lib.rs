@@ -15,8 +15,8 @@
 //!   bounded row eta, and the factorization refuses unstable updates so the
 //!   simplex refactorizes exactly when the numerics demand it.
 //! * [`simplex`] — a bounded-variable revised simplex method with a two-phase
-//!   start. Pricing defaults to devex with incrementally maintained reduced costs
-//!   ([`simplex::Pricing::Devex`]); Dantzig remains available, starts can be
+//!   start and one pricing rule, devex with incrementally maintained reduced
+//!   costs in phase 2 (see the [`simplex`] module docs). Starts can be
 //!   warm ([`simplex::SimplexOptions::warm_start`], [`simplex::triangular_crash`])
 //!   and every solution exports its basis for reuse. A [`simplex::Solver`] can
 //!   also be held open as an incremental *session* for column generation:
@@ -60,8 +60,8 @@ pub mod sparse;
 pub use error::{LpError, LpResult};
 pub use model::{ConstraintSense, LpProblem, LpSolution, Objective, SolveStatus, VarId};
 pub use simplex::{
-    recover_row_duals, triangular_crash, BasisStatus, DualSimplex, NewColumn, Pricing,
-    SimplexOptions, Solver, StandardForm, StandardSolution, WarmStart,
+    recover_row_duals, triangular_crash, BasisStatus, DualSimplex, NewColumn, SimplexOptions,
+    Solver, StandardForm, StandardSolution, WarmStart,
 };
 
 /// Default feasibility / optimality tolerance used across the crate.

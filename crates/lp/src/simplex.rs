@@ -29,29 +29,40 @@
 //!
 //! # Pricing
 //!
-//! Two pricing rules are available via [`SimplexOptions::pricing`]:
+//! The primal phases price by devex reference-framework weights
+//! (Forrest–Goldfarb), scoring an eligible column by `d_j² / w_j`. In phase 2
+//! the reduced costs `d` of *all* variables are maintained incrementally across
+//! pivots from the pivotal row (expanded hypersparsely from a row-wise matrix
+//! copy), so an iteration needs no dual solve and no matrix scan at all; weights
+//! of every touched column are updated exactly, and the framework resets when
+//! the entering weight grows past a threshold. In phase 1 — where the composite
+//! infeasibility costs change with the basics' feasibility state and
+//! incremental updates are invalid — the duals are recomputed every iteration
+//! and devex prices over a rotating *candidate list*, a fraction of the column
+//! count refilled by periodic partial-pricing window scans.
 //!
-//! * [`Pricing::Dantzig`] — classic most-negative-reduced-cost over a full column
-//!   scan. Simple, but every iteration pays a dual BTRAN plus O(nnz(A)) of
-//!   reduced-cost recomputation.
-//! * [`Pricing::Devex`] (default) — devex reference-framework weights
-//!   (Forrest–Goldfarb). In phase 2 the reduced costs of *all* variables are
-//!   maintained incrementally across pivots from the pivotal row (expanded
-//!   hypersparsely from a row-wise matrix copy), so an iteration needs no dual
-//!   solve and no matrix scan at all; weights of every touched column are updated
-//!   exactly, and the framework resets when the entering weight grows past a
-//!   threshold. In phase 1 — where the composite infeasibility costs change with
-//!   the basics' feasibility state and incremental updates are invalid — devex
-//!   prices over a rotating *candidate list* refilled by periodic partial-pricing
-//!   window scans ([`SimplexOptions::candidate_list_size`]).
-//!
-//! Long degenerate runs first fall back to the Dantzig rule until the plateau
-//! breaks (devex's weight growth deliberately avoids recent pivot directions,
-//! which scatters effort on large degenerate plateaus), and ultimately to Bland's
-//! anti-cycling rule, which prevents cycling in the highly degenerate
+//! A run of 100 degenerate pivots (the stall escape) switches the score to the
+//! plain `|d_j|` over every column until a productive pivot breaks the plateau
+//! (devex's weight growth deliberately avoids recent pivot directions, which
+//! scatters effort on large degenerate plateaus); a run of 2,000 switches to
+//! Bland's anti-cycling rule, which prevents cycling in the highly degenerate
 //! network-flow LPs this crate is used for. Phase-1 penalty costs carry a tiny
 //! deterministic per-row jitter that breaks the massive reduced-cost ties those
 //! plateaus are made of.
+//!
+//! # One pivot core
+//!
+//! The primal loop ([`Solver::reoptimize`]'s phases 1 and 2) and the dual loop
+//! share the steps of an iteration that do not depend on how it chose its
+//! pivot: opening the pass against [`SimplexOptions::max_iterations`], loading
+//! and FTRANing the entering column (keeping the Forrest–Tomlin spike), the
+//! step of the basic values, the reduced-cost update over the pivotal row,
+//! counting the iteration, committing the basis change (Forrest–Tomlin update,
+//! refactorization on rejection, on [`SimplexOptions::refactor_interval`] or on
+//! fill) and the degenerate-run / Bland bookkeeping. Each loop owns only its
+//! choices: the primal its pricing, two-pass ratio test and bound flip of the
+//! entering column; the dual its leaving-row selection, long-step
+//! (bound-flipping) ratio test and dual steepest-edge weights.
 //!
 //! # Phase selection: primal two-phase vs. dual simplex
 //!
@@ -103,16 +114,6 @@ use crate::error::{LpError, LpResult};
 use crate::lu::{Kernel, LuFactorization, LuScratch};
 use crate::sparse::{SparseScratch, SparseVec};
 use crate::INF;
-
-/// Pricing rule used to select the entering variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Pricing {
-    /// Full-scan most-negative reduced cost.
-    Dantzig,
-    /// Devex reference weights over a rotating candidate list (partial pricing).
-    #[default]
-    Devex,
-}
 
 /// When the dual simplex may replace primal phase 1 (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -169,16 +170,8 @@ pub struct SimplexOptions {
     /// earlier). FT updates keep per-solve cost flat, so this can be much larger
     /// than a product-form eta file would tolerate.
     pub refactor_interval: usize,
-    /// Number of consecutive degenerate pivots tolerated before switching to Bland's
-    /// anti-cycling rule.
-    pub degenerate_switch: usize,
-    /// Entering-variable pricing rule.
-    pub pricing: Pricing,
     /// Dual-simplex phase selection (see [`DualSimplex`] and the module docs).
     pub dual_simplex: DualSimplex,
-    /// Size of the devex candidate list; `0` picks an automatic size from the
-    /// column count. Ignored under [`Pricing::Dantzig`].
-    pub candidate_list_size: usize,
     /// Optional starting basis (see [`WarmStart`]). Falls back to the all-slack
     /// basis when absent, malformed or singular.
     pub warm_start: Option<WarmStart>,
@@ -191,10 +184,7 @@ impl Default for SimplexOptions {
             tol: 1e-7,
             pivot_tol: 1e-9,
             refactor_interval: 100,
-            degenerate_switch: 2_000,
-            pricing: Pricing::default(),
             dual_simplex: DualSimplex::default(),
-            candidate_list_size: 0,
             warm_start: None,
         }
     }
@@ -204,14 +194,20 @@ impl Default for SimplexOptions {
 /// this threshold (keeps the reference approximation bounded).
 const DEVEX_RESET_THRESHOLD: f64 = 1e7;
 
-/// Consecutive degenerate pivots tolerated before pricing falls back to the full
-/// Dantzig scan until the plateau breaks. Devex's weight growth deliberately
-/// de-prioritizes directions similar to recent pivots; on the huge degenerate
-/// plateaus of time-expanded flow LPs that scatters effort across commodities
-/// and can stall for millions of pivots, while the plain steepest-reduced-cost
-/// rule follows the accumulated dual signal out. Escaping early (well before the
-/// Bland switch) keeps the plateau shallow enough for Dantzig to exit it.
+/// Consecutive degenerate pivots tolerated before pricing falls back to the
+/// plain largest-`|d|` score over every column until the plateau breaks. Devex's
+/// weight growth deliberately de-prioritizes directions similar to recent
+/// pivots; on the huge degenerate plateaus of time-expanded flow LPs that
+/// scatters effort across commodities and can stall for millions of pivots,
+/// while the plain steepest-reduced-cost rule follows the accumulated dual
+/// signal out. Escaping early (well before [`DEGENERATE_SWITCH`]) keeps the
+/// plateau shallow enough for that rule to exit it.
 const STALL_ESCAPE_THRESHOLD: usize = 100;
+
+/// Consecutive degenerate pivots after which both loops switch to Bland's
+/// anti-cycling rule; the dual loop hands back to the primal phases at four
+/// times this many.
+const DEGENERATE_SWITCH: usize = 2_000;
 
 // Observability taps (see `a2a_obs`): free when the global switch is off, and
 // totals line up with the per-solve `iterations`/`refactorizations` fields —
@@ -404,6 +400,47 @@ fn column_entries(sf: &StandardForm, j: usize) -> impl Iterator<Item = (usize, f
     structural.into_iter().flatten().chain(logical)
 }
 
+/// Checks the data of structural column `j` (its entries, cost and bounds):
+/// the bounds are not NaN and ordered, the cost is finite, and every entry sits
+/// on one of `nrows` rows with a finite coefficient.
+fn check_column(
+    j: usize,
+    col: &SparseVec,
+    obj: f64,
+    (lower, upper): (f64, f64),
+    nrows: usize,
+) -> LpResult<()> {
+    check_bounds("column", j, lower, upper)?;
+    if !obj.is_finite() {
+        return Err(LpError::InvalidModel(format!(
+            "column {j} has non-finite objective {obj}"
+        )));
+    }
+    if col.min_len() > nrows {
+        return Err(LpError::InvalidModel(format!(
+            "column {j} references row {} but the problem has {nrows} rows",
+            col.min_len() - 1
+        )));
+    }
+    if col.iter().any(|(_, v)| !v.is_finite()) {
+        return Err(LpError::InvalidModel(format!(
+            "column {j} has a non-finite coefficient"
+        )));
+    }
+    Ok(())
+}
+
+/// Checks that the bounds of `what` `j` (a column or a row) are not NaN and
+/// that the lower one does not exceed the upper one.
+fn check_bounds(what: &str, j: usize, lower: f64, upper: f64) -> LpResult<()> {
+    if lower.is_nan() || upper.is_nan() || lower > upper {
+        return Err(LpError::InvalidModel(format!(
+            "{what} {j} has invalid bounds [{lower}, {upper}]"
+        )));
+    }
+    Ok(())
+}
+
 /// Adds a nonbasic column's entry to a row of the partitioned row-wise matrix
 /// copy (`Solver::a_rows`) whose nonbasic prefix is `nb` long: the entry is
 /// appended, trades places with the first basic entry, and the prefix grows
@@ -494,7 +531,7 @@ pub struct Solver<'a> {
     /// on costs nudged away from zero in each nonbasic's dual-feasible
     /// direction, and the final primal phase 2 (true costs) cleans up.
     perturb: Vec<f64>,
-    /// Current pricing candidate list (devex mode).
+    /// Current phase-1 devex pricing candidate list.
     candidates: Vec<usize>,
     /// Partial-pricing rotation cursor into the column range.
     scan_cursor: usize,
@@ -531,16 +568,13 @@ pub struct Solver<'a> {
     /// accumulate and the update loops then skipped one by one on the
     /// genkautz path masters). The order inside either part is arbitrary; each
     /// `alpha_j` accumulates over `rho`'s pattern in pattern order whatever
-    /// it is. [`Solver::change_basis`] keeps the partition across pivots,
-    /// [`Solver::ensure_a_rows`] builds it against the installed basis.
+    /// it is. [`Solver::commit_basis_change`] keeps the partition across
+    /// pivots, [`Solver::build_a_rows`] builds it against the installed basis.
     a_rows: Vec<Vec<(usize, f64)>>,
     /// Length of the nonbasic prefix of each row of `a_rows`.
     nb_len: Vec<usize>,
-    /// Whether `a_rows` is populated (devex construction, or on demand for the
-    /// dual phase under Dantzig pricing).
-    a_rows_built: bool,
     /// Exact reduced costs of every variable, maintained incrementally across
-    /// pivots in the phase-2 devex path (`d[j] -= (d_q / alpha_q) * alpha_j`).
+    /// the pivots of phase 2 and the dual phase (`d[j] -= step * alpha_j`).
     d: Vec<f64>,
     /// Whether `d` is currently trusted; cleared on refactorization and phase
     /// changes, rebuilt from a fresh BTRAN when needed.
@@ -580,17 +614,20 @@ impl<'a> Solver<'a> {
                 "standard form row bound arrays have inconsistent lengths".into(),
             ));
         }
-        for col in &sf.cols {
-            if col.min_len() > nrows {
+        for (j, col) in sf.cols.iter().enumerate() {
+            check_column(j, col, sf.obj[j], (sf.lower[j], sf.upper[j]), nrows)?;
+        }
+        for i in 0..nrows {
+            check_bounds("row", i, sf.row_lower[i], sf.row_upper[i])?;
+        }
+        for (name, t) in [("tol", opts.tol), ("pivot_tol", opts.pivot_tol)] {
+            if !(t.is_finite() && t >= 0.0) {
                 return Err(LpError::InvalidModel(format!(
-                    "column references row {} but the problem has {} rows",
-                    col.min_len() - 1,
-                    nrows
+                    "{name} must be finite and non-negative, got {t}"
                 )));
             }
         }
         let ntotal = nstruct + nrows;
-        let use_devex = matches!(opts.pricing, Pricing::Devex);
         let lower = [sf.lower.as_slice(), sf.row_lower.as_slice()].concat();
         let upper = [sf.upper.as_slice(), sf.row_upper.as_slice()].concat();
 
@@ -627,7 +664,6 @@ impl<'a> Solver<'a> {
             upper,
             a_rows: Vec::new(),
             nb_len: Vec::new(),
-            a_rows_built: false,
             d: vec![0.0; ntotal],
             d_fresh: false,
             alpha_buf: SparseScratch::new(ntotal),
@@ -645,12 +681,7 @@ impl<'a> Solver<'a> {
             solver.refactorize()?;
         }
         solver.warm_installed = installed;
-        // Only the phase-2 devex regime reads the row-wise copy; Dantzig
-        // solves skip the O(nnz) construction and the doubled footprint
-        // (until a dual phase asks for it).
-        if use_devex {
-            solver.ensure_a_rows();
-        }
+        solver.build_a_rows();
         Ok(solver)
     }
 
@@ -914,37 +945,18 @@ impl<'a> Solver<'a> {
         if cols.is_empty() {
             return Ok(());
         }
+        let old_nstruct = self.nstruct;
         for (idx, c) in cols.iter().enumerate() {
-            if c.lower.is_nan() || c.upper.is_nan() || c.lower > c.upper {
-                return Err(LpError::InvalidModel(format!(
-                    "appended column {idx} has invalid bounds [{}, {}]",
-                    c.lower, c.upper
-                )));
-            }
-            if !c.obj.is_finite() {
-                return Err(LpError::InvalidModel(format!(
-                    "appended column {idx} has non-finite objective {}",
-                    c.obj
-                )));
-            }
-            if c.col.min_len() > self.nrows {
-                return Err(LpError::InvalidModel(format!(
-                    "appended column {idx} references row {} but the problem has {} rows",
-                    c.col.min_len() - 1,
-                    self.nrows
-                )));
-            }
-            for (_, v) in c.col.iter() {
-                if !v.is_finite() {
-                    return Err(LpError::InvalidModel(format!(
-                        "appended column {idx} has a non-finite coefficient"
-                    )));
-                }
-            }
+            check_column(
+                old_nstruct + idx,
+                &c.col,
+                c.obj,
+                (c.lower, c.upper),
+                self.nrows,
+            )?;
         }
 
         let k = cols.len();
-        let old_nstruct = self.nstruct;
         let sf = self.sf.to_mut();
         for c in cols {
             sf.cols.push(c.col.clone());
@@ -983,15 +995,13 @@ impl<'a> Solver<'a> {
         self.nstruct += k;
         self.ntotal += k;
         self.alpha_buf.resize(self.ntotal);
-        // The phase-2 devex regime (and the dual phase) expand the pivotal row
-        // from the row-wise matrix copy; keep it current when it exists. The
-        // new columns are nonbasic, so each entry joins its row's prefix.
-        if self.a_rows_built {
-            for (idx, c) in cols.iter().enumerate() {
-                let j = old_nstruct + idx;
-                for (i, v) in c.col.iter() {
-                    push_nonbasic(&mut self.a_rows[i], &mut self.nb_len[i], (j, v));
-                }
+        // Phase 2 and the dual phase expand the pivotal row from the row-wise
+        // matrix copy; keep it current. The new columns are nonbasic, so each
+        // entry joins its row's prefix.
+        for (idx, c) in cols.iter().enumerate() {
+            let j = old_nstruct + idx;
+            for (i, v) in c.col.iter() {
+                push_nonbasic(&mut self.a_rows[i], &mut self.nb_len[i], (j, v));
             }
         }
         // Candidate lists hold pre-splice indices; reduced costs must be rebuilt
@@ -1187,9 +1197,10 @@ impl<'a> Solver<'a> {
     /// instead of exactly `±1`. On highly degenerate network LPs the unweighted
     /// composite objective produces huge plateaus of columns whose reduced costs
     /// all tie (every path edge prices at exactly -1), and pricing — devex and
-    /// Dantzig alike — can wander them for millions of degenerate pivots. The
-    /// jitter breaks those ties while keeping the phase-1 goal intact: total
-    /// weighted infeasibility is zero exactly when total infeasibility is.
+    /// the plain `|d|` score alike — can wander them for millions of degenerate
+    /// pivots. The jitter breaks those ties while keeping the phase-1 goal
+    /// intact: total weighted infeasibility is zero exactly when total
+    /// infeasibility is.
     fn basic_phase_cost(&self, pos: usize, phase1: bool) -> f64 {
         let j = self.basis[pos];
         if phase1 {
@@ -1226,62 +1237,54 @@ impl<'a> Solver<'a> {
         self.candidates.clear();
         self.d_fresh = false;
         loop {
-            if self.iterations >= self.opts.max_iterations {
-                return Err(LpError::IterationLimit {
-                    iterations: self.iterations,
-                });
-            }
+            let sample = self.start_iteration()?;
             if phase1 && self.infeasibility() <= self.opts.tol {
                 return Ok(());
             }
-            let iter_timer = OBS_ITERATION_NANOS.start();
 
-            // Two pricing regimes share this loop. The *incremental* regime
-            // (phase-2 devex) maintains exact reduced costs `d` across pivots via
-            // the pivotal row, so no per-iteration BTRAN or matrix scan is needed;
-            // `d` is rebuilt from a fresh dual solve after refactorizations. The
-            // per-iteration regime (Dantzig, and devex in phase 1 where the
-            // composite cost vector changes with the basics' feasibility state)
-            // recomputes the duals every iteration.
+            // Phase 2 maintains exact reduced costs `d` across pivots via the
+            // pivotal row, so no per-iteration BTRAN or matrix scan is needed;
+            // `d` is rebuilt from a fresh dual solve after refactorizations.
+            // Phase 1, whose composite cost vector changes with the basics'
+            // feasibility state, recomputes the duals every iteration and
+            // prices devex over the candidate list.
             //
-            // In both regimes, a devex run that degenerates for too long falls
-            // back to the Dantzig rule until a productive pivot breaks the plateau
-            // (see [`STALL_ESCAPE_THRESHOLD`]), and Bland's rule remains the final
+            // In both phases a run that degenerates for too long prices by the
+            // plain `|d|` until a productive pivot breaks the plateau (see
+            // [`STALL_ESCAPE_THRESHOLD`]), and Bland's rule remains the final
             // anti-cycling authority.
-            let incremental = !phase1 && matches!(self.opts.pricing, Pricing::Devex);
             let stall_escape = self.degenerate_run >= STALL_ESCAPE_THRESHOLD;
             if self.degenerate_run == STALL_ESCAPE_THRESHOLD {
                 // First iteration of a stall plateau (the run counter moves
                 // every degenerate pivot, so == fires once per episode).
                 OBS_STALL_ESCAPES.incr();
             }
-            let entering = if incremental {
-                let just_refreshed = !self.d_fresh;
-                if just_refreshed {
-                    self.refresh_reduced_costs(phase1);
-                }
-                let mut entering = self.price_scan(phase1, true, stall_escape, true);
-                if entering.is_none() && !just_refreshed {
-                    // The stored reduced costs may have drifted; only a fresh dual
-                    // solve can certify optimality.
-                    self.refresh_reduced_costs(phase1);
-                    entering = self.price_scan(phase1, true, stall_escape, true);
-                }
-                entering
-            } else {
+            let entering = if phase1 {
                 // Dual vector y = B^{-T} c_B for the phase cost. The cost vector
                 // is hypersparse on network LPs (few basic columns carry cost), so
                 // the BTRAN works on pattern, not dimension.
-                let nonzero_costs = self.compute_duals(phase1);
-                if phase1 && nonzero_costs == 0 {
+                if self.compute_duals(true) == 0 {
                     // No infeasible basic variable left.
                     return Ok(());
                 }
-                if self.use_bland || stall_escape || matches!(self.opts.pricing, Pricing::Dantzig) {
-                    self.price_scan(phase1, false, stall_escape, false)
+                if self.use_bland || stall_escape {
+                    self.price_scan(true, stall_escape)
                 } else {
-                    self.price_devex(phase1)
+                    self.price_devex()
                 }
+            } else {
+                let just_refreshed = !self.d_fresh;
+                if just_refreshed {
+                    self.refresh_reduced_costs();
+                }
+                let mut entering = self.price_scan(false, stall_escape);
+                if entering.is_none() && !just_refreshed {
+                    // The stored reduced costs may have drifted; only a fresh dual
+                    // solve can certify optimality.
+                    self.refresh_reduced_costs();
+                    entering = self.price_scan(false, stall_escape);
+                }
+                entering
             };
             let Some((q, direction)) = entering else {
                 if phase1 && self.infeasibility() > self.opts.tol {
@@ -1290,33 +1293,95 @@ impl<'a> Solver<'a> {
                 return Ok(());
             };
 
-            // Direction of basic change: w = B^{-1} A_q (hypersparse FTRAN). The
-            // partial result after the lower solve is kept as the Forrest–Tomlin
-            // spike for the basis update in `pivot_step`.
-            self.col_buf.clear();
-            if q < self.nstruct {
-                for (i, v) in self.sf.cols[q].iter() {
-                    self.col_buf.set(i, v);
-                }
-            } else {
-                self.col_buf.set(q - self.nstruct, -1.0);
+            self.ftran_entering(q, Kernel::Reach);
+            let basis_change = self.pivot_step(q, direction, phase1)?;
+            self.count_iteration(sample, false);
+            if let Some((r, leaving_status)) = basis_change {
+                self.commit_basis_change(r, q, leaving_status)?;
             }
-            self.lu.ftran_sparse_with_partial(
-                Kernel::Reach,
-                &mut self.col_buf,
-                &mut self.lu_scratch,
-                &mut self.spike_buf,
-            );
-            self.iterations += 1;
-            OBS_ITERATIONS.incr();
-            self.pivot_step(q, direction, phase1)?;
-            // Close the iteration sample before the (amortized) refactorization
-            // so its spike does not land in the iteration-time distribution.
-            drop(iter_timer);
+        }
+    }
 
-            if self.lu.updates() >= self.opts.refactor_interval || self.lu.fill_exceeded() {
-                self.refactorize()?;
+    /// Opens one pass of the primal or the dual loop: errors once
+    /// `max_iterations` iterations have been counted, and otherwise starts the
+    /// pass's `lp.iteration_nanos` sample.
+    ///
+    /// Both loops close the sample in [`Self::count_iteration`], after the
+    /// step has been applied and before the basis change is committed, so the
+    /// Forrest–Tomlin update and any refactorization stay out of the
+    /// iteration-time distribution. A pass that ends without an iteration
+    /// (optimality, a dual verification or retry) records its sample when the
+    /// guard drops.
+    fn start_iteration(&self) -> LpResult<a2a_obs::HistogramTimer> {
+        if self.iterations >= self.opts.max_iterations {
+            return Err(LpError::IterationLimit {
+                iterations: self.iterations,
+            });
+        }
+        Ok(OBS_ITERATION_NANOS.start())
+    }
+
+    /// Counts one iteration of the primal (`dual == false`) or the dual loop
+    /// and closes its `lp.iteration_nanos` sample (see
+    /// [`Self::start_iteration`]).
+    fn count_iteration(&mut self, sample: a2a_obs::HistogramTimer, dual: bool) {
+        self.iterations += 1;
+        OBS_ITERATIONS.incr();
+        if dual {
+            self.dual_iterations += 1;
+            OBS_DUAL_ITERATIONS.incr();
+        }
+        drop(sample);
+    }
+
+    /// Loads column `q` (structural or logical) into `col_buf` and FTRANs it to
+    /// the pivot column `w = B^{-1} A_q` (hypersparse), keeping the partial
+    /// result after the lower solve in `spike_buf` as the Forrest–Tomlin spike
+    /// of the basis change that may follow.
+    fn ftran_entering(&mut self, q: usize, kernel: Kernel) {
+        self.col_buf.clear();
+        if q < self.nstruct {
+            for (i, v) in self.sf.cols[q].iter() {
+                self.col_buf.set(i, v);
             }
+        } else {
+            self.col_buf.set(q - self.nstruct, -1.0);
+        }
+        self.lu.ftran_sparse_with_partial(
+            kernel,
+            &mut self.col_buf,
+            &mut self.lu_scratch,
+            &mut self.spike_buf,
+        );
+    }
+
+    /// Moves the entering variable `q` by `step` and every basic variable by
+    /// `-step * w_i` along the pivot column `w` in `col_buf`.
+    fn apply_step(&mut self, q: usize, step: f64) {
+        if step == 0.0 {
+            return;
+        }
+        for (pos, wi) in self.col_buf.iter() {
+            if wi != 0.0 {
+                self.x[self.basis[pos]] -= step * wi;
+            }
+        }
+        self.x[q] += step;
+    }
+
+    /// Records whether the pivot just taken was degenerate: `DEGENERATE_SWITCH`
+    /// degenerate pivots in a row switch the loop to Bland's rule, and the
+    /// first productive one switches it back.
+    fn note_step(&mut self, degenerate: bool) {
+        if degenerate {
+            self.degenerate_run += 1;
+            OBS_DEGENERATE_PIVOTS.incr();
+            if self.degenerate_run >= DEGENERATE_SWITCH {
+                self.use_bland = true;
+            }
+        } else {
+            self.degenerate_run = 0;
+            self.use_bland = false;
         }
     }
 
@@ -1327,8 +1392,9 @@ impl<'a> Solver<'a> {
     }
 
     /// Loads the phase cost of the basic variables into `dual_buf` and solves
-    /// `Bᵀ y = c_B` in place (the single dual-vector construction shared by every
-    /// pricing regime). Returns the number of nonzero basic costs — zero in
+    /// `Bᵀ y = c_B` in place (the single dual-vector construction behind phase-1
+    /// pricing, the phase-2 reduced-cost refresh and [`Self::current_duals`]).
+    /// Returns the number of nonzero basic costs — zero in
     /// phase 1 means no infeasible basic variable is left.
     fn compute_duals(&mut self, phase1: bool) -> usize {
         self.dual_buf.clear();
@@ -1347,15 +1413,15 @@ impl<'a> Solver<'a> {
         nonzero
     }
 
-    /// Rebuilds the exact reduced-cost array `d` from a fresh dual solve
-    /// (incremental regime only; one BTRAN plus one pass over the matrix).
-    fn refresh_reduced_costs(&mut self, phase1: bool) {
-        self.compute_duals(phase1);
+    /// Rebuilds the exact phase-2 reduced-cost array `d` from a fresh dual
+    /// solve (one BTRAN plus one pass over the matrix).
+    fn refresh_reduced_costs(&mut self) {
+        self.compute_duals(false);
         for j in 0..self.ntotal {
             self.d[j] = if matches!(self.status[j], VarStatus::Basic(_)) {
                 0.0
             } else {
-                self.reduced_cost(j, phase1)
+                self.reduced_cost(j, false)
             };
         }
         self.d_fresh = true;
@@ -1364,8 +1430,8 @@ impl<'a> Solver<'a> {
     /// Eligibility of nonbasic `j` given its reduced cost `d`: `(direction, |d|)`
     /// when the reduced cost allows an improving move, `None` otherwise. Fixed
     /// variables (`lower == upper`) can never move and are excluded entirely.
-    /// The single eligibility rule behind both the stored-reduced-cost and the
-    /// fresh-dual pricing paths.
+    /// The single eligibility rule behind both the stored-reduced-cost (phase
+    /// 2) and the fresh-dual (phase 1) pricing paths.
     #[inline]
     fn eligibility_from(&self, j: usize, d: f64) -> Option<(f64, f64)> {
         let tol = self.opts.tol;
@@ -1388,16 +1454,10 @@ impl<'a> Solver<'a> {
         }
     }
 
-    /// Eligibility of nonbasic `j` from the stored incremental reduced cost.
-    #[inline]
-    fn eligibility_stored(&self, j: usize) -> Option<(f64, f64)> {
-        self.eligibility_from(j, self.d[j])
-    }
-
     /// Forrest–Goldfarb reference-framework check at a pivot with entering `q`:
     /// returns the clamped entering weight for the update formulas, or `None`
     /// after resetting the whole framework because the weight grew too large.
-    /// Shared by the incremental and the candidate-list devex regimes.
+    /// Shared by the phase-2 and the phase-1 (candidate-list) devex updates.
     fn devex_entering_weight(&mut self, q: usize) -> Option<f64> {
         let wq = self.weights[q].max(1.0);
         if wq > DEVEX_RESET_THRESHOLD {
@@ -1463,49 +1523,61 @@ impl<'a> Solver<'a> {
         }
     }
 
-    /// Post-pivot update of the incremental regime: expands the pivotal row
-    /// `alpha = e_r B^{-1} A` from the row-wise matrix copy, updates every touched
-    /// reduced cost exactly (`d_j -= (d_q/alpha_q) alpha_j`) and refreshes the
+    /// Post-pivot update of phase 2: expands the pivotal row `alpha = e_r B^{-1}
+    /// A` from the row-wise matrix copy, updates every touched reduced cost
+    /// exactly (`d_j -= (d_q/alpha_q) alpha_j`) and, in the same pass, the
     /// devex weights of the touched columns (with the usual reference-framework
     /// reset when the entering weight has grown too large).
     fn update_incremental(&mut self, q: usize, r: usize, alpha_q: f64, leaving_var: usize) {
-        let dq = self.d[q];
-        let ratio = dq / alpha_q;
+        let ratio = self.d[q] / alpha_q;
         let rho = self.compute_pivotal_rho(r, Kernel::Reach);
         let mut alpha = std::mem::take(&mut self.alpha_buf);
         self.expand_pivotal_row(&rho, &mut alpha);
-        let wq = self.devex_entering_weight(q);
         let piv2 = alpha_q * alpha_q;
-        // `alpha` holds nonbasic columns only (see `a_rows`).
-        for (j, aj) in alpha.iter() {
-            if j == q || aj == 0.0 {
-                continue;
-            }
-            self.d[j] -= ratio * aj;
-            if let Some(wq) = wq {
-                if piv2 > 0.0 {
-                    self.bump_devex_weight(j, aj, piv2, wq);
-                }
-            }
-        }
-        self.d[q] = 0.0;
-        self.d[leaving_var] = -ratio;
-        if let Some(wq) = wq {
-            if piv2 > 0.0 {
-                self.set_leaving_weight(leaving_var, piv2, wq);
-            }
+        let devex = self
+            .devex_entering_weight(q)
+            .filter(|_| piv2 > 0.0)
+            .map(|wq| (piv2, wq));
+        self.update_reduced_costs(&alpha, q, leaving_var, ratio, devex);
+        if let Some((piv2, wq)) = devex {
+            self.set_leaving_weight(leaving_var, piv2, wq);
         }
         self.row_buf = rho;
         self.alpha_buf = alpha;
     }
 
-    /// Builds the row-wise matrix copy on demand, partitioned against the
-    /// current basis: devex solvers right after the basis install, Dantzig
-    /// solvers only if a dual phase needs it for pivotal-row expansion.
-    fn ensure_a_rows(&mut self) {
-        if self.a_rows_built {
-            return;
+    /// Moves the reduced costs across a basis change with entering `q` and
+    /// leaving `leaving_var`, shared by phase 2 and the dual loop: every other
+    /// column of the pivotal row `alpha` (nonbasic columns only, see `a_rows`)
+    /// shifts by `-step * alpha_j`, `q` turns basic and the leaving variable
+    /// takes `-step`. `devex`, the primal's `(alpha_q², w_q)`, bumps the
+    /// touched columns' reference weights in the same pass.
+    fn update_reduced_costs(
+        &mut self,
+        alpha: &SparseScratch,
+        q: usize,
+        leaving_var: usize,
+        step: f64,
+        devex: Option<(f64, f64)>,
+    ) {
+        if step != 0.0 || devex.is_some() {
+            for (j, aj) in alpha.iter() {
+                if j == q || aj == 0.0 {
+                    continue;
+                }
+                self.d[j] -= step * aj;
+                if let Some((piv2, wq)) = devex {
+                    self.bump_devex_weight(j, aj, piv2, wq);
+                }
+            }
         }
+        self.d[q] = 0.0;
+        self.d[leaving_var] = -step;
+    }
+
+    /// Builds the row-wise matrix copy, partitioned against the installed
+    /// basis (once, at construction).
+    fn build_a_rows(&mut self) {
         let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); self.nrows];
         let mut nb_len = vec![0; self.nrows];
         for (j, col) in self.sf.cols.iter().enumerate() {
@@ -1520,7 +1592,6 @@ impl<'a> Solver<'a> {
         }
         self.a_rows = rows;
         self.nb_len = nb_len;
-        self.a_rows_built = true;
     }
 
     /// Moves column `j`'s entries across the nonbasic / basic boundary of
@@ -1528,7 +1599,7 @@ impl<'a> Solver<'a> {
     /// entry trades places with the entry on its side of the boundary, and
     /// the boundary steps over it.
     fn move_in_a_rows(&mut self, j: usize, to_basic: bool) {
-        if !self.a_rows_built || j >= self.nstruct {
+        if j >= self.nstruct {
             return;
         }
         for (i, _) in self.sf.cols[j].iter() {
@@ -1553,29 +1624,47 @@ impl<'a> Solver<'a> {
         }
     }
 
-    /// The one place a basis change is written down, for the primal and the
-    /// dual loop alike: `q` becomes basic at position `r`, the variable it
-    /// replaces turns nonbasic with `leaving_status`, and the `a_rows`
-    /// partition follows both.
-    fn change_basis(&mut self, r: usize, q: usize, leaving_status: VarStatus) {
+    /// The one place a basis change is committed, for the primal and the dual
+    /// loop alike: `q` becomes basic at position `r`, the variable it replaces
+    /// turns nonbasic with `leaving_status`, the `a_rows` partition follows
+    /// both, and the factorization takes the Forrest–Tomlin update from the
+    /// spike [`Self::ftran_entering`] saved. An unstable update poisons the
+    /// factors, so a rejection refactorizes the new basis at once, as do
+    /// `refactor_interval` accumulated updates and update fill outgrowing the
+    /// base factorization.
+    fn commit_basis_change(
+        &mut self,
+        r: usize,
+        q: usize,
+        leaving_status: VarStatus,
+    ) -> LpResult<()> {
         let leaving_var = self.basis[r];
         self.status[leaving_var] = leaving_status;
         self.status[q] = VarStatus::Basic(r);
         self.basis[r] = q;
         self.move_in_a_rows(leaving_var, false);
         self.move_in_a_rows(q, true);
+        self.pivots += 1;
+        if !self
+            .lu
+            .replace_column(r, &self.spike_buf, &mut self.lu_scratch)
+            || self.lu.updates() >= self.opts.refactor_interval
+            || self.lu.fill_exceeded()
+        {
+            self.refactorize()?;
+        }
+        Ok(())
     }
 
     /// Whether every row of `a_rows` has exactly its nonbasic columns in its
-    /// prefix (vacuously true while the copy is not built). Debug builds
-    /// assert it at every refactorization.
+    /// prefix (vacuously true before the copy is built). Debug builds assert
+    /// it at every refactorization.
     fn a_rows_partitioned(&self) -> bool {
-        !self.a_rows_built
-            || self.a_rows.iter().zip(&self.nb_len).all(|(row, &nb)| {
-                row.iter()
-                    .enumerate()
-                    .all(|(k, &(j, _))| (k < nb) != matches!(self.status[j], VarStatus::Basic(_)))
-            })
+        self.a_rows.iter().zip(&self.nb_len).all(|(row, &nb)| {
+            row.iter()
+                .enumerate()
+                .all(|(k, &(j, _))| (k < nb) != matches!(self.status[j], VarStatus::Basic(_)))
+        })
     }
 
     /// Whether the current basis prices dual-feasible against the *real*
@@ -1583,7 +1672,7 @@ impl<'a> Solver<'a> {
     /// sign condition. Refreshes the incremental reduced-cost array as a side
     /// effect, so a subsequent dual phase starts from exact `d`.
     fn dual_feasible(&mut self) -> bool {
-        self.refresh_reduced_costs(false);
+        self.refresh_reduced_costs();
         let tol = self.opts.tol;
         (0..self.ntotal).all(|j| {
             // Fixed columns never enter the basis; their sign is irrelevant.
@@ -1605,7 +1694,7 @@ impl<'a> Solver<'a> {
     /// value is within its bounds — primal feasible, and since the dual phase
     /// maintains dual feasibility, optimal. The returned violation is signed:
     /// positive above the upper bound, negative below the lower.
-    fn dual_select_row(&self, bland: bool) -> Option<(usize, f64)> {
+    fn dual_select_row(&self) -> Option<(usize, f64)> {
         let tol = self.opts.tol;
         let mut best: Option<(usize, f64, f64)> = None;
         for (pos, &j) in self.basis.iter().enumerate() {
@@ -1619,7 +1708,7 @@ impl<'a> Solver<'a> {
             } else {
                 continue;
             };
-            if bland {
+            if self.use_bland {
                 match best {
                     Some((bp, _, _)) if self.basis[bp] <= j => {}
                     _ => best = Some((pos, viol, 0.0)),
@@ -1671,10 +1760,10 @@ impl<'a> Solver<'a> {
     /// ratio test**: eligible breakpoints are walked in ratio order while the
     /// dual slope (the row's residual violation) lasts; every *boxed* column
     /// passed flips to its opposite bound — applied in one aggregated FTRAN —
-    /// and the breakpoint the slope dies on enters the basis. The incremental
-    /// reduced costs `d` are maintained across pivots exactly as in the primal
-    /// incremental regime, and the factorization by the same Forrest–Tomlin
-    /// updates and refactorization cadence.
+    /// and the breakpoint the slope dies on enters the basis. The reduced
+    /// costs `d`, the step, the basis change with its Forrest–Tomlin update and
+    /// refactorization cadence, and the degenerate-run bookkeeping are the
+    /// primal loop's own steps (see the module docs, "One pivot core").
     fn run_dual_phase(&mut self) -> LpResult<DualOutcome> {
         let _obs = a2a_obs::span("lp.dual");
         a2a_obs::instant("lp.dual_engaged");
@@ -1683,7 +1772,7 @@ impl<'a> Solver<'a> {
         // Back to true costs no matter how the phase ended; the reduced costs
         // the primal continuation prices with must not see the perturbation.
         self.perturb.clear();
-        self.refresh_reduced_costs(false);
+        self.refresh_reduced_costs();
         outcome
     }
 
@@ -1712,7 +1801,7 @@ impl<'a> Solver<'a> {
                 VarStatus::Basic(_) | VarStatus::FreeZero => {}
             }
         }
-        self.refresh_reduced_costs(false);
+        self.refresh_reduced_costs();
     }
 
     /// Dual ratio-test breakpoint of column `j` of the pivotal row (`aj`, a
@@ -1739,7 +1828,6 @@ impl<'a> Solver<'a> {
     }
 
     fn dual_phase_loop(&mut self) -> LpResult<DualOutcome> {
-        self.ensure_a_rows();
         self.row_weights.clear();
         self.row_weights.resize(self.nrows, 1.0);
         let tol = self.opts.tol;
@@ -1748,8 +1836,8 @@ impl<'a> Solver<'a> {
         // the entering rule degrades to Bland's (smallest ratio, then smallest
         // index, no long step); persisting far past it, the phase gives up and
         // falls back to primal phase 1 rather than risk cycling.
-        let mut stall = 0usize;
-        let mut bland = false;
+        self.degenerate_run = 0;
+        self.use_bland = false;
         // Consecutive numerical rejections (tiny pivot after refactorization).
         let mut retries = 0usize;
         // Primal values are maintained incrementally; certify feasibility from
@@ -1760,16 +1848,11 @@ impl<'a> Solver<'a> {
         let mut breaks: Vec<(usize, f64)> = Vec::new();
         let mut flips: Vec<usize> = Vec::new();
         loop {
-            if self.iterations >= self.opts.max_iterations {
-                return Err(LpError::IterationLimit {
-                    iterations: self.iterations,
-                });
-            }
-            let iter_timer = OBS_ITERATION_NANOS.start();
+            let sample = self.start_iteration()?;
             if !self.d_fresh {
-                self.refresh_reduced_costs(false);
+                self.refresh_reduced_costs();
             }
-            let Some((r, viol)) = self.dual_select_row(bland) else {
+            let Some((r, viol)) = self.dual_select_row() else {
                 if verified {
                     self.clamp_basics_into_bounds();
                     return Ok(DualOutcome::Optimal);
@@ -1831,7 +1914,9 @@ impl<'a> Solver<'a> {
             // pass over the row collect the breakpoints to sort.
             flips.clear();
             let mut entering = q_min;
-            if !bland && nbreaks > 1 && (self.var_upper(q_min) - self.var_lower(q_min)).is_finite()
+            if !self.use_bland
+                && nbreaks > 1
+                && (self.var_upper(q_min) - self.var_lower(q_min)).is_finite()
             {
                 breaks.clear();
                 breaks.extend(alpha.iter().filter_map(|(j, aj)| {
@@ -1896,21 +1981,7 @@ impl<'a> Solver<'a> {
                 self.rhs_buf = rhs;
             }
 
-            // FTRAN the entering column; the partial result is the FT spike.
-            self.col_buf.clear();
-            if q < self.nstruct {
-                for (i, v) in self.sf.cols[q].iter() {
-                    self.col_buf.set(i, v);
-                }
-            } else {
-                self.col_buf.set(q - self.nstruct, -1.0);
-            }
-            self.lu.ftran_sparse_with_partial(
-                Kernel::Adaptive,
-                &mut self.col_buf,
-                &mut self.lu_scratch,
-                &mut self.spike_buf,
-            );
+            self.ftran_entering(q, Kernel::Adaptive);
             let w_r = self.col_buf.get(r);
             if w_r.abs() <= ptol {
                 self.alpha_buf = alpha;
@@ -1926,18 +1997,8 @@ impl<'a> Solver<'a> {
             // Dual step: every nonbasic reduced cost in the pivotal row moves
             // by -θσ·alpha_j (flipped columns included — flipping changes no
             // reduced cost, only which sign of it is feasible).
-            let theta_signed = sigma * theta;
-            if theta_signed != 0.0 {
-                for (j, aj) in alpha.iter() {
-                    if j == q || aj == 0.0 {
-                        continue;
-                    }
-                    self.d[j] -= theta_signed * aj;
-                }
-            }
             let leaving_var = self.basis[r];
-            self.d[q] = 0.0;
-            self.d[leaving_var] = -theta_signed;
+            self.update_reduced_costs(&alpha, q, leaving_var, sigma * theta, None);
             self.alpha_buf = alpha;
             // Steepest-edge cross terms tau = B^{-1} rho, FTRANed in place over
             // the rho buffer (dead once the pivotal row has been expanded).
@@ -1950,89 +2011,47 @@ impl<'a> Solver<'a> {
             // Primal step: drive the leaving basic exactly onto its violated
             // bound. The sign works out by construction — an eligible entering
             // column always moves off its bound in the allowed direction.
-            let bound = if sigma > 0.0 {
-                self.var_upper(leaving_var)
+            let (bound, leaving_status) = if sigma > 0.0 {
+                (self.var_upper(leaving_var), VarStatus::AtUpper)
             } else {
-                self.var_lower(leaving_var)
+                (self.var_lower(leaving_var), VarStatus::AtLower)
             };
-            let t = (self.x[leaving_var] - bound) / w_r;
-            if t != 0.0 {
-                for (pos, wi) in self.col_buf.iter() {
-                    if wi != 0.0 {
-                        self.x[self.basis[pos]] -= t * wi;
-                    }
-                }
-                self.x[q] += t;
-            }
+            self.apply_step(q, (self.x[leaving_var] - bound) / w_r);
             self.x[leaving_var] = bound;
-            let leaving_status = if sigma > 0.0 {
-                VarStatus::AtUpper
-            } else {
-                VarStatus::AtLower
-            };
-            self.change_basis(r, q, leaving_status);
-            self.iterations += 1;
-            self.dual_iterations += 1;
-            OBS_ITERATIONS.incr();
-            OBS_DUAL_ITERATIONS.incr();
-            self.pivots += 1;
-            drop(iter_timer);
-
-            if !self
-                .lu
-                .replace_column(r, &self.spike_buf, &mut self.lu_scratch)
-                || self.lu.updates() >= self.opts.refactor_interval
-                || self.lu.fill_exceeded()
-            {
-                self.refactorize()?;
-            }
+            self.count_iteration(sample, true);
+            self.commit_basis_change(r, q, leaving_status)?;
 
             // Degenerate-stall bookkeeping on the *dual* step.
-            if theta <= tol {
-                stall += 1;
-                OBS_DEGENERATE_PIVOTS.incr();
-                if stall >= self.opts.degenerate_switch {
-                    bland = true;
-                }
-                if stall >= self.opts.degenerate_switch.saturating_mul(4) {
-                    return Ok(DualOutcome::Fallback);
-                }
-            } else {
-                stall = 0;
-                bland = false;
+            self.note_step(theta <= tol);
+            if self.degenerate_run >= 4 * DEGENERATE_SWITCH {
+                return Ok(DualOutcome::Fallback);
             }
         }
     }
 
-    /// Eligibility of nonbasic `j` under the current duals (fresh reduced cost).
-    fn eligibility(&self, j: usize, phase1: bool) -> Option<(f64, f64)> {
+    /// Eligibility of nonbasic `j` under the current phase-1 duals (fresh
+    /// reduced cost).
+    fn eligibility(&self, j: usize) -> Option<(f64, f64)> {
         // Skip the reduced-cost computation for variables that can never enter.
         if matches!(self.status[j], VarStatus::Basic(_)) || self.var_lower(j) == self.var_upper(j) {
             return None;
         }
-        self.eligibility_from(j, self.reduced_cost(j, phase1))
+        self.eligibility_from(j, self.reduced_cost(j, true))
     }
 
-    /// Entering-variable selection by one O(variables) scan, shared by every
-    /// full-scan pricing regime in both phases. `stored` prices from the
-    /// incremental reduced-cost array `d` (no matrix access at all); otherwise
-    /// reduced costs come fresh from the current duals. Bland's anti-cycling rule
-    /// (first eligible index) takes priority when active; a degeneracy stall
-    /// escape or [`Pricing::Dantzig`] scores the plain `|d|` merit; the devex
-    /// regimes score `d²/w`.
-    fn price_scan(
-        &self,
-        phase1: bool,
-        stored: bool,
-        stall_escape: bool,
-        devex: bool,
-    ) -> Option<(usize, f64)> {
+    /// Entering-variable selection by one O(variables) scan: phase 2 prices
+    /// from the incremental reduced-cost array `d` (no matrix access at all),
+    /// phase 1 from the current duals. Bland's anti-cycling rule (first
+    /// eligible index) takes priority when active; a degeneracy stall escape
+    /// scores the plain `|d|` merit, devex scores `d²/w` (phase 1 scans only
+    /// under one of the first two, see [`Self::price_devex`]).
+    fn price_scan(&self, phase1: bool, stall_escape: bool) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64, f64)> = None;
         for j in 0..self.ntotal {
-            let elig = if stored {
-                self.eligibility_stored(j)
+            let elig = if phase1 {
+                self.eligibility(j)
             } else {
-                self.eligibility(j, phase1)
+                self.eligibility_from(j, self.d[j])
             };
             let Some((dir, dabs)) = elig else {
                 continue;
@@ -2040,10 +2059,10 @@ impl<'a> Solver<'a> {
             if self.use_bland {
                 return Some((j, dir));
             }
-            let merit = if devex && !stall_escape {
-                dabs * dabs / self.weights[j]
-            } else {
+            let merit = if stall_escape {
                 dabs
+            } else {
+                dabs * dabs / self.weights[j]
             };
             match best {
                 Some((_, _, m)) if m >= merit => {}
@@ -2053,25 +2072,21 @@ impl<'a> Solver<'a> {
         best.map(|(j, dir, _)| (j, dir))
     }
 
-    /// Automatic candidate-list size: a fraction of the column count, bounded so
-    /// tiny LPs price everything and huge LPs keep the list cache-resident.
+    /// Candidate-list size: a fraction of the column count, bounded so tiny
+    /// LPs price everything and huge LPs keep the list cache-resident.
     fn candidate_list_target(&self) -> usize {
-        if self.opts.candidate_list_size > 0 {
-            self.opts.candidate_list_size
-        } else {
-            (self.ntotal / 16).clamp(32, 256)
-        }
+        (self.ntotal / 16).clamp(32, 256)
     }
 
-    /// Devex pricing over the candidate list (minor iteration). The list is
-    /// rebuilt by a partial-pricing window scan (rotating cursor) when it goes
-    /// stale — empty, *or* priced for more minor iterations than its refresh
-    /// budget. The periodic refresh matters on degenerate LPs: pivots make new
-    /// columns attractive (nonzero duals appear on fresh rows), and a list frozen
-    /// until exhaustion would keep grinding degenerate candidates instead.
-    /// `None` is returned only after a whole-column-range scan found nothing
-    /// eligible — the same optimality proof a full-scan rule gives.
-    fn price_devex(&mut self, phase1: bool) -> Option<(usize, f64)> {
+    /// Phase-1 devex pricing over the candidate list (minor iteration). The
+    /// list is rebuilt by a partial-pricing window scan (rotating cursor) when
+    /// it goes stale — empty, *or* priced for more minor iterations than its
+    /// refresh budget. The periodic refresh matters on degenerate LPs: pivots
+    /// make new columns attractive (nonzero duals appear on fresh rows), and a
+    /// list frozen until exhaustion would keep grinding degenerate candidates
+    /// instead. `None` is returned only after a whole-column-range scan found
+    /// nothing eligible — the same optimality proof a full scan gives.
+    fn price_devex(&mut self) -> Option<(usize, f64)> {
         let mut cands = std::mem::take(&mut self.candidates);
         let refresh_budget = (self.candidate_list_target() / 4).max(16);
         if self.minor_count >= refresh_budget {
@@ -2081,7 +2096,7 @@ impl<'a> Solver<'a> {
         let result = loop {
             let mut best: Option<(usize, f64, f64)> = None;
             cands.retain(|&j| {
-                let Some((dir, d)) = self.eligibility(j, phase1) else {
+                let Some((dir, d)) = self.eligibility(j) else {
                     return false;
                 };
                 let merit = d * d / self.weights[j];
@@ -2098,7 +2113,7 @@ impl<'a> Solver<'a> {
             if rebuilt {
                 break None;
             }
-            self.rebuild_candidates(&mut cands, phase1);
+            self.rebuild_candidates(&mut cands);
             self.minor_count = 0;
             rebuilt = true;
             if cands.is_empty() {
@@ -2111,13 +2126,13 @@ impl<'a> Solver<'a> {
 
     /// Refills the candidate list by scanning columns from the rotation cursor,
     /// wrapping at most once around the whole range.
-    fn rebuild_candidates(&mut self, cands: &mut Vec<usize>, phase1: bool) {
+    fn rebuild_candidates(&mut self, cands: &mut Vec<usize>) {
         cands.clear();
         let target = self.candidate_list_target();
         let mut scanned = 0usize;
         let mut j = self.scan_cursor % self.ntotal.max(1);
         while scanned < self.ntotal && cands.len() < target {
-            if self.eligibility(j, phase1).is_some() {
+            if self.eligibility(j).is_some() {
                 cands.push(j);
             }
             j = (j + 1) % self.ntotal;
@@ -2154,9 +2169,19 @@ impl<'a> Solver<'a> {
         self.set_leaving_weight(leaving_var, piv2, wq);
     }
 
-    /// Performs the ratio test and executes either a bound flip or a basis change.
-    /// The pivot column `w = B^{-1} A_q` is in `self.col_buf`.
-    fn pivot_step(&mut self, q: usize, direction: f64, phase1: bool) -> LpResult<()> {
+    /// Runs the primal ratio test for entering `q` moving in `direction` and
+    /// applies the step. A bound flip of `q` completes the iteration and
+    /// returns `None`; otherwise the leaving variable is moved onto the bound
+    /// it hit, the devex bookkeeping is done against the outgoing basis, and
+    /// the basis change for [`Self::commit_basis_change`] is returned as its
+    /// position and leaving status. The pivot column `w = B^{-1} A_q` is in
+    /// `self.col_buf`.
+    fn pivot_step(
+        &mut self,
+        q: usize,
+        direction: f64,
+        phase1: bool,
+    ) -> LpResult<Option<(usize, VarStatus)>> {
         let tol = self.opts.tol;
         let ptol = self.opts.pivot_tol;
 
@@ -2244,28 +2269,9 @@ impl<'a> Solver<'a> {
             };
         }
 
-        // Degeneracy bookkeeping.
-        if t <= tol {
-            self.degenerate_run += 1;
-            OBS_DEGENERATE_PIVOTS.incr();
-            if self.degenerate_run >= self.opts.degenerate_switch {
-                self.use_bland = true;
-            }
-        } else {
-            self.degenerate_run = 0;
-            self.use_bland = false;
-        }
-
-        // Apply the step to basic values and the entering variable.
-        if t > 0.0 {
-            for (pos, wi) in self.col_buf.iter() {
-                if wi != 0.0 {
-                    let j = self.basis[pos];
-                    self.x[j] -= direction * t * wi;
-                }
-            }
-            self.x[q] += direction * t;
-        }
+        // Degeneracy bookkeeping, before the devex update below reads Bland.
+        self.note_step(t <= tol);
+        self.apply_step(q, direction * t);
 
         if flip_limit <= t_min {
             // Bound flip: the entering variable moves to its opposite bound; the
@@ -2276,7 +2282,7 @@ impl<'a> Solver<'a> {
                 VarStatus::AtLower
             };
             self.x[q] = if direction > 0.0 { uq } else { lq };
-            return Ok(());
+            return Ok(None);
         }
 
         let (r, bound) = leaving.expect("finite ratio implies a leaving variable");
@@ -2299,31 +2305,15 @@ impl<'a> Solver<'a> {
         };
 
         // Devex/reduced-cost bookkeeping must run against the *outgoing* basis
-        // inverse, before the eta for this pivot is appended. The phase-2
-        // incremental regime always updates (its `d` array must track every basis
-        // change); the phase-1 candidate regime skips updates under Bland.
-        if matches!(self.opts.pricing, Pricing::Devex) {
-            if !phase1 {
-                self.update_incremental(q, r, alpha_q, leaving_var);
-            } else if !self.use_bland {
-                self.update_devex_weights(q, r, alpha_q, leaving_var);
-            }
+        // inverse, before the basis change is committed. Phase 2 always updates
+        // (its `d` array must track every basis change); phase 1 skips the
+        // candidate-list weights under Bland.
+        if !phase1 {
+            self.update_incremental(q, r, alpha_q, leaving_var);
+        } else if !self.use_bland {
+            self.update_devex_weights(q, r, alpha_q, leaving_var);
         }
-
-        // The entering variable becomes basic at its stepped value.
-        self.change_basis(r, q, leaving_status);
-        self.pivots += 1;
-
-        // Forrest–Tomlin update of the factorization from the spike saved by the
-        // entering column's FTRAN. An unstable update poisons the factors, so a
-        // rejection forces an immediate refactorization of the new basis.
-        if !self
-            .lu
-            .replace_column(r, &self.spike_buf, &mut self.lu_scratch)
-        {
-            self.refactorize()?;
-        }
-        Ok(())
+        Ok(Some((r, leaving_status)))
     }
 
     /// Number of simplex iterations performed so far.
@@ -2347,13 +2337,6 @@ mod tests {
         SparseVec::from_entries(entries.iter().copied())
     }
 
-    fn opts_with(pricing: Pricing) -> SimplexOptions {
-        SimplexOptions {
-            pricing,
-            ..SimplexOptions::default()
-        }
-    }
-
     /// max x1 + 2 x2 s.t. x1 + x2 <= 4, x2 <= 3, x >= 0  ->  min -x1 - 2x2, opt = -7.
     #[test]
     fn small_inequality_lp() {
@@ -2366,11 +2349,52 @@ mod tests {
             row_lower: vec![-INF, -INF],
             row_upper: vec![4.0, 3.0],
         };
-        for pricing in [Pricing::Dantzig, Pricing::Devex] {
-            let sol = solve(&sf, &opts_with(pricing)).unwrap();
-            assert!((sol.objective + 7.0).abs() < 1e-7, "{}", sol.objective);
-            assert!((sol.x[0] - 1.0).abs() < 1e-7);
-            assert!((sol.x[1] - 3.0).abs() < 1e-7);
+        let sol = solve(&sf, &SimplexOptions::default()).unwrap();
+        assert!((sol.objective + 7.0).abs() < 1e-7, "{}", sol.objective);
+        assert!((sol.x[0] - 1.0).abs() < 1e-7);
+        assert!((sol.x[1] - 3.0).abs() < 1e-7);
+    }
+
+    /// `Solver::new` rejects a malformed model or tolerance up front instead of
+    /// solving it to a NaN or wrong "optimum" (the LP of
+    /// [`small_inequality_lp`], optimum -7).
+    #[test]
+    fn malformed_standard_forms_are_invalid_models() {
+        let sf = StandardForm {
+            nrows: 2,
+            cols: vec![col(&[(0, 1.0)]), col(&[(0, 1.0), (1, 1.0)])],
+            obj: vec![-1.0, -2.0],
+            lower: vec![0.0, 0.0],
+            upper: vec![INF, INF],
+            row_lower: vec![-INF, -INF],
+            row_upper: vec![4.0, 3.0],
+        };
+        assert!((solve(&sf, &SimplexOptions::default()).unwrap().objective + 7.0).abs() < 1e-7);
+        let mut nan_lower = sf.clone();
+        nan_lower.lower[0] = f64::NAN;
+        let mut nan_obj = sf.clone();
+        nan_obj.obj[1] = f64::NAN;
+        let mut crossed = sf.clone();
+        (crossed.lower[1], crossed.upper[1]) = (5.0, 1.0);
+        let mut nan_row = sf.clone();
+        nan_row.row_upper[0] = f64::NAN;
+        let nan_tol = SimplexOptions {
+            tol: f64::NAN,
+            ..SimplexOptions::default()
+        };
+        let cases = [
+            (nan_lower, SimplexOptions::default()),
+            (nan_obj, SimplexOptions::default()),
+            (crossed, SimplexOptions::default()),
+            (nan_row, SimplexOptions::default()),
+            (sf, nan_tol),
+        ];
+        for (case, (model, opts)) in cases.iter().enumerate() {
+            assert!(
+                matches!(solve(model, opts), Err(LpError::InvalidModel(_))),
+                "case {case}: {:?}",
+                solve(model, opts)
+            );
         }
     }
 
@@ -2386,12 +2410,10 @@ mod tests {
             row_lower: vec![5.0, 1.0],
             row_upper: vec![5.0, 1.0],
         };
-        for pricing in [Pricing::Dantzig, Pricing::Devex] {
-            let sol = solve(&sf, &opts_with(pricing)).unwrap();
-            assert!((sol.objective - 5.0).abs() < 1e-7);
-            assert!((sol.x[0] - 3.0).abs() < 1e-7);
-            assert!((sol.x[1] - 2.0).abs() < 1e-7);
-        }
+        let sol = solve(&sf, &SimplexOptions::default()).unwrap();
+        assert!((sol.objective - 5.0).abs() < 1e-7);
+        assert!((sol.x[0] - 3.0).abs() < 1e-7);
+        assert!((sol.x[1] - 2.0).abs() < 1e-7);
     }
 
     #[test]
@@ -2406,12 +2428,10 @@ mod tests {
             row_lower: vec![-INF, 2.0],
             row_upper: vec![1.0, INF],
         };
-        for pricing in [Pricing::Dantzig, Pricing::Devex] {
-            assert_eq!(
-                solve(&sf, &opts_with(pricing)).unwrap_err(),
-                LpError::Infeasible
-            );
-        }
+        assert_eq!(
+            solve(&sf, &SimplexOptions::default()).unwrap_err(),
+            LpError::Infeasible
+        );
     }
 
     #[test]
@@ -2426,12 +2446,10 @@ mod tests {
             row_lower: vec![0.0],
             row_upper: vec![INF],
         };
-        for pricing in [Pricing::Dantzig, Pricing::Devex] {
-            assert_eq!(
-                solve(&sf, &opts_with(pricing)).unwrap_err(),
-                LpError::Unbounded
-            );
-        }
+        assert_eq!(
+            solve(&sf, &SimplexOptions::default()).unwrap_err(),
+            LpError::Unbounded
+        );
     }
 
     #[test]
@@ -2477,10 +2495,8 @@ mod tests {
             row_lower: vec![0.0, 0.0, 0.0],
             row_upper: vec![0.0, 0.0, 0.0],
         };
-        for pricing in [Pricing::Dantzig, Pricing::Devex] {
-            let sol = solve(&sf, &opts_with(pricing)).unwrap();
-            assert!((sol.objective + 5.0).abs() < 1e-7, "{}", sol.objective);
-        }
+        let sol = solve(&sf, &SimplexOptions::default()).unwrap();
+        assert!((sol.objective + 5.0).abs() < 1e-7, "{}", sol.objective);
     }
 
     #[test]
@@ -2676,8 +2692,6 @@ mod tests {
         let mut trail = Vec::new();
         let nrows = rng.random_range(30..70);
         let opts = SimplexOptions {
-            // Dantzig solvers build the row copy lazily, inside a dual phase.
-            pricing: [Pricing::Devex, Pricing::Dantzig][(seed % 2) as usize],
             dual_simplex: DualSimplex::Always,
             refactor_interval: [3, 17, 100][(seed % 3) as usize],
             ..SimplexOptions::default()
@@ -2755,12 +2769,13 @@ mod tests {
         assert!(full_rows || solver.a_rows_partitioned(), "seed {seed}");
         let solved = step(&mut solver, &mut trail);
 
-        // Warm start on the grown model with tightened rows: the old optimal
-        // basis stays dual feasible, so the dual phase repairs it.
+        // Warm start on the grown model with every row tightened by 1 to 4:
+        // the old optimal basis stays dual feasible and its tight rows turn
+        // violated, so the dual phase repairs it.
         let mut tightened = covering.clone();
         batch.iter().for_each(|c| push_column(&mut tightened, c));
         for b in tightened.row_lower.iter_mut() {
-            *b += rng.random_range(0..4) as f64;
+            *b += rng.random_range(1..5) as f64;
         }
         let warm_opts = SimplexOptions {
             warm_start: Some(solved.basis),

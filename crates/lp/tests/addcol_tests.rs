@@ -7,14 +7,12 @@
 //! * at the session layer (`Solver::add_columns` + `reoptimize`), where the
 //!   basis carries over *mid Forrest–Tomlin update cycle* (a large
 //!   `refactor_interval` keeps every pivot of the previous round in the update
-//!   file when columns are appended), across both pricing rules and several
-//!   append/reoptimize rounds.
+//!   file when columns are appended), across several append/reoptimize
+//!   rounds.
 
 use a2a_lp::simplex::Solver;
 use a2a_lp::sparse::SparseVec;
-use a2a_lp::{
-    ConstraintSense, LpError, LpProblem, NewColumn, Pricing, SimplexOptions, StandardForm, INF,
-};
+use a2a_lp::{ConstraintSense, LpError, LpProblem, NewColumn, SimplexOptions, StandardForm, INF};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -176,90 +174,81 @@ fn scenario_standard_forms(s: &Scenario) -> (StandardForm, StandardForm, Vec<New
 
 /// Session layer: `add_columns` + `reoptimize` on a live solver — whose basis
 /// still carries the previous round's pivots as Forrest–Tomlin updates — must
-/// match a cold solve of the full model, under both pricing rules.
+/// match a cold solve of the full model.
 #[test]
 fn session_add_columns_mid_ft_cycle_matches_cold_solve() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xF7_C3C1E);
     let mut exercised = 0usize;
     let mut with_pivots = 0usize;
-    for case in 0..120 {
+    for case in 0..240 {
         let scenario = random_scenario(&mut rng);
         let (base_sf, full_sf, batch) = scenario_standard_forms(&scenario);
-        for pricing in [Pricing::Devex, Pricing::Dantzig] {
-            let tag = format!("case {case} {pricing:?}");
-            // A large refactor interval keeps every pivot in the FT update file,
-            // so the append happens mid-update-cycle, never on a fresh basis.
-            let session_opts = SimplexOptions {
-                pricing,
-                refactor_interval: 10_000,
-                ..SimplexOptions::default()
-            };
-            let mut solver = match Solver::new(&base_sf, session_opts.clone()) {
-                Ok(s) => s,
-                Err(e) => panic!("{tag}: solver construction failed: {e:?}"),
-            };
-            let first = solver.reoptimize();
-            let Ok(first) = first else { continue };
-            if first.pivots > 0 {
-                with_pivots += 1;
-            }
+        let tag = format!("case {case}");
+        // A large refactor interval keeps every pivot in the FT update file,
+        // so the append happens mid-update-cycle, never on a fresh basis.
+        let session_opts = SimplexOptions {
+            refactor_interval: 10_000,
+            ..SimplexOptions::default()
+        };
+        let mut solver = match Solver::new(&base_sf, session_opts.clone()) {
+            Ok(s) => s,
+            Err(e) => panic!("{tag}: solver construction failed: {e:?}"),
+        };
+        let first = solver.reoptimize();
+        let Ok(first) = first else { continue };
+        if first.pivots > 0 {
+            with_pivots += 1;
+        }
 
-            // Append the batch in two chunks with a reoptimize in between, so the
-            // second append also lands on a basis whose FT file reflects columns
-            // that did not exist at construction time.
-            let split = batch.len() / 2;
-            solver.add_columns(&batch[..split]).expect("append chunk 1");
-            let mid = solver.reoptimize();
-            solver.add_columns(&batch[split..]).expect("append chunk 2");
-            let warm = solver.reoptimize();
+        // Append the batch in two chunks with a reoptimize in between, so the
+        // second append also lands on a basis whose FT file reflects columns
+        // that did not exist at construction time.
+        let split = batch.len() / 2;
+        solver.add_columns(&batch[..split]).expect("append chunk 1");
+        let mid = solver.reoptimize();
+        solver.add_columns(&batch[split..]).expect("append chunk 2");
+        let warm = solver.reoptimize();
 
-            let cold = a2a_lp::simplex::solve(
-                &full_sf,
-                &SimplexOptions {
-                    pricing,
-                    ..SimplexOptions::default()
-                },
-            );
-            match (&cold, &warm) {
-                (Ok(a), Ok(b)) => {
-                    exercised += 1;
-                    let scale = 1.0 + a.objective.abs();
+        let cold = a2a_lp::simplex::solve(&full_sf, &SimplexOptions::default());
+        match (&cold, &warm) {
+            (Ok(a), Ok(b)) => {
+                exercised += 1;
+                let scale = 1.0 + a.objective.abs();
+                assert!(
+                    (a.objective - b.objective).abs() < 1e-6 * scale,
+                    "{tag}: cold {} vs session {}",
+                    a.objective,
+                    b.objective
+                );
+                // The session solution must be primal feasible for the full model.
+                let mut activity = vec![0.0; full_sf.nrows];
+                for (j, col) in full_sf.cols.iter().enumerate() {
+                    col.scatter_into(&mut activity, b.x[j]);
                     assert!(
-                        (a.objective - b.objective).abs() < 1e-6 * scale,
-                        "{tag}: cold {} vs session {}",
-                        a.objective,
-                        b.objective
+                        b.x[j] >= full_sf.lower[j] - 1e-6 && b.x[j] <= full_sf.upper[j] + 1e-6,
+                        "{tag}: x[{j}] = {} out of bounds",
+                        b.x[j]
                     );
-                    // The session solution must be primal feasible for the full model.
-                    let mut activity = vec![0.0; full_sf.nrows];
-                    for (j, col) in full_sf.cols.iter().enumerate() {
-                        col.scatter_into(&mut activity, b.x[j]);
-                        assert!(
-                            b.x[j] >= full_sf.lower[j] - 1e-6 && b.x[j] <= full_sf.upper[j] + 1e-6,
-                            "{tag}: x[{j}] = {} out of bounds",
-                            b.x[j]
-                        );
-                    }
-                    for (i, &a_i) in activity.iter().enumerate() {
-                        let s = 1.0 + a_i.abs();
-                        assert!(
-                            a_i >= full_sf.row_lower[i] - 1e-6 * s
-                                && a_i <= full_sf.row_upper[i] + 1e-6 * s,
-                            "{tag}: row {i} activity {a_i} violates bounds"
-                        );
-                    }
                 }
-                (Err(LpError::Unbounded), Err(LpError::Unbounded)) => {
-                    exercised += 1;
+                for (i, &a_i) in activity.iter().enumerate() {
+                    let s = 1.0 + a_i.abs();
+                    assert!(
+                        a_i >= full_sf.row_lower[i] - 1e-6 * s
+                            && a_i <= full_sf.row_upper[i] + 1e-6 * s,
+                        "{tag}: row {i} activity {a_i} violates bounds"
+                    );
                 }
-                (Err(LpError::Infeasible), Err(LpError::Infeasible)) => {
-                    exercised += 1;
-                }
-                // The intermediate solve may already be unbounded; then the final
-                // reoptimize reports the same.
-                (Err(LpError::Unbounded), _) if matches!(mid, Err(LpError::Unbounded)) => {}
-                (a, b) => panic!("{tag}: cold {a:?} vs session {b:?}"),
             }
+            (Err(LpError::Unbounded), Err(LpError::Unbounded)) => {
+                exercised += 1;
+            }
+            (Err(LpError::Infeasible), Err(LpError::Infeasible)) => {
+                exercised += 1;
+            }
+            // The intermediate solve may already be unbounded; then the final
+            // reoptimize reports the same.
+            (Err(LpError::Unbounded), _) if matches!(mid, Err(LpError::Unbounded)) => {}
+            (a, b) => panic!("{tag}: cold {a:?} vs session {b:?}"),
         }
     }
     assert!(exercised > 60, "only {exercised} session checks ran");

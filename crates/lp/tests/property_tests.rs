@@ -170,7 +170,8 @@ fn optimal_solutions_are_feasible() {
 /// digraph: variables are per-edge flows of `k` commodities plus the concurrent
 /// rate `F`; constraints are edge capacities and per-commodity conservation with
 /// demand `F` at the sink. This is the structure every MCF formulation in the
-/// workspace lowers to, so it is the right family for pricing-rule equivalence.
+/// workspace lowers to, so it is the right family to hold the simplex against the
+/// dense oracle on.
 fn random_network_lp(rng: &mut ChaCha8Rng) -> LpProblem {
     let n = rng.random_range(4..9);
     // Ring backbone (guarantees connectivity) plus random chords.

@@ -77,7 +77,7 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
-use a2a_lp::{BasisStatus, NewColumn, Pricing, Solver, StandardSolution};
+use a2a_lp::{BasisStatus, NewColumn, Solver, StandardSolution};
 use a2a_topology::Path;
 
 use crate::pmcf::PathSetKind;
@@ -131,8 +131,6 @@ pub struct ColGenOptions {
     /// Reduced-cost tolerance of the pricing test: a path improves when its
     /// dual-weighted length is below the commodity's convexity dual minus this.
     pub tolerance: f64,
-    /// Pricing rule for the master simplex.
-    pub pricing: Pricing,
     /// Partial pricing: skip re-pricing a source whose relevant duals (the
     /// global arc duals plus its own commodities' convexity duals) have drifted
     /// less than this tolerance — accumulated — since the round it was last
@@ -170,7 +168,6 @@ impl Default for ColGenOptions {
             max_rounds: 200,
             max_columns_per_round: usize::MAX,
             tolerance: 1e-7,
-            pricing: Pricing::default(),
             partial_pricing: Some(1e-1),
             stabilization: Stabilization::Smoothing { alpha: 0.1 },
             purge_nonbasic_after: None,

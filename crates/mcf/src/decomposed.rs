@@ -49,7 +49,7 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use a2a_lp::{
-    triangular_crash, BasisStatus, ConstraintSense, LpProblem, Pricing, SimplexOptions, VarId, INF,
+    triangular_crash, BasisStatus, ConstraintSense, LpProblem, SimplexOptions, VarId, INF,
 };
 use a2a_topology::{symmetry, EdgeId, NodeId, Topology};
 use rayon::prelude::*;
@@ -57,12 +57,10 @@ use rayon::prelude::*;
 use crate::linkmcf::{columns, no_fixed_columns, validate, FLOW_TOL};
 use crate::types::{CommoditySet, LinkFlowSolution, McfError, McfResult};
 
-/// Solver configuration for the decomposed MCF: which pricing rule the simplex
-/// uses and how the master and the child LPs start.
+/// Solver configuration for the decomposed MCF: how the master and the child
+/// LPs start.
 #[derive(Debug, Clone)]
 pub struct DecomposedOptions {
-    /// Pricing rule for both the master and the child LPs.
-    pub pricing: Pricing,
     /// Seed each child LP with a crash basis projected from the master solution
     /// (columns on edges that carry master flow are preferred into the basis)
     /// instead of starting every child from the all-slack basis.
@@ -80,20 +78,8 @@ pub struct DecomposedOptions {
 impl Default for DecomposedOptions {
     fn default() -> Self {
         Self {
-            pricing: Pricing::default(),
             warm_start_children: true,
             crash_master: true,
-        }
-    }
-}
-
-impl DecomposedOptions {
-    /// The [`SimplexOptions`] these decomposed options translate to (before any
-    /// per-LP warm start is attached).
-    fn simplex_options(&self) -> SimplexOptions {
-        SimplexOptions {
-            pricing: self.pricing,
-            ..SimplexOptions::default()
         }
     }
 }
@@ -296,7 +282,7 @@ pub fn solve_decomposed_mcf(topo: &Topology) -> McfResult<DecomposedMcf> {
 }
 
 /// Solves the decomposed MCF for an explicit commodity set with explicit solver
-/// options (the tests and the benchmark compare cold/warm and pricing configs here).
+/// options (the tests and the benchmark compare cold and warm starts here).
 ///
 /// A fabric on which [`symmetry::transversal`] finds an automorphism from the first
 /// endpoint to every other is solved as one orbit (see the module docs): one source's
@@ -495,7 +481,7 @@ fn solve_master_over(
     // its column values need no sign flip.
     let sf = lp.to_standard_form()?;
     debug_assert!(no_fixed_columns(&sf), "the master emits a fixed column");
-    let mut opts = options.simplex_options();
+    let mut opts = SimplexOptions::default();
     if crash {
         let mut preference = vec![0.0; sf.cols.len()];
         for (per_edge, &s) in vars.iter().zip(&reps) {
@@ -741,7 +727,7 @@ fn solve_child(
     };
     let opts = SimplexOptions {
         warm_start,
-        ..options.simplex_options()
+        ..SimplexOptions::default()
     };
     let sol = a2a_lp::simplex::solve(&sf, &opts)?;
     let per_dest = vars
@@ -842,8 +828,7 @@ mod tests {
     }
 
     /// Warm-started child LPs must reproduce the cold-start optimal concurrent rate
-    /// `F` exactly, with a feasible per-commodity split, across pricing rules and
-    /// topology families.
+    /// `F` exactly, with a feasible per-commodity split, across topology families.
     #[test]
     fn warm_started_children_match_cold_start() {
         for topo in [
@@ -856,22 +841,13 @@ mod tests {
                 &topo,
                 commodities.clone(),
                 &DecomposedOptions {
-                    pricing: Pricing::Dantzig,
                     warm_start_children: false,
                     ..DecomposedOptions::default()
                 },
             )
             .unwrap();
-            let warm = solve_decomposed_mcf_with(
-                &topo,
-                commodities,
-                &DecomposedOptions {
-                    pricing: Pricing::Devex,
-                    warm_start_children: true,
-                    ..DecomposedOptions::default()
-                },
-            )
-            .unwrap();
+            let warm = solve_decomposed_mcf_with(&topo, commodities, &DecomposedOptions::default())
+                .unwrap();
             assert!(
                 (cold.solution.flow_value - warm.solution.flow_value).abs() <= 1e-7,
                 "{}: cold F = {}, warm F = {}",
@@ -906,7 +882,7 @@ mod tests {
 
     /// Regression guard for the master degeneracy fix: on a torus the master
     /// LP is massively degenerate (thousands of zero-cost flow columns per
-    /// commodity), and the historical cold Dantzig/devex trajectory burned
+    /// commodity), and the historical cold trajectory burned
     /// ~9000 iterations on the 4x4 case. The structural crash basis must
     /// price dual-feasible, hand the whole solve to the dual simplex (no
     /// primal cleanup), reproduce the no-crash optimum exactly, and stay an

@@ -476,11 +476,7 @@ pub fn solve_path_mcf_colgen_among(
         .map(|&(k, pi)| (k, pricer.path_sets[k][pi].clone()))
         .collect();
 
-    let simplex_opts = SimplexOptions {
-        pricing: options.pricing,
-        ..SimplexOptions::default()
-    };
-    let mut solver = Solver::new_owned(sf, simplex_opts)?;
+    let mut solver = Solver::new_owned(sf, SimplexOptions::default())?;
 
     // Column 0 is F, so the path columns start at structural column 1.
     let (sol, stats) = run_colgen(&mut solver, &mut pricer, &mut seen, 1, seed, options)?;

@@ -521,11 +521,7 @@ pub(crate) fn solve_expanded_colgen(
         row_upper,
     };
 
-    let simplex_opts = SimplexOptions {
-        pricing: options.pricing,
-        ..SimplexOptions::default()
-    };
-    let mut solver = Solver::new_owned(sf, simplex_opts)?;
+    let mut solver = Solver::new_owned(sf, SimplexOptions::default())?;
 
     // The U_t columns occupy structural columns 0..steps; path columns follow.
     let (sol, stats) = run_colgen(&mut solver, &mut pricer, &mut seen, steps, seed, options)?;
