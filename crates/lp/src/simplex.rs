@@ -1394,8 +1394,8 @@ impl<'a> Solver<'a> {
     /// Loads the phase cost of the basic variables into `dual_buf` and solves
     /// `Bᵀ y = c_B` in place (the single dual-vector construction behind phase-1
     /// pricing, the phase-2 reduced-cost refresh and [`Self::current_duals`]).
-    /// Returns the number of nonzero basic costs — zero in
-    /// phase 1 means no infeasible basic variable is left.
+    /// Returns the number of nonzero basic costs — zero in phase 1 means no
+    /// infeasible basic variable is left.
     fn compute_duals(&mut self, phase1: bool) -> usize {
         self.dual_buf.clear();
         let mut nonzero = 0usize;
