@@ -8,7 +8,7 @@
 use std::time::Instant;
 
 use a2a_lp::ilp::{solve_ilp, IlpOptions};
-use a2a_lp::{ConstraintSense, LpProblem, VarId, INF};
+use a2a_lp::{ConstraintSense, LpProblem, VarId};
 use a2a_mcf::pmcf::{build_path_sets, PathSetKind};
 use a2a_mcf::{CommoditySet, McfError, McfResult, PathSchedule};
 use a2a_topology::{Path, Topology};
@@ -81,22 +81,21 @@ pub fn ilp_path_selection_among(
     };
     let path_sets = build_path_sets(topo, &commodities, kind)?;
 
-    let mut lp = LpProblem::minimize();
-    let load = lp.add_var("max_load", 0.0, INF, 1.0);
-    let mut binaries: Vec<VarId> = Vec::new();
+    let mut lp = LpProblem::new();
+    let load = lp.add_nonneg_var(1.0);
+    let mut binaries: Vec<usize> = Vec::new();
     let mut selection_vars: Vec<Vec<VarId>> = Vec::with_capacity(path_sets.len());
     let mut edge_incidence: Vec<Vec<VarId>> = vec![Vec::new(); topo.num_edges()];
-    for ((_, s, d), set) in commodities.iter().zip(&path_sets) {
+    for set in &path_sets {
         let vars: Vec<VarId> = set
             .iter()
-            .enumerate()
-            .map(|(pi, path)| {
-                let v = lp.add_var(format!("x_{s}_{d}_{pi}"), 0.0, 1.0, 0.0);
+            .map(|path| {
+                let v = lp.add_var(0.0, 1.0, 0.0);
                 for (u, w) in path.links() {
                     let e = topo.find_edge(u, w).expect("candidate paths are valid");
                     edge_incidence[e].push(v);
                 }
-                binaries.push(v);
+                binaries.push(v.index());
                 v
             })
             .collect();
@@ -123,17 +122,18 @@ pub fn ilp_path_selection_among(
     let ilp_options = IlpOptions {
         max_nodes: options.max_nodes,
         relative_gap: options.relative_gap,
-        ..IlpOptions::default()
     };
-    let result =
-        solve_ilp(&lp, &binaries, &ilp_options).map_err(|e| McfError::Lp(e.to_string()))?;
+    let result = lp
+        .to_standard_form()
+        .and_then(|sf| solve_ilp(&sf, &binaries, &ilp_options))
+        .map_err(|e| McfError::Lp(e.to_string()))?;
 
     let mut raw: Vec<Vec<(Path, f64)>> = Vec::with_capacity(commodities.len());
     for (set, vars) in path_sets.into_iter().zip(&selection_vars) {
         let mut best = None;
         let mut best_val = -1.0;
         for (p, &v) in set.into_iter().zip(vars) {
-            let val = result.solution.value(v);
+            let val = result.solution.x[v.index()];
             if val > best_val {
                 best_val = val;
                 best = Some(p);
@@ -147,7 +147,7 @@ pub fn ilp_path_selection_among(
         nodes: result.nodes,
         proven_optimal: result.proven_optimal,
         elapsed_secs: start.elapsed().as_secs_f64(),
-        max_link_load: result.solution.objective_value,
+        max_link_load: result.solution.objective,
     };
     Ok((schedule, stats))
 }

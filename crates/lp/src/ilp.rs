@@ -9,8 +9,7 @@
 use std::collections::BinaryHeap;
 
 use crate::error::{LpError, LpResult};
-use crate::model::{LpProblem, LpSolution, Objective, VarId};
-use crate::simplex::SimplexOptions;
+use crate::simplex::{self, SimplexOptions, StandardForm, StandardSolution};
 
 /// Tolerance used to decide whether an LP value is integral.
 pub const INTEGRALITY_TOL: f64 = 1e-6;
@@ -22,8 +21,6 @@ pub struct IlpOptions {
     pub max_nodes: usize,
     /// Relative optimality gap at which the search stops (0.0 = prove optimality).
     pub relative_gap: f64,
-    /// Options forwarded to the LP relaxations.
-    pub simplex: SimplexOptions,
 }
 
 impl Default for IlpOptions {
@@ -31,7 +28,6 @@ impl Default for IlpOptions {
         Self {
             max_nodes: 100_000,
             relative_gap: 0.0,
-            simplex: SimplexOptions::default(),
         }
     }
 }
@@ -39,8 +35,9 @@ impl Default for IlpOptions {
 /// Result of a branch-and-bound run.
 #[derive(Debug, Clone)]
 pub struct IlpSolution {
-    /// Best integer-feasible solution found.
-    pub solution: LpSolution,
+    /// Best integer-feasible solution found (its objective in the minimize sense
+    /// of the [`StandardForm`]).
+    pub solution: StandardSolution,
     /// Number of nodes explored.
     pub nodes: usize,
     /// True if optimality was proven (search tree exhausted or gap closed), false if the
@@ -50,7 +47,7 @@ pub struct IlpSolution {
 
 #[derive(Debug)]
 struct Node {
-    /// Bound of the parent relaxation, in minimize sense (lower bound on descendants).
+    /// Bound of the parent relaxation (a lower bound on descendants).
     bound: f64,
     /// Extra variable bounds applied on the path to this node.
     bound_changes: Vec<(usize, f64, f64)>,
@@ -78,18 +75,18 @@ impl Ord for Node {
     }
 }
 
-/// Solves `lp` with the requirement that every variable in `integer_vars` takes an
+/// Solves `sf` with the requirement that every column in `integer_vars` takes an
 /// integral value.
+///
+/// Every node solves the same model under its own bounds: one working copy
+/// whose bounds are reset to `sf`'s and tightened by the node's branching
+/// decisions, solved from a cold start.
 pub fn solve_ilp(
-    lp: &LpProblem,
-    integer_vars: &[VarId],
+    sf: &StandardForm,
+    integer_vars: &[usize],
     options: &IlpOptions,
 ) -> LpResult<IlpSolution> {
-    let sign = match lp.objective() {
-        Objective::Minimize => 1.0,
-        Objective::Maximize => -1.0,
-    };
-
+    let mut work = sf.clone();
     let root = Node {
         bound: f64::NEG_INFINITY,
         bound_changes: Vec::new(),
@@ -97,8 +94,8 @@ pub fn solve_ilp(
     let mut heap = BinaryHeap::new();
     heap.push(root);
 
-    let mut incumbent: Option<LpSolution> = None;
-    let mut incumbent_obj = f64::INFINITY; // minimize sense
+    let mut incumbent: Option<StandardSolution> = None;
+    let mut incumbent_obj = f64::INFINITY;
     let mut nodes = 0usize;
     let mut hit_node_limit = false;
 
@@ -113,31 +110,26 @@ pub fn solve_ilp(
         }
         nodes += 1;
 
-        // Apply this node's bound changes to a copy of the problem. Crossed bounds mean
+        // Apply this node's bound changes to the root bounds. Crossed bounds mean
         // the node is trivially infeasible (e.g. branching x >= 1 on a variable whose
         // upper bound is 0.8).
-        let mut sub = lp.clone();
-        let mut crossed = false;
-        for &(var, lo, up) in &node.bound_changes {
-            let v = VarId(var);
-            let cur_lo = sub.lower_bound(v).max(lo);
-            let cur_up = sub.upper_bound(v).min(up);
-            if cur_lo > cur_up {
-                crossed = true;
-                break;
-            }
-            sub.set_bounds(v, cur_lo, cur_up);
-        }
+        work.lower.copy_from_slice(&sf.lower);
+        work.upper.copy_from_slice(&sf.upper);
+        let crossed = node.bound_changes.iter().any(|&(var, lo, up)| {
+            work.lower[var] = work.lower[var].max(lo);
+            work.upper[var] = work.upper[var].min(up);
+            work.lower[var] > work.upper[var]
+        });
         if crossed {
             continue;
         }
 
-        let relax = match sub.solve_with(&options.simplex) {
+        let relax = match simplex::solve(&work, &SimplexOptions::default()) {
             Ok(sol) => sol,
             Err(LpError::Infeasible) => continue,
             Err(e) => return Err(e),
         };
-        let relax_min_obj = sign * relax.objective_value;
+        let relax_min_obj = relax.objective;
         if relax_min_obj >= incumbent_obj - gap_slack(incumbent_obj, options.relative_gap) {
             continue;
         }
@@ -145,13 +137,13 @@ pub fn solve_ilp(
         // Find the most fractional integer variable.
         let mut branch: Option<(usize, f64, f64)> = None; // (var, value, fractionality)
         for &v in integer_vars {
-            let val = relax.values[v.index()];
+            let val = relax.x[v];
             let frac = (val - val.round()).abs();
             if frac > INTEGRALITY_TOL {
                 let dist_to_half = (val.fract().abs() - 0.5).abs();
                 match branch {
                     Some((_, _, best)) if best <= dist_to_half => {}
-                    _ => branch = Some((v.index(), val, dist_to_half)),
+                    _ => branch = Some((v, val, dist_to_half)),
                 }
             }
         }
@@ -212,20 +204,27 @@ mod tests {
     use super::*;
     use crate::model::{ConstraintSense, LpProblem};
 
+    /// The lowered model and its columns' indices.
+    fn lower(lp: &LpProblem, vars: &[crate::VarId]) -> (StandardForm, Vec<usize>) {
+        let sf = lp.to_standard_form().unwrap();
+        (sf, vars.iter().map(|v| v.index()).collect())
+    }
+
     #[test]
     fn knapsack_is_solved_to_optimality() {
         // max 10a + 13b + 7c subject to 3a + 4b + 2c <= 6, binary.
         // Best: a + c (weight 5, value 17)? b + c = weight 6 value 20. Optimal 20.
-        let mut lp = LpProblem::maximize();
-        let a = lp.add_var("a", 0.0, 1.0, 10.0);
-        let b = lp.add_var("b", 0.0, 1.0, 13.0);
-        let c = lp.add_var("c", 0.0, 1.0, 7.0);
+        let mut lp = LpProblem::new();
+        let a = lp.add_var(0.0, 1.0, -10.0);
+        let b = lp.add_var(0.0, 1.0, -13.0);
+        let c = lp.add_var(0.0, 1.0, -7.0);
         lp.add_constraint([(a, 3.0), (b, 4.0), (c, 2.0)], ConstraintSense::Le, 6.0);
-        let sol = solve_ilp(&lp, &[a, b, c], &IlpOptions::default()).unwrap();
+        let (sf, ints) = lower(&lp, &[a, b, c]);
+        let sol = solve_ilp(&sf, &ints, &IlpOptions::default()).unwrap();
         assert!(sol.proven_optimal);
-        assert!((sol.solution.objective_value - 20.0).abs() < 1e-5);
-        for &v in &[a, b, c] {
-            let x = sol.solution.value(v);
+        assert!((sol.solution.objective + 20.0).abs() < 1e-5);
+        for &j in &ints {
+            let x = sol.solution.x[j];
             assert!((x - x.round()).abs() < 1e-5, "{x} not integral");
         }
     }
@@ -233,24 +232,26 @@ mod tests {
     #[test]
     fn lp_relaxation_differs_from_ilp_optimum() {
         // Fractional knapsack would take half of an item; ILP cannot.
-        let mut lp = LpProblem::maximize();
-        let a = lp.add_var("a", 0.0, 1.0, 5.0);
-        let b = lp.add_var("b", 0.0, 1.0, 5.0);
+        let mut lp = LpProblem::new();
+        let a = lp.add_var(0.0, 1.0, -5.0);
+        let b = lp.add_var(0.0, 1.0, -5.0);
         lp.add_constraint([(a, 2.0), (b, 2.0)], ConstraintSense::Le, 3.0);
-        let relax = lp.solve().unwrap();
-        assert!(relax.objective_value > 5.0 + 1e-6);
-        let sol = solve_ilp(&lp, &[a, b], &IlpOptions::default()).unwrap();
-        assert!((sol.solution.objective_value - 5.0).abs() < 1e-5);
+        let (sf, ints) = lower(&lp, &[a, b]);
+        let relax = simplex::solve(&sf, &SimplexOptions::default()).unwrap();
+        assert!(relax.objective < -5.0 - 1e-6);
+        let sol = solve_ilp(&sf, &ints, &IlpOptions::default()).unwrap();
+        assert!((sol.solution.objective + 5.0).abs() < 1e-5);
     }
 
     #[test]
     fn infeasible_ilp_is_reported() {
         // x must be an integer in [0.2, 0.8]: LP feasible, ILP infeasible.
-        let mut lp = LpProblem::minimize();
-        let x = lp.add_var("x", 0.2, 0.8, 1.0);
+        let mut lp = LpProblem::new();
+        let x = lp.add_var(0.2, 0.8, 1.0);
         lp.add_constraint([(x, 1.0)], ConstraintSense::Ge, 0.2);
+        let (sf, ints) = lower(&lp, &[x]);
         assert_eq!(
-            solve_ilp(&lp, &[x], &IlpOptions::default()).unwrap_err(),
+            solve_ilp(&sf, &ints, &IlpOptions::default()).unwrap_err(),
             LpError::Infeasible
         );
     }
@@ -258,30 +259,32 @@ mod tests {
     #[test]
     fn mixed_integer_keeps_continuous_variables_fractional() {
         // max x + y, x integer in [0,3], y continuous in [0, 2.5], x + y <= 4.7.
-        let mut lp = LpProblem::maximize();
-        let x = lp.add_var("x", 0.0, 3.0, 1.0);
-        let y = lp.add_var("y", 0.0, 2.5, 1.0);
+        let mut lp = LpProblem::new();
+        let x = lp.add_var(0.0, 3.0, -1.0);
+        let y = lp.add_var(0.0, 2.5, -1.0);
         lp.add_constraint([(x, 1.0), (y, 1.0)], ConstraintSense::Le, 4.7);
-        let sol = solve_ilp(&lp, &[x], &IlpOptions::default()).unwrap();
-        let xv = sol.solution.value(x);
+        let (sf, ints) = lower(&lp, &[x]);
+        let sol = solve_ilp(&sf, &ints, &IlpOptions::default()).unwrap();
+        let xv = sol.solution.x[x.index()];
         assert!((xv - xv.round()).abs() < 1e-6);
-        assert!((sol.solution.objective_value - 4.7).abs() < 1e-5);
+        assert!((sol.solution.objective + 4.7).abs() < 1e-5);
     }
 
     #[test]
     fn node_limit_is_respected() {
         // A slightly larger knapsack with a node limit of 1 still returns an incumbent
         // only if one was found in the first node; otherwise it reports the limit.
-        let mut lp = LpProblem::maximize();
+        let mut lp = LpProblem::new();
         let vars: Vec<_> = (0..8)
-            .map(|i| lp.add_var(format!("x{i}"), 0.0, 1.0, (i + 1) as f64))
+            .map(|i| lp.add_var(0.0, 1.0, -((i + 1) as f64)))
             .collect();
         lp.add_constraint(vars.iter().map(|&v| (v, 2.0)), ConstraintSense::Le, 7.0);
         let options = IlpOptions {
             max_nodes: 1,
             ..IlpOptions::default()
         };
-        match solve_ilp(&lp, &vars, &options) {
+        let (sf, ints) = lower(&lp, &vars);
+        match solve_ilp(&sf, &ints, &options) {
             Ok(sol) => assert!(!sol.proven_optimal),
             Err(LpError::IterationLimit { .. }) => {}
             Err(e) => panic!("unexpected error {e}"),

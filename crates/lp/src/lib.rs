@@ -22,10 +22,10 @@
 //!   also be held open as an incremental *session* for column generation:
 //!   [`simplex::Solver::add_columns`] appends structural columns without
 //!   disturbing the factorized basis and [`simplex::Solver::reoptimize`]
-//!   continues from it, while [`simplex::Solver::current_duals`] /
-//!   [`simplex::recover_row_duals`] expose the duals that price new columns.
-//! * [`model`] — a small modelling layer ([`model::LpProblem`]) with named variables,
-//!   linear constraints and minimize/maximize objectives.
+//!   continues from it, while [`simplex::Solver::current_duals`] exposes the
+//!   duals that price new columns.
+//! * [`model`] — a row builder ([`model::LpProblem`]): bounded variables and
+//!   `<=` / `>=` / `==` rows, lowered once to a [`simplex::StandardForm`].
 //! * [`ilp`] — branch-and-bound over the LP solver for the (deliberately small-scale)
 //!   integer-programming baselines in the paper's evaluation.
 //! * [`mod@reference`] — a dense textbook tableau simplex used as an independent oracle in
@@ -34,11 +34,15 @@
 //! # Solve pipeline
 //!
 //! There is one way into the LP: a [`simplex::StandardForm`] (built directly, or
-//! lowered from an [`LpProblem`]) goes to a [`simplex::Solver`] as it is —
-//! [`simplex::solve`] is `Solver::new(sf, options)?.solve()`. Nothing is removed
-//! or rescaled on the way, so indices, the exported basis and the duals refer to
-//! the caller's model. The MCF builders emit only the columns that can carry flow
-//! (no "flow back into the source" variables fixed at zero). The Forrest–Tomlin
+//! lowered from an [`LpProblem`] by [`LpProblem::to_standard_form`]) goes to a
+//! [`simplex::Solver`] as it is — [`simplex::solve`] is
+//! `Solver::new(sf, options)?.solve()` — and every result is a
+//! [`simplex::StandardSolution`], minimize sense, indexed like the form.
+//! `Solver::new` is the one place a model is checked (bounds, costs,
+//! coefficients, tolerances). Nothing is removed or rescaled on the way, so
+//! indices, the exported basis and the duals refer to the caller's model. The
+//! MCF builders emit only the columns that can carry flow (no "flow back into
+//! the source" variables fixed at zero). The Forrest–Tomlin
 //! update policy refactorizes after
 //! [`simplex::SimplexOptions::refactor_interval`] updates, on fill growth past a
 //! fixed multiple of the base factorization, or immediately when an update's new
@@ -58,10 +62,10 @@ pub mod simplex;
 pub mod sparse;
 
 pub use error::{LpError, LpResult};
-pub use model::{ConstraintSense, LpProblem, LpSolution, Objective, SolveStatus, VarId};
+pub use model::{ConstraintSense, LpProblem, VarId};
 pub use simplex::{
-    recover_row_duals, triangular_crash, BasisStatus, DualSimplex, NewColumn, SimplexOptions,
-    Solver, StandardForm, StandardSolution, WarmStart,
+    triangular_crash, BasisStatus, DualSimplex, NewColumn, SimplexOptions, Solver, StandardForm,
+    StandardSolution, WarmStart,
 };
 
 /// Default feasibility / optimality tolerance used across the crate.

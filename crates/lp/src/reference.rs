@@ -8,14 +8,15 @@
 //! written completely differently from the production solver in [`crate::simplex`].
 
 use crate::error::{LpError, LpResult};
-use crate::model::{ConstraintSense, LpProblem, Objective};
+use crate::model::ConstraintSense;
+use crate::simplex::StandardForm;
 
 const TOL: f64 = 1e-9;
 
 /// Solution returned by the dense reference solver.
 #[derive(Debug, Clone)]
 pub struct ReferenceSolution {
-    /// Objective value in the user's optimization sense.
+    /// Objective value, minimized as the form states it.
     pub objective_value: f64,
     /// Variable values in the original model space.
     pub values: Vec<f64>,
@@ -32,10 +33,9 @@ enum VarMap {
     Split { plus: usize, minus: usize },
 }
 
-/// Solves a small [`LpProblem`] with the dense reference simplex.
-pub fn solve_reference(lp: &LpProblem) -> LpResult<ReferenceSolution> {
-    let n = lp.num_vars();
-    let maximize = lp.objective() == Objective::Maximize;
+/// Solves a small [`StandardForm`] with the dense reference simplex.
+pub fn solve_reference(sf: &StandardForm) -> LpResult<ReferenceSolution> {
+    let n = sf.cols.len();
 
     // --- Rewrite variables so that every tableau column is >= 0. ---------------------
     let mut maps = Vec::with_capacity(n);
@@ -43,8 +43,7 @@ pub fn solve_reference(lp: &LpProblem) -> LpResult<ReferenceSolution> {
     // Extra constraints x' <= u - l for doubly bounded variables.
     let mut extra_upper: Vec<(usize, f64)> = Vec::new();
     for v in 0..n {
-        let var = crate::model::VarId(v);
-        let (l, u) = (lp.lower_bound(var), lp.upper_bound(var));
+        let (l, u) = (sf.lower[v], sf.upper[v]);
         if l > u {
             return Err(LpError::InvalidModel(format!(
                 "variable {v} has lower bound {l} > upper bound {u}"
@@ -78,9 +77,8 @@ pub fn solve_reference(lp: &LpProblem) -> LpResult<ReferenceSolution> {
     }
     let mut rows: Vec<Row> = Vec::new();
 
-    // Re-derive the constraint data through the standard form (which keeps the
-    // original row order and senses via row bounds).
-    let sf = lp.to_standard_form()?;
+    // A row with equal bounds is an equality; otherwise each finite bound is
+    // one inequality (a free row gives none).
     for r in 0..sf.nrows {
         let mut coeffs = vec![0.0; ncols];
         let mut shift_total = 0.0;
@@ -142,7 +140,7 @@ pub fn solve_reference(lp: &LpProblem) -> LpResult<ReferenceSolution> {
     let mut obj = vec![0.0; ncols];
     let mut obj_shift = 0.0;
     for v in 0..n {
-        let c = sf.obj[v]; // already in minimize sense
+        let c = sf.obj[v];
         if c == 0.0 {
             continue;
         }
@@ -254,13 +252,12 @@ pub fn solve_reference(lp: &LpProblem) -> LpResult<ReferenceSolution> {
             VarMap::Split { plus, minus } => col_values[plus] - col_values[minus],
         };
     }
-    let min_obj: f64 = obj
+    let objective_value: f64 = obj
         .iter()
         .zip(&col_values[..ncols])
         .map(|(c, v)| c * v)
         .sum::<f64>()
         + obj_shift;
-    let objective_value = if maximize { -min_obj } else { min_obj };
     Ok(ReferenceSolution {
         objective_value,
         values,
@@ -350,30 +347,36 @@ fn pivot(t: &mut [Vec<f64>], basis: &mut [usize], r: usize, q: usize, total_cols
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{ConstraintSense, LpProblem};
+    use crate::model::LpProblem;
+
+    fn lowered(lp: &LpProblem) -> StandardForm {
+        lp.to_standard_form().unwrap()
+    }
 
     #[test]
     fn matches_known_textbook_optimum() {
-        let mut lp = LpProblem::maximize();
-        let x = lp.add_nonneg_var("x", 3.0);
-        let y = lp.add_nonneg_var("y", 5.0);
+        // max 3x + 5y: optimum 36.
+        let mut lp = LpProblem::new();
+        let x = lp.add_nonneg_var(-3.0);
+        let y = lp.add_nonneg_var(-5.0);
         lp.add_constraint([(x, 1.0)], ConstraintSense::Le, 4.0);
         lp.add_constraint([(y, 2.0)], ConstraintSense::Le, 12.0);
         lp.add_constraint([(x, 3.0), (y, 2.0)], ConstraintSense::Le, 18.0);
-        let sol = solve_reference(&lp).unwrap();
-        assert!((sol.objective_value - 36.0).abs() < 1e-6);
+        let sol = solve_reference(&lowered(&lp)).unwrap();
+        assert!((sol.objective_value + 36.0).abs() < 1e-6);
     }
 
     #[test]
     fn handles_bounded_and_free_variables() {
-        let mut lp = LpProblem::maximize();
-        let x = lp.add_var("x", 1.0, 3.0, 1.0);
-        let y = lp.add_var("y", -crate::INF, crate::INF, 1.0);
+        // max x + y: optimum 6.
+        let mut lp = LpProblem::new();
+        let x = lp.add_var(1.0, 3.0, -1.0);
+        let y = lp.add_var(-crate::INF, crate::INF, -1.0);
         lp.add_constraint([(x, 1.0), (y, 1.0)], ConstraintSense::Le, 6.0);
         lp.add_constraint([(y, 1.0)], ConstraintSense::Ge, -1.0);
-        let sol = solve_reference(&lp).unwrap();
+        let sol = solve_reference(&lowered(&lp)).unwrap();
         assert!(
-            (sol.objective_value - 6.0).abs() < 1e-6,
+            (sol.objective_value + 6.0).abs() < 1e-6,
             "{}",
             sol.objective_value
         );
@@ -381,38 +384,46 @@ mod tests {
 
     #[test]
     fn detects_infeasible() {
-        let mut lp = LpProblem::minimize();
-        let x = lp.add_nonneg_var("x", 1.0);
+        let mut lp = LpProblem::new();
+        let x = lp.add_nonneg_var(1.0);
         lp.add_constraint([(x, 1.0)], ConstraintSense::Le, 1.0);
         lp.add_constraint([(x, 1.0)], ConstraintSense::Ge, 2.0);
-        assert_eq!(solve_reference(&lp).unwrap_err(), LpError::Infeasible);
+        assert_eq!(
+            solve_reference(&lowered(&lp)).unwrap_err(),
+            LpError::Infeasible
+        );
     }
 
     #[test]
     fn detects_unbounded() {
-        let mut lp = LpProblem::maximize();
-        let x = lp.add_nonneg_var("x", 1.0);
-        let y = lp.add_nonneg_var("y", 0.0);
+        // max x s.t. x - y <= 1.
+        let mut lp = LpProblem::new();
+        let x = lp.add_nonneg_var(-1.0);
+        let y = lp.add_nonneg_var(0.0);
         lp.add_constraint([(x, 1.0), (y, -1.0)], ConstraintSense::Le, 1.0);
-        assert_eq!(solve_reference(&lp).unwrap_err(), LpError::Unbounded);
+        assert_eq!(
+            solve_reference(&lowered(&lp)).unwrap_err(),
+            LpError::Unbounded
+        );
     }
 
     #[test]
     fn agrees_with_production_solver_on_equalities() {
-        let mut lp = LpProblem::minimize();
-        let x = lp.add_nonneg_var("x", 2.0);
-        let y = lp.add_nonneg_var("y", 3.0);
-        let z = lp.add_nonneg_var("z", 1.0);
+        let mut lp = LpProblem::new();
+        let x = lp.add_nonneg_var(2.0);
+        let y = lp.add_nonneg_var(3.0);
+        let z = lp.add_nonneg_var(1.0);
         lp.add_constraint([(x, 1.0), (y, 1.0), (z, 1.0)], ConstraintSense::Eq, 10.0);
         lp.add_constraint([(x, 1.0), (y, -1.0)], ConstraintSense::Ge, 2.0);
         lp.add_constraint([(z, 1.0)], ConstraintSense::Le, 4.0);
-        let reference = solve_reference(&lp).unwrap();
-        let production = lp.solve().unwrap();
+        let sf = lowered(&lp);
+        let reference = solve_reference(&sf).unwrap();
+        let production = crate::simplex::solve(&sf, &crate::SimplexOptions::default()).unwrap();
         assert!(
-            (reference.objective_value - production.objective_value).abs() < 1e-6,
+            (reference.objective_value - production.objective).abs() < 1e-6,
             "reference {} vs production {}",
             reference.objective_value,
-            production.objective_value
+            production.objective
         );
     }
 }

@@ -357,41 +357,6 @@ pub fn triangular_crash(sf: &StandardForm, preference: &[f64]) -> WarmStart {
     WarmStart { statuses }
 }
 
-/// Recomputes the row duals `y` of a basis exported by a finished solve:
-/// collects the basic columns named by `basis`, factorizes them once, and
-/// solves `Bᵀy = c_B`.
-///
-/// The duals are in the minimize sense of `sf`; the model layer
-/// ([`crate::LpProblem::row_duals`]) flips the sign for maximization problems.
-/// Errors if the basis has the wrong shape or its matrix is singular.
-pub fn recover_row_duals(sf: &StandardForm, basis: &WarmStart) -> LpResult<Vec<f64>> {
-    let nstruct = sf.cols.len();
-    if basis.statuses.len() != nstruct + sf.nrows {
-        return Err(LpError::InvalidModel(format!(
-            "basis has {} statuses, expected {}",
-            basis.statuses.len(),
-            nstruct + sf.nrows
-        )));
-    }
-    let basics = || {
-        let statuses = basis.statuses.iter().enumerate();
-        statuses.filter_map(|(j, st)| matches!(st, BasisStatus::Basic).then_some(j))
-    };
-    let mut cb: Vec<f64> = basics()
-        .map(|j| sf.obj.get(j).copied().unwrap_or(0.0))
-        .collect();
-    if cb.len() != sf.nrows {
-        return Err(LpError::InvalidModel(format!(
-            "basis has {} basic variables, expected {}",
-            cb.len(),
-            sf.nrows
-        )));
-    }
-    let lu = LuFactorization::factorize(sf.nrows, basics().map(|j| column_entries(sf, j)))?;
-    lu.solve_transpose(&mut cb, &mut LuScratch::new(sf.nrows));
-    Ok(cb)
-}
-
 /// Entries of variable `j`'s constraint column, borrowed from `sf`: the
 /// structural column, or the single `-1` of the logical of row `j - ncols`.
 fn column_entries(sf: &StandardForm, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
@@ -430,10 +395,11 @@ fn check_column(
     Ok(())
 }
 
-/// Checks that the bounds of `what` `j` (a column or a row) are not NaN and
-/// that the lower one does not exceed the upper one.
+/// Checks that the bounds of `what` `j` (a column or a row) are not NaN, that
+/// the lower one is not `+inf` nor the upper one `-inf`, and that the lower
+/// one does not exceed the upper one.
 fn check_bounds(what: &str, j: usize, lower: f64, upper: f64) -> LpResult<()> {
-    if lower.is_nan() || upper.is_nan() || lower > upper {
+    if lower.is_nan() || upper.is_nan() || lower > upper || lower == INF || upper == -INF {
         return Err(LpError::InvalidModel(format!(
             "{what} {j} has invalid bounds [{lower}, {upper}]"
         )));
@@ -939,8 +905,7 @@ impl<'a> Solver<'a> {
     /// `cols.len()` because structural columns precede logicals in the
     /// per-variable ordering — callers holding a [`WarmStart`] from before the
     /// append can rebuild the equivalent start by splicing the new columns'
-    /// statuses in at position `old_ncols` (the model layer's
-    /// [`crate::LpProblem::resolve_with`] does exactly that).
+    /// statuses in at position `old_ncols`.
     pub fn add_columns(&mut self, cols: &[NewColumn]) -> LpResult<()> {
         if cols.is_empty() {
             return Ok(());
@@ -2378,6 +2343,14 @@ mod tests {
         (crossed.lower[1], crossed.upper[1]) = (5.0, 1.0);
         let mut nan_row = sf.clone();
         nan_row.row_upper[0] = f64::NAN;
+        // Infinite bounds on the wrong side: the slack basis used to hold such a
+        // column free at zero (optimum -6 resp. -4) and fail on such a row.
+        let mut col_at_plus_inf = sf.clone();
+        (col_at_plus_inf.lower[0], col_at_plus_inf.upper[0]) = (INF, INF);
+        let mut col_at_minus_inf = sf.clone();
+        (col_at_minus_inf.lower[1], col_at_minus_inf.upper[1]) = (-INF, -INF);
+        let mut row_at_plus_inf = sf.clone();
+        (row_at_plus_inf.row_lower[0], row_at_plus_inf.row_upper[0]) = (INF, INF);
         let nan_tol = SimplexOptions {
             tol: f64::NAN,
             ..SimplexOptions::default()
@@ -2387,6 +2360,9 @@ mod tests {
             (nan_obj, SimplexOptions::default()),
             (crossed, SimplexOptions::default()),
             (nan_row, SimplexOptions::default()),
+            (col_at_plus_inf, SimplexOptions::default()),
+            (col_at_minus_inf, SimplexOptions::default()),
+            (row_at_plus_inf, SimplexOptions::default()),
             (sf, nan_tol),
         ];
         for (case, (model, opts)) in cases.iter().enumerate() {
@@ -2808,17 +2784,17 @@ mod tests {
     #[test]
     fn degenerate_transportation_lp_matches_reference() {
         // A degenerate transportation-style LP where many bases are optimal.
-        let mut lp = crate::LpProblem::minimize();
+        let mut lp = crate::LpProblem::new();
         let x: Vec<_> = [1.0, 2.0, 3.0, 4.0]
             .into_iter()
-            .enumerate()
-            .map(|(j, c)| lp.add_var(format!("x{j}"), 0.0, INF, c))
+            .map(|c| lp.add_nonneg_var(c))
             .collect();
         for (a, b) in [(0, 1), (2, 3), (0, 2), (1, 3)] {
             lp.add_constraint([(x[a], 1.0), (x[b], 1.0)], crate::ConstraintSense::Eq, 2.0);
         }
-        let sol = solve(&lp.to_standard_form().unwrap(), &SimplexOptions::default()).unwrap();
-        let reference = crate::reference::solve_reference(&lp).unwrap();
+        let sf = lp.to_standard_form().unwrap();
+        let sol = solve(&sf, &SimplexOptions::default()).unwrap();
+        let reference = crate::reference::solve_reference(&sf).unwrap();
         assert!((sol.objective - reference.objective_value).abs() < 1e-7);
     }
 }

@@ -1,14 +1,9 @@
 //! Add-column / resolve properties on randomized (seeded ChaCha8) LPs: after
 //! appending columns to a solved model, the extended solve must match a cold
-//! solve of the full model —
-//!
-//! * at the model layer (`LpProblem::add_column` + `resolve_with`), cold and
-//!   warm-started, and
-//! * at the session layer (`Solver::add_columns` + `reoptimize`), where the
-//!   basis carries over *mid Forrest–Tomlin update cycle* (a large
-//!   `refactor_interval` keeps every pivot of the previous round in the update
-//!   file when columns are appended), across several append/reoptimize
-//!   rounds.
+//! solve of the full model. The session (`Solver::add_columns` + `reoptimize`)
+//! carries its basis over *mid Forrest–Tomlin update cycle* (a large
+//! `refactor_interval` keeps every pivot of the previous round in the update
+//! file when columns are appended), across several append/reoptimize rounds.
 
 use a2a_lp::simplex::Solver;
 use a2a_lp::sparse::SparseVec;
@@ -48,7 +43,8 @@ type AppendedColumn = (f64, f64, f64, Vec<(usize, f64)>);
 
 /// A random base model plus a batch of columns to append later. The base is
 /// built so that it is usually feasible and bounded (nonnegative variables,
-/// mostly `<=` rows with positive slack).
+/// mostly `<=` rows with positive slack). It maximizes, so it is written as the
+/// minimization of the negated costs.
 struct Scenario {
     base: LpProblem,
     appended: Vec<AppendedColumn>,
@@ -57,12 +53,12 @@ struct Scenario {
 fn random_scenario(rng: &mut ChaCha8Rng) -> Scenario {
     let nvars = rng.random_range(2..6);
     let nrows = rng.random_range(1..6);
-    let mut lp = LpProblem::maximize();
+    let mut lp = LpProblem::new();
     let mut vars = Vec::new();
-    for j in 0..nvars {
+    for _ in 0..nvars {
         let (l, u) = random_bounds(rng);
         let obj = rng.random_range(0..9) as f64 - 3.0;
-        vars.push(lp.add_var(format!("x{j}"), l, u, obj));
+        vars.push(lp.add_var(l, u, -obj));
     }
     for i in 0..nrows {
         let arity = rng.random_range(1..nvars.min(3) + 1);
@@ -107,48 +103,8 @@ fn random_scenario(rng: &mut ChaCha8Rng) -> Scenario {
     Scenario { base: lp, appended }
 }
 
-/// Model layer: `resolve_with` from the pre-append basis must agree with a cold
-/// solve of the extended model.
-#[test]
-fn model_add_column_matrix_matches_cold_solve() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0xADD_C01);
-    let mut exercised = 0usize;
-    for case in 0..150 {
-        let Scenario { mut base, appended } = random_scenario(&mut rng);
-        let tag = format!("case {case}");
-        // The pre-append solve must succeed for the scenario to make sense.
-        let Ok(first) = base.solve() else { continue };
-
-        for (idx, (l, u, obj, entries)) in appended.iter().enumerate() {
-            base.add_column(format!("a{idx}"), *l, *u, *obj, entries.iter().copied());
-        }
-
-        // Cold reference on the extended model (solver defaults).
-        let cold = base.solve();
-        let warm = base.resolve_with(&first.basis, &SimplexOptions::default());
-        match (&cold, &warm) {
-            (Ok(a), Ok(c)) => {
-                exercised += 1;
-                let scale = 1.0 + a.objective_value.abs();
-                assert!(
-                    (a.objective_value - c.objective_value).abs() < 1e-6 * scale,
-                    "{tag}: cold {} vs resolve {}",
-                    a.objective_value,
-                    c.objective_value
-                );
-            }
-            (Err(LpError::Unbounded), Err(LpError::Unbounded)) => {}
-            // A forced nonzero lower bound on an appended column can make
-            // the extended model infeasible; both paths must agree on it.
-            (Err(LpError::Infeasible), Err(LpError::Infeasible)) => {}
-            (a, c) => panic!("{tag}: cold {a:?} / resolve {c:?} disagree"),
-        }
-    }
-    assert!(exercised > 25, "only {exercised} optimal cases ran");
-}
-
 /// Converts a scenario to standard form plus the `NewColumn` batch for the
-/// session-layer test (maximize flips signs exactly like `to_standard_form`).
+/// session tests (the appended costs negated like the base's).
 fn scenario_standard_forms(s: &Scenario) -> (StandardForm, StandardForm, Vec<NewColumn>) {
     let base_sf = s.base.to_standard_form().expect("valid model");
     // Extended model: clone + append, mirroring what Solver::add_columns does.

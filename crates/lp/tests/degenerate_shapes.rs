@@ -12,7 +12,7 @@
 use a2a_lp::reference::solve_reference;
 use a2a_lp::simplex::{Solver, StandardForm, StandardSolution};
 use a2a_lp::sparse::SparseVec;
-use a2a_lp::{BasisStatus, ConstraintSense, LpError, LpProblem, LpResult, SimplexOptions, INF};
+use a2a_lp::{BasisStatus, LpError, LpResult, SimplexOptions, INF};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -123,35 +123,6 @@ fn random_standard_form(rng: &mut ChaCha8Rng) -> StandardForm {
     }
 }
 
-/// The same model as an [`LpProblem`] for the reference oracle: a ranged row
-/// becomes a `>=` and a `<=` constraint, a free row none.
-fn to_problem(sf: &StandardForm) -> LpProblem {
-    let mut lp = LpProblem::minimize();
-    let vars: Vec<_> = (0..sf.cols.len())
-        .map(|j| lp.add_var(format!("x{j}"), sf.lower[j], sf.upper[j], sf.obj[j]))
-        .collect();
-    let mut rows = vec![Vec::new(); sf.nrows];
-    for (j, col) in sf.cols.iter().enumerate() {
-        for (i, a) in col.iter() {
-            rows[i].push((vars[j], a));
-        }
-    }
-    for (i, coeffs) in rows.into_iter().enumerate() {
-        let (lo, up) = (sf.row_lower[i], sf.row_upper[i]);
-        if lo == up {
-            lp.add_constraint(coeffs, ConstraintSense::Eq, lo);
-            continue;
-        }
-        if lo.is_finite() {
-            lp.add_constraint(coeffs.clone(), ConstraintSense::Ge, lo);
-        }
-        if up.is_finite() {
-            lp.add_constraint(coeffs, ConstraintSense::Le, up);
-        }
-    }
-    lp
-}
-
 /// Asserts `sol.x` is primal feasible for `sf` and that the exported basis has
 /// the model's shape with exactly `nrows` basic variables.
 fn assert_solution_valid(sf: &StandardForm, sol: &StandardSolution, tag: &str) {
@@ -194,7 +165,7 @@ fn assert_solution_valid(sf: &StandardForm, sol: &StandardSolution, tag: &str) {
 /// Solves `sf` with the simplex and the reference and asserts they agree.
 /// Returns whether the case was optimal.
 fn agrees_with_reference(sf: &StandardForm, tag: &str) -> bool {
-    match (solve(sf), solve_reference(&to_problem(sf))) {
+    match (solve(sf), solve_reference(sf)) {
         (Ok(a), Ok(b)) => {
             assert!(
                 (a.objective - b.objective_value).abs() < 1e-6 * (1.0 + b.objective_value.abs()),

@@ -8,7 +8,10 @@
 //! engage the dual phase (the basis stays dual-feasible — costs didn't move)
 //! and land on the primal-verified optimum of the tightened instance.
 
-use a2a_lp::{ConstraintSense, DualSimplex, LpError, LpProblem, SimplexOptions, INF};
+use a2a_lp::{
+    ConstraintSense, DualSimplex, LpError, LpProblem, LpResult, SimplexOptions, StandardSolution,
+    INF,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -54,16 +57,15 @@ fn random_lp(rng: &mut ChaCha8Rng) -> RandomLp {
     }
 }
 
+/// Builds the LP; a maximization is written as the minimization of the
+/// negated costs, so every objective below is in the minimize sense.
 fn build(lp_desc: &RandomLp, maximize: bool) -> LpProblem {
-    let mut lp = if maximize {
-        LpProblem::maximize()
-    } else {
-        LpProblem::minimize()
-    };
+    let sign = if maximize { -1.0 } else { 1.0 };
+    let mut lp = LpProblem::new();
     let vars: Vec<_> = (0..lp_desc.nvars)
         .map(|i| {
             let ub = lp_desc.upper[i].map(f64::from).unwrap_or(INF);
-            lp.add_var(format!("x{i}"), 0.0, ub, f64::from(lp_desc.obj[i]))
+            lp.add_var(0.0, ub, sign * f64::from(lp_desc.obj[i]))
         })
         .collect();
     for (coeffs, sense, rhs) in &lp_desc.rows {
@@ -82,6 +84,11 @@ fn build(lp_desc: &RandomLp, maximize: bool) -> LpProblem {
         );
     }
     lp
+}
+
+/// Lowers `lp` and solves it under `options`.
+fn solve(lp: &LpProblem, options: &SimplexOptions) -> LpResult<StandardSolution> {
+    a2a_lp::simplex::solve(&lp.to_standard_form()?, options)
 }
 
 /// Checks that a solution satisfies every bound and constraint of the model.
@@ -133,18 +140,17 @@ fn dual_simplex_matches_primal_on_random_lps() {
             let desc = random_lp(&mut rng);
             let maximize = !maximize_alternates || case % 2 == 0;
             let lp = build(&desc, maximize);
-            let dual = lp.solve_with(&opts(DualSimplex::Always));
-            let primal = lp.solve_with(&opts(DualSimplex::Off));
+            let dual = solve(&lp, &opts(DualSimplex::Always));
+            let primal = solve(&lp, &opts(DualSimplex::Off));
             match (dual, primal) {
                 (Ok(a), Ok(b)) => {
                     assert!(
-                        (a.objective_value - b.objective_value).abs()
-                            <= 1e-5 * (1.0 + b.objective_value.abs()),
+                        (a.objective - b.objective).abs() <= 1e-5 * (1.0 + b.objective.abs()),
                         "case {case} (seed {seed:#x}, {desc:?}): dual {} vs primal {}",
-                        a.objective_value,
-                        b.objective_value
+                        a.objective,
+                        b.objective
                     );
-                    assert_primal_feasible(&lp, &a.values);
+                    assert_primal_feasible(&lp, &a.x);
                     optimal += 1;
                     if a.dual_iterations > 0 {
                         engaged += 1;
@@ -209,20 +215,14 @@ fn random_network(rng: &mut ChaCha8Rng) -> NetworkDesc {
     }
 }
 
+/// Builds the network LP, maximizing F as minimize −F.
 fn build_network(desc: &NetworkDesc, cap_scale: impl Fn(usize) -> f64) -> LpProblem {
-    let mut lp = LpProblem::maximize();
-    let f_var = lp.add_var("F", 0.0, INF, 1.0);
+    let mut lp = LpProblem::new();
+    let f_var = lp.add_var(0.0, INF, -1.0);
     let flows: Vec<Vec<_>> = desc
         .commodities
         .iter()
-        .enumerate()
-        .map(|(ci, _)| {
-            desc.edges
-                .iter()
-                .enumerate()
-                .map(|(e, _)| lp.add_var(format!("f{ci}_e{e}"), 0.0, INF, 0.0))
-                .collect()
-        })
+        .map(|_| desc.edges.iter().map(|_| lp.add_nonneg_var(0.0)).collect())
         .collect();
     for (e, &cap) in desc.caps.iter().enumerate() {
         lp.add_constraint(
@@ -278,24 +278,26 @@ fn warm_restart_after_capacity_tightening_uses_dual_simplex() {
     for case in 0..60 {
         let desc = random_network(&mut rng);
         let nominal = build_network(&desc, |_| 1.0);
-        let cold = nominal.solve_with(&opts(DualSimplex::Off)).unwrap();
+        let cold = solve(&nominal, &opts(DualSimplex::Off)).unwrap();
 
         let tightened = build_network(&desc, |e| if e % 2 == 0 { 0.15 } else { 0.9 });
-        let warm = tightened
-            .solve_with(&SimplexOptions {
+        let warm = solve(
+            &tightened,
+            &SimplexOptions {
                 warm_start: Some(cold.basis.clone()),
                 ..opts(DualSimplex::Auto)
-            })
-            .unwrap_or_else(|e| panic!("case {case}: warm dual re-solve failed: {e:?}"));
-        let reference = tightened.solve_with(&opts(DualSimplex::Off)).unwrap();
+            },
+        )
+        .unwrap_or_else(|e| panic!("case {case}: warm dual re-solve failed: {e:?}"));
+        let reference = solve(&tightened, &opts(DualSimplex::Off)).unwrap();
         assert!(
-            (warm.objective_value - reference.objective_value).abs()
-                <= 1e-6 * (1.0 + reference.objective_value.abs()),
+            (warm.objective - reference.objective).abs()
+                <= 1e-6 * (1.0 + reference.objective.abs()),
             "case {case}: warm dual {} vs cold primal {}",
-            warm.objective_value,
-            reference.objective_value
+            warm.objective,
+            reference.objective
         );
-        assert_primal_feasible(&tightened, &warm.values);
+        assert_primal_feasible(&tightened, &warm.x);
         if warm.dual_iterations > 0 {
             engaged += 1;
         }
@@ -311,26 +313,29 @@ fn warm_restart_after_capacity_tightening_uses_dual_simplex() {
 /// tightened optimum.
 #[test]
 fn tightened_bottleneck_resolves_dually() {
+    // max x + y, written as min −x − y.
     let build = |cap: f64| {
-        let mut lp = LpProblem::maximize();
-        let x = lp.add_var("x", 0.0, 4.0, 1.0);
-        let y = lp.add_var("y", 0.0, 3.0, 1.0);
+        let mut lp = LpProblem::new();
+        let x = lp.add_var(0.0, 4.0, -1.0);
+        let y = lp.add_var(0.0, 3.0, -1.0);
         lp.add_constraint([(x, 1.0), (y, 1.0)], ConstraintSense::Le, cap);
         lp
     };
-    let cold = build(5.0).solve_with(&opts(DualSimplex::Off)).unwrap();
-    assert!((cold.objective_value - 5.0).abs() <= 1e-9);
+    let cold = solve(&build(5.0), &opts(DualSimplex::Off)).unwrap();
+    assert!((cold.objective + 5.0).abs() <= 1e-9);
 
-    let warm = build(2.0)
-        .solve_with(&SimplexOptions {
+    let warm = solve(
+        &build(2.0),
+        &SimplexOptions {
             warm_start: Some(cold.basis.clone()),
             ..opts(DualSimplex::Auto)
-        })
-        .unwrap();
+        },
+    )
+    .unwrap();
     assert!(
-        (warm.objective_value - 2.0).abs() <= 1e-9,
+        (warm.objective + 2.0).abs() <= 1e-9,
         "tightened optimum should be 2, got {}",
-        warm.objective_value
+        -warm.objective
     );
     assert!(
         warm.dual_iterations > 0,
@@ -347,17 +352,20 @@ fn tightened_bottleneck_resolves_dually() {
 #[test]
 fn infeasible_tightening_is_detected_through_the_dual_path() {
     let build = |ub: f64| {
-        let mut lp = LpProblem::minimize();
-        let x = lp.add_var("x", 0.0, ub, 1.0);
-        let y = lp.add_var("y", 0.0, ub, 2.0);
+        let mut lp = LpProblem::new();
+        let x = lp.add_var(0.0, ub, 1.0);
+        let y = lp.add_var(0.0, ub, 2.0);
         lp.add_constraint([(x, 1.0), (y, 1.0)], ConstraintSense::Ge, 4.0);
         lp
     };
-    let cold = build(3.0).solve_with(&opts(DualSimplex::Off)).unwrap();
-    let warm = build(1.0).solve_with(&SimplexOptions {
-        warm_start: Some(cold.basis.clone()),
-        ..opts(DualSimplex::Auto)
-    });
+    let cold = solve(&build(3.0), &opts(DualSimplex::Off)).unwrap();
+    let warm = solve(
+        &build(1.0),
+        &SimplexOptions {
+            warm_start: Some(cold.basis.clone()),
+            ..opts(DualSimplex::Auto)
+        },
+    );
     assert!(
         matches!(warm, Err(LpError::Infeasible)),
         "x + y >= 4 with x, y <= 1 must be infeasible, got {warm:?}"
@@ -380,9 +388,9 @@ fn dual_phase_agrees_with_primal_across_the_kernel_switch() {
     // slack basis is dual-feasible and primal-infeasible, so the dual simplex
     // runs the whole solve.
     let (nrows, nvars) = (160, 320);
-    let mut covering = LpProblem::minimize();
+    let mut covering = LpProblem::new();
     let vars: Vec<_> = (0..nvars)
-        .map(|j| covering.add_var(format!("x{j}"), 0.0, INF, rng.random_range(1..20) as f64))
+        .map(|_| covering.add_nonneg_var(rng.random_range(1..20) as f64))
         .collect();
     for i in 0..nrows {
         // Every row holds its own variable, so the LP is feasible.
@@ -395,17 +403,16 @@ fn dual_phase_agrees_with_primal_across_the_kernel_switch() {
         }
         covering.add_constraint(coeffs, ConstraintSense::Ge, rng.random_range(1..10) as f64);
     }
-    let dual = covering.solve_with(&opts(DualSimplex::Always)).unwrap();
-    let primal = covering.solve_with(&opts(DualSimplex::Off)).unwrap();
+    let dual = solve(&covering, &opts(DualSimplex::Always)).unwrap();
+    let primal = solve(&covering, &opts(DualSimplex::Off)).unwrap();
     assert!(dual.dual_iterations > 0, "the covering LP must run dually");
     assert!(
-        (dual.objective_value - primal.objective_value).abs()
-            <= 1e-9 * (1.0 + primal.objective_value.abs()),
+        (dual.objective - primal.objective).abs() <= 1e-9 * (1.0 + primal.objective.abs()),
         "covering LP: dual {} vs primal {}",
-        dual.objective_value,
-        primal.objective_value
+        dual.objective,
+        primal.objective
     );
-    assert_primal_feasible(&covering, &dual.values);
+    assert_primal_feasible(&covering, &dual.x);
 
     // The production trigger at a size where it matters: a 24-node network with
     // 8 commodities (~270 rows), warm-restarted after a non-uniform tightening.
@@ -426,29 +433,28 @@ fn dual_phase_agrees_with_primal_across_the_kernel_switch() {
         edges,
         commodities: (0..8).map(|c| (c, (3 * c + 5) % n)).collect(),
     };
-    let cold = build_network(&desc, |_| 1.0)
-        .solve_with(&opts(DualSimplex::Off))
-        .unwrap();
+    let cold = solve(&build_network(&desc, |_| 1.0), &opts(DualSimplex::Off)).unwrap();
     let tightened = build_network(&desc, |e| if e % 2 == 0 { 0.15 } else { 0.9 });
-    let warm = tightened
-        .solve_with(&SimplexOptions {
+    let warm = solve(
+        &tightened,
+        &SimplexOptions {
             warm_start: Some(cold.basis.clone()),
             ..opts(DualSimplex::Auto)
-        })
-        .unwrap();
-    let reference = tightened.solve_with(&opts(DualSimplex::Off)).unwrap();
+        },
+    )
+    .unwrap();
+    let reference = solve(&tightened, &opts(DualSimplex::Off)).unwrap();
     assert!(
         warm.dual_iterations > 0,
         "the tightened network must run dually"
     );
     assert!(
-        (warm.objective_value - reference.objective_value).abs()
-            <= 1e-9 * (1.0 + reference.objective_value.abs()),
+        (warm.objective - reference.objective).abs() <= 1e-9 * (1.0 + reference.objective.abs()),
         "tightened network: warm dual {} vs cold primal {}",
-        warm.objective_value,
-        reference.objective_value
+        warm.objective,
+        reference.objective
     );
-    assert_primal_feasible(&tightened, &warm.values);
+    assert_primal_feasible(&tightened, &warm.x);
 }
 
 /// Count pin of the dual loop at the LP level: the seeded covering LP of
@@ -461,9 +467,9 @@ fn dual_phase_agrees_with_primal_across_the_kernel_switch() {
 fn covering_lp_dual_trajectory_is_pinned() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xDE45E_51317);
     let (nrows, nvars) = (160, 320);
-    let mut covering = LpProblem::minimize();
+    let mut covering = LpProblem::new();
     let vars: Vec<_> = (0..nvars)
-        .map(|j| covering.add_var(format!("x{j}"), 0.0, INF, rng.random_range(1..20) as f64))
+        .map(|_| covering.add_nonneg_var(rng.random_range(1..20) as f64))
         .collect();
     for i in 0..nrows {
         let mut coeffs = vec![(vars[i], 1.0 + rng.random_range(0..4) as f64)];
@@ -475,17 +481,17 @@ fn covering_lp_dual_trajectory_is_pinned() {
         }
         covering.add_constraint(coeffs, ConstraintSense::Ge, rng.random_range(1..10) as f64);
     }
-    let dual = covering.solve_with(&opts(DualSimplex::Always)).unwrap();
+    let dual = solve(&covering, &opts(DualSimplex::Always)).unwrap();
     assert_eq!(
         (
             dual.iterations,
             dual.dual_iterations,
             dual.pivots,
             dual.refactorizations,
-            dual.objective_value.to_bits()
+            dual.objective.to_bits()
         ),
         (105, 105, 105, 1, 0x407c_7d06_d481_f304),
         "covering LP: dual trajectory moved (objective now {})",
-        dual.objective_value
+        dual.objective
     );
 }

@@ -5,8 +5,10 @@
 //! The generators are driven by a seeded ChaCha8 stream (no proptest in this build
 //! environment); every case is reproducible from its printed seed.
 
-use a2a_lp::reference::solve_reference;
-use a2a_lp::{ConstraintSense, LpError, LpProblem, SimplexOptions, INF};
+use a2a_lp::reference::{self, ReferenceSolution};
+use a2a_lp::{
+    ConstraintSense, LpError, LpProblem, LpResult, SimplexOptions, StandardSolution, INF,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -52,16 +54,15 @@ fn random_lp(rng: &mut ChaCha8Rng) -> RandomLp {
     }
 }
 
+/// Builds the LP; a maximization is written as the minimization of the
+/// negated costs, so every objective below is in the minimize sense.
 fn build(lp_desc: &RandomLp, maximize: bool) -> LpProblem {
-    let mut lp = if maximize {
-        LpProblem::maximize()
-    } else {
-        LpProblem::minimize()
-    };
+    let sign = if maximize { -1.0 } else { 1.0 };
+    let mut lp = LpProblem::new();
     let vars: Vec<_> = (0..lp_desc.nvars)
         .map(|i| {
             let ub = lp_desc.upper[i].map(f64::from).unwrap_or(INF);
-            lp.add_var(format!("x{i}"), 0.0, ub, f64::from(lp_desc.obj[i]))
+            lp.add_var(0.0, ub, sign * f64::from(lp_desc.obj[i]))
         })
         .collect();
     for (coeffs, sense, rhs) in &lp_desc.rows {
@@ -80,6 +81,16 @@ fn build(lp_desc: &RandomLp, maximize: bool) -> LpProblem {
         );
     }
     lp
+}
+
+/// Lowers `lp` and solves it with the simplex under `options`.
+fn solve(lp: &LpProblem, options: &SimplexOptions) -> LpResult<StandardSolution> {
+    a2a_lp::simplex::solve(&lp.to_standard_form()?, options)
+}
+
+/// Lowers `lp` and solves it with the dense reference oracle.
+fn solve_reference(lp: &LpProblem) -> LpResult<ReferenceSolution> {
+    reference::solve_reference(&lp.to_standard_form()?)
 }
 
 /// Checks that a solution satisfies every bound and constraint of the model.
@@ -118,18 +129,17 @@ fn simplex_agrees_with_dense_reference() {
         let desc = random_lp(&mut rng);
         let maximize = case % 2 == 0;
         let lp = build(&desc, maximize);
-        let fast = lp.solve();
+        let fast = solve(&lp, &SimplexOptions::default());
         let slow = solve_reference(&lp);
         match (fast, slow) {
             (Ok(a), Ok(b)) => {
                 assert!(
-                    (a.objective_value - b.objective_value).abs()
-                        <= 1e-5 * (1.0 + a.objective_value.abs()),
+                    (a.objective - b.objective_value).abs() <= 1e-5 * (1.0 + a.objective.abs()),
                     "case {case} ({desc:?}): objectives differ: simplex {} vs reference {}",
-                    a.objective_value,
+                    a.objective,
                     b.objective_value
                 );
-                assert_primal_feasible(&lp, &a.values);
+                assert_primal_feasible(&lp, &a.x);
             }
             (Err(LpError::Infeasible), Err(LpError::Infeasible)) => {}
             (Err(LpError::Unbounded), Err(LpError::Unbounded)) => {}
@@ -148,18 +158,19 @@ fn optimal_solutions_are_feasible() {
     for case in 0..200 {
         let desc = random_lp(&mut rng);
         let lp = build(&desc, true);
-        if let Ok(sol) = lp.solve() {
-            assert_primal_feasible(&lp, &sol.values);
+        if let Ok(sol) = solve(&lp, &SimplexOptions::default()) {
+            assert_primal_feasible(&lp, &sol.x);
             let recomputed: f64 = sol
-                .values
+                .x
                 .iter()
                 .enumerate()
                 .map(|(i, &v)| v * f64::from(desc.obj[i]))
                 .sum();
+            // The model maximizes: the reported minimum is the negated maximum.
             assert!(
-                (recomputed - sol.objective_value).abs() <= 1e-6 * (1.0 + recomputed.abs()),
+                (recomputed + sol.objective).abs() <= 1e-6 * (1.0 + recomputed.abs()),
                 "case {case}: reported objective {} does not match recomputed {}",
-                sol.objective_value,
+                -sol.objective,
                 recomputed
             );
         }
@@ -198,18 +209,12 @@ fn random_network_lp(rng: &mut ChaCha8Rng) -> LpProblem {
         })
         .collect();
 
-    let mut lp = LpProblem::maximize();
-    let f_var = lp.add_var("F", 0.0, INF, 1.0);
+    // Maximize F as minimize −F.
+    let mut lp = LpProblem::new();
+    let f_var = lp.add_var(0.0, INF, -1.0);
     let flows: Vec<Vec<_>> = commodities
         .iter()
-        .enumerate()
-        .map(|(ci, _)| {
-            edges
-                .iter()
-                .enumerate()
-                .map(|(e, _)| lp.add_var(format!("f{ci}_e{e}"), 0.0, INF, 0.0))
-                .collect()
-        })
+        .map(|_| edges.iter().map(|_| lp.add_nonneg_var(0.0)).collect())
         .collect();
     for (e, &cap) in caps.iter().enumerate() {
         lp.add_constraint(
@@ -259,32 +264,30 @@ fn simplex_matches_reference_on_network_lps() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xDE7E0);
     for case in 0..60 {
         let lp = random_network_lp(&mut rng);
-        let sol = lp
-            .solve_with(&SimplexOptions::default())
+        let sol = solve(&lp, &SimplexOptions::default())
             .unwrap_or_else(|e| panic!("case {case}: simplex failed: {e:?}"));
         let reference =
             solve_reference(&lp).unwrap_or_else(|e| panic!("case {case}: reference failed: {e:?}"));
         assert!(
-            (sol.objective_value - reference.objective_value).abs()
+            (sol.objective - reference.objective_value).abs()
                 <= 1e-6 * (1.0 + reference.objective_value.abs()),
             "case {case}: simplex {} vs reference {}",
-            sol.objective_value,
+            sol.objective,
             reference.objective_value
         );
-        assert_primal_feasible(&lp, &sol.values);
+        assert_primal_feasible(&lp, &sol.x);
         assert_primal_feasible(&lp, &reference.values);
 
         // Warm-start roundtrip: the optimal basis re-verifies pivot-free.
-        let warm = lp
-            .solve_with(&SimplexOptions {
+        let warm = solve(
+            &lp,
+            &SimplexOptions {
                 warm_start: Some(sol.basis.clone()),
                 ..SimplexOptions::default()
-            })
-            .unwrap();
-        assert!(
-            (warm.objective_value - sol.objective_value).abs()
-                <= 1e-6 * (1.0 + sol.objective_value.abs())
-        );
+            },
+        )
+        .unwrap();
+        assert!((warm.objective - sol.objective).abs() <= 1e-6 * (1.0 + sol.objective.abs()));
         assert_eq!(
             warm.pivots, 0,
             "case {case}: warm restart from the optimal basis should not pivot"
@@ -302,14 +305,14 @@ fn simplex_matches_reference_on_general_lps() {
     for case in 0..150 {
         let desc = random_lp(&mut rng);
         let lp = build(&desc, case % 2 == 0);
-        let fast = lp.solve_with(&SimplexOptions::default());
+        let fast = solve(&lp, &SimplexOptions::default());
         match (fast, solve_reference(&lp)) {
             (Ok(a), Ok(b)) => {
                 assert!(
-                    (a.objective_value - b.objective_value).abs()
+                    (a.objective - b.objective_value).abs()
                         <= 1e-5 * (1.0 + b.objective_value.abs()),
                     "case {case} ({desc:?}): simplex {} vs reference {}",
-                    a.objective_value,
+                    a.objective,
                     b.objective_value
                 );
             }
@@ -322,27 +325,28 @@ fn simplex_matches_reference_on_general_lps() {
     }
 }
 
-/// Tightening a <= right-hand side can never improve a maximization optimum.
+/// Tightening a <= right-hand side can never improve a maximization optimum
+/// (max x + 2y, written as min −x − 2y).
 #[test]
 fn monotonicity_in_capacity() {
     for cap in 1..20 {
-        let mut lp = LpProblem::maximize();
-        let x = lp.add_nonneg_var("x", 1.0);
-        let y = lp.add_nonneg_var("y", 2.0);
+        let mut lp = LpProblem::new();
+        let x = lp.add_nonneg_var(-1.0);
+        let y = lp.add_nonneg_var(-2.0);
         lp.add_constraint([(x, 1.0), (y, 1.0)], ConstraintSense::Le, f64::from(cap));
         lp.add_constraint([(y, 1.0)], ConstraintSense::Le, 5.0);
-        let sol = lp.solve().unwrap();
+        let sol = solve(&lp, &SimplexOptions::default()).unwrap();
 
-        let mut tighter = LpProblem::maximize();
-        let x2 = tighter.add_nonneg_var("x", 1.0);
-        let y2 = tighter.add_nonneg_var("y", 2.0);
+        let mut tighter = LpProblem::new();
+        let x2 = tighter.add_nonneg_var(-1.0);
+        let y2 = tighter.add_nonneg_var(-2.0);
         tighter.add_constraint(
             [(x2, 1.0), (y2, 1.0)],
             ConstraintSense::Le,
             f64::from(cap) * 0.5,
         );
         tighter.add_constraint([(y2, 1.0)], ConstraintSense::Le, 5.0);
-        let tighter_sol = tighter.solve().unwrap();
-        assert!(tighter_sol.objective_value <= sol.objective_value + 1e-7);
+        let tighter_sol = solve(&tighter, &SimplexOptions::default()).unwrap();
+        assert!(-tighter_sol.objective <= -sol.objective + 1e-7);
     }
 }

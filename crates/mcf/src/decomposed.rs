@@ -409,17 +409,22 @@ fn solve_master_over(
     let is_endpoint = endpoint_mask(topo, endpoints);
     let reps: Vec<NodeId> = orbits.reps.iter().map(|&i| endpoints[i]).collect();
 
-    let mut lp = LpProblem::maximize();
-    let f_var = lp.add_var("F", 0.0, INF, 1.0);
+    let f_upper = master_flow_upper_bound(topo, endpoints);
+    let crash = options.crash_master && f_upper.is_finite();
+    // Maximize F as minimize −F. Bounding F is what lets the crash park it *at*
+    // a bound: with the zero-cost basis below, y = 0, so F (the only costed
+    // column) is dual-feasible exactly when it sits at its upper bound.
+    let mut lp = LpProblem::new();
+    let f_var = lp.add_var(0.0, if crash { f_upper } else { INF }, -1.0);
     // vars[o][e] = aggregate flow of orbit o's representative over edge e. Flow
     // back into the source is useless, so edges into it get no column.
     let vars: Vec<Vec<Option<VarId>>> = reps
         .iter()
         .map(|&s| {
-            let per_edge = topo.edges().iter().enumerate().map(|(e, edge)| {
-                (edge.dst != s).then(|| lp.add_var(format!("g_{s}_e{e}"), 0.0, INF, 0.0))
-            });
-            per_edge.collect()
+            topo.edges()
+                .iter()
+                .map(|edge| (edge.dst != s).then(|| lp.add_nonneg_var(0.0)))
+                .collect()
         })
         .collect();
 
@@ -469,16 +474,6 @@ fn solve_master_over(
         }
     }
 
-    let f_upper = master_flow_upper_bound(topo, endpoints);
-    let crash = options.crash_master && f_upper.is_finite();
-    if crash {
-        // Bounding F is what lets the crash park it *at* a bound: with the
-        // zero-cost basis below, y = 0, so F (the only costed column) is
-        // dual-feasible exactly when it sits at its upper bound.
-        lp.set_bounds(f_var, 0.0, f_upper);
-    }
-    // Lower once and solve on the standard form directly: it minimizes −F, and
-    // its column values need no sign flip.
     let sf = lp.to_standard_form()?;
     debug_assert!(no_fixed_columns(&sf), "the master emits a fixed column");
     let mut opts = SimplexOptions::default();
@@ -652,7 +647,7 @@ fn solve_child(
     let tail = |local: usize| topo.edge(used_edges[local].0).src;
     let head = |local: usize| topo.edge(used_edges[local].0).dst;
 
-    let mut lp = LpProblem::minimize();
+    let mut lp = LpProblem::new();
     // vars[d_pos] = (local edge index, column) of every edge d keeps.
     let mut vars: Vec<Vec<(usize, VarId)>> = Vec::with_capacity(dests.len());
     for &d in &dests {
@@ -660,10 +655,7 @@ fn solve_child(
         let to_d = reachable(n, d, s, &in_used, tail);
         let kept = (0..used_edges.len())
             .filter(|&l| tail(l) != d && head(l) != s && from_s[tail(l)] && to_d[head(l)]);
-        let columns = kept.map(|l| {
-            let name = format!("h_{s}_{d}_e{}", used_edges[l].0);
-            (l, lp.add_var(name, 0.0, INF, 1.0))
-        });
+        let columns = kept.map(|l| (l, lp.add_nonneg_var(1.0)));
         vars.push(columns.collect());
     }
 
@@ -707,9 +699,6 @@ fn solve_child(
         lp.add_constraint(inflow, ConstraintSense::Ge, demand);
     }
 
-    // Lower once and solve on the standard form directly (the model wrapper
-    // would lower a second time); the child is a minimization, so objective and
-    // variable values need no sign flip.
     let sf = lp.to_standard_form()?;
     debug_assert!(no_fixed_columns(&sf), "a child emits a fixed column");
     let warm_start = if options.warm_start_children {
@@ -717,7 +706,7 @@ fn solve_child(
         // basis in proportion to the master flow their edge carries (with INF
         // upper bounds, positive master flow implies the aggregate variable was
         // basic in the master).
-        let mut preference = vec![0.0; lp.num_vars()];
+        let mut preference = vec![0.0; sf.cols.len()];
         for &(l, v) in vars.iter().flatten() {
             preference[v.index()] = used_edges[l].1;
         }

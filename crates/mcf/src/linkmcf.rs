@@ -19,46 +19,39 @@ pub const FLOW_TOL: f64 = 1e-9;
 
 /// Solves the link-based max-concurrent MCF for an all-to-all among all nodes.
 pub fn solve_link_mcf(topo: &Topology) -> McfResult<LinkFlowSolution> {
-    solve_link_mcf_among_with(
-        topo,
-        CommoditySet::all_pairs(topo.num_nodes()),
-        &SimplexOptions::default(),
-    )
+    solve_link_mcf_among(topo, CommoditySet::all_pairs(topo.num_nodes()))
 }
 
 /// Solves the link-based max-concurrent MCF for an explicit commodity set (used by the
-/// host-bottleneck model, where commodities run only between host vertices) with
-/// explicit LP solver options (pricing, warm starts).
-pub fn solve_link_mcf_among_with(
+/// host-bottleneck model, where commodities run only between host vertices).
+pub fn solve_link_mcf_among(
     topo: &Topology,
     commodities: CommoditySet,
-    options: &SimplexOptions,
 ) -> McfResult<LinkFlowSolution> {
     validate(topo, &commodities)?;
-    let mut lp = LpProblem::maximize();
-    let f_var = lp.add_var("F", 0.0, INF, 1.0);
+    // Maximize F as minimize −F.
+    let mut lp = LpProblem::new();
+    let f_var = lp.add_var(0.0, INF, -1.0);
 
     // flow variables: vars[commodity][edge], none into the source or out of
     // the destination
     let mut vars: Vec<Vec<Option<VarId>>> = Vec::with_capacity(commodities.len());
     for (_, s, d) in commodities.iter() {
-        let per_edge = topo.edges().iter().enumerate().map(|(e, edge)| {
+        let per_edge = topo.edges().iter().map(|edge| {
             let useful = edge.dst != s && edge.src != d;
-            useful.then(|| lp.add_var(format!("f_{s}_{d}_e{e}"), 0.0, INF, 0.0))
+            useful.then(|| lp.add_nonneg_var(0.0))
         });
         vars.push(per_edge.collect());
     }
 
     add_capacity_constraints(&mut lp, topo, &vars);
     add_commodity_constraints(&mut lp, topo, &commodities, &vars, f_var);
-    debug_assert!(
-        lp.to_standard_form().is_ok_and(|sf| no_fixed_columns(&sf)),
-        "link MCF emits a fixed column"
-    );
+    let sf = lp.to_standard_form()?;
+    debug_assert!(no_fixed_columns(&sf), "link MCF emits a fixed column");
 
-    let sol = lp.solve_with(options)?;
-    let flow_value = sol.value(f_var);
-    let flows = extract_flows(topo, &commodities, &vars, |v| sol.value(v));
+    let sol = a2a_lp::simplex::solve(&sf, &SimplexOptions::default())?;
+    let flow_value = sol.x[f_var.index()];
+    let flows = extract_flows(topo, &commodities, &vars, |v| sol.x[v.index()]);
     Ok(LinkFlowSolution {
         commodities,
         flow_value,
@@ -249,8 +242,7 @@ mod tests {
         let base = generators::bidirectional_ring(4);
         let aug = HostNicAugmented::build(&base, 100.0);
         let commodities = CommoditySet::among(aug.hosts.clone());
-        let sol =
-            solve_link_mcf_among_with(&aug.graph, commodities, &SimplexOptions::default()).unwrap();
+        let sol = solve_link_mcf_among(&aug.graph, commodities).unwrap();
         assert!(
             (sol.flow_value - 0.5).abs() < 1e-5,
             "F = {}",
@@ -269,12 +261,7 @@ mod tests {
     #[test]
     fn invalid_endpoint_is_rejected() {
         let topo = generators::complete(3);
-        let err = solve_link_mcf_among_with(
-            &topo,
-            CommoditySet::among(vec![0, 5]),
-            &SimplexOptions::default(),
-        )
-        .unwrap_err();
+        let err = solve_link_mcf_among(&topo, CommoditySet::among(vec![0, 5])).unwrap_err();
         assert!(matches!(err, McfError::BadArgument(_)));
     }
 }

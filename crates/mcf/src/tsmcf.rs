@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 
-use a2a_lp::{ConstraintSense, LpProblem, VarId, INF};
+use a2a_lp::{ConstraintSense, LpProblem, SimplexOptions, VarId};
 use a2a_topology::transform::TimeExpanded;
 use a2a_topology::{EdgeId, NodeId, Topology};
 
@@ -428,11 +428,9 @@ pub fn solve_tsmcf_among_dense(
     let expanded = TimeExpanded::build(topo, steps);
     let xg = &expanded.graph;
 
-    let mut lp = LpProblem::minimize();
+    let mut lp = LpProblem::new();
     // Per-step utilization variables.
-    let u_vars: Vec<VarId> = (0..steps)
-        .map(|t| lp.add_var(format!("U_{t}"), 0.0, INF, 1.0))
-        .collect();
+    let u_vars: Vec<VarId> = (0..steps).map(|_| lp.add_nonneg_var(1.0)).collect();
 
     // Flow variables per commodity per expanded edge. Useless flow — anything
     // (other than buffering) entering the source or leaving the destination of
@@ -444,7 +442,7 @@ pub fn solve_tsmcf_among_dense(
             let src_base = expanded.base_of(edge.src);
             let dst_base = expanded.base_of(edge.dst);
             let useless = !expanded.is_self_edge(e) && (dst_base == s || src_base == d);
-            (!useless).then(|| lp.add_var(format!("t_{s}_{d}_e{e}"), 0.0, 1.0, 0.0))
+            (!useless).then(|| lp.add_var(0.0, 1.0, 0.0))
         });
         vars.push(per_edge.collect());
     }
@@ -492,14 +490,15 @@ pub fn solve_tsmcf_among_dense(
             1.0,
         );
     }
+    let sf = lp.to_standard_form()?;
     debug_assert!(
-        lp.to_standard_form().is_ok_and(|sf| no_fixed_columns(&sf)),
+        no_fixed_columns(&sf),
         "the dense tsMCF emits a fixed column"
     );
 
-    let sol = lp.solve()?;
+    let sol = a2a_lp::simplex::solve(&sf, &SimplexOptions::default())?;
 
-    let step_utilization: Vec<f64> = u_vars.iter().map(|&v| sol.value(v)).collect();
+    let step_utilization: Vec<f64> = u_vars.iter().map(|&v| sol.x[v.index()]).collect();
     let mut flows = vec![vec![Vec::new(); steps]; commodities.len()];
     for (idx, _, _) in commodities.iter() {
         for e in 0..xg.num_edges() {
@@ -507,7 +506,7 @@ pub fn solve_tsmcf_among_dense(
                 continue;
             }
             let Some(var) = vars[idx][e] else { continue };
-            let value = sol.value(var);
+            let value = sol.x[var.index()];
             if value > FLOW_TOL {
                 let edge = xg.edge(e);
                 let t = expanded.layer_of(edge.src);

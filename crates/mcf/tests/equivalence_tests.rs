@@ -22,9 +22,8 @@
 //!   inequality — which is precisely why colgen, not more hand-widening, is
 //!   the principled fix.
 
-use a2a_lp::SimplexOptions;
 use a2a_mcf::decomposed::{solve_decomposed_mcf_with, DecomposedOptions};
-use a2a_mcf::linkmcf::solve_link_mcf_among_with;
+use a2a_mcf::linkmcf::solve_link_mcf_among;
 use a2a_mcf::pmcf::{
     solve_path_mcf_among, solve_path_mcf_colgen_among, ColGenOptions, PathSetKind,
 };
@@ -57,7 +56,7 @@ fn sample_endpoints(rng: &mut ChaCha8Rng, n: usize, k: usize) -> Vec<NodeId> {
 fn check_case(tag: &str, topo: &Topology, endpoints: Vec<NodeId>, widened_exact: bool) {
     let commodities = CommoditySet::among(endpoints);
 
-    let link = solve_link_mcf_among_with(topo, commodities.clone(), &SimplexOptions::default())
+    let link = solve_link_mcf_among(topo, commodities.clone())
         .unwrap_or_else(|e| panic!("{tag}: link-MCF failed: {e}"));
     let dec = solve_decomposed_mcf_with(topo, commodities.clone(), &DecomposedOptions::default())
         .unwrap_or_else(|e| panic!("{tag}: decomposed-MCF failed: {e}"));
