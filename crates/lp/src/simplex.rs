@@ -2343,8 +2343,7 @@ mod tests {
         (crossed.lower[1], crossed.upper[1]) = (5.0, 1.0);
         let mut nan_row = sf.clone();
         nan_row.row_upper[0] = f64::NAN;
-        // Infinite bounds on the wrong side: the slack basis used to hold such a
-        // column free at zero (optimum -6 resp. -4) and fail on such a row.
+        // Infinite bounds on the wrong side: no finite value satisfies them.
         let mut col_at_plus_inf = sf.clone();
         (col_at_plus_inf.lower[0], col_at_plus_inf.upper[0]) = (INF, INF);
         let mut col_at_minus_inf = sf.clone();
