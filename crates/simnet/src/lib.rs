@@ -38,6 +38,7 @@
 //! seconds, GB/s (1 GB/s = 1e9 bytes/s).
 
 pub mod event;
+mod fair_share;
 pub mod linksim;
 pub mod pathsim;
 pub mod replan;
