@@ -166,9 +166,10 @@ pub struct SimplexOptions {
     /// Pivot-magnitude tolerance in the ratio test.
     pub pivot_tol: f64,
     /// Number of Forrest–Tomlin basis updates accumulated before the basis is
-    /// refactorized from scratch (fill growth or an unstable update refactorize
-    /// earlier). FT updates keep per-solve cost flat, so this can be much larger
-    /// than a product-form eta file would tolerate.
+    /// refactorized from scratch, ≥ 1 (fill growth or an unstable update
+    /// refactorize earlier; 0 is an [`LpError::InvalidModel`]). FT updates keep
+    /// per-solve cost flat, so this can be much larger than a product-form eta
+    /// file would tolerate.
     pub refactor_interval: usize,
     /// Dual-simplex phase selection (see [`DualSimplex`] and the module docs).
     pub dual_simplex: DualSimplex,
@@ -592,6 +593,11 @@ impl<'a> Solver<'a> {
                     "{name} must be finite and non-negative, got {t}"
                 )));
             }
+        }
+        if opts.refactor_interval == 0 {
+            return Err(LpError::InvalidModel(
+                "refactor_interval must be at least 1".into(),
+            ));
         }
         let ntotal = nstruct + nrows;
         let lower = [sf.lower.as_slice(), sf.row_lower.as_slice()].concat();
@@ -2354,6 +2360,10 @@ mod tests {
             tol: f64::NAN,
             ..SimplexOptions::default()
         };
+        let no_refactor_interval = SimplexOptions {
+            refactor_interval: 0,
+            ..SimplexOptions::default()
+        };
         let cases = [
             (nan_lower, SimplexOptions::default()),
             (nan_obj, SimplexOptions::default()),
@@ -2362,7 +2372,8 @@ mod tests {
             (col_at_plus_inf, SimplexOptions::default()),
             (col_at_minus_inf, SimplexOptions::default()),
             (row_at_plus_inf, SimplexOptions::default()),
-            (sf, nan_tol),
+            (sf.clone(), nan_tol),
+            (sf, no_refactor_interval),
         ];
         for (case, (model, opts)) in cases.iter().enumerate() {
             assert!(
