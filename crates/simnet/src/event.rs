@@ -267,8 +267,9 @@ pub fn simulate_chunked_event(
 }
 
 /// Rejects numeric inputs the cost model is not defined on, before they turn
-/// into infinite, negative or NaN completion times.
-fn check_inputs(shard_bytes: f64, params: &SimParams) -> SimResult<()> {
+/// into infinite, negative or NaN completion times (shared with the analytic
+/// model of [`crate::linksim`]).
+pub(crate) fn check_inputs(shard_bytes: f64, params: &SimParams) -> SimResult<()> {
     // `(name, value if set, must be strictly positive)`: bandwidths divide byte
     // counts, everything else may be zero; all must be finite.
     let qp_penalty = params.qp_contention.map(|qp| qp.penalty_per_flow);
@@ -1692,6 +1693,19 @@ mod tests {
             )
             .expect_err(name);
             assert!(matches!(err, SimError::InvalidInput(_)), "{name}: {err}");
+            // The analytic oracle of the synchronized engine checks the same.
+            let err = crate::simulate_chunked_schedule_with(
+                &topo,
+                &sched,
+                shard,
+                &params,
+                &Scenario::nominal(),
+            )
+            .expect_err(name);
+            assert!(
+                matches!(&err, SimError::InvalidInput(msg) if msg.starts_with(name)),
+                "{name} under the analytic model: {err}"
+            );
         }
         // An empty shard is a valid (latency-only) run.
         for model in [
@@ -1706,5 +1720,7 @@ mod tests {
             assert!(rep.report.completion_seconds > 0.0);
             assert_eq!(rep.report.throughput_gbps, 0.0);
         }
+        let analytic = crate::simulate_chunked_schedule(&topo, &sched, 0.0, &ok);
+        assert!(analytic.completion_seconds > 0.0);
     }
 }

@@ -44,8 +44,9 @@ pub fn simulate_link_schedule(
 ///
 /// # Panics
 /// Panics if a transfer uses a link missing from `topo` — run
-/// [`ChunkedSchedule::validate`] first, or use [`simulate_chunked_schedule_with`] for
-/// a `Result`.
+/// [`ChunkedSchedule::validate`] first — or if a numeric input is outside the
+/// cost model's range (the [`SimError::InvalidInput`] cases of
+/// [`simulate_chunked_schedule_with`], which returns them as a `Result`).
 pub fn simulate_chunked_schedule(
     topo: &Topology,
     schedule: &ChunkedSchedule,
@@ -53,12 +54,15 @@ pub fn simulate_chunked_schedule(
     params: &SimParams,
 ) -> SimReport {
     simulate_chunked_schedule_with(topo, schedule, shard_bytes, params, &Scenario::nominal())
-        .expect("nominal scenario on a validated schedule cannot fail")
+        .expect("nominal scenario on a validated schedule with valid inputs cannot fail")
 }
 
 /// Scenario-aware variant of [`simulate_chunked_schedule`]: link bandwidth overrides,
 /// slowdowns and straggler factors reshape each step's busiest-link time; a transfer
-/// over a failed (or missing) link is an error.
+/// over a failed (or missing) link is an error, and so is a numeric input the
+/// event engine rejects ([`SimError::InvalidInput`]: a non-finite or negative
+/// shard size, a bandwidth that is not finite and positive, a latency or
+/// contention penalty that is not finite and non-negative).
 pub fn simulate_chunked_schedule_with(
     topo: &Topology,
     schedule: &ChunkedSchedule,
@@ -66,6 +70,7 @@ pub fn simulate_chunked_schedule_with(
     params: &SimParams,
     scenario: &Scenario,
 ) -> SimResult<SimReport> {
+    crate::event::check_inputs(shard_bytes, params)?;
     let chunk_bytes = shard_bytes / schedule.chunks_per_shard as f64;
     let mut completion = 0.0f64;
     // Message ids are step-major transfer order — the same identity the event
