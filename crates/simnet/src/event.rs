@@ -53,7 +53,7 @@ use a2a_mcf::CommoditySet;
 use a2a_schedule::{ChunkTransfer, ChunkedSchedule, ScheduleStep, TransferDag};
 use a2a_topology::{EdgeId, NodeId, Topology};
 
-use crate::fair_share::FairShare;
+use crate::fair_share::{LinkShare, Progressive};
 use crate::scenario::ScenarioTimeline;
 use crate::{Scenario, SimParams, SimReport};
 
@@ -189,6 +189,14 @@ pub(crate) struct SimJob {
     pub(crate) dst: NodeId,
     pub(crate) bytes: f64,
     pub(crate) step: usize,
+}
+
+impl SimJob {
+    /// Whether a flow of this job with `remaining` bytes left has not drained
+    /// yet (a relative byte tolerance counts round-off as drained).
+    pub(crate) fn still_draining(&self, remaining: f64) -> bool {
+        remaining > DRAIN_EPS * self.bytes.max(1.0)
+    }
 }
 
 /// f64 wrapper with total order, for the ready-event heap (times are finite and
@@ -725,6 +733,7 @@ struct Outcome {
 }
 
 /// A flow currently draining.
+#[derive(Clone, Copy)]
 pub(crate) struct ActiveFlow {
     pub(crate) job: usize,
     pub(crate) remaining: f64,
@@ -741,10 +750,29 @@ struct Engine<'a> {
     /// when jitter is off).
     alpha_factor: &'a [f64],
     num_steps: usize,
-    /// Scratch for per-event busy-time dedup (see [`Engine::advance`]).
-    link_seen: Vec<u64>,
-    seen_epoch: u64,
-    fair: FairShare,
+    sharing: Sharing,
+    /// Recomputes so far (one per event), for the differential tests.
+    #[cfg(test)]
+    recomputes: usize,
+}
+
+/// How the engine shares the fabric between the active flows — chosen by the
+/// data, not by an option (module docs, "Which path runs").
+enum Sharing {
+    /// No host cap: every flow's only finite resource is its link.
+    PerLink(LinkShare),
+    /// A host cap couples the flows of different links.
+    Progressive(Progressive),
+}
+
+/// The order in which a run loop retires drained flows, which progressive
+/// filling's resource numbering sees in the survivors.
+#[derive(Clone, Copy)]
+pub(crate) enum Retire {
+    /// Survivors keep their order (synchronized runs).
+    InOrder,
+    /// A drained flow's place goes to the last flow (dependency-driven runs).
+    SwapRemove,
 }
 
 impl<'a> Engine<'a> {
@@ -763,47 +791,68 @@ impl<'a> Engine<'a> {
             params,
             alpha_factor,
             num_steps: dag.num_steps,
-            link_seen: vec![0; topo.num_edges()],
-            seen_epoch: 0,
-            fair: FairShare::new(topo.num_edges(), topo.num_nodes()),
+            sharing: if params.host_injection_gbps.is_none() {
+                Sharing::PerLink(LinkShare::new(topo.num_edges()))
+            } else {
+                Sharing::Progressive(Progressive::new(topo.num_edges(), topo.num_nodes()))
+            },
+            #[cfg(test)]
+            recomputes: 0,
         }
     }
 
-    /// Recomputes the active flows' max-min fair rates into `rates`.
-    fn assign_rates(&mut self, active: &[ActiveFlow], rates: &mut Vec<f64>) {
-        self.fair
-            .assign_rates(self.jobs, &self.link_bw, self.params, active, rates);
+    /// Starts a flow of `job`'s whole byte volume.
+    fn activate(&mut self, active: &mut Vec<ActiveFlow>, job: usize) {
+        let SimJob { link, bytes, .. } = self.jobs[job];
+        if let Sharing::PerLink(links) = &mut self.sharing {
+            links.arrive(link, bytes);
+        }
+        active.push(ActiveFlow {
+            job,
+            remaining: bytes,
+        });
     }
 
-    /// Advances all active flows by `dt` seconds at the given rates.
+    /// One recompute of the active flows' max-min fair rates; returns the time
+    /// until the first of them drains.
+    fn drain_time(&mut self, active: &[ActiveFlow]) -> f64 {
+        #[cfg(test)]
+        {
+            self.recomputes += 1;
+        }
+        let (jobs, link_bw, params) = (self.jobs, &self.link_bw, self.params);
+        match &mut self.sharing {
+            Sharing::PerLink(links) => links.drain_time(jobs, link_bw, params, active),
+            Sharing::Progressive(fill) => fill.drain_time(jobs, link_bw, params, active),
+        }
+    }
+
+    /// Advances every active flow by `dt` seconds at the rates of the last
+    /// recompute, charges the links' busy time and retires the drained flows,
+    /// handing each job to `done`.
     fn advance(
         &mut self,
-        active: &mut [ActiveFlow],
-        rates: &[f64],
+        active: &mut Vec<ActiveFlow>,
         dt: f64,
-        t: &mut f64,
         link_busy: &mut [f64],
+        retire: Retire,
+        done: impl FnMut(usize),
     ) {
-        if dt > 0.0 {
-            // Epoch-stamped scratch dedupes busy-time accounting per link without a
-            // per-event O(num_edges) allocation (advance runs once per event).
-            self.seen_epoch += 1;
-            for flow in active.iter() {
-                let e = self.jobs[flow.job].link;
-                if self.link_seen[e] != self.seen_epoch {
-                    self.link_seen[e] = self.seen_epoch;
-                    link_busy[e] += dt;
-                }
+        match &mut self.sharing {
+            Sharing::PerLink(links) => links.advance(self.jobs, active, dt, link_busy, done),
+            Sharing::Progressive(fill) => {
+                fill.advance(self.jobs, active, dt, link_busy, retire, done)
             }
         }
-        for (flow, &r) in active.iter_mut().zip(rates) {
-            flow.remaining = if r.is_infinite() {
-                0.0
-            } else {
-                (flow.remaining - r * dt).max(0.0)
-            };
+    }
+
+    /// Installs the capacity table of a timeline boundary.
+    fn rerate(&mut self, link_bw: &[f64]) {
+        if let Sharing::PerLink(links) = &mut self.sharing {
+            links.rerate(&self.link_bw, link_bw);
         }
-        *t += dt;
+        self.link_bw.copy_from_slice(link_bw);
+        OBS_BOUNDARY_REREADS.incr();
     }
 
     /// True if any transfer that has not finished — an active flow of the current
@@ -831,7 +880,6 @@ impl<'a> Engine<'a> {
         let mut max_concurrent = 0usize;
         let mut next_job = 0usize;
         let mut bi = 0usize;
-        let mut rates = Vec::new();
         for step in 0..self.num_steps {
             let _obs = a2a_obs::span("simnet.step");
             let step_first_job = next_job;
@@ -842,31 +890,25 @@ impl<'a> Engine<'a> {
             let mut step_alpha_factor = 1.0f64;
             while next_job < self.jobs.len() && self.jobs[next_job].step == step {
                 step_alpha_factor = step_alpha_factor.max(self.alpha_factor[next_job]);
-                active.push(ActiveFlow {
-                    job: next_job,
-                    remaining: self.jobs[next_job].bytes,
-                });
+                self.activate(&mut active, next_job);
                 next_job += 1;
             }
             max_concurrent = max_concurrent.max(active.len());
             while !active.is_empty() {
-                self.assign_rates(&active, &mut rates);
-                let mut dt = f64::INFINITY;
-                for (flow, &r) in active.iter().zip(&rates) {
-                    dt = dt.min(if r.is_infinite() {
-                        0.0
-                    } else {
-                        flow.remaining / r
-                    });
-                }
+                let dt = self.drain_time(&active);
                 // Cut the drain at the next event boundary.
                 if bi < boundaries.len() && boundaries[bi].time - t <= dt {
                     let dt_to_event = (boundaries[bi].time - t).max(0.0);
-                    self.advance(&mut active, &rates, dt_to_event, &mut t, &mut link_busy);
-                    active.retain(|f| f.remaining > DRAIN_EPS * self.jobs[f.job].bytes.max(1.0));
+                    t += dt_to_event;
+                    self.advance(
+                        &mut active,
+                        dt_to_event,
+                        &mut link_busy,
+                        Retire::InOrder,
+                        |_| {},
+                    );
                     let b = &boundaries[bi];
-                    self.link_bw.copy_from_slice(&b.link_bw);
-                    OBS_BOUNDARY_REREADS.incr();
+                    self.rerate(&b.link_bw);
                     bi += 1;
                     if !b.failed_links.is_empty()
                         && self.remaining_work_uses_failed(&active, next_job, &b.failed)
@@ -889,8 +931,8 @@ impl<'a> Engine<'a> {
                     }
                     continue;
                 }
-                self.advance(&mut active, &rates, dt, &mut t, &mut link_busy);
-                active.retain(|f| f.remaining > DRAIN_EPS * self.jobs[f.job].bytes.max(1.0));
+                t += dt;
+                self.advance(&mut active, dt, &mut link_busy, Retire::InOrder, |_| {});
             }
             step_completion[step] = t;
             // Events during the synchronization window fire at the barrier: no
@@ -899,8 +941,7 @@ impl<'a> Engine<'a> {
             let sync_end = t + self.params.step_sync_latency_s * step_alpha_factor;
             while bi < boundaries.len() && boundaries[bi].time <= sync_end {
                 let b = &boundaries[bi];
-                self.link_bw.copy_from_slice(&b.link_bw);
-                OBS_BOUNDARY_REREADS.incr();
+                self.rerate(&b.link_bw);
                 bi += 1;
                 if !b.failed_links.is_empty()
                     && self.remaining_work_uses_failed(&[], next_job, &b.failed)
@@ -942,7 +983,6 @@ impl<'a> Engine<'a> {
         let mut link_busy = vec![0.0f64; self.link_bw.len()];
         let mut step_completion = vec![0.0f64; self.num_steps];
         let mut active: Vec<ActiveFlow> = Vec::new();
-        let mut rates = Vec::new();
         let mut completed = 0usize;
         let mut max_concurrent = 0usize;
         // Each iteration activates or completes at least one job, so 2n + 1 bounds the
@@ -970,46 +1010,28 @@ impl<'a> Engine<'a> {
                     break;
                 }
                 ready.pop();
-                active.push(ActiveFlow {
-                    job: id,
-                    remaining: self.jobs[id].bytes,
-                });
+                self.activate(&mut active, id);
             }
             max_concurrent = max_concurrent.max(active.len());
 
-            self.assign_rates(&active, &mut rates);
-            let mut dt = f64::INFINITY;
-            for (flow, &r) in active.iter().zip(&rates) {
-                dt = dt.min(if r.is_infinite() {
-                    0.0
-                } else {
-                    flow.remaining / r
-                });
-            }
+            let mut dt = self.drain_time(&active);
             // Stop early if a new job becomes ready mid-drain.
             if let Some(&Reverse((OrdF64(rt), _))) = ready.peek() {
                 dt = dt.min(rt - t);
             }
-            self.advance(&mut active, &rates, dt, &mut t, &mut link_busy);
-
-            let mut i = 0;
-            while i < active.len() {
-                let flow = &active[i];
-                if flow.remaining > DRAIN_EPS * self.jobs[flow.job].bytes.max(1.0) {
-                    i += 1;
-                    continue;
-                }
-                let job = active.swap_remove(i).job;
+            t += dt;
+            let (jobs, alpha_factor) = (self.jobs, self.alpha_factor);
+            self.advance(&mut active, dt, &mut link_busy, Retire::SwapRemove, |job| {
                 completed += 1;
-                let step = self.jobs[job].step;
+                let step = jobs[job].step;
                 step_completion[step] = step_completion[step].max(t);
                 for &s in &succ[job] {
                     indeg[s] -= 1;
                     if indeg[s] == 0 {
-                        ready.push(Reverse((OrdF64(t + alpha * self.alpha_factor[s]), s)));
+                        ready.push(Reverse((OrdF64(t + alpha * alpha_factor[s]), s)));
                     }
                 }
-            }
+            });
         }
         Ok(Outcome {
             completion: t,
@@ -1568,7 +1590,7 @@ mod tests {
     #[cfg(debug_assertions)]
     mod certificate {
         use super::*;
-        use crate::fair_share::{certify_max_min, one_job_per_link};
+        use crate::fair_share::{certify_max_min, one_job_per_link, FairShare};
 
         fn certify_scaled(scale: f64) {
             let topo = generators::ring(4);

@@ -39,7 +39,7 @@ use std::collections::BinaryHeap;
 
 use a2a_topology::EdgeId;
 
-use crate::event::{ActiveFlow, OrdF64, SimJob};
+use crate::event::{ActiveFlow, OrdF64, Retire, SimJob};
 use crate::SimParams;
 
 // Observability taps (free while tracing is off; totals accumulate until
@@ -366,6 +366,287 @@ pub(crate) fn certify_max_min(
             flow.job
         );
     }
+}
+
+/// The per-event path under a host cap, where one flow's rate can depend on
+/// flows of other links: progressive filling into per-flow rates, the drain
+/// search over every flow, then an advance pass and a retirement pass.
+pub(crate) struct Progressive {
+    fair: FairShare,
+    rates: Vec<f64>,
+    /// Per edge: the advance that last charged the link busy time, so that a
+    /// link is charged once per event however many flows it carries.
+    link_seen: Vec<u64>,
+    seen_epoch: u64,
+}
+
+impl Progressive {
+    pub(crate) fn new(num_edges: usize, num_nodes: usize) -> Self {
+        Self {
+            fair: FairShare::new(num_edges, num_nodes),
+            rates: Vec::new(),
+            link_seen: vec![0; num_edges],
+            seen_epoch: 0,
+        }
+    }
+
+    /// One recompute: the active flows' max-min rates, and the time until the
+    /// first of them drains.
+    pub(crate) fn drain_time(
+        &mut self,
+        jobs: &[SimJob],
+        link_bw: &[f64],
+        params: &SimParams,
+        active: &[ActiveFlow],
+    ) -> f64 {
+        self.fair
+            .assign_rates(jobs, link_bw, params, active, &mut self.rates);
+        let mut dt = f64::INFINITY;
+        for (flow, &r) in active.iter().zip(&self.rates) {
+            dt = dt.min(if r.is_infinite() {
+                0.0
+            } else {
+                flow.remaining / r
+            });
+        }
+        dt
+    }
+
+    /// Advances every active flow by `dt` seconds at its rate, charges `dt` of
+    /// busy time to every link that carries one, then retires the drained
+    /// flows in `retire` order (the order of the survivors is the next
+    /// recompute's resource numbering), handing each job to `done`.
+    pub(crate) fn advance(
+        &mut self,
+        jobs: &[SimJob],
+        active: &mut Vec<ActiveFlow>,
+        dt: f64,
+        link_busy: &mut [f64],
+        retire: Retire,
+        mut done: impl FnMut(usize),
+    ) {
+        if dt > 0.0 {
+            self.seen_epoch += 1;
+            for flow in active.iter() {
+                let e = jobs[flow.job].link;
+                if self.link_seen[e] != self.seen_epoch {
+                    self.link_seen[e] = self.seen_epoch;
+                    link_busy[e] += dt;
+                }
+            }
+        }
+        for (flow, &r) in active.iter_mut().zip(&self.rates) {
+            flow.remaining = if r.is_infinite() {
+                0.0
+            } else {
+                (flow.remaining - r * dt).max(0.0)
+            };
+        }
+        match retire {
+            Retire::InOrder => active.retain(|flow| {
+                let draining = jobs[flow.job].still_draining(flow.remaining);
+                if !draining {
+                    done(flow.job);
+                }
+                draining
+            }),
+            Retire::SwapRemove => {
+                let mut i = 0;
+                while i < active.len() {
+                    if jobs[active[i].job].still_draining(active[i].remaining) {
+                        i += 1;
+                    } else {
+                        done(active.swap_remove(i).job);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The per-event path with no host cap, where a flow's only finite resource
+/// is its link: each link splits its capacity evenly among its flows.
+///
+/// Member counts are kept across events (an arrival adds one, a retirement
+/// takes one away) and a link's level is recomputed only when its count or
+/// its bandwidth changed. The drain search divides once per link with flows,
+/// and advancing, charging busy time and retiring share one pass over the
+/// flows, which also gathers the next search's least remaining bytes per link.
+pub(crate) struct LinkShare {
+    /// Per edge: active flows on the link.
+    members: Vec<usize>,
+    /// Per edge: the rate of each of its flows, `link_bw · qp(n) / n` for `n`
+    /// members (`+inf` on an infinite link). Current for every link with
+    /// members once `stale` has been refreshed.
+    level: Vec<f64>,
+    /// Links whose member count or bandwidth changed since the last
+    /// recompute, each listed once (`is_stale`).
+    stale: Vec<EdgeId>,
+    is_stale: Vec<bool>,
+    /// The links that carry active flows, by slot, and the least remaining
+    /// bytes among each one's flows: rebuilt by every advance from the
+    /// survivors, extended by arrivals.
+    slots: SlotMap,
+    live: Vec<EdgeId>,
+    least: Vec<f64>,
+}
+
+impl LinkShare {
+    pub(crate) fn new(num_edges: usize) -> Self {
+        let mut slots = SlotMap::new(num_edges);
+        slots.start_pass();
+        Self {
+            members: vec![0; num_edges],
+            level: vec![0.0; num_edges],
+            stale: Vec::new(),
+            is_stale: vec![false; num_edges],
+            slots,
+            live: Vec::new(),
+            least: Vec::new(),
+        }
+    }
+
+    fn mark_stale(&mut self, e: EdgeId) {
+        if !self.is_stale[e] {
+            self.is_stale[e] = true;
+            self.stale.push(e);
+        }
+    }
+
+    /// Records a flow on link `e` with `remaining` bytes for the next drain
+    /// search.
+    fn note(&mut self, e: EdgeId, remaining: f64) {
+        let (slot, fresh) = self.slots.get_or_insert(e, self.live.len());
+        if fresh {
+            self.live.push(e);
+            self.least.push(remaining);
+        } else {
+            self.least[slot] = self.least[slot].min(remaining);
+        }
+    }
+
+    /// A flow of `bytes` joins link `e`.
+    pub(crate) fn arrive(&mut self, e: EdgeId, bytes: f64) {
+        self.members[e] += 1;
+        self.mark_stale(e);
+        self.note(e, bytes);
+    }
+
+    /// The link bandwidths change from `old` to `new`.
+    pub(crate) fn rerate(&mut self, old: &[f64], new: &[f64]) {
+        for (e, (a, b)) in old.iter().zip(new).enumerate() {
+            if a.to_bits() != b.to_bits() && self.members[e] > 0 {
+                self.mark_stale(e);
+            }
+        }
+    }
+
+    /// One recompute: refreshes the stale levels and returns the time until
+    /// the first active flow drains.
+    ///
+    /// A link's level is what progressive filling freezes its flows at: the
+    /// link is the only resource its flows touch, so no other freeze charges
+    /// it and its level stays `capacity / members` from the first pass to its
+    /// own freeze. The drain search is exact because correctly rounded
+    /// division by a positive level is monotone in the numerator: the least
+    /// remaining bytes on a link divided by its level is the least of its
+    /// flows' quotients.
+    pub(crate) fn drain_time(
+        &mut self,
+        jobs: &[SimJob],
+        link_bw: &[f64],
+        params: &SimParams,
+        active: &[ActiveFlow],
+    ) -> f64 {
+        debug_assert!(params.host_injection_gbps.is_none());
+        OBS_FAIR_SHARE_RECOMPUTES.incr();
+        let recompute_timer = OBS_FAIR_SHARE_NANOS.start();
+        for e in self.stale.drain(..) {
+            self.is_stale[e] = false;
+            let n = self.members[e];
+            if n > 0 {
+                self.level[e] = link_level(link_bw[e], params, n);
+            }
+        }
+        drop(recompute_timer);
+        #[cfg(debug_assertions)]
+        {
+            let rates: Vec<f64> = active
+                .iter()
+                .map(|flow| self.level[jobs[flow.job].link])
+                .collect();
+            // No host cap, so no node-side resource to size.
+            certify_max_min(jobs, link_bw, 0, params, active, &rates);
+        }
+        #[cfg(not(debug_assertions))]
+        let _ = (jobs, active);
+        let mut dt = f64::INFINITY;
+        for (&e, &least) in self.live.iter().zip(&self.least) {
+            let level = self.level[e];
+            dt = dt.min(if level.is_infinite() {
+                0.0
+            } else {
+                least / level
+            });
+        }
+        dt
+    }
+
+    /// Advances every active flow by `dt` seconds at its link's level, charges
+    /// `dt` of busy time to every link that carries one, and retires the
+    /// drained flows, handing each job to `done`, in one pass that keeps the
+    /// survivors in order. Rates here do not depend on that order.
+    pub(crate) fn advance(
+        &mut self,
+        jobs: &[SimJob],
+        active: &mut Vec<ActiveFlow>,
+        dt: f64,
+        link_busy: &mut [f64],
+        mut done: impl FnMut(usize),
+    ) {
+        if dt > 0.0 {
+            for &e in &self.live {
+                link_busy[e] += dt;
+            }
+        }
+        self.slots.start_pass();
+        self.live.clear();
+        self.least.clear();
+        let mut kept = 0;
+        for i in 0..active.len() {
+            let ActiveFlow { job, remaining } = active[i];
+            let e = jobs[job].link;
+            let level = self.level[e];
+            let remaining = if level.is_infinite() {
+                0.0
+            } else {
+                (remaining - level * dt).max(0.0)
+            };
+            if jobs[job].still_draining(remaining) {
+                active[kept] = ActiveFlow { job, remaining };
+                kept += 1;
+                self.note(e, remaining);
+            } else {
+                self.members[e] -= 1;
+                self.mark_stale(e);
+                done(job);
+            }
+        }
+        active.truncate(kept);
+    }
+}
+
+/// The rate of each of `n` flows on a link of bandwidth `bw` when the link is
+/// their only resource, computed as progressive filling computes it.
+fn link_level(bw: f64, params: &SimParams, n: usize) -> f64 {
+    if bw.is_infinite() {
+        return f64::INFINITY;
+    }
+    let capacity = match params.qp_contention {
+        Some(qp) => bw * qp.bandwidth_factor(n),
+        None => bw,
+    };
+    capacity / n as f64
 }
 
 /// One job per directed link of `topo`, so that an active set is a list of
