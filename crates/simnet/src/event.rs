@@ -514,9 +514,35 @@ pub fn simulate_chunked_timeline(
     let alpha_factor: Vec<f64> = (0..jobs.len()).map(|id| start.alpha_factor(id)).collect();
 
     let mut engine = Engine::new(topo, &jobs, &dag, link_bw.clone(), params, &alpha_factor);
+    let boundaries = resolve_boundaries(topo, params, timeline, &link_bw);
+    match engine.run_synchronized_timeline(&boundaries) {
+        TimelineOutcome::Completed(outcome) => Ok(TimelineRun::Completed(build_report(
+            schedule,
+            shard_bytes,
+            &jobs,
+            &link_bw,
+            outcome,
+        ))),
+        TimelineOutcome::Interrupted(cut) => Ok(TimelineRun::Interrupted(build_snapshot(
+            schedule,
+            shard_bytes,
+            &jobs,
+            &dag,
+            &boundaries[cut.boundary],
+            &cut,
+        ))),
+    }
+}
 
-    // Resolve each event boundary into a full capacity table up front.
-    let boundaries: Vec<Boundary> = timeline
+/// Resolves each dynamic event of `timeline` into the full capacity table in
+/// effect from its time on; `link_bw` is the run's starting table.
+fn resolve_boundaries(
+    topo: &Topology,
+    params: &SimParams,
+    timeline: &ScenarioTimeline,
+    link_bw: &[f64],
+) -> Vec<Boundary> {
+    timeline
         .dynamic_event_times()
         .iter()
         .map(|&te| {
@@ -547,25 +573,7 @@ pub fn simulate_chunked_timeline(
                 failed_links,
             }
         })
-        .collect();
-
-    match engine.run_synchronized_timeline(&boundaries) {
-        TimelineOutcome::Completed(outcome) => Ok(TimelineRun::Completed(build_report(
-            schedule,
-            shard_bytes,
-            &jobs,
-            &link_bw,
-            outcome,
-        ))),
-        TimelineOutcome::Interrupted(cut) => Ok(TimelineRun::Interrupted(build_snapshot(
-            schedule,
-            shard_bytes,
-            &jobs,
-            &dag,
-            &boundaries[cut.boundary],
-            &cut,
-        ))),
-    }
+        .collect()
 }
 
 /// A resolved timeline event boundary: the full capacity table in effect from
@@ -1045,6 +1053,8 @@ impl<'a> Engine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fair_share::Progressive;
+    use a2a_mcf::tscolgen::solve_tsmcf_colgen_auto;
     use a2a_mcf::tsmcf::{minimum_steps, solve_tsmcf_among_dense};
     use a2a_mcf::CommoditySet;
     use a2a_topology::generators;
@@ -1583,6 +1593,181 @@ mod tests {
             contended.report.completion_seconds,
             clean.report.completion_seconds
         );
+    }
+
+    /// One run's result as bit patterns — completion, peak concurrency,
+    /// per-step completions and per-link busy time when it finishes, the cut
+    /// when a failure interrupts it — and its number of recomputes.
+    type RunBits = (Vec<u64>, usize);
+
+    /// Runs the engine twice on the same inputs: once as [`Engine::new`] sets
+    /// it up, and once forced onto progressive filling, the per-event code
+    /// every run took before the per-link path (recompute, per-flow drain
+    /// search, advance, retire).
+    fn run_both_paths(
+        topo: &Topology,
+        sched: &ChunkedSchedule,
+        shard: f64,
+        params: &SimParams,
+        timeline: &ScenarioTimeline,
+        model: ExecutionModel,
+    ) -> [RunBits; 2] {
+        let dag = TransferDag::from_schedule(sched).unwrap();
+        let start = timeline.scenario_at(0.0);
+        let (jobs, link_bw) = resolve_jobs(topo, sched, shard, params, &start, &dag).unwrap();
+        let alpha_factor: Vec<f64> = (0..jobs.len()).map(|id| start.alpha_factor(id)).collect();
+        let boundaries = resolve_boundaries(topo, params, timeline, &link_bw);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        [false, true].map(|progressive| {
+            let mut engine = Engine::new(topo, &jobs, &dag, link_bw.clone(), params, &alpha_factor);
+            assert!(matches!(engine.sharing, Sharing::PerLink(_)));
+            if progressive {
+                engine.sharing =
+                    Sharing::Progressive(Progressive::new(topo.num_edges(), topo.num_nodes()));
+            }
+            let outcome = match model {
+                ExecutionModel::Synchronized => engine.run_synchronized_timeline(&boundaries),
+                ExecutionModel::DependencyDriven => {
+                    TimelineOutcome::Completed(engine.run_dependency_driven().unwrap())
+                }
+            };
+            let run = match outcome {
+                TimelineOutcome::Completed(o) => [
+                    vec![o.completion.to_bits(), o.max_concurrent as u64],
+                    bits(&o.step_completion),
+                    bits(&o.link_busy),
+                ]
+                .concat(),
+                TimelineOutcome::Interrupted(cut) => {
+                    let mut run = vec![u64::MAX, cut.time.to_bits()];
+                    run.extend([cut.cut_step, cut.boundary].map(|x| x as u64));
+                    for (job, left) in cut.remaining {
+                        run.extend([job as u64, left.to_bits()]);
+                    }
+                    run
+                }
+            };
+            (run, engine.recomputes)
+        })
+    }
+
+    /// The per-link path against progressive filling on seeded cases: lowered
+    /// tsMCF schedules on tori, rings and random regular graphs at several
+    /// granularities, both execution models, static slowdowns, α jitter,
+    /// timelines with a mid-run degrade and a mid-run failure, empty shards
+    /// and empty transfers, infinitely fast links, with and without QP
+    /// contention. Every completion, step completion, busy time, cut and
+    /// recompute count must be equal bit for bit.
+    #[test]
+    fn per_link_path_matches_progressive_filling_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let fabrics = [
+            generators::torus(&[3, 3]),
+            generators::ring(5),
+            generators::bidirectional_ring(6),
+            generators::random_regular(8, 3, 11),
+            generators::random_regular(10, 4, 12),
+        ];
+        let schedules: Vec<(usize, ChunkedSchedule)> = fabrics
+            .iter()
+            .enumerate()
+            .flat_map(|(fi, topo)| {
+                let sol = solve_tsmcf_colgen_auto(topo).unwrap().solution;
+                [1, 6, 32].map(|chunks| (fi, ChunkedSchedule::from_tsmcf_exact(topo, &sol, chunks)))
+            })
+            .filter_map(|(fi, sched)| Some((fi, sched.ok()?)))
+            .collect();
+        assert!(schedules.len() >= fabrics.len() * 2);
+
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(33);
+        let mut seen = [0usize; 6];
+        for case in 0..240 {
+            let (fi, base) = &schedules[rng.random_range(0..schedules.len())];
+            let mut topo = fabrics[*fi].clone();
+            let mut sched = base.clone();
+            let edges = topo.num_edges();
+            if rng.random_range(0..4) == 0 {
+                for _ in 0..1 + rng.random_range(0..3) {
+                    topo.set_capacity(rng.random_range(0..edges), f64::INFINITY);
+                }
+                seen[0] += 1;
+            }
+            if rng.random_range(0..5) == 0 {
+                // An empty transfer from a commodity's origin to a neighbour.
+                let (origin, final_dest) = sched
+                    .commodities
+                    .pair(rng.random_range(0..sched.commodities.len()));
+                let to = topo.edge(topo.out_edges(origin)[0]).dst;
+                let step = rng.random_range(0..sched.steps.len());
+                sched.steps[step].transfers.push(ChunkTransfer {
+                    from: origin,
+                    to,
+                    origin,
+                    final_dest,
+                    chunks: 0,
+                });
+                seen[1] += 1;
+            }
+            let shard = if rng.random_range(0..6) == 0 {
+                seen[2] += 1;
+                0.0
+            } else {
+                2f64.powf(8.0 + 16.0 * rng.random_f64())
+            };
+            let params = SimParams {
+                qp_contention: rng.random_bool(0.5).then(|| crate::QpContention {
+                    free_flows_per_link: rng.random_range(0..4),
+                    penalty_per_flow: 0.5 * rng.random_f64(),
+                }),
+                ..SimParams::default()
+            };
+            seen[3] += usize::from(params.qp_contention.is_some());
+            let mut scenario = Scenario::nominal();
+            for _ in 0..rng.random_range(0..3) {
+                let factor = 0.1 + 0.9 * rng.random_f64();
+                scenario = scenario.with_link_slowdown(rng.random_range(0..edges), factor);
+            }
+            if rng.random_range(0..3) == 0 {
+                scenario = scenario.with_alpha_jitter(case, 1.0, 2.0);
+            }
+            let model = if rng.random_bool(0.5) {
+                seen[4] += 1;
+                ExecutionModel::DependencyDriven
+            } else {
+                ExecutionModel::Synchronized
+            };
+            let mut timeline = ScenarioTimeline::new(scenario.clone());
+            if model == ExecutionModel::Synchronized && rng.random_bool(0.6) {
+                let makespan =
+                    crate::simulate_chunked_schedule_with(&topo, &sched, shard, &params, &scenario)
+                        .unwrap()
+                        .completion_seconds;
+                let at = |u: f64| makespan * (0.05 + 0.9 * u);
+                let (time, factor) = (at(rng.random_f64()), 0.1 + 0.9 * rng.random_f64());
+                timeline = timeline.with_link_degrade_at(time, rng.random_range(0..edges), factor);
+                if rng.random_bool(0.5) {
+                    // Fail a link the schedule uses.
+                    let step = &sched.steps[rng.random_range(0..sched.steps.len())];
+                    if let Some(tr) = step.transfers.first() {
+                        let link = topo.find_edge(tr.from, tr.to).unwrap();
+                        timeline = timeline.with_link_failure_at(at(rng.random_f64()), link);
+                    }
+                }
+            }
+            let [per_link, progressive] =
+                run_both_paths(&topo, &sched, shard, &params, &timeline, model);
+            seen[5] += usize::from(per_link.0.first() == Some(&u64::MAX));
+            assert_eq!(
+                per_link,
+                progressive,
+                "case {case} on {}: {model:?}, shard {shard}, {params:?}",
+                topo.name()
+            );
+        }
+        // Every kind of case above was drawn: infinite links, empty
+        // transfers, empty shards, QP contention, dependency-driven runs and
+        // interrupted timelines.
+        assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
     }
 
     /// The debug certificate is not vacuous: it rejects an allocation that
