@@ -20,10 +20,29 @@
 //! is what makes the synchronized mode agree exactly with the closed-form model of
 //! [`crate::linksim`].
 //!
-//! # The fair-share kernel
+//! # Which path runs
 //!
-//! One recompute is progressive filling over those resources; the kernel, its
-//! bottleneck tie rule and its cost are documented in `fair_share.rs`.
+//! Each event makes one recompute of the rates, and the data picks how:
+//!
+//! * **No host cap** (every `BENCHMARK.json` workload, [`SimParams::default`]):
+//!   a flow's only finite resource is its link, so nothing couples two links and
+//!   max-min fair sharing is each link's even split `link_bw · qp(n) / n` over
+//!   its `n` flows — exactly the level progressive filling freezes such a link
+//!   at, since no other freeze charges it. The engine keeps per-link member
+//!   counts across events, refreshes the level only of links whose count or
+//!   bandwidth changed, takes the next drain as the least, over links, of the
+//!   least remaining bytes on a link divided by its level (exact, because
+//!   correctly rounded division by a positive number is monotone), and
+//!   advances, charges busy time and retires flows in one pass.
+//! * **A host cap** ([`SimParams::tacc_cluster`], the figure binaries):
+//!   injection and ejection sides couple flows of different links, and every
+//!   recompute is progressive filling over all three resource families.
+//!
+//! Both paths give every rate, drain time, completion and busy time bit for
+//! bit alike (a seeded differential test forces progressive filling onto
+//! uncapped runs), and debug builds certify every recompute of either as
+//! max-min fair. The kernels, the bottleneck tie rule and the cost of an event
+//! are documented in `fair_share.rs`.
 //!
 //! # Execution models (the α–β split)
 //!

@@ -1,16 +1,40 @@
-//! The event engine's max-min fair-share kernel.
+//! The event engine's max-min fair-share kernels.
 //!
 //! Between two events every active flow of [`crate::event`] drains at a
 //! constant rate: the max-min fair share over the finite resources it touches
 //! (its link, and under a host cap its sender's injection and its receiver's
-//! ejection side).
+//! ejection side). Each event makes one recompute of these rates, on one of
+//! two paths the data picks.
 //!
-//! One recompute is progressive filling: every resource with unfrozen flows has a
-//! *level* `residual capacity / unfrozen flows`; the resource with the lowest level
-//! is the bottleneck, its unfrozen flows are frozen at that level, the level is
-//! charged to the (at most two) other resources of each frozen flow, and the
-//! search repeats until every flow is frozen. Flows that touch no finite resource
-//! run at an infinite rate (they drain within the event).
+//! # Per link, with no host cap ([`LinkShare`])
+//!
+//! A flow's only finite resource is then its link, so the max-min share is
+//! each link's even split `link_bw · qp(n) / n` over its `n` flows (`qp` the
+//! [`QpContention`](crate::QpContention) factor, 1 without it; `+inf` on an
+//! infinite link). It is the level progressive filling would freeze the link
+//! at, bit for bit: the first pass computes `capacity / n` for every link, and
+//! since no flow of another link touches this one, no freeze charges it before
+//! its own. Member counts are kept across events (an arrival adds one, a
+//! retirement takes one away), and only the links whose count or bandwidth
+//! changed get their level recomputed.
+//!
+//! The next drain is the least, over links with flows, of the least remaining
+//! bytes on the link divided by its level. That equals the least of the
+//! per-flow quotients the progressive-filling path takes, because correctly
+//! rounded division by a positive number is monotone in the numerator (an
+//! infinite level contributes 0, as an infinite rate does). Advancing,
+//! charging busy time and retiring then share one pass over the flows, which
+//! also gathers the next search's least remaining bytes per link.
+//!
+//! # Progressive filling, under a host cap ([`Progressive`], [`FairShare`])
+//!
+//! Injection and ejection sides couple flows of different links. Every
+//! resource with unfrozen flows has a *level* `residual capacity / unfrozen
+//! flows`; the resource with the lowest level is the bottleneck, its unfrozen
+//! flows are frozen at that level, the level is charged to the (at most two)
+//! other resources of each frozen flow, and the search repeats until every
+//! flow is frozen. Flows that touch no finite resource run at an infinite rate
+//! (they drain within the event).
 //!
 //! **Tie rule.** Among equal levels the bottleneck is the resource with the lowest
 //! index, and resources are indexed per recompute in a fixed order: finite links by
@@ -20,19 +44,32 @@
 //! `residual` is charged, hence the last bits of every later level; the recorded
 //! `f64` bit patterns of the test suites (and the equality with the
 //! table-rebuilding, linear-scan kernel kept as the tests' reference) rest on
-//! this rule.
+//! this rule. The order of the active flows is therefore part of the result
+//! here (each run loop retires in its own [`Retire`] order), and not on the
+//! per-link path.
 //!
-//! **Cost.** With `F` active flows on `R` resources (`R ≤ edges + 2·nodes`), one
+//! With `F` active flows on `R` resources (`R ≤ edges + 2·nodes`), one
 //! recompute is `O(F + R log R)` and allocates nothing once the engine's scratch
 //! tables have grown to the widest active set: resources are numbered through
 //! epoch-stamped per-edge and per-node slots, a flow's resources are a fixed
 //! triple, member lists are one CSR array, and candidate bottlenecks sit in a
 //! min-heap keyed `(level, resource index)` with lazy invalidation — a freeze
-//! pushes a fresh entry only for the other resources it charged. On the 27-node
-//! torus at 128 chunks (162 links, some 700 active flows on average) a recompute
-//! costs about 14 µs of a 19 µs event with links as the only resource, and
-//! 30–37 µs of 32–42 µs under host caps plus QP contention; the rest is advancing
-//! and retiring the flows (`cargo bench -p a2a_bench --bench fair_share`).
+//! pushes a fresh entry only for the other resources it charged.
+//!
+//! # Checks and cost
+//!
+//! Debug builds certify every recompute of either path as max-min fair
+//! ([`certify_max_min`], without the kernels' tables), and a seeded test in
+//! `event.rs` forces progressive filling onto uncapped runs and compares every
+//! completion, busy time and recompute count bit for bit.
+//!
+//! On the 27-node torus at 128 chunks (162 links, up to ~1.1k active flows)
+//! an uncapped event costs about 6 µs synchronized and 9.5 µs
+//! dependency-driven, of which the level refresh is ~0.1 µs and the rest the
+//! pass over the flows; progressive filling alone took 21–22 µs of a 30 µs
+//! event there. Under host caps plus QP contention progressive filling is
+//! 45–63 µs of a 50–72 µs event (`cargo bench -p a2a_bench --bench
+//! fair_share`, 2-core Xeon box).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -43,8 +80,8 @@ use crate::event::{ActiveFlow, OrdF64, Retire, SimJob};
 use crate::SimParams;
 
 // Observability taps (free while tracing is off; totals accumulate until
-// `a2a_obs::reset`). Fair-share recomputes count progressive-filling passes —
-// one per flow-set change.
+// `a2a_obs::reset`). Fair-share recomputes count rate recomputes, one per
+// event on either path, and the histogram times each one.
 static OBS_FAIR_SHARE_RECOMPUTES: a2a_obs::Counter =
     a2a_obs::Counter::new("simnet.fair_share_recomputes");
 static OBS_FAIR_SHARE_NANOS: a2a_obs::Histogram =
@@ -465,13 +502,8 @@ impl Progressive {
 }
 
 /// The per-event path with no host cap, where a flow's only finite resource
-/// is its link: each link splits its capacity evenly among its flows.
-///
-/// Member counts are kept across events (an arrival adds one, a retirement
-/// takes one away) and a link's level is recomputed only when its count or
-/// its bandwidth changed. The drain search divides once per link with flows,
-/// and advancing, charging busy time and retiring share one pass over the
-/// flows, which also gathers the next search's least remaining bytes per link.
+/// is its link: each link splits its capacity evenly among its flows (module
+/// docs, "Per link", for why this and its drain search are exact).
 pub(crate) struct LinkShare {
     /// Per edge: active flows on the link.
     members: Vec<usize>,
@@ -542,15 +574,9 @@ impl LinkShare {
     }
 
     /// One recompute: refreshes the stale levels and returns the time until
-    /// the first active flow drains.
-    ///
-    /// A link's level is what progressive filling freezes its flows at: the
-    /// link is the only resource its flows touch, so no other freeze charges
-    /// it and its level stays `capacity / members` from the first pass to its
-    /// own freeze. The drain search is exact because correctly rounded
-    /// division by a positive level is monotone in the numerator: the least
-    /// remaining bytes on a link divided by its level is the least of its
-    /// flows' quotients.
+    /// the first active flow drains, one division per link with flows.
+    /// (`jobs` and `active` are read only by the debug certificate.)
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
     pub(crate) fn drain_time(
         &mut self,
         jobs: &[SimJob],
@@ -578,8 +604,6 @@ impl LinkShare {
             // No host cap, so no node-side resource to size.
             certify_max_min(jobs, link_bw, 0, params, active, &rates);
         }
-        #[cfg(not(debug_assertions))]
-        let _ = (jobs, active);
         let mut dt = f64::INFINITY;
         for (&e, &least) in self.live.iter().zip(&self.least) {
             let level = self.level[e];
