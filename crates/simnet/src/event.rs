@@ -1620,9 +1620,8 @@ mod tests {
     type RunBits = (Vec<u64>, usize);
 
     /// Runs the engine twice on the same inputs: once as [`Engine::new`] sets
-    /// it up, and once forced onto progressive filling, the per-event code
-    /// every run took before the per-link path (recompute, per-flow drain
-    /// search, advance, retire).
+    /// it up, and once forced onto the per-event code host-capped runs take
+    /// (progressive filling, per-flow drain search, advance, retire).
     fn run_both_paths(
         topo: &Topology,
         sched: &ChunkedSchedule,
