@@ -1674,8 +1674,9 @@ mod tests {
     /// granularities, both execution models, static slowdowns, α jitter,
     /// timelines with a mid-run degrade and a mid-run failure, empty shards
     /// and empty transfers, infinitely fast links, with and without QP
-    /// contention. Every completion, step completion, busy time, cut and
-    /// recompute count must be equal bit for bit.
+    /// contention, with and without latencies. Every completion, step
+    /// completion, busy time, cut and recompute count must be equal bit for
+    /// bit.
     #[test]
     fn per_link_path_matches_progressive_filling_bit_for_bit() {
         use rand::{Rng, SeedableRng};
@@ -1698,7 +1699,7 @@ mod tests {
         assert!(schedules.len() >= fabrics.len() * 2);
 
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(33);
-        let mut seen = [0usize; 6];
+        let mut seen = [0usize; 7];
         for case in 0..240 {
             let (fi, base) = &schedules[rng.random_range(0..schedules.len())];
             let mut topo = fabrics[*fi].clone();
@@ -1732,7 +1733,7 @@ mod tests {
             } else {
                 2f64.powf(8.0 + 16.0 * rng.random_f64())
             };
-            let params = SimParams {
+            let mut params = SimParams {
                 qp_contention: rng.random_bool(0.5).then(|| crate::QpContention {
                     free_flows_per_link: rng.random_range(0..4),
                     penalty_per_flow: 0.5 * rng.random_f64(),
@@ -1740,6 +1741,13 @@ mod tests {
                 ..SimParams::default()
             };
             seen[3] += usize::from(params.qp_contention.is_some());
+            if rng.random_range(0..4) == 0 {
+                // No latency: a drain readies its successors at once, so a
+                // dependency-driven run starts many of a link's jobs together.
+                params.per_hop_latency_s = 0.0;
+                params.step_sync_latency_s = 0.0;
+                seen[6] += 1;
+            }
             let mut scenario = Scenario::nominal();
             for _ in 0..rng.random_range(0..3) {
                 let factor = 0.1 + 0.9 * rng.random_f64();
@@ -1760,6 +1768,9 @@ mod tests {
                     crate::simulate_chunked_schedule_with(&topo, &sched, shard, &params, &scenario)
                         .unwrap()
                         .completion_seconds;
+                // A run that takes no time (no bytes, no latency) has no mid-run
+                // to fail in: its events would fold into the start.
+                let makespan = if makespan > 0.0 { makespan } else { 1e-3 };
                 let at = |u: f64| makespan * (0.05 + 0.9 * u);
                 let (time, factor) = (at(rng.random_f64()), 0.1 + 0.9 * rng.random_f64());
                 timeline = timeline.with_link_degrade_at(time, rng.random_range(0..edges), factor);
@@ -1783,8 +1794,8 @@ mod tests {
             );
         }
         // Every kind of case above was drawn: infinite links, empty
-        // transfers, empty shards, QP contention, dependency-driven runs and
-        // interrupted timelines.
+        // transfers, empty shards, QP contention, dependency-driven runs,
+        // interrupted timelines and zero latencies.
         assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
     }
 
