@@ -211,10 +211,16 @@ pub(crate) struct SimJob {
 }
 
 impl SimJob {
+    /// The remaining bytes at or below which a flow of this job counts as
+    /// drained (a relative byte tolerance for round-off).
+    pub(crate) fn drain_threshold(&self) -> f64 {
+        DRAIN_EPS * self.bytes.max(1.0)
+    }
+
     /// Whether a flow of this job with `remaining` bytes left has not drained
-    /// yet (a relative byte tolerance counts round-off as drained).
+    /// yet.
     pub(crate) fn still_draining(&self, remaining: f64) -> bool {
-        remaining > DRAIN_EPS * self.bytes.max(1.0)
+        remaining > self.drain_threshold()
     }
 }
 
@@ -819,7 +825,7 @@ impl<'a> Engine<'a> {
             alpha_factor,
             num_steps: dag.num_steps,
             sharing: if params.host_injection_gbps.is_none() {
-                Sharing::PerLink(LinkShare::new(topo.num_edges()))
+                Sharing::PerLink(LinkShare::new(topo.num_edges(), jobs))
             } else {
                 Sharing::Progressive(Progressive::new(topo.num_edges(), topo.num_nodes()))
             },
@@ -829,47 +835,50 @@ impl<'a> Engine<'a> {
     }
 
     /// Starts a flow of `job`'s whole byte volume.
-    fn activate(&mut self, active: &mut Vec<ActiveFlow>, job: usize) {
-        let SimJob { link, bytes, .. } = self.jobs[job];
-        if let Sharing::PerLink(links) = &mut self.sharing {
-            links.arrive(link, bytes);
+    fn activate(&mut self, job: usize) {
+        match &mut self.sharing {
+            Sharing::PerLink(links) => links.arrive(job, &self.jobs[job]),
+            Sharing::Progressive(fill) => fill.arrive(job, self.jobs[job].bytes),
         }
-        active.push(ActiveFlow {
-            job,
-            remaining: bytes,
-        });
+    }
+
+    /// The number of active flows.
+    fn flows(&self) -> usize {
+        match &self.sharing {
+            Sharing::PerLink(links) => links.flows(),
+            Sharing::Progressive(fill) => fill.flows(),
+        }
+    }
+
+    /// The remaining bytes of `job`'s flow, 0 if it is not active.
+    fn remaining_of(&self, job: usize) -> f64 {
+        match &self.sharing {
+            Sharing::PerLink(links) => links.remaining_of(job, self.jobs[job].link),
+            Sharing::Progressive(fill) => fill.remaining_of(job),
+        }
     }
 
     /// One recompute of the active flows' max-min fair rates; returns the time
     /// until the first of them drains.
-    fn drain_time(&mut self, active: &[ActiveFlow]) -> f64 {
+    fn drain_time(&mut self) -> f64 {
         #[cfg(test)]
         {
             self.recomputes += 1;
         }
         let (jobs, link_bw, params) = (self.jobs, &self.link_bw, self.params);
         match &mut self.sharing {
-            Sharing::PerLink(links) => links.drain_time(jobs, link_bw, params, active),
-            Sharing::Progressive(fill) => fill.drain_time(jobs, link_bw, params, active),
+            Sharing::PerLink(links) => links.drain_time(jobs, link_bw, params),
+            Sharing::Progressive(fill) => fill.drain_time(jobs, link_bw, params),
         }
     }
 
     /// Advances every active flow by `dt` seconds at the rates of the last
     /// recompute, charges the links' busy time and retires the drained flows,
     /// handing each job to `done`.
-    fn advance(
-        &mut self,
-        active: &mut Vec<ActiveFlow>,
-        dt: f64,
-        link_busy: &mut [f64],
-        retire: Retire,
-        done: impl FnMut(usize),
-    ) {
+    fn advance(&mut self, dt: f64, link_busy: &mut [f64], retire: Retire, done: impl FnMut(usize)) {
         match &mut self.sharing {
-            Sharing::PerLink(links) => links.advance(self.jobs, active, dt, link_busy, done),
-            Sharing::Progressive(fill) => {
-                fill.advance(self.jobs, active, dt, link_busy, retire, done)
-            }
+            Sharing::PerLink(links) => links.advance(dt, link_busy, done),
+            Sharing::Progressive(fill) => fill.advance(self.jobs, dt, link_busy, retire, done),
         }
     }
 
@@ -884,14 +893,12 @@ impl<'a> Engine<'a> {
 
     /// True if any transfer that has not finished — an active flow of the current
     /// step or any job of a later step — uses a failed link.
-    fn remaining_work_uses_failed(
-        &self,
-        active: &[ActiveFlow],
-        next_job: usize,
-        failed: &[bool],
-    ) -> bool {
-        active.iter().any(|f| failed[self.jobs[f.job].link])
-            || self.jobs[next_job..].iter().any(|j| failed[j.link])
+    fn remaining_work_uses_failed(&self, next_job: usize, failed: &[bool]) -> bool {
+        let live = match &self.sharing {
+            Sharing::PerLink(links) => links.uses_any(failed),
+            Sharing::Progressive(fill) => fill.uses_any(self.jobs, failed),
+        };
+        live || self.jobs[next_job..].iter().any(|j| failed[j.link])
     }
 
     /// Synchronized (barrier) execution: each step's flows start together and
@@ -910,44 +917,31 @@ impl<'a> Engine<'a> {
         for step in 0..self.num_steps {
             let _obs = a2a_obs::span("simnet.step");
             let step_first_job = next_job;
-            let mut active = Vec::new();
             // A barrier waits for its slowest participant, so the step's α is
             // the per-step sync latency times the worst per-message jitter
             // factor among the step's transfers (1.0 for an empty step).
             let mut step_alpha_factor = 1.0f64;
             while next_job < self.jobs.len() && self.jobs[next_job].step == step {
                 step_alpha_factor = step_alpha_factor.max(self.alpha_factor[next_job]);
-                self.activate(&mut active, next_job);
+                self.activate(next_job);
                 next_job += 1;
             }
-            max_concurrent = max_concurrent.max(active.len());
-            while !active.is_empty() {
-                let dt = self.drain_time(&active);
+            max_concurrent = max_concurrent.max(self.flows());
+            while self.flows() > 0 {
+                let dt = self.drain_time();
                 // Cut the drain at the next event boundary.
                 if bi < boundaries.len() && boundaries[bi].time - t <= dt {
                     let dt_to_event = (boundaries[bi].time - t).max(0.0);
                     t += dt_to_event;
-                    self.advance(
-                        &mut active,
-                        dt_to_event,
-                        &mut link_busy,
-                        Retire::InOrder,
-                        |_| {},
-                    );
+                    self.advance(dt_to_event, &mut link_busy, Retire::InOrder, |_| {});
                     let b = &boundaries[bi];
                     self.rerate(&b.link_bw);
                     bi += 1;
                     if !b.failed_links.is_empty()
-                        && self.remaining_work_uses_failed(&active, next_job, &b.failed)
+                        && self.remaining_work_uses_failed(next_job, &b.failed)
                     {
                         let remaining = (step_first_job..next_job)
-                            .map(|j| {
-                                let left = active
-                                    .iter()
-                                    .find(|f| f.job == j)
-                                    .map_or(0.0, |f| f.remaining);
-                                (j, left)
-                            })
+                            .map(|j| (j, self.remaining_of(j)))
                             .collect();
                         return TimelineOutcome::Interrupted(Interrupt {
                             time: b.time,
@@ -959,7 +953,7 @@ impl<'a> Engine<'a> {
                     continue;
                 }
                 t += dt;
-                self.advance(&mut active, dt, &mut link_busy, Retire::InOrder, |_| {});
+                self.advance(dt, &mut link_busy, Retire::InOrder, |_| {});
             }
             step_completion[step] = t;
             // Events during the synchronization window fire at the barrier: no
@@ -971,7 +965,7 @@ impl<'a> Engine<'a> {
                 self.rerate(&b.link_bw);
                 bi += 1;
                 if !b.failed_links.is_empty()
-                    && self.remaining_work_uses_failed(&[], next_job, &b.failed)
+                    && self.remaining_work_uses_failed(next_job, &b.failed)
                 {
                     return TimelineOutcome::Interrupted(Interrupt {
                         time: b.time.max(t),
@@ -1009,7 +1003,6 @@ impl<'a> Engine<'a> {
         let mut t = 0.0f64;
         let mut link_busy = vec![0.0f64; self.link_bw.len()];
         let mut step_completion = vec![0.0f64; self.num_steps];
-        let mut active: Vec<ActiveFlow> = Vec::new();
         let mut completed = 0usize;
         let mut max_concurrent = 0usize;
         // Each iteration activates or completes at least one job, so 2n + 1 bounds the
@@ -1023,7 +1016,7 @@ impl<'a> Engine<'a> {
                     total: n,
                 });
             }
-            if active.is_empty() {
+            if self.flows() == 0 {
                 let Some(&Reverse((OrdF64(rt), _))) = ready.peek() else {
                     return Err(SimError::Stalled {
                         completed,
@@ -1037,18 +1030,18 @@ impl<'a> Engine<'a> {
                     break;
                 }
                 ready.pop();
-                self.activate(&mut active, id);
+                self.activate(id);
             }
-            max_concurrent = max_concurrent.max(active.len());
+            max_concurrent = max_concurrent.max(self.flows());
 
-            let mut dt = self.drain_time(&active);
+            let mut dt = self.drain_time();
             // Stop early if a new job becomes ready mid-drain.
             if let Some(&Reverse((OrdF64(rt), _))) = ready.peek() {
                 dt = dt.min(rt - t);
             }
             t += dt;
             let (jobs, alpha_factor) = (self.jobs, self.alpha_factor);
-            self.advance(&mut active, dt, &mut link_busy, Retire::SwapRemove, |job| {
+            self.advance(dt, &mut link_busy, Retire::SwapRemove, |job| {
                 completed += 1;
                 let step = jobs[job].step;
                 step_completion[step] = step_completion[step].max(t);

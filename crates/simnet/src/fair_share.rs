@@ -73,6 +73,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use a2a_topology::EdgeId;
 
@@ -410,6 +411,8 @@ pub(crate) fn certify_max_min(
 /// search over every flow, then an advance pass and a retirement pass.
 pub(crate) struct Progressive {
     fair: FairShare,
+    /// The active flows, in the order the resource numbering walks them.
+    active: Vec<ActiveFlow>,
     rates: Vec<f64>,
     /// Per edge: the advance that last charged the link busy time, so that a
     /// link is charged once per event however many flows it carries.
@@ -421,10 +424,37 @@ impl Progressive {
     pub(crate) fn new(num_edges: usize, num_nodes: usize) -> Self {
         Self {
             fair: FairShare::new(num_edges, num_nodes),
+            active: Vec::new(),
             rates: Vec::new(),
             link_seen: vec![0; num_edges],
             seen_epoch: 0,
         }
+    }
+
+    /// `job` starts a flow of its whole byte volume, last in the active order.
+    pub(crate) fn arrive(&mut self, job: usize, bytes: f64) {
+        self.active.push(ActiveFlow {
+            job,
+            remaining: bytes,
+        });
+    }
+
+    /// The number of active flows.
+    pub(crate) fn flows(&self) -> usize {
+        self.active.len()
+    }
+
+    /// Whether an active flow runs on a link flagged in `failed`.
+    pub(crate) fn uses_any(&self, jobs: &[SimJob], failed: &[bool]) -> bool {
+        self.active.iter().any(|flow| failed[jobs[flow.job].link])
+    }
+
+    /// The remaining bytes of `job`'s flow, 0 once it drained.
+    pub(crate) fn remaining_of(&self, job: usize) -> f64 {
+        self.active
+            .iter()
+            .find(|flow| flow.job == job)
+            .map_or(0.0, |flow| flow.remaining)
     }
 
     /// One recompute: the active flows' max-min rates, and the time until the
@@ -434,8 +464,8 @@ impl Progressive {
         jobs: &[SimJob],
         link_bw: &[f64],
         params: &SimParams,
-        active: &[ActiveFlow],
     ) -> f64 {
+        let active = &self.active;
         self.fair
             .assign_rates(jobs, link_bw, params, active, &mut self.rates);
         let mut dt = f64::INFINITY;
@@ -456,12 +486,12 @@ impl Progressive {
     pub(crate) fn advance(
         &mut self,
         jobs: &[SimJob],
-        active: &mut Vec<ActiveFlow>,
         dt: f64,
         link_busy: &mut [f64],
         retire: Retire,
         mut done: impl FnMut(usize),
     ) {
+        let active = &mut self.active;
         if dt > 0.0 {
             self.seen_epoch += 1;
             for flow in active.iter() {
@@ -503,38 +533,59 @@ impl Progressive {
 
 /// The per-event path with no host cap, where a flow's only finite resource
 /// is its link: each link splits its capacity evenly among its flows (module
-/// docs, "Per link", for why this and its drain search are exact).
+/// docs, "Per link", for why this, its drain search and its retirement order
+/// are exact).
+///
+/// The active flows live in flat arrays, one fixed window per link: link `e`
+/// owns the slots `start[e]..start[e + 1]`, one per job of the run on the
+/// link, and its flows fill the first `len[e]` of them. Every job arrives
+/// once, so no window overflows.
 pub(crate) struct LinkShare {
-    /// Per edge: active flows on the link.
-    members: Vec<usize>,
+    start: Vec<usize>,
+    len: Vec<usize>,
+    /// Per slot: the flow's remaining bytes, its drain threshold and its job.
+    remaining: Vec<f64>,
+    threshold: Vec<f64>,
+    job: Vec<usize>,
+    /// Active flows over all links.
+    flows: usize,
+    /// The links with flows, in no particular order.
+    live: Vec<EdgeId>,
     /// Per edge: the rate of each of its flows, `link_bw · qp(n) / n` for `n`
-    /// members (`+inf` on an infinite link). Current for every link with
-    /// members once `stale` has been refreshed.
+    /// flows (`+inf` on an infinite link). Current for every live link once
+    /// `stale` has been refreshed.
     level: Vec<f64>,
-    /// Links whose member count or bandwidth changed since the last
-    /// recompute, each listed once (`is_stale`).
+    /// Per edge: the least remaining bytes among its flows (live links only),
+    /// kept by arrivals and rebuilt by every advance for the next drain search.
+    least: Vec<f64>,
+    /// Links whose flow count or bandwidth changed since the last recompute,
+    /// each listed once (`is_stale`).
     stale: Vec<EdgeId>,
     is_stale: Vec<bool>,
-    /// The links that carry active flows, by slot, and the least remaining
-    /// bytes among each one's flows: rebuilt by every advance from the
-    /// survivors, extended by arrivals.
-    slots: SlotMap,
-    live: Vec<EdgeId>,
-    least: Vec<f64>,
 }
 
 impl LinkShare {
-    pub(crate) fn new(num_edges: usize) -> Self {
-        let mut slots = SlotMap::new(num_edges);
-        slots.start_pass();
+    /// Sizes each link's window from the run's jobs.
+    pub(crate) fn new(num_edges: usize, jobs: &[SimJob]) -> Self {
+        let mut start = vec![0; num_edges + 1];
+        for job in jobs {
+            start[job.link + 1] += 1;
+        }
+        for e in 0..num_edges {
+            start[e + 1] += start[e];
+        }
         Self {
-            members: vec![0; num_edges],
+            start,
+            len: vec![0; num_edges],
+            remaining: vec![0.0; jobs.len()],
+            threshold: vec![0.0; jobs.len()],
+            job: vec![0; jobs.len()],
+            flows: 0,
+            live: Vec::new(),
             level: vec![0.0; num_edges],
+            least: vec![0.0; num_edges],
             stale: Vec::new(),
             is_stale: vec![false; num_edges],
-            slots,
-            live: Vec::new(),
-            least: Vec::new(),
         }
     }
 
@@ -545,29 +596,54 @@ impl LinkShare {
         }
     }
 
-    /// Records a flow on link `e` with `remaining` bytes for the next drain
-    /// search.
-    fn note(&mut self, e: EdgeId, remaining: f64) {
-        let (slot, fresh) = self.slots.get_or_insert(e, self.live.len());
-        if fresh {
+    /// `job` (with id `id`) starts a flow of its whole byte volume.
+    pub(crate) fn arrive(&mut self, id: usize, job: &SimJob) {
+        let e = job.link;
+        let slot = self.start[e] + self.len[e];
+        debug_assert!(
+            slot < self.start[e + 1],
+            "link {e} holds more flows than its window has jobs"
+        );
+        self.remaining[slot] = job.bytes;
+        self.threshold[slot] = job.drain_threshold();
+        self.job[slot] = id;
+        if self.len[e] == 0 {
             self.live.push(e);
-            self.least.push(remaining);
+            self.least[e] = job.bytes;
         } else {
-            self.least[slot] = self.least[slot].min(remaining);
+            self.least[e] = self.least[e].min(job.bytes);
         }
+        self.len[e] += 1;
+        self.flows += 1;
+        self.mark_stale(e);
     }
 
-    /// A flow of `bytes` joins link `e`.
-    pub(crate) fn arrive(&mut self, e: EdgeId, bytes: f64) {
-        self.members[e] += 1;
-        self.mark_stale(e);
-        self.note(e, bytes);
+    /// The number of active flows.
+    pub(crate) fn flows(&self) -> usize {
+        self.flows
+    }
+
+    /// Whether an active flow runs on a link flagged in `failed`.
+    pub(crate) fn uses_any(&self, failed: &[bool]) -> bool {
+        self.live.iter().any(|&e| failed[e])
+    }
+
+    /// The slots of link `e`'s active flows.
+    fn window(&self, e: EdgeId) -> Range<usize> {
+        self.start[e]..self.start[e] + self.len[e]
+    }
+
+    /// The remaining bytes of `job`'s flow on link `e`, 0 once it drained.
+    pub(crate) fn remaining_of(&self, job: usize, e: EdgeId) -> f64 {
+        self.window(e)
+            .find(|&i| self.job[i] == job)
+            .map_or(0.0, |i| self.remaining[i])
     }
 
     /// The link bandwidths change from `old` to `new`.
     pub(crate) fn rerate(&mut self, old: &[f64], new: &[f64]) {
         for (e, (a, b)) in old.iter().zip(new).enumerate() {
-            if a.to_bits() != b.to_bits() && self.members[e] > 0 {
+            if a.to_bits() != b.to_bits() && self.len[e] > 0 {
                 self.mark_stale(e);
             }
         }
@@ -575,21 +651,20 @@ impl LinkShare {
 
     /// One recompute: refreshes the stale levels and returns the time until
     /// the first active flow drains, one division per link with flows.
-    /// (`jobs` and `active` are read only by the debug certificate.)
+    /// (`jobs` is read only by the debug certificate.)
     #[cfg_attr(not(debug_assertions), allow(unused_variables))]
     pub(crate) fn drain_time(
         &mut self,
         jobs: &[SimJob],
         link_bw: &[f64],
         params: &SimParams,
-        active: &[ActiveFlow],
     ) -> f64 {
         debug_assert!(params.host_injection_gbps.is_none());
         OBS_FAIR_SHARE_RECOMPUTES.incr();
         let recompute_timer = OBS_FAIR_SHARE_NANOS.start();
         for e in self.stale.drain(..) {
             self.is_stale[e] = false;
-            let n = self.members[e];
+            let n = self.len[e];
             if n > 0 {
                 self.level[e] = link_level(link_bw[e], params, n);
             }
@@ -597,20 +672,26 @@ impl LinkShare {
         drop(recompute_timer);
         #[cfg(debug_assertions)]
         {
-            let rates: Vec<f64> = active
-                .iter()
-                .map(|flow| self.level[jobs[flow.job].link])
-                .collect();
+            let (mut active, mut rates) = (Vec::new(), Vec::new());
+            for &e in &self.live {
+                for i in self.window(e) {
+                    active.push(ActiveFlow {
+                        job: self.job[i],
+                        remaining: self.remaining[i],
+                    });
+                    rates.push(self.level[e]);
+                }
+            }
             // No host cap, so no node-side resource to size.
-            certify_max_min(jobs, link_bw, 0, params, active, &rates);
+            certify_max_min(jobs, link_bw, 0, params, &active, &rates);
         }
         let mut dt = f64::INFINITY;
-        for (&e, &least) in self.live.iter().zip(&self.least) {
+        for &e in &self.live {
             let level = self.level[e];
             dt = dt.min(if level.is_infinite() {
                 0.0
             } else {
-                least / level
+                self.least[e] / level
             });
         }
         dt
@@ -618,45 +699,55 @@ impl LinkShare {
 
     /// Advances every active flow by `dt` seconds at its link's level, charges
     /// `dt` of busy time to every link that carries one, and retires the
-    /// drained flows, handing each job to `done`, in one pass that keeps the
-    /// survivors in order. Rates here do not depend on that order.
-    pub(crate) fn advance(
-        &mut self,
-        jobs: &[SimJob],
-        active: &mut Vec<ActiveFlow>,
-        dt: f64,
-        link_busy: &mut [f64],
-        mut done: impl FnMut(usize),
-    ) {
-        if dt > 0.0 {
-            for &e in &self.live {
+    /// drained flows, handing each job to `done`: one pass per live link over
+    /// its window, and a second, compacting one only where a flow drained.
+    pub(crate) fn advance(&mut self, dt: f64, link_busy: &mut [f64], mut done: impl FnMut(usize)) {
+        let mut kept_links = 0;
+        for li in 0..self.live.len() {
+            let e = self.live[li];
+            if dt > 0.0 {
                 link_busy[e] += dt;
             }
-        }
-        self.slots.start_pass();
-        self.live.clear();
-        self.least.clear();
-        let mut kept = 0;
-        for i in 0..active.len() {
-            let ActiveFlow { job, remaining } = active[i];
-            let e = jobs[job].link;
+            let window = self.window(e);
             let level = self.level[e];
-            let remaining = if level.is_infinite() {
-                0.0
-            } else {
-                (remaining - level * dt).max(0.0)
-            };
-            if jobs[job].still_draining(remaining) {
-                active[kept] = ActiveFlow { job, remaining };
-                kept += 1;
-                self.note(e, remaining);
-            } else {
-                self.members[e] -= 1;
+            let mut least = f64::INFINITY;
+            // An infinite rate drains every flow within the event.
+            let mut drained = level.is_infinite();
+            if !drained {
+                let step = level * dt;
+                let remaining = &mut self.remaining[window.clone()];
+                for (r, &threshold) in remaining.iter_mut().zip(&self.threshold[window.clone()]) {
+                    *r = (*r - step).max(0.0);
+                    if *r > threshold {
+                        least = least.min(*r);
+                    } else {
+                        drained = true;
+                    }
+                }
+            }
+            if drained {
+                let mut kept = window.start;
+                for i in window.clone() {
+                    if level.is_finite() && self.remaining[i] > self.threshold[i] {
+                        self.remaining[kept] = self.remaining[i];
+                        self.threshold[kept] = self.threshold[i];
+                        self.job[kept] = self.job[i];
+                        kept += 1;
+                    } else {
+                        done(self.job[i]);
+                    }
+                }
+                self.flows -= window.end - kept;
+                self.len[e] = kept - window.start;
                 self.mark_stale(e);
-                done(job);
+            }
+            self.least[e] = least;
+            if self.len[e] > 0 {
+                self.live[kept_links] = e;
+                kept_links += 1;
             }
         }
-        active.truncate(kept);
+        self.live.truncate(kept_links);
     }
 }
 
