@@ -14,11 +14,15 @@
 //! dependency-driven, 2.1k and 3.5k under host caps) next to the run's wall time
 //! per recompute, i.e. the cost of one whole event.
 //!
-//! Measured on a 2-core Xeon box: the per-link path runs synchronized in 4.9 ms
-//! and dependency-driven in 30 ms (progressive filling took 23.5 and 106 ms
-//! there), ~6 and ~9.5 µs per event of which the recompute is ~0.1 µs; under
-//! host caps an event stays at 50–70 µs, 45–63 µs of it progressive filling
-//! (medians of 20 runs, 120 and 265 ms).
+//! Measured on a 2-core Xeon box (medians of 20 runs, the median of three
+//! alternated invocations per side): with each link's flows in a window of
+//! flat arrays the per-link path runs synchronized in 5.4 ms and
+//! dependency-driven in 15.7 ms, against 8.8 and 32.7 ms with one ordered flow
+//! list advanced through per-flow job lookups, i.e. ~7 and ~5 µs per event
+//! instead of ~11 and ~10 µs, of which the recompute is ~0.1 µs. Under host
+//! caps an event stays at 60–80 µs, most of it progressive filling (126 and
+//! 269 ms; 131 and 238 ms before, within the 109–285 ms spread of that side's
+//! invocations).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

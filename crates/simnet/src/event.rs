@@ -33,10 +33,16 @@
 //!   bandwidth changed, takes the next drain as the least, over links, of the
 //!   least remaining bytes on a link divided by its level (exact, because
 //!   correctly rounded division by a positive number is monotone), and
-//!   advances, charges busy time and retires flows in one pass.
+//!   advances, charges busy time and retires flows in one pass per link.
 //! * **A host cap** ([`SimParams::tacc_cluster`], the figure binaries):
 //!   injection and ejection sides couple flows of different links, and every
 //!   recompute is progressive filling over all three resource families.
+//!
+//! The engine owns its active set, in the layout its path needs: per-link
+//! windows of flat arrays with no host cap, progressive filling's ordered flow
+//! list under one. The run loops start jobs, ask for the next drain and
+//! advance; besides that they only ask how many flows are active, whether one
+//! runs on a failed link, and how many bytes a cut job has left.
 //!
 //! Both paths give every rate, drain time, completion and busy time bit for
 //! bit alike (a seeded differential test forces progressive filling onto

@@ -22,9 +22,20 @@
 //! bytes on the link divided by its level. That equals the least of the
 //! per-flow quotients the progressive-filling path takes, because correctly
 //! rounded division by a positive number is monotone in the numerator (an
-//! infinite level contributes 0, as an infinite rate does). Advancing,
-//! charging busy time and retiring then share one pass over the flows, which
-//! also gathers the next search's least remaining bytes per link.
+//! infinite level contributes 0, as an infinite rate does).
+//!
+//! Each link keeps its flows in a window of flat arrays (remaining bytes,
+//! drain threshold, job), sized when the engine is built from how many of the
+//! run's jobs use the link; every job arrives once, so no window overflows.
+//! An advance walks the links with flows, charges each its busy time,
+//! computes `level · dt` once and updates the link's window in one tight pass
+//! that also gathers its least remaining bytes for the next drain search; a
+//! second pass compacts the window only where a flow drained. Flows therefore
+//! retire link by link rather than in the order they arrived, and no result
+//! sees it: rates depend only on per-link counts, busy time and step
+//! completions are per-link sums and maxima, and the dependency-driven ready
+//! queue is keyed by unique `(time, job)` pairs, so the order in which a
+//! retirement readies successors does not decide the order they start in.
 //!
 //! # Progressive filling, under a host cap ([`Progressive`], [`FairShare`])
 //!
@@ -59,17 +70,17 @@
 //! # Checks and cost
 //!
 //! Debug builds certify every recompute of either path as max-min fair
-//! ([`certify_max_min`], without the kernels' tables), and a seeded test in
-//! `event.rs` forces progressive filling onto uncapped runs and compares every
-//! completion, busy time and recompute count bit for bit.
+//! ([`certify_max_min`], without the kernels' tables) and hold every arrival
+//! inside its link's window, and a seeded test in `event.rs` forces
+//! progressive filling onto uncapped runs and compares every completion, busy
+//! time and recompute count bit for bit.
 //!
 //! On the 27-node torus at 128 chunks (162 links, up to ~1.1k active flows)
-//! an uncapped event costs about 6 µs synchronized and 9.5 µs
-//! dependency-driven, of which the level refresh is ~0.1 µs and the rest the
-//! pass over the flows; progressive filling alone took 21–22 µs of a 30 µs
-//! event there. Under host caps plus QP contention progressive filling is
-//! 45–63 µs of a 50–72 µs event (`cargo bench -p a2a_bench --bench
-//! fair_share`, 2-core Xeon box).
+//! an uncapped run costs about 7 µs per event synchronized and 5 µs
+//! dependency-driven, the fixed per-run work (dependency extraction, job
+//! resolution) included; the level refresh is ~0.1 µs of it. Under host caps
+//! plus QP contention an event is 60–80 µs, most of it progressive filling
+//! (`cargo bench -p a2a_bench --bench fair_share`, 2-core Xeon box).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
