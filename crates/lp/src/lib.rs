@@ -7,7 +7,8 @@
 //!
 //! The crate provides:
 //!
-//! * [`sparse`] — compressed sparse column/row matrices and sparse vectors.
+//! * [`sparse`] — sparse vectors (matrix columns) and the dense-value /
+//!   explicit-pattern workspace of the sparse solve kernels.
 //! * [`lu`] — sparse LU factorization (Markowitz threshold pivoting) of simplex
 //!   bases, kept current across pivots by **Forrest–Tomlin updates**
 //!   ([`lu::LuFactorization::replace_column`]): the entering column's partial
@@ -39,14 +40,15 @@
 //! `Solver::new(sf, options)?.solve()` — and every result is a
 //! [`simplex::StandardSolution`], minimize sense, indexed like the form.
 //! `Solver::new` is the one place a model is checked (bounds, costs,
-//! coefficients, tolerances). Nothing is removed or rescaled on the way, so
+//! coefficients). Nothing is removed or rescaled on the way, so
 //! indices, the exported basis and the duals refer to the caller's model. The
 //! MCF builders emit only the columns that can carry flow (no "flow back into
-//! the source" variables fixed at zero). The Forrest–Tomlin
-//! update policy refactorizes after
-//! [`simplex::SimplexOptions::refactor_interval`] updates, on fill growth past a
+//! the source" variables fixed at zero). The Forrest–Tomlin update policy
+//! refactorizes after a fixed number of updates (100), on fill growth past a
 //! fixed multiple of the base factorization, or immediately when an update's new
-//! diagonal is too small relative to its spike.
+//! diagonal is too small relative to its spike. The tolerances and that interval
+//! are constants: [`simplex::SimplexOptions`] sets only the iteration cap and
+//! the warm start.
 //!
 //! The solver targets the structure of network-flow LPs: very sparse columns (2–4
 //! nonzeros), coefficients of ±1 and modest right-hand sides. It is exact (up to
@@ -64,12 +66,9 @@ pub mod sparse;
 pub use error::{LpError, LpResult};
 pub use model::{ConstraintSense, LpProblem, VarId};
 pub use simplex::{
-    triangular_crash, BasisStatus, DualSimplex, NewColumn, SimplexOptions, Solver, StandardForm,
+    triangular_crash, BasisStatus, NewColumn, SimplexOptions, Solver, StandardForm,
     StandardSolution, WarmStart,
 };
-
-/// Default feasibility / optimality tolerance used across the crate.
-pub const DEFAULT_TOL: f64 = 1e-7;
 
 /// Value used to represent "no bound".
 pub const INF: f64 = f64::INFINITY;

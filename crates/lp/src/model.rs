@@ -98,11 +98,6 @@ impl LpProblem {
         self.obj.len()
     }
 
-    /// Number of constraints.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// Lowers the rows to the column-wise standard form: variable `v` becomes
     /// column `v.index()` and constraint `r` row `r`, with row bounds
     /// `(-inf, rhs]`, `[rhs, inf)` or `[rhs, rhs]` by its sense.
@@ -235,7 +230,7 @@ mod tests {
         let mut lp = LpProblem::new();
         let x = lp.add_nonneg_var(1.0);
         lp.add_constraint([(x, 1.0), (foreign, 1.0)], ConstraintSense::Le, 1.0);
-        assert_eq!((lp.num_vars(), lp.num_constraints()), (1, 1));
+        assert_eq!((lp.num_vars(), lp.constraints.len()), (1, 1));
         assert!(matches!(
             lp.to_standard_form(),
             Err(LpError::InvalidModel(_))

@@ -17,8 +17,8 @@
 //! spike into a single bounded row eta, and leaves `U` explicitly triangular — so
 //! FTRAN/BTRAN cost stays at factorization quality instead of growing with an
 //! unbounded product-form eta file. The basis is refactorized from scratch only when
-//! the update count reaches [`SimplexOptions::refactor_interval`], when update fill
-//! outgrows the base factorization, or when an update reports instability. All
+//! the update count reaches a fixed interval (100), when update fill outgrows the
+//! base factorization, or when an update reports instability. All
 //! per-pivot linear algebra works on sparse vectors: FTRAN/BTRAN take sparse
 //! right-hand sides ([`crate::lu::LuFactorization::ftran_sparse`]) and the ratio
 //! test and step update iterate nonzero patterns instead of dense work arrays.
@@ -58,11 +58,11 @@
 //! and FTRANing the entering column (keeping the Forrest–Tomlin spike), the
 //! step of the basic values, the reduced-cost update over the pivotal row,
 //! counting the iteration, committing the basis change (Forrest–Tomlin update,
-//! refactorization on rejection, on [`SimplexOptions::refactor_interval`] or on
-//! fill) and the degenerate-run / Bland bookkeeping. Each loop owns only its
-//! choices: the primal its pricing, two-pass ratio test and bound flip of the
-//! entering column; the dual its leaving-row selection, long-step
-//! (bound-flipping) ratio test and dual steepest-edge weights.
+//! refactorization on rejection, on the update interval or on fill) and the
+//! degenerate-run / Bland bookkeeping. Each loop owns only its choices: the
+//! primal its pricing, two-pass ratio test and bound flip of the entering
+//! column; the dual its leaving-row selection, long-step (bound-flipping) ratio
+//! test and dual steepest-edge weights.
 //!
 //! # Phase selection: primal two-phase vs. dual simplex
 //!
@@ -71,11 +71,12 @@
 //! instance) runs phase 2 only. A primal-infeasible start normally pays for
 //! phase 1 first — but when the starting basis prices **dual-feasible** against
 //! the real objective (every nonbasic reduced cost respects its bound's sign
-//! condition), the **dual simplex** ([`DualSimplex::Auto`], the default for
-//! warm/crash starts) takes over instead: it repairs primal infeasibility while
-//! *keeping* dual feasibility, so it walks straight to optimality on the real
-//! costs where phase 1 would burn thousands of degenerate pivots on an
-//! infeasibility objective that knows nothing about them. This is exactly the
+//! condition) and the start is an installed warm or crash basis
+//! ([`SimplexOptions::warm_start`]), the **dual simplex** takes over instead:
+//! it repairs primal infeasibility while *keeping* dual feasibility, so it
+//! walks straight to optimality on the real costs where phase 1 would burn
+//! thousands of degenerate pivots on an infeasibility objective that knows
+//! nothing about them. This is exactly the
 //! warm-restart case (bounds or right-hand sides changed, costs didn't — the old
 //! optimal basis stays dual-feasible) and the crash-basis case (a basis of
 //! zero-cost columns against a one-hot objective, see the MCF master crash).
@@ -95,7 +96,9 @@
 //! signed and the ratio test takes real dual steps; true costs are restored
 //! (and reduced costs re-priced) before the phase returns. Numerical trouble
 //! or a dual stall falls back to the primal two-phase method on the current
-//! (still valid) basis, so [`DualSimplex::Auto`] is never worse than a slow
+//! (still valid) basis, so a dual start is never worse than a slow one. A cold
+//! all-slack start always runs the primal two-phase method; a caller that wants
+//! the dual phase from the slack basis passes that basis as an explicit warm
 //! start.
 //!
 //! # Warm starts
@@ -114,22 +117,6 @@ use crate::error::{LpError, LpResult};
 use crate::lu::{Kernel, LuFactorization, LuScratch};
 use crate::sparse::{SparseScratch, SparseVec};
 use crate::INF;
-
-/// When the dual simplex may replace primal phase 1 (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DualSimplex {
-    /// Run the dual simplex when an *installed* warm/crash basis is
-    /// primal-infeasible but dual-feasible; cold all-slack starts keep the
-    /// primal two-phase method. Numerical trouble or a dual stall falls back
-    /// to the primal phases on the current basis.
-    #[default]
-    Auto,
-    /// Run the dual simplex from any dual-feasible primal-infeasible start,
-    /// including cold all-slack bases.
-    Always,
-    /// Never run the dual simplex; always use the primal two-phase method.
-    Off,
-}
 
 /// Basis status of one variable in a [`WarmStart`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,23 +143,11 @@ pub struct WarmStart {
     pub statuses: Vec<BasisStatus>,
 }
 
-/// Tunable solver options.
+/// Solver options.
 #[derive(Debug, Clone)]
 pub struct SimplexOptions {
     /// Hard cap on total simplex iterations (both phases combined).
     pub max_iterations: usize,
-    /// Feasibility / optimality tolerance.
-    pub tol: f64,
-    /// Pivot-magnitude tolerance in the ratio test.
-    pub pivot_tol: f64,
-    /// Number of Forrest–Tomlin basis updates accumulated before the basis is
-    /// refactorized from scratch, ≥ 1 (fill growth or an unstable update
-    /// refactorize earlier; 0 is an [`LpError::InvalidModel`]). FT updates keep
-    /// per-solve cost flat, so this can be much larger than a product-form eta
-    /// file would tolerate.
-    pub refactor_interval: usize,
-    /// Dual-simplex phase selection (see [`DualSimplex`] and the module docs).
-    pub dual_simplex: DualSimplex,
     /// Optional starting basis (see [`WarmStart`]). Falls back to the all-slack
     /// basis when absent, malformed or singular.
     pub warm_start: Option<WarmStart>,
@@ -182,14 +157,22 @@ impl Default for SimplexOptions {
     fn default() -> Self {
         Self {
             max_iterations: 1_000_000,
-            tol: 1e-7,
-            pivot_tol: 1e-9,
-            refactor_interval: 100,
-            dual_simplex: DualSimplex::default(),
             warm_start: None,
         }
     }
 }
+
+/// Feasibility / optimality tolerance.
+const TOL: f64 = 1e-7;
+
+/// Pivot-magnitude tolerance of the ratio tests.
+const PIVOT_TOL: f64 = 1e-9;
+
+/// Forrest–Tomlin updates accumulated before the basis is refactorized from
+/// scratch (fill growth or an unstable update refactorize earlier). FT updates
+/// keep per-solve cost flat, so this can be much larger than a product-form
+/// eta file would tolerate.
+const REFACTOR_INTERVAL: usize = 100;
 
 /// Devex weights are reset to the unit framework once the entering weight exceeds
 /// this threshold (keeps the reference approximation bounded).
@@ -252,7 +235,7 @@ pub struct StandardSolution {
     /// Total simplex iterations used.
     pub iterations: usize,
     /// Iterations spent in the dual-simplex phase (a subset of `iterations`;
-    /// nonzero exactly when the dual phase ran, see [`DualSimplex`]).
+    /// nonzero exactly when the dual phase ran, see the module docs).
     pub dual_iterations: usize,
     /// Basis changes performed (iterations minus bound flips).
     pub pivots: usize,
@@ -485,7 +468,7 @@ pub struct Solver<'a> {
     degenerate_run: usize,
     use_bland: bool,
     /// Whether a caller-provided warm/crash basis was actually installed (the
-    /// [`DualSimplex::Auto`] trigger; slack fallbacks leave this false).
+    /// dual-phase trigger; slack fallbacks leave this false).
     warm_installed: bool,
     /// Devex reference weights, one per variable.
     weights: Vec<f64>,
@@ -586,18 +569,6 @@ impl<'a> Solver<'a> {
         }
         for i in 0..nrows {
             check_bounds("row", i, sf.row_lower[i], sf.row_upper[i])?;
-        }
-        for (name, t) in [("tol", opts.tol), ("pivot_tol", opts.pivot_tol)] {
-            if !(t.is_finite() && t >= 0.0) {
-                return Err(LpError::InvalidModel(format!(
-                    "{name} must be finite and non-negative, got {t}"
-                )));
-            }
-        }
-        if opts.refactor_interval == 0 {
-            return Err(LpError::InvalidModel(
-                "refactor_interval must be at least 1".into(),
-            ));
         }
         let ntotal = nstruct + nrows;
         let lower = [sf.lower.as_slice(), sf.row_lower.as_slice()].concat();
@@ -855,19 +826,14 @@ impl<'a> Solver<'a> {
         self.pivots = 0;
         // Count only in-solve refactorizations, not the initial basis setup.
         self.refactorizations = 0;
-        if self.infeasibility() > self.opts.tol {
+        if self.infeasibility() > TOL {
             // A primal-infeasible start that prices dual-feasible (a warm basis
             // after a bound/rhs change, or a zero-cost crash basis) is the dual
             // simplex's home turf: it repairs feasibility while staying
             // dual-feasible, so reaching primal feasibility *is* optimality —
             // no phase-1 work on the real costs is wasted. See the module docs.
-            let try_dual = match self.opts.dual_simplex {
-                DualSimplex::Auto => self.warm_installed,
-                DualSimplex::Always => true,
-                DualSimplex::Off => false,
-            };
             let mut dual_done = false;
-            if try_dual && self.dual_feasible() {
+            if self.warm_installed && self.dual_feasible() {
                 match self.run_dual_phase()? {
                     DualOutcome::Optimal => dual_done = true,
                     DualOutcome::Fallback => {
@@ -881,7 +847,7 @@ impl<'a> Solver<'a> {
             if !dual_done {
                 self.run_phase(true)?;
                 self.recompute_basic_values();
-                if self.infeasibility() > self.opts.tol * (1.0 + self.scale_estimate()) {
+                if self.infeasibility() > TOL * (1.0 + self.scale_estimate()) {
                     return Err(LpError::Infeasible);
                 }
                 self.clamp_basics_into_bounds();
@@ -986,46 +952,6 @@ impl<'a> Solver<'a> {
         Ok(())
     }
 
-    /// Replaces the phase-2 objective coefficients of the given structural
-    /// columns in a live session, preserving the solved basis.
-    ///
-    /// The basis (and factorization) is untouched — only costs change — so the
-    /// next [`Solver::reoptimize`] is a warm phase-2 continuation from the same
-    /// vertex under the new objective. The incremental reduced costs and
-    /// pricing candidate list are invalidated so the next pricing pass rebuilds
-    /// them from a fresh dual solve against the new costs.
-    ///
-    /// This is the session hook stabilized column generation builds on: boxstep
-    /// / penalty-style stabilization keeps artificial columns in the master
-    /// whose costs track the moving stability center, and updating those costs
-    /// must not discard the basis the way a cold rebuild would.
-    pub fn set_objective_coeffs(&mut self, changes: &[(usize, f64)]) -> LpResult<()> {
-        if changes.is_empty() {
-            return Ok(());
-        }
-        for &(j, c) in changes {
-            if j >= self.nstruct {
-                return Err(LpError::InvalidModel(format!(
-                    "objective change targets column {j} but the problem has {} structural columns",
-                    self.nstruct
-                )));
-            }
-            if !c.is_finite() {
-                return Err(LpError::InvalidModel(format!(
-                    "objective change for column {j} is non-finite ({c})"
-                )));
-            }
-        }
-        let sf = self.sf.to_mut();
-        for &(j, c) in changes {
-            sf.obj[j] = c;
-        }
-        self.candidates.clear();
-        self.minor_count = 0;
-        self.d_fresh = false;
-        Ok(())
-    }
-
     /// Deactivates structural columns of a live session by **bound-fixing**:
     /// each column's bounds collapse to `[0, 0]`, its value snaps to zero, and
     /// — since pricing skips fixed columns entirely — it can never re-enter
@@ -1113,7 +1039,7 @@ impl<'a> Solver<'a> {
 
     /// Clamps basic values that are within tolerance of a bound exactly onto the bound.
     fn clamp_basics_into_bounds(&mut self) {
-        let tol = self.opts.tol * 10.0 * (1.0 + self.scale_estimate());
+        let tol = TOL * 10.0 * (1.0 + self.scale_estimate());
         for &j in &self.basis {
             let l = self.var_lower(j);
             let u = self.var_upper(j);
@@ -1177,9 +1103,9 @@ impl<'a> Solver<'a> {
         if phase1 {
             let v = self.x[j];
             let w = 1.0 + Self::phase1_jitter(j);
-            if v < self.var_lower(j) - self.opts.tol {
+            if v < self.var_lower(j) - TOL {
                 -w
-            } else if v > self.var_upper(j) + self.opts.tol {
+            } else if v > self.var_upper(j) + TOL {
                 w
             } else {
                 0.0
@@ -1209,7 +1135,7 @@ impl<'a> Solver<'a> {
         self.d_fresh = false;
         loop {
             let sample = self.start_iteration()?;
-            if phase1 && self.infeasibility() <= self.opts.tol {
+            if phase1 && self.infeasibility() <= TOL {
                 return Ok(());
             }
 
@@ -1258,7 +1184,7 @@ impl<'a> Solver<'a> {
                 entering
             };
             let Some((q, direction)) = entering else {
-                if phase1 && self.infeasibility() > self.opts.tol {
+                if phase1 && self.infeasibility() > TOL {
                     return Err(LpError::Infeasible);
                 }
                 return Ok(());
@@ -1405,18 +1331,17 @@ impl<'a> Solver<'a> {
     /// 2) and the fresh-dual (phase 1) pricing paths.
     #[inline]
     fn eligibility_from(&self, j: usize, d: f64) -> Option<(f64, f64)> {
-        let tol = self.opts.tol;
         if self.var_lower(j) == self.var_upper(j) {
             return None;
         }
         match self.status[j] {
             VarStatus::Basic(_) => None,
-            VarStatus::AtLower => (d < -tol).then_some((1.0, -d)),
-            VarStatus::AtUpper => (d > tol).then_some((-1.0, d)),
+            VarStatus::AtLower => (d < -TOL).then_some((1.0, -d)),
+            VarStatus::AtUpper => (d > TOL).then_some((-1.0, d)),
             VarStatus::FreeZero => {
-                if d < -tol {
+                if d < -TOL {
                     Some((1.0, -d))
-                } else if d > tol {
+                } else if d > TOL {
                     Some((-1.0, d))
                 } else {
                     None
@@ -1601,7 +1526,7 @@ impl<'a> Solver<'a> {
     /// both, and the factorization takes the Forrest–Tomlin update from the
     /// spike [`Self::ftran_entering`] saved. An unstable update poisons the
     /// factors, so a rejection refactorizes the new basis at once, as do
-    /// `refactor_interval` accumulated updates and update fill outgrowing the
+    /// `REFACTOR_INTERVAL` accumulated updates and update fill outgrowing the
     /// base factorization.
     fn commit_basis_change(
         &mut self,
@@ -1619,7 +1544,7 @@ impl<'a> Solver<'a> {
         if !self
             .lu
             .replace_column(r, &self.spike_buf, &mut self.lu_scratch)
-            || self.lu.updates() >= self.opts.refactor_interval
+            || self.lu.updates() >= REFACTOR_INTERVAL
             || self.lu.fill_exceeded()
         {
             self.refactorize()?;
@@ -1644,7 +1569,6 @@ impl<'a> Solver<'a> {
     /// effect, so a subsequent dual phase starts from exact `d`.
     fn dual_feasible(&mut self) -> bool {
         self.refresh_reduced_costs();
-        let tol = self.opts.tol;
         (0..self.ntotal).all(|j| {
             // Fixed columns never enter the basis; their sign is irrelevant.
             if self.var_lower(j) == self.var_upper(j) {
@@ -1652,9 +1576,9 @@ impl<'a> Solver<'a> {
             }
             match self.status[j] {
                 VarStatus::Basic(_) => true,
-                VarStatus::AtLower => self.d[j] >= -tol,
-                VarStatus::AtUpper => self.d[j] <= tol,
-                VarStatus::FreeZero => self.d[j].abs() <= tol,
+                VarStatus::AtLower => self.d[j] >= -TOL,
+                VarStatus::AtUpper => self.d[j] <= TOL,
+                VarStatus::FreeZero => self.d[j].abs() <= TOL,
             }
         })
     }
@@ -1666,15 +1590,14 @@ impl<'a> Solver<'a> {
     /// maintains dual feasibility, optimal. The returned violation is signed:
     /// positive above the upper bound, negative below the lower.
     fn dual_select_row(&self) -> Option<(usize, f64)> {
-        let tol = self.opts.tol;
         let mut best: Option<(usize, f64, f64)> = None;
         for (pos, &j) in self.basis.iter().enumerate() {
             let v = self.x[j];
             let l = self.var_lower(j);
             let u = self.var_upper(j);
-            let viol = if v < l - tol {
+            let viol = if v < l - TOL {
                 v - l
-            } else if v > u + tol {
+            } else if v > u + TOL {
                 v - u
             } else {
                 continue;
@@ -1757,8 +1680,7 @@ impl<'a> Solver<'a> {
     /// could destroy the start's dual feasibility, and free nonbasics require
     /// `d = 0` which any nudge would break.
     fn install_dual_perturbation(&mut self) {
-        let base =
-            self.opts.tol * 1e2 * (1.0 + self.sf.obj.iter().fold(0.0f64, |m, c| m.max(c.abs())));
+        let base = TOL * 1e2 * (1.0 + self.sf.obj.iter().fold(0.0f64, |m, c| m.max(c.abs())));
         self.perturb.clear();
         self.perturb.resize(self.ntotal, 0.0);
         for j in 0..self.ntotal {
@@ -1787,12 +1709,11 @@ impl<'a> Solver<'a> {
         if self.var_lower(j) == self.var_upper(j) {
             return None;
         }
-        let ptol = self.opts.pivot_tol;
         let abar = sigma * aj;
         let eligible = match self.status[j] {
-            VarStatus::AtLower => abar > ptol,
-            VarStatus::AtUpper => abar < -ptol,
-            VarStatus::FreeZero => abar.abs() > ptol,
+            VarStatus::AtLower => abar > PIVOT_TOL,
+            VarStatus::AtUpper => abar < -PIVOT_TOL,
+            VarStatus::FreeZero => abar.abs() > PIVOT_TOL,
             VarStatus::Basic(_) => false,
         };
         eligible.then(|| (self.d[j] / abar).max(0.0))
@@ -1801,8 +1722,6 @@ impl<'a> Solver<'a> {
     fn dual_phase_loop(&mut self) -> LpResult<DualOutcome> {
         self.row_weights.clear();
         self.row_weights.resize(self.nrows, 1.0);
-        let tol = self.opts.tol;
-        let ptol = self.opts.pivot_tol;
         // Consecutive degenerate (zero-dual-step) pivots: past the usual switch
         // the entering rule degrades to Bland's (smallest ratio, then smallest
         // index, no long step); persisting far past it, the phase gives up and
@@ -1911,7 +1830,7 @@ impl<'a> Solver<'a> {
             }
             let q = entering;
             let alpha_q = alpha.get(q);
-            if alpha_q.abs() <= ptol {
+            if alpha_q.abs() <= PIVOT_TOL {
                 // The expanded row disagrees with the eligibility threshold —
                 // stale factors. Refactorize once and retry; twice in a row
                 // means the dual run is numerically lost.
@@ -1954,7 +1873,7 @@ impl<'a> Solver<'a> {
 
             self.ftran_entering(q, Kernel::Adaptive);
             let w_r = self.col_buf.get(r);
-            if w_r.abs() <= ptol {
+            if w_r.abs() <= PIVOT_TOL {
                 self.alpha_buf = alpha;
                 retries += 1;
                 if retries > 1 {
@@ -1993,7 +1912,7 @@ impl<'a> Solver<'a> {
             self.commit_basis_change(r, q, leaving_status)?;
 
             // Degenerate-stall bookkeeping on the *dual* step.
-            self.note_step(theta <= tol);
+            self.note_step(theta <= TOL);
             if self.degenerate_run >= 4 * DEGENERATE_SWITCH {
                 return Ok(DualOutcome::Fallback);
             }
@@ -2153,9 +2072,6 @@ impl<'a> Solver<'a> {
         direction: f64,
         phase1: bool,
     ) -> LpResult<Option<(usize, VarStatus)>> {
-        let tol = self.opts.tol;
-        let ptol = self.opts.pivot_tol;
-
         // Bound-flip limit for the entering variable itself.
         let (lq, uq) = (self.var_lower(q), self.var_upper(q));
         let flip_limit = if lq.is_finite() && uq.is_finite() {
@@ -2168,7 +2084,7 @@ impl<'a> Solver<'a> {
         let mut t_min = INF;
         let mut leaving: Option<(usize, f64)> = None; // (basic position, bound it hits)
         for (pos, wi) in self.col_buf.iter() {
-            if wi.abs() <= ptol {
+            if wi.abs() <= PIVOT_TOL {
                 continue;
             }
             let j = self.basis[pos];
@@ -2177,27 +2093,27 @@ impl<'a> Solver<'a> {
             let u = self.var_upper(j);
             // Rate of change of this basic variable per unit step of the entering one.
             let delta = -direction * wi;
-            let infeasible_below = phase1 && v < l - tol;
-            let infeasible_above = phase1 && v > u + tol;
+            let infeasible_below = phase1 && v < l - TOL;
+            let infeasible_above = phase1 && v > u + TOL;
 
             let (limit, bound) = if infeasible_below {
-                if delta > ptol {
+                if delta > PIVOT_TOL {
                     ((l - v) / delta, l)
                 } else {
                     continue;
                 }
             } else if infeasible_above {
-                if delta < -ptol {
+                if delta < -PIVOT_TOL {
                     ((v - u) / (-delta), u)
                 } else {
                     continue;
                 }
-            } else if delta < -ptol {
+            } else if delta < -PIVOT_TOL {
                 if l.is_infinite() {
                     continue;
                 }
                 (((v - l) / (-delta)).max(0.0), l)
-            } else if delta > ptol {
+            } else if delta > PIVOT_TOL {
                 if u.is_infinite() {
                     continue;
                 }
@@ -2209,9 +2125,9 @@ impl<'a> Solver<'a> {
             let better = match leaving {
                 None => limit < t_min,
                 Some((cur_pos, _)) => {
-                    if limit < t_min - ptol {
+                    if limit < t_min - PIVOT_TOL {
                         true
-                    } else if limit <= t_min + ptol {
+                    } else if limit <= t_min + PIVOT_TOL {
                         if self.use_bland {
                             self.basis[pos] < self.basis[cur_pos]
                         } else {
@@ -2241,7 +2157,7 @@ impl<'a> Solver<'a> {
         }
 
         // Degeneracy bookkeeping, before the devex update below reads Bland.
-        self.note_step(t <= tol);
+        self.note_step(t <= TOL);
         self.apply_step(q, direction * t);
 
         if flip_limit <= t_min {
@@ -2258,7 +2174,7 @@ impl<'a> Solver<'a> {
 
         let (r, bound) = leaving.expect("finite ratio implies a leaving variable");
         let alpha_q = self.col_buf.get(r);
-        if alpha_q.abs() <= ptol {
+        if alpha_q.abs() <= PIVOT_TOL {
             return Err(LpError::Numerical(format!(
                 "pivot magnitude {alpha_q} too small at basis position {r}"
             )));
@@ -2326,7 +2242,7 @@ mod tests {
         assert!((sol.x[1] - 3.0).abs() < 1e-7);
     }
 
-    /// `Solver::new` rejects a malformed model or tolerance up front instead of
+    /// `Solver::new` rejects a malformed model up front instead of
     /// solving it to a NaN or wrong "optimum" (the LP of
     /// [`small_inequality_lp`], optimum -7).
     #[test]
@@ -2356,30 +2272,21 @@ mod tests {
         (col_at_minus_inf.lower[1], col_at_minus_inf.upper[1]) = (-INF, -INF);
         let mut row_at_plus_inf = sf.clone();
         (row_at_plus_inf.row_lower[0], row_at_plus_inf.row_upper[0]) = (INF, INF);
-        let nan_tol = SimplexOptions {
-            tol: f64::NAN,
-            ..SimplexOptions::default()
-        };
-        let no_refactor_interval = SimplexOptions {
-            refactor_interval: 0,
-            ..SimplexOptions::default()
-        };
         let cases = [
-            (nan_lower, SimplexOptions::default()),
-            (nan_obj, SimplexOptions::default()),
-            (crossed, SimplexOptions::default()),
-            (nan_row, SimplexOptions::default()),
-            (col_at_plus_inf, SimplexOptions::default()),
-            (col_at_minus_inf, SimplexOptions::default()),
-            (row_at_plus_inf, SimplexOptions::default()),
-            (sf.clone(), nan_tol),
-            (sf, no_refactor_interval),
+            nan_lower,
+            nan_obj,
+            crossed,
+            nan_row,
+            col_at_plus_inf,
+            col_at_minus_inf,
+            row_at_plus_inf,
         ];
-        for (case, (model, opts)) in cases.iter().enumerate() {
+        let opts = SimplexOptions::default();
+        for (case, model) in cases.iter().enumerate() {
             assert!(
-                matches!(solve(model, opts), Err(LpError::InvalidModel(_))),
+                matches!(solve(model, &opts), Err(LpError::InvalidModel(_))),
                 "case {case}: {:?}",
-                solve(model, opts)
+                solve(model, &opts)
             );
         }
     }
@@ -2659,6 +2566,24 @@ mod tests {
         }
     }
 
+    /// The cold start's all-slack basis as an explicit warm start: each
+    /// structural column nonbasic where the cold start puts it, every logical
+    /// basic. Installed, it is the cold start, except that a warm start may
+    /// hand a dual-feasible, primal-infeasible basis to the dual phase.
+    fn slack_basis(sf: &StandardForm) -> WarmStart {
+        let structural = (0..sf.cols.len()).map(|j| {
+            match Solver::default_nonbasic(sf.lower[j], sf.upper[j]).0 {
+                VarStatus::AtUpper => BasisStatus::AtUpper,
+                VarStatus::FreeZero => BasisStatus::Free,
+                _ => BasisStatus::AtLower,
+            }
+        });
+        let logical = std::iter::repeat_n(BasisStatus::Basic, sf.nrows);
+        WarmStart {
+            statuses: structural.chain(logical).collect(),
+        }
+    }
+
     fn push_column(sf: &mut StandardForm, c: &NewColumn) {
         sf.cols.push(c.col.clone());
         sf.obj.push(c.obj);
@@ -2677,11 +2602,6 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut trail = Vec::new();
         let nrows = rng.random_range(30..70);
-        let opts = SimplexOptions {
-            dual_simplex: DualSimplex::Always,
-            refactor_interval: [3, 17, 100][(seed % 3) as usize],
-            ..SimplexOptions::default()
-        };
         let step = |solver: &mut Solver<'_>, trail: &mut Vec<(usize, usize, u64)>| {
             solver.full_row_expansion = full_rows;
             let sol = solver.reoptimize().expect("feasible and bounded");
@@ -2704,7 +2624,7 @@ mod tests {
         for _ in 0..nrows {
             push_column(&mut packing, &session_column(&mut rng, nrows, -1.0));
         }
-        let mut solver = Solver::new_owned(packing, opts.clone()).unwrap();
+        let mut solver = Solver::new_owned(packing, SimplexOptions::default()).unwrap();
         for round in 0..4 {
             if round > 0 {
                 let batch: Vec<NewColumn> = (0..nrows / 2)
@@ -2724,8 +2644,9 @@ mod tests {
         }
 
         // Covering rows, minimize: the slack basis is dual feasible and primal
-        // infeasible, so the dual phase runs (boxed columns flip); appended
-        // columns hand over to the primal phase 2.
+        // infeasible, so started from it as a warm start the dual phase runs
+        // (boxed columns flip); appended columns hand over to the primal
+        // phase 2.
         let mut covering = StandardForm {
             nrows,
             cols: Vec::new(),
@@ -2746,8 +2667,16 @@ mod tests {
             push_column(&mut covering, &own);
             push_column(&mut covering, &session_column(&mut rng, nrows, 1.0));
         }
-        let mut solver = Solver::new(&covering, opts.clone()).unwrap();
-        step(&mut solver, &mut trail);
+        let slack_opts = SimplexOptions {
+            warm_start: Some(slack_basis(&covering)),
+            ..SimplexOptions::default()
+        };
+        let mut solver = Solver::new(&covering, slack_opts).unwrap();
+        let slack = step(&mut solver, &mut trail);
+        assert!(
+            slack.dual_iterations > 0,
+            "seed {seed}: slack start not dual"
+        );
         let batch: Vec<NewColumn> = (0..nrows)
             .map(|_| session_column(&mut rng, nrows, 1.0))
             .collect();
@@ -2765,8 +2694,7 @@ mod tests {
         }
         let warm_opts = SimplexOptions {
             warm_start: Some(solved.basis),
-            dual_simplex: DualSimplex::Auto,
-            ..opts
+            ..SimplexOptions::default()
         };
         let mut solver = Solver::new(&tightened, warm_opts).unwrap();
         assert!(full_rows || solver.a_rows_partitioned(), "seed {seed}");

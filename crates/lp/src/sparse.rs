@@ -1,4 +1,4 @@
-//! Sparse vector and matrix containers.
+//! Sparse vectors and the sparse solve workspace.
 //!
 //! The simplex solver only needs a small set of kernels: building a matrix column by
 //! column, iterating the nonzeros of a column, gathering a column into a dense
@@ -53,17 +53,6 @@ impl SparseVec {
             indices: out_i,
             values: out_v,
         }
-    }
-
-    /// Builds a sparse vector from a dense slice, dropping near-zero entries.
-    pub fn from_dense(dense: &[f64]) -> Self {
-        Self::from_entries(
-            dense
-                .iter()
-                .enumerate()
-                .filter(|(_, v)| v.abs() > DROP_TOL)
-                .map(|(i, &v)| (i, v)),
-        )
     }
 
     /// Number of stored nonzeros.
@@ -258,160 +247,6 @@ impl SparseScratch {
     }
 }
 
-/// Compressed sparse column matrix.
-///
-/// The simplex method accesses the constraint matrix strictly by column (pricing uses a
-/// transpose-free dual trick), so CSC is the only storage we need for the main solver.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CscMatrix {
-    nrows: usize,
-    ncols: usize,
-    col_ptr: Vec<usize>,
-    row_idx: Vec<usize>,
-    values: Vec<f64>,
-}
-
-impl CscMatrix {
-    /// Creates an all-zero matrix with the given shape.
-    pub fn zeros(nrows: usize, ncols: usize) -> Self {
-        Self {
-            nrows,
-            ncols,
-            col_ptr: vec![0; ncols + 1],
-            row_idx: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
-    /// Builds a matrix from per-column sparse vectors.
-    ///
-    /// # Panics
-    /// Panics if any column stores an index `>= nrows`.
-    pub fn from_columns(nrows: usize, columns: &[SparseVec]) -> Self {
-        let ncols = columns.len();
-        let mut col_ptr = Vec::with_capacity(ncols + 1);
-        col_ptr.push(0usize);
-        let nnz: usize = columns.iter().map(SparseVec::nnz).sum();
-        let mut row_idx = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        for col in columns {
-            for (i, v) in col.iter() {
-                assert!(i < nrows, "row index {i} out of bounds for {nrows} rows");
-                row_idx.push(i);
-                values.push(v);
-            }
-            col_ptr.push(row_idx.len());
-        }
-        Self {
-            nrows,
-            ncols,
-            col_ptr,
-            row_idx,
-            values,
-        }
-    }
-
-    /// Builds a matrix from (row, col, value) triplets; duplicates are summed.
-    pub fn from_triplets(
-        nrows: usize,
-        ncols: usize,
-        triplets: impl IntoIterator<Item = (usize, usize, f64)>,
-    ) -> Self {
-        let mut per_col: Vec<Vec<(usize, f64)>> = vec![Vec::new(); ncols];
-        for (r, c, v) in triplets {
-            assert!(r < nrows && c < ncols, "triplet ({r},{c}) out of bounds");
-            per_col[c].push((r, v));
-        }
-        let columns: Vec<SparseVec> = per_col.into_iter().map(SparseVec::from_entries).collect();
-        Self::from_columns(nrows, &columns)
-    }
-
-    /// Number of rows.
-    pub fn nrows(&self) -> usize {
-        self.nrows
-    }
-
-    /// Number of columns.
-    pub fn ncols(&self) -> usize {
-        self.ncols
-    }
-
-    /// Number of stored nonzeros.
-    pub fn nnz(&self) -> usize {
-        self.row_idx.len()
-    }
-
-    /// Iterates the `(row, value)` nonzeros of column `col`.
-    pub fn col_iter(&self, col: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let start = self.col_ptr[col];
-        let end = self.col_ptr[col + 1];
-        self.row_idx[start..end]
-            .iter()
-            .copied()
-            .zip(self.values[start..end].iter().copied())
-    }
-
-    /// Number of nonzeros in column `col`.
-    pub fn col_nnz(&self, col: usize) -> usize {
-        self.col_ptr[col + 1] - self.col_ptr[col]
-    }
-
-    /// Extracts column `col` as a [`SparseVec`].
-    pub fn col(&self, col: usize) -> SparseVec {
-        SparseVec::from_entries(self.col_iter(col))
-    }
-
-    /// Computes `y = A * x` for a dense `x`.
-    pub fn mul_dense(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.ncols, "dimension mismatch in mul_dense");
-        let mut y = vec![0.0; self.nrows];
-        for c in 0..self.ncols {
-            let xc = x[c];
-            if xc == 0.0 {
-                continue;
-            }
-            for (r, v) in self.col_iter(c) {
-                y[r] += v * xc;
-            }
-        }
-        y
-    }
-
-    /// Computes `y = Aᵀ * x` for a dense `x`.
-    pub fn mul_transpose_dense(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            x.len(),
-            self.nrows,
-            "dimension mismatch in mul_transpose_dense"
-        );
-        let mut y = vec![0.0; self.ncols];
-        for c in 0..self.ncols {
-            let mut acc = 0.0;
-            for (r, v) in self.col_iter(c) {
-                acc += v * x[r];
-            }
-            y[c] = acc;
-        }
-        y
-    }
-
-    /// Dot product of column `col` with a dense vector.
-    pub fn col_dot_dense(&self, col: usize, x: &[f64]) -> f64 {
-        self.col_iter(col).map(|(r, v)| v * x[r]).sum()
-    }
-
-    /// Converts to a dense row-major matrix (tests / small problems only).
-    pub fn to_dense(&self) -> Vec<Vec<f64>> {
-        let mut out = vec![vec![0.0; self.ncols]; self.nrows];
-        for c in 0..self.ncols {
-            for (r, v) in self.col_iter(c) {
-                out[r][c] = v;
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,7 +272,7 @@ mod tests {
     #[test]
     fn sparse_vec_from_dense_roundtrip() {
         let dense = vec![0.0, 1.5, 0.0, -2.0, 0.0];
-        let v = SparseVec::from_dense(&dense);
+        let v = SparseVec::from_entries(dense.iter().copied().enumerate());
         assert_eq!(v.nnz(), 2);
         assert_eq!(v.to_dense(5), dense);
         assert_eq!(v.min_len(), 4);
@@ -451,63 +286,5 @@ mod tests {
         let mut acc = vec![0.0; 4];
         v.scatter_into(&mut acc, 3.0);
         assert_eq!(acc, vec![6.0, 0.0, 0.0, -3.0]);
-    }
-
-    #[test]
-    fn csc_from_triplets_matches_dense() {
-        let m = CscMatrix::from_triplets(
-            3,
-            4,
-            vec![
-                (0, 0, 1.0),
-                (2, 0, -1.0),
-                (1, 2, 5.0),
-                (1, 2, 1.0),
-                (2, 3, 2.0),
-            ],
-        );
-        assert_eq!(m.nrows(), 3);
-        assert_eq!(m.ncols(), 4);
-        assert_eq!(m.nnz(), 4);
-        let dense = m.to_dense();
-        assert_eq!(dense[0][0], 1.0);
-        assert_eq!(dense[2][0], -1.0);
-        assert_eq!(dense[1][2], 6.0);
-        assert_eq!(dense[2][3], 2.0);
-        assert_eq!(dense[0][1], 0.0);
-    }
-
-    #[test]
-    fn csc_matvec_and_transpose_matvec() {
-        // A = [[1, 0, 2],
-        //      [0, 3, 0]]
-        let m = CscMatrix::from_triplets(2, 3, vec![(0, 0, 1.0), (0, 2, 2.0), (1, 1, 3.0)]);
-        assert_eq!(m.mul_dense(&[1.0, 1.0, 1.0]), vec![3.0, 3.0]);
-        assert_eq!(m.mul_transpose_dense(&[1.0, 2.0]), vec![1.0, 6.0, 2.0]);
-        assert_eq!(m.col_dot_dense(2, &[1.0, 2.0]), 2.0);
-    }
-
-    #[test]
-    fn csc_zeros_has_no_entries() {
-        let m = CscMatrix::zeros(4, 5);
-        assert_eq!(m.nnz(), 0);
-        assert_eq!(m.mul_dense(&[1.0; 5]), vec![0.0; 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn csc_rejects_out_of_bounds_rows() {
-        let col = SparseVec::from_entries(vec![(5, 1.0)]);
-        let _ = CscMatrix::from_columns(3, &[col]);
-    }
-
-    #[test]
-    fn col_extraction_matches_iteration() {
-        let m = CscMatrix::from_triplets(4, 2, vec![(1, 0, 2.0), (3, 0, -1.0), (0, 1, 7.0)]);
-        let c0 = m.col(0);
-        assert_eq!(c0.get(1), 2.0);
-        assert_eq!(c0.get(3), -1.0);
-        assert_eq!(m.col_nnz(0), 2);
-        assert_eq!(m.col_nnz(1), 1);
     }
 }

@@ -1,9 +1,10 @@
 //! Add-column / resolve properties on randomized (seeded ChaCha8) LPs: after
 //! appending columns to a solved model, the extended solve must match a cold
 //! solve of the full model. The session (`Solver::add_columns` + `reoptimize`)
-//! carries its basis over *mid Forrest–Tomlin update cycle* (a large
-//! `refactor_interval` keeps every pivot of the previous round in the update
-//! file when columns are appended), across several append/reoptimize rounds.
+//! carries its basis over *mid Forrest–Tomlin update cycle* (the small base
+//! solves pivot far fewer times than the refactorization interval, so every
+//! pivot of the previous round is still in the update file when columns are
+//! appended), across several append/reoptimize rounds.
 
 use a2a_lp::simplex::Solver;
 use a2a_lp::sparse::SparseVec;
@@ -140,13 +141,10 @@ fn session_add_columns_mid_ft_cycle_matches_cold_solve() {
         let scenario = random_scenario(&mut rng);
         let (base_sf, full_sf, batch) = scenario_standard_forms(&scenario);
         let tag = format!("case {case}");
-        // A large refactor interval keeps every pivot in the FT update file,
-        // so the append happens mid-update-cycle, never on a fresh basis.
-        let session_opts = SimplexOptions {
-            refactor_interval: 10_000,
-            ..SimplexOptions::default()
-        };
-        let mut solver = match Solver::new(&base_sf, session_opts.clone()) {
+        // The base solve pivots far fewer times than the refactorization
+        // interval, so the append happens mid-update-cycle, never on a fresh
+        // basis.
+        let mut solver = match Solver::new(&base_sf, SimplexOptions::default()) {
             Ok(s) => s,
             Err(e) => panic!("{tag}: solver construction failed: {e:?}"),
         };
@@ -281,107 +279,6 @@ fn session_append_validation() {
         shifted.objective
     );
     assert!((shifted.x[1] - 3.0).abs() < 1e-9);
-}
-
-/// Session layer: `set_objective_coeffs` + `reoptimize` — the stabilization
-/// hook — must match a cold solve of the re-costed model, keep the basis alive
-/// (warm continuations, not phase-1 restarts), and compose with mid-session
-/// column appends.
-#[test]
-fn session_objective_updates_match_cold_solve() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0x0B9_C057);
-    let mut exercised = 0usize;
-    for case in 0..80 {
-        let scenario = random_scenario(&mut rng);
-        let (base_sf, full_sf, batch) = scenario_standard_forms(&scenario);
-        let tag = format!("obj-update case {case}");
-        let session_opts = SimplexOptions {
-            refactor_interval: 10_000,
-            ..SimplexOptions::default()
-        };
-        let mut solver = match Solver::new(&base_sf, session_opts.clone()) {
-            Ok(s) => s,
-            Err(e) => panic!("{tag}: solver construction failed: {e:?}"),
-        };
-        if solver.reoptimize().is_err() {
-            continue;
-        }
-
-        // Re-cost a random subset of the base columns, then append the batch so
-        // the cost change also has to survive an add_columns splice.
-        let mut recosted = full_sf.clone();
-        let mut changes: Vec<(usize, f64)> = Vec::new();
-        for j in 0..base_sf.cols.len() {
-            if rng.random_bool(0.5) {
-                let c = rng.random_range(0..7) as f64 - 3.0;
-                changes.push((j, c));
-                recosted.obj[j] = c;
-            }
-        }
-        solver
-            .set_objective_coeffs(&changes)
-            .expect("valid cost changes");
-        let mid = solver.reoptimize();
-        solver.add_columns(&batch).expect("append batch");
-        let warm = solver.reoptimize();
-
-        let cold = a2a_lp::simplex::solve(&recosted, &session_opts);
-        match (&cold, &warm) {
-            (Ok(a), Ok(b)) => {
-                exercised += 1;
-                let scale = 1.0 + a.objective.abs();
-                assert!(
-                    (a.objective - b.objective).abs() < 1e-6 * scale,
-                    "{tag}: cold {} vs session {}",
-                    a.objective,
-                    b.objective
-                );
-            }
-            (Err(LpError::Unbounded), Err(LpError::Unbounded)) => {
-                exercised += 1;
-            }
-            (Err(LpError::Infeasible), Err(LpError::Infeasible)) => {}
-            (Err(LpError::Unbounded), _) if matches!(mid, Err(LpError::Unbounded)) => {}
-            (a, b) => panic!("{tag}: cold {a:?} vs session {b:?}"),
-        }
-    }
-    assert!(exercised > 30, "only {exercised} obj-update checks ran");
-}
-
-/// Malformed objective updates are rejected without corrupting the session.
-#[test]
-fn session_objective_update_validation() {
-    let sf = StandardForm {
-        nrows: 1,
-        cols: vec![SparseVec::from_entries([(0, 1.0)])],
-        obj: vec![-1.0],
-        lower: vec![0.0],
-        upper: vec![2.0],
-        row_lower: vec![-INF],
-        row_upper: vec![5.0],
-    };
-    let mut solver = Solver::new(
-        &sf,
-        SimplexOptions {
-            ..SimplexOptions::default()
-        },
-    )
-    .unwrap();
-    solver.reoptimize().unwrap();
-    assert!(matches!(
-        solver.set_objective_coeffs(&[(5, 1.0)]),
-        Err(LpError::InvalidModel(_))
-    ));
-    assert!(matches!(
-        solver.set_objective_coeffs(&[(0, f64::NAN)]),
-        Err(LpError::InvalidModel(_))
-    ));
-    solver.set_objective_coeffs(&[]).unwrap();
-    // Flipping the cost sign moves the optimum to the other bound.
-    solver.set_objective_coeffs(&[(0, 1.0)]).unwrap();
-    let flipped = solver.reoptimize().unwrap();
-    assert!((flipped.objective - 0.0).abs() < 1e-9);
-    assert!((flipped.x[0] - 0.0).abs() < 1e-9);
 }
 
 /// A seeded packing column: 2–4 positive coefficients on distinct rows, a

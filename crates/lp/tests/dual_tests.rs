@@ -1,16 +1,18 @@
 //! Dual-simplex equivalence and engagement tests.
 //!
 //! The primal two-phase method is the reference: on the same seeded random-LP
-//! streams the property suite uses, forcing the dual simplex wherever it can
-//! engage ([`DualSimplex::Always`]) must reproduce every status and objective.
-//! The warm-restart tests pin the production trigger ([`DualSimplex::Auto`]):
-//! re-solving after a bound/rhs tightening from the old optimal basis must
-//! engage the dual phase (the basis stays dual-feasible — costs didn't move)
-//! and land on the primal-verified optimum of the tightened instance.
+//! streams the property suite uses, starting the dual simplex wherever it can
+//! engage — the all-slack basis handed over as an explicit warm start, which
+//! runs the dual phase whenever it prices dual-feasible — must reproduce every
+//! status and objective of the cold (primal) solve. The warm-restart tests pin
+//! the production trigger: re-solving after a bound/rhs tightening from the
+//! old optimal basis must engage the dual phase (the basis stays
+//! dual-feasible — costs didn't move) and land on the primal-verified optimum
+//! of the tightened instance.
 
 use a2a_lp::{
-    ConstraintSense, DualSimplex, LpError, LpProblem, LpResult, SimplexOptions, StandardSolution,
-    INF,
+    BasisStatus, ConstraintSense, LpError, LpProblem, LpResult, SimplexOptions, StandardForm,
+    StandardSolution, WarmStart, INF,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -91,6 +93,52 @@ fn solve(lp: &LpProblem, options: &SimplexOptions) -> LpResult<StandardSolution>
     a2a_lp::simplex::solve(&lp.to_standard_form()?, options)
 }
 
+/// Lowers `lp` and solves it cold: the primal two-phase method from the
+/// all-slack basis.
+fn solve_primal(lp: &LpProblem) -> LpResult<StandardSolution> {
+    solve(lp, &SimplexOptions::default())
+}
+
+/// Lowers `lp` and solves it from the all-slack basis passed as an explicit
+/// warm start, so the dual simplex runs whenever that basis is
+/// primal-infeasible and prices dual-feasible.
+fn solve_dual_from_slack(lp: &LpProblem) -> LpResult<StandardSolution> {
+    let sf = lp.to_standard_form()?;
+    let options = SimplexOptions {
+        warm_start: Some(slack_basis(&sf)),
+        ..SimplexOptions::default()
+    };
+    a2a_lp::simplex::solve(&sf, &options)
+}
+
+/// The cold start's all-slack basis as a [`WarmStart`]: every logical basic,
+/// every structural column at the bound the cold start puts it on (lower
+/// when finite and no larger in magnitude than a finite upper, else upper;
+/// free columns at zero).
+fn slack_basis(sf: &StandardForm) -> WarmStart {
+    let structural = sf.lower.iter().zip(&sf.upper).map(|(&l, &u)| {
+        if l.is_infinite() && u.is_infinite() {
+            BasisStatus::Free
+        } else if l.is_finite() && (u.is_infinite() || l.abs() <= u.abs()) {
+            BasisStatus::AtLower
+        } else {
+            BasisStatus::AtUpper
+        }
+    });
+    let logical = std::iter::repeat_n(BasisStatus::Basic, sf.nrows);
+    WarmStart {
+        statuses: structural.chain(logical).collect(),
+    }
+}
+
+/// A warm start from `basis` under otherwise default options.
+fn warm_from(basis: &WarmStart) -> SimplexOptions {
+    SimplexOptions {
+        warm_start: Some(basis.clone()),
+        ..SimplexOptions::default()
+    }
+}
+
 /// Checks that a solution satisfies every bound and constraint of the model.
 fn assert_primal_feasible(lp: &LpProblem, values: &[f64]) {
     let sf = lp.to_standard_form().unwrap();
@@ -119,13 +167,6 @@ fn assert_primal_feasible(lp: &LpProblem, values: &[f64]) {
     }
 }
 
-fn opts(dual: DualSimplex) -> SimplexOptions {
-    SimplexOptions {
-        dual_simplex: dual,
-        ..SimplexOptions::default()
-    }
-}
-
 /// Primal-vs-dual equivalence on the same 400 seeded random LPs the property
 /// suite runs (both generator streams): wherever the dual simplex can engage
 /// it must reproduce the primal method's status and objective exactly, and it
@@ -140,8 +181,8 @@ fn dual_simplex_matches_primal_on_random_lps() {
             let desc = random_lp(&mut rng);
             let maximize = !maximize_alternates || case % 2 == 0;
             let lp = build(&desc, maximize);
-            let dual = solve(&lp, &opts(DualSimplex::Always));
-            let primal = solve(&lp, &opts(DualSimplex::Off));
+            let dual = solve_dual_from_slack(&lp);
+            let primal = solve_primal(&lp);
             match (dual, primal) {
                 (Ok(a), Ok(b)) => {
                     assert!(
@@ -266,9 +307,8 @@ fn build_network(desc: &NetworkDesc, cap_scale: impl Fn(usize) -> f64) -> LpProb
 
 /// The production trigger: tightening capacities *non-uniformly* leaves the
 /// old optimal basis dual-feasible (costs unchanged) but generically
-/// primal-infeasible, so a warm re-solve under the default
-/// [`DualSimplex::Auto`] engages the dual phase — and lands exactly where a
-/// cold primal solve of the tightened instance lands. (A uniform scaling
+/// primal-infeasible, so a warm re-solve engages the dual phase — and lands
+/// exactly where a cold primal solve of the tightened instance lands. (A uniform scaling
 /// would scale the basic solution with it and keep the basis primal-feasible;
 /// the per-edge factors below are what force real dual pivots.)
 #[test]
@@ -278,18 +318,12 @@ fn warm_restart_after_capacity_tightening_uses_dual_simplex() {
     for case in 0..60 {
         let desc = random_network(&mut rng);
         let nominal = build_network(&desc, |_| 1.0);
-        let cold = solve(&nominal, &opts(DualSimplex::Off)).unwrap();
+        let cold = solve_primal(&nominal).unwrap();
 
         let tightened = build_network(&desc, |e| if e % 2 == 0 { 0.15 } else { 0.9 });
-        let warm = solve(
-            &tightened,
-            &SimplexOptions {
-                warm_start: Some(cold.basis.clone()),
-                ..opts(DualSimplex::Auto)
-            },
-        )
-        .unwrap_or_else(|e| panic!("case {case}: warm dual re-solve failed: {e:?}"));
-        let reference = solve(&tightened, &opts(DualSimplex::Off)).unwrap();
+        let warm = solve(&tightened, &warm_from(&cold.basis))
+            .unwrap_or_else(|e| panic!("case {case}: warm dual re-solve failed: {e:?}"));
+        let reference = solve_primal(&tightened).unwrap();
         assert!(
             (warm.objective - reference.objective).abs()
                 <= 1e-6 * (1.0 + reference.objective.abs()),
@@ -321,17 +355,10 @@ fn tightened_bottleneck_resolves_dually() {
         lp.add_constraint([(x, 1.0), (y, 1.0)], ConstraintSense::Le, cap);
         lp
     };
-    let cold = solve(&build(5.0), &opts(DualSimplex::Off)).unwrap();
+    let cold = solve_primal(&build(5.0)).unwrap();
     assert!((cold.objective + 5.0).abs() <= 1e-9);
 
-    let warm = solve(
-        &build(2.0),
-        &SimplexOptions {
-            warm_start: Some(cold.basis.clone()),
-            ..opts(DualSimplex::Auto)
-        },
-    )
-    .unwrap();
+    let warm = solve(&build(2.0), &warm_from(&cold.basis)).unwrap();
     assert!(
         (warm.objective + 2.0).abs() <= 1e-9,
         "tightened optimum should be 2, got {}",
@@ -358,14 +385,8 @@ fn infeasible_tightening_is_detected_through_the_dual_path() {
         lp.add_constraint([(x, 1.0), (y, 1.0)], ConstraintSense::Ge, 4.0);
         lp
     };
-    let cold = solve(&build(3.0), &opts(DualSimplex::Off)).unwrap();
-    let warm = solve(
-        &build(1.0),
-        &SimplexOptions {
-            warm_start: Some(cold.basis.clone()),
-            ..opts(DualSimplex::Auto)
-        },
-    );
+    let cold = solve_primal(&build(3.0)).unwrap();
+    let warm = solve(&build(1.0), &warm_from(&cold.basis));
     assert!(
         matches!(warm, Err(LpError::Infeasible)),
         "x + y >= 4 with x, y <= 1 must be infeasible, got {warm:?}"
@@ -403,8 +424,8 @@ fn dual_phase_agrees_with_primal_across_the_kernel_switch() {
         }
         covering.add_constraint(coeffs, ConstraintSense::Ge, rng.random_range(1..10) as f64);
     }
-    let dual = solve(&covering, &opts(DualSimplex::Always)).unwrap();
-    let primal = solve(&covering, &opts(DualSimplex::Off)).unwrap();
+    let dual = solve_dual_from_slack(&covering).unwrap();
+    let primal = solve_primal(&covering).unwrap();
     assert!(dual.dual_iterations > 0, "the covering LP must run dually");
     assert!(
         (dual.objective - primal.objective).abs() <= 1e-9 * (1.0 + primal.objective.abs()),
@@ -433,17 +454,10 @@ fn dual_phase_agrees_with_primal_across_the_kernel_switch() {
         edges,
         commodities: (0..8).map(|c| (c, (3 * c + 5) % n)).collect(),
     };
-    let cold = solve(&build_network(&desc, |_| 1.0), &opts(DualSimplex::Off)).unwrap();
+    let cold = solve_primal(&build_network(&desc, |_| 1.0)).unwrap();
     let tightened = build_network(&desc, |e| if e % 2 == 0 { 0.15 } else { 0.9 });
-    let warm = solve(
-        &tightened,
-        &SimplexOptions {
-            warm_start: Some(cold.basis.clone()),
-            ..opts(DualSimplex::Auto)
-        },
-    )
-    .unwrap();
-    let reference = solve(&tightened, &opts(DualSimplex::Off)).unwrap();
+    let warm = solve(&tightened, &warm_from(&cold.basis)).unwrap();
+    let reference = solve_primal(&tightened).unwrap();
     assert!(
         warm.dual_iterations > 0,
         "the tightened network must run dually"
@@ -481,7 +495,7 @@ fn covering_lp_dual_trajectory_is_pinned() {
         }
         covering.add_constraint(coeffs, ConstraintSense::Ge, rng.random_range(1..10) as f64);
     }
-    let dual = solve(&covering, &opts(DualSimplex::Always)).unwrap();
+    let dual = solve_dual_from_slack(&covering).unwrap();
     assert_eq!(
         (
             dual.iterations,
