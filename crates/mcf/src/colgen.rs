@@ -6,9 +6,12 @@
 //! [`crate::tscolgen`], which serves both the nominal tsMCF solve and the
 //! mid-run re-planning of [`crate::residual`] — and they differ only in how
 //! the master LP is built and what a column means. Everything else is
-//! [`run_colgen`]: each solver builds its restricted master, implements
-//! [`PricingOracle`] (price one source into candidates, lower one candidate
-//! into an LP column), and hands the loop to the driver, which owns
+//! [`run_colgen`]: each solver builds its restricted master, seeded with one
+//! hop-shortest path per owner (for [`crate::tscolgen`] its earliest-arrival
+//! time expansion; [`crate::residual`] adds its warm seeds) — pricing provably
+//! closes any gap that seed leaves — implements [`PricingOracle`] (price one
+//! source into candidates, lower one candidate into an LP column), and hands
+//! the loop to the driver, which owns
 //!
 //! * the master re-solve / dual-extraction / pricing-sweep round structure,
 //! * dual stabilization ([`Stabilization`], [`DualStabilizer`]) and the
@@ -18,7 +21,7 @@
 //! * the serial pricing sweep over the sources, in source-index order (see
 //!   *Determinism* below),
 //! * column-pool aging ([`ColGenOptions::purge_nonbasic_after`]),
-//! * the deterministic sort/cap/record of candidates and all per-round
+//! * the deterministic sort/record of candidates and all per-round
 //!   statistics ([`ColGenRound`], [`ColGenStats`]).
 //!
 //! # The certificate invariant
@@ -35,13 +38,11 @@
 //! * under partial pricing a round that would otherwise terminate while
 //!   sources are being skipped re-prices all skipped sources first.
 //!
-//! The certificate and the recorded `max_violation` always come from the
-//! *untruncated* candidate list: a per-round column cap
-//! ([`ColGenOptions::max_columns_per_round`]) defers work, it never
-//! manufactures an optimality proof. Column purging cannot weaken the
-//! certificate either: a column that is *in* the master has non-negative
-//! reduced cost at the master's optimum, so re-pricing a purged path at the
-//! raw duals of a terminating round cannot find it violating.
+//! A round appends every candidate it found, and the certificate is that list
+//! coming back empty at a pricing tolerance of [`PRICING_TOLERANCE`]. Column
+//! purging cannot weaken the certificate: a column that is *in* the master has
+//! non-negative reduced cost at the master's optimum, so re-pricing a purged
+//! path at the raw duals of a terminating round cannot find it violating.
 //!
 //! # Determinism
 //!
@@ -80,23 +81,11 @@ use std::time::Instant;
 use a2a_lp::{BasisStatus, NewColumn, Solver, StandardSolution};
 use a2a_topology::Path;
 
-use crate::pmcf::PathSetKind;
 use crate::types::{McfError, McfResult};
 
-/// How a column-generation solver seeds its restricted master.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ColGenSeed {
-    /// One cheapest/earliest path per commodity — the minimal seed. Pricing
-    /// provably closes any gap this leaves, at the cost of a few more rounds.
-    /// For [`crate::tscolgen`] this is the earliest-arrival time-expanded path
-    /// (BFS shortest route, then buffer at the destination).
-    ShortestPath,
-    /// Seed with a full fixed path-set family; pricing then only adds what the
-    /// family missed. [`crate::tscolgen`] lowers each base path to its
-    /// earliest-departure time expansion (paths longer than the step budget are
-    /// dropped, falling back to the shortest path).
-    Kind(PathSetKind),
-}
+/// Reduced-cost tolerance of the pricing test: a path improves when its
+/// dual-weighted length is below its owner's convexity dual minus this.
+pub const PRICING_TOLERANCE: f64 = 1e-7;
 
 /// Dual stabilization applied to the pricing duals of a colgen run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -119,18 +108,10 @@ pub enum Stabilization {
 /// [`crate::tscolgen::solve_tsmcf_colgen_among_with`]).
 #[derive(Debug, Clone)]
 pub struct ColGenOptions {
-    /// Initial column set of the restricted master.
-    pub seed: ColGenSeed,
     /// Hard cap on master-solve/pricing rounds. When the cap is hit the best
     /// restricted solution is returned with
     /// [`ColGenStats::proved_optimal`]` == false`.
     pub max_rounds: usize,
-    /// Cap on columns appended per round (the most violating candidates win; at
-    /// most one candidate per commodity is generated each round).
-    pub max_columns_per_round: usize,
-    /// Reduced-cost tolerance of the pricing test: a path improves when its
-    /// dual-weighted length is below the commodity's convexity dual minus this.
-    pub tolerance: f64,
     /// Partial pricing: skip re-pricing a source whose relevant duals (the
     /// global arc duals plus its own commodities' convexity duals) have drifted
     /// less than this tolerance — accumulated — since the round it was last
@@ -164,10 +145,7 @@ impl Default for ColGenOptions {
     /// equivalence suites that pin the unstabilized trajectory.
     fn default() -> Self {
         Self {
-            seed: ColGenSeed::ShortestPath,
             max_rounds: 200,
-            max_columns_per_round: usize::MAX,
-            tolerance: 1e-7,
             partial_pricing: Some(1e-1),
             stabilization: Stabilization::Smoothing { alpha: 0.1 },
             purge_nonbasic_after: None,
@@ -202,25 +180,13 @@ impl ColGenOptions {
     /// instead of panicking mid-solve. Returns a description of the first
     /// problem found.
     pub fn validate(&self) -> Result<(), String> {
-        if self.max_rounds == 0 || self.max_columns_per_round == 0 {
-            return Err(
-                "colgen needs max_rounds >= 1 and max_columns_per_round >= 1 \
-                 (a zero column cap could never make progress)"
-                    .into(),
-            );
+        if self.max_rounds == 0 {
+            return Err("colgen needs max_rounds >= 1".into());
         }
         if let Stabilization::Smoothing { alpha } = self.stabilization {
             if !(0.0..1.0).contains(&alpha) {
                 return Err(format!("smoothing weight must be in [0, 1), got {alpha}"));
             }
-        }
-        // A NaN or infinite tolerance makes every `violation > tolerance` test
-        // false, which would "certify" the seed columns after one round.
-        if !(self.tolerance.is_finite() && self.tolerance >= 0.0) {
-            return Err(format!(
-                "pricing tolerance must be finite and non-negative, got {}",
-                self.tolerance
-            ));
         }
         if let Some(skip) = self.partial_pricing {
             if skip.is_nan() || skip < 0.0 {
@@ -260,7 +226,7 @@ pub struct ColGenRound {
     pub flow_value: f64,
     /// Largest pricing violation found (`convexity dual - cheapest path cost`
     /// over the *new* candidate paths, under the duals the sweep priced at);
-    /// `<= tolerance` on the final round of a proven-optimal run.
+    /// `<= PRICING_TOLERANCE` on the final round of a proven-optimal run.
     pub max_violation: f64,
     /// Sources whose Dijkstra pricing sweep was skipped by partial pricing this
     /// round (0 when partial pricing is disabled, and 0 on any round that forced
@@ -282,9 +248,9 @@ pub struct ColGenStats {
     pub rounds: Vec<ColGenRound>,
     /// True when the run terminated with the optimality certificate: no
     /// commodity has a column whose dual-weighted cost is below its convexity
-    /// dual minus the tolerance, established by a full sweep at the master's
-    /// *raw* duals — i.e. the restricted master's optimum is the optimum of the
-    /// unrestricted formulation.
+    /// dual minus [`PRICING_TOLERANCE`], established by a full sweep at the
+    /// master's *raw* duals — i.e. the restricted master's optimum is the
+    /// optimum of the unrestricted formulation.
     pub proved_optimal: bool,
     /// Columns the master was seeded with.
     pub seed_columns: usize,
@@ -316,19 +282,6 @@ impl ColGenStats {
     /// Total master simplex iterations across all rounds.
     pub fn total_master_iterations(&self) -> usize {
         self.rounds.iter().map(|r| r.master_iterations).sum()
-    }
-
-    /// Total master basis changes across all rounds.
-    pub fn total_master_pivots(&self) -> usize {
-        self.rounds.iter().map(|r| r.master_pivots).sum()
-    }
-
-    /// Total wall time across master solves and pricing sweeps.
-    pub fn total_wall_secs(&self) -> f64 {
-        self.rounds
-            .iter()
-            .map(|r| r.master_wall_secs + r.pricing_wall_secs)
-            .sum()
     }
 
     /// Total source-pricing sweeps skipped by partial pricing across all rounds.
@@ -430,8 +383,8 @@ impl DualStabilizer {
 /// violation moves by at most the L1 norm of the arc-weight drift plus its own
 /// convexity-dual drift. Accumulating exactly that bound per source since its
 /// last sweep bounds a skipped source's largest possible violation by
-/// `tolerance + skip tolerance`; the optimality certificate never relies on it
-/// (the terminating round re-prices every skipped source). Under
+/// `PRICING_TOLERANCE + skip tolerance`; the optimality certificate never
+/// relies on it (the terminating round re-prices every skipped source). Under
 /// [`Stabilization::Smoothing`] the tracker runs on the *smoothed* duals — the
 /// vector pricing actually uses — which is precisely why stabilization makes
 /// the skip fire more often.
@@ -510,7 +463,8 @@ impl PartialPricing {
 /// the priced path (over whatever graph the oracle prices on).
 #[derive(Debug, Clone)]
 pub struct Candidate {
-    /// `μ_owner − cost` under the duals the sweep priced at; `> tolerance`.
+    /// `μ_owner − cost` under the duals the sweep priced at;
+    /// `> PRICING_TOLERANCE`.
     pub violation: f64,
     /// Owning commodity (pMCF) or demand (time-expanded master) index.
     pub owner: usize,
@@ -738,8 +692,7 @@ pub fn run_colgen<O: PricingOracle>(
         let pricing_wall_secs = t_pricing.elapsed().as_secs_f64();
 
         // Most violating candidates first; the owner index breaks ties so the
-        // round is deterministic. The certificate and the recorded violation
-        // come from the *untruncated* list.
+        // round is deterministic.
         candidates.sort_by(|a, b| {
             b.violation
                 .total_cmp(&a.violation)
@@ -748,7 +701,6 @@ pub fn run_colgen<O: PricingOracle>(
         let max_violation = candidates.first().map_or(0.0, |c| c.violation);
         let proved = candidates.is_empty();
         let capped = !proved && stats.rounds.len() + 1 >= options.max_rounds;
-        candidates.truncate(options.max_columns_per_round);
 
         stats.rounds.push(ColGenRound {
             columns_in_master: stats.total_columns,
@@ -799,24 +751,13 @@ pub fn run_colgen<O: PricingOracle>(
 #[cfg(test)]
 impl ColGenOptions {
     /// Numerically malformed option values every colgen entry point must
-    /// reject: with a NaN or infinite `tolerance` no candidate ever passes the
-    /// `violation > tolerance` test, so round 1 would "certify" the seed.
+    /// reject: a NaN or negative partial-pricing drift tolerance.
     pub(crate) fn malformed_numeric_cases() -> Vec<Self> {
-        let tolerance = |tolerance| Self {
-            tolerance,
-            ..Self::default()
-        };
         let partial = |skip| Self {
             partial_pricing: Some(skip),
             ..Self::default()
         };
-        vec![
-            tolerance(f64::NAN),
-            tolerance(f64::INFINITY),
-            tolerance(-1e-7),
-            partial(f64::NAN),
-            partial(-1.0),
-        ]
+        vec![partial(f64::NAN), partial(-1.0)]
     }
 }
 

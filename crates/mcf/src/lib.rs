@@ -76,8 +76,8 @@ pub mod types;
 pub use analysis::{max_link_load_of_paths, path_schedule_all_to_all_time, throughput_gbps};
 pub use bounds::{lower_bound_all_to_all_time, throughput_upper_bound};
 pub use colgen::{
-    run_colgen, Candidate, ColGenOptions, ColGenRound, ColGenSeed, ColGenStats, PricingOracle,
-    Stabilization,
+    run_colgen, Candidate, ColGenOptions, ColGenRound, ColGenStats, PricingOracle, Stabilization,
+    PRICING_TOLERANCE,
 };
 pub use decomposed::{
     solve_decomposed_mcf, solve_decomposed_mcf_with, DecomposedMcf, DecomposedOptions,

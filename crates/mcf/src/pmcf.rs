@@ -9,8 +9,8 @@
 //!
 //! # Column generation
 //!
-//! Fixed path sets trade optimality per topology family (the `Widened` set exists
-//! precisely because the edge-disjoint set collapses on single-uplink fat trees).
+//! Fixed path sets trade optimality per topology family (the edge-disjoint set
+//! collapses to one path per commodity on single-uplink fat trees).
 //! [`solve_path_mcf_colgen_among`] removes the trade-off: it solves the *full* path
 //! LP to proven optimality by restricted-master column generation — seed a small
 //! path set, solve the restricted master, price every commodity by a cheapest path
@@ -31,8 +31,9 @@ use a2a_lp::sparse::SparseVec;
 use a2a_lp::{NewColumn, SimplexOptions, Solver, StandardForm, INF};
 use a2a_topology::{paths, Path, Topology};
 
-use crate::colgen::{run_colgen, Candidate, PricingOracle};
+use crate::colgen::{run_colgen, Candidate, PricingOracle, PRICING_TOLERANCE};
 use crate::linkmcf::validate;
+use crate::tscolgen::shortest_seed;
 use crate::types::{CommoditySet, McfError, McfResult, PathSchedule};
 
 /// Candidate path-set family for pMCF.
@@ -56,21 +57,6 @@ pub enum PathSetKind {
         /// Hop bound (`l_max` in the paper).
         max_hops: usize,
         /// Maximum number of paths kept per commodity.
-        max_per_pair: usize,
-    },
-    /// The union (deduplicated) of the edge-disjoint set and all shortest paths
-    /// (capped at `max_per_pair`).
-    ///
-    /// On host-attached fabrics — fat trees, host-NIC augmented graphs — the
-    /// `s`–`d` edge connectivity is 1 (the lone host uplink), so the "maximal"
-    /// edge-disjoint set degenerates to a *single* max-flow path that pins every
-    /// commodity to one arbitrary spine and caps the concurrent flow far below
-    /// the true optimum (fattree-16h: 1/24 instead of 1/15). Adding the shortest
-    /// paths restores the parallel-switch choices while keeping the set
-    /// polynomial; on switchless regular topologies it reduces to the
-    /// edge-disjoint set plus a few already-optimal shortest routes.
-    Widened {
-        /// Maximum number of shortest paths added per commodity.
         max_per_pair: usize,
     },
 }
@@ -111,16 +97,6 @@ pub fn build_path_sets(
                 max_hops,
                 max_per_pair,
             } => paths::paths_within_length(topo, s, d, max_hops, max_per_pair),
-            PathSetKind::Widened { max_per_pair } => {
-                let mut set = paths::edge_disjoint_paths(topo, s, d);
-                let mut seen: std::collections::HashSet<Path> = set.iter().cloned().collect();
-                for p in paths::all_shortest_paths(topo, s, d, max_per_pair) {
-                    if seen.insert(p.clone()) {
-                        set.push(p);
-                    }
-                }
-                set
-            }
         };
         if set.is_empty() {
             return Err(McfError::BadArgument(format!(
@@ -163,8 +139,7 @@ pub fn solve_path_mcf_with_paths(
         }
     }
 
-    // Never priced, so the pricing tolerance is moot.
-    let (sf, pricer, _) = PathPricer::master(topo, &commodities, path_sets, 0.0);
+    let (sf, pricer, _) = PathPricer::master(topo, &commodities, path_sets);
     let sol = a2a_lp::simplex::solve(&sf, &SimplexOptions::default())?;
     let flow_value = -sol.objective;
     let weighted = pricer.into_weighted_paths(&sol.x, flow_value)?;
@@ -179,8 +154,7 @@ pub fn solve_path_mcf_with_paths(
 // machinery are shared with the time-expanded colgen solver; re-exported here
 // so existing `pmcf::ColGenOptions` paths keep working.
 pub use crate::colgen::{
-    ColGenOptions, ColGenRound, ColGenSeed, ColGenStats, DualStabilizer, PartialPricing,
-    Stabilization,
+    ColGenOptions, ColGenRound, ColGenStats, DualStabilizer, PartialPricing, Stabilization,
 };
 
 /// Result of a column-generation path-MCF solve.
@@ -202,7 +176,6 @@ struct PathPricer<'a> {
     commodities_of_source: Vec<Vec<usize>>,
     edge_row: Vec<Option<usize>>,
     nedge_rows: usize,
-    tol: f64,
     /// Candidate paths per commodity, in append order.
     path_sets: Vec<Vec<Path>>,
     /// `(commodity, within-set index)` of LP column `j + 1`.
@@ -223,7 +196,6 @@ impl<'a> PathPricer<'a> {
         topo: &'a Topology,
         commodities: &'a CommoditySet,
         path_sets: Vec<Vec<Path>>,
-        tol: f64,
     ) -> (StandardForm, Self, Vec<HashSet<Path>>) {
         let ncomm = commodities.len();
         let mut edge_row: Vec<Option<usize>> = Vec::with_capacity(topo.num_edges());
@@ -267,7 +239,6 @@ impl<'a> PathPricer<'a> {
             commodities_of_source,
             edge_row,
             nedge_rows,
-            tol,
             path_sets: vec![Vec::new(); ncomm],
             col_owner: Vec::new(),
         };
@@ -363,7 +334,7 @@ impl PricingOracle for PathPricer<'_> {
 
     // Dual edge costs w_e = max(0, -y_e) (capacity-row duals are non-positive
     // at a minimize optimum); convexity duals mu_k = y_{demand k}. A path
-    // improves iff its w-length is below mu_k - tolerance.
+    // improves iff its w-length is below mu_k - PRICING_TOLERANCE.
     fn arc_weights(&self, y: &[f64]) -> Vec<f64> {
         let mut weights = vec![0.0; self.topo.num_edges()];
         for (e, r) in self.edge_row.iter().enumerate() {
@@ -401,7 +372,7 @@ impl PricingOracle for PathPricer<'_> {
                 .distance(d)
                 .expect("validated topologies are strongly connected");
             let violation = mu[k] - cost;
-            if violation > self.tol {
+            if violation > PRICING_TOLERANCE {
                 let p = tree.path_to(d).expect("finite distance implies a path");
                 if !seen[k].contains(&p) {
                     out.push(Candidate {
@@ -439,10 +410,10 @@ impl PricingOracle for PathPricer<'_> {
 /// incremental [`Solver`] session — appended columns enter nonbasic, the
 /// factorized basis carries over, so every re-solve is a warm phase-2
 /// continuation — then prices all commodities at once with one Dijkstra tree
-/// per source under the dual edge costs. Improving paths (dual-weighted length
-/// below the commodity's convexity dual minus
-/// [`ColGenOptions::tolerance`]) are appended, best violations first, capped by
-/// [`ColGenOptions::max_columns_per_round`].
+/// per source under the dual edge costs. Every improving path (dual-weighted
+/// length below the commodity's convexity dual minus [`PRICING_TOLERANCE`]) is
+/// appended, best violations first. The master is seeded with one hop-shortest
+/// path per commodity.
 ///
 /// Terminates with [`ColGenStats::proved_optimal`] when no improving path
 /// exists — the LP optimality certificate of the *unrestricted* path
@@ -455,21 +426,11 @@ pub fn solve_path_mcf_colgen_among(
 ) -> McfResult<ColGenPathMcf> {
     validate(topo, &commodities)?;
     options.validate().map_err(McfError::BadArgument)?;
-    let path_sets: Vec<Vec<Path>> = match options.seed {
-        ColGenSeed::ShortestPath => {
-            let mut sets = Vec::with_capacity(commodities.len());
-            for (_, s, d) in commodities.iter() {
-                let p = paths::shortest_path(topo, s, d).ok_or_else(|| {
-                    McfError::BadTopology(format!("no {s}->{d} path exists for the seed"))
-                })?;
-                sets.push(vec![p]);
-            }
-            sets
-        }
-        ColGenSeed::Kind(kind) => build_path_sets(topo, &commodities, kind)?,
-    };
-    let (sf, mut pricer, mut seen) =
-        PathPricer::master(topo, &commodities, path_sets, options.tolerance);
+    let path_sets: Vec<Vec<Path>> = commodities
+        .iter()
+        .map(|(_, s, d)| Ok(vec![shortest_seed(topo, s, d)?]))
+        .collect::<McfResult<_>>()?;
+    let (sf, mut pricer, mut seen) = PathPricer::master(topo, &commodities, path_sets);
     let seed: Vec<(usize, Path)> = pricer
         .col_owner
         .iter()
@@ -555,74 +516,6 @@ mod tests {
         assert!(load <= 1.0 / pmcf.flow_value + 1e-6);
     }
 
-    /// The PR-1 bench discrepancy, settled: on a two-level fat tree every host
-    /// hangs off a single uplink, so the edge-disjoint set is one max-flow path
-    /// per commodity that funnels all inter-leaf traffic through one spine
-    /// (fattree-16h: F = 1/24). The widened set re-enables every spine and must
-    /// recover the decomposed-MCF optimum F = 1/(N-1) exactly.
-    #[test]
-    fn widened_paths_close_the_fat_tree_gap() {
-        use crate::decomposed::solve_decomposed_mcf_with;
-        use crate::DecomposedOptions;
-        let ft = generators::fat_tree_two_level(4, 2, 4);
-        let commodities = CommoditySet::among(ft.hosts.clone());
-        let decomposed = solve_decomposed_mcf_with(
-            &ft.graph,
-            commodities.clone(),
-            &DecomposedOptions::default(),
-        )
-        .unwrap();
-        let n = ft.hosts.len() as f64;
-        assert!(
-            (decomposed.solution.flow_value - 1.0 / (n - 1.0)).abs() < 1e-6,
-            "decomposed F = {}",
-            decomposed.solution.flow_value
-        );
-
-        // The edge-disjoint set concentrates on one spine: measured gap 1/24.
-        let disjoint =
-            solve_path_mcf_among(&ft.graph, commodities.clone(), PathSetKind::EdgeDisjoint)
-                .unwrap();
-        assert!(
-            (disjoint.flow_value - 1.0 / 24.0).abs() < 1e-6,
-            "edge-disjoint F = {} (the single-uplink concentration)",
-            disjoint.flow_value
-        );
-
-        // Widened path sets agree with the decomposed optimum.
-        let widened = solve_path_mcf_among(
-            &ft.graph,
-            commodities,
-            PathSetKind::Widened { max_per_pair: 32 },
-        )
-        .unwrap();
-        assert!(
-            (widened.flow_value - decomposed.solution.flow_value).abs() < 1e-6,
-            "widened pMCF F = {} vs decomposed F = {}",
-            widened.flow_value,
-            decomposed.solution.flow_value
-        );
-        assert!(widened.check_consistency(&ft.graph, 1e-6).is_empty());
-    }
-
-    /// On regular switchless topologies the widened set must never do worse than
-    /// plain edge-disjoint (it is a superset).
-    #[test]
-    fn widened_paths_never_hurt() {
-        for topo in [generators::hypercube(3), generators::torus(&[3, 3])] {
-            let disjoint = solve_path_mcf(&topo, PathSetKind::EdgeDisjoint).unwrap();
-            let widened = solve_path_mcf(&topo, PathSetKind::Widened { max_per_pair: 16 }).unwrap();
-            assert!(
-                widened.flow_value >= disjoint.flow_value - 1e-7,
-                "{}: widened {} < disjoint {}",
-                topo.name(),
-                widened.flow_value,
-                disjoint.flow_value
-            );
-            assert!(widened.check_consistency(&topo, 1e-6).is_empty());
-        }
-    }
-
     /// Colgen must be exact on graphs where the fixed sets already are, and its
     /// certificate must hold at termination.
     #[test]
@@ -647,12 +540,13 @@ mod tests {
         assert!(cg.stats.total_columns >= cg.stats.seed_columns);
     }
 
-    /// The fattree-16h regression, pinned against the *adaptive* fix: seeded
-    /// with nothing but one shortest path per commodity — the same starved
-    /// starting point that made the edge-disjoint set collapse to F = 1/24 —
-    /// column generation must price the parallel spines back in and reach the
-    /// decomposed optimum F = 1/15 with its certificate intact, no `Widened`
-    /// hand-tuning involved.
+    /// The fattree-16h gap, closed adaptively: every host hangs off a single
+    /// uplink, so the edge-disjoint set is one max-flow path per commodity
+    /// that funnels all inter-leaf traffic through one spine (F = 1/24).
+    /// Seeded with nothing but one shortest path per commodity — the same
+    /// starved starting point — column generation must price the parallel
+    /// spines back in and reach the optimum F = 1/(N-1) = 1/15 with its
+    /// certificate intact.
     #[test]
     fn colgen_closes_the_fat_tree_gap_from_a_shortest_path_seed() {
         let ft = generators::fat_tree_two_level(4, 2, 4);
@@ -660,11 +554,16 @@ mod tests {
         let n = ft.hosts.len() as f64;
         let optimum = 1.0 / (n - 1.0); // 1/15
 
-        let opts = ColGenOptions {
-            seed: ColGenSeed::ShortestPath,
-            ..ColGenOptions::default()
-        };
-        let cg = solve_path_mcf_colgen_among(&ft.graph, commodities, &opts).unwrap();
+        let disjoint =
+            solve_path_mcf_among(&ft.graph, commodities.clone(), PathSetKind::EdgeDisjoint)
+                .unwrap();
+        assert!(
+            (disjoint.flow_value - 1.0 / 24.0).abs() < 1e-6,
+            "edge-disjoint F = {} (the single-uplink concentration)",
+            disjoint.flow_value
+        );
+        let cg =
+            solve_path_mcf_colgen_among(&ft.graph, commodities, &ColGenOptions::default()).unwrap();
         assert!(cg.stats.proved_optimal, "certificate must hold");
         assert!(
             (cg.schedule.flow_value - optimum).abs() < 1e-6,
@@ -672,30 +571,13 @@ mod tests {
             cg.schedule.flow_value
         );
         // The seed alone is strictly worse (one spine per commodity), so the
-        // pricing rounds must have done real work.
+        // pricing rounds must have done real work, and the per-round
+        // accounting reconciles with the final column count.
         assert!(cg.stats.rounds[0].flow_value < optimum - 1e-6);
-        assert!(cg.stats.total_columns > cg.stats.seed_columns);
+        let appended: usize = cg.stats.rounds.iter().map(|r| r.columns_added).sum();
+        assert!(appended > 0);
+        assert_eq!(cg.stats.seed_columns + appended, cg.stats.total_columns);
         assert!(cg.schedule.check_consistency(&ft.graph, 1e-6).is_empty());
-    }
-
-    /// Seeding with a fixed family must never hurt: colgen from the widened set
-    /// terminates at the same optimum, typically in fewer rounds.
-    #[test]
-    fn colgen_from_widened_seed_agrees() {
-        let topo = generators::torus(&[3, 3]);
-        let link = solve_link_mcf(&topo).unwrap();
-        let opts = ColGenOptions {
-            seed: ColGenSeed::Kind(PathSetKind::Widened { max_per_pair: 8 }),
-            ..ColGenOptions::default()
-        };
-        let cg = solve_path_mcf_colgen(&topo, &opts).unwrap();
-        assert!(cg.stats.proved_optimal);
-        assert!(
-            (cg.schedule.flow_value - link.flow_value).abs() <= 1e-6 * (1.0 + link.flow_value),
-            "colgen F = {} vs link F = {}",
-            cg.schedule.flow_value,
-            link.flow_value
-        );
     }
 
     /// A round cap short of convergence returns the restricted optimum without
@@ -718,61 +600,20 @@ mod tests {
         assert_eq!(cg.stats.total_columns, cg.stats.seed_columns);
     }
 
-    /// A per-round column cap slows colgen down but must never fake the
-    /// certificate: with one column per round the fat tree still converges to
-    /// the true optimum, and the per-round accounting reconciles exactly.
-    #[test]
-    fn colgen_column_cap_defers_but_never_fakes_optimality() {
-        let ft = generators::fat_tree_two_level(2, 2, 2);
-        let commodities = CommoditySet::among(ft.hosts.clone());
-        let uncapped =
-            solve_path_mcf_colgen_among(&ft.graph, commodities.clone(), &ColGenOptions::default())
-                .unwrap();
-        let opts = ColGenOptions {
-            max_columns_per_round: 1,
-            max_rounds: 10_000,
-            ..ColGenOptions::default()
-        };
-        let capped = solve_path_mcf_colgen_among(&ft.graph, commodities, &opts).unwrap();
-        assert!(capped.stats.proved_optimal);
-        assert!(
-            (capped.schedule.flow_value - uncapped.schedule.flow_value).abs() < 1e-6,
-            "capped F = {} vs uncapped F = {}",
-            capped.schedule.flow_value,
-            uncapped.schedule.flow_value
-        );
-        assert!(capped.stats.num_rounds() >= uncapped.stats.num_rounds());
-        let appended: usize = capped.stats.rounds.iter().map(|r| r.columns_added).sum();
-        assert_eq!(
-            capped.stats.seed_columns + appended,
-            capped.stats.total_columns,
-            "per-round accounting must reconcile with the final column count"
-        );
-    }
-
     /// Partial pricing must change nothing but the work done: same F, same
-    /// certificate, and the skipped-source accounting is recorded per round. The
-    /// one-column-per-round cap forces many near-identical rounds, which is where
-    /// skipping actually triggers.
+    /// certificate, and the skipped-source accounting is recorded per round.
+    /// The fattree-16h master skips sources under the production settings.
     #[test]
     fn partial_pricing_preserves_f_and_certificate() {
         let ft = generators::fat_tree_two_level(4, 2, 4);
         let commodities = CommoditySet::among(ft.hosts.clone());
         let full = ColGenOptions {
             partial_pricing: None,
-            max_columns_per_round: 1,
-            max_rounds: 10_000,
             ..ColGenOptions::default()
         };
-        // A loose drift tolerance exercises the skip aggressively; correctness does
-        // not depend on it (skipping only defers columns, and the certificate is
-        // established by a forced full sweep).
-        let partial = ColGenOptions {
-            partial_pricing: Some(0.05),
-            ..full.clone()
-        };
         let a = solve_path_mcf_colgen_among(&ft.graph, commodities.clone(), &full).unwrap();
-        let b = solve_path_mcf_colgen_among(&ft.graph, commodities, &partial).unwrap();
+        let b =
+            solve_path_mcf_colgen_among(&ft.graph, commodities, &ColGenOptions::default()).unwrap();
         assert!(a.stats.proved_optimal && b.stats.proved_optimal);
         assert!(
             (a.schedule.flow_value - b.schedule.flow_value).abs() < 1e-9,
@@ -783,7 +624,7 @@ mod tests {
         assert_eq!(a.stats.total_sources_skipped(), 0);
         assert!(
             b.stats.total_sources_skipped() > 0,
-            "column-capped colgen should skip stale sources"
+            "production colgen should skip stale sources"
         );
         // The terminating round's certificate always rests on a full sweep.
         assert_eq!(b.stats.rounds.last().unwrap().sources_skipped, 0);
@@ -793,28 +634,22 @@ mod tests {
     }
 
     /// The ROADMAP claim, pinned: dual stabilization is what makes the
-    /// drift-based source skip fire. With the same loose drift tolerance and a
-    /// 1-column-per-round cap, Wentges smoothing damps the per-round dual
-    /// oscillation, so far more sources sit under the drift threshold — while F
-    /// and the optimality certificate are unchanged (misprice sweeps re-price
-    /// everything at raw duals before terminating).
+    /// drift-based source skip fire. At the production drift tolerance,
+    /// Wentges smoothing damps the per-round dual oscillation, so more sources
+    /// sit under the drift threshold per round — while F and the optimality
+    /// certificate are unchanged (misprice sweeps re-price everything at raw
+    /// duals before terminating).
     #[test]
     fn stabilization_makes_partial_pricing_fire_more() {
         let ft = generators::fat_tree_two_level(4, 2, 4);
         let commodities = CommoditySet::among(ft.hosts.clone());
         let base = ColGenOptions {
-            partial_pricing: Some(1e-3),
-            max_columns_per_round: 4,
-            max_rounds: 10_000,
             stabilization: Stabilization::None,
             ..ColGenOptions::default()
         };
-        let stabilized = ColGenOptions {
-            stabilization: Stabilization::Smoothing { alpha: 0.5 },
-            ..base.clone()
-        };
         let plain = solve_path_mcf_colgen_among(&ft.graph, commodities.clone(), &base).unwrap();
-        let stab = solve_path_mcf_colgen_among(&ft.graph, commodities, &stabilized).unwrap();
+        let stab =
+            solve_path_mcf_colgen_among(&ft.graph, commodities, &ColGenOptions::default()).unwrap();
         assert!(plain.stats.proved_optimal && stab.stats.proved_optimal);
         assert!(
             (plain.schedule.flow_value - stab.schedule.flow_value).abs() < 1e-9,
@@ -837,7 +672,7 @@ mod tests {
         assert!(stab.stats.misprices >= 1, "smoothing must have mispriced");
     }
 
-    /// Partial pricing on the default (uncapped) configuration also agrees with
+    /// Partial pricing on the default configuration also agrees with
     /// link-MCF across topology families.
     #[test]
     fn partial_pricing_agrees_with_link_mcf() {
@@ -859,20 +694,11 @@ mod tests {
     #[test]
     fn colgen_rejects_zero_caps() {
         let topo = generators::hypercube(2);
-        let zero_caps = [
-            ColGenOptions {
-                max_rounds: 0,
-                ..ColGenOptions::default()
-            },
-            ColGenOptions {
-                max_columns_per_round: 0,
-                ..ColGenOptions::default()
-            },
-        ];
-        for opts in zero_caps
-            .into_iter()
-            .chain(ColGenOptions::malformed_numeric_cases())
-        {
+        let zero_rounds = ColGenOptions {
+            max_rounds: 0,
+            ..ColGenOptions::default()
+        };
+        for opts in std::iter::once(zero_rounds).chain(ColGenOptions::malformed_numeric_cases()) {
             let err = solve_path_mcf_colgen(&topo, &opts).unwrap_err();
             assert!(matches!(err, McfError::BadArgument(_)));
         }

@@ -24,8 +24,9 @@
 //!   horizon — in a single heap run
 //!   ([`a2a_topology::paths::weighted_shortest_path_tree`]; the time-expanded
 //!   graph is itself a [`Topology`]);
-//! * a path improves iff its dual cost is below `μ_k − tolerance`; improving
-//!   paths are appended through the incremental LP session
+//! * a path improves iff its dual cost is below `μ_k −`
+//!   [`PRICING_TOLERANCE`]; improving paths are appended through the
+//!   incremental LP session
 //!   ([`a2a_lp::Solver::add_columns`], basis and factorization carried over)
 //!   and the run terminates with the no-improving-column certificate — LP
 //!   optimality of the *unrestricted* path formulation, which equals the dense
@@ -53,7 +54,8 @@
 //! The nominal all-to-all is the instance in which every shard still sits at
 //! its source: [`solve_tsmcf_colgen_among_with`] maps the commodity set to
 //! unit demands held at their origins ([`crate::tsmcf::at_source_demands`]),
-//! seeds them per [`ColGenSeed`], and re-wraps the result as a [`TsColGen`].
+//! seeds each with its earliest-arrival shortest path, and re-wraps the result
+//! as a [`TsColGen`].
 //! [`crate::residual::solve_residual_colgen`] feeds the same solver the
 //! holdings of an interrupted run.
 //!
@@ -70,9 +72,10 @@ use a2a_lp::{NewColumn, SimplexOptions, Solver, StandardForm, INF};
 use a2a_topology::transform::TimeExpanded;
 use a2a_topology::{paths, EdgeId, NodeId, Path, Topology};
 
-use crate::colgen::{run_colgen, Candidate, ColGenOptions, ColGenSeed, ColGenStats, PricingOracle};
+use crate::colgen::{
+    run_colgen, Candidate, ColGenOptions, ColGenStats, PricingOracle, PRICING_TOLERANCE,
+};
 use crate::linkmcf::validate;
-use crate::pmcf::build_path_sets;
 use crate::tsmcf::{at_source_demands, holding_step_bound, minimum_steps, TsMcfSolution};
 use crate::types::{CommoditySet, McfError, McfResult};
 
@@ -326,7 +329,6 @@ struct ExpandedPricer<'a> {
     starts: Vec<NodeId>,
     /// Demand indices held at each holding node, ascending.
     demands_of_start: Vec<Vec<usize>>,
-    tol: f64,
     /// Owning demand of path column `j` (LP column `steps + j`).
     col_owner: Vec<usize>,
     /// Fabric arcs of path column `j`, for the extraction.
@@ -380,7 +382,7 @@ impl PricingOracle for ExpandedPricer<'_> {
                 .distance(terminus)
                 .expect("step budget >= demand diameter keeps termini reachable");
             let violation = mu[k] - cost;
-            if violation > self.tol {
+            if violation > PRICING_TOLERANCE {
                 let p = self.lower.shortcut_detours(
                     &tree
                         .path_to(terminus)
@@ -496,7 +498,6 @@ pub(crate) fn solve_expanded_colgen(
         demands,
         starts,
         demands_of_start,
-        tol: options.tolerance,
         col_owner: Vec::new(),
         col_arcs: Vec::new(),
     };
@@ -578,9 +579,10 @@ pub fn solve_tsmcf_colgen_auto(topo: &Topology) -> McfResult<TsColGen> {
 
 /// Solves tsMCF by column generation for an explicit commodity set (e.g. host
 /// vertices of a host-bottlenecked augmented topology), step count and
-/// column-generation options (seed, round/column caps, master pricing, partial
-/// pricing, dual stabilization — [`ColGenOptions::stabilized`] is the
-/// recommended configuration for the degenerate time-expanded masters).
+/// column-generation options (round cap, partial pricing, dual stabilization,
+/// column-pool aging — [`ColGenOptions::stabilized`] is the recommended
+/// configuration for the degenerate time-expanded masters). Each commodity is
+/// seeded with its earliest-arrival shortest path.
 pub fn solve_tsmcf_colgen_among_with(
     topo: &Topology,
     commodities: CommoditySet,
@@ -590,26 +592,10 @@ pub fn solve_tsmcf_colgen_among_with(
     validate(topo, &commodities)?;
     let demands = at_source_demands(&commodities);
 
-    // Seed: one shortest path per commodity, or a fixed base-graph family
-    // (over-long members dropped; the shortest path is the guaranteed
-    // fallback).
-    let seed_paths: Vec<Vec<Path>> = match options.seed {
-        ColGenSeed::ShortestPath => commodities
-            .iter()
-            .map(|(_, s, d)| Ok(vec![shortest_seed(topo, s, d)?]))
-            .collect::<McfResult<_>>()?,
-        ColGenSeed::Kind(kind) => commodities
-            .iter()
-            .zip(build_path_sets(topo, &commodities, kind)?)
-            .map(|((_, s, d), mut set)| {
-                set.retain(|p| p.hops() <= steps);
-                if set.is_empty() {
-                    set.push(shortest_seed(topo, s, d)?);
-                }
-                Ok(set)
-            })
-            .collect::<McfResult<_>>()?,
-    };
+    let seed_paths: Vec<Vec<Path>> = commodities
+        .iter()
+        .map(|(_, s, d)| Ok(vec![shortest_seed(topo, s, d)?]))
+        .collect::<McfResult<_>>()?;
 
     let solved = solve_expanded_colgen(topo, &demands, steps, options, &seed_paths)?;
     Ok(TsColGen {
@@ -790,10 +776,6 @@ mod tests {
                 max_rounds: 0,
                 ..ColGenOptions::default()
             },
-            ColGenOptions {
-                max_columns_per_round: 0,
-                ..ColGenOptions::default()
-            },
             // Out-of-range smoothing weights fail the same way instead of
             // panicking mid-solve.
             ColGenOptions {
@@ -830,30 +812,6 @@ mod tests {
             "plain U = {} vs stabilized U = {}",
             plain.solution.total_utilization(),
             stab.solution.total_utilization()
-        );
-    }
-
-    /// Seeding from a fixed base-graph family lowers it to earliest-departure
-    /// expansions and still certifies the same optimum.
-    #[test]
-    fn kind_seed_agrees() {
-        use crate::pmcf::PathSetKind;
-        let topo = generators::hypercube(3);
-        let dense = dense(&topo, None);
-        let cg = solve_tsmcf_colgen_among_with(
-            &topo,
-            CommoditySet::all_pairs(topo.num_nodes()),
-            dense.steps,
-            &ColGenOptions {
-                seed: ColGenSeed::Kind(PathSetKind::EdgeDisjoint),
-                ..ColGenOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(cg.stats.proved_optimal);
-        assert!(
-            (cg.solution.total_utilization() - dense.total_utilization()).abs()
-                <= 1e-5 * (1.0 + dense.total_utilization())
         );
     }
 

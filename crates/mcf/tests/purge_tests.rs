@@ -20,11 +20,9 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= REL_TOL * (1.0 + a.abs().max(b.abs()))
 }
 
-/// Drop after one idle round, with a tight per-round column cap so the pool
-/// churns.
+/// Drop after one idle round, so the pool churns.
 fn aggressive_purge_options() -> ColGenOptions {
     ColGenOptions {
-        max_columns_per_round: 4,
         purge_nonbasic_after: Some(1),
         max_rounds: 400,
         ..ColGenOptions::default()
