@@ -8,12 +8,12 @@
 //! 1. **Snapshot** — the engine's [`InFlightSnapshot`] says where every chunk
 //!    is (delivered / buffered / stranded, with exact partial-transfer byte
 //!    accounting) and which links are dead.
-//! 2. **Residual solve** — the undelivered holdings become
-//!    [`TsDemand`]s on the punctured topology, solved by the delivery-exact
-//!    column generation ([`a2a_mcf::residual`]), warm-started from the
-//!    incumbent column pool of the nominal solve when the caller provides one
-//!    ([`IncumbentPool`]) — measurably fewer simplex iterations than a cold
-//!    clairvoyant re-solve.
+//! 2. **Residual solve** — the undelivered holdings become [`TsDemand`]s on
+//!    the punctured topology, solved by the delivery-exact column generation
+//!    ([`a2a_mcf::residual`], [`ColGenOptions::stabilized`]), warm-started
+//!    from the incumbent column pool of the nominal solve when the caller
+//!    provides one ([`IncumbentPool`]) — measurably fewer simplex iterations
+//!    than a cold clairvoyant re-solve.
 //! 3. **Graceful degradation** — if the residual LP errors, or its wall time
 //!    exceeds [`ReplanOptions::solve_time_budget_secs`], the driver falls back
 //!    to the greedy shortest-path reroute
@@ -28,9 +28,8 @@
 //!    re-simulated under the *same* timeline: the prefix replays
 //!    deterministically before the failure instant and the suffix runs on the
 //!    surviving capacities. A later timeline event may interrupt again —
-//!    cascading failures re-enter the loop up to
-//!    [`ReplanOptions::max_attempts`] times, each attempt warm-started from
-//!    the previous solve's column pool.
+//!    cascading failures re-enter the loop up to four times, each attempt
+//!    warm-started from the previous solve's column pool.
 //!
 //! The benchmark compares the replanned makespan against a *clairvoyant*
 //! re-solve (full all-to-all on the punctured topology, as if the failure had
@@ -69,28 +68,23 @@ pub struct IncumbentPool {
     pub steps: usize,
 }
 
+/// Repair attempts before the loop gives up; each cascading failure takes one.
+const MAX_ATTEMPTS: usize = 4;
+
 /// Options of the re-planning loop.
 #[derive(Debug, Clone)]
 pub struct ReplanOptions {
-    /// Maximum number of repair attempts before giving up (each cascading
-    /// failure consumes one).
-    pub max_attempts: usize,
     /// Wall-clock budget for one residual LP solve. The solver is not
     /// preemptible, so the budget is enforced after the fact: an over-budget
     /// solve is discarded and the attempt degrades to the greedy reroute —
     /// modelling a control plane that must answer within a deadline.
     pub solve_time_budget_secs: f64,
-    /// Column-generation options of the residual solves. Stabilization on by
-    /// default (the recommended configuration for time-expanded masters).
-    pub colgen: ColGenOptions,
 }
 
 impl Default for ReplanOptions {
     fn default() -> Self {
         Self {
-            max_attempts: 4,
             solve_time_budget_secs: f64::INFINITY,
-            colgen: ColGenOptions::stabilized(),
         }
     }
 }
@@ -121,7 +115,7 @@ pub enum ReplanError {
     Unrepairable(String),
     /// A repaired schedule kept getting interrupted; attempts ran out.
     AttemptsExhausted {
-        /// Attempts performed (== `max_attempts`).
+        /// Attempts performed (4, the loop's cap).
         attempts: usize,
     },
 }
@@ -235,7 +229,7 @@ pub fn replan_run(
             }
             TimelineRun::Interrupted(snapshot) => snapshot,
         };
-        if attempts.len() >= options.max_attempts {
+        if attempts.len() >= MAX_ATTEMPTS {
             return Err(ReplanError::AttemptsExhausted {
                 attempts: attempts.len(),
             });
@@ -325,8 +319,9 @@ fn repair(
             None => Vec::new(),
         };
         attempt.warm_seeds = warm.len();
+        let colgen = ColGenOptions::stabilized();
         let t0 = Instant::now();
-        let solved = solve_residual_colgen(&punctured, &demands, steps, &options.colgen, &warm);
+        let solved = solve_residual_colgen(&punctured, &demands, steps, &colgen, &warm);
         attempt.solve_wall_secs = t0.elapsed().as_secs_f64();
         let res = match solved {
             Ok(res) => res,

@@ -78,7 +78,7 @@ fn main() {
 
     // 3. Close the loop: detect -> snapshot -> residual re-solve -> splice ->
     // resume. `replan_run` drives the whole cycle (and would keep going under
-    // cascading failures, up to `max_attempts`).
+    // cascading failures, up to four repair attempts).
     let run = replan_run(
         &topo,
         &schedule,
