@@ -110,14 +110,17 @@ impl TransferDag {
     /// Extracts the dependency DAG from a chunked schedule.
     ///
     /// Fails with a description of the first violation if the schedule is not
-    /// executable (a rank sends chunks it does not hold, or a transfer names an
-    /// unknown commodity) — the same conditions [`ChunkedSchedule::validate`] reports.
+    /// executable (a commodity endpoint or transfer end is not one of the
+    /// schedule's ranks, a rank sends chunks it does not hold, or a transfer
+    /// names an unknown commodity) — the same conditions
+    /// [`ChunkedSchedule::validate`] reports.
     pub fn from_schedule(schedule: &ChunkedSchedule) -> Result<Self, String> {
         // Provenance FIFO per (commodity, rank), run-length encoded: chunks that
         // arrived with one job (or sat at the origin) are one run.
         let mut buffers =
             vec![vec![ProvenanceFifo::default(); schedule.num_ranks]; schedule.commodities.len()];
-        for (idx, s, _) in schedule.commodities.iter() {
+        for (idx, s, d) in schedule.commodities.iter() {
+            schedule.check_ranks([s, d], || format!("commodity {s}->{d}"))?;
             buffers[idx][s].push(None, schedule.chunks_per_shard);
         }
 
@@ -135,6 +138,7 @@ impl TransferDag {
                             tr.origin, tr.final_dest
                         )
                     })?;
+                schedule.check_ranks([tr.from, tr.to], || format!("step {t}: transfer {i}"))?;
                 let fifo = &mut buffers[idx][tr.from];
                 if fifo.chunks < tr.chunks {
                     return Err(format!(
@@ -270,7 +274,8 @@ mod tests {
     fn inexecutable_schedules_are_rejected() {
         let topo = generators::complete(3);
         let sol = solve_tsmcf_colgen_auto(&topo).unwrap().solution;
-        let mut sched = ChunkedSchedule::from_tsmcf(&topo, &sol, 4).unwrap();
+        let clean = ChunkedSchedule::from_tsmcf(&topo, &sol, 4).unwrap();
+        let mut sched = clean.clone();
         sched.steps[0].transfers.push(crate::ChunkTransfer {
             from: 1,
             to: 2,
@@ -280,6 +285,23 @@ mod tests {
         });
         let err = TransferDag::from_schedule(&sched).unwrap_err();
         assert!(err.contains("holds"), "{err}");
+
+        // A transfer end or a commodity endpoint outside the ranks is an
+        // error, not an index panic.
+        let mut stray_sender = clean.clone();
+        stray_sender.steps[0].transfers.push(crate::ChunkTransfer {
+            from: 7,
+            to: 0,
+            origin: 0,
+            final_dest: 1,
+            chunks: 1,
+        });
+        let mut stray_commodity = clean;
+        stray_commodity.commodities = a2a_mcf::CommoditySet::among(vec![0, 1, 7]);
+        for bad in [stray_sender, stray_commodity] {
+            let err = TransferDag::from_schedule(&bad).unwrap_err();
+            assert!(err.contains("rank 7"), "{err}");
+        }
     }
 
     /// Dependency extraction with one FIFO entry per *chunk* — the

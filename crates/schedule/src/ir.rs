@@ -281,18 +281,47 @@ impl ChunkedSchedule {
         max
     }
 
-    /// Validates executability: transfers only use fabric links, a rank never sends
-    /// chunks it does not hold, and every destination ends up with every shard in
-    /// full. Returns human-readable violations.
+    /// `Err` naming the first of `ranks` outside `0..num_ranks` — the range
+    /// every per-rank buffer of a schedule replay is indexed by; `what` names
+    /// the commodity or transfer the ranks belong to.
+    pub(crate) fn check_ranks(
+        &self,
+        ranks: [NodeId; 2],
+        what: impl FnOnce() -> String,
+    ) -> Result<(), String> {
+        match ranks.into_iter().find(|&r| r >= self.num_ranks) {
+            None => Ok(()),
+            Some(r) => Err(format!(
+                "{} names rank {r}, outside 0..{}",
+                what(),
+                self.num_ranks
+            )),
+        }
+    }
+
+    /// Validates executability: every commodity endpoint and transfer end is one
+    /// of the `num_ranks` ranks, transfers only use fabric links, a rank never
+    /// sends chunks it does not hold, and every destination ends up with every
+    /// shard in full. Returns human-readable violations.
     pub fn validate(&self, topo: &Topology) -> Vec<String> {
         let mut issues = Vec::new();
         let mut buffered: Vec<Vec<usize>> = vec![vec![0; self.num_ranks]; self.commodities.len()];
-        for (idx, s, _) in self.commodities.iter() {
-            buffered[idx][s] = self.chunks_per_shard;
+        for (idx, s, d) in self.commodities.iter() {
+            match self.check_ranks([s, d], || format!("commodity {s}->{d}")) {
+                Ok(()) => buffered[idx][s] = self.chunks_per_shard,
+                Err(issue) => issues.push(issue),
+            }
         }
         for (t, step) in self.steps.iter().enumerate() {
             let mut arrivals: Vec<(usize, NodeId, usize)> = Vec::new();
             for tr in &step.transfers {
+                let ranks = self.check_ranks([tr.from, tr.to], || {
+                    format!("step {t}: transfer {}->{}", tr.from, tr.to)
+                });
+                if let Err(issue) = ranks {
+                    issues.push(issue);
+                    continue;
+                }
                 if !topo.has_edge(tr.from, tr.to) {
                     issues.push(format!(
                         "step {t}: transfer {}->{} uses a missing link",
@@ -324,11 +353,13 @@ impl ChunkedSchedule {
             }
         }
         for (idx, s, d) in self.commodities.iter() {
-            if buffered[idx][d] != self.chunks_per_shard {
-                issues.push(format!(
-                    "commodity {s}->{d}: destination holds {}/{} chunks at the end",
-                    buffered[idx][d], self.chunks_per_shard
-                ));
+            // An endpoint outside the ranks was reported above.
+            match buffered[idx].get(d) {
+                Some(&held) if held != self.chunks_per_shard => issues.push(format!(
+                    "commodity {s}->{d}: destination holds {held}/{} chunks at the end",
+                    self.chunks_per_shard
+                )),
+                _ => {}
             }
         }
         issues

@@ -183,8 +183,9 @@ pub fn splice_schedule(
 /// deterministic. Identical trajectories aggregate into one [`Route`] whose
 /// chunk count and weight reflect how many chunks actually travelled it. The
 /// routes get LASH-sequential layers over the links the schedule uses, so the
-/// table is deadlock-free like any other. Fails when some commodity does not
-/// deliver all its chunks — for a validated [`SplicedSchedule`] this cannot
+/// table is deadlock-free like any other. Fails when a commodity endpoint or
+/// transfer end is not one of the schedule's ranks, or when some commodity does
+/// not deliver all its chunks — for a validated [`SplicedSchedule`] neither can
 /// happen.
 pub fn realized_route_table(
     schedule: &ChunkedSchedule,
@@ -194,7 +195,8 @@ pub fn realized_route_table(
     // FIFO of chunk trajectories per (commodity, rank).
     let mut buffers: Vec<Vec<VecDeque<Vec<NodeId>>>> =
         vec![vec![VecDeque::new(); schedule.num_ranks]; ncomm];
-    for (idx, s, _) in commodities.iter() {
+    for (idx, s, d) in commodities.iter() {
+        schedule.check_ranks([s, d], || format!("commodity {s}->{d}"))?;
         for _ in 0..schedule.chunks_per_shard {
             buffers[idx][s].push_back(vec![s]);
         }
@@ -210,6 +212,9 @@ pub fn realized_route_table(
                         tr.origin, tr.final_dest
                     )
                 })?;
+            schedule.check_ranks([tr.from, tr.to], || {
+                format!("step {t}: transfer {}->{}", tr.from, tr.to)
+            })?;
             let fifo = &mut buffers[idx][tr.from];
             if fifo.len() < tr.chunks {
                 return Err(format!(

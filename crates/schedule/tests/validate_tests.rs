@@ -8,10 +8,11 @@
 
 use a2a_mcf::pmcf::{solve_path_mcf, PathSetKind};
 use a2a_mcf::tscolgen::solve_tsmcf_colgen_auto;
+use a2a_mcf::CommoditySet;
 use a2a_schedule::routes::{CommodityRoutes, Route};
 use a2a_schedule::{
-    assign_virtual_channels, lower_path_schedule, ChunkTransfer, ChunkedSchedule, LashVariant,
-    RouteTable, ScheduleStep,
+    assign_virtual_channels, lower_path_schedule, realized_route_table, ChunkTransfer,
+    ChunkedSchedule, LashVariant, RouteTable, ScheduleStep,
 };
 use a2a_topology::paths::shortest_path;
 use a2a_topology::{generators, Path, Topology};
@@ -122,6 +123,31 @@ fn chunked_validate_flags_destination_shortfall() {
             .any(|m| m.contains("destination holds") && m.contains("0->1")),
         "{issues:?}"
     );
+}
+
+#[test]
+fn chunked_validate_flags_out_of_range_ranks() {
+    // A transfer end or commodity endpoint outside 0..num_ranks is reported,
+    // by the validator and by the realized-route replay, instead of panicking
+    // on the per-rank buffers.
+    let topo = generators::ring(3);
+    let sched = chunked_on(&topo);
+    let mut stray_sender = sched.clone();
+    stray_sender.steps[0].transfers.push(ChunkTransfer {
+        from: 7,
+        to: 0,
+        origin: 0,
+        final_dest: 1,
+        chunks: 1,
+    });
+    let mut stray_commodity = sched;
+    stray_commodity.commodities = CommoditySet::among(vec![0, 1, 7]);
+    for bad in [stray_sender, stray_commodity] {
+        let issues = bad.validate(&topo);
+        assert!(issues.iter().any(|m| m.contains("rank 7")), "{issues:?}");
+        let err = realized_route_table(&bad, &bad.commodities).unwrap_err();
+        assert!(err.contains("rank 7"), "{err}");
+    }
 }
 
 #[test]

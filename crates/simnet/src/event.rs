@@ -1289,6 +1289,33 @@ mod tests {
         assert!(matches!(err, SimError::FailedLink { .. }), "{err}");
     }
 
+    /// A transfer from a rank the schedule does not have is a typed error of
+    /// the dependency extraction, not an index panic.
+    #[test]
+    fn out_of_range_rank_is_an_invalid_schedule() {
+        let topo = generators::ring(3);
+        let mut sched = chunked(&topo, None);
+        sched.steps[0].transfers.push(a2a_schedule::ChunkTransfer {
+            from: 7,
+            to: 0,
+            origin: 0,
+            final_dest: 1,
+            chunks: 1,
+        });
+        let err = simulate_chunked_event(
+            &topo,
+            &sched,
+            1024.0,
+            &SimParams::default(),
+            &EventSimOptions::default(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, SimError::InvalidSchedule(msg) if msg.contains("rank 7")),
+            "{err}"
+        );
+    }
+
     #[test]
     fn host_injection_caps_the_event_engine() {
         let topo = generators::complete(4);
