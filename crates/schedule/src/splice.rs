@@ -442,6 +442,149 @@ mod tests {
         assert!(err.contains("unreachable"), "{err}");
     }
 
+    /// Realized-route replay with one trajectory `Vec` per *chunk* — the
+    /// implementation the run-length replay replaced, kept as its reference.
+    fn per_chunk_route_table(schedule: &ChunkedSchedule) -> RouteTable {
+        let commodities = &schedule.commodities;
+        let mut buffers: Vec<Vec<VecDeque<Vec<NodeId>>>> =
+            vec![vec![VecDeque::new(); schedule.num_ranks]; commodities.len()];
+        for (idx, s, _) in commodities.iter() {
+            buffers[idx][s].extend(std::iter::repeat_n(vec![s], schedule.chunks_per_shard));
+        }
+        for step in &schedule.steps {
+            let mut arrivals = Vec::new();
+            for tr in &step.transfers {
+                let idx = commodities.index_of(tr.origin, tr.final_dest).unwrap();
+                let mut moved: Vec<Vec<NodeId>> =
+                    buffers[idx][tr.from].drain(..tr.chunks).collect();
+                for trajectory in &mut moved {
+                    trajectory.push(tr.to);
+                }
+                arrivals.push((idx, tr.to, moved));
+            }
+            for (idx, node, moved) in arrivals {
+                buffers[idx][node].extend(moved);
+            }
+        }
+        let mut table = Vec::new();
+        for (idx, s, d) in commodities.iter() {
+            let mut routes: Vec<(Vec<NodeId>, usize)> = Vec::new();
+            for trajectory in &buffers[idx][d] {
+                match routes.iter_mut().find(|(nodes, _)| nodes == trajectory) {
+                    Some((_, count)) => *count += 1,
+                    None => routes.push((trajectory.clone(), 1)),
+                }
+            }
+            table.push(CommodityRoutes {
+                src: s,
+                dst: d,
+                routes: routes
+                    .into_iter()
+                    .map(|(nodes, count)| Route {
+                        path: Path::new(nodes),
+                        weight: count as f64 / schedule.chunks_per_shard as f64,
+                        chunks: count,
+                        layer: 0,
+                    })
+                    .collect(),
+            });
+        }
+        let mut fabric = Topology::new(schedule.num_ranks, "realized");
+        for tr in schedule.steps.iter().flat_map(|step| &step.transfers) {
+            if !fabric.has_edge(tr.from, tr.to) {
+                fabric.add_edge(tr.from, tr.to, 1.0);
+            }
+        }
+        let paths: Vec<&Path> = table
+            .iter()
+            .flat_map(|c| c.routes.iter().map(|r| &r.path))
+            .collect();
+        let vc = assign_virtual_channels(&fabric, &paths, LashVariant::Sequential);
+        for (route, &layer) in table
+            .iter_mut()
+            .flat_map(|c| &mut c.routes)
+            .zip(vc.layers())
+        {
+            route.layer = layer;
+        }
+        RouteTable {
+            commodities: table,
+            chunks_per_shard: schedule.chunks_per_shard,
+            num_layers: vc.num_layers(),
+        }
+    }
+
+    fn assert_same_table(got: &RouteTable, want: &RouteTable, tag: &str) {
+        assert_eq!(got.num_layers, want.num_layers, "{tag}: layers");
+        assert_eq!(got.chunks_per_shard, want.chunks_per_shard, "{tag}");
+        assert_eq!(got.commodities.len(), want.commodities.len(), "{tag}");
+        for (g, w) in got.commodities.iter().zip(&want.commodities) {
+            assert_eq!((g.src, g.dst), (w.src, w.dst), "{tag}");
+            let routes = |c: &CommodityRoutes| -> Vec<(Vec<NodeId>, usize, u64, usize)> {
+                c.routes
+                    .iter()
+                    .map(|r| {
+                        (
+                            r.path.nodes().to_vec(),
+                            r.chunks,
+                            r.weight.to_bits(),
+                            r.layer,
+                        )
+                    })
+                    .collect()
+            };
+            assert_eq!(routes(g), routes(w), "{tag}: {}->{}", g.src, g.dst);
+        }
+    }
+
+    #[test]
+    fn run_length_trajectories_reproduce_the_per_chunk_routes() {
+        for topo in [
+            generators::torus(&[3, 3]),
+            generators::hypercube(3),
+            generators::generalized_kautz(8, 2),
+        ] {
+            let cg = solve_tsmcf_colgen_auto(&topo).unwrap();
+            for chunks in [1, 8, 128] {
+                let sched = ChunkedSchedule::from_tsmcf_exact(&topo, &cg.solution, chunks).unwrap();
+                let tag = format!("{} @ {chunks}", topo.name());
+                let table = realized_route_table(&sched, &sched.commodities).unwrap();
+                assert_same_table(&table, &per_chunk_route_table(&sched), &tag);
+            }
+        }
+        // Commodity 0->3 reaches rank 2 over two trajectories, and later
+        // transfers forward part of one run, then the rest of it together with
+        // part of the next.
+        let hop = |from, to, origin, final_dest, chunks| ChunkTransfer {
+            from,
+            to,
+            origin,
+            final_dest,
+            chunks,
+        };
+        let sched = ChunkedSchedule {
+            num_ranks: 4,
+            commodities: CommoditySet::among(vec![0, 3]),
+            chunks_per_shard: 4,
+            steps: [
+                vec![hop(0, 1, 0, 3, 2), hop(0, 2, 0, 3, 2), hop(3, 0, 3, 0, 4)],
+                vec![hop(1, 2, 0, 3, 2), hop(2, 3, 0, 3, 1)],
+                vec![hop(2, 3, 0, 3, 2)],
+                vec![hop(2, 3, 0, 3, 1)],
+            ]
+            .map(|transfers| ScheduleStep { transfers })
+            .to_vec(),
+        };
+        let table = realized_route_table(&sched, &sched.commodities).unwrap();
+        assert_same_table(&table, &per_chunk_route_table(&sched), "split runs");
+        let routes: Vec<(&[NodeId], usize)> = table.commodities[0]
+            .routes
+            .iter()
+            .map(|r| (r.path.nodes(), r.chunks))
+            .collect();
+        assert_eq!(routes, [(&[0, 2, 3][..], 2), (&[0, 1, 2, 3][..], 2)]);
+    }
+
     /// The realized route table of a nominal (unspliced) schedule: one shard
     /// per commodity, trajectories from origin to destination.
     #[test]

@@ -12,10 +12,12 @@ use a2a_mcf::CommoditySet;
 use a2a_schedule::routes::{CommodityRoutes, Route};
 use a2a_schedule::{
     assign_virtual_channels, lower_path_schedule, realized_route_table, ChunkTransfer,
-    ChunkedSchedule, LashVariant, RouteTable, ScheduleStep,
+    ChunkedSchedule, LashVariant, RouteTable, ScheduleStep, TransferDag,
 };
 use a2a_topology::paths::shortest_path;
 use a2a_topology::{generators, Path, Topology};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 fn chunked_on(topo: &Topology) -> ChunkedSchedule {
     let sol = solve_tsmcf_colgen_auto(topo).unwrap().solution;
@@ -167,6 +169,99 @@ fn chunked_validate_reports_every_violation_not_just_the_first() {
     }
     let issues = sched.validate(&topo);
     assert!(issues.len() >= 2, "{issues:?}");
+}
+
+/// True for the violations of the buffer replay itself — a rank outside the
+/// schedule, an unknown commodity, a send of chunks the sender does not hold —
+/// as opposed to a missing link or a delivery shortfall.
+fn is_replay_violation(issue: &str) -> bool {
+    ["outside 0..", "unknown commodity", "but holds"]
+        .iter()
+        .any(|tag| issue.contains(tag))
+}
+
+/// One seeded corruption of a schedule: drop a transfer, inflate its chunk
+/// count, point one of its ends at a stray rank, relabel it with an unknown
+/// commodity, or redirect it over a link the fabric does not have.
+fn mutate(topo: &Topology, sched: &mut ChunkedSchedule, rng: &mut ChaCha8Rng) {
+    let (n, cps) = (sched.num_ranks, sched.chunks_per_shard);
+    let t = rng.random_range(0..sched.steps.len());
+    let transfers = &mut sched.steps[t].transfers;
+    if transfers.is_empty() {
+        return;
+    }
+    let i = rng.random_range(0..transfers.len());
+    match rng.random_range(0..5) {
+        0 => {
+            transfers.remove(i);
+        }
+        1 => transfers[i].chunks += rng.random_range(1..cps + 1),
+        2 => {
+            let stray = n + rng.random_range(0..3);
+            if rng.random_bool(0.5) {
+                transfers[i].from = stray;
+            } else {
+                transfers[i].to = stray;
+            }
+        }
+        3 => transfers[i].final_dest = transfers[i].origin,
+        _ => {
+            let from = transfers[i].from;
+            let off: Vec<usize> = (0..n)
+                .filter(|&v| v != from && !topo.has_edge(from, v))
+                .collect();
+            if !off.is_empty() {
+                transfers[i].to = off[rng.random_range(0..off.len())];
+            }
+        }
+    }
+}
+
+/// The validator, the dependency extraction and the realized-route replay
+/// walk the same buffers, so they must agree on every corrupted schedule: the
+/// DAG is rejected exactly when the validator reports a rank, commodity or
+/// holding violation, and on schedules that stay on fabric links the realized
+/// route table exists exactly when the validator finds nothing at all.
+#[test]
+fn seeded_mutations_agree_across_the_schedule_replays() {
+    let mut rejected = 0;
+    let mut off_fabric = 0;
+    for topo in [
+        generators::torus(&[3, 3]),
+        generators::hypercube(3),
+        generators::generalized_kautz(8, 2),
+    ] {
+        let sol = solve_tsmcf_colgen_auto(&topo).unwrap().solution;
+        for chunks in [1, 8] {
+            let clean = ChunkedSchedule::from_tsmcf_exact(&topo, &sol, chunks).unwrap();
+            for seed in 0..40u64 {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let mut sched = clean.clone();
+                for _ in 0..rng.random_range(1..3) {
+                    mutate(&topo, &mut sched, &mut rng);
+                }
+                let tag = format!("{} @ {chunks}, seed {seed}", topo.name());
+                let issues = sched.validate(&topo);
+                let replay_violation = issues.iter().any(|m| is_replay_violation(m));
+                let dag_err = TransferDag::from_schedule(&sched).err();
+                assert_eq!(
+                    dag_err.is_some(),
+                    replay_violation,
+                    "{tag}: {issues:?} / {dag_err:?}"
+                );
+                rejected += usize::from(replay_violation);
+                if issues.iter().any(|m| m.contains("missing link")) {
+                    off_fabric += 1;
+                    continue;
+                }
+                let routes = realized_route_table(&sched, &sched.commodities);
+                assert_eq!(routes.is_ok(), issues.is_empty(), "{tag}: {issues:?}");
+            }
+        }
+    }
+    // The corpus exercises both sides of each equivalence.
+    assert!(rejected > 0 && rejected < 240, "{rejected} of 240 rejected");
+    assert!(off_fabric > 0, "no mutant left the fabric");
 }
 
 // ---------------------------------------------------------------------------
