@@ -134,19 +134,17 @@ pub fn residual_minimum_steps(topo: &Topology, demands: &[TsDemand]) -> McfResul
 /// residual instance.
 ///
 /// For each demand, the columns of its original commodity are scanned: where a
-/// column's move chain visits the demand's holding node, the suffix from
-/// there to the destination becomes a seed path — provided every hop survived
-/// the puncture. The chain is read off the column's arcs alone
-/// ([`TsColumn::move_chain`]), so columns from an earlier *residual* repair —
+/// column's node chain ([`TsColumn::nodes`]) visits the demand's holding node,
+/// the suffix from there to the destination becomes a seed path — provided
+/// every hop survived the puncture. Columns from an earlier *residual* repair —
 /// which start at a mid-fabric holding node, not at the commodity origin —
 /// seed a cascading repair just as well as nominal columns do. Paths are
-/// returned as `(demand index, base-graph path)` pairs on the *punctured*
-/// topology's node ids (node ids are preserved by [`Topology::without_edges`];
-/// edge ids are not, which is why seeds are node paths).
+/// returned as `(demand index, base-graph path)` pairs; node ids are preserved
+/// by [`Topology::without_edges`], so they hold on `punctured` as on the
+/// fabric the columns were solved on.
 pub fn warm_seeds_from_columns(
     columns: &[TsColumn],
     commodities: &CommoditySet,
-    nominal_topo: &Topology,
     punctured: &Topology,
     demands: &[TsDemand],
 ) -> Vec<(usize, Path)> {
@@ -161,11 +159,10 @@ pub fn warm_seeds_from_columns(
         };
         let mut dedup: HashSet<Vec<NodeId>> = HashSet::new();
         for col in by_owner.get(&k).into_iter().flatten() {
-            let chain = col.move_chain(nominal_topo);
-            let Some(cut) = chain.iter().position(|&v| v == dem.at) else {
+            let Some(cut) = col.nodes.iter().position(|&v| v == dem.at) else {
                 continue;
             };
-            let nodes = chain[cut..].to_vec();
+            let nodes = col.nodes[cut..].to_vec();
             if nodes.len() < 2 || *nodes.last().expect("non-empty") != dem.dest {
                 continue;
             }
@@ -427,8 +424,7 @@ mod tests {
                 amount: 1.0,
             })
             .collect();
-        let warm =
-            warm_seeds_from_columns(&nominal.columns, &commodities, &topo, &punctured, &demands);
+        let warm = warm_seeds_from_columns(&nominal.columns, &commodities, &punctured, &demands);
         assert!(
             !warm.is_empty(),
             "origin holdings reuse whole incumbent paths"

@@ -85,13 +85,14 @@ const FLOW_TOL: f64 = 1e-9;
 
 /// One positive-weight column of the incumbent master at termination: the
 /// index of the commodity (or residual demand) that owns it, its weight in the
-/// optimal basis, and its fabric arcs as `(step, base edge)` pairs in
-/// traversal order (buffering steps carry no arc).
+/// optimal basis, and the chain of base nodes it moves through.
 ///
 /// The pool is what warm-started re-solves seed from: after a mid-run failure,
 /// [`crate::residual`] cuts each incumbent trajectory at the node holding the
 /// stranded shards and re-uses the suffix on the punctured fabric, so the
 /// residual master starts from routes the nominal optimum already certified.
+/// Node ids, unlike edge ids, survive [`Topology::without_edges`], so a column
+/// means the same on the nominal and on every punctured fabric.
 #[derive(Debug, Clone)]
 pub struct TsColumn {
     /// Commodity index (for [`TsColGen`]) or demand index (for
@@ -99,28 +100,11 @@ pub struct TsColumn {
     pub owner: usize,
     /// Column weight in the final solution (shards travelling this path).
     pub weight: f64,
-    /// Fabric arcs `(step, base edge)`, ascending in step.
-    pub arcs: Vec<(usize, EdgeId)>,
-}
-
-impl TsColumn {
-    /// The chain of base nodes the column's arcs traverse, buffering steps
-    /// compressed away: `[arcs[0].src, arcs[0].dst, ...]` (empty when the
-    /// column never moves). It is read off the arcs alone, so it also works on
-    /// residual columns that begin at a mid-fabric holding node rather than at
-    /// the commodity origin.
-    pub fn move_chain(&self, topo: &Topology) -> Vec<NodeId> {
-        let mut nodes = Vec::with_capacity(self.arcs.len() + 1);
-        for &(_, e) in &self.arcs {
-            let edge = topo.edge(e);
-            match nodes.last().copied() {
-                None => nodes.push(edge.src),
-                Some(prev) => debug_assert_eq!(prev, edge.src, "column arcs chain"),
-            }
-            nodes.push(edge.dst);
-        }
-        nodes
-    }
+    /// The base nodes the column's fabric arcs traverse, in order, buffering
+    /// steps compressed away: the source of its first arc, then the
+    /// destination of every arc (empty when the column never moves). Residual
+    /// columns begin at a mid-fabric holding node, not at the commodity origin.
+    pub nodes: Vec<NodeId>,
 }
 
 /// Result of a column-generation tsMCF solve: the time-stepped solution (same
@@ -541,10 +525,12 @@ pub(crate) fn solve_expanded_colgen(
         for &(t, base, _) in arcs {
             *agg[k][t].entry(base).or_insert(0.0) += w;
         }
+        let first = arcs.first().map(|&(_, base, _)| topo.edge(base).src);
+        let rest = arcs.iter().map(|&(_, base, _)| topo.edge(base).dst);
         columns.push(TsColumn {
             owner: k,
             weight: w,
-            arcs: arcs.iter().map(|&(t, base, _)| (t, base)).collect(),
+            nodes: first.into_iter().chain(rest).collect(),
         });
     }
     let flows = agg

@@ -1,27 +1,26 @@
-//! Execution semantics of the chunked IR: the transfer dependency DAG.
+//! Execution semantics of the chunked IR: the one buffer replay, and the transfer
+//! dependency DAG built on it.
 //!
-//! A [`crate::ChunkedSchedule`] lists its transfers step by step, but real runtimes do
-//! not execute a global barrier between steps — a rank posts a send as soon as the
-//! chunks it forwards have landed. This module extracts that *data* dependency
-//! structure from the IR: each transfer becomes a [`TransferJob`], and a job depends on
-//! exactly the earlier jobs that delivered the chunks it sends onward.
+//! A lowered program (MSCCL / oneCCL, §4) obeys three store-and-forward rules: every
+//! shard starts as `chunks_per_shard` chunks at its origin; a rank forwards only
+//! chunks of a commodity that it holds, oldest first; a step's arrivals land only
+//! after the whole step. `replay` owns these rules and every check on them, over
+//! one FIFO per `(commodity, rank)` buffer that stores runs of equally labelled
+//! chunks (one entry per arrival, not per chunk). The label is the caller's: unit
+//! labels for [`crate::ChunkedSchedule::validate`] (which collects every violation)
+//! and [`holdings_after`], the delivering job for [`TransferDag::from_schedule`], the
+//! trajectory for [`crate::splice::realized_route_table`].
 //!
-//! Dependencies are resolved by provenance replay: the extraction walks the steps in
-//! order, keeping a FIFO of chunk provenances per `(commodity, rank)` buffer (which job
-//! delivered each buffered chunk, or none for chunks resident at the origin), stored as
-//! runs of equal provenance — one entry per arrival, not per chunk. A
-//! transfer consumes from the front of its sender's FIFO, so the dependency assignment
-//! is deterministic and matches the buffering discipline that
-//! [`crate::ChunkedSchedule::validate`] checks. Because arrivals of a step are only
-//! applied after the whole step (store-and-forward), every dependency points to a job
-//! of a *strictly earlier* step, which makes the DAG acyclic with job ids already in
-//! topological order.
-
-use std::collections::VecDeque;
+//! Real runtimes do not execute a global barrier between steps — a rank posts a
+//! send as soon as the chunks it forwards have landed. The DAG is that *data*
+//! dependency structure: each transfer becomes a [`TransferJob`] that depends on
+//! exactly the earlier jobs that delivered the chunks it sends onward. Arrivals
+//! land after the whole step, so every dependency points to a job of a *strictly
+//! earlier* step: the DAG is acyclic with job ids already in topological order.
 
 use a2a_topology::NodeId;
 
-use crate::ir::ChunkedSchedule;
+use crate::ir::{ChunkTransfer, ChunkedSchedule, ScheduleStep};
 
 /// One executable transfer: a [`crate::ChunkTransfer`] plus its position in the
 /// schedule and the jobs whose arrivals it consumes.
@@ -65,119 +64,206 @@ pub struct TransferDag {
 }
 
 /// The chunks one rank buffers of one commodity, oldest first, as runs of
-/// `(delivering job, chunk count)` — `None` for chunks resident at the origin.
-/// Every stored run is non-empty.
+/// `(label, chunk count)`. Every stored run is non-empty, and adjacent chunks
+/// with equal labels share one. A buffer holds few runs, so the front is
+/// removed by shifting.
 #[derive(Debug, Clone, Default)]
-struct ProvenanceFifo {
-    runs: VecDeque<(Option<usize>, usize)>,
-    /// Total chunks over all runs.
-    chunks: usize,
+pub(crate) struct RunFifo<L> {
+    runs: Vec<(L, usize)>,
 }
 
-impl ProvenanceFifo {
-    fn push(&mut self, job: Option<usize>, chunks: usize) {
-        if chunks > 0 {
-            self.runs.push_back((job, chunks));
-            self.chunks += chunks;
+impl<L: Clone + PartialEq> RunFifo<L> {
+    /// Total chunks held.
+    pub(crate) fn chunks(&self) -> usize {
+        self.runs.iter().map(|&(_, chunks)| chunks).sum()
+    }
+
+    /// The runs, oldest first.
+    pub(crate) fn runs(&self) -> &[(L, usize)] {
+        &self.runs
+    }
+
+    fn push(&mut self, label: L, chunks: usize) {
+        if chunks == 0 {
+            return;
+        }
+        match self.runs.last_mut() {
+            Some((last, held)) if *last == label => *held += chunks,
+            _ => self.runs.push((label, chunks)),
         }
     }
 
-    /// Removes the oldest `chunks` chunks (the caller has checked that many are
-    /// held), splitting the last run touched, and returns the jobs that
-    /// delivered them — one entry per run, so unsorted and possibly repeated.
-    fn drain(&mut self, chunks: usize) -> Vec<usize> {
-        self.chunks -= chunks;
-        let mut jobs = Vec::new();
+    /// Moves the oldest `chunks` chunks (the caller has checked that many are
+    /// held) to the back of `out`, splitting the last run touched.
+    fn drain_into(&mut self, chunks: usize, out: &mut Vec<(L, usize)>) {
         let mut wanted = chunks;
-        while wanted > 0 {
-            let (job, held) = self
-                .runs
-                .front_mut()
-                .expect("caller checked the chunk count");
-            jobs.extend(*job);
-            if *held > wanted {
-                *held -= wanted;
-                break;
-            }
-            wanted -= *held;
-            self.runs.pop_front();
+        let mut whole = 0;
+        while wanted > 0 && self.runs[whole].1 <= wanted {
+            wanted -= self.runs[whole].1;
+            whole += 1;
         }
-        jobs
+        out.extend(self.runs.drain(..whole));
+        if wanted > 0 {
+            let front = &mut self.runs[0];
+            front.1 -= wanted;
+            out.push((front.0.clone(), wanted));
+        }
     }
+}
+
+/// One [`RunFifo`] per `(commodity, rank)` buffer, at `commodity * num_ranks + rank`.
+pub(crate) type Buffers<L> = Vec<RunFifo<L>>;
+
+/// Replays `steps` under the store-and-forward rules (module docs) from the
+/// initial buffers of `schedule`: each commodity's `chunks_per_shard` chunks,
+/// labelled `origin(s)`, at its origin `s`. Returns the buffers after the last
+/// step.
+///
+/// A transfer drains the oldest chunks of its commodity at its sender;
+/// `relabel` sees the drained runs, oldest first, and may rewrite their labels
+/// before they land at the receiver after the whole step. Each violation — zero
+/// granularity, a commodity endpoint or transfer end outside `0..num_ranks`, an
+/// unknown commodity, a send of chunks the sender does not hold — goes to
+/// `sink`, and the commodity or transfer at fault moves no chunks. An `Err`
+/// from `sink` stops the replay and is returned, so passing `Err` as the sink
+/// stops at the first violation.
+pub(crate) fn replay<L: Clone + Default + PartialEq, E>(
+    schedule: &ChunkedSchedule,
+    steps: &[ScheduleStep],
+    origin: impl Fn(NodeId) -> L,
+    mut relabel: impl FnMut(&ChunkTransfer, &mut [(L, usize)]),
+    mut sink: impl FnMut(String) -> Result<(), E>,
+) -> Result<Buffers<L>, E> {
+    let n = schedule.num_ranks;
+    let cps = schedule.chunks_per_shard;
+    if cps == 0 {
+        sink("granularity must be positive".into())?;
+    }
+    let outside = |ranks: [NodeId; 2]| ranks.into_iter().find(|&r| r >= n);
+    let mut buffers = Buffers::new();
+    buffers.resize_with(schedule.commodities.len() * n, RunFifo::default);
+    for (idx, s, d) in schedule.commodities.iter() {
+        match outside([s, d]) {
+            None => buffers[idx * n + s].push(origin(s), cps),
+            Some(r) => sink(format!("commodity {s}->{d} names rank {r}, outside 0..{n}"))?,
+        }
+    }
+    let mut moved = Vec::new();
+    let mut arrivals: Vec<(usize, NodeId, L, usize)> = Vec::new();
+    for (t, step) in steps.iter().enumerate() {
+        for tr in &step.transfers {
+            if let Some(r) = outside([tr.from, tr.to]) {
+                sink(format!(
+                    "step {t}: transfer {}->{} names rank {r}, outside 0..{n}",
+                    tr.from, tr.to
+                ))?;
+                continue;
+            }
+            let Some(idx) = schedule.commodities.index_of(tr.origin, tr.final_dest) else {
+                sink(format!(
+                    "step {t}: unknown commodity {}->{}",
+                    tr.origin, tr.final_dest
+                ))?;
+                continue;
+            };
+            let fifo = &mut buffers[idx * n + tr.from];
+            let held = fifo.chunks();
+            if held < tr.chunks {
+                sink(format!(
+                    "step {t}: rank {} sends {} chunks of {}->{} but holds {held}",
+                    tr.from, tr.chunks, tr.origin, tr.final_dest
+                ))?;
+                continue;
+            }
+            fifo.drain_into(tr.chunks, &mut moved);
+            relabel(tr, &mut moved);
+            arrivals.extend(
+                moved
+                    .drain(..)
+                    .map(|(label, chunks)| (idx, tr.to, label, chunks)),
+            );
+        }
+        for (idx, rank, label, chunks) in arrivals.drain(..) {
+            buffers[idx * n + rank].push(label, chunks);
+        }
+    }
+    Ok(buffers)
+}
+
+/// The chunks each rank holds of each commodity, indexed `[commodity][rank]`,
+/// after replaying `prefix` — the executed steps of an interrupted run, say —
+/// from the initial buffers of `schedule`. A suffix spliced onto `prefix`
+/// starts from exactly these buffers. Fails with the first violation of the
+/// replay rules (module docs).
+pub fn holdings_after(
+    schedule: &ChunkedSchedule,
+    prefix: &[ScheduleStep],
+) -> Result<Vec<Vec<usize>>, String> {
+    let buffers = replay(schedule, prefix, |_| (), |_, _| {}, Err)?;
+    let n = schedule.num_ranks;
+    Ok((0..schedule.commodities.len())
+        .map(|idx| {
+            buffers[idx * n..][..n]
+                .iter()
+                .map(RunFifo::chunks)
+                .collect()
+        })
+        .collect())
 }
 
 impl TransferDag {
     /// Extracts the dependency DAG from a chunked schedule.
     ///
     /// Fails with a description of the first violation if the schedule is not
-    /// executable (a commodity endpoint or transfer end is not one of the
-    /// schedule's ranks, a rank sends chunks it does not hold, or a transfer
-    /// names an unknown commodity) — the same conditions
-    /// [`ChunkedSchedule::validate`] reports.
+    /// executable (zero granularity, a commodity endpoint or transfer end that
+    /// is not one of the schedule's ranks, an unknown commodity, or a rank
+    /// sending chunks it does not hold) — the replay conditions
+    /// [`ChunkedSchedule::validate`] also reports.
     pub fn from_schedule(schedule: &ChunkedSchedule) -> Result<Self, String> {
-        // Provenance FIFO per (commodity, rank), run-length encoded: chunks that
-        // arrived with one job (or sat at the origin) are one run.
-        let mut buffers =
-            vec![vec![ProvenanceFifo::default(); schedule.num_ranks]; schedule.commodities.len()];
-        for (idx, s, d) in schedule.commodities.iter() {
-            schedule.check_ranks([s, d], || format!("commodity {s}->{d}"))?;
-            buffers[idx][s].push(None, schedule.chunks_per_shard);
-        }
-
-        let mut jobs: Vec<TransferJob> = Vec::new();
-        for (t, step) in schedule.steps.iter().enumerate() {
-            // Consume sender buffers first; arrivals land after the whole step.
-            let mut arrivals: Vec<(usize, NodeId, usize, usize)> = Vec::new();
-            for (i, tr) in step.transfers.iter().enumerate() {
-                let idx = schedule
-                    .commodities
-                    .index_of(tr.origin, tr.final_dest)
-                    .ok_or_else(|| {
-                        format!(
-                            "step {t}: transfer {i} names unknown commodity {}->{}",
-                            tr.origin, tr.final_dest
-                        )
-                    })?;
-                schedule.check_ranks([tr.from, tr.to], || format!("step {t}: transfer {i}"))?;
-                let fifo = &mut buffers[idx][tr.from];
-                if fifo.chunks < tr.chunks {
-                    return Err(format!(
-                        "step {t}: rank {} sends {} chunks of {}->{} but holds {}",
-                        tr.from, tr.chunks, tr.origin, tr.final_dest, fifo.chunks
-                    ));
-                }
-                let job_id = jobs.len();
-                let mut deps = fifo.drain(tr.chunks);
-                deps.sort_unstable();
-                deps.dedup();
-                debug_assert!(deps.iter().all(|&d| d < job_id));
-                arrivals.push((idx, tr.to, tr.chunks, job_id));
-                jobs.push(TransferJob {
-                    step: t,
-                    index_in_step: i,
-                    from: tr.from,
-                    to: tr.to,
-                    origin: tr.origin,
-                    final_dest: tr.final_dest,
-                    chunks: tr.chunks,
-                    deps,
-                });
+        // Chunks are labelled with the job that delivered them, `None` at the
+        // origin; a job depends on the labels of the chunks it forwards.
+        let mut deps: Vec<Vec<usize>> = Vec::new();
+        let relabel = |_: &ChunkTransfer, runs: &mut [(Option<usize>, usize)]| {
+            let job = deps.len();
+            let mut from: Vec<usize> = runs.iter().filter_map(|&(label, _)| label).collect();
+            from.sort_unstable();
+            from.dedup();
+            debug_assert!(from.iter().all(|&d| d < job));
+            deps.push(from);
+            for run in runs {
+                run.0 = Some(job);
             }
-            for (idx, node, chunks, job_id) in arrivals {
-                buffers[idx][node].push(Some(job_id), chunks);
-            }
-        }
+        };
+        replay(schedule, &schedule.steps, |_| None, relabel, Err)?;
+        debug_assert_eq!(deps.len(), schedule.total_transfers());
+        let jobs = schedule
+            .steps
+            .iter()
+            .enumerate()
+            .flat_map(|(t, step)| {
+                step.transfers
+                    .iter()
+                    .enumerate()
+                    .map(move |(i, tr)| (t, i, tr))
+            })
+            .zip(deps)
+            .map(|((step, index_in_step, tr), deps)| TransferJob {
+                step,
+                index_in_step,
+                from: tr.from,
+                to: tr.to,
+                origin: tr.origin,
+                final_dest: tr.final_dest,
+                chunks: tr.chunks,
+                deps,
+            })
+            .collect();
         Ok(Self {
             jobs,
             num_ranks: schedule.num_ranks,
             chunks_per_shard: schedule.chunks_per_shard,
             num_steps: schedule.steps.len(),
         })
-    }
-
-    /// Number of jobs (= total transfers of the schedule).
-    pub fn num_jobs(&self) -> usize {
-        self.jobs.len()
     }
 
     /// Reverse adjacency: for each job, the ids of jobs that depend on it.
@@ -190,24 +276,6 @@ impl TransferDag {
         }
         succ
     }
-
-    /// Length (in jobs) of the longest dependency chain — the critical path of the
-    /// schedule if every transfer took unit time.
-    pub fn critical_path_len(&self) -> usize {
-        let mut depth = vec![1usize; self.jobs.len()];
-        let mut max = 0;
-        for id in 0..self.jobs.len() {
-            let d = 1 + self.jobs[id]
-                .deps
-                .iter()
-                .map(|&p| depth[p])
-                .max()
-                .unwrap_or(0);
-            depth[id] = d;
-            max = max.max(d);
-        }
-        max
-    }
 }
 
 #[cfg(test)]
@@ -215,6 +283,7 @@ mod tests {
     use super::*;
     use a2a_mcf::tscolgen::solve_tsmcf_colgen_auto;
     use a2a_topology::generators;
+    use std::collections::VecDeque;
 
     #[test]
     fn complete_graph_jobs_are_independent() {
@@ -222,9 +291,8 @@ mod tests {
         let sol = solve_tsmcf_colgen_auto(&topo).unwrap().solution;
         let sched = ChunkedSchedule::from_tsmcf(&topo, &sol, 8).unwrap();
         let dag = TransferDag::from_schedule(&sched).unwrap();
-        assert_eq!(dag.num_jobs(), sched.total_transfers());
+        assert_eq!(dag.jobs.len(), sched.total_transfers());
         assert!(dag.jobs.iter().all(|j| j.deps.is_empty()));
-        assert_eq!(dag.critical_path_len(), 1);
     }
 
     #[test]
@@ -249,8 +317,6 @@ mod tests {
                 );
             }
         }
-        assert!(dag.critical_path_len() >= 2);
-        assert!(dag.critical_path_len() <= sched.num_steps());
     }
 
     #[test]
@@ -302,10 +368,22 @@ mod tests {
             let err = TransferDag::from_schedule(&bad).unwrap_err();
             assert!(err.contains("rank 7"), "{err}");
         }
+
+        // Zero granularity with zero-chunk transfers moves nothing and
+        // "delivers" everything; it is rejected, not simulated.
+        let ring = generators::ring(3);
+        let sol = solve_tsmcf_colgen_auto(&ring).unwrap().solution;
+        let mut zero = ChunkedSchedule::from_tsmcf(&ring, &sol, 4).unwrap();
+        zero.chunks_per_shard = 0;
+        for tr in zero.steps.iter_mut().flat_map(|s| &mut s.transfers) {
+            tr.chunks = 0;
+        }
+        let err = TransferDag::from_schedule(&zero).unwrap_err();
+        assert!(err.contains("granularity"), "{err}");
     }
 
     /// Dependency extraction with one FIFO entry per *chunk* — the
-    /// implementation the run-length [`ProvenanceFifo`] replaced, kept as its
+    /// implementation the run-length [`RunFifo`] replaced, kept as its
     /// reference. Returns every job's `deps` (the schedule must be executable).
     fn per_chunk_deps(schedule: &ChunkedSchedule) -> Vec<Vec<usize>> {
         let ncomm = schedule.commodities.len();
@@ -349,7 +427,7 @@ mod tests {
                 let sched = ChunkedSchedule::from_tsmcf(&topo, &sol, chunks).unwrap();
                 let dag = TransferDag::from_schedule(&sched).unwrap();
                 let expected = per_chunk_deps(&sched);
-                assert_eq!(dag.num_jobs(), expected.len());
+                assert_eq!(dag.jobs.len(), expected.len());
                 for (id, (job, deps)) in dag.jobs.iter().zip(&expected).enumerate() {
                     assert_eq!(&job.deps, deps, "{} @ {chunks}: job {id}", topo.name());
                 }

@@ -9,11 +9,17 @@
 //! shape every time-stepped plan has. [`ChunkedSchedule::from_tsmcf_exact`] feeds it
 //! the nominal all-to-all (every shard at its source),
 //! [`crate::splice::lower_residual_suffix`] the holdings of an interrupted run.
+//! [`ChunkedSchedule::validate`] checks any schedule by the one buffer replay of
+//! [`crate::exec`], plus its own link and delivery checks.
+
+use std::convert::Infallible;
 
 use a2a_mcf::tscolgen::TsDemand;
 use a2a_mcf::tsmcf::{at_source_demands, check_flow_shape, TsMcfSolution};
 use a2a_mcf::CommoditySet;
 use a2a_topology::{paths, EdgeId, NodeId, Topology};
+
+use crate::exec::replay;
 
 /// One chunked transfer: `chunks` chunks of commodity `(origin, final_dest)` move from
 /// `from` to `to` during the enclosing step.
@@ -36,26 +42,6 @@ pub struct ChunkTransfer {
 pub struct ScheduleStep {
     /// Transfers performed concurrently in this step.
     pub transfers: Vec<ChunkTransfer>,
-}
-
-impl ScheduleStep {
-    /// Total chunks sent by `rank` in this step.
-    pub fn chunks_sent_by(&self, rank: NodeId) -> usize {
-        self.transfers
-            .iter()
-            .filter(|t| t.from == rank)
-            .map(|t| t.chunks)
-            .sum()
-    }
-
-    /// Total chunks received by `rank` in this step.
-    pub fn chunks_received_by(&self, rank: NodeId) -> usize {
-        self.transfers
-            .iter()
-            .filter(|t| t.to == rank)
-            .map(|t| t.chunks)
-            .sum()
-    }
 }
 
 /// Converts a demand's shard amount to its whole-chunk count. A nominal demand
@@ -266,96 +252,38 @@ impl ChunkedSchedule {
         self.steps.iter().map(|s| s.transfers.len()).sum()
     }
 
-    /// Maximum number of chunks crossing any single link in any single step — the
-    /// quantity that determines per-step duration on a store-and-forward fabric.
-    pub fn max_chunks_per_link_step(&self) -> usize {
-        let mut max = 0;
-        for step in &self.steps {
-            let mut per_link: std::collections::HashMap<(NodeId, NodeId), usize> =
-                std::collections::HashMap::new();
-            for t in &step.transfers {
-                *per_link.entry((t.from, t.to)).or_insert(0) += t.chunks;
-            }
-            max = max.max(per_link.values().copied().max().unwrap_or(0));
-        }
-        max
-    }
-
-    /// `Err` naming the first of `ranks` outside `0..num_ranks` — the range
-    /// every per-rank buffer of a schedule replay is indexed by; `what` names
-    /// the commodity or transfer the ranks belong to.
-    pub(crate) fn check_ranks(
-        &self,
-        ranks: [NodeId; 2],
-        what: impl FnOnce() -> String,
-    ) -> Result<(), String> {
-        match ranks.into_iter().find(|&r| r >= self.num_ranks) {
-            None => Ok(()),
-            Some(r) => Err(format!(
-                "{} names rank {r}, outside 0..{}",
-                what(),
-                self.num_ranks
-            )),
-        }
-    }
-
-    /// Validates executability: every commodity endpoint and transfer end is one
-    /// of the `num_ranks` ranks, transfers only use fabric links, a rank never
-    /// sends chunks it does not hold, and every destination ends up with every
-    /// shard in full. Returns human-readable violations.
+    /// Validates executability: the buffer replay of [`crate::exec`] finds no
+    /// violation (positive granularity, ranks in `0..num_ranks`, known
+    /// commodities, senders that hold what they send), transfers only use
+    /// fabric links, and every destination ends up with every shard in full.
+    /// Returns every violation, human-readable.
     pub fn validate(&self, topo: &Topology) -> Vec<String> {
         let mut issues = Vec::new();
-        let mut buffered: Vec<Vec<usize>> = vec![vec![0; self.num_ranks]; self.commodities.len()];
-        for (idx, s, d) in self.commodities.iter() {
-            match self.check_ranks([s, d], || format!("commodity {s}->{d}")) {
-                Ok(()) => buffered[idx][s] = self.chunks_per_shard,
-                Err(issue) => issues.push(issue),
-            }
-        }
+        let Ok(buffers) = replay(
+            self,
+            &self.steps,
+            |_| (),
+            |_, _| {},
+            |issue| {
+                issues.push(issue);
+                Ok::<(), Infallible>(())
+            },
+        );
         for (t, step) in self.steps.iter().enumerate() {
-            let mut arrivals: Vec<(usize, NodeId, usize)> = Vec::new();
             for tr in &step.transfers {
-                let ranks = self.check_ranks([tr.from, tr.to], || {
-                    format!("step {t}: transfer {}->{}", tr.from, tr.to)
-                });
-                if let Err(issue) = ranks {
-                    issues.push(issue);
-                    continue;
-                }
-                if !topo.has_edge(tr.from, tr.to) {
+                // A transfer end outside the ranks was reported by the replay.
+                if tr.from.max(tr.to) < self.num_ranks && !topo.has_edge(tr.from, tr.to) {
                     issues.push(format!(
                         "step {t}: transfer {}->{} uses a missing link",
                         tr.from, tr.to
                     ));
                 }
-                let idx = match self.commodities.index_of(tr.origin, tr.final_dest) {
-                    Some(idx) => idx,
-                    None => {
-                        issues.push(format!(
-                            "step {t}: unknown commodity {}->{}",
-                            tr.origin, tr.final_dest
-                        ));
-                        continue;
-                    }
-                };
-                if buffered[idx][tr.from] < tr.chunks {
-                    issues.push(format!(
-                        "step {t}: rank {} sends {} chunks of {}->{} but holds {}",
-                        tr.from, tr.chunks, tr.origin, tr.final_dest, buffered[idx][tr.from]
-                    ));
-                    continue;
-                }
-                buffered[idx][tr.from] -= tr.chunks;
-                arrivals.push((idx, tr.to, tr.chunks));
-            }
-            for (idx, node, chunks) in arrivals {
-                buffered[idx][node] += chunks;
             }
         }
         for (idx, s, d) in self.commodities.iter() {
-            // An endpoint outside the ranks was reported above.
-            match buffered[idx].get(d) {
-                Some(&held) if held != self.chunks_per_shard => issues.push(format!(
+            // An endpoint outside the ranks was reported by the replay.
+            match (d < self.num_ranks).then(|| buffers[idx * self.num_ranks + d].chunks()) {
+                Some(held) if held != self.chunks_per_shard => issues.push(format!(
                     "commodity {s}->{d}: destination holds {held}/{} chunks at the end",
                     self.chunks_per_shard
                 )),
@@ -392,9 +320,10 @@ mod tests {
         assert!(sched.validate(&topo).is_empty());
         assert!(sched.num_steps() >= 2);
         // Every rank both sends and receives something in the first step.
+        let first = &sched.steps[0].transfers;
         for rank in 0..3 {
-            assert!(sched.steps[0].chunks_sent_by(rank) > 0);
-            assert!(sched.steps[0].chunks_received_by(rank) > 0);
+            assert!(first.iter().any(|t| t.from == rank && t.chunks > 0));
+            assert!(first.iter().any(|t| t.to == rank && t.chunks > 0));
         }
     }
 
@@ -408,7 +337,6 @@ mod tests {
         // split shards; either way the granularity is a power of two within the cap.
         assert!(sched.chunks_per_shard.is_power_of_two());
         assert!(sched.chunks_per_shard <= 128);
-        assert!(sched.max_chunks_per_link_step() >= 1);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! * [`ir`] — the chunked, time-stepped schedule IR produced from a
 //!   [`a2a_mcf::tsmcf::TsMcfSolution`] (link-based schedules for store-and-forward
 //!   fabrics), plus executability validation.
-//! * [`exec`] — execution semantics of the chunked IR: the transfer data-dependency
-//!   DAG ([`exec::TransferDag`]) consumed by the event-driven simulator, extracted by
-//!   provenance replay of the per-rank chunk buffers.
+//! * [`exec`] — execution semantics of the chunked IR: the one replay of the
+//!   per-rank chunk buffers that validation, the transfer data-dependency DAG
+//!   ([`exec::TransferDag`], consumed by the event-driven simulator), the realized
+//!   route table and the failure snapshot's holdings ([`exec::holdings_after`]) share.
 //! * [`xml`] — lowering of the chunked IR to MSCCL-style and oneCCL-style XML programs
 //!   (send/recv instructions per rank per step).
 //! * [`routes`] — lowering of weighted path schedules to per-commodity route tables and
@@ -29,7 +30,7 @@ pub mod splice;
 pub mod xml;
 
 pub use deadlock::{assign_virtual_channels, LashVariant, VcAssignment};
-pub use exec::{TransferDag, TransferJob};
+pub use exec::{holdings_after, TransferDag, TransferJob};
 pub use ir::{ChunkTransfer, ChunkedSchedule, ScheduleStep};
 pub use routes::{lower_path_schedule, RouteTable};
 pub use splice::{

@@ -22,17 +22,20 @@
 //!   commodity still delivers exactly one shard end-to-end across the
 //!   prefix/suffix boundary;
 //! * [`realized_route_table`] replays a chunked schedule into the per-chunk
-//!   route table it actually realizes (FIFO provenance, the discipline of
-//!   [`crate::exec::TransferDag`]), so spliced schedules can be checked with
-//!   [`RouteTable::validate`] like any source-routed artifact.
-
-use std::collections::VecDeque;
+//!   route table it actually realizes (the one buffer replay of
+//!   [`crate::exec`], each run of chunks labelled with its trajectory), so
+//!   spliced schedules can be checked with [`RouteTable::validate`] like any
+//!   source-routed artifact.
+//!
+//! The buffers a suffix starts from are [`crate::exec::holdings_after`] the
+//! executed prefix — the same replay, so the holdings a failure snapshot
+//! reports and the ones [`splice_schedule`] re-validates cannot disagree.
 
 use a2a_mcf::residual::{ResidualSolution, TsDemand};
-use a2a_mcf::CommoditySet;
 use a2a_topology::{paths, NodeId, Path, Topology};
 
 use crate::deadlock::{assign_virtual_channels, LashVariant};
+use crate::exec::replay;
 use crate::ir::{demand_chunks, quantize_flows, ChunkTransfer, ChunkedSchedule, ScheduleStep};
 use crate::routes::{CommodityRoutes, Route, RouteTable};
 
@@ -177,81 +180,45 @@ pub fn splice_schedule(
 
 /// Replays a chunked schedule into the per-chunk route table it realizes.
 ///
-/// Chunk identity follows the FIFO buffering discipline of
-/// [`crate::exec::TransferDag`]: a transfer forwards the oldest buffered
-/// chunks of its commodity at the sender, so every chunk's node trajectory is
-/// deterministic. Identical trajectories aggregate into one [`Route`] whose
-/// chunk count and weight reflect how many chunks actually travelled it. The
-/// routes get LASH-sequential layers over the links the schedule uses, so the
-/// table is deadlock-free like any other. Fails when a commodity endpoint or
-/// transfer end is not one of the schedule's ranks, or when some commodity does
-/// not deliver all its chunks — for a validated [`SplicedSchedule`] neither can
-/// happen.
-pub fn realized_route_table(
-    schedule: &ChunkedSchedule,
-    commodities: &CommoditySet,
-) -> Result<RouteTable, String> {
-    let ncomm = commodities.len();
-    // FIFO of chunk trajectories per (commodity, rank).
-    let mut buffers: Vec<Vec<VecDeque<Vec<NodeId>>>> =
-        vec![vec![VecDeque::new(); schedule.num_ranks]; ncomm];
-    for (idx, s, d) in commodities.iter() {
-        schedule.check_ranks([s, d], || format!("commodity {s}->{d}"))?;
-        for _ in 0..schedule.chunks_per_shard {
-            buffers[idx][s].push_back(vec![s]);
-        }
-    }
-    for (t, step) in schedule.steps.iter().enumerate() {
-        let mut arrivals: Vec<(usize, NodeId, Vec<Vec<NodeId>>)> = Vec::new();
-        for tr in &step.transfers {
-            let idx = commodities
-                .index_of(tr.origin, tr.final_dest)
-                .ok_or_else(|| {
-                    format!(
-                        "step {t}: unknown commodity {}->{}",
-                        tr.origin, tr.final_dest
-                    )
-                })?;
-            schedule.check_ranks([tr.from, tr.to], || {
-                format!("step {t}: transfer {}->{}", tr.from, tr.to)
-            })?;
-            let fifo = &mut buffers[idx][tr.from];
-            if fifo.len() < tr.chunks {
-                return Err(format!(
-                    "step {t}: rank {} sends {} chunks of {}->{} but holds {}",
-                    tr.from,
-                    tr.chunks,
-                    tr.origin,
-                    tr.final_dest,
-                    fifo.len()
-                ));
-            }
-            let mut moved: Vec<Vec<NodeId>> = fifo.drain(..tr.chunks).collect();
-            for trajectory in &mut moved {
+/// Chunk identity follows the FIFO buffering discipline of the replay in
+/// [`crate::exec`]: a transfer forwards the oldest buffered chunks of its
+/// commodity at the sender, so every chunk's node trajectory is deterministic
+/// (the replay labels each run of chunks with its trajectory). Identical
+/// trajectories aggregate into one [`Route`] whose chunk count and weight
+/// reflect how many chunks actually travelled it. The routes get
+/// LASH-sequential layers over the links the schedule uses, so the table is
+/// deadlock-free like any other. Fails with the first replay violation (zero
+/// granularity, a rank outside the schedule, an unknown commodity, a send of
+/// chunks the sender does not hold), or when some commodity does not deliver
+/// exactly its chunks — for a validated [`SplicedSchedule`] none can happen.
+pub fn realized_route_table(schedule: &ChunkedSchedule) -> Result<RouteTable, String> {
+    let cps = schedule.chunks_per_shard;
+    let buffers = replay(
+        schedule,
+        &schedule.steps,
+        |s| vec![s],
+        |tr, runs: &mut [(Vec<NodeId>, usize)]| {
+            for (trajectory, _) in runs {
                 trajectory.push(tr.to);
             }
-            arrivals.push((idx, tr.to, moved));
-        }
-        for (idx, node, moved) in arrivals {
-            buffers[idx][node].extend(moved);
-        }
-    }
-    let mut table = Vec::with_capacity(ncomm);
-    for (idx, s, d) in commodities.iter() {
-        let delivered = &buffers[idx][d];
-        if delivered.len() != schedule.chunks_per_shard {
+        },
+        Err,
+    )?;
+    let mut table = Vec::with_capacity(schedule.commodities.len());
+    for (idx, s, d) in schedule.commodities.iter() {
+        let delivered = &buffers[idx * schedule.num_ranks + d];
+        if delivered.chunks() != cps {
             return Err(format!(
-                "commodity {s}->{d}: {} of {} chunks delivered",
-                delivered.len(),
-                schedule.chunks_per_shard
+                "commodity {s}->{d}: {} of {cps} chunks delivered",
+                delivered.chunks()
             ));
         }
         // Aggregate identical trajectories into weighted routes.
-        let mut routes: Vec<(Vec<NodeId>, usize)> = Vec::new();
-        for trajectory in delivered {
+        let mut routes: Vec<(&[NodeId], usize)> = Vec::new();
+        for (trajectory, chunks) in delivered.runs() {
             match routes.iter_mut().find(|(nodes, _)| nodes == trajectory) {
-                Some((_, count)) => *count += 1,
-                None => routes.push((trajectory.clone(), 1)),
+                Some((_, count)) => *count += chunks,
+                None => routes.push((trajectory, *chunks)),
             }
         }
         table.push(CommodityRoutes {
@@ -260,70 +227,57 @@ pub fn realized_route_table(
             routes: routes
                 .into_iter()
                 .map(|(nodes, count)| Route {
-                    path: Path::new(nodes),
-                    weight: count as f64 / schedule.chunks_per_shard as f64,
+                    path: Path::new(nodes.to_vec()),
+                    weight: count as f64 / cps as f64,
                     chunks: count,
                     layer: 0,
                 })
                 .collect(),
         });
     }
+    Ok(with_lash_layers(schedule, table))
+}
+
+/// The route table of `commodities` with LASH-sequential layers over the links
+/// `schedule` uses — layers whose channel dependencies are acyclic, as
+/// [`RouteTable::validate`] requires.
+fn with_lash_layers(
+    schedule: &ChunkedSchedule,
+    mut commodities: Vec<CommodityRoutes>,
+) -> RouteTable {
     let mut fabric = Topology::new(schedule.num_ranks, "realized");
     for tr in schedule.steps.iter().flat_map(|step| &step.transfers) {
         if !fabric.has_edge(tr.from, tr.to) {
             fabric.add_edge(tr.from, tr.to, 1.0);
         }
     }
-    let routes: Vec<&Path> = table
+    let routes: Vec<&Path> = commodities
         .iter()
         .flat_map(|c| c.routes.iter().map(|r| &r.path))
         .collect();
     let vc = assign_virtual_channels(&fabric, &routes, LashVariant::Sequential);
-    for (route, &layer) in table
+    for (route, &layer) in commodities
         .iter_mut()
         .flat_map(|c| &mut c.routes)
         .zip(vc.layers())
     {
         route.layer = layer;
     }
-    Ok(RouteTable {
-        commodities: table,
+    RouteTable {
+        commodities,
         chunks_per_shard: schedule.chunks_per_shard,
         num_layers: vc.num_layers(),
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::holdings_after;
     use a2a_mcf::residual::{residual_minimum_steps, solve_residual_colgen};
-    use a2a_mcf::{solve_tsmcf_colgen_auto, ColGenOptions};
+    use a2a_mcf::{solve_tsmcf_colgen_auto, ColGenOptions, CommoditySet};
     use a2a_topology::generators;
-
-    /// Replays a prefix from nominal initial buffers and returns the per-rank
-    /// chunk holdings of every commodity: the ground truth a snapshot reports.
-    fn holdings_after(schedule: &ChunkedSchedule, prefix: &[ScheduleStep]) -> Vec<Vec<usize>> {
-        let mut buffered = vec![vec![0usize; schedule.num_ranks]; schedule.commodities.len()];
-        for (idx, s, _) in schedule.commodities.iter() {
-            buffered[idx][s] = schedule.chunks_per_shard;
-        }
-        for step in prefix {
-            let mut arrivals = Vec::new();
-            for tr in &step.transfers {
-                let idx = schedule
-                    .commodities
-                    .index_of(tr.origin, tr.final_dest)
-                    .unwrap();
-                assert!(buffered[idx][tr.from] >= tr.chunks);
-                buffered[idx][tr.from] -= tr.chunks;
-                arrivals.push((idx, tr.to, tr.chunks));
-            }
-            for (idx, node, chunks) in arrivals {
-                buffered[idx][node] += chunks;
-            }
-        }
-        buffered
-    }
+    use std::collections::VecDeque;
 
     fn demands_from_holdings(schedule: &ChunkedSchedule, buffered: &[Vec<usize>]) -> Vec<TsDemand> {
         let cps = schedule.chunks_per_shard as f64;
@@ -356,7 +310,7 @@ mod tests {
 
         // Cut after the first step; kill a link the rest of the plan uses.
         let prefix = &nominal.steps[..1];
-        let buffered = holdings_after(&nominal, prefix);
+        let buffered = holdings_after(&nominal, prefix).unwrap();
         let dead = (0usize, 1usize);
         let punctured = topo.without_edges(&[topo.find_edge(dead.0, dead.1).unwrap()]);
         let demands = demands_from_holdings(&nominal, &buffered);
@@ -374,7 +328,7 @@ mod tests {
         assert_eq!(spliced.suffix_steps, suffix.len());
         assert!(spliced.schedule.validate(&topo).is_empty());
 
-        let table = realized_route_table(&spliced.schedule, &spliced.schedule.commodities).unwrap();
+        let table = realized_route_table(&spliced.schedule).unwrap();
         assert!(table.validate().is_empty());
         // No chunk of the suffix crossed the dead link after the cut: every
         // realized trajectory's post-prefix hops avoid it. (The prefix itself
@@ -393,19 +347,17 @@ mod tests {
         let cg = solve_tsmcf_colgen_auto(&topo).unwrap();
         let nominal = ChunkedSchedule::from_tsmcf_exact(&topo, &cg.solution, 8).unwrap();
         let prefix = &nominal.steps[..1];
-        let buffered = holdings_after(&nominal, prefix);
+        let buffered = holdings_after(&nominal, prefix).unwrap();
         let dead = (3usize, 4usize);
         let punctured = topo.without_edges(&[topo.find_edge(dead.0, dead.1).unwrap()]);
         let demands = demands_from_holdings(&nominal, &buffered);
         let suffix = greedy_reroute_suffix(&punctured, &demands, nominal.chunks_per_shard).unwrap();
         let spliced = splice_schedule(&topo, &nominal, prefix, &suffix, &[dead]).unwrap();
         assert!(spliced.schedule.validate(&topo).is_empty());
-        assert!(
-            realized_route_table(&spliced.schedule, &spliced.schedule.commodities)
-                .unwrap()
-                .validate()
-                .is_empty()
-        );
+        assert!(realized_route_table(&spliced.schedule)
+            .unwrap()
+            .validate()
+            .is_empty());
     }
 
     /// A suffix that touches a forbidden (dead) link is rejected before any
@@ -443,7 +395,8 @@ mod tests {
     }
 
     /// Realized-route replay with one trajectory `Vec` per *chunk* — the
-    /// implementation the run-length replay replaced, kept as its reference.
+    /// implementation the run-length replay replaced, kept as its reference
+    /// (it shares only the LASH layering).
     fn per_chunk_route_table(schedule: &ChunkedSchedule) -> RouteTable {
         let commodities = &schedule.commodities;
         let mut buffers: Vec<Vec<VecDeque<Vec<NodeId>>>> =
@@ -489,29 +442,7 @@ mod tests {
                     .collect(),
             });
         }
-        let mut fabric = Topology::new(schedule.num_ranks, "realized");
-        for tr in schedule.steps.iter().flat_map(|step| &step.transfers) {
-            if !fabric.has_edge(tr.from, tr.to) {
-                fabric.add_edge(tr.from, tr.to, 1.0);
-            }
-        }
-        let paths: Vec<&Path> = table
-            .iter()
-            .flat_map(|c| c.routes.iter().map(|r| &r.path))
-            .collect();
-        let vc = assign_virtual_channels(&fabric, &paths, LashVariant::Sequential);
-        for (route, &layer) in table
-            .iter_mut()
-            .flat_map(|c| &mut c.routes)
-            .zip(vc.layers())
-        {
-            route.layer = layer;
-        }
-        RouteTable {
-            commodities: table,
-            chunks_per_shard: schedule.chunks_per_shard,
-            num_layers: vc.num_layers(),
-        }
+        with_lash_layers(schedule, table)
     }
 
     fn assert_same_table(got: &RouteTable, want: &RouteTable, tag: &str) {
@@ -548,7 +479,7 @@ mod tests {
             for chunks in [1, 8, 128] {
                 let sched = ChunkedSchedule::from_tsmcf_exact(&topo, &cg.solution, chunks).unwrap();
                 let tag = format!("{} @ {chunks}", topo.name());
-                let table = realized_route_table(&sched, &sched.commodities).unwrap();
+                let table = realized_route_table(&sched).unwrap();
                 assert_same_table(&table, &per_chunk_route_table(&sched), &tag);
             }
         }
@@ -575,7 +506,7 @@ mod tests {
             .map(|transfers| ScheduleStep { transfers })
             .to_vec(),
         };
-        let table = realized_route_table(&sched, &sched.commodities).unwrap();
+        let table = realized_route_table(&sched).unwrap();
         assert_same_table(&table, &per_chunk_route_table(&sched), "split runs");
         let routes: Vec<(&[NodeId], usize)> = table.commodities[0]
             .routes
@@ -592,7 +523,7 @@ mod tests {
         let topo = generators::hypercube(3);
         let cg = solve_tsmcf_colgen_auto(&topo).unwrap();
         let sched = ChunkedSchedule::from_tsmcf_exact(&topo, &cg.solution, 8).unwrap();
-        let table = realized_route_table(&sched, &sched.commodities).unwrap();
+        let table = realized_route_table(&sched).unwrap();
         assert!(table.validate().is_empty());
         assert_eq!(table.commodities.len(), sched.commodities.len());
         for c in &table.commodities {

@@ -147,9 +147,26 @@ fn chunked_validate_flags_out_of_range_ranks() {
     for bad in [stray_sender, stray_commodity] {
         let issues = bad.validate(&topo);
         assert!(issues.iter().any(|m| m.contains("rank 7")), "{issues:?}");
-        let err = realized_route_table(&bad, &bad.commodities).unwrap_err();
+        let err = realized_route_table(&bad).unwrap_err();
         assert!(err.contains("rank 7"), "{err}");
     }
+}
+
+#[test]
+fn chunked_validate_flags_zero_granularity() {
+    // Zero chunks per shard and zero-chunk transfers move nothing, yet every
+    // destination "holds" all 0 of its chunks: only the granularity check
+    // stands between this schedule and a simulated completion of nothing.
+    let topo = generators::ring(3);
+    let mut sched = chunked_on(&topo);
+    sched.chunks_per_shard = 0;
+    for tr in sched.steps.iter_mut().flat_map(|s| &mut s.transfers) {
+        tr.chunks = 0;
+    }
+    let issues = sched.validate(&topo);
+    assert_eq!(issues, ["granularity must be positive"]);
+    let err = realized_route_table(&sched).unwrap_err();
+    assert!(err.contains("granularity"), "{err}");
 }
 
 #[test]
@@ -171,13 +188,18 @@ fn chunked_validate_reports_every_violation_not_just_the_first() {
     assert!(issues.len() >= 2, "{issues:?}");
 }
 
-/// True for the violations of the buffer replay itself — a rank outside the
-/// schedule, an unknown commodity, a send of chunks the sender does not hold —
-/// as opposed to a missing link or a delivery shortfall.
+/// True for the violations of the buffer replay itself — zero granularity, a
+/// rank outside the schedule, an unknown commodity, a send of chunks the sender
+/// does not hold — as opposed to a missing link or a delivery shortfall.
 fn is_replay_violation(issue: &str) -> bool {
-    ["outside 0..", "unknown commodity", "but holds"]
-        .iter()
-        .any(|tag| issue.contains(tag))
+    [
+        "granularity",
+        "outside 0..",
+        "unknown commodity",
+        "but holds",
+    ]
+    .iter()
+    .any(|tag| issue.contains(tag))
 }
 
 /// One seeded corruption of a schedule: drop a transfer, inflate its chunk
@@ -254,7 +276,7 @@ fn seeded_mutations_agree_across_the_schedule_replays() {
                     off_fabric += 1;
                     continue;
                 }
-                let routes = realized_route_table(&sched, &sched.commodities);
+                let routes = realized_route_table(&sched);
                 assert_eq!(routes.is_ok(), issues.is_empty(), "{tag}: {issues:?}");
             }
         }

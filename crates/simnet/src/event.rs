@@ -75,7 +75,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use a2a_mcf::CommoditySet;
-use a2a_schedule::{ChunkTransfer, ChunkedSchedule, ScheduleStep, TransferDag};
+use a2a_schedule::{holdings_after, ChunkTransfer, ChunkedSchedule, ScheduleStep, TransferDag};
 use a2a_topology::{EdgeId, NodeId, Topology};
 
 use crate::fair_share::{LinkShare, Progressive};
@@ -455,12 +455,13 @@ pub struct InFlightSnapshot {
     /// The interrupted schedule's commodities.
     pub commodities: CommoditySet,
     /// Location of every chunk (delivered, buffered or stranded), aggregated per
-    /// `(commodity, holding rank)`.
+    /// `(commodity, holding rank)`: the nonzero counts of
+    /// [`a2a_schedule::holdings_after`] `executed_prefix`.
     pub holdings: Vec<ChunkHolding>,
     /// The executed prefix: every step that completed before the cut, plus the
     /// cut step truncated to the chunks that fully drained per transfer (omitted
-    /// when nothing of the cut step completed). Splicing a repaired suffix onto
-    /// this prefix reproduces the state in `holdings`.
+    /// when nothing of the cut step completed). `holdings` is replayed from it,
+    /// so a repaired suffix spliced onto it starts from exactly those holdings.
     pub executed_prefix: Vec<ScheduleStep>,
     /// Whole chunks sitting at their final destination.
     pub delivered_chunks: usize,
@@ -636,9 +637,10 @@ enum TimelineOutcome {
     Interrupted(Interrupt),
 }
 
-/// Builds the [`InFlightSnapshot`] of an interrupted run by replaying the
-/// schedule's buffer state up to the cut and applying partial-transfer
-/// accounting to the cut step.
+/// Builds the [`InFlightSnapshot`] of an interrupted run: partial-transfer
+/// accounting truncates the cut step to its fully drained chunks and keeps the
+/// stranded and in-flight ledger, and the holdings are [`holdings_after`] the
+/// executed prefix.
 fn build_snapshot(
     schedule: &ChunkedSchedule,
     shard_bytes: f64,
@@ -651,22 +653,6 @@ fn build_snapshot(
     let cps = schedule.chunks_per_shard;
     let chunk_bytes = shard_bytes / cps as f64;
     let n = schedule.num_ranks;
-
-    // Replay fully executed steps: per-(commodity, rank) whole-chunk counts.
-    let mut buffered = vec![vec![0usize; n]; ncomm];
-    for (idx, s, _) in schedule.commodities.iter() {
-        buffered[idx][s] = cps;
-    }
-    for step in schedule.steps.iter().take(cut.cut_step) {
-        for tr in &step.transfers {
-            let idx = schedule
-                .commodities
-                .index_of(tr.origin, tr.final_dest)
-                .expect("schedule transfer names a known commodity");
-            buffered[idx][tr.from] -= tr.chunks;
-            buffered[idx][tr.to] += tr.chunks;
-        }
-    }
 
     // Cut the in-flight step: each transfer keeps its fully-drained chunks at
     // the receiver; the rest stay whole at the sender. Track the stranded ones
@@ -686,14 +672,11 @@ fn build_snapshot(
         let completed = ((drained / chunk_bytes + 1e-9).floor() as usize).min(tr.chunks);
         let retained = tr.chunks - completed;
         let partial = (drained - completed as f64 * chunk_bytes).max(0.0);
-        let idx = schedule
-            .commodities
-            .index_of(tr.origin, tr.final_dest)
-            .expect("schedule transfer names a known commodity");
-        buffered[idx][tr.from] -= tr.chunks;
-        buffered[idx][tr.from] += retained;
-        buffered[idx][tr.to] += completed;
         if boundary.failed[job.link] {
+            let idx = schedule
+                .commodities
+                .index_of(tr.origin, tr.final_dest)
+                .expect("schedule transfer names a known commodity");
             stranded_at[idx][tr.from] += retained;
             stranded_chunks += retained;
             stranded_bytes += remaining;
@@ -720,6 +703,8 @@ fn build_snapshot(
             transfers: truncated,
         });
     }
+    let buffered = holdings_after(schedule, &executed_prefix)
+        .expect("the dependency extraction accepted the schedule, so its prefix replays");
 
     let mut holdings = Vec::new();
     let mut delivered_chunks = 0usize;
@@ -1314,6 +1299,54 @@ mod tests {
             matches!(&err, SimError::InvalidSchedule(msg) if msg.contains("rank 7")),
             "{err}"
         );
+    }
+
+    /// Zero chunks per shard with zero-chunk transfers moves nothing: both
+    /// event models, the timeline engine and the analytic model reject it
+    /// instead of reporting a completion (or a throughput) for it.
+    #[test]
+    fn zero_granularity_is_an_invalid_schedule() {
+        let topo = generators::ring(3);
+        let mut sched = chunked(&topo, None);
+        sched.chunks_per_shard = 0;
+        for tr in sched.steps.iter_mut().flat_map(|s| &mut s.transfers) {
+            tr.chunks = 0;
+        }
+        let params = SimParams::default();
+        let invalid = |err: SimError| {
+            assert!(
+                matches!(&err, SimError::InvalidSchedule(msg) if msg.contains("granularity")),
+                "{err}"
+            );
+        };
+        for model in [
+            ExecutionModel::Synchronized,
+            ExecutionModel::DependencyDriven,
+        ] {
+            let options = EventSimOptions {
+                model,
+                ..EventSimOptions::default()
+            };
+            invalid(simulate_chunked_event(&topo, &sched, 1024.0, &params, &options).unwrap_err());
+        }
+        let timeline = ScenarioTimeline::new(Scenario::nominal());
+        let run = simulate_chunked_timeline(
+            &topo,
+            &sched,
+            1024.0,
+            &params,
+            &timeline,
+            ExecutionModel::Synchronized,
+        );
+        invalid(run.unwrap_err());
+        let analytic = crate::simulate_chunked_schedule_with(
+            &topo,
+            &sched,
+            1024.0,
+            &params,
+            &Scenario::nominal(),
+        );
+        invalid(analytic.unwrap_err());
     }
 
     #[test]

@@ -43,10 +43,10 @@ pub fn simulate_link_schedule(
 /// on the nominal fabric.
 ///
 /// # Panics
-/// Panics if a transfer uses a link missing from `topo` — run
-/// [`ChunkedSchedule::validate`] first — or if a numeric input is outside the
-/// cost model's range (the [`SimError::InvalidInput`] cases of
-/// [`simulate_chunked_schedule_with`], which returns them as a `Result`).
+/// Panics if a transfer uses a link missing from `topo` or the granularity is
+/// zero — run [`ChunkedSchedule::validate`] first — or if a numeric input is
+/// outside the cost model's range (the [`SimError::InvalidInput`] cases of
+/// [`simulate_chunked_schedule_with`], which returns them all as a `Result`).
 pub fn simulate_chunked_schedule(
     topo: &Topology,
     schedule: &ChunkedSchedule,
@@ -59,9 +59,10 @@ pub fn simulate_chunked_schedule(
 
 /// Scenario-aware variant of [`simulate_chunked_schedule`]: link bandwidth overrides,
 /// slowdowns and straggler factors reshape each step's busiest-link time; a transfer
-/// over a failed (or missing) link is an error, and so is a numeric input the
-/// event engine rejects ([`SimError::InvalidInput`]: a non-finite or negative
-/// shard size, a bandwidth that is not finite and positive, a latency or
+/// over a failed (or missing) link is an error, so is a zero granularity
+/// ([`SimError::InvalidSchedule`], as in the event engine), and so is a numeric
+/// input the event engine rejects ([`SimError::InvalidInput`]: a non-finite or
+/// negative shard size, a bandwidth that is not finite and positive, a latency or
 /// contention penalty that is not finite and non-negative).
 pub fn simulate_chunked_schedule_with(
     topo: &Topology,
@@ -71,6 +72,11 @@ pub fn simulate_chunked_schedule_with(
     scenario: &Scenario,
 ) -> SimResult<SimReport> {
     crate::event::check_inputs(shard_bytes, params)?;
+    if schedule.chunks_per_shard == 0 {
+        return Err(SimError::InvalidSchedule(
+            "granularity must be positive".into(),
+        ));
+    }
     let chunk_bytes = shard_bytes / schedule.chunks_per_shard as f64;
     let mut completion = 0.0f64;
     // Message ids are step-major transfer order — the same identity the event

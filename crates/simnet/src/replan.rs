@@ -313,9 +313,7 @@ fn repair(
         let _obs = a2a_obs::span("replan.resolve");
         let steps = residual_minimum_steps(&punctured, &demands).ok()?;
         let warm = match pool {
-            Some(p) => {
-                warm_seeds_from_columns(&p.columns, &p.commodities, topo, &punctured, &demands)
-            }
+            Some(p) => warm_seeds_from_columns(&p.columns, &p.commodities, &punctured, &demands),
             None => Vec::new(),
         };
         attempt.warm_seeds = warm.len();
@@ -341,30 +339,17 @@ fn repair(
 
     let (suffix, next_pool) = match lp_suffix {
         Some((suffix, columns, steps)) => {
-            // Residual columns are per-demand on *punctured* edge ids; they are
-            // not directly reusable as a commodity-indexed pool, so re-key them
-            // by commodity for the next cascade level. Demands of the same
-            // commodity merge their columns (trajectories stay distinct).
+            // Residual columns are per-demand, not directly reusable as a
+            // commodity-indexed pool, so re-key them by commodity for the next
+            // cascade level. Demands of the same commodity merge their columns
+            // (trajectories stay distinct; node ids survive the puncture).
             let commodities = snapshot.commodities.clone();
             let rekeyed: Vec<TsColumn> = columns
                 .into_iter()
                 .filter_map(|c| {
                     let d = &demands[c.owner];
                     let owner = commodities.index_of(d.origin, d.dest)?;
-                    // Remap punctured edge ids back to the original topology's.
-                    let arcs = c
-                        .arcs
-                        .iter()
-                        .map(|&(t, e)| {
-                            let edge = punctured.edge(e);
-                            (t, topo.find_edge(edge.src, edge.dst).expect("subset edges"))
-                        })
-                        .collect();
-                    Some(TsColumn {
-                        owner,
-                        weight: c.weight,
-                        arcs,
-                    })
+                    Some(TsColumn { owner, ..c })
                 })
                 .collect();
             (

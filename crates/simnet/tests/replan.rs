@@ -19,7 +19,7 @@
 //!   a typed [`ReplanError::UnreachableDestination`], never a panic and never
 //!   silent byte loss.
 
-use a2a_mcf::{solve_tsmcf_colgen_auto, CommoditySet};
+use a2a_mcf::solve_tsmcf_colgen_auto;
 use a2a_schedule::{realized_route_table, ChunkedSchedule, ScheduleStep};
 use a2a_simnet::{
     replan_run, simulate_chunked_timeline, ExecutionModel, IncumbentPool, ReplanError,
@@ -200,7 +200,6 @@ fn splice_invariants_hold_across_seeded_failure_sweep() {
     let topo = generators::torus(&[3, 3]);
     let params = SimParams::gpu_testbed();
     let nominal = nominal_plan(&topo, &params);
-    let commodities = CommoditySet::all_pairs(topo.num_nodes());
     let transfers: Vec<_> = nominal
         .schedule
         .steps
@@ -229,7 +228,7 @@ fn splice_invariants_hold_across_seeded_failure_sweep() {
         assert!(issues.is_empty(), "seed {seed}: {issues:?}");
         // The realized per-chunk route table proves every commodity delivered
         // exactly one shard end-to-end across the splice boundary.
-        let routes = realized_route_table(&run.schedule, &commodities)
+        let routes = realized_route_table(&run.schedule)
             .unwrap_or_else(|e| panic!("seed {seed}: route extraction failed: {e}"));
         let route_issues = routes.validate();
         assert!(route_issues.is_empty(), "seed {seed}: {route_issues:?}");
