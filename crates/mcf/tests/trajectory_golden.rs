@@ -9,7 +9,9 @@
 //! to be behaviour-preserving must leave every number here untouched; a change
 //! that *means* to move the trajectory re-records them and says so. The
 //! decomposed rows at the end do the same for the dual-simplex master and the
-//! warm-started child LPs, which no colgen row reaches.
+//! warm-started child LPs, which no colgen row reaches. The residual row pins
+//! the third caller of the time-expanded master: a warm-started re-plan on a
+//! punctured fabric, its demands held mid-fabric in partial amounts.
 //!
 //! These counts repeat exactly from run to run and machine to machine, which
 //! makes this file the regression gate on the colgen engines' work: a solve
@@ -18,7 +20,8 @@
 
 use a2a_mcf::decomposed::{solve_decomposed_mcf_with, solve_master_with, DecomposedOptions};
 use a2a_mcf::pmcf::solve_path_mcf_colgen_among;
-use a2a_mcf::tscolgen::solve_tsmcf_colgen_among_with;
+use a2a_mcf::residual::{residual_minimum_steps, solve_residual_colgen, warm_seeds_from_columns};
+use a2a_mcf::tscolgen::{solve_tsmcf_colgen_among_with, TsDemand};
 use a2a_mcf::tsmcf::minimum_steps;
 use a2a_mcf::{ColGenOptions, ColGenStats, CommoditySet, Stabilization};
 use a2a_topology::transform::HostNicAugmented;
@@ -329,6 +332,131 @@ fn path_mcf_production_colgen_trajectories_are_pinned() {
             (cg.schedule.flow_value - exact).abs() <= 1e-6 * (1.0 + exact),
             "{tag}: colgen F = {} vs decomposed F = {exact}",
             cg.schedule.flow_value
+        );
+    }
+}
+
+/// The residual master, warm-started: torus-3x3 solved nominally under the
+/// benchmark configuration, then the `0 -> 1` arc removed. Every commodity
+/// keeps half a shard at its origin; the other half sits one hop down its
+/// first incumbent column (at the origin when that hop is the destination).
+/// The re-plan is seeded with the suffixes [`warm_seeds_from_columns`] cuts
+/// from the nominal pool and solved under `config`. Pins the warm-seed count,
+/// the per-round `(columns_added, master_iterations, sources_skipped)` and
+/// `Σ_t U_t` bits.
+#[test]
+fn residual_colgen_trajectory_is_pinned() {
+    let topo = generators::torus(&[3, 3]);
+    let commodities = CommoditySet::all_pairs(topo.num_nodes());
+    let steps = minimum_steps(&topo, &commodities).unwrap();
+    let nominal =
+        solve_tsmcf_colgen_among_with(&topo, commodities.clone(), steps, &benchmark_options())
+            .unwrap();
+    let punctured = topo.without_edges(&[topo.find_edge(0, 1).unwrap()]);
+    let mut demands = Vec::new();
+    for (k, s, d) in commodities.iter() {
+        let hop = nominal
+            .columns
+            .iter()
+            .find(|c| c.owner == k)
+            .map(|c| c.nodes[1])
+            .filter(|&v| v != d)
+            .unwrap_or(s);
+        for at in [s, hop] {
+            demands.push(TsDemand {
+                origin: s,
+                dest: d,
+                at,
+                amount: 0.5,
+            });
+        }
+    }
+    let warm = warm_seeds_from_columns(&nominal.columns, &commodities, &punctured, &demands);
+    assert_eq!(warm.len(), 139, "warm-seed count moved");
+    let rsteps = residual_minimum_steps(&punctured, &demands).unwrap();
+    let goldens = [
+        // 26 rounds / 352 master iterations / 320 columns.
+        Golden {
+            config: "benchmark",
+            options: benchmark_options(),
+            skips_sources: true,
+            rounds: &[
+                (4, 232, 0),
+                (4, 7, 7),
+                (7, 2, 0),
+                (7, 2, 0),
+                (12, 2, 8),
+                (7, 4, 0),
+                (12, 2, 8),
+                (7, 1, 0),
+                (12, 2, 8),
+                (4, 4, 0),
+                (4, 1, 0),
+                (10, 2, 8),
+                (4, 4, 0),
+                (10, 2, 8),
+                (7, 1, 8),
+                (1, 3, 0),
+                (4, 1, 8),
+                (9, 2, 8),
+                (4, 2, 0),
+                (4, 4, 0),
+                (4, 2, 0),
+                (9, 14, 8),
+                (9, 1, 0),
+                (7, 9, 0),
+                (3, 45, 0),
+                (0, 1, 0),
+            ],
+            total_columns: 320,
+            flow_bits: 0x4008_0000_0000_0000,
+        },
+        // 25 / 322 / 318.
+        Golden {
+            config: "stabilized",
+            options: ColGenOptions::stabilized(),
+            skips_sources: false,
+            rounds: &[
+                (4, 232, 0),
+                (4, 7, 0),
+                (7, 2, 0),
+                (7, 2, 0),
+                (12, 2, 0),
+                (7, 4, 0),
+                (12, 2, 0),
+                (7, 1, 0),
+                (12, 2, 0),
+                (4, 4, 0),
+                (4, 1, 0),
+                (10, 2, 0),
+                (4, 4, 0),
+                (4, 1, 0),
+                (4, 1, 0),
+                (1, 2, 0),
+                (4, 1, 0),
+                (9, 2, 0),
+                (7, 3, 0),
+                (7, 2, 0),
+                (7, 3, 0),
+                (9, 7, 0),
+                (10, 18, 0),
+                (7, 6, 0),
+                (0, 11, 0),
+            ],
+            total_columns: 318,
+            flow_bits: 0x4008_0000_0000_0000,
+        },
+    ];
+    for g in &goldens {
+        let tag = format!("residual torus-3x3 / {}", g.config);
+        let res = solve_residual_colgen(&punctured, &demands, rsteps, &g.options, &warm)
+            .unwrap_or_else(|e| panic!("{tag}: solve failed: {e}"));
+        assert_eq!(res.stats.seed_columns, 155, "{tag}: seed columns moved");
+        g.check(&tag, &res.stats);
+        assert_eq!(
+            res.solution.total_utilization().to_bits(),
+            g.flow_bits,
+            "{tag}: the extracted plan's utilization is not the master's"
         );
     }
 }

@@ -394,6 +394,101 @@ mod tests {
         assert!(err.contains("unreachable"), "{err}");
     }
 
+    /// The greedy fallback as a walk of its own — every demand one hop per
+    /// step along a shortest path of the punctured fabric, in demand order,
+    /// moving its whole holding — the implementation the quantizer's flush
+    /// replaced, kept as its reference.
+    fn greedy_walk_reference(
+        punctured: &Topology,
+        demands: &[TsDemand],
+        chunks_per_shard: usize,
+    ) -> Result<Vec<ScheduleStep>, String> {
+        let mut position: Vec<NodeId> = demands.iter().map(|d| d.at).collect();
+        let chunks: Vec<usize> = demands
+            .iter()
+            .map(|d| demand_chunks(d, chunks_per_shard))
+            .collect();
+        let mut steps = Vec::new();
+        loop {
+            let mut step = ScheduleStep::default();
+            for (k, dem) in demands.iter().enumerate() {
+                if position[k] == dem.dest || chunks[k] == 0 {
+                    continue;
+                }
+                let path = paths::shortest_path(punctured, position[k], dem.dest)
+                    .ok_or_else(|| format!("demand {k}: destination {} unreachable", dem.dest))?;
+                let next = path.nodes()[1];
+                step.transfers.push(ChunkTransfer {
+                    from: position[k],
+                    to: next,
+                    origin: dem.origin,
+                    final_dest: dem.dest,
+                    chunks: chunks[k],
+                });
+                position[k] = next;
+            }
+            if step.transfers.is_empty() {
+                return Ok(steps);
+            }
+            steps.push(step);
+            assert!(steps.len() <= punctured.num_nodes(), "shortest paths cycle");
+        }
+    }
+
+    /// Seeded demands — partial and merged amounts, several per commodity,
+    /// some already at their destination — on punctured fabrics: the greedy
+    /// fallback emits the reference walk's steps exactly, and both fail
+    /// together when a destination is cut off.
+    #[test]
+    fn greedy_fallback_matches_the_reference_walk() {
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+        let mut compared = 0;
+        for topo in [
+            generators::torus(&[3, 3]),
+            generators::hypercube(3),
+            generators::generalized_kautz(8, 2),
+        ] {
+            let n = topo.num_nodes();
+            for seed in 0..20u64 {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let cut = rng.random_range(0..topo.num_edges());
+                let punctured = topo.without_edges(&[cut]);
+                for chunks_per_shard in [1, 8] {
+                    let demands: Vec<TsDemand> = (0..rng.random_range(1..13))
+                        .map(|_| {
+                            let origin = rng.random_range(0..n);
+                            let dest = (origin + rng.random_range(1..n)) % n;
+                            let chunks = rng.random_range(1..2 * chunks_per_shard + 1);
+                            TsDemand {
+                                origin,
+                                dest,
+                                at: rng.random_range(0..n),
+                                amount: chunks as f64 / chunks_per_shard as f64,
+                            }
+                        })
+                        .collect();
+                    let tag = format!("{} seed {seed} @ {chunks_per_shard}", topo.name());
+                    let got = greedy_reroute_suffix(&punctured, &demands, chunks_per_shard);
+                    match greedy_walk_reference(&punctured, &demands, chunks_per_shard) {
+                        Ok(want) => {
+                            let transfers = |steps: &[ScheduleStep]| -> Vec<Vec<ChunkTransfer>> {
+                                steps.iter().map(|s| s.transfers.clone()).collect()
+                            };
+                            let got = got.unwrap_or_else(|e| panic!("{tag}: {e}"));
+                            assert_eq!(transfers(&got), transfers(&want), "{tag}");
+                            compared += 1;
+                        }
+                        Err(_) => {
+                            assert!(got.is_err(), "{tag}: reference failed, fallback did not")
+                        }
+                    }
+                }
+            }
+        }
+        assert!(compared >= 100, "only {compared} instances were reachable");
+    }
+
     /// Realized-route replay with one trajectory `Vec` per *chunk* — the
     /// implementation the run-length replay replaced, kept as its reference
     /// (it shares only the LASH layering).
