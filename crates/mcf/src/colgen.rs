@@ -1,23 +1,30 @@
-//! Shared restricted-master column-generation core: the **generic round
-//! driver** plus its option/statistics surface.
+//! The column-generation engine of this crate: one restricted **path master**
+//! and the **round driver** over it, plus the option/statistics surface.
 //!
-//! Two restricted masters live in this crate — [`crate::pmcf`] (path-MCF over
-//! the base topology) and the demand-indexed time-expanded master of
-//! [`crate::tscolgen`], which serves both the nominal tsMCF solve and the
-//! mid-run re-planning of [`crate::residual`] — and they differ only in how
-//! the master LP is built and what a column means. Everything else is
-//! [`run_colgen`]: each solver builds its restricted master, seeded with one
-//! hop-shortest path per owner (for [`crate::tscolgen`] its earliest-arrival
-//! time expansion; [`crate::residual`] adds its warm seeds) — pricing provably
-//! closes any gap that seed leaves — implements [`PricingOracle`] (price one
-//! source into candidates, lower one candidate into an LP column), and hands
-//! the loop to the driver, which owns
+//! Two formulations generate columns — [`crate::pmcf`] (path-MCF over the
+//! fabric) and the demand-indexed time-expanded master of [`crate::tscolgen`],
+//! which serves both the nominal tsMCF solve and the mid-run re-planning of
+//! [`crate::residual`] — and both are the same kind of LP: path columns over a
+//! graph (the fabric, or its time expansion), one capacity row per arc, one
+//! convexity row per owner (commodity or demand). What they share is written
+//! once, in the crate-private `PathMaster`: the arc→row map, the
+//! dual→arc-weight and convexity-dual slices, the per-source Dijkstra pricing
+//! sweep with its `seen` check, the path→column lowering, and each column's
+//! `(owner, path)`. A solver supplies only what differs — the graph, each
+//! source's start node and each owner's terminus, its own rows and structural
+//! columns and extraction, and two closures handed to the driver (tsMCF's
+//! detour splice of a priced path, pMCF's objective sign). Each master is
+//! seeded with one hop-shortest path per owner (for [`crate::tscolgen`] its
+//! earliest-arrival time expansion; [`crate::residual`] adds its warm seeds) —
+//! pricing provably closes any gap that seed leaves. A new pricing or row rule
+//! (ROADMAP's orbit fold, say) lands in the path master, for every solver.
+//!
+//! The driver, `run_colgen`, owns
 //!
 //! * the master re-solve / dual-extraction / pricing-sweep round structure,
-//! * dual stabilization ([`Stabilization`], [`DualStabilizer`]) and the
-//!   misprice-collapse resweep,
-//! * the drift-based partial-pricing tracker ([`PartialPricing`]) and the
-//!   certificate resweep of skipped sources,
+//! * dual stabilization ([`Stabilization`]) and the misprice-collapse resweep,
+//! * the drift-based partial-pricing tracker and the certificate resweep of
+//!   skipped sources,
 //! * the serial pricing sweep over the sources, in source-index order (see
 //!   *Determinism* below),
 //! * column-pool aging ([`ColGenOptions::purge_nonbasic_after`]),
@@ -69,7 +76,7 @@
 //! ```
 //!
 //! which damps the oscillation (and, as a side effect, shrinks the per-round
-//! dual drift that [`PartialPricing`] accumulates — stabilization is what makes
+//! dual drift that partial pricing accumulates — stabilization is what makes
 //! the drift-based source skip actually fire). Smoothing never weakens the
 //! optimality certificate: a sweep at smoothed duals that finds no improving
 //! column is a *misprice*, not a proof, so the driver collapses the center onto
@@ -78,8 +85,9 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
-use a2a_lp::{BasisStatus, NewColumn, Solver, StandardSolution};
-use a2a_topology::Path;
+use a2a_lp::sparse::SparseVec;
+use a2a_lp::{BasisStatus, NewColumn, Solver, StandardSolution, INF};
+use a2a_topology::{paths, EdgeId, NodeId, Path, Topology};
 
 use crate::types::{McfError, McfResult};
 
@@ -313,7 +321,7 @@ impl ColGenStats {
 /// [`DualStabilizer::collapse`] and re-price everything at the raw duals — only
 /// that sweep can certify optimality.
 #[derive(Debug, Clone)]
-pub struct DualStabilizer {
+struct DualStabilizer {
     alpha: f64,
     center: Vec<f64>,
 }
@@ -323,7 +331,7 @@ impl DualStabilizer {
     ///
     /// # Panics
     /// Panics if a smoothing weight is outside `[0, 1)`.
-    pub fn new(stab: Stabilization) -> Self {
+    fn new(stab: Stabilization) -> Self {
         let alpha = match stab {
             Stabilization::None => 0.0,
             Stabilization::Smoothing { alpha } => {
@@ -341,7 +349,7 @@ impl DualStabilizer {
     }
 
     /// True when the stabilizer damps at all.
-    pub fn is_active(&self) -> bool {
+    fn is_active(&self) -> bool {
         self.alpha > 0.0
     }
 
@@ -349,7 +357,7 @@ impl DualStabilizer {
     /// smoothed point. Returns `(duals, smoothed)` where `smoothed` says the
     /// result differs from `y` (so a no-candidate sweep is a misprice, not a
     /// certificate). The first round anchors the center at `y` unsmoothed.
-    pub fn pricing_duals(&mut self, y: &[f64]) -> (Vec<f64>, bool) {
+    fn pricing_duals(&mut self, y: &[f64]) -> (Vec<f64>, bool) {
         if !self.is_active() || self.center.len() != y.len() {
             // Inactive, first round, or the master grew rows (it never does in
             // the current solvers — columns grow, rows are fixed): anchor here.
@@ -371,7 +379,7 @@ impl DualStabilizer {
 
     /// Collapses the center onto the raw duals after a misprice, so the
     /// certificate sweep (and the next round) price unsmoothed from here.
-    pub fn collapse(&mut self, y: &[f64]) {
+    fn collapse(&mut self, y: &[f64]) {
         self.center.clear();
         self.center.extend_from_slice(y);
     }
@@ -389,7 +397,7 @@ impl DualStabilizer {
 /// vector pricing actually uses — which is precisely why stabilization makes
 /// the skip fire more often.
 #[derive(Debug, Clone)]
-pub struct PartialPricing {
+struct PartialPricing {
     tol: Option<f64>,
     acc_shift: Vec<f64>,
     found_last: Vec<bool>,
@@ -400,7 +408,7 @@ pub struct PartialPricing {
 impl PartialPricing {
     /// A tracker over `nsrc` pricing sources; `tol` of `None` disables skipping
     /// (every `should_skip` is false).
-    pub fn new(tol: Option<f64>, nsrc: usize) -> Self {
+    fn new(tol: Option<f64>, nsrc: usize) -> Self {
         Self {
             tol,
             acc_shift: vec![f64::INFINITY; nsrc],
@@ -415,12 +423,7 @@ impl PartialPricing {
     /// `commodities_of_source[si]` lists the commodity indices priced from
     /// source `si`. Call once per round before the sweep, with the same duals
     /// the sweep prices at.
-    pub fn accumulate(
-        &mut self,
-        weights: &[f64],
-        mu: &[f64],
-        commodities_of_source: &[Vec<usize>],
-    ) {
+    fn accumulate(&mut self, weights: &[f64], mu: &[f64], commodities_of_source: &[Vec<usize>]) {
         if self.tol.is_some() && self.prev_weights.len() == weights.len() {
             let weight_shift: f64 = weights
                 .iter()
@@ -443,7 +446,7 @@ impl PartialPricing {
 
     /// True if source `si` may be skipped this round: its accumulated drift is
     /// under the tolerance and its last sweep found nothing.
-    pub fn should_skip(&self, si: usize) -> bool {
+    fn should_skip(&self, si: usize) -> bool {
         match self.tol {
             Some(tol) => self.acc_shift[si] <= tol && !self.found_last[si],
             None => false,
@@ -452,74 +455,188 @@ impl PartialPricing {
 
     /// Records that source `si` was priced this round and whether the sweep
     /// produced a candidate.
-    pub fn mark_priced(&mut self, si: usize, found: bool) {
+    fn mark_priced(&mut self, si: usize, found: bool) {
         self.found_last[si] = found;
         self.acc_shift[si] = 0.0;
     }
 }
 
 /// One improving column found by pricing: its violation
-/// `μ_owner − dual path cost`, the commodity/demand index that owns it, and
-/// the priced path (over whatever graph the oracle prices on).
-#[derive(Debug, Clone)]
-pub struct Candidate {
+/// `μ_owner − dual path cost`, the owner it belongs to, and the priced path.
+struct Candidate {
     /// `μ_owner − cost` under the duals the sweep priced at;
     /// `> PRICING_TOLERANCE`.
-    pub violation: f64,
-    /// Owning commodity (pMCF) or demand (time-expanded master) index.
-    pub owner: usize,
-    /// The improving path. Owners see at most one candidate per sweep, so
-    /// `(violation, owner)` sort keys are unique — the determinism anchor.
-    pub path: Path,
+    violation: f64,
+    owner: usize,
+    /// Owners see at most one candidate per sweep, so `(violation, owner)`
+    /// sort keys are unique — the determinism anchor.
+    path: Path,
 }
 
-/// The problem-specific half of a column-generation solver, driven by
-/// [`run_colgen`].
+/// The restricted path master every colgen solver of this crate prices
+/// through: path-MCF over the fabric, the time-expanded master over its time
+/// expansion. It owns what does not depend on the formulation:
 ///
-/// An oracle is the bridge between the generic round loop and one concrete
-/// master formulation: it knows how to turn master duals into pricing inputs
-/// (`arc_weights`, `convexity_duals`), how to price one source
-/// (`price_source` — `&self`, it only reads), and how to lower an accepted
-/// candidate into an LP column (`build_column` — `&mut self`, where the
-/// oracle records its own column-to-path bookkeeping for the final
-/// extraction).
-pub trait PricingOracle {
-    /// Number of pricing sources (Dijkstra trees per sweep). Sources partition
-    /// the owners: each owner is priced from exactly one source.
-    fn num_sources(&self) -> usize;
+/// * **rows** — one capacity row per finite-capacity arc of the priced graph,
+///   in edge order (a time expansion's holding arcs have infinite capacity),
+///   then one convexity row per owner;
+/// * **dual weights** — arc weights `w_a = max(0, −y_a)` (capacity-row duals
+///   are non-positive at a minimize optimum; uncapacitated arcs are free) and
+///   convexity duals `μ_k = y_{convexity k}`;
+/// * **pricing** — one Dijkstra tree per source from its start node; each
+///   owner priced from it, in stored order, improves when
+///   `μ_k − dist(terminus_k) > PRICING_TOLERANCE` and its (spliced) path is
+///   not already in the master;
+/// * **columns** — a `1` on every capacity row a path crosses and on its
+///   owner's convexity row, and each column's `(owner, path)`, stored once.
+///
+/// The caller supplies the graph, the sources' start nodes and the owners'
+/// termini, the capacity rows' upper bounds, and builds its own convexity-row
+/// bounds and structural columns (pMCF's `F`, the time-stepped `U_t`s).
+pub(crate) struct PathMaster<'g> {
+    graph: &'g Topology,
+    /// Capacity row of each arc of `graph`, `None` for an infinite capacity.
+    arc_row: Vec<Option<usize>>,
+    ncap_rows: usize,
+    /// Start node of each pricing source.
+    starts: Vec<NodeId>,
+    /// Owners priced from each source, in pricing order. Sources partition
+    /// the owners.
+    owners_of_source: Vec<Vec<usize>>,
+    /// Node of `graph` each owner's paths end at.
+    terminus: Vec<NodeId>,
+    /// Paths of each owner in the master (minus those pool aging purged).
+    seen: Vec<HashSet<Path>>,
+    /// `(owner, path)` of path column `j`, in append order.
+    columns: Vec<(usize, Path)>,
+}
 
-    /// `owners_of_source()[si]` lists the owner indices priced from source
-    /// `si`, for the partial-pricing drift tracker.
-    fn owners_of_source(&self) -> &[Vec<usize>];
+impl<'g> PathMaster<'g> {
+    /// An empty master over `graph`; returns it with the capacity rows'
+    /// bounds `[-INF, cap_row_upper(capacity)]`, to which the caller appends
+    /// one convexity row per owner, in owner order.
+    pub(crate) fn new(
+        graph: &'g Topology,
+        starts: Vec<NodeId>,
+        owners_of_source: Vec<Vec<usize>>,
+        terminus: Vec<NodeId>,
+        cap_row_upper: impl Fn(f64) -> f64,
+    ) -> (Self, Vec<f64>, Vec<f64>) {
+        let mut arc_row = Vec::with_capacity(graph.num_edges());
+        let mut row_upper = Vec::new();
+        for edge in graph.edges() {
+            if edge.capacity.is_finite() {
+                arc_row.push(Some(row_upper.len()));
+                row_upper.push(cap_row_upper(edge.capacity));
+            } else {
+                arc_row.push(None);
+            }
+        }
+        let ncap_rows = row_upper.len();
+        let master = Self {
+            graph,
+            arc_row,
+            ncap_rows,
+            starts,
+            owners_of_source,
+            seen: vec![HashSet::new(); terminus.len()],
+            terminus,
+            columns: Vec::new(),
+        };
+        (master, vec![-INF; ncap_rows], row_upper)
+    }
 
-    /// Pricing arc weights from the (possibly smoothed) master duals `y`.
-    fn arc_weights(&self, y: &[f64]) -> Vec<f64>;
+    /// Capacity row of arc `a`, `None` for an infinite-capacity arc.
+    pub(crate) fn capacity_row(&self, a: EdgeId) -> Option<usize> {
+        self.arc_row[a]
+    }
 
-    /// Per-owner convexity duals `μ` from the master duals `y`.
-    fn convexity_duals(&self, y: &[f64]) -> Vec<f64>;
+    /// Convexity row of `owner`.
+    pub(crate) fn convexity_row(&self, owner: usize) -> usize {
+        self.ncap_rows + owner
+    }
+
+    /// Records `path` as the next path column of `owner` and returns its
+    /// LP column, or `None` (recording nothing) when the master already has it.
+    pub(crate) fn push_column(&mut self, owner: usize, path: Path) -> Option<SparseVec> {
+        if !self.seen[owner].insert(path.clone()) {
+            return None;
+        }
+        let mut entries: Vec<(usize, f64)> = Vec::with_capacity(path.hops() + 1);
+        for (u, v) in path.links() {
+            let a = self
+                .graph
+                .find_edge(u, v)
+                .expect("master paths live in the priced graph");
+            if let Some(r) = self.arc_row[a] {
+                entries.push((r, 1.0));
+            }
+        }
+        entries.push((self.convexity_row(owner), 1.0));
+        self.columns.push((owner, path));
+        Some(SparseVec::from_entries(entries))
+    }
+
+    /// `(owner, path)` of every path column, in LP order.
+    pub(crate) fn columns(&self) -> &[(usize, Path)] {
+        &self.columns
+    }
+
+    /// The path columns, consumed.
+    pub(crate) fn into_columns(self) -> Vec<(usize, Path)> {
+        self.columns
+    }
+
+    /// Drops path column `j` from the `seen` bookkeeping, so pricing may
+    /// regenerate it.
+    fn forget(&mut self, j: usize) {
+        let (owner, path) = &self.columns[j];
+        self.seen[*owner].remove(path);
+    }
+
+    fn arc_weights(&self, y: &[f64]) -> Vec<f64> {
+        self.arc_row
+            .iter()
+            .map(|r| r.map_or(0.0, |r| (-y[r]).max(0.0)))
+            .collect()
+    }
+
+    fn convexity_duals(&self, y: &[f64]) -> Vec<f64> {
+        y[self.ncap_rows..self.ncap_rows + self.terminus.len()].to_vec()
+    }
 
     /// Prices source `si` under `weights`/`mu`, pushing every improving path
-    /// not already in `seen[owner]` onto `out`. Must be deterministic: the
-    /// candidates of a source may depend only on the arguments.
+    /// not already in the master onto `out`. `splice` rewrites a priced path
+    /// before the `seen` check; it must not raise its cost.
     fn price_source(
         &self,
         si: usize,
-        weights: &[f64],
-        mu: &[f64],
-        seen: &[HashSet<Path>],
+        (weights, mu): (&[f64], &[f64]),
+        splice: &impl Fn(Path) -> Path,
         out: &mut Vec<Candidate>,
-    );
-
-    /// Lowers an accepted candidate into the LP column to append, recording
-    /// whatever per-column bookkeeping the oracle's extraction needs. Called
-    /// serially, in the deterministic candidate order.
-    fn build_column(&mut self, owner: usize, path: &Path) -> NewColumn;
-
-    /// Maps the master's minimize-sense objective to the solver's reported
-    /// flow value (pMCF maximizes `F` via `min −F` and negates; the
-    /// time-stepped masters minimize `Σ_t U_t` directly).
-    fn objective_value(&self, master_objective: f64) -> f64 {
-        master_objective
+    ) {
+        let tree = paths::weighted_shortest_path_tree(self.graph, self.starts[si], weights);
+        for &k in &self.owners_of_source[si] {
+            let cost = tree
+                .distance(self.terminus[k])
+                .expect("every terminus is reachable from its source");
+            let violation = mu[k] - cost;
+            if violation > PRICING_TOLERANCE {
+                let path = splice(
+                    tree.path_to(self.terminus[k])
+                        .expect("finite distance implies a path"),
+                );
+                // An in-master path has non-negative reduced cost at this
+                // optimum, so skipping it cannot hide a violation.
+                if !self.seen[k].contains(&path) {
+                    out.push(Candidate {
+                        violation,
+                        owner: k,
+                        path,
+                    });
+                }
+            }
+        }
     }
 }
 
@@ -527,62 +644,53 @@ pub trait PricingOracle {
 /// pool aging (matches the extraction thresholds of the concrete solvers).
 const PURGE_WEIGHT_TOL: f64 = 1e-9;
 
-/// Pool-aging record of one appended path column: LP column
-/// `structural_cols + index in this list`.
-struct PoolEntry {
-    owner: usize,
-    path: Path,
+/// Pool-aging record of path column `j` (LP column `structural_cols + j`).
+#[derive(Clone, Default)]
+struct PoolAge {
     idle_rounds: usize,
     purged: bool,
 }
 
 /// Prices `sources`, in order, under the `(arc weights, convexity duals)`
 /// pair, appending each source's candidates to `out`.
-fn priced_sweep<O: PricingOracle>(
-    oracle: &O,
+fn priced_sweep(
+    master: &PathMaster<'_>,
     sources: &[usize],
-    (weights, mu): (&[f64], &[f64]),
-    seen: &[HashSet<Path>],
+    duals: (&[f64], &[f64]),
+    splice: &impl Fn(Path) -> Path,
     partial: &mut PartialPricing,
     out: &mut Vec<Candidate>,
 ) {
     for &si in sources {
         let _obs = a2a_obs::span("colgen.price_source");
         let before = out.len();
-        oracle.price_source(si, weights, mu, seen, out);
+        master.price_source(si, duals, splice, out);
         partial.mark_priced(si, out.len() > before);
     }
 }
 
-/// The generic column-generation round loop shared by every colgen solver in
-/// this crate. See the module docs for the certificate invariant and the
-/// determinism argument; see [`PricingOracle`] for the solver-specific half.
+/// The column-generation round loop of every colgen solver in this crate.
+/// See the module docs for the certificate invariant and the determinism
+/// argument, and [`PathMaster`] for the pricing.
 ///
 /// `solver` holds the restricted master with `structural_cols` non-path
-/// columns first (pMCF's `F`, the time-stepped `U_t`s), then one column per
-/// `seed` entry in order; `seen[owner]` already contains every seeded path.
-/// Returns the final master solution (terminating round's optimum) and the
-/// statistics block; the caller extracts its solution shape from the LP `x`
-/// using its own column bookkeeping.
-pub fn run_colgen<O: PricingOracle>(
+/// columns first, then one column per path column already in `master` (the
+/// seed), in order. `flow_value` maps the master's minimize-sense objective
+/// to the reported flow value; `splice` rewrites each priced path (the
+/// identity for pMCF). Returns the final master solution (terminating
+/// round's optimum) and the statistics block; the caller extracts its
+/// solution from the LP `x` and [`PathMaster::columns`].
+pub(crate) fn run_colgen(
     solver: &mut Solver<'_>,
-    oracle: &mut O,
-    seen: &mut [HashSet<Path>],
+    master: &mut PathMaster<'_>,
     structural_cols: usize,
-    seed: Vec<(usize, Path)>,
     options: &ColGenOptions,
+    flow_value: impl Fn(f64) -> f64,
+    splice: impl Fn(Path) -> Path,
 ) -> McfResult<(StandardSolution, ColGenStats)> {
-    let nsrc = oracle.num_sources();
-    let mut stats = ColGenStats::new(seed.len());
-    let mut tracked: Vec<PoolEntry> = seed
-        .into_iter()
-        .map(|(owner, path)| PoolEntry {
-            owner,
-            path,
-            idle_rounds: 0,
-            purged: false,
-        })
-        .collect();
+    let nsrc = master.starts.len();
+    let mut stats = ColGenStats::new(master.columns.len());
+    let mut ages: Vec<PoolAge> = Vec::new();
     let mut stabilizer = DualStabilizer::new(options.stabilization);
     let mut partial = PartialPricing::new(options.partial_pricing, nsrc);
     loop {
@@ -593,7 +701,7 @@ pub fn run_colgen<O: PricingOracle>(
             solver.reoptimize().map_err(McfError::from)?
         };
         let master_wall_secs = t_master.elapsed().as_secs_f64();
-        let flow_value = oracle.objective_value(sol.objective);
+        let flow_value = flow_value(sol.objective);
 
         // Pool aging: a path column whose weight has been numerically zero
         // for `purge_nonbasic_after` consecutive master optima leaves the
@@ -606,22 +714,23 @@ pub fn run_colgen<O: PricingOracle>(
         // fresh column rather than by reactivation.
         let mut columns_purged = 0usize;
         if let Some(age) = options.purge_nonbasic_after {
+            ages.resize(master.columns.len(), PoolAge::default());
             let mut deactivate: Vec<usize> = Vec::new();
-            for (j, entry) in tracked.iter_mut().enumerate() {
+            for (j, entry) in ages.iter_mut().enumerate() {
                 if entry.purged {
                     continue;
                 }
-                if sol.x[structural_cols + j] > PURGE_WEIGHT_TOL {
+                let col = structural_cols + j;
+                if sol.x[col] > PURGE_WEIGHT_TOL {
                     entry.idle_rounds = 0;
                 } else {
                     entry.idle_rounds += 1;
                     if entry.idle_rounds >= age {
                         entry.purged = true;
-                        seen[entry.owner].remove(&entry.path);
+                        master.forget(j);
                         columns_purged += 1;
                         // A zero-weight column can still sit in the basis
                         // (degenerately); only nonbasic columns deactivate.
-                        let col = structural_cols + j;
                         if sol.basis.statuses[col] != BasisStatus::Basic {
                             deactivate.push(col);
                         }
@@ -637,9 +746,9 @@ pub fn run_colgen<O: PricingOracle>(
         let obs_pricing = a2a_obs::span("colgen.pricing");
         let y_raw = solver.current_duals();
         let (y, smoothed) = stabilizer.pricing_duals(&y_raw);
-        let mut weights = oracle.arc_weights(&y);
-        let mut mu = oracle.convexity_duals(&y);
-        partial.accumulate(&weights, &mu, oracle.owners_of_source());
+        let mut weights = master.arc_weights(&y);
+        let mut mu = master.convexity_duals(&y);
+        partial.accumulate(&weights, &mu, &master.owners_of_source);
 
         let mut to_price: Vec<usize> = Vec::with_capacity(nsrc);
         let mut skipped: Vec<usize> = Vec::new();
@@ -654,10 +763,10 @@ pub fn run_colgen<O: PricingOracle>(
         let mut mispriced = false;
         let mut candidates: Vec<Candidate> = Vec::new();
         priced_sweep(
-            &*oracle,
+            master,
             &to_price,
             (&weights, &mu),
-            seen,
+            &splice,
             &mut partial,
             &mut candidates,
         );
@@ -671,18 +780,18 @@ pub fn run_colgen<O: PricingOracle>(
                 stats.misprices += 1;
                 mispriced = true;
                 stabilizer.collapse(&y_raw);
-                weights = oracle.arc_weights(&y_raw);
-                mu = oracle.convexity_duals(&y_raw);
-                partial.accumulate(&weights, &mu, oracle.owners_of_source());
+                weights = master.arc_weights(&y_raw);
+                mu = master.convexity_duals(&y_raw);
+                partial.accumulate(&weights, &mu, &master.owners_of_source);
                 (0..nsrc).collect()
             } else {
                 skipped
             };
             priced_sweep(
-                &*oracle,
+                master,
                 &resweep,
                 (&weights, &mu),
-                seen,
+                &splice,
                 &mut partial,
                 &mut candidates,
             );
@@ -731,20 +840,18 @@ pub fn run_colgen<O: PricingOracle>(
         }
 
         let new_cols: Vec<NewColumn> = candidates
-            .iter()
-            .map(|c| oracle.build_column(c.owner, &c.path))
+            .into_iter()
+            .map(|c| NewColumn {
+                col: master
+                    .push_column(c.owner, c.path)
+                    .expect("pricing skips paths already in the master"),
+                obj: 0.0,
+                lower: 0.0,
+                upper: INF,
+            })
             .collect();
         solver.add_columns(&new_cols).map_err(McfError::from)?;
-        for c in candidates {
-            seen[c.owner].insert(c.path.clone());
-            tracked.push(PoolEntry {
-                owner: c.owner,
-                path: c.path,
-                idle_rounds: 0,
-                purged: false,
-            });
-            stats.total_columns += 1;
-        }
+        stats.total_columns += new_cols.len();
     }
 }
 

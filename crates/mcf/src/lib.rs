@@ -30,11 +30,14 @@
 //!   shortest, bounded length — [`pmcf::solve_path_mcf_with_paths`]) is that same
 //!   master solved once.
 //! * [`colgen`] — the column-generation engine shared by `pmcf` and the
-//!   time-expanded master of `tscolgen`: the generic round loop
-//!   ([`colgen::run_colgen`]) over a [`colgen::PricingOracle`], with dual
-//!   stabilization (Wentges smoothing), drift-based partial pricing, a serial
-//!   deterministic pricing sweep, and column-pool aging. The certificate
-//!   invariant lives in its module docs.
+//!   time-expanded master of `tscolgen`: one crate-private path master (the
+//!   arc→row map, dual weights, the per-source Dijkstra pricing sweep, path
+//!   columns and their `(owner, path)` record, written once for both) and the
+//!   round loop over it, with dual stabilization (Wentges smoothing),
+//!   drift-based partial pricing, a serial deterministic pricing sweep, and
+//!   column-pool aging. Its public surface is the options and statistics
+//!   ([`ColGenOptions`], [`ColGenStats`]); the certificate invariant lives in
+//!   its module docs.
 //! * [`tscolgen`] — the tsMCF solver
 //!   ([`tscolgen::solve_tsmcf_colgen_among_with`]): column generation over
 //!   **delivery-exact time-expanded path columns**. Every column is a whole
@@ -75,10 +78,7 @@ pub mod types;
 
 pub use analysis::{max_link_load_of_paths, path_schedule_all_to_all_time, throughput_gbps};
 pub use bounds::{lower_bound_all_to_all_time, throughput_upper_bound};
-pub use colgen::{
-    run_colgen, Candidate, ColGenOptions, ColGenRound, ColGenStats, PricingOracle, Stabilization,
-    PRICING_TOLERANCE,
-};
+pub use colgen::{ColGenOptions, ColGenRound, ColGenStats, Stabilization, PRICING_TOLERANCE};
 pub use decomposed::{
     solve_decomposed_mcf, solve_decomposed_mcf_with, DecomposedMcf, DecomposedOptions,
     DecomposedTimings,

@@ -23,15 +23,16 @@
 //! The path LP is written once: a fixed path set is that same master over the
 //! given paths, solved once ([`solve_path_mcf_with_paths`] — no pricing, so a
 //! one-shot solve instead of an incremental session), and both entry points share
-//! the weight extraction.
-
-use std::collections::HashSet;
+//! the weight extraction. Its capacity rows, dual weights, pricing sweep and
+//! path columns are the crate's one path master ([`crate::colgen`]) over the
+//! fabric, each commodity's source tree priced at its destination; this module
+//! adds the demand rows, the `F` column, the objective sign and the extraction.
 
 use a2a_lp::sparse::SparseVec;
-use a2a_lp::{NewColumn, SimplexOptions, Solver, StandardForm, INF};
+use a2a_lp::{SimplexOptions, Solver, StandardForm, INF};
 use a2a_topology::{paths, Path, Topology};
 
-use crate::colgen::{run_colgen, Candidate, PricingOracle, PRICING_TOLERANCE};
+use crate::colgen::{run_colgen, ColGenOptions, ColGenStats, PathMaster};
 use crate::linkmcf::validate;
 use crate::tscolgen::shortest_seed;
 use crate::types::{CommoditySet, McfError, McfResult, PathSchedule};
@@ -139,23 +140,22 @@ pub fn solve_path_mcf_with_paths(
         }
     }
 
-    let (sf, pricer, _) = PathPricer::master(topo, &commodities, path_sets);
+    let (sf, master) = path_master(topo, &commodities, path_sets);
     let sol = a2a_lp::simplex::solve(&sf, &SimplexOptions::default())?;
     let flow_value = -sol.objective;
-    let weighted = pricer.into_weighted_paths(&sol.x, flow_value)?;
+    let weighted = weighted_paths(
+        topo,
+        &commodities,
+        master.into_columns(),
+        &sol.x,
+        flow_value,
+    )?;
     Ok(PathSchedule::from_weighted_paths(
         commodities,
         flow_value,
         weighted,
     ))
 }
-
-// The option/statistics surface and the stabilization + partial-pricing
-// machinery are shared with the time-expanded colgen solver; re-exported here
-// so existing `pmcf::ColGenOptions` paths keep working.
-pub use crate::colgen::{
-    ColGenOptions, ColGenRound, ColGenStats, DualStabilizer, PartialPricing, Stabilization,
-};
 
 /// Result of a column-generation path-MCF solve.
 #[derive(Debug, Clone)]
@@ -166,238 +166,99 @@ pub struct ColGenPathMcf {
     pub stats: ColGenStats,
 }
 
-/// [`PricingOracle`] of the path-MCF master: prices one Dijkstra tree per
-/// source over the base topology under dual edge costs `w_e = max(0, −y_e)`
-/// and lowers a path into a column with a `1` on every capacity row it
-/// crosses plus a `1` on its commodity's demand row.
-struct PathPricer<'a> {
+/// Builds the path master over `path_sets` (deduplicated per commodity)
+/// directly in standard form, so row indices stay stable for a whole colgen
+/// session: the master's capacity row per finite-capacity edge (`<= cap`) —
+/// even if no path crosses it yet, a priced-in column may — then one demand
+/// row per commodity (its path weights minus `F` is `>= 0`). Column 0 is `F`
+/// (minimize `-F`); path columns follow in commodity-major order. Pricing runs
+/// one tree per endpoint, each commodity priced at its destination.
+fn path_master<'a>(
     topo: &'a Topology,
-    commodities: &'a CommoditySet,
-    commodities_of_source: Vec<Vec<usize>>,
-    edge_row: Vec<Option<usize>>,
-    nedge_rows: usize,
-    /// Candidate paths per commodity, in append order.
+    commodities: &CommoditySet,
     path_sets: Vec<Vec<Path>>,
-    /// `(commodity, within-set index)` of LP column `j + 1`.
-    col_owner: Vec<(usize, usize)>,
+) -> (StandardForm, PathMaster<'a>) {
+    let ncomm = commodities.len();
+    let endpoints = commodities.endpoints();
+    let commodities_of_source: Vec<Vec<usize>> = endpoints
+        .iter()
+        .map(|&s| {
+            endpoints
+                .iter()
+                .filter(|&&d| d != s)
+                .map(|&d| {
+                    commodities
+                        .index_of(s, d)
+                        .expect("endpoints enumerate the commodity set")
+                })
+                .collect()
+        })
+        .collect();
+    let (mut master, mut row_lower, mut row_upper) = PathMaster::new(
+        topo,
+        endpoints.to_vec(),
+        commodities_of_source,
+        commodities.iter().map(|(_, _, d)| d).collect(),
+        |capacity| capacity,
+    );
+    row_lower.extend(std::iter::repeat_n(0.0, ncomm));
+    row_upper.extend(std::iter::repeat_n(INF, ncomm));
+
+    let mut cols = vec![SparseVec::from_entries(
+        (0..ncomm).map(|k| (master.convexity_row(k), -1.0)),
+    )];
+    for (k, set) in path_sets.into_iter().enumerate() {
+        for p in set {
+            cols.extend(master.push_column(k, p));
+        }
+    }
+    let ncols = cols.len();
+    let mut obj = vec![0.0; ncols];
+    obj[0] = -1.0;
+    let sf = StandardForm {
+        nrows: row_lower.len(),
+        cols,
+        obj,
+        lower: vec![0.0; ncols],
+        upper: vec![INF; ncols],
+        row_lower,
+        row_upper,
+    };
+    (sf, master)
 }
 
-impl<'a> PathPricer<'a> {
-    /// Builds the path master over `path_sets` (deduplicated per commodity)
-    /// directly in standard form, so row indices stay stable for a whole
-    /// colgen session: one capacity row per finite-capacity edge — even if no
-    /// path crosses it yet, a priced-in column may — then one demand row per
-    /// commodity (its path weights minus `F` is `>= 0`). Column 0 is `F`
-    /// (minimize `-F`); path columns follow in commodity-major append order,
-    /// `col_owner[j - 1]` naming the commodity and within-set index of column
-    /// `j`. Returns the standard form, the pricer holding that bookkeeping,
-    /// and the per-commodity sets of paths already in the master.
-    fn master(
-        topo: &'a Topology,
-        commodities: &'a CommoditySet,
-        path_sets: Vec<Vec<Path>>,
-    ) -> (StandardForm, Self, Vec<HashSet<Path>>) {
-        let ncomm = commodities.len();
-        let mut edge_row: Vec<Option<usize>> = Vec::with_capacity(topo.num_edges());
-        let mut row_lower = Vec::new();
-        let mut row_upper = Vec::new();
-        for edge in topo.edges() {
-            if edge.capacity.is_finite() {
-                edge_row.push(Some(row_lower.len()));
-                row_lower.push(-INF);
-                row_upper.push(edge.capacity);
-            } else {
-                edge_row.push(None);
-            }
-        }
-        let nedge_rows = row_lower.len();
-        for _ in 0..ncomm {
-            row_lower.push(0.0);
-            row_upper.push(INF);
-        }
-        let nrows = row_lower.len();
-
-        let endpoints = commodities.endpoints();
-        // Commodity indices priced from each source, for the drift tracker.
-        let commodities_of_source: Vec<Vec<usize>> = endpoints
-            .iter()
-            .map(|&s| {
-                endpoints
-                    .iter()
-                    .filter(|&&d| d != s)
-                    .map(|&d| {
-                        commodities
-                            .index_of(s, d)
-                            .expect("endpoints enumerate the commodity set")
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut pricer = PathPricer {
-            topo,
-            commodities,
-            commodities_of_source,
-            edge_row,
-            nedge_rows,
-            path_sets: vec![Vec::new(); ncomm],
-            col_owner: Vec::new(),
-        };
-
-        let mut cols = vec![SparseVec::from_entries(
-            (0..ncomm).map(|k| (nedge_rows + k, -1.0)),
-        )];
-        let mut seen: Vec<HashSet<Path>> = Vec::with_capacity(ncomm);
-        for (k, set) in path_sets.into_iter().enumerate() {
-            let mut dedup = HashSet::with_capacity(set.len());
-            for p in set {
-                if dedup.insert(p.clone()) {
-                    cols.push(pricer.push_column(k, p));
-                }
-            }
-            seen.push(dedup);
-        }
-        let ncols = cols.len();
-        let mut obj = vec![0.0; ncols];
-        obj[0] = -1.0;
-        let sf = StandardForm {
-            nrows,
-            cols,
-            obj,
-            lower: vec![0.0; ncols],
-            upper: vec![INF; ncols],
-            row_lower,
-            row_upper,
-        };
-        (sf, pricer, seen)
+/// Reads the weighted paths of every commodity off a master solution `x`
+/// (path column `j` is LP column `j + 1`), dropping weights below
+/// [`WEIGHT_TOL`]; a commodity that loses all of its paths to the threshold
+/// falls back to its shortest path at full weight.
+fn weighted_paths(
+    topo: &Topology,
+    commodities: &CommoditySet,
+    columns: Vec<(usize, Path)>,
+    x: &[f64],
+    flow_value: f64,
+) -> McfResult<Vec<Vec<(Path, f64)>>> {
+    if flow_value <= WEIGHT_TOL {
+        return Err(McfError::Lp(
+            "path MCF produced a zero concurrent flow".into(),
+        ));
     }
-
-    /// Reads the weighted paths of every commodity off a master solution `x`,
-    /// dropping weights below [`WEIGHT_TOL`]; a commodity that loses all of its
-    /// paths to the threshold falls back to its shortest path at full weight.
-    fn into_weighted_paths(self, x: &[f64], flow_value: f64) -> McfResult<Vec<Vec<(Path, f64)>>> {
-        if flow_value <= WEIGHT_TOL {
-            return Err(McfError::Lp(
-                "path MCF produced a zero concurrent flow".into(),
-            ));
-        }
-        let mut weighted: Vec<Vec<(Path, f64)>> = vec![Vec::new(); self.commodities.len()];
-        for (j, &(k, pi)) in self.col_owner.iter().enumerate() {
-            let w = x[j + 1];
-            if w > WEIGHT_TOL {
-                weighted[k].push((self.path_sets[k][pi].clone(), w));
-            }
-        }
-        for ((_, s, d), list) in self.commodities.iter().zip(&mut weighted) {
-            if list.is_empty() {
-                let fallback = paths::shortest_path(self.topo, s, d).ok_or_else(|| {
-                    McfError::BadTopology(format!("no {s}->{d} path exists for fallback"))
-                })?;
-                list.push((fallback, 1.0));
-            }
-        }
-        Ok(weighted)
-    }
-
-    fn path_column(&self, k: usize, p: &Path) -> SparseVec {
-        let mut entries: Vec<(usize, f64)> = Vec::with_capacity(p.hops() + 1);
-        for (u, v) in p.links() {
-            let e = self
-                .topo
-                .find_edge(u, v)
-                .expect("paths are validated in topo");
-            if let Some(r) = self.edge_row[e] {
-                entries.push((r, 1.0));
-            }
-        }
-        entries.push((self.nedge_rows + k, 1.0));
-        SparseVec::from_entries(entries)
-    }
-
-    /// Lowers path `p` of commodity `k`, recording the ownership bookkeeping
-    /// the extraction reads back.
-    fn push_column(&mut self, k: usize, p: Path) -> SparseVec {
-        let col = self.path_column(k, &p);
-        self.col_owner.push((k, self.path_sets[k].len()));
-        self.path_sets[k].push(p);
-        col
-    }
-}
-
-impl PricingOracle for PathPricer<'_> {
-    fn num_sources(&self) -> usize {
-        self.commodities.num_endpoints()
-    }
-
-    fn owners_of_source(&self) -> &[Vec<usize>] {
-        &self.commodities_of_source
-    }
-
-    // Dual edge costs w_e = max(0, -y_e) (capacity-row duals are non-positive
-    // at a minimize optimum); convexity duals mu_k = y_{demand k}. A path
-    // improves iff its w-length is below mu_k - PRICING_TOLERANCE.
-    fn arc_weights(&self, y: &[f64]) -> Vec<f64> {
-        let mut weights = vec![0.0; self.topo.num_edges()];
-        for (e, r) in self.edge_row.iter().enumerate() {
-            if let Some(r) = *r {
-                weights[e] = (-y[r]).max(0.0);
-            }
-        }
-        weights
-    }
-
-    fn convexity_duals(&self, y: &[f64]) -> Vec<f64> {
-        y[self.nedge_rows..self.nedge_rows + self.commodities.len()].to_vec()
-    }
-
-    fn price_source(
-        &self,
-        si: usize,
-        weights: &[f64],
-        mu: &[f64],
-        seen: &[HashSet<Path>],
-        out: &mut Vec<Candidate>,
-    ) {
-        let endpoints = self.commodities.endpoints();
-        let s = endpoints[si];
-        let tree = paths::weighted_shortest_path_tree(self.topo, s, weights);
-        for &d in endpoints {
-            if d == s {
-                continue;
-            }
-            let k = self
-                .commodities
-                .index_of(s, d)
-                .expect("endpoints enumerate the commodity set");
-            let cost = tree
-                .distance(d)
-                .expect("validated topologies are strongly connected");
-            let violation = mu[k] - cost;
-            if violation > PRICING_TOLERANCE {
-                let p = tree.path_to(d).expect("finite distance implies a path");
-                if !seen[k].contains(&p) {
-                    out.push(Candidate {
-                        violation,
-                        owner: k,
-                        path: p,
-                    });
-                }
-            }
+    let mut weighted: Vec<Vec<(Path, f64)>> = vec![Vec::new(); commodities.len()];
+    for (j, (k, path)) in columns.into_iter().enumerate() {
+        let w = x[j + 1];
+        if w > WEIGHT_TOL {
+            weighted[k].push((path, w));
         }
     }
-
-    fn build_column(&mut self, owner: usize, path: &Path) -> NewColumn {
-        NewColumn {
-            col: self.push_column(owner, path.clone()),
-            obj: 0.0,
-            lower: 0.0,
-            upper: INF,
+    for ((_, s, d), list) in commodities.iter().zip(&mut weighted) {
+        if list.is_empty() {
+            let fallback = paths::shortest_path(topo, s, d).ok_or_else(|| {
+                McfError::BadTopology(format!("no {s}->{d} path exists for fallback"))
+            })?;
+            list.push((fallback, 1.0));
         }
     }
-
-    // The master minimizes -F.
-    fn objective_value(&self, master_objective: f64) -> f64 {
-        -master_objective
-    }
+    Ok(weighted)
 }
 
 /// Solves path-MCF to proven optimality by restricted-master column generation.
@@ -411,7 +272,7 @@ impl PricingOracle for PathPricer<'_> {
 /// factorized basis carries over, so every re-solve is a warm phase-2
 /// continuation — then prices all commodities at once with one Dijkstra tree
 /// per source under the dual edge costs. Every improving path (dual-weighted
-/// length below the commodity's convexity dual minus [`PRICING_TOLERANCE`]) is
+/// length below the commodity's convexity dual minus [`crate::PRICING_TOLERANCE`]) is
 /// appended, best violations first. The master is seeded with one hop-shortest
 /// path per commodity.
 ///
@@ -430,19 +291,20 @@ pub fn solve_path_mcf_colgen_among(
         .iter()
         .map(|(_, s, d)| Ok(vec![shortest_seed(topo, s, d)?]))
         .collect::<McfResult<_>>()?;
-    let (sf, mut pricer, mut seen) = PathPricer::master(topo, &commodities, path_sets);
-    let seed: Vec<(usize, Path)> = pricer
-        .col_owner
-        .iter()
-        .map(|&(k, pi)| (k, pricer.path_sets[k][pi].clone()))
-        .collect();
-
+    let (sf, mut master) = path_master(topo, &commodities, path_sets);
     let mut solver = Solver::new_owned(sf, SimplexOptions::default())?;
 
-    // Column 0 is F, so the path columns start at structural column 1.
-    let (sol, stats) = run_colgen(&mut solver, &mut pricer, &mut seen, 1, seed, options)?;
+    // Column 0 is F, so the path columns start at structural column 1; the
+    // master minimizes -F.
+    let (sol, stats) = run_colgen(&mut solver, &mut master, 1, options, |obj| -obj, |p| p)?;
     let flow_value = -sol.objective;
-    let weighted = pricer.into_weighted_paths(&sol.x, flow_value)?;
+    let weighted = weighted_paths(
+        topo,
+        &commodities,
+        master.into_columns(),
+        &sol.x,
+        flow_value,
+    )?;
     Ok(ColGenPathMcf {
         schedule: PathSchedule::from_weighted_paths(commodities, flow_value, weighted),
         stats,
@@ -453,6 +315,7 @@ pub fn solve_path_mcf_colgen_among(
 mod tests {
     use super::*;
     use crate::analysis::max_link_load_of_paths;
+    use crate::colgen::Stabilization;
     use crate::linkmcf::solve_link_mcf;
     use a2a_topology::generators;
 

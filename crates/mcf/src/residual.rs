@@ -10,10 +10,13 @@
 //!
 //! The time-expanded column-generation solver of [`crate::tscolgen`] is
 //! indexed by demand, and the nominal solve is the all-at-source instance of
-//! it; this module is the other caller. The consistency check and the step
-//! bound are the nominal ones too (written once in [`crate::tsmcf`] over
-//! `(demands, steps, flows)`). What this module adds is the residual problem
-//! statement, not a second solver:
+//! it; this module is the other caller. Its rows, pricing and columns are the
+//! crate's one path master ([`crate::colgen`]), the one pMCF prices through
+//! too, so a residual solve prices and lowers exactly as the nominal one does
+//! (`trajectory_golden.rs` pins a warm-started residual trajectory). The
+//! consistency check and the step bound are the nominal ones too (written
+//! once in [`crate::tsmcf`] over `(demands, steps, flows)`). What this module
+//! adds is the residual problem statement, not a second solver:
 //!
 //! * **demands from holdings**: each demand's convexity row has right-hand
 //!   side `amount`, so its path columns together carry exactly the stranded

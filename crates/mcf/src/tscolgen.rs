@@ -25,7 +25,7 @@
 //!   ([`a2a_topology::paths::weighted_shortest_path_tree`]; the time-expanded
 //!   graph is itself a [`Topology`]);
 //! * a path improves iff its dual cost is below `μ_k −`
-//!   [`PRICING_TOLERANCE`]; improving paths are appended through the
+//!   [`crate::PRICING_TOLERANCE`]; improving paths are appended through the
 //!   incremental LP session
 //!   ([`a2a_lp::Solver::add_columns`], basis and factorization carried over)
 //!   and the run terminates with the no-improving-column certificate — LP
@@ -44,6 +44,13 @@
 //! Pricing splices detours out of its columns (a path that leaves a base node
 //! and returns is shortened to buffer there instead), so columns waste no
 //! capacity on zero-dual-cost wandering either.
+//!
+//! The capacity rows, the dual weights, the pricing sweep and the path columns
+//! are the crate's one path master ([`crate::colgen`]), the one pMCF prices
+//! through, over the time-expanded graph. This module supplies the rest: each
+//! holding node's layer-0 start and each demand's last-layer terminus, the
+//! detour splice, the `U_t` columns and convexity rows, the earliest-arrival
+//! seeds, and the extraction of per-step flows from the stored paths.
 //!
 //! # One solver, indexed by demand
 //!
@@ -65,16 +72,14 @@
 //! commodity), and dual stabilization ([`crate::colgen::Stabilization`]) keeps
 //! pricing convergent on the degenerate plateaus.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use a2a_lp::sparse::SparseVec;
-use a2a_lp::{NewColumn, SimplexOptions, Solver, StandardForm, INF};
+use a2a_lp::{SimplexOptions, Solver, StandardForm, INF};
 use a2a_topology::transform::TimeExpanded;
 use a2a_topology::{paths, EdgeId, NodeId, Path, Topology};
 
-use crate::colgen::{
-    run_colgen, Candidate, ColGenOptions, ColGenStats, PricingOracle, PRICING_TOLERANCE,
-};
+use crate::colgen::{run_colgen, ColGenOptions, ColGenStats, PathMaster};
 use crate::linkmcf::validate;
 use crate::tsmcf::{at_source_demands, holding_step_bound, minimum_steps, TsMcfSolution};
 use crate::types::{CommoditySet, McfError, McfResult};
@@ -144,257 +149,79 @@ pub struct TsDemand {
     pub amount: f64,
 }
 
-/// The LP lowering of the time-expanded master: the capacity-row layout over
-/// the expanded graph, path-to-column lowering, detour splicing, and
-/// earliest-departure seed expansion — everything about *columns*.
-struct ExpandedLowering<'a> {
-    topo: &'a Topology,
-    expanded: &'a TimeExpanded,
-    steps: usize,
-    /// Capacity-row index of each expanded edge (`None` for self edges and
-    /// infinite-capacity fabric edges — they are never a bottleneck).
-    arc_row: Vec<Option<usize>>,
-    ncap_rows: usize,
+/// The per-step utilization columns `U_0..U_{steps-1}`: coefficient `-cap`
+/// on every capacity row of their step (objective 1 each).
+fn utilization_columns(master: &PathMaster<'_>, expanded: &TimeExpanded) -> Vec<SparseVec> {
+    let xg = &expanded.graph;
+    (0..expanded.steps)
+        .map(|t| {
+            let entries = (0..xg.num_edges()).filter_map(|xe| {
+                let r = master.capacity_row(xe)?;
+                let e = xg.edge(xe);
+                (expanded.layer_of(e.src) == t).then_some((r, -e.capacity))
+            });
+            SparseVec::from_entries(entries)
+        })
+        .collect()
 }
 
-impl<'a> ExpandedLowering<'a> {
-    /// Builds the capacity-row layout; returns the lowering plus the capacity
-    /// rows' bounds (`-INF <= Σ_paths x − cap_e · U_t <= 0`), to which the
-    /// caller appends its convexity rows.
-    fn build(
-        topo: &'a Topology,
-        expanded: &'a TimeExpanded,
-        steps: usize,
-    ) -> (Self, Vec<f64>, Vec<f64>) {
-        let xg = &expanded.graph;
-        let mut arc_row: Vec<Option<usize>> = Vec::with_capacity(xg.num_edges());
-        let mut row_lower = Vec::new();
-        let mut row_upper = Vec::new();
-        for xe in 0..xg.num_edges() {
-            if !expanded.is_self_edge(xe) && xg.edge(xe).capacity.is_finite() {
-                arc_row.push(Some(row_lower.len()));
-                row_lower.push(-INF);
-                row_upper.push(0.0);
-            } else {
-                arc_row.push(None);
-            }
-        }
-        let ncap_rows = row_lower.len();
-        (
-            Self {
-                topo,
-                expanded,
-                steps,
-                arc_row,
-                ncap_rows,
-            },
-            row_lower,
-            row_upper,
-        )
-    }
-
-    /// The per-step utilization columns `U_0..U_{steps-1}`: coefficient
-    /// `-cap` on every capacity row of their step (objective 1 each).
-    fn utilization_columns(&self) -> Vec<SparseVec> {
-        let xg = &self.expanded.graph;
-        (0..self.steps)
-            .map(|t| {
-                let entries = (0..xg.num_edges()).filter_map(|xe| {
-                    let r = self.arc_row[xe]?;
-                    let e = xg.edge(xe);
-                    (self.expanded.layer_of(e.src) == t).then_some((r, -e.capacity))
-                });
-                SparseVec::from_entries(entries)
-            })
-            .collect()
-    }
-
-    /// Per-arc pricing costs `w_{e,t} = max(0, −y_{e,t})` from the capacity
-    /// duals (self arcs and uncapacitated arcs stay free).
-    fn arc_weights(&self, y: &[f64]) -> Vec<f64> {
-        let mut weights = vec![0.0; self.expanded.graph.num_edges()];
-        for (xe, r) in self.arc_row.iter().enumerate() {
-            if let Some(r) = *r {
-                weights[xe] = (-y[r]).max(0.0);
-            }
-        }
-        weights
-    }
-
-    /// The fabric arcs of an expanded path, as (step, base edge, expanded
-    /// edge) triples — the shape both the column builder and the solution
-    /// extraction need.
-    fn fabric_arcs(&self, p: &Path) -> Vec<(usize, EdgeId, EdgeId)> {
-        let xg = &self.expanded.graph;
-        let mut arcs = Vec::with_capacity(p.hops());
-        for (u, v) in p.links() {
-            let xe = xg
-                .find_edge(u, v)
-                .expect("pricing paths live in the expanded graph");
-            if self.expanded.is_self_edge(xe) {
-                continue;
-            }
-            let t = self.expanded.layer_of(u);
-            let base = self
-                .topo
-                .find_edge(self.expanded.base_of(u), self.expanded.base_of(v))
+/// The fabric arcs of an expanded path as `(step, base edge)` pairs, holding
+/// arcs skipped.
+fn fabric_arcs(topo: &Topology, expanded: &TimeExpanded, p: &Path) -> Vec<(usize, EdgeId)> {
+    p.links()
+        .filter(|&(u, v)| expanded.base_of(u) != expanded.base_of(v))
+        .map(|(u, v)| {
+            let base = topo
+                .find_edge(expanded.base_of(u), expanded.base_of(v))
                 .expect("expanded fabric arcs mirror base edges");
-            arcs.push((t, base, xe));
-        }
-        arcs
-    }
-
-    /// Lowers a path's arcs into the LP column of convexity row `k`.
-    fn path_column(&self, k: usize, arcs: &[(usize, EdgeId, EdgeId)]) -> SparseVec {
-        let mut entries: Vec<(usize, f64)> = Vec::with_capacity(arcs.len() + 1);
-        for &(_, _, xe) in arcs {
-            if let Some(r) = self.arc_row[xe] {
-                entries.push((r, 1.0));
-            }
-        }
-        entries.push((self.ncap_rows + k, 1.0));
-        SparseVec::from_entries(entries)
-    }
-
-    /// Splices detours out of a time-expanded path: whenever the path
-    /// revisits a base node it already reached, the wandering segment in
-    /// between is replaced by free buffering at that node. Zero-dual-cost
-    /// ties let Dijkstra emit such detours (self arcs count as hops, so the
-    /// hop tie-break does not prefer buffering); the spliced path costs no
-    /// more under any non-negative arc weights — improving candidates stay
-    /// improving — and wastes no capacity when lowered.
-    fn shortcut_detours(&self, p: &Path) -> Path {
-        let mut out: Vec<usize> = Vec::new();
-        let mut pos_of_base: HashMap<usize, usize> = HashMap::new();
-        for &x in p.nodes() {
-            let b = self.expanded.base_of(x);
-            if let Some(&q) = pos_of_base.get(&b) {
-                for k in q + 1..out.len() {
-                    let bb = self.expanded.base_of(out[k]);
-                    if pos_of_base.get(&bb) == Some(&k) {
-                        pos_of_base.remove(&bb);
-                    }
-                }
-                out.truncate(q + 1);
-                let t0 = self.expanded.layer_of(out[q]);
-                for t in t0 + 1..=self.expanded.layer_of(x) {
-                    out.push(self.expanded.node_at(t, b));
-                }
-            } else {
-                pos_of_base.insert(b, out.len());
-                out.push(x);
-            }
-        }
-        Path::new(out)
-    }
-
-    /// Expands a base-graph path to its earliest-departure time expansion,
-    /// buffering at the destination through the remaining steps.
-    fn expand_earliest(&self, p: &Path) -> Path {
-        let mut nodes = Vec::with_capacity(self.steps + 1);
-        for (i, &v) in p.nodes().iter().enumerate() {
-            nodes.push(self.expanded.node_at(i, v));
-        }
-        for t in p.hops() + 1..=self.steps {
-            nodes.push(self.expanded.node_at(t, p.dest()));
-        }
-        Path::new(nodes)
-    }
+            (expanded.layer_of(u), base)
+        })
+        .collect()
 }
 
-/// [`PricingOracle`] of the time-expanded master: one Dijkstra tree per
-/// *distinct holding node* over the expanded graph under arc costs
-/// `w_{e,t} = max(0, −y_{e,t})` (self arcs free) prices every demand held
-/// there — each one's whole time horizon — in one run.
-struct ExpandedPricer<'a> {
-    lower: ExpandedLowering<'a>,
-    demands: &'a [TsDemand],
-    /// Distinct holding nodes, in first-appearance order.
-    starts: Vec<NodeId>,
-    /// Demand indices held at each holding node, ascending.
-    demands_of_start: Vec<Vec<usize>>,
-    /// Owning demand of path column `j` (LP column `steps + j`).
-    col_owner: Vec<usize>,
-    /// Fabric arcs of path column `j`, for the extraction.
-    col_arcs: Vec<Vec<(usize, EdgeId, EdgeId)>>,
-}
-
-impl ExpandedPricer<'_> {
-    fn push_column(&mut self, k: usize, p: &Path) -> SparseVec {
-        let arcs = self.lower.fabric_arcs(p);
-        let col = self.lower.path_column(k, &arcs);
-        self.col_owner.push(k);
-        self.col_arcs.push(arcs);
-        col
-    }
-}
-
-impl PricingOracle for ExpandedPricer<'_> {
-    fn num_sources(&self) -> usize {
-        self.starts.len()
-    }
-
-    fn owners_of_source(&self) -> &[Vec<usize>] {
-        &self.demands_of_start
-    }
-
-    fn arc_weights(&self, y: &[f64]) -> Vec<f64> {
-        self.lower.arc_weights(y)
-    }
-
-    fn convexity_duals(&self, y: &[f64]) -> Vec<f64> {
-        y[self.lower.ncap_rows..self.lower.ncap_rows + self.demands.len()].to_vec()
-    }
-
-    fn price_source(
-        &self,
-        si: usize,
-        weights: &[f64],
-        mu: &[f64],
-        seen: &[HashSet<Path>],
-        out: &mut Vec<Candidate>,
-    ) {
-        let expanded = self.lower.expanded;
-        let tree = paths::weighted_shortest_path_tree(
-            &expanded.graph,
-            expanded.node_at(0, self.starts[si]),
-            weights,
-        );
-        for &k in &self.demands_of_start[si] {
-            let terminus = expanded.node_at(self.lower.steps, self.demands[k].dest);
-            let cost = tree
-                .distance(terminus)
-                .expect("step budget >= demand diameter keeps termini reachable");
-            let violation = mu[k] - cost;
-            if violation > PRICING_TOLERANCE {
-                let p = self.lower.shortcut_detours(
-                    &tree
-                        .path_to(terminus)
-                        .expect("finite distance implies a path"),
-                );
-                // The spliced path prices at most `cost`, so it improves at
-                // least as much. If it is already a master column its reduced
-                // cost is non-negative at this optimum, so skipping it cannot
-                // hide a violation.
-                if !seen[k].contains(&p) {
-                    out.push(Candidate {
-                        violation,
-                        owner: k,
-                        path: p,
-                    });
+/// Splices detours out of a time-expanded path: whenever the path revisits a
+/// base node it already reached, the wandering segment in between is replaced
+/// by free buffering at that node. Zero-dual-cost ties let Dijkstra emit such
+/// detours (holding arcs count as hops, so the hop tie-break does not prefer
+/// buffering); the spliced path costs no more under any non-negative arc
+/// weights — improving candidates stay improving — and wastes no capacity
+/// when lowered.
+fn shortcut_detours(expanded: &TimeExpanded, p: &Path) -> Path {
+    let mut out: Vec<usize> = Vec::new();
+    let mut pos_of_base: HashMap<usize, usize> = HashMap::new();
+    for &x in p.nodes() {
+        let b = expanded.base_of(x);
+        if let Some(&q) = pos_of_base.get(&b) {
+            for k in q + 1..out.len() {
+                let bb = expanded.base_of(out[k]);
+                if pos_of_base.get(&bb) == Some(&k) {
+                    pos_of_base.remove(&bb);
                 }
             }
+            out.truncate(q + 1);
+            let t0 = expanded.layer_of(out[q]);
+            for t in t0 + 1..=expanded.layer_of(x) {
+                out.push(expanded.node_at(t, b));
+            }
+        } else {
+            pos_of_base.insert(b, out.len());
+            out.push(x);
         }
     }
+    Path::new(out)
+}
 
-    fn build_column(&mut self, owner: usize, path: &Path) -> NewColumn {
-        NewColumn {
-            col: self.push_column(owner, path),
-            obj: 0.0,
-            lower: 0.0,
-            upper: INF,
-        }
+/// Expands a base-graph path to its earliest-departure time expansion,
+/// buffering at the destination through the remaining steps.
+fn expand_earliest(expanded: &TimeExpanded, p: &Path) -> Path {
+    let mut nodes = Vec::with_capacity(expanded.steps + 1);
+    for (i, &v) in p.nodes().iter().enumerate() {
+        nodes.push(expanded.node_at(i, v));
     }
+    for t in p.hops() + 1..=expanded.steps {
+        nodes.push(expanded.node_at(t, p.dest()));
+    }
+    Path::new(nodes)
 }
 
 /// What the time-expanded solver returns, before an entry point wraps it in
@@ -441,63 +268,52 @@ pub(crate) fn solve_expanded_colgen(
     debug_assert_eq!(seed_paths.len(), ndem, "one seed list per demand");
     let expanded = TimeExpanded::build(topo, steps);
 
-    // Row layout: one capacity row per finite-capacity *fabric* arc (self arcs
-    // buffer for free, infinite-capacity fabric edges are never a bottleneck),
-    // then one convexity row (== amount) per demand, so columns carry shard
-    // units. Building the standard form directly keeps row indices stable for
-    // the whole session, which the dual extraction depends on.
-    let (lower, mut row_lower, mut row_upper) = ExpandedLowering::build(topo, &expanded, steps);
-    for d in demands {
-        row_lower.push(d.amount);
-        row_upper.push(d.amount);
-    }
-    let nrows = row_lower.len();
-
-    let mut seen: Vec<HashSet<Path>> = vec![HashSet::new(); ndem];
-    let mut seed: Vec<(usize, Path)> = Vec::new();
-    for (k, set) in seed_paths.iter().enumerate() {
-        for p in set {
-            let lowered = lower.expand_earliest(p);
-            if seen[k].insert(lowered.clone()) {
-                seed.push((k, lowered));
-            }
-        }
-    }
-
     // Pricing sources are the *distinct holding nodes*: one Dijkstra tree per
-    // holding node prices every demand held there.
+    // holding node (at layer 0) prices every demand held there, each at its
+    // destination in the last layer.
     let mut starts: Vec<NodeId> = Vec::new();
     let mut demands_of_start: Vec<Vec<usize>> = Vec::new();
     let mut index_of_start: HashMap<NodeId, usize> = HashMap::new();
     for (k, d) in demands.iter().enumerate() {
         let si = *index_of_start.entry(d.at).or_insert_with(|| {
-            starts.push(d.at);
+            starts.push(expanded.node_at(0, d.at));
             demands_of_start.push(Vec::new());
             starts.len() - 1
         });
         demands_of_start[si].push(k);
     }
-    let mut pricer = ExpandedPricer {
-        lower,
-        demands,
+
+    // Row layout: the master's capacity row per finite-capacity fabric arc
+    // (`Σ_paths x − cap_e · U_t <= 0`; holding arcs buffer for free), then one
+    // convexity row (== amount) per demand, so columns carry shard units.
+    let (mut master, mut row_lower, mut row_upper) = PathMaster::new(
+        &expanded.graph,
         starts,
         demands_of_start,
-        col_owner: Vec::new(),
-        col_arcs: Vec::new(),
-    };
+        demands
+            .iter()
+            .map(|d| expanded.node_at(steps, d.dest))
+            .collect(),
+        |_| 0.0,
+    );
+    for d in demands {
+        row_lower.push(d.amount);
+        row_upper.push(d.amount);
+    }
 
-    // Columns: U_0..U_{steps-1} first (objective 1 each, coefficient -cap on
-    // every capacity row of their step), then the seed columns in demand
-    // order with `col_owner[j]` naming the owning demand.
-    let mut cols: Vec<SparseVec> = pricer.lower.utilization_columns();
-    let mut obj: Vec<f64> = vec![1.0; steps];
-    for (k, p) in &seed {
-        cols.push(pricer.push_column(*k, p));
-        obj.push(0.0);
+    // Columns: U_0..U_{steps-1} first (objective 1 each), then the seeds'
+    // earliest-departure expansions in demand order.
+    let mut cols: Vec<SparseVec> = utilization_columns(&master, &expanded);
+    for (k, set) in seed_paths.iter().enumerate() {
+        for p in set {
+            cols.extend(master.push_column(k, expand_earliest(&expanded, p)));
+        }
     }
     let ncols = cols.len();
+    let mut obj = vec![0.0; ncols];
+    obj[..steps].fill(1.0);
     let sf = StandardForm {
-        nrows,
+        nrows: row_lower.len(),
         cols,
         obj,
         lower: vec![0.0; ncols],
@@ -509,7 +325,14 @@ pub(crate) fn solve_expanded_colgen(
     let mut solver = Solver::new_owned(sf, SimplexOptions::default())?;
 
     // The U_t columns occupy structural columns 0..steps; path columns follow.
-    let (sol, stats) = run_colgen(&mut solver, &mut pricer, &mut seen, steps, seed, options)?;
+    let (sol, stats) = run_colgen(
+        &mut solver,
+        &mut master,
+        steps,
+        options,
+        |obj| obj,
+        |p| shortcut_detours(&expanded, &p),
+    )?;
 
     // Extraction: aggregate column weights per (demand, step, base edge) and
     // collect the positive-weight incumbent pool. Convexity equality makes
@@ -517,18 +340,19 @@ pub(crate) fn solve_expanded_colgen(
     // solution is junk-free by construction.
     let mut columns: Vec<TsColumn> = Vec::new();
     let mut agg: Vec<Vec<HashMap<EdgeId, f64>>> = vec![vec![HashMap::new(); steps]; ndem];
-    for (j, (&k, arcs)) in pricer.col_owner.iter().zip(&pricer.col_arcs).enumerate() {
+    for (j, (k, path)) in master.columns().iter().enumerate() {
         let w = sol.x[steps + j];
         if w <= FLOW_TOL {
             continue;
         }
-        for &(t, base, _) in arcs {
-            *agg[k][t].entry(base).or_insert(0.0) += w;
+        let arcs = fabric_arcs(topo, &expanded, path);
+        for &(t, base) in &arcs {
+            *agg[*k][t].entry(base).or_insert(0.0) += w;
         }
-        let first = arcs.first().map(|&(_, base, _)| topo.edge(base).src);
-        let rest = arcs.iter().map(|&(_, base, _)| topo.edge(base).dst);
+        let first = arcs.first().map(|&(_, base)| topo.edge(base).src);
+        let rest = arcs.iter().map(|&(_, base)| topo.edge(base).dst);
         columns.push(TsColumn {
-            owner: k,
+            owner: *k,
             weight: w,
             nodes: first.into_iter().chain(rest).collect(),
         });

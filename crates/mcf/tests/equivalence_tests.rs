@@ -23,10 +23,8 @@
 
 use a2a_mcf::decomposed::{solve_decomposed_mcf_with, DecomposedOptions};
 use a2a_mcf::linkmcf::solve_link_mcf_among;
-use a2a_mcf::pmcf::{
-    solve_path_mcf_among, solve_path_mcf_colgen_among, ColGenOptions, PathSetKind,
-};
-use a2a_mcf::{CommoditySet, PRICING_TOLERANCE};
+use a2a_mcf::pmcf::{solve_path_mcf_among, solve_path_mcf_colgen_among, PathSetKind};
+use a2a_mcf::{ColGenOptions, CommoditySet, PRICING_TOLERANCE};
 use a2a_topology::{generators, puncture, NodeId, Topology};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
