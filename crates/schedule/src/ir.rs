@@ -8,7 +8,9 @@
 //! There is one quantizer, `quantize_flows`, over the `(demands, steps, flows)`
 //! shape every time-stepped plan has. [`ChunkedSchedule::from_tsmcf_exact`] feeds it
 //! the nominal all-to-all (every shard at its source),
-//! [`crate::splice::lower_residual_suffix`] the holdings of an interrupted run.
+//! [`crate::splice::lower_residual_suffix`] the holdings of an interrupted run,
+//! and [`crate::splice::greedy_reroute_suffix`] those holdings with an empty
+//! plan, which its stranded-chunk flush walks to their destinations.
 //! [`ChunkedSchedule::validate`] checks any schedule by the one buffer replay of
 //! [`crate::exec`], plus its own link and delivery checks.
 

@@ -12,9 +12,10 @@
 //!   quantizer [`ChunkedSchedule::from_tsmcf_exact`] runs, fed the holdings;
 //! * [`greedy_reroute_suffix`] is the graceful-degradation fallback when the
 //!   residual LP is unavailable (infeasible puncture pre-check, solve-time
-//!   budget exceeded): every demand walks a shortest path hop by hop, one hop
-//!   per step — correct and failure-free whenever the destinations are
-//!   reachable at all, just not bandwidth-optimal;
+//!   budget exceeded): the same quantizer over an empty plan, whose flush
+//!   walks every demand along a shortest path, one hop per step — correct and
+//!   failure-free whenever the destinations are reachable at all, just not
+//!   bandwidth-optimal;
 //! * [`splice_schedule`] concatenates prefix and suffix into one
 //!   [`SplicedSchedule`], re-validates the whole thing against the original
 //!   topology (the prefix legally used links that have since died; the suffix
@@ -32,11 +33,11 @@
 //! reports and the ones [`splice_schedule`] re-validates cannot disagree.
 
 use a2a_mcf::residual::{ResidualSolution, TsDemand};
-use a2a_topology::{paths, NodeId, Path, Topology};
+use a2a_topology::{NodeId, Path, Topology};
 
 use crate::deadlock::{assign_virtual_channels, LashVariant};
 use crate::exec::replay;
-use crate::ir::{demand_chunks, quantize_flows, ChunkTransfer, ChunkedSchedule, ScheduleStep};
+use crate::ir::{quantize_flows, ChunkedSchedule, ScheduleStep};
 use crate::routes::{CommodityRoutes, Route, RouteTable};
 
 /// A schedule stitched from the executed prefix of an interrupted run and a
@@ -75,54 +76,20 @@ pub fn lower_residual_suffix(
 /// Graceful-degradation fallback: route every demand along a shortest path of
 /// the punctured topology, one hop per step, all demands concurrently.
 ///
-/// Ignores bandwidth entirely — links shared by many demands serialize inside
-/// a step and the simulated makespan shows it — but it always terminates
-/// (each demand strictly approaches its destination) and fails *typed*, not
-/// by panicking, when a destination is unreachable.
+/// This is the quantizer over an empty plan (0 steps, no flows): every holding
+/// is stranded, so its flush moves each demand's whole holding one hop per
+/// step along [`paths::shortest_path`](a2a_topology::paths::shortest_path), in
+/// demand order. It ignores bandwidth entirely — links shared by many demands
+/// serialize inside a step and the simulated makespan shows it — but it always
+/// terminates (each demand strictly approaches its destination) and fails
+/// *typed*, not by panicking, when a destination is unreachable.
 pub fn greedy_reroute_suffix(
     punctured: &Topology,
     demands: &[TsDemand],
     chunks_per_shard: usize,
 ) -> Result<Vec<ScheduleStep>, String> {
-    if chunks_per_shard == 0 {
-        return Err("granularity must be positive".into());
-    }
-    let mut position: Vec<NodeId> = demands.iter().map(|d| d.at).collect();
-    let chunks: Vec<usize> = demands
-        .iter()
-        .map(|d| demand_chunks(d, chunks_per_shard))
-        .collect();
-    let mut steps = Vec::new();
-    loop {
-        let mut step = ScheduleStep::default();
-        for (k, dem) in demands.iter().enumerate() {
-            if position[k] == dem.dest || chunks[k] == 0 {
-                continue;
-            }
-            let path = paths::shortest_path(punctured, position[k], dem.dest).ok_or_else(|| {
-                format!(
-                    "demand {k}: destination {} unreachable from {} on the punctured fabric",
-                    dem.dest, position[k]
-                )
-            })?;
-            let next = path.nodes()[1];
-            step.transfers.push(ChunkTransfer {
-                from: position[k],
-                to: next,
-                origin: dem.origin,
-                final_dest: dem.dest,
-                chunks: chunks[k],
-            });
-            position[k] = next;
-        }
-        if step.transfers.is_empty() {
-            return Ok(steps);
-        }
-        steps.push(step);
-        if steps.len() > punctured.num_nodes() * 2 {
-            return Err("greedy reroute failed to converge (shortest paths cycle?)".into());
-        }
-    }
+    let no_flows = vec![Vec::new(); demands.len()];
+    quantize_flows(punctured, demands, 0, &no_flows, chunks_per_shard)
 }
 
 /// Concatenates the executed prefix and a re-planned suffix into one schedule
@@ -274,9 +241,11 @@ fn with_lash_layers(
 mod tests {
     use super::*;
     use crate::exec::holdings_after;
+    use crate::ir::{demand_chunks, ChunkTransfer};
     use a2a_mcf::residual::{residual_minimum_steps, solve_residual_colgen};
     use a2a_mcf::{solve_tsmcf_colgen_auto, ColGenOptions, CommoditySet};
     use a2a_topology::generators;
+    use a2a_topology::paths;
     use std::collections::VecDeque;
 
     fn demands_from_holdings(schedule: &ChunkedSchedule, buffered: &[Vec<usize>]) -> Vec<TsDemand> {

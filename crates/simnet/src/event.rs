@@ -272,37 +272,20 @@ pub fn simulate_chunked_event(
     params: &SimParams,
     options: &EventSimOptions,
 ) -> SimResult<EventReport> {
-    let _obs = a2a_obs::span("simnet.run");
-    check_inputs(shard_bytes, params)?;
-    let dag = TransferDag::from_schedule(schedule).map_err(SimError::InvalidSchedule)?;
-    let (jobs, link_bw) =
-        resolve_jobs(topo, schedule, shard_bytes, params, &options.scenario, &dag)?;
-
-    // Per-message α multipliers (1.0 without jitter). Job ids are the
-    // schedule's step-major transfer order, the message identity the scenario
-    // keys its draw on.
-    let alpha_factor: Vec<f64> = (0..jobs.len())
-        .map(|id| options.scenario.alpha_factor(id))
-        .collect();
-
-    let mut engine = Engine::new(topo, &jobs, &dag, link_bw.clone(), params, &alpha_factor);
-    let outcome = match options.model {
-        // The static scenario is a timeline without boundaries.
-        ExecutionModel::Synchronized => match engine.run_synchronized_timeline(&[]) {
-            TimelineOutcome::Completed(outcome) => outcome,
-            TimelineOutcome::Interrupted(_) => {
-                unreachable!("only an event boundary can interrupt a run")
-            }
-        },
-        ExecutionModel::DependencyDriven => engine.run_dependency_driven()?,
-    };
-    Ok(build_report(
+    // The static scenario is the event-free timeline.
+    let timeline = ScenarioTimeline::new(options.scenario.clone());
+    let run = run_chunked(
+        topo,
         schedule,
         shard_bytes,
-        &jobs,
-        &link_bw,
-        outcome,
-    ))
+        params,
+        &timeline,
+        options.model,
+    )?;
+    match run {
+        TimelineRun::Completed(report) => Ok(report),
+        TimelineRun::Interrupted(_) => unreachable!("only an event boundary can interrupt a run"),
+    }
 }
 
 /// Rejects numeric inputs the cost model is not defined on, before they turn
@@ -531,39 +514,52 @@ pub fn simulate_chunked_timeline(
     timeline: &ScenarioTimeline,
     model: ExecutionModel,
 ) -> SimResult<TimelineRun> {
-    let _obs = a2a_obs::span("simnet.run");
-    check_inputs(shard_bytes, params)?;
     if model != ExecutionModel::Synchronized {
         return Err(SimError::Unsupported(
             "timeline simulation is only implemented for synchronized execution".into(),
         ));
     }
+    run_chunked(topo, schedule, shard_bytes, params, timeline, model)
+}
+
+/// The one event-engine run behind both entry points: jobs resolved under the
+/// scenario at `t = 0` (a failure there rejects the schedule), the engine run
+/// across the timeline's dynamic boundaries, then the report or the snapshot.
+fn run_chunked(
+    topo: &Topology,
+    schedule: &ChunkedSchedule,
+    shard_bytes: f64,
+    params: &SimParams,
+    timeline: &ScenarioTimeline,
+    model: ExecutionModel,
+) -> SimResult<TimelineRun> {
+    let _obs = a2a_obs::span("simnet.run");
+    check_inputs(shard_bytes, params)?;
     let dag = TransferDag::from_schedule(schedule).map_err(SimError::InvalidSchedule)?;
-    // Fold t <= 0 events into the starting scenario; a failure at t = 0 rejects
-    // the schedule here, identically to the static engine.
     let start = timeline.scenario_at(0.0);
     let (jobs, link_bw) = resolve_jobs(topo, schedule, shard_bytes, params, &start, &dag)?;
+    // Per-message α multipliers (1.0 without jitter). Job ids are the
+    // schedule's step-major transfer order, the message identity the scenario
+    // keys its draw on.
     let alpha_factor: Vec<f64> = (0..jobs.len()).map(|id| start.alpha_factor(id)).collect();
 
     let mut engine = Engine::new(topo, &jobs, &dag, link_bw.clone(), params, &alpha_factor);
     let boundaries = resolve_boundaries(topo, params, timeline, &link_bw);
-    match engine.run_synchronized_timeline(&boundaries) {
-        TimelineOutcome::Completed(outcome) => Ok(TimelineRun::Completed(build_report(
-            schedule,
-            shard_bytes,
-            &jobs,
-            &link_bw,
-            outcome,
-        ))),
-        TimelineOutcome::Interrupted(cut) => Ok(TimelineRun::Interrupted(build_snapshot(
-            schedule,
-            shard_bytes,
-            &jobs,
-            &dag,
-            &boundaries[cut.boundary],
-            &cut,
-        ))),
-    }
+    let outcome = match model {
+        ExecutionModel::Synchronized => engine.run_synchronized_timeline(&boundaries),
+        ExecutionModel::DependencyDriven => {
+            TimelineOutcome::Completed(engine.run_dependency_driven()?)
+        }
+    };
+    Ok(match outcome {
+        TimelineOutcome::Completed(o) => {
+            TimelineRun::Completed(build_report(schedule, shard_bytes, &jobs, &link_bw, o))
+        }
+        TimelineOutcome::Interrupted(cut) => {
+            let at = &boundaries[cut.boundary];
+            TimelineRun::Interrupted(build_snapshot(schedule, shard_bytes, &jobs, &dag, at, &cut))
+        }
+    })
 }
 
 /// Resolves each dynamic event of `timeline` into the full capacity table in
