@@ -578,11 +578,6 @@ impl<'g> PathMaster<'g> {
     }
 
     /// `(owner, path)` of every path column, in LP order.
-    pub(crate) fn columns(&self) -> &[(usize, Path)] {
-        &self.columns
-    }
-
-    /// The path columns, consumed.
     pub(crate) fn into_columns(self) -> Vec<(usize, Path)> {
         self.columns
     }
@@ -679,7 +674,7 @@ fn priced_sweep(
 /// to the reported flow value; `splice` rewrites each priced path (the
 /// identity for pMCF). Returns the final master solution (terminating
 /// round's optimum) and the statistics block; the caller extracts its
-/// solution from the LP `x` and [`PathMaster::columns`].
+/// solution from the LP `x` and [`PathMaster::into_columns`].
 pub(crate) fn run_colgen(
     solver: &mut Solver<'_>,
     master: &mut PathMaster<'_>,

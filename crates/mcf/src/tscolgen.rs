@@ -340,19 +340,19 @@ pub(crate) fn solve_expanded_colgen(
     // solution is junk-free by construction.
     let mut columns: Vec<TsColumn> = Vec::new();
     let mut agg: Vec<Vec<HashMap<EdgeId, f64>>> = vec![vec![HashMap::new(); steps]; ndem];
-    for (j, (k, path)) in master.columns().iter().enumerate() {
+    for (j, (k, path)) in master.into_columns().into_iter().enumerate() {
         let w = sol.x[steps + j];
         if w <= FLOW_TOL {
             continue;
         }
-        let arcs = fabric_arcs(topo, &expanded, path);
+        let arcs = fabric_arcs(topo, &expanded, &path);
         for &(t, base) in &arcs {
-            *agg[*k][t].entry(base).or_insert(0.0) += w;
+            *agg[k][t].entry(base).or_insert(0.0) += w;
         }
         let first = arcs.first().map(|&(_, base)| topo.edge(base).src);
         let rest = arcs.iter().map(|&(_, base)| topo.edge(base).dst);
         columns.push(TsColumn {
-            owner: *k,
+            owner: k,
             weight: w,
             nodes: first.into_iter().chain(rest).collect(),
         });
