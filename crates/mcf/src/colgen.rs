@@ -1,5 +1,5 @@
 //! The column-generation engine of this crate: one restricted **path master**
-//! and the **round driver** over it, plus the option/statistics surface.
+//! and the **round loop** over it, plus the option/statistics surface.
 //!
 //! Two formulations generate columns — [`crate::pmcf`] (path-MCF over the
 //! fabric) and the demand-indexed time-expanded master of [`crate::tscolgen`],
@@ -12,14 +12,14 @@
 //! sweep with its `seen` check, the path→column lowering, and each column's
 //! `(owner, path)`. A solver supplies only what differs — the graph, each
 //! source's start node and each owner's terminus, its own rows and structural
-//! columns and extraction, and two closures handed to the driver (tsMCF's
+//! columns and extraction, and two closures handed to the round loop (tsMCF's
 //! detour splice of a priced path, pMCF's objective sign). Each master is
 //! seeded with one hop-shortest path per owner (for [`crate::tscolgen`] its
 //! earliest-arrival time expansion; [`crate::residual`] adds its warm seeds) —
 //! pricing provably closes any gap that seed leaves. A new pricing or row rule
 //! (ROADMAP's orbit fold, say) lands in the path master, for every solver.
 //!
-//! The driver, `run_colgen`, owns
+//! The round loop, `run_colgen`, owns
 //!
 //! * the master re-solve / dual-extraction / pricing-sweep round structure,
 //! * dual stabilization ([`Stabilization`]) and the misprice-collapse resweep,

@@ -167,8 +167,8 @@ pub struct ColGenPathMcf {
 }
 
 /// Builds the path master over `path_sets` (deduplicated per commodity)
-/// directly in standard form, so row indices stay stable for a whole colgen
-/// session: the master's capacity row per finite-capacity edge (`<= cap`) —
+/// directly in standard form, so row indices stay stable while columns are
+/// appended: the master's capacity row per finite-capacity edge (`<= cap`) —
 /// even if no path crosses it yet, a priced-in column may — then one demand
 /// row per commodity (its path weights minus `F` is `>= 0`). Column 0 is `F`
 /// (minimize `-F`); path columns follow in commodity-major order. Pricing runs
@@ -272,9 +272,9 @@ fn weighted_paths(
 /// factorized basis carries over, so every re-solve is a warm phase-2
 /// continuation — then prices all commodities at once with one Dijkstra tree
 /// per source under the dual edge costs. Every improving path (dual-weighted
-/// length below the commodity's convexity dual minus [`crate::PRICING_TOLERANCE`]) is
-/// appended, best violations first. The master is seeded with one hop-shortest
-/// path per commodity.
+/// length below the commodity's convexity dual minus
+/// [`crate::PRICING_TOLERANCE`]) is appended, best violations first. The
+/// master is seeded with one hop-shortest path per commodity.
 ///
 /// Terminates with [`ColGenStats::proved_optimal`] when no improving path
 /// exists — the LP optimality certificate of the *unrestricted* path
