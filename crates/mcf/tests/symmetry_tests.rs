@@ -14,9 +14,18 @@
 //!
 //! The torus-8×8 case runs in release builds only: its general master alone
 //! takes ~10,000 dual iterations.
+//!
+//! Path-MCF column generation is held to the same master on fabrics with and
+//! without a transitive group — the generalized Kautz graphs (in their own and
+//! a relabelled node order), torus-4×4, the fat tree among its hosts and a
+//! torus-3×3 with one arc removed: `F` within 1e-9 relative and the
+//! certificate, every path a valid `s → d` path, each commodity's weights
+//! summing to 1, and the bottleneck link's load at most `1/F`. The Kautz
+//! graphs from 32 nodes run in release builds only.
 
 use a2a_mcf::decomposed::{solve_decomposed_mcf_with, solve_master_with, DecomposedOptions};
-use a2a_mcf::CommoditySet;
+use a2a_mcf::pmcf::solve_path_mcf_colgen_among;
+use a2a_mcf::{max_link_load_of_paths, ColGenOptions, CommoditySet, Stabilization};
 use a2a_topology::transform::HostNicAugmented;
 use a2a_topology::{generators, NodeId, Topology};
 
@@ -108,4 +117,76 @@ fn host_bottleneck_torus_matches_the_general_master() {
 #[test]
 fn torus_8x8_matches_the_general_master() {
     check_all_pairs(&generators::torus(&[8, 8]));
+}
+
+const PMCF_REL_TOL: f64 = 1e-9;
+
+/// Path-MCF colgen under the benchmark's pMCF configuration, held to the
+/// general master (module docs).
+fn check_pmcf(tag: &str, topo: &Topology, endpoints: &[NodeId]) {
+    let commodities = CommoditySet::among(endpoints.to_vec());
+    let general = solve_master_with(topo, &commodities, &DecomposedOptions::default())
+        .unwrap_or_else(|e| panic!("{tag}: master solve failed: {e}"))
+        .flow_value;
+    let options = ColGenOptions {
+        partial_pricing: Some(1e-1),
+        stabilization: Stabilization::Smoothing { alpha: 0.1 },
+        ..ColGenOptions::default()
+    };
+    let cg = solve_path_mcf_colgen_among(topo, commodities.clone(), &options)
+        .unwrap_or_else(|e| panic!("{tag}: colgen failed: {e}"));
+    assert!(cg.stats.proved_optimal, "{tag}: certificate missing");
+    let f = cg.schedule.flow_value;
+    assert!(
+        (f - general).abs() <= PMCF_REL_TOL * general,
+        "{tag}: colgen F = {f}, general master F = {general}"
+    );
+    for (k, s, d) in commodities.iter() {
+        let mut total = 0.0;
+        for (p, w) in &cg.schedule.paths[k] {
+            assert!(
+                p.source() == s && p.dest() == d && p.is_valid_in(topo),
+                "{tag}: {:?} is not a {s}->{d} path",
+                p.nodes()
+            );
+            total += w;
+        }
+        assert!(
+            (total - 1.0).abs() <= PMCF_REL_TOL,
+            "{tag}: {s}->{d} weights sum to {total}"
+        );
+    }
+    let load = max_link_load_of_paths(topo, &cg.schedule);
+    assert!(
+        load * f <= 1.0 + PMCF_REL_TOL,
+        "{tag}: bottleneck load {load} exceeds 1/F = {}",
+        1.0 / f
+    );
+}
+
+fn check_pmcf_all_pairs(topo: &Topology) {
+    let endpoints: Vec<NodeId> = (0..topo.num_nodes()).collect();
+    check_pmcf(topo.name(), topo, &endpoints);
+}
+
+#[test]
+fn pmcf_on_small_fabrics_matches_the_general_master() {
+    check_pmcf_all_pairs(&generators::generalized_kautz(16, 4));
+    check_pmcf_all_pairs(&generators::torus(&[4, 4]));
+    let ft = generators::fat_tree_two_level(4, 2, 4);
+    check_pmcf("fattree-16h", &ft.graph, &ft.hosts);
+    let torus = generators::torus(&[3, 3]);
+    let punctured = torus.without_edges(&[torus.find_edge(0, 1).expect("torus arc")]);
+    check_pmcf_all_pairs(&punctured);
+}
+
+#[cfg(not(debug_assertions))]
+#[test]
+fn pmcf_on_generalized_kautz_matches_the_general_master() {
+    for n in [32, 40, 48] {
+        check_pmcf_all_pairs(&generators::generalized_kautz(n, 4));
+    }
+    let relabelled_40 = relabelled(&generators::generalized_kautz(40, 4), 1);
+    let endpoints: Vec<NodeId> = (0..40).collect();
+    check_pmcf("relabelled genkautz-40", &relabelled_40, &endpoints);
 }

@@ -259,7 +259,8 @@ fn tsmcf_colgen_trajectories_are_pinned() {
 fn path_mcf_production_colgen_trajectories_are_pinned() {
     let fat_tree = generators::fat_tree_two_level(4, 2, 4);
     let torus = generators::torus(&[4, 4]);
-    let cases: [(&str, &Topology, Vec<NodeId>, Golden); 2] = [
+    let random = generators::random_regular(16, 4, 3);
+    let cases: [(&str, &Topology, Vec<NodeId>, Golden); 3] = [
         (
             "torus-4x4",
             &torus,
@@ -304,6 +305,34 @@ fn path_mcf_production_colgen_trajectories_are_pinned() {
                 ],
                 total_columns: 432,
                 flow_bits: 0x3fb1_1111_1111_1112,
+            },
+        ),
+        // A fabric without symmetry: its master is the unfolded one.
+        (
+            "random-regular-16",
+            &random,
+            (0..random.num_nodes()).collect(),
+            Golden {
+                config: "production",
+                options: production_options(),
+                skips_sources: true,
+                rounds: &[
+                    (14, 241, 0),
+                    (14, 2, 0),
+                    (12, 3, 0),
+                    (13, 1, 0),
+                    (14, 4, 0),
+                    (14, 3, 0),
+                    (12, 1, 0),
+                    (36, 11, 0),
+                    (16, 2, 0),
+                    (61, 41, 0),
+                    (7, 15, 2),
+                    (1, 0, 14),
+                    (0, 0, 0),
+                ],
+                total_columns: 454,
+                flow_bits: 0x3fbb_ed61_bed6_1be4,
             },
         ),
     ];
