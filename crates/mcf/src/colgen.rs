@@ -17,7 +17,12 @@
 //! seeded with one hop-shortest path per owner (for [`crate::tscolgen`] its
 //! earliest-arrival time expansion; [`crate::residual`] adds its warm seeds) —
 //! pricing provably closes any gap that seed leaves. A new pricing or row rule
-//! (ROADMAP's orbit fold, say) lands in the path master, for every solver.
+//! lands in the path master, for every solver: the orbit fold did. A master
+//! folded by a group of automorphisms has one capacity row per arc orbit and
+//! one owner per commodity orbit, with columns, weights and violations scaled
+//! by the orbit sizes; pMCF folds by the fabric's group ([`crate::pmcf`],
+//! *The orbit fold*), the time-expanded master by the trivial group, which
+//! builds the unfolded master bit for bit.
 //!
 //! The round loop, `run_colgen`, owns
 //!
@@ -387,9 +392,10 @@ impl DualStabilizer {
 
 /// Drift-based partial-pricing tracker shared by the colgen solvers.
 ///
-/// A column uses each priced arc at most once, so a commodity's pricing
-/// violation moves by at most the L1 norm of the arc-weight drift plus its own
-/// convexity-dual drift. Accumulating exactly that bound per source since its
+/// A column uses each priced arc at most once, so an owner `K`'s pricing
+/// violation `μ_K − |K| · dist` moves by at most `|K|` times the L1 norm of
+/// the arc-weight drift plus its own convexity-dual drift (`|K| = 1` unless
+/// the master is folded). Accumulating exactly that bound per source since its
 /// last sweep bounds a skipped source's largest possible violation by
 /// `PRICING_TOLERANCE + skip tolerance`; the optimality certificate never
 /// relies on it (the terminating round re-prices every skipped source). Under
@@ -419,23 +425,30 @@ impl PartialPricing {
     }
 
     /// Accumulates this round's dual drift: `weights` are the pricing arc
-    /// weights, `mu` the per-commodity convexity duals, and
-    /// `commodities_of_source[si]` lists the commodity indices priced from
-    /// source `si`. Call once per round before the sweep, with the same duals
-    /// the sweep prices at.
-    fn accumulate(&mut self, weights: &[f64], mu: &[f64], commodities_of_source: &[Vec<usize>]) {
+    /// weights, `mu` the per-owner convexity duals, `owner_size[k]` the size
+    /// `|K|` of owner `k`'s orbit, and `owners_of_source[si]` lists the owners
+    /// priced from source `si`. Call once per round before the sweep, with the
+    /// same duals the sweep prices at.
+    fn accumulate(
+        &mut self,
+        weights: &[f64],
+        mu: &[f64],
+        owner_size: &[f64],
+        owners_of_source: &[Vec<usize>],
+    ) {
         if self.tol.is_some() && self.prev_weights.len() == weights.len() {
             let weight_shift: f64 = weights
                 .iter()
                 .zip(&self.prev_weights)
                 .map(|(a, b)| (a - b).abs())
                 .sum();
-            for (si, ks) in commodities_of_source.iter().enumerate() {
-                let mut mu_shift = 0.0f64;
-                for &k in ks {
-                    mu_shift = mu_shift.max((mu[k] - self.prev_mu[k]).abs());
-                }
-                self.acc_shift[si] += weight_shift + mu_shift;
+            for (si, ks) in owners_of_source.iter().enumerate() {
+                // Rounding is monotone, so at `|K| = 1` this is the weight
+                // drift plus the largest convexity drift, to the bit.
+                let shift = ks.iter().fold(weight_shift, |acc, &k| {
+                    acc.max(owner_size[k] * weight_shift + (mu[k] - self.prev_mu[k]).abs())
+                });
+                self.acc_shift[si] += shift;
             }
         }
         self.prev_weights.clear();
@@ -473,31 +486,64 @@ struct Candidate {
     path: Path,
 }
 
+/// How a path master folds its rows by a group `H` of automorphisms of the
+/// priced graph: the `H`-orbit of every arc, orbits numbered by their first
+/// arc, and the size `|K|` of every owner's orbit. [`Fold::trivial`] — every
+/// arc and every owner its own orbit — builds the unfolded master.
+pub(crate) struct Fold {
+    /// Orbit of each arc of the priced graph.
+    pub(crate) arc_orbit: Vec<usize>,
+    /// `|K|` of each owner's orbit.
+    pub(crate) owner_size: Vec<f64>,
+}
+
+impl Fold {
+    /// The fold by the trivial group: `graph`'s arcs and `owners` owners, each
+    /// alone in its orbit.
+    pub(crate) fn trivial(graph: &Topology, owners: usize) -> Self {
+        Self {
+            arc_orbit: (0..graph.num_edges()).collect(),
+            owner_size: vec![1.0; owners],
+        }
+    }
+}
+
 /// The restricted path master every colgen solver of this crate prices
 /// through: path-MCF over the fabric, the time-expanded master over its time
 /// expansion. It owns what does not depend on the formulation:
 ///
-/// * **rows** — one capacity row per finite-capacity arc of the priced graph,
-///   in edge order (a time expansion's holding arcs have infinite capacity),
-///   then one convexity row per owner;
-/// * **dual weights** — arc weights `w_a = max(0, −y_a)` (capacity-row duals
-///   are non-positive at a minimize optimum; uncapacitated arcs are free) and
-///   convexity duals `μ_k = y_{convexity k}`;
+/// * **rows** — one capacity row per orbit `A` of finite-capacity arcs of the
+///   priced graph (a time expansion's holding arcs have infinite capacity),
+///   in order of the orbits' first arcs, then one convexity row per owner;
+/// * **dual weights** — arc weights `w_a = max(0, −y_A) / |A|` for `a ∈ A`
+///   (capacity-row duals are non-positive at a minimize optimum;
+///   uncapacitated arcs are free) and convexity duals `μ_K = y_{convexity K}`;
 /// * **pricing** — one Dijkstra tree per source from its start node; each
-///   owner priced from it, in stored order, improves when
-///   `μ_k − dist(terminus_k) > PRICING_TOLERANCE` and its (spliced) path is
-///   not already in the master;
-/// * **columns** — a `1` on every capacity row a path crosses and on its
-///   owner's convexity row, and each column's `(owner, path)`, stored once.
+///   owner `K` priced from it, in stored order, improves when
+///   `μ_K − |K| · dist(terminus_K) > PRICING_TOLERANCE` and its (spliced)
+///   path is not already in the master;
+/// * **columns** — `|K| · c_A(p) / |A|` on row `A`, where `c_A(p)` counts
+///   the arcs of `A` that path `p` crosses (one entry per row, in order of
+///   first crossing), then a `1` on its owner's convexity row; and each
+///   column's `(owner, path)`, stored once.
+///
+/// An owner `K` stands for the orbit of one commodity (or demand) under the
+/// [`Fold`]'s group, and a column for that path's images averaged over the
+/// group: by the group's invariance every arc of `A` carries `1/|A|` of the
+/// orbit's load on `A`. Under the trivial fold `|K| = |A| = 1`, every
+/// multiply and divide above is by `1.0` and exact, and the rows, columns,
+/// weights and candidate order are the unfolded master's to the bit.
 ///
 /// The caller supplies the graph, the sources' start nodes and the owners'
-/// termini, the capacity rows' upper bounds, and builds its own convexity-row
-/// bounds and structural columns (pMCF's `F`, the time-stepped `U_t`s).
+/// termini, the fold, the capacity rows' upper bounds, and builds its own
+/// convexity-row bounds and structural columns (pMCF's `F`, the time-stepped
+/// `U_t`s).
 pub(crate) struct PathMaster<'g> {
     graph: &'g Topology,
     /// Capacity row of each arc of `graph`, `None` for an infinite capacity.
     arc_row: Vec<Option<usize>>,
-    ncap_rows: usize,
+    /// `|A|`: arcs of each capacity row's orbit.
+    row_size: Vec<f64>,
     /// Start node of each pricing source.
     starts: Vec<NodeId>,
     /// Owners priced from each source, in pricing order. Sources partition
@@ -505,6 +551,8 @@ pub(crate) struct PathMaster<'g> {
     owners_of_source: Vec<Vec<usize>>,
     /// Node of `graph` each owner's paths end at.
     terminus: Vec<NodeId>,
+    /// `|K|` of each owner's orbit.
+    owner_size: Vec<f64>,
     /// Paths of each owner in the master (minus those pool aging purged).
     seen: Vec<HashSet<Path>>,
     /// `(owner, path)` of path column `j`, in append order.
@@ -512,22 +560,32 @@ pub(crate) struct PathMaster<'g> {
 }
 
 impl<'g> PathMaster<'g> {
-    /// An empty master over `graph`; returns it with the capacity rows'
-    /// bounds `[-INF, cap_row_upper(capacity)]`, to which the caller appends
-    /// one convexity row per owner, in owner order.
+    /// An empty master over `graph`, folded by `fold`; returns it with the
+    /// capacity rows' bounds `[-INF, cap_row_upper(capacity)]`, to which the
+    /// caller appends one convexity row per owner, in owner order.
     pub(crate) fn new(
         graph: &'g Topology,
         starts: Vec<NodeId>,
         owners_of_source: Vec<Vec<usize>>,
         terminus: Vec<NodeId>,
+        fold: Fold,
         cap_row_upper: impl Fn(f64) -> f64,
     ) -> (Self, Vec<f64>, Vec<f64>) {
+        debug_assert_eq!(fold.arc_orbit.len(), graph.num_edges());
+        debug_assert_eq!(fold.owner_size.len(), terminus.len());
+        let mut orbit_row: Vec<Option<usize>> = vec![None; graph.num_edges()];
         let mut arc_row = Vec::with_capacity(graph.num_edges());
+        let mut row_size: Vec<f64> = Vec::new();
         let mut row_upper = Vec::new();
-        for edge in graph.edges() {
+        for (edge, &orbit) in graph.edges().iter().zip(&fold.arc_orbit) {
             if edge.capacity.is_finite() {
-                arc_row.push(Some(row_upper.len()));
-                row_upper.push(cap_row_upper(edge.capacity));
+                let r = *orbit_row[orbit].get_or_insert_with(|| {
+                    row_upper.push(cap_row_upper(edge.capacity));
+                    row_size.push(0.0);
+                    row_upper.len() - 1
+                });
+                row_size[r] += 1.0;
+                arc_row.push(Some(r));
             } else {
                 arc_row.push(None);
             }
@@ -536,11 +594,12 @@ impl<'g> PathMaster<'g> {
         let master = Self {
             graph,
             arc_row,
-            ncap_rows,
+            row_size,
             starts,
             owners_of_source,
             seen: vec![HashSet::new(); terminus.len()],
             terminus,
+            owner_size: fold.owner_size,
             columns: Vec::new(),
         };
         (master, vec![-INF; ncap_rows], row_upper)
@@ -553,7 +612,7 @@ impl<'g> PathMaster<'g> {
 
     /// Convexity row of `owner`.
     pub(crate) fn convexity_row(&self, owner: usize) -> usize {
-        self.ncap_rows + owner
+        self.row_size.len() + owner
     }
 
     /// Records `path` as the next path column of `owner` and returns its
@@ -562,6 +621,7 @@ impl<'g> PathMaster<'g> {
         if !self.seen[owner].insert(path.clone()) {
             return None;
         }
+        // `(row, c_A(p))` in order of first crossing.
         let mut entries: Vec<(usize, f64)> = Vec::with_capacity(path.hops() + 1);
         for (u, v) in path.links() {
             let a = self
@@ -569,8 +629,15 @@ impl<'g> PathMaster<'g> {
                 .find_edge(u, v)
                 .expect("master paths live in the priced graph");
             if let Some(r) = self.arc_row[a] {
-                entries.push((r, 1.0));
+                match entries.iter_mut().find(|(row, _)| *row == r) {
+                    Some((_, crossings)) => *crossings += 1.0,
+                    None => entries.push((r, 1.0)),
+                }
             }
+        }
+        let size = self.owner_size[owner];
+        for (r, coefficient) in &mut entries {
+            *coefficient = size * *coefficient / self.row_size[*r];
         }
         entries.push((self.convexity_row(owner), 1.0));
         self.columns.push((owner, path));
@@ -592,12 +659,13 @@ impl<'g> PathMaster<'g> {
     fn arc_weights(&self, y: &[f64]) -> Vec<f64> {
         self.arc_row
             .iter()
-            .map(|r| r.map_or(0.0, |r| (-y[r]).max(0.0)))
+            .map(|r| r.map_or(0.0, |r| (-y[r]).max(0.0) / self.row_size[r]))
             .collect()
     }
 
     fn convexity_duals(&self, y: &[f64]) -> Vec<f64> {
-        y[self.ncap_rows..self.ncap_rows + self.terminus.len()].to_vec()
+        let ncap_rows = self.row_size.len();
+        y[ncap_rows..ncap_rows + self.terminus.len()].to_vec()
     }
 
     /// Prices source `si` under `weights`/`mu`, pushing every improving path
@@ -615,7 +683,7 @@ impl<'g> PathMaster<'g> {
             let cost = tree
                 .distance(self.terminus[k])
                 .expect("every terminus is reachable from its source");
-            let violation = mu[k] - cost;
+            let violation = mu[k] - self.owner_size[k] * cost;
             if violation > PRICING_TOLERANCE {
                 let path = splice(
                     tree.path_to(self.terminus[k])
@@ -743,7 +811,7 @@ pub(crate) fn run_colgen(
         let (y, smoothed) = stabilizer.pricing_duals(&y_raw);
         let mut weights = master.arc_weights(&y);
         let mut mu = master.convexity_duals(&y);
-        partial.accumulate(&weights, &mu, &master.owners_of_source);
+        partial.accumulate(&weights, &mu, &master.owner_size, &master.owners_of_source);
 
         let mut to_price: Vec<usize> = Vec::with_capacity(nsrc);
         let mut skipped: Vec<usize> = Vec::new();
@@ -777,7 +845,7 @@ pub(crate) fn run_colgen(
                 stabilizer.collapse(&y_raw);
                 weights = master.arc_weights(&y_raw);
                 mu = master.convexity_duals(&y_raw);
-                partial.accumulate(&weights, &mu, &master.owners_of_source);
+                partial.accumulate(&weights, &mu, &master.owner_size, &master.owners_of_source);
                 (0..nsrc).collect()
             } else {
                 skipped
@@ -913,16 +981,16 @@ mod tests {
         let mut pp = PartialPricing::new(Some(0.1), 2);
         // Before any sweep nothing may be skipped (infinite initial drift).
         assert!(!pp.should_skip(0) && !pp.should_skip(1));
-        pp.accumulate(&[1.0, 1.0], &[0.5, 0.5], &per_source);
+        pp.accumulate(&[1.0, 1.0], &[0.5, 0.5], &[1.0, 1.0], &per_source);
         pp.mark_priced(0, false);
         pp.mark_priced(1, true);
         // Identical duals next round: source 0 (found nothing) skips, source 1
         // (found a candidate) does not.
-        pp.accumulate(&[1.0, 1.0], &[0.5, 0.5], &per_source);
+        pp.accumulate(&[1.0, 1.0], &[0.5, 0.5], &[1.0, 1.0], &per_source);
         assert!(pp.should_skip(0));
         assert!(!pp.should_skip(1));
         // A large drift un-skips source 0.
-        pp.accumulate(&[2.0, 1.0], &[0.5, 0.5], &per_source);
+        pp.accumulate(&[2.0, 1.0], &[0.5, 0.5], &[1.0, 1.0], &per_source);
         assert!(!pp.should_skip(0));
     }
 
@@ -930,9 +998,9 @@ mod tests {
     fn partial_pricing_disabled_never_skips() {
         let per_source = vec![vec![0usize]];
         let mut pp = PartialPricing::new(None, 1);
-        pp.accumulate(&[1.0], &[0.0], &per_source);
+        pp.accumulate(&[1.0], &[0.0], &[1.0], &per_source);
         pp.mark_priced(0, false);
-        pp.accumulate(&[1.0], &[0.0], &per_source);
+        pp.accumulate(&[1.0], &[0.0], &[1.0], &per_source);
         assert!(!pp.should_skip(0));
     }
 }

@@ -26,13 +26,17 @@
 //!   standard form: restricted-master column generation
 //!   ([`pmcf::solve_path_mcf_colgen_among`]) grows the path set adaptively by
 //!   dual-cost shortest-path pricing and certifies optimality of the unrestricted
-//!   path LP on any topology; an explicit candidate path set (edge-disjoint,
-//!   shortest, bounded length — [`pmcf::solve_path_mcf_with_paths`]) is that same
-//!   master solved once.
+//!   path LP on any topology; it folds the master by the fabric's automorphism
+//!   group (one demand row per commodity orbit, one capacity row per arc orbit;
+//!   GenKautz-40's 1,560 commodities are 156 orbits). An explicit candidate path
+//!   set (edge-disjoint, shortest, bounded length —
+//!   [`pmcf::solve_path_mcf_with_paths`]) is that same master, unfolded, solved
+//!   once.
 //! * [`colgen`] — the column-generation engine shared by `pmcf` and the
 //!   time-expanded master of `tscolgen`: one crate-private path master (the
 //!   arc→row map, dual weights, the per-source Dijkstra pricing sweep, path
-//!   columns and their `(owner, path)` record, written once for both) and the
+//!   columns and their `(owner, path)` record, written once for both, and
+//!   folded by orbits of a group of automorphisms where the solver has one) and the
 //!   round loop over it, with dual stabilization (Wentges smoothing),
 //!   drift-based partial pricing, a serial deterministic pricing sweep, and
 //!   column-pool aging. Its public surface is the options and statistics

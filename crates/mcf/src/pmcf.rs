@@ -27,12 +27,50 @@
 //! path columns are the crate's one path master ([`crate::colgen`]) over the
 //! fabric, each commodity's source tree priced at its destination; this module
 //! adds the demand rows, the `F` column, the objective sign and the extraction.
+//!
+//! # The orbit fold
+//!
+//! Column generation restricts its master to flows invariant under the group
+//! `H` of automorphisms [`symmetry::automorphisms`] finds on the fabric (it
+//! maps arcs to arcs of equal capacity and endpoints to endpoints). Averaging
+//! any optimal flow over `H` gives a feasible, optimal, invariant flow, by
+//! convexity, so the restriction loses nothing (Bödi, Herr & Joswig, *Math.
+//! Program.* 137, 2013; Margot, *50 Years of Integer Programming*, 2010). An
+//! invariant flow is fixed by one commodity per orbit `K` of ordered endpoint
+//! pairs: the master has one demand row per commodity orbit, owned by its first
+//! member `k`, and one capacity row per arc orbit `A`. A path `p` of `K` enters
+//! as `|K| · c_A(p) / |A|` on row `A` (`c_A(p)` counts `p`'s arcs in `A`): the
+//! load of `K`'s whole orbit on `A`, spread evenly over `A`'s arcs. Pricing runs
+//! one tree per owner source, a node-orbit representative, at arc weights
+//! `max(0, −y_A) / |A|`, and `K` improves when `μ_K − |K| · dist(t_K)` passes
+//! [`crate::PRICING_TOLERANCE`].
+//!
+//! The certificate is still that of the *unrestricted* path LP. A dual
+//! solution `(y_A, μ_K)` of the folded master spreads to the unfolded LP as
+//! `y_a = y_A / |A|` on each arc of `A` and `μ_c = μ_K / |K|` on each member of
+//! `K`, with the same objective. Those arc weights are invariant under `H`, so
+//! every member of `K` has a cheapest path of the same cost as `k`'s, and the
+//! spread dual is feasible exactly when no owner prices below its `μ_K`: a
+//! sweep that finds nothing proves the unrestricted optimum (at a tolerance
+//! `|K|` times tighter per member).
+//!
+//! Extraction maps each member `g(k)` of an orbit through one element `g` of
+//! `H`: each column of `k`, weight `z`, is averaged over `Stab(k)` — `z /
+//! |Stab(k)|` on each `g(h(p))`, `h ∈ Stab(k)`, duplicate paths merged — since
+//! one image alone would load the arcs of an orbit unevenly wherever the
+//! stabilizer is not trivial (GenKautz-32, the tori). A fabric whose group is
+//! trivial folds nothing: `|K| = |A| = 1`, every scale factor is an exact
+//! `1.0`, and the master is the unfolded one bit for bit. A caller's fixed path
+//! sets ([`solve_path_mcf_with_paths`]) need not be invariant, so they are not
+//! folded.
+
+use std::collections::HashMap;
 
 use a2a_lp::sparse::SparseVec;
 use a2a_lp::{SimplexOptions, Solver, StandardForm, INF};
-use a2a_topology::{paths, Path, Topology};
+use a2a_topology::{paths, symmetry, NodeId, Path, Topology};
 
-use crate::colgen::{run_colgen, ColGenOptions, ColGenStats, PathMaster};
+use crate::colgen::{run_colgen, ColGenOptions, ColGenStats, Fold, PathMaster};
 use crate::linkmcf::validate;
 use crate::tscolgen::shortest_seed;
 use crate::types::{CommoditySet, McfError, McfResult, PathSchedule};
@@ -140,10 +178,13 @@ pub fn solve_path_mcf_with_paths(
         }
     }
 
-    let (sf, master) = path_master(topo, &commodities, path_sets);
+    // The caller's path sets need not be invariant under any automorphism,
+    // so this master is not folded.
+    let orbits = CommodityOrbits::trivial(topo, &commodities);
+    let (sf, master) = path_master(topo, &commodities, &orbits, path_sets);
     let sol = a2a_lp::simplex::solve(&sf, &SimplexOptions::default())?;
     let flow_value = -sol.objective;
-    let weighted = weighted_paths(
+    let weighted = orbits.weighted_paths(
         topo,
         &commodities,
         master.into_columns(),
@@ -166,46 +207,210 @@ pub struct ColGenPathMcf {
     pub stats: ColGenStats,
 }
 
-/// Builds the path master over `path_sets` (deduplicated per commodity)
-/// directly in standard form, so row indices stay stable while columns are
-/// appended: the master's capacity row per finite-capacity edge (`<= cap`) —
-/// even if no path crosses it yet, a priced-in column may — then one demand
-/// row per commodity (its path weights minus `F` is `>= 0`). Column 0 is `F`
-/// (minimize `-F`); path columns follow in commodity-major order. Pricing runs
-/// one tree per endpoint, each commodity priced at its destination.
+/// The commodities of a path master grouped into orbits of a group `H` of
+/// automorphisms of the fabric (module docs, *The orbit fold*). The master
+/// has one owner per orbit: its first member in commodity order, whose source
+/// is the first endpoint of its node orbit.
+struct CommodityOrbits {
+    /// The elements of `H` as node permutations, the identity first.
+    elements: Vec<Vec<NodeId>>,
+    /// The `H`-orbit of each arc.
+    arc_orbit: Vec<usize>,
+    /// The owner (commodity index) of each orbit.
+    owner: Vec<usize>,
+    /// `|K|`: the commodities of each orbit.
+    size: Vec<usize>,
+    /// `(orbit, element)` of each commodity: the element maps the orbit's
+    /// owner onto the commodity.
+    image: Vec<(usize, usize)>,
+    /// The elements that fix each orbit's owner, `Stab(k)`.
+    stabilizer: Vec<Vec<usize>>,
+}
+
+impl CommodityOrbits {
+    /// Every commodity its own orbit: the unfolded master.
+    fn trivial(topo: &Topology, commodities: &CommoditySet) -> Self {
+        Self::new(
+            commodities,
+            vec![(0..topo.num_nodes()).collect()],
+            (0..commodities.len()).collect(),
+            (0..topo.num_edges()).collect(),
+        )
+    }
+
+    /// The orbits under the group [`symmetry::automorphisms`] finds.
+    fn of_fabric(topo: &Topology, commodities: &CommoditySet) -> Self {
+        let group = {
+            let _obs = a2a_obs::span("pmcf.symmetry");
+            symmetry::automorphisms(topo, commodities.endpoints())
+        };
+        Self::new(
+            commodities,
+            group.elements,
+            group.pair_orbit,
+            group.arc_orbit,
+        )
+    }
+
+    /// `pair_orbit` lists the orbit of each commodity, numbered by first
+    /// member; `elements` must be a group with exactly these orbits.
+    fn new(
+        commodities: &CommoditySet,
+        elements: Vec<Vec<NodeId>>,
+        pair_orbit: Vec<usize>,
+        arc_orbit: Vec<usize>,
+    ) -> Self {
+        let mut owner = Vec::new();
+        let mut size = Vec::new();
+        for (c, &orbit) in pair_orbit.iter().enumerate() {
+            if orbit == owner.len() {
+                owner.push(c);
+                size.push(0);
+            }
+            size[orbit] += 1;
+        }
+        let endpoints = commodities.endpoints();
+        let m = endpoints.len();
+        let mut position = vec![usize::MAX; elements[0].len()];
+        for (i, &s) in endpoints.iter().enumerate() {
+            position[s] = i;
+        }
+        let index = |s: NodeId, d: NodeId| {
+            let (i, j) = (position[s], position[d]);
+            i * (m - 1) + j - usize::from(j > i)
+        };
+        let mut image = vec![None; pair_orbit.len()];
+        let mut stabilizer = vec![Vec::new(); owner.len()];
+        for (orbit, &k) in owner.iter().enumerate() {
+            let (s, d) = commodities.pair(k);
+            for (h, element) in elements.iter().enumerate() {
+                let c = index(element[s], element[d]);
+                if c == k {
+                    stabilizer[orbit].push(h);
+                }
+                image[c].get_or_insert((orbit, h));
+            }
+        }
+        Self {
+            elements,
+            arc_orbit,
+            owner,
+            size,
+            image: image
+                .into_iter()
+                .map(|i| i.expect("the group reaches every member of an orbit"))
+                .collect(),
+            stabilizer,
+        }
+    }
+
+    /// The path weights of every commodity from a master solution `x` (path
+    /// column `j` is LP column `j + 1`), dropping weights below
+    /// [`WEIGHT_TOL`]: an owner's column of weight `z` is averaged over
+    /// `Stab(k)` (`z / |Stab(k)|` on each image, duplicates merged), and each
+    /// member of the orbit takes that list's image under its element. A
+    /// commodity left without paths falls back to its shortest path at full
+    /// weight.
+    fn weighted_paths(
+        &self,
+        topo: &Topology,
+        commodities: &CommoditySet,
+        columns: Vec<(usize, Path)>,
+        x: &[f64],
+        flow_value: f64,
+    ) -> McfResult<Vec<Vec<(Path, f64)>>> {
+        if flow_value <= WEIGHT_TOL {
+            return Err(McfError::Lp(
+                "path MCF produced a zero concurrent flow".into(),
+            ));
+        }
+        let map = |h: usize, path: &Path| {
+            Path::new(path.nodes().iter().map(|&u| self.elements[h][u]).collect())
+        };
+        let mut averaged: Vec<Vec<(Path, f64)>> = vec![Vec::new(); self.owner.len()];
+        let mut listed: Vec<HashMap<Path, usize>> = vec![HashMap::new(); self.owner.len()];
+        for (j, (orbit, path)) in columns.into_iter().enumerate() {
+            let w = x[j + 1];
+            if w <= WEIGHT_TOL {
+                continue;
+            }
+            let share = w / self.stabilizer[orbit].len() as f64;
+            for &h in &self.stabilizer[orbit] {
+                let image = map(h, &path);
+                match listed[orbit].get(&image) {
+                    Some(&i) => averaged[orbit][i].1 += share,
+                    None => {
+                        listed[orbit].insert(image.clone(), averaged[orbit].len());
+                        averaged[orbit].push((image, share));
+                    }
+                }
+            }
+        }
+        let mut weighted: Vec<Vec<(Path, f64)>> = self
+            .image
+            .iter()
+            .map(|&(orbit, g)| {
+                averaged[orbit]
+                    .iter()
+                    .map(|(p, w)| (map(g, p), *w))
+                    .collect()
+            })
+            .collect();
+        for ((_, s, d), list) in commodities.iter().zip(&mut weighted) {
+            if list.is_empty() {
+                let fallback = paths::shortest_path(topo, s, d).ok_or_else(|| {
+                    McfError::BadTopology(format!("no {s}->{d} path exists for fallback"))
+                })?;
+                list.push((fallback, 1.0));
+            }
+        }
+        Ok(weighted)
+    }
+}
+
+/// Builds the path master over `path_sets` (one list per orbit owner,
+/// deduplicated) directly in standard form, so row indices stay stable while
+/// columns are appended: the master's capacity row per orbit of
+/// finite-capacity edges (`<= cap`) — even if no path crosses it yet, a
+/// priced-in column may — then one demand row per commodity orbit (its
+/// owner's path weights minus `F` is `>= 0`). Column 0 is `F` (minimize
+/// `-F`); path columns follow in owner-major order. Pricing runs one tree per
+/// owner source, each owner priced at its destination.
 fn path_master<'a>(
     topo: &'a Topology,
     commodities: &CommoditySet,
+    orbits: &CommodityOrbits,
     path_sets: Vec<Vec<Path>>,
 ) -> (StandardForm, PathMaster<'a>) {
-    let ncomm = commodities.len();
-    let endpoints = commodities.endpoints();
-    let commodities_of_source: Vec<Vec<usize>> = endpoints
-        .iter()
-        .map(|&s| {
-            endpoints
-                .iter()
-                .filter(|&&d| d != s)
-                .map(|&d| {
-                    commodities
-                        .index_of(s, d)
-                        .expect("endpoints enumerate the commodity set")
-                })
-                .collect()
-        })
-        .collect();
-    let (mut master, mut row_lower, mut row_upper) = PathMaster::new(
-        topo,
-        endpoints.to_vec(),
-        commodities_of_source,
-        commodities.iter().map(|(_, _, d)| d).collect(),
-        |capacity| capacity,
-    );
-    row_lower.extend(std::iter::repeat_n(0.0, ncomm));
-    row_upper.extend(std::iter::repeat_n(INF, ncomm));
+    let nowners = orbits.owner.len();
+    let mut starts: Vec<NodeId> = Vec::new();
+    let mut owners_of_source: Vec<Vec<usize>> = Vec::new();
+    let mut terminus = Vec::with_capacity(nowners);
+    for (orbit, &k) in orbits.owner.iter().enumerate() {
+        let (s, d) = commodities.pair(k);
+        if starts.last() != Some(&s) {
+            starts.push(s);
+            owners_of_source.push(Vec::new());
+        }
+        owners_of_source
+            .last_mut()
+            .expect("a source was just pushed")
+            .push(orbit);
+        terminus.push(d);
+    }
+    let fold = Fold {
+        arc_orbit: orbits.arc_orbit.clone(),
+        owner_size: orbits.size.iter().map(|&k| k as f64).collect(),
+    };
+    let (mut master, mut row_lower, mut row_upper) =
+        PathMaster::new(topo, starts, owners_of_source, terminus, fold, |capacity| {
+            capacity
+        });
+    row_lower.extend(std::iter::repeat_n(0.0, nowners));
+    row_upper.extend(std::iter::repeat_n(INF, nowners));
 
     let mut cols = vec![SparseVec::from_entries(
-        (0..ncomm).map(|k| (master.convexity_row(k), -1.0)),
+        (0..nowners).map(|k| (master.convexity_row(k), -1.0)),
     )];
     for (k, set) in path_sets.into_iter().enumerate() {
         for p in set {
@@ -227,78 +432,64 @@ fn path_master<'a>(
     (sf, master)
 }
 
-/// Reads the weighted paths of every commodity off a master solution `x`
-/// (path column `j` is LP column `j + 1`), dropping weights below
-/// [`WEIGHT_TOL`]; a commodity that loses all of its paths to the threshold
-/// falls back to its shortest path at full weight.
-fn weighted_paths(
-    topo: &Topology,
-    commodities: &CommoditySet,
-    columns: Vec<(usize, Path)>,
-    x: &[f64],
-    flow_value: f64,
-) -> McfResult<Vec<Vec<(Path, f64)>>> {
-    if flow_value <= WEIGHT_TOL {
-        return Err(McfError::Lp(
-            "path MCF produced a zero concurrent flow".into(),
-        ));
-    }
-    let mut weighted: Vec<Vec<(Path, f64)>> = vec![Vec::new(); commodities.len()];
-    for (j, (k, path)) in columns.into_iter().enumerate() {
-        let w = x[j + 1];
-        if w > WEIGHT_TOL {
-            weighted[k].push((path, w));
-        }
-    }
-    for ((_, s, d), list) in commodities.iter().zip(&mut weighted) {
-        if list.is_empty() {
-            let fallback = paths::shortest_path(topo, s, d).ok_or_else(|| {
-                McfError::BadTopology(format!("no {s}->{d} path exists for fallback"))
-            })?;
-            list.push((fallback, 1.0));
-        }
-    }
-    Ok(weighted)
-}
-
 /// Solves path-MCF to proven optimality by restricted-master column generation.
 ///
 /// The restricted master is the path LP over the current candidate sets,
-/// maximized over the concurrent flow `F` (built directly in standard form:
-/// one capacity row per finite-capacity edge — present from the start so later
-/// columns can always price against every edge — and one convexity/demand row
-/// per commodity). Each round re-solves the master *in place* through the
-/// incremental [`Solver`] session — appended columns enter nonbasic, the
-/// factorized basis carries over, so every re-solve is a warm phase-2
-/// continuation — then prices all commodities at once with one Dijkstra tree
-/// per source under the dual edge costs. Every improving path (dual-weighted
-/// length below the commodity's convexity dual minus
-/// [`crate::PRICING_TOLERANCE`]) is appended, best violations first. The
-/// master is seeded with one hop-shortest path per commodity.
+/// maximized over the concurrent flow `F` and folded by the fabric's
+/// automorphism group (module docs, *The orbit fold*; on a fabric without
+/// symmetry it is the plain path LP). It is built directly in standard form:
+/// one capacity row per orbit of finite-capacity edges — present from the
+/// start so later columns can always price against every edge — and one
+/// convexity/demand row per commodity orbit. Each round re-solves the master
+/// *in place* through the incremental [`Solver`] session — appended columns
+/// enter nonbasic, the factorized basis carries over, so every re-solve is a
+/// warm phase-2 continuation — then prices every orbit at once with one
+/// Dijkstra tree per representative source under the dual edge costs. Every
+/// improving path (scaled dual-weighted length below the orbit's convexity
+/// dual minus [`crate::PRICING_TOLERANCE`]) is appended, best violations
+/// first. The master is seeded with one hop-shortest path per orbit.
 ///
 /// Terminates with [`ColGenStats::proved_optimal`] when no improving path
 /// exists — the LP optimality certificate of the *unrestricted* path
-/// formulation — or returns the best restricted solution when
-/// [`ColGenOptions::max_rounds`] is exhausted.
+/// formulation, folded or not (module docs) — or returns the best restricted
+/// solution when [`ColGenOptions::max_rounds`] is exhausted. The schedule
+/// lists every commodity's paths, each orbit's averaged over its stabilizer.
 pub fn solve_path_mcf_colgen_among(
     topo: &Topology,
     commodities: CommoditySet,
     options: &ColGenOptions,
 ) -> McfResult<ColGenPathMcf> {
+    solve_colgen(topo, commodities, options, CommodityOrbits::of_fabric)
+}
+
+/// [`solve_path_mcf_colgen_among`] over the fold `orbits` builds (the unit
+/// tests pass [`CommodityOrbits::trivial`] to drive the unfolded master on a
+/// symmetric fabric).
+fn solve_colgen(
+    topo: &Topology,
+    commodities: CommoditySet,
+    options: &ColGenOptions,
+    orbits: fn(&Topology, &CommoditySet) -> CommodityOrbits,
+) -> McfResult<ColGenPathMcf> {
     validate(topo, &commodities)?;
     options.validate().map_err(McfError::BadArgument)?;
-    let path_sets: Vec<Vec<Path>> = commodities
+    let orbits = orbits(topo, &commodities);
+    let path_sets: Vec<Vec<Path>> = orbits
+        .owner
         .iter()
-        .map(|(_, s, d)| Ok(vec![shortest_seed(topo, s, d)?]))
+        .map(|&k| {
+            let (s, d) = commodities.pair(k);
+            Ok(vec![shortest_seed(topo, s, d)?])
+        })
         .collect::<McfResult<_>>()?;
-    let (sf, mut master) = path_master(topo, &commodities, path_sets);
+    let (sf, mut master) = path_master(topo, &commodities, &orbits, path_sets);
     let mut solver = Solver::new_owned(sf, SimplexOptions::default())?;
 
     // Column 0 is F, so the path columns start at structural column 1; the
     // master minimizes -F.
     let (sol, stats) = run_colgen(&mut solver, &mut master, 1, options, |obj| -obj, |p| p)?;
     let flow_value = -sol.objective;
-    let weighted = weighted_paths(
+    let weighted = orbits.weighted_paths(
         topo,
         &commodities,
         master.into_columns(),
@@ -322,6 +513,18 @@ mod tests {
     /// Column generation for an all-to-all among all nodes.
     fn solve_path_mcf_colgen(topo: &Topology, options: &ColGenOptions) -> McfResult<ColGenPathMcf> {
         solve_path_mcf_colgen_among(topo, CommoditySet::all_pairs(topo.num_nodes()), options)
+    }
+
+    /// Column generation over the unfolded master. Folded by the fat tree's
+    /// group, the starved shortest-path seed is averaged over spines and the
+    /// master needs a few rounds only, so the tests of the round machinery on
+    /// it below drive the master every fabric without symmetry runs.
+    fn solve_unfolded(
+        topo: &Topology,
+        commodities: CommoditySet,
+        options: &ColGenOptions,
+    ) -> McfResult<ColGenPathMcf> {
+        solve_colgen(topo, commodities, options, CommodityOrbits::trivial)
     }
 
     #[test]
@@ -409,7 +612,7 @@ mod tests {
     /// Seeded with nothing but one shortest path per commodity — the same
     /// starved starting point — column generation must price the parallel
     /// spines back in and reach the optimum F = 1/(N-1) = 1/15 with its
-    /// certificate intact.
+    /// certificate intact, folded by the fat tree's group or not.
     #[test]
     fn colgen_closes_the_fat_tree_gap_from_a_shortest_path_seed() {
         let ft = generators::fat_tree_two_level(4, 2, 4);
@@ -425,8 +628,17 @@ mod tests {
             "edge-disjoint F = {} (the single-uplink concentration)",
             disjoint.flow_value
         );
-        let cg =
-            solve_path_mcf_colgen_among(&ft.graph, commodities, &ColGenOptions::default()).unwrap();
+        let folded =
+            solve_path_mcf_colgen_among(&ft.graph, commodities.clone(), &ColGenOptions::default())
+                .unwrap();
+        assert!(folded.stats.proved_optimal, "certificate must hold");
+        assert!((folded.schedule.flow_value - optimum).abs() < 1e-6);
+        assert!(folded
+            .schedule
+            .check_consistency(&ft.graph, 1e-6)
+            .is_empty());
+
+        let cg = solve_unfolded(&ft.graph, commodities, &ColGenOptions::default()).unwrap();
         assert!(cg.stats.proved_optimal, "certificate must hold");
         assert!(
             (cg.schedule.flow_value - optimum).abs() < 1e-6,
@@ -454,7 +666,7 @@ mod tests {
             max_rounds: 1,
             ..ColGenOptions::default()
         };
-        let cg = solve_path_mcf_colgen_among(&ft.graph, commodities, &opts).unwrap();
+        let cg = solve_unfolded(&ft.graph, commodities, &opts).unwrap();
         assert!(!cg.stats.proved_optimal);
         assert_eq!(cg.stats.num_rounds(), 1);
         // The shortest-path seed on the fat tree is the 1/24 concentration.
@@ -474,9 +686,8 @@ mod tests {
             partial_pricing: None,
             ..ColGenOptions::default()
         };
-        let a = solve_path_mcf_colgen_among(&ft.graph, commodities.clone(), &full).unwrap();
-        let b =
-            solve_path_mcf_colgen_among(&ft.graph, commodities, &ColGenOptions::default()).unwrap();
+        let a = solve_unfolded(&ft.graph, commodities.clone(), &full).unwrap();
+        let b = solve_unfolded(&ft.graph, commodities, &ColGenOptions::default()).unwrap();
         assert!(a.stats.proved_optimal && b.stats.proved_optimal);
         assert!(
             (a.schedule.flow_value - b.schedule.flow_value).abs() < 1e-9,
@@ -510,9 +721,8 @@ mod tests {
             stabilization: Stabilization::None,
             ..ColGenOptions::default()
         };
-        let plain = solve_path_mcf_colgen_among(&ft.graph, commodities.clone(), &base).unwrap();
-        let stab =
-            solve_path_mcf_colgen_among(&ft.graph, commodities, &ColGenOptions::default()).unwrap();
+        let plain = solve_unfolded(&ft.graph, commodities.clone(), &base).unwrap();
+        let stab = solve_unfolded(&ft.graph, commodities, &ColGenOptions::default()).unwrap();
         assert!(plain.stats.proved_optimal && stab.stats.proved_optimal);
         assert!(
             (plain.schedule.flow_value - stab.schedule.flow_value).abs() < 1e-9,

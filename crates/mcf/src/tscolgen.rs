@@ -79,7 +79,7 @@ use a2a_lp::{SimplexOptions, Solver, StandardForm, INF};
 use a2a_topology::transform::TimeExpanded;
 use a2a_topology::{paths, EdgeId, NodeId, Path, Topology};
 
-use crate::colgen::{run_colgen, ColGenOptions, ColGenStats, PathMaster};
+use crate::colgen::{run_colgen, ColGenOptions, ColGenStats, Fold, PathMaster};
 use crate::linkmcf::validate;
 use crate::tsmcf::{at_source_demands, holding_step_bound, minimum_steps, TsMcfSolution};
 use crate::types::{CommoditySet, McfError, McfResult};
@@ -294,6 +294,7 @@ pub(crate) fn solve_expanded_colgen(
             .iter()
             .map(|d| expanded.node_at(steps, d.dest))
             .collect(),
+        Fold::trivial(&expanded.graph, ndem),
         |_| 0.0,
     );
     for d in demands {

@@ -144,6 +144,11 @@ fn traced_colgen_solve_balances_and_repeats() {
         assert!(s.count("colgen.pricing") >= 1, "no pricing sweep traced");
     }
 
+    // pMCF colgen searches the fabric's group once per solve, around its
+    // master build; the time-expanded master is not folded.
+    assert_eq!(colgen[0].1.count("pmcf.symmetry"), 1);
+    assert_eq!(tscolgen[0].1.count("pmcf.symmetry"), 0);
+
     // One symmetry search per solve. The torus is one orbit: one child LP
     // runs and the other sources' children are mapped from it. The mesh has
     // no automorphism between its corners and its centre, so it solves one

@@ -21,9 +21,11 @@
 //!   the host↔NIC bottleneck augmentation of Fig. 2 (§3.2.2).
 //! * [`puncture`] — random edge/node removal used for the punctured-torus and
 //!   disabled-links experiments (Fig. 5, Fig. 9).
-//! * [`symmetry`] — a checked automorphism per endpoint taking the first
-//!   endpoint to it, found by colour refinement and individualization; the
-//!   decomposed MCF solves one source's LPs and maps the rest through them.
+//! * [`symmetry`] — automorphisms found by colour refinement and
+//!   individualization, each checked arc by arc: one per endpoint taking the
+//!   first endpoint to it (the decomposed MCF solves one source's LPs and maps
+//!   the rest through them), or the group a fabric has with its node, endpoint
+//!   pair and arc orbits (path-MCF folds its master by it).
 
 pub mod generators;
 pub mod graph;
