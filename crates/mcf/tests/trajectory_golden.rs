@@ -11,7 +11,10 @@
 //! decomposed rows at the end do the same for the dual-simplex master and the
 //! warm-started child LPs, which no colgen row reaches. The residual row pins
 //! the third caller of the time-expanded master: a warm-started re-plan on a
-//! punctured fabric, its demands held mid-fabric in partial amounts.
+//! punctured fabric, its demands held mid-fabric in partial amounts. The
+//! path-MCF rows on torus-4×4 and the fat tree pin the master folded by the
+//! fabric's automorphism group; the random regular graph has none, so its row
+//! pins the unfolded master, bit for bit what it was before the fold.
 //!
 //! These counts repeat exactly from run to run and machine to machine, which
 //! makes this file the regression gate on the colgen engines' work: a solve
@@ -265,46 +268,31 @@ fn path_mcf_production_colgen_trajectories_are_pinned() {
             "torus-4x4",
             &torus,
             (0..torus.num_nodes()).collect(),
+            // Folded by the 4-cube's 384 automorphisms to 4 commodity
+            // orbits and 1 arc orbit: the seed is optimal.
             Golden {
                 config: "production",
                 options: production_options(),
-                skips_sources: true,
-                rounds: &[
-                    (21, 241, 0),
-                    (17, 6, 7),
-                    (25, 17, 0),
-                    (19, 4, 0),
-                    (33, 21, 0),
-                    (17, 3, 0),
-                    (23, 21, 0),
-                    (31, 90, 0),
-                    (57, 45, 0),
-                    (73, 140, 0),
-                    (19, 87, 0),
-                    (0, 0, 0),
-                ],
-                total_columns: 575,
-                flow_bits: 0x3fbf_ffff_ffff_ffee,
+                skips_sources: false,
+                rounds: &[(0, 5, 0)],
+                total_columns: 4,
+                flow_bits: 0x3fc0_0000_0000_0000,
             },
         ),
         (
             "fattree-16h",
             &fat_tree.graph,
             fat_tree.hosts.clone(),
+            // Folded by a subgroup of 2,304 automorphisms (the whole group
+            // passes the closure cap) to 59 commodity orbits.
             Golden {
                 config: "production",
                 options: production_options(),
-                skips_sources: true,
-                rounds: &[
-                    (48, 241, 0),
-                    (32, 2, 4),
-                    (48, 1, 4),
-                    (48, 1, 4),
-                    (16, 95, 3),
-                    (0, 0, 0),
-                ],
-                total_columns: 432,
-                flow_bits: 0x3fb1_1111_1111_1112,
+                skips_sources: false,
+                rounds: &[(15, 60, 0), (15, 1, 0), (9, 21, 0), (0, 3, 0)],
+                total_columns: 98,
+                // 1/15 + 3 ulp.
+                flow_bits: 0x3fb1_1111_1111_1114,
             },
         ),
         // A fabric without symmetry: its master is the unfolded one.

@@ -109,6 +109,6 @@ fn genkautz_32_colgen_paths() {
     check(
         &topo,
         &solved.schedule,
-        (1072, (3, 10733206867131485063), (4, 2086071882229335172)),
+        (1408, (4, 11829698551550713670), (6, 18439447461959846499)),
     );
 }
