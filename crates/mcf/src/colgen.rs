@@ -994,6 +994,21 @@ mod tests {
         assert!(!pp.should_skip(0));
     }
 
+    /// A folded owner standing for `|K|` commodities drifts `|K|` times as
+    /// far under the same arc-weight change: here `0.05` for one commodity
+    /// (skipped at `0.1`), `0.15` for an orbit of three (priced).
+    #[test]
+    fn partial_pricing_scales_weight_drift_by_orbit_size() {
+        let per_source = vec![vec![0usize], vec![1usize]];
+        let mut pp = PartialPricing::new(Some(0.1), 2);
+        pp.accumulate(&[1.0, 1.0], &[0.5, 0.5], &[1.0, 3.0], &per_source);
+        pp.mark_priced(0, false);
+        pp.mark_priced(1, false);
+        pp.accumulate(&[1.05, 1.0], &[0.5, 0.5], &[1.0, 3.0], &per_source);
+        assert!(pp.should_skip(0));
+        assert!(!pp.should_skip(1));
+    }
+
     #[test]
     fn partial_pricing_disabled_never_skips() {
         let per_source = vec![vec![0usize]];
