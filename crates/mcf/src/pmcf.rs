@@ -269,22 +269,14 @@ impl CommodityOrbits {
             }
             size[orbit] += 1;
         }
-        let endpoints = commodities.endpoints();
-        let m = endpoints.len();
-        let mut position = vec![usize::MAX; elements[0].len()];
-        for (i, &s) in endpoints.iter().enumerate() {
-            position[s] = i;
-        }
-        let index = |s: NodeId, d: NodeId| {
-            let (i, j) = (position[s], position[d]);
-            i * (m - 1) + j - usize::from(j > i)
-        };
         let mut image = vec![None; pair_orbit.len()];
         let mut stabilizer = vec![Vec::new(); owner.len()];
         for (orbit, &k) in owner.iter().enumerate() {
             let (s, d) = commodities.pair(k);
             for (h, element) in elements.iter().enumerate() {
-                let c = index(element[s], element[d]);
+                let c = commodities
+                    .index_of(element[s], element[d])
+                    .expect("automorphisms map endpoint pairs to endpoint pairs");
                 if c == k {
                     stabilizer[orbit].push(h);
                 }
