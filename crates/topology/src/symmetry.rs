@@ -29,9 +29,10 @@
 //!   class in turn, backtracking on failure. A discrete partition is the
 //!   permutation. Each search has a fixed budget of refinements; spending it
 //!   means "no answer", never a wrong one.
-//! * *Orbit closure.* Compositions of the automorphisms found so far reach
-//!   more endpoints than the searches did (one search per dimension on a
-//!   torus), so a search runs only for an endpoint they cannot reach.
+//! * *Orbit closure* ([`transversal`]). Compositions of the automorphisms
+//!   found so far reach more endpoints than the searches did (one search per
+//!   dimension on a torus), so a search runs only for an endpoint they cannot
+//!   reach.
 //!
 //! # Groups
 //!
@@ -58,9 +59,10 @@
 //! are union–find over the generators kept, numbered by first member.
 //!
 //! Search cost (search, verification and closure), release build, a shared
-//! 2-core x86-64 box, best of five per run and the range over three runs,
-//! among all nodes (hosts for the fat tree); "relabelled" renames the nodes by
-//! a seeded permutation, which changes the group found in nothing but cost:
+//! 2-core x86-64 box, best of five per run and the range over two or three
+//! runs, among all nodes (hosts for the fat tree). "Relabelled" renames the
+//! nodes by a seeded permutation: the group and the orbit counts found stay
+//! the same, only the cost moves.
 //!
 //! | fabric | group | pairs → orbits | arcs → orbits | search | relabelled |
 //! |---|---|---|---|---|---|
