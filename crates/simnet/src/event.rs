@@ -1050,6 +1050,9 @@ impl<'a> Engine<'a> {
 }
 
 #[cfg(test)]
+mod eager;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::fair_share::Progressive;
@@ -1852,6 +1855,194 @@ mod tests {
         // transfers, empty shards, QP contention, dependency-driven runs,
         // interrupted timelines and zero latencies.
         assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
+    }
+
+    /// Runs the engine and the eager reference ([`eager`]) on the same inputs;
+    /// returns each one's outcome and number of recomputes.
+    fn run_engine_and_reference(
+        topo: &Topology,
+        sched: &ChunkedSchedule,
+        shard: f64,
+        params: &SimParams,
+        timeline: &ScenarioTimeline,
+        model: ExecutionModel,
+    ) -> (Vec<SimJob>, [(TimelineOutcome, usize); 2]) {
+        let dag = TransferDag::from_schedule(sched).unwrap();
+        let start = timeline.scenario_at(0.0);
+        let (jobs, link_bw) = resolve_jobs(topo, sched, shard, params, &start, &dag).unwrap();
+        let alpha_factor: Vec<f64> = (0..jobs.len()).map(|id| start.alpha_factor(id)).collect();
+        let boundaries = resolve_boundaries(topo, params, timeline, &link_bw);
+        let runs = {
+            let mut engine = Engine::new(topo, &jobs, &dag, link_bw.clone(), params, &alpha_factor);
+            let mut reference =
+                eager::Engine::new(topo, &jobs, &dag, link_bw.clone(), params, &alpha_factor);
+            let [a, b] = match model {
+                ExecutionModel::Synchronized => [
+                    engine.run_synchronized_timeline(&boundaries),
+                    reference.run_synchronized_timeline(&boundaries),
+                ],
+                ExecutionModel::DependencyDriven => [
+                    TimelineOutcome::Completed(engine.run_dependency_driven().unwrap()),
+                    TimelineOutcome::Completed(reference.run_dependency_driven().unwrap()),
+                ],
+            };
+            [(a, engine.recomputes), (b, reference.recomputes)]
+        };
+        (jobs, runs)
+    }
+
+    /// The engine against the eager reference on the generator of
+    /// `per_link_path_matches_progressive_filling_bit_for_bit`, with a host cap
+    /// on a quarter of the cases so that progressive filling is held too.
+    /// Completions, step completions and busy times agree within 1e-12 of the
+    /// run's completion, cut remaining bytes within 1e-12 of the job's bytes,
+    /// peak concurrency and the cut's step, boundary and jobs exactly, and the
+    /// recompute counts within 0.5 % over all cases.
+    #[test]
+    fn engine_matches_the_eager_reference() {
+        use rand::{Rng, SeedableRng};
+        let fabrics = [
+            generators::torus(&[3, 3]),
+            generators::ring(5),
+            generators::bidirectional_ring(6),
+            generators::random_regular(8, 3, 11),
+            generators::random_regular(10, 4, 12),
+        ];
+        let schedules: Vec<(usize, ChunkedSchedule)> = fabrics
+            .iter()
+            .enumerate()
+            .flat_map(|(fi, topo)| {
+                let sol = solve_tsmcf_colgen_auto(topo).unwrap().solution;
+                [1, 6, 32].map(|chunks| (fi, ChunkedSchedule::from_tsmcf_exact(topo, &sol, chunks)))
+            })
+            .filter_map(|(fi, sched)| Some((fi, sched.ok()?)))
+            .collect();
+
+        let close = |a: f64, b: f64, scale: f64| (a - b).abs() <= 1e-12 * scale;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(34);
+        let mut seen = [0usize; 4];
+        let mut recomputes = [0usize; 2];
+        for case in 0..240 {
+            let (fi, base) = &schedules[rng.random_range(0..schedules.len())];
+            let mut topo = fabrics[*fi].clone();
+            let mut sched = base.clone();
+            let edges = topo.num_edges();
+            if rng.random_range(0..4) == 0 {
+                for _ in 0..1 + rng.random_range(0..3) {
+                    topo.set_capacity(rng.random_range(0..edges), f64::INFINITY);
+                }
+            }
+            if rng.random_range(0..5) == 0 {
+                let (origin, final_dest) = sched
+                    .commodities
+                    .pair(rng.random_range(0..sched.commodities.len()));
+                let to = topo.edge(topo.out_edges(origin)[0]).dst;
+                let step = rng.random_range(0..sched.steps.len());
+                sched.steps[step].transfers.push(ChunkTransfer {
+                    from: origin,
+                    to,
+                    origin,
+                    final_dest,
+                    chunks: 0,
+                });
+            }
+            let shard = if rng.random_range(0..6) == 0 {
+                0.0
+            } else {
+                2f64.powf(8.0 + 16.0 * rng.random_f64())
+            };
+            let mut params = SimParams {
+                qp_contention: rng.random_bool(0.5).then(|| crate::QpContention {
+                    free_flows_per_link: rng.random_range(0..4),
+                    penalty_per_flow: 0.5 * rng.random_f64(),
+                }),
+                host_injection_gbps: rng.random_bool(0.25).then(|| 1.0 + 8.0 * rng.random_f64()),
+                ..SimParams::default()
+            };
+            seen[0] += usize::from(params.host_injection_gbps.is_some());
+            if rng.random_range(0..4) == 0 {
+                params.per_hop_latency_s = 0.0;
+                params.step_sync_latency_s = 0.0;
+            }
+            let mut scenario = Scenario::nominal();
+            for _ in 0..rng.random_range(0..3) {
+                let factor = 0.1 + 0.9 * rng.random_f64();
+                scenario = scenario.with_link_slowdown(rng.random_range(0..edges), factor);
+            }
+            if rng.random_range(0..3) == 0 {
+                scenario = scenario.with_alpha_jitter(case, 1.0, 2.0);
+            }
+            let model = if rng.random_bool(0.5) {
+                seen[1] += 1;
+                ExecutionModel::DependencyDriven
+            } else {
+                ExecutionModel::Synchronized
+            };
+            let mut timeline = ScenarioTimeline::new(scenario.clone());
+            if model == ExecutionModel::Synchronized && rng.random_bool(0.6) {
+                let makespan =
+                    crate::simulate_chunked_schedule_with(&topo, &sched, shard, &params, &scenario)
+                        .unwrap()
+                        .completion_seconds;
+                let makespan = if makespan > 0.0 { makespan } else { 1e-3 };
+                let at = |u: f64| makespan * (0.05 + 0.9 * u);
+                let (time, factor) = (at(rng.random_f64()), 0.1 + 0.9 * rng.random_f64());
+                timeline = timeline.with_link_degrade_at(time, rng.random_range(0..edges), factor);
+                if rng.random_bool(0.5) {
+                    let step = &sched.steps[rng.random_range(0..sched.steps.len())];
+                    if let Some(tr) = step.transfers.first() {
+                        let link = topo.find_edge(tr.from, tr.to).unwrap();
+                        timeline = timeline.with_link_failure_at(at(rng.random_f64()), link);
+                    }
+                }
+            }
+            let (jobs, [(engine, engine_recomputes), (reference, reference_recomputes)]) =
+                run_engine_and_reference(&topo, &sched, shard, &params, &timeline, model);
+            recomputes[0] += engine_recomputes;
+            recomputes[1] += reference_recomputes;
+            let what = format!(
+                "case {case} on {}: {model:?}, shard {shard}, {params:?}",
+                topo.name()
+            );
+            match (engine, reference) {
+                (TimelineOutcome::Completed(a), TimelineOutcome::Completed(b)) => {
+                    seen[2] += 1;
+                    let scale = b.completion;
+                    assert!(
+                        close(a.completion, b.completion, scale),
+                        "{what}: completion"
+                    );
+                    assert_eq!(a.max_concurrent, b.max_concurrent, "{what}");
+                    for (x, y) in a.step_completion.iter().zip(&b.step_completion) {
+                        assert!(close(*x, *y, scale), "{what}: step completion {x} vs {y}");
+                    }
+                    for (e, (x, y)) in a.link_busy.iter().zip(&b.link_busy).enumerate() {
+                        assert!(close(*x, *y, scale), "{what}: link {e} busy {x} vs {y}");
+                    }
+                }
+                (TimelineOutcome::Interrupted(a), TimelineOutcome::Interrupted(b)) => {
+                    seen[3] += 1;
+                    assert_eq!(a.time.to_bits(), b.time.to_bits(), "{what}");
+                    assert_eq!((a.cut_step, a.boundary), (b.cut_step, b.boundary), "{what}");
+                    assert_eq!(a.remaining.len(), b.remaining.len(), "{what}");
+                    for (&(ja, x), &(jb, y)) in a.remaining.iter().zip(&b.remaining) {
+                        assert_eq!(ja, jb, "{what}");
+                        let scale = jobs[ja].bytes.max(1.0);
+                        assert!(
+                            close(x, y, scale),
+                            "{what}: job {ja} cut at {x} vs {y} bytes"
+                        );
+                    }
+                }
+                _ => panic!("{what}: one run completed, the other was interrupted"),
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
+        let [engine, reference] = recomputes.map(|n| n as f64);
+        assert!(
+            (engine - reference).abs() <= 0.005 * reference,
+            "{engine} recomputes against the reference's {reference}"
+        );
     }
 
     /// The debug certificate is not vacuous: it rejects an allocation that
