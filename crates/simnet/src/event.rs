@@ -78,7 +78,7 @@ use a2a_mcf::CommoditySet;
 use a2a_schedule::{holdings_after, ChunkTransfer, ChunkedSchedule, ScheduleStep, TransferDag};
 use a2a_topology::{EdgeId, NodeId, Topology};
 
-use crate::fair_share::{LinkShare, Progressive};
+use crate::fair_share::{Ledger, LinkShare, Progressive};
 use crate::scenario::ScenarioTimeline;
 use crate::{Scenario, SimParams, SimReport};
 
@@ -221,12 +221,6 @@ impl SimJob {
     /// drained (a relative byte tolerance for round-off).
     pub(crate) fn drain_threshold(&self) -> f64 {
         DRAIN_EPS * self.bytes.max(1.0)
-    }
-
-    /// Whether a flow of this job with `remaining` bytes left has not drained
-    /// yet.
-    pub(crate) fn still_draining(&self, remaining: f64) -> bool {
-        remaining > self.drain_threshold()
     }
 }
 
@@ -752,13 +746,6 @@ struct Outcome {
     max_concurrent: usize,
 }
 
-/// A flow currently draining.
-#[derive(Clone, Copy)]
-pub(crate) struct ActiveFlow {
-    pub(crate) job: usize,
-    pub(crate) remaining: f64,
-}
-
 struct Engine<'a> {
     jobs: &'a [SimJob],
     dag: &'a TransferDag,
@@ -770,14 +757,16 @@ struct Engine<'a> {
     /// when jitter is off).
     alpha_factor: &'a [f64],
     num_steps: usize,
+    /// Every active flow's bytes, the drain search, retirement and busy time.
+    ledger: Ledger,
     sharing: Sharing,
     /// Recomputes so far (one per event), for the differential tests.
     #[cfg(test)]
     recomputes: usize,
 }
 
-/// How the engine shares the fabric between the active flows — chosen by the
-/// data, not by an option (module docs, "Which path runs").
+/// How the engine computes the active flows' rates — chosen by the data, not
+/// by an option (module docs, "Which path runs").
 enum Sharing {
     /// No host cap: every flow's only finite resource is its link.
     PerLink(LinkShare),
@@ -811,8 +800,9 @@ impl<'a> Engine<'a> {
             params,
             alpha_factor,
             num_steps: dag.num_steps,
+            ledger: Ledger::new(topo.num_edges(), jobs),
             sharing: if params.host_injection_gbps.is_none() {
-                Sharing::PerLink(LinkShare::new(topo.num_edges(), jobs))
+                Sharing::PerLink(LinkShare)
             } else {
                 Sharing::Progressive(Progressive::new(topo.num_edges(), topo.num_nodes()))
             },
@@ -821,58 +811,49 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Starts a flow of `job`'s whole byte volume.
-    fn activate(&mut self, job: usize) {
-        match &mut self.sharing {
-            Sharing::PerLink(links) => links.arrive(job, &self.jobs[job]),
-            Sharing::Progressive(fill) => fill.arrive(job, self.jobs[job].bytes),
+    /// Starts a flow of `job`'s whole byte volume at time `t`.
+    fn activate(&mut self, job: usize, t: f64) {
+        self.ledger.arrive(job, t);
+        if let Sharing::Progressive(fill) = &mut self.sharing {
+            fill.arrive(job);
         }
     }
 
     /// The number of active flows.
     fn flows(&self) -> usize {
-        match &self.sharing {
-            Sharing::PerLink(links) => links.flows(),
-            Sharing::Progressive(fill) => fill.flows(),
-        }
+        self.ledger.flows()
     }
 
-    /// The remaining bytes of `job`'s flow, 0 if it is not active.
-    fn remaining_of(&self, job: usize) -> f64 {
-        match &self.sharing {
-            Sharing::PerLink(links) => links.remaining_of(job, self.jobs[job].link),
-            Sharing::Progressive(fill) => fill.remaining_of(job),
-        }
-    }
-
-    /// One recompute of the active flows' max-min fair rates; returns the time
-    /// until the first of them drains.
-    fn drain_time(&mut self) -> f64 {
+    /// One recompute of the active flows' max-min fair rates at time `t`;
+    /// returns the time at which the first of them drains.
+    fn next_drain(&mut self, t: f64) -> f64 {
         #[cfg(test)]
         {
             self.recomputes += 1;
         }
         let (jobs, link_bw, params) = (self.jobs, &self.link_bw, self.params);
         match &mut self.sharing {
-            Sharing::PerLink(links) => links.drain_time(jobs, link_bw, params),
-            Sharing::Progressive(fill) => fill.drain_time(jobs, link_bw, params),
+            Sharing::PerLink(links) => links.rates(&mut self.ledger, jobs, link_bw, params, t),
+            Sharing::Progressive(fill) => fill.rates(&mut self.ledger, jobs, link_bw, params, t),
         }
+        self.ledger.next_drain()
     }
 
-    /// Advances every active flow by `dt` seconds at the rates of the last
-    /// recompute, charges the links' busy time and retires the drained flows,
-    /// handing each job to `done`.
-    fn advance(&mut self, dt: f64, link_busy: &mut [f64], retire: Retire, done: impl FnMut(usize)) {
-        match &mut self.sharing {
-            Sharing::PerLink(links) => links.advance(dt, link_busy, done),
-            Sharing::Progressive(fill) => fill.advance(self.jobs, dt, link_busy, retire, done),
+    /// Moves the clock to `t` at the rates of the last recompute: retires the
+    /// drained flows, handing each job to `done`.
+    fn settle(&mut self, t: f64, retire: Retire, done: impl FnMut(usize)) {
+        self.ledger.settle(t, done);
+        if let Sharing::Progressive(fill) = &mut self.sharing {
+            fill.compact(&self.ledger, retire);
         }
     }
 
     /// Installs the capacity table of a timeline boundary.
     fn rerate(&mut self, link_bw: &[f64]) {
-        if let Sharing::PerLink(links) = &mut self.sharing {
-            links.rerate(&self.link_bw, link_bw);
+        for (e, (old, new)) in self.link_bw.iter().zip(link_bw).enumerate() {
+            if old.to_bits() != new.to_bits() {
+                self.ledger.touch(e);
+            }
         }
         self.link_bw.copy_from_slice(link_bw);
         OBS_BOUNDARY_REREADS.incr();
@@ -881,11 +862,7 @@ impl<'a> Engine<'a> {
     /// True if any transfer that has not finished — an active flow of the current
     /// step or any job of a later step — uses a failed link.
     fn remaining_work_uses_failed(&self, next_job: usize, failed: &[bool]) -> bool {
-        let live = match &self.sharing {
-            Sharing::PerLink(links) => links.uses_any(failed),
-            Sharing::Progressive(fill) => fill.uses_any(self.jobs, failed),
-        };
-        live || self.jobs[next_job..].iter().any(|j| failed[j.link])
+        self.ledger.uses_any(failed) || self.jobs[next_job..].iter().any(|j| failed[j.link])
     }
 
     /// Synchronized (barrier) execution: each step's flows start together and
@@ -896,7 +873,6 @@ impl<'a> Engine<'a> {
     /// the run always completes.
     fn run_synchronized_timeline(&mut self, boundaries: &[Boundary]) -> TimelineOutcome {
         let mut t = 0.0f64;
-        let mut link_busy = vec![0.0f64; self.link_bw.len()];
         let mut step_completion = vec![0.0f64; self.num_steps];
         let mut max_concurrent = 0usize;
         let mut next_job = 0usize;
@@ -910,17 +886,16 @@ impl<'a> Engine<'a> {
             let mut step_alpha_factor = 1.0f64;
             while next_job < self.jobs.len() && self.jobs[next_job].step == step {
                 step_alpha_factor = step_alpha_factor.max(self.alpha_factor[next_job]);
-                self.activate(next_job);
+                self.activate(next_job, t);
                 next_job += 1;
             }
             max_concurrent = max_concurrent.max(self.flows());
             while self.flows() > 0 {
-                let dt = self.drain_time();
+                let drain = self.next_drain(t);
                 // Cut the drain at the next event boundary.
-                if bi < boundaries.len() && boundaries[bi].time - t <= dt {
-                    let dt_to_event = (boundaries[bi].time - t).max(0.0);
-                    t += dt_to_event;
-                    self.advance(dt_to_event, &mut link_busy, Retire::InOrder, |_| {});
+                if bi < boundaries.len() && boundaries[bi].time <= drain {
+                    t = t.max(boundaries[bi].time);
+                    self.settle(t, Retire::InOrder, |_| {});
                     let b = &boundaries[bi];
                     self.rerate(&b.link_bw);
                     bi += 1;
@@ -928,7 +903,7 @@ impl<'a> Engine<'a> {
                         && self.remaining_work_uses_failed(next_job, &b.failed)
                     {
                         let remaining = (step_first_job..next_job)
-                            .map(|j| (j, self.remaining_of(j)))
+                            .map(|j| (j, self.ledger.remaining_of(j, t)))
                             .collect();
                         return TimelineOutcome::Interrupted(Interrupt {
                             time: b.time,
@@ -939,8 +914,8 @@ impl<'a> Engine<'a> {
                     }
                     continue;
                 }
-                t += dt;
-                self.advance(dt, &mut link_busy, Retire::InOrder, |_| {});
+                t = drain;
+                self.settle(t, Retire::InOrder, |_| {});
             }
             step_completion[step] = t;
             // Events during the synchronization window fire at the barrier: no
@@ -967,7 +942,7 @@ impl<'a> Engine<'a> {
         TimelineOutcome::Completed(Outcome {
             completion: t,
             step_completion,
-            link_busy,
+            link_busy: self.ledger.take_busy(),
             max_concurrent,
         })
     }
@@ -988,7 +963,6 @@ impl<'a> Engine<'a> {
         }
 
         let mut t = 0.0f64;
-        let mut link_busy = vec![0.0f64; self.link_bw.len()];
         let mut step_completion = vec![0.0f64; self.num_steps];
         let mut completed = 0usize;
         let mut max_concurrent = 0usize;
@@ -1017,18 +991,18 @@ impl<'a> Engine<'a> {
                     break;
                 }
                 ready.pop();
-                self.activate(id);
+                self.activate(id, t);
             }
             max_concurrent = max_concurrent.max(self.flows());
 
-            let mut dt = self.drain_time();
+            let drain = self.next_drain(t);
             // Stop early if a new job becomes ready mid-drain.
-            if let Some(&Reverse((OrdF64(rt), _))) = ready.peek() {
-                dt = dt.min(rt - t);
-            }
-            t += dt;
+            t = match ready.peek() {
+                Some(&Reverse((OrdF64(rt), _))) => drain.min(rt),
+                None => drain,
+            };
             let (jobs, alpha_factor) = (self.jobs, self.alpha_factor);
-            self.advance(dt, &mut link_busy, Retire::SwapRemove, |job| {
+            self.settle(t, Retire::SwapRemove, |job| {
                 completed += 1;
                 let step = jobs[job].step;
                 step_completion[step] = step_completion[step].max(t);
@@ -1043,7 +1017,7 @@ impl<'a> Engine<'a> {
         Ok(Outcome {
             completion: t,
             step_completion,
-            link_busy,
+            link_busy: self.ledger.take_busy(),
             max_concurrent,
         })
     }
@@ -2057,13 +2031,7 @@ mod tests {
             let jobs = one_job_per_link(&topo);
             let link_bw = vec![3.125e9; topo.num_edges()];
             let params = SimParams::default();
-            let active: Vec<ActiveFlow> = [0, 0, 1]
-                .iter()
-                .map(|&job| ActiveFlow {
-                    job,
-                    remaining: 1.0,
-                })
-                .collect();
+            let active = [0, 0, 1];
             let mut rates = Vec::new();
             FairShare::new(topo.num_edges(), topo.num_nodes())
                 .assign_rates(&jobs, &link_bw, &params, &active, &mut rates);

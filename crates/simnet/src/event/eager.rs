@@ -13,11 +13,25 @@ use a2a_schedule::TransferDag;
 use a2a_topology::{EdgeId, Topology};
 
 use super::{
-    ActiveFlow, Boundary, Interrupt, OrdF64, Outcome, Retire, SimError, SimJob, SimResult,
-    TimelineOutcome,
+    Boundary, Interrupt, OrdF64, Outcome, Retire, SimError, SimJob, SimResult, TimelineOutcome,
 };
 use crate::fair_share::FairShare;
 use crate::SimParams;
+
+impl SimJob {
+    /// Whether a flow of this job with `remaining` bytes left has not drained
+    /// yet.
+    fn still_draining(&self, remaining: f64) -> bool {
+        remaining > self.drain_threshold()
+    }
+}
+
+/// A flow currently draining.
+#[derive(Clone, Copy)]
+struct ActiveFlow {
+    job: usize,
+    remaining: f64,
+}
 
 /// Progressive filling into per-flow rates, the drain search over every flow,
 /// then an advance pass and a retirement pass.
@@ -64,8 +78,9 @@ impl Progressive {
 
     fn drain_time(&mut self, jobs: &[SimJob], link_bw: &[f64], params: &SimParams) -> f64 {
         let active = &self.active;
+        let active_jobs: Vec<usize> = active.iter().map(|flow| flow.job).collect();
         self.fair
-            .assign_rates(jobs, link_bw, params, active, &mut self.rates);
+            .assign_rates(jobs, link_bw, params, &active_jobs, &mut self.rates);
         let mut dt = f64::INFINITY;
         for (flow, &r) in active.iter().zip(&self.rates) {
             dt = dt.min(if r.is_infinite() {

@@ -88,7 +88,7 @@ use std::ops::Range;
 
 use a2a_topology::EdgeId;
 
-use crate::event::{ActiveFlow, OrdF64, Retire, SimJob};
+use crate::event::{OrdF64, Retire, SimJob};
 use crate::SimParams;
 
 // Observability taps (free while tracing is off; totals accumulate until
@@ -202,7 +202,7 @@ impl FairShare {
         jobs: &[SimJob],
         link_bw: &[f64],
         params: &SimParams,
-        active: &[ActiveFlow],
+        active: &[usize],
     ) {
         self.slots.start_pass();
         self.residual.clear();
@@ -210,8 +210,8 @@ impl FairShare {
         self.link_edge.clear();
         self.flow_res.clear();
         // Links (finite bandwidth only).
-        for flow in active {
-            let e = jobs[flow.job].link;
+        for &job in active {
+            let e = jobs[job].link;
             let mut res = [NO_RESOURCE; 3];
             if !link_bw[e].is_infinite() {
                 let (ri, fresh) = self.slots.get_or_insert(e, self.residual.len());
@@ -234,8 +234,8 @@ impl FairShare {
         // Host injection / ejection caps, one resource per involved node side.
         if let Some(gbps) = params.host_injection_gbps {
             let cap = gbps * 1e9;
-            for (flow, res) in active.iter().zip(&mut self.flow_res) {
-                let job = &jobs[flow.job];
+            for (&job, res) in active.iter().zip(&mut self.flow_res) {
+                let job = &jobs[job];
                 let sides = [
                     self.num_edges + job.src,
                     self.num_edges + self.num_nodes + job.dst,
@@ -271,15 +271,15 @@ impl FairShare {
         }
     }
 
-    /// Max-min fair rates (bytes/s) for the active flows under link, injection
-    /// and ejection capacities, written to `rates` (progressive filling; see the
-    /// module docs for the bottleneck rule).
+    /// Max-min fair rates (bytes/s) for the flows of the `active` jobs under
+    /// link, injection and ejection capacities, written to `rates` (progressive
+    /// filling; see the module docs for the bottleneck rule).
     pub(crate) fn assign_rates(
         &mut self,
         jobs: &[SimJob],
         link_bw: &[f64],
         params: &SimParams,
-        active: &[ActiveFlow],
+        active: &[usize],
         rates: &mut Vec<f64>,
     ) {
         OBS_FAIR_SHARE_RECOMPUTES.incr();
@@ -352,7 +352,7 @@ pub(crate) fn certify_max_min(
     link_bw: &[f64],
     num_nodes: usize,
     params: &SimParams,
-    active: &[ActiveFlow],
+    active: &[usize],
     rates: &[f64],
 ) {
     #[derive(Clone, Copy, Default)]
@@ -364,8 +364,8 @@ pub(crate) fn certify_max_min(
     }
     // Links, then injection sides, then ejection sides.
     let num_edges = link_bw.len();
-    let resources_of = |flow: &ActiveFlow| {
-        let job = &jobs[flow.job];
+    let resources_of = |job: usize| {
+        let job = &jobs[job];
         let link = (!link_bw[job.link].is_infinite()).then_some(job.link);
         let host = params.host_injection_gbps.is_some();
         let send = host.then_some(num_edges + job.src);
@@ -373,8 +373,8 @@ pub(crate) fn certify_max_min(
         [link, send, recv].into_iter().flatten()
     };
     let mut loads = vec![Load::default(); num_edges + 2 * num_nodes];
-    for (flow, &rate) in active.iter().zip(rates) {
-        for r in resources_of(flow) {
+    for (&job, &rate) in active.iter().zip(rates) {
+        for r in resources_of(job) {
             loads[r].members += 1;
             loads[r].sum += rate;
             loads[r].max = loads[r].max.max(rate);
@@ -397,10 +397,10 @@ pub(crate) fn certify_max_min(
             load.capacity
         );
     }
-    for (fi, (flow, &rate)) in active.iter().zip(rates).enumerate() {
+    for (fi, (&job, &rate)) in active.iter().zip(rates).enumerate() {
         let mut constrained = false;
         let mut bottlenecked = false;
-        for load in resources_of(flow).map(|r| &loads[r]) {
+        for load in resources_of(job).map(|r| &loads[r]) {
             constrained = true;
             bottlenecked |=
                 load.sum >= load.capacity * (1.0 - 1e-9) && rate >= load.max * (1.0 - 1e-9);
@@ -411,130 +411,67 @@ pub(crate) fn certify_max_min(
             } else {
                 rate == f64::INFINITY
             },
-            "flow {fi} (job {}) at {rate} B/s has no bottleneck resource",
-            flow.job
+            "flow {fi} (job {job}) at {rate} B/s has no bottleneck resource"
         );
     }
 }
 
-/// The per-event path under a host cap, where one flow's rate can depend on
-/// flows of other links: progressive filling into per-flow rates, the drain
-/// search over every flow, then an advance pass and a retirement pass.
+/// The rates under a host cap, where one flow's rate can depend on flows of
+/// other links: progressive filling over the active flows, in the order the
+/// run loop retires them in.
 pub(crate) struct Progressive {
-    fair: FairShare,
-    /// The active flows, in the order the resource numbering walks them.
-    active: Vec<ActiveFlow>,
+    /// Boxed: the tables are large beside the per-link kernel, which has none.
+    fair: Box<FairShare>,
+    /// The active jobs, in the order the resource numbering walks them.
+    active: Vec<usize>,
     rates: Vec<f64>,
-    /// Per edge: the advance that last charged the link busy time, so that a
-    /// link is charged once per event however many flows it carries.
-    link_seen: Vec<u64>,
-    seen_epoch: u64,
 }
 
 impl Progressive {
     pub(crate) fn new(num_edges: usize, num_nodes: usize) -> Self {
         Self {
-            fair: FairShare::new(num_edges, num_nodes),
+            fair: Box::new(FairShare::new(num_edges, num_nodes)),
             active: Vec::new(),
             rates: Vec::new(),
-            link_seen: vec![0; num_edges],
-            seen_epoch: 0,
         }
     }
 
-    /// `job` starts a flow of its whole byte volume, last in the active order.
-    pub(crate) fn arrive(&mut self, job: usize, bytes: f64) {
-        self.active.push(ActiveFlow {
-            job,
-            remaining: bytes,
-        });
+    /// `job`'s flow joins the active set, last in the order.
+    pub(crate) fn arrive(&mut self, job: usize) {
+        self.active.push(job);
     }
 
-    /// The number of active flows.
-    pub(crate) fn flows(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Whether an active flow runs on a link flagged in `failed`.
-    pub(crate) fn uses_any(&self, jobs: &[SimJob], failed: &[bool]) -> bool {
-        self.active.iter().any(|flow| failed[jobs[flow.job].link])
-    }
-
-    /// The remaining bytes of `job`'s flow, 0 once it drained.
-    pub(crate) fn remaining_of(&self, job: usize) -> f64 {
-        self.active
-            .iter()
-            .find(|flow| flow.job == job)
-            .map_or(0.0, |flow| flow.remaining)
-    }
-
-    /// One recompute: the active flows' max-min rates, and the time until the
-    /// first of them drains.
-    pub(crate) fn drain_time(
+    /// One recompute at time `t`: every active flow's max-min rate, handed to
+    /// the ledger.
+    pub(crate) fn rates(
         &mut self,
+        ledger: &mut Ledger,
         jobs: &[SimJob],
         link_bw: &[f64],
         params: &SimParams,
-    ) -> f64 {
-        let active = &self.active;
+        t: f64,
+    ) {
         self.fair
-            .assign_rates(jobs, link_bw, params, active, &mut self.rates);
-        let mut dt = f64::INFINITY;
-        for (flow, &r) in active.iter().zip(&self.rates) {
-            dt = dt.min(if r.is_infinite() {
-                0.0
-            } else {
-                flow.remaining / r
-            });
+            .assign_rates(jobs, link_bw, params, &self.active, &mut self.rates);
+        for (&job, &rate) in self.active.iter().zip(&self.rates) {
+            ledger.set_rate(job, rate, t);
         }
-        dt
     }
 
-    /// Advances every active flow by `dt` seconds at its rate, charges `dt` of
-    /// busy time to every link that carries one, then retires the drained
-    /// flows in `retire` order (the order of the survivors is the next
-    /// recompute's resource numbering), handing each job to `done`.
-    pub(crate) fn advance(
-        &mut self,
-        jobs: &[SimJob],
-        dt: f64,
-        link_busy: &mut [f64],
-        retire: Retire,
-        mut done: impl FnMut(usize),
-    ) {
+    /// Drops the flows the ledger retired; the survivors keep the order
+    /// `retire` leaves them in, which is the next recompute's resource
+    /// numbering.
+    pub(crate) fn compact(&mut self, ledger: &Ledger, retire: Retire) {
         let active = &mut self.active;
-        if dt > 0.0 {
-            self.seen_epoch += 1;
-            for flow in active.iter() {
-                let e = jobs[flow.job].link;
-                if self.link_seen[e] != self.seen_epoch {
-                    self.link_seen[e] = self.seen_epoch;
-                    link_busy[e] += dt;
-                }
-            }
-        }
-        for (flow, &r) in active.iter_mut().zip(&self.rates) {
-            flow.remaining = if r.is_infinite() {
-                0.0
-            } else {
-                (flow.remaining - r * dt).max(0.0)
-            };
-        }
         match retire {
-            Retire::InOrder => active.retain(|flow| {
-                let draining = jobs[flow.job].still_draining(flow.remaining);
-                if !draining {
-                    done(flow.job);
-                }
-                draining
-            }),
+            Retire::InOrder => active.retain(|&job| ledger.is_active(job)),
             Retire::SwapRemove => {
                 let mut i = 0;
                 while i < active.len() {
-                    if jobs[active[i].job].still_draining(active[i].remaining) {
+                    if ledger.is_active(active[i]) {
                         i += 1;
                     } else {
-                        done(active.swap_remove(i).job);
+                        active.swap_remove(i);
                     }
                 }
             }
@@ -542,40 +479,98 @@ impl Progressive {
     }
 }
 
-/// The per-event path with no host cap, where a flow's only finite resource
-/// is its link: each link splits its capacity evenly among its flows (module
-/// docs, "Per link", for why this, its drain search and its retirement order
-/// are exact).
-///
-/// The active flows live in flat arrays, one fixed window per link: link `e`
-/// owns the slots `start[e]..start[e + 1]`, one per job of the run on the
-/// link, and its flows fill the first `len[e]` of them. Every job arrives
-/// once, so no window overflows.
-pub(crate) struct LinkShare {
-    start: Vec<usize>,
-    len: Vec<usize>,
-    /// Per slot: the flow's remaining bytes, its drain threshold and its job.
-    remaining: Vec<f64>,
-    threshold: Vec<f64>,
-    job: Vec<usize>,
-    /// Active flows over all links.
-    flows: usize,
-    /// The links with flows, in no particular order.
-    live: Vec<EdgeId>,
-    /// Per edge: the rate of each of its flows, `link_bw · qp(n) / n` for `n`
-    /// flows (`+inf` on an infinite link). Current for every live link once
-    /// `stale` has been refreshed.
-    level: Vec<f64>,
-    /// Per edge: the least remaining bytes among its flows (live links only),
-    /// kept by arrivals and rebuilt by every advance for the next drain search.
-    least: Vec<f64>,
-    /// Links whose flow count or bandwidth changed since the last recompute,
-    /// each listed once (`is_stale`).
-    stale: Vec<EdgeId>,
-    is_stale: Vec<bool>,
-}
+/// The rates with no host cap, where a flow's only finite resource is its
+/// link: each link splits its capacity evenly among its flows (module docs,
+/// "Per link"). It keeps no state: the ledger says which links changed and
+/// how many flows each carries.
+pub(crate) struct LinkShare;
 
 impl LinkShare {
+    /// One recompute at time `t`: the level of every link whose flows or
+    /// bandwidth changed since the last one, handed to the ledger. (`jobs` is
+    /// read only by the debug certificate.)
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    pub(crate) fn rates(
+        &self,
+        ledger: &mut Ledger,
+        jobs: &[SimJob],
+        link_bw: &[f64],
+        params: &SimParams,
+        t: f64,
+    ) {
+        debug_assert!(params.host_injection_gbps.is_none());
+        OBS_FAIR_SHARE_RECOMPUTES.incr();
+        let recompute_timer = OBS_FAIR_SHARE_NANOS.start();
+        // Handing a link its level marks it changed, which it already is, so
+        // the list does not grow under the loop.
+        for i in 0..ledger.changed.len() {
+            let e = ledger.changed[i];
+            let n = ledger.len[e];
+            if n > 0 {
+                ledger.rate_link(e, link_level(link_bw[e], params, n), t);
+            }
+        }
+        drop(recompute_timer);
+        #[cfg(debug_assertions)]
+        {
+            let active: Vec<usize> = (0..ledger.len.len())
+                .flat_map(|e| ledger.members[ledger.window(e)].iter().copied())
+                .collect();
+            let rates: Vec<f64> = active.iter().map(|&job| ledger.rate[job]).collect();
+            // No host cap, so no node-side resource to size.
+            certify_max_min(jobs, link_bw, 0, params, &active, &rates);
+        }
+    }
+}
+
+/// Marks a job with no flow in the ledger, and a link outside a heap.
+const ABSENT: usize = usize::MAX;
+
+/// The bytes of every active flow, for both rate kernels (module docs, "The
+/// ledger"). A flow's bytes are stored as `bytes` at its mark time and drain
+/// at `rate` from there; they are re-marked only when the rate's bit pattern
+/// changes. The ledger answers the drain search, retires flows, charges busy
+/// time and answers for the bytes of a cut job.
+///
+/// Each link keeps its flows in a fixed window of `members`: link `e` owns the
+/// slots `start[e]..start[e + 1]`, one per job of the run on the link, and its
+/// flows fill the first `len[e]` of them. Every job arrives once, so no window
+/// overflows.
+pub(crate) struct Ledger {
+    /// Per job: bytes left at the mark, the mark's time, the rate since the
+    /// mark (NaN until the first recompute after arrival), the drain
+    /// threshold, the link, and the slot in the link's window (`ABSENT` when
+    /// the job has no flow).
+    bytes: Vec<f64>,
+    mark: Vec<f64>,
+    rate: Vec<f64>,
+    threshold: Vec<f64>,
+    link: Vec<EdgeId>,
+    slot: Vec<usize>,
+    start: Vec<usize>,
+    len: Vec<usize>,
+    members: Vec<usize>,
+    /// Active flows over all links.
+    flows: usize,
+    /// Links with flows, keyed by the time the first of their flows empties.
+    drains: LinkHeap,
+    /// Links with flows, keyed by the time the first of their flows reaches
+    /// its drain threshold: the links a retirement check must visit.
+    ready: LinkHeap,
+    /// Links whose flows arrived, retired or were re-marked, or whose
+    /// bandwidth changed, since the keys were last refreshed (each once).
+    changed: Vec<EdgeId>,
+    is_changed: Vec<bool>,
+    /// Per link: when its current busy period began, and its busy time so far.
+    busy_since: Vec<f64>,
+    busy: Vec<f64>,
+    /// The earliest drain at the last refresh.
+    next_drain: f64,
+    /// Scratch: the links a retirement check visits.
+    visit: Vec<EdgeId>,
+}
+
+impl Ledger {
     /// Sizes each link's window from the run's jobs.
     pub(crate) fn new(num_edges: usize, jobs: &[SimJob]) -> Self {
         let mut start = vec![0; num_edges + 1];
@@ -586,47 +581,53 @@ impl LinkShare {
             start[e + 1] += start[e];
         }
         Self {
+            bytes: jobs.iter().map(|job| job.bytes).collect(),
+            mark: vec![0.0; jobs.len()],
+            rate: vec![f64::NAN; jobs.len()],
+            threshold: jobs.iter().map(SimJob::drain_threshold).collect(),
+            link: jobs.iter().map(|job| job.link).collect(),
+            slot: vec![ABSENT; jobs.len()],
             start,
             len: vec![0; num_edges],
-            remaining: vec![0.0; jobs.len()],
-            threshold: vec![0.0; jobs.len()],
-            job: vec![0; jobs.len()],
+            members: vec![0; jobs.len()],
             flows: 0,
-            live: Vec::new(),
-            level: vec![0.0; num_edges],
-            least: vec![0.0; num_edges],
-            stale: Vec::new(),
-            is_stale: vec![false; num_edges],
+            drains: LinkHeap::new(num_edges),
+            ready: LinkHeap::new(num_edges),
+            changed: Vec::new(),
+            is_changed: vec![false; num_edges],
+            busy_since: vec![0.0; num_edges],
+            busy: vec![0.0; num_edges],
+            next_drain: f64::INFINITY,
+            visit: Vec::new(),
         }
     }
 
-    fn mark_stale(&mut self, e: EdgeId) {
-        if !self.is_stale[e] {
-            self.is_stale[e] = true;
-            self.stale.push(e);
+    /// Link `e`'s flows or bandwidth changed: its keys are refreshed, and the
+    /// per-link kernel recomputes its level, before the next drain search.
+    pub(crate) fn touch(&mut self, e: EdgeId) {
+        if !self.is_changed[e] {
+            self.is_changed[e] = true;
+            self.changed.push(e);
         }
     }
 
-    /// `job` (with id `id`) starts a flow of its whole byte volume.
-    pub(crate) fn arrive(&mut self, id: usize, job: &SimJob) {
-        let e = job.link;
+    /// `job` starts a flow of its whole byte volume at time `t`.
+    pub(crate) fn arrive(&mut self, job: usize, t: f64) {
+        let e = self.link[job];
         let slot = self.start[e] + self.len[e];
         debug_assert!(
             slot < self.start[e + 1],
             "link {e} holds more flows than its window has jobs"
         );
-        self.remaining[slot] = job.bytes;
-        self.threshold[slot] = job.drain_threshold();
-        self.job[slot] = id;
         if self.len[e] == 0 {
-            self.live.push(e);
-            self.least[e] = job.bytes;
-        } else {
-            self.least[e] = self.least[e].min(job.bytes);
+            self.busy_since[e] = t;
         }
+        self.members[slot] = job;
+        self.slot[job] = slot;
+        self.mark[job] = t;
         self.len[e] += 1;
         self.flows += 1;
-        self.mark_stale(e);
+        self.touch(e);
     }
 
     /// The number of active flows.
@@ -634,131 +635,251 @@ impl LinkShare {
         self.flows
     }
 
-    /// Whether an active flow runs on a link flagged in `failed`.
-    pub(crate) fn uses_any(&self, failed: &[bool]) -> bool {
-        self.live.iter().any(|&e| failed[e])
+    /// Whether `job` has a flow.
+    pub(crate) fn is_active(&self, job: usize) -> bool {
+        self.slot[job] != ABSENT
     }
 
-    /// The slots of link `e`'s active flows.
+    /// Whether an active flow runs on a link flagged in `failed`.
+    pub(crate) fn uses_any(&self, failed: &[bool]) -> bool {
+        failed.iter().zip(&self.len).any(|(&f, &n)| f && n > 0)
+    }
+
+    /// The slots of link `e`'s flows.
     fn window(&self, e: EdgeId) -> Range<usize> {
         self.start[e]..self.start[e] + self.len[e]
     }
 
-    /// The remaining bytes of `job`'s flow on link `e`, 0 once it drained.
-    pub(crate) fn remaining_of(&self, job: usize, e: EdgeId) -> f64 {
-        self.window(e)
-            .find(|&i| self.job[i] == job)
-            .map_or(0.0, |i| self.remaining[i])
-    }
-
-    /// The link bandwidths change from `old` to `new`.
-    pub(crate) fn rerate(&mut self, old: &[f64], new: &[f64]) {
-        for (e, (a, b)) in old.iter().zip(new).enumerate() {
-            if a.to_bits() != b.to_bits() && self.len[e] > 0 {
-                self.mark_stale(e);
-            }
+    /// The bytes `job`'s flow has left at time `t`, evaluated from its mark.
+    fn left(&self, job: usize, t: f64) -> f64 {
+        let rate = self.rate[job];
+        if rate.is_nan() {
+            self.bytes[job]
+        } else if rate.is_infinite() {
+            0.0
+        } else {
+            (self.bytes[job] - rate * (t - self.mark[job])).max(0.0)
         }
     }
 
-    /// One recompute: refreshes the stale levels and returns the time until
-    /// the first active flow drains, one division per link with flows.
-    /// (`jobs` is read only by the debug certificate.)
-    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
-    pub(crate) fn drain_time(
-        &mut self,
-        jobs: &[SimJob],
-        link_bw: &[f64],
-        params: &SimParams,
-    ) -> f64 {
-        debug_assert!(params.host_injection_gbps.is_none());
-        OBS_FAIR_SHARE_RECOMPUTES.incr();
-        let recompute_timer = OBS_FAIR_SHARE_NANOS.start();
-        for e in self.stale.drain(..) {
-            self.is_stale[e] = false;
-            let n = self.len[e];
-            if n > 0 {
-                self.level[e] = link_level(link_bw[e], params, n);
-            }
+    /// The remaining bytes of `job`'s flow at time `t`, 0 once it drained.
+    pub(crate) fn remaining_of(&self, job: usize, t: f64) -> f64 {
+        if self.is_active(job) {
+            self.left(job, t)
+        } else {
+            0.0
         }
-        drop(recompute_timer);
-        #[cfg(debug_assertions)]
-        {
-            let (mut active, mut rates) = (Vec::new(), Vec::new());
-            for &e in &self.live {
-                for i in self.window(e) {
-                    active.push(ActiveFlow {
-                        job: self.job[i],
-                        remaining: self.remaining[i],
-                    });
-                    rates.push(self.level[e]);
-                }
-            }
-            // No host cap, so no node-side resource to size.
-            certify_max_min(jobs, link_bw, 0, params, &active, &rates);
+    }
+
+    /// `job`'s flow runs at `rate` from time `t` on; its bytes are re-marked
+    /// at `t` if the rate's bit pattern changed.
+    pub(crate) fn set_rate(&mut self, job: usize, rate: f64, t: f64) {
+        if rate.to_bits() != self.rate[job].to_bits() {
+            self.bytes[job] = self.left(job, t);
+            self.mark[job] = t;
+            self.rate[job] = rate;
+            self.touch(self.link[job]);
         }
-        let mut dt = f64::INFINITY;
-        for &e in &self.live {
-            let level = self.level[e];
-            dt = dt.min(if level.is_infinite() {
-                0.0
+    }
+
+    /// Every flow of link `e` runs at `rate` from time `t` on.
+    fn rate_link(&mut self, e: EdgeId, rate: f64, t: f64) {
+        for i in self.window(e) {
+            self.set_rate(self.members[i], rate, t);
+        }
+    }
+
+    /// When `job`'s flow empties, and when it reaches its drain threshold, at
+    /// its current rate.
+    fn due(&self, job: usize) -> (f64, f64) {
+        let (mark, rate) = (self.mark[job], self.rate[job]);
+        let after = |bytes: f64| {
+            if bytes > 0.0 {
+                mark + bytes / rate
             } else {
-                self.least[e] / level
-            });
-        }
-        dt
+                mark
+            }
+        };
+        (
+            after(self.bytes[job]),
+            after(self.bytes[job] - self.threshold[job]),
+        )
     }
 
-    /// Advances every active flow by `dt` seconds at its link's level, charges
-    /// `dt` of busy time to every link that carries one, and retires the
-    /// drained flows, handing each job to `done`: one pass per live link over
-    /// its window, and a second, compacting one only where a flow drained.
-    pub(crate) fn advance(&mut self, dt: f64, link_busy: &mut [f64], mut done: impl FnMut(usize)) {
-        let mut kept_links = 0;
-        for li in 0..self.live.len() {
-            let e = self.live[li];
-            if dt > 0.0 {
-                link_busy[e] += dt;
+    /// Refreshes the keys of the changed links and returns the time at which
+    /// the first active flow empties (`+inf` with no flow).
+    pub(crate) fn next_drain(&mut self) -> f64 {
+        for i in 0..self.changed.len() {
+            let e = self.changed[i];
+            self.is_changed[e] = false;
+            if self.len[e] == 0 {
+                self.drains.remove(e);
+                self.ready.remove(e);
+                continue;
             }
-            let window = self.window(e);
-            let level = self.level[e];
-            let mut least = f64::INFINITY;
-            // An infinite rate drains every flow within the event.
-            let mut drained = level.is_infinite();
-            if !drained {
-                let step = level * dt;
-                let remaining = &mut self.remaining[window.clone()];
-                for (r, &threshold) in remaining.iter_mut().zip(&self.threshold[window.clone()]) {
-                    *r = (*r - step).max(0.0);
-                    if *r > threshold {
-                        least = least.min(*r);
-                    } else {
-                        drained = true;
-                    }
-                }
+            let (mut drain, mut ready) = (f64::INFINITY, f64::INFINITY);
+            for &job in &self.members[self.window(e)] {
+                let (d, r) = self.due(job);
+                drain = drain.min(d);
+                ready = ready.min(r);
             }
-            if drained {
-                let mut kept = window.start;
-                for i in window.clone() {
-                    if level.is_finite() && self.remaining[i] > self.threshold[i] {
-                        self.remaining[kept] = self.remaining[i];
-                        self.threshold[kept] = self.threshold[i];
-                        self.job[kept] = self.job[i];
-                        kept += 1;
-                    } else {
-                        done(self.job[i]);
-                    }
-                }
-                self.flows -= window.end - kept;
-                self.len[e] = kept - window.start;
-                self.mark_stale(e);
-            }
-            self.least[e] = least;
-            if self.len[e] > 0 {
-                self.live[kept_links] = e;
-                kept_links += 1;
-            }
+            self.drains.set(e, drain);
+            self.ready.set(e, ready);
         }
-        self.live.truncate(kept_links);
+        self.changed.clear();
+        self.next_drain = self.drains.min().unwrap_or(f64::INFINITY);
+        self.next_drain
+    }
+
+    /// Moves the clock to `t` (no earlier than the last recompute): retires
+    /// every flow that has emptied or is at or below its drain threshold,
+    /// visiting only the links the `ready` keys name, closes the busy period
+    /// of every link left idle, and hands each retired job to `done`.
+    pub(crate) fn settle(&mut self, t: f64, mut done: impl FnMut(usize)) {
+        while let Some(e) = self.ready.pop_at_most(t) {
+            self.visit.push(e);
+        }
+        let mut retired = 0;
+        for vi in 0..self.visit.len() {
+            let e = self.visit[vi];
+            let (mut i, mut end) = (self.start[e], self.start[e] + self.len[e]);
+            while i < end {
+                let job = self.members[i];
+                if self.due(job).0 <= t || self.left(job, t) <= self.threshold[job] {
+                    end -= 1;
+                    self.members[i] = self.members[end];
+                    self.slot[self.members[i]] = i;
+                    self.slot[job] = ABSENT;
+                    retired += 1;
+                    done(job);
+                } else {
+                    i += 1;
+                }
+            }
+            let kept = end - self.start[e];
+            if kept == 0 && self.len[e] > 0 {
+                self.busy[e] += t - self.busy_since[e];
+            }
+            self.flows -= self.len[e] - kept;
+            self.len[e] = kept;
+            self.touch(e);
+        }
+        self.visit.clear();
+        // The first drain's link has its `ready` key at or before its drain,
+        // and its first flow is due by then.
+        debug_assert!(
+            t < self.next_drain || retired > 0,
+            "a drain event at {t} retired no flow"
+        );
+        self.next_drain = f64::INFINITY;
+    }
+
+    /// Every link's busy time, once the last flow has retired.
+    pub(crate) fn take_busy(&mut self) -> Vec<f64> {
+        debug_assert_eq!(self.flows, 0);
+        std::mem::take(&mut self.busy)
+    }
+}
+
+/// An indexed binary min-heap of links keyed by a time, ties to the lower
+/// link id: set, remove and pop in `O(log links)`.
+struct LinkHeap {
+    heap: Vec<EdgeId>,
+    /// Per link: its place in `heap`, `ABSENT` outside it.
+    pos: Vec<usize>,
+    key: Vec<f64>,
+}
+
+impl LinkHeap {
+    fn new(num_edges: usize) -> Self {
+        Self {
+            heap: Vec::new(),
+            pos: vec![ABSENT; num_edges],
+            key: vec![0.0; num_edges],
+        }
+    }
+
+    /// The least key.
+    fn min(&self) -> Option<f64> {
+        self.heap.first().map(|&e| self.key[e])
+    }
+
+    /// Inserts link `e`, or moves it, at `key`.
+    fn set(&mut self, e: EdgeId, key: f64) {
+        self.key[e] = key;
+        if self.pos[e] == ABSENT {
+            self.pos[e] = self.heap.len();
+            self.heap.push(e);
+        }
+        let i = self.sift_up(self.pos[e]);
+        self.sift_down(i);
+    }
+
+    fn remove(&mut self, e: EdgeId) {
+        let i = self.pos[e];
+        if i == ABSENT {
+            return;
+        }
+        self.pos[e] = ABSENT;
+        let last = self.heap.pop().expect("a link in the heap");
+        if i < self.heap.len() {
+            self.heap[i] = last;
+            self.pos[last] = i;
+            let i = self.sift_up(i);
+            self.sift_down(i);
+        }
+    }
+
+    /// Removes and returns the least link if its key is at most `t`.
+    fn pop_at_most(&mut self, t: f64) -> Option<EdgeId> {
+        let &e = self.heap.first()?;
+        (self.key[e] <= t).then(|| {
+            self.remove(e);
+            e
+        })
+    }
+
+    fn before(&self, a: EdgeId, b: EdgeId) -> bool {
+        self.key[a].total_cmp(&self.key[b]).then(a.cmp(&b)).is_lt()
+    }
+
+    fn swap(&mut self, i: usize, j: usize) {
+        self.heap.swap(i, j);
+        self.pos[self.heap[i]] = i;
+        self.pos[self.heap[j]] = j;
+    }
+
+    fn sift_up(&mut self, mut i: usize) -> usize {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !self.before(self.heap[i], self.heap[parent]) {
+                break;
+            }
+            self.swap(i, parent);
+            i = parent;
+        }
+        i
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len() && self.before(self.heap[right], self.heap[left])
+            {
+                right
+            } else {
+                left
+            };
+            if !self.before(self.heap[child], self.heap[i]) {
+                break;
+            }
+            self.swap(i, child);
+            i = child;
+        }
     }
 }
 
@@ -804,7 +925,7 @@ mod tests {
         link_bw: &[f64],
         params: &SimParams,
         num_nodes: usize,
-        active: &[ActiveFlow],
+        active: &[usize],
     ) -> Vec<f64> {
         let nf = active.len();
         // Resource table: capacity, the flows using each resource, and (for the O(1)
@@ -819,8 +940,8 @@ mod tests {
             // concurrent-flow count).
             let mut link_res: std::collections::HashMap<EdgeId, usize> =
                 std::collections::HashMap::new();
-            for (fi, flow) in active.iter().enumerate() {
-                let e = jobs[flow.job].link;
+            for (fi, &job) in active.iter().enumerate() {
+                let e = jobs[job].link;
                 if link_bw[e].is_infinite() {
                     continue;
                 }
@@ -842,8 +963,8 @@ mod tests {
                 let cap = gbps * 1e9;
                 let mut send_res = vec![usize::MAX; num_nodes];
                 let mut recv_res = vec![usize::MAX; num_nodes];
-                for (fi, flow) in active.iter().enumerate() {
-                    let job = &jobs[flow.job];
+                for (fi, &job) in active.iter().enumerate() {
+                    let job = &jobs[job];
                     for (node, table) in [(job.src, &mut send_res), (job.dst, &mut recv_res)] {
                         if table[node] == usize::MAX {
                             table[node] = caps.len();
@@ -929,12 +1050,7 @@ mod tests {
             };
             // Narrow sets draw from a few links only, so links repeat at every width.
             let span = rng.random_range(1..topo.num_edges() + 1);
-            let active: Vec<ActiveFlow> = (0..flows)
-                .map(|_| ActiveFlow {
-                    job: rng.random_range(0..span),
-                    remaining: 1.0,
-                })
-                .collect();
+            let active: Vec<usize> = (0..flows).map(|_| rng.random_range(0..span)).collect();
             let host = Some(0.5 + 12.0 * rng.random_f64());
             let qp = Some(crate::QpContention {
                 free_flows_per_link: rng.random_range(0..9),
