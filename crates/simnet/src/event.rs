@@ -1365,14 +1365,14 @@ mod tests {
                 0x3f83_9a9a_f5db_557b,
                 &[
                     0x3f70_7e1f_e91b_0b70,
-                    0x3f7b_ba9d_4f9e_95c9,
+                    0x3f7b_ba9d_4f9e_95ca,
                     0x3f83_7b59_7457_b45e,
                 ],
             ),
             (
                 generators::torus(&[3, 3]),
-                0x3f80_bc40_2582_1894,
-                &[0x3f70_7e1f_e91b_0b70, 0x3f80_9cfe_a3fe_7777],
+                0x3f80_bc40_2582_1895,
+                &[0x3f70_7e1f_e91b_0b70, 0x3f80_9cfe_a3fe_7778],
             ),
             (
                 generators::ring(4),

@@ -173,132 +173,132 @@ fn ring_4_event_outcomes_are_bit_stable() {
 const HYPERCUBE_3D: Recorded = [
     // dep
     (
-        0x3f9231b7b3083cb4,
-        &[0x3f8687004c6ecd93, 0x3f8a3247a8afe139, 0x3f9231b7b3083cb4],
-        0xbade61f30a6ea338,
+        0x3f9231b7b3083cb9,
+        &[0x3f8687004c6ecd9b, 0x3f8a3247a8afe140, 0x3f9231b7b3083cb9],
+        0x3bf6e277a11e614b,
     ),
     // sync+host
     (
-        0x3fa2581f6acd8b5d,
-        &[0x3f8e1094d643f785, 0x3f99d48139abf7e4, 0x3fa2504f0a6ca316],
-        0x172ec0f14a8bf0d8,
+        0x3fa2581f6acd8b5b,
+        &[0x3f8e1094d643f784, 0x3f99d48139abf7e2, 0x3fa2504f0a6ca314],
+        0x51c6e6e6423d0e05,
     ),
     // dep+host
     (
-        0x3fa16f93d9be197d,
-        &[0x3f9194e1295f509b, 0x3f9e5bd874b9f1c7, 0x3fa16f93d9be197d],
-        0x43d213972e9b5199,
+        0x3fa16f93d9be197c,
+        &[0x3f9194e1295f509a, 0x3f9e5bd874b9f1c7, 0x3fa16f93d9be197c],
+        0xd179f3ecfebd6cd5,
     ),
     // sync+qp
     (
         0x3f9fec1c7a287173,
         &[0x3f913a69931e758a, 0x3f956960ead6ee6a, 0x3f9fdc7bb966a0e4],
-        0x2357d1b7080d1ec7,
+        0xb59700e617066dfa,
     ),
     // dep+qp
     (
-        0x3fa2ffeeacaad3e0,
-        &[0x3f9daaae66cf5b8d, 0x3f9fbab56119e166, 0x3fa2ffeeacaad3e0],
-        0x46d07fcbee7992f0,
+        0x3fa2ffeeacaad3df,
+        &[0x3f9daaae66cf5b8a, 0x3f9fbab56119e164, 0x3fa2ffeeacaad3df],
+        0x636b59783e54fecc,
     ),
     // sync+host+qp
     (
         0x3f95f47c8b5704af,
-        &[0x3f84ac7eb08af373, 0x3f8c6e0d60d4f7bd, 0x3f95e4dbca953420],
-        0x1b0822a14b7db22a,
+        &[0x3f84ac7eb08af373, 0x3f8c6e0d60d4f7bc, 0x3f95e4dbca953420],
+        0xe845b74b2c4a83fa,
     ),
     // dep+host+qp
     (
-        0x3f95f1d60e1f1fd6,
-        &[0x3f8d9dbb3e047ca3, 0x3f913e1793860072, 0x3f95f1d60e1f1fd6],
-        0x0bbbf48027d56d43,
+        0x3f95f1d60e1f1fda,
+        &[0x3f8d9dbb3e047ca9, 0x3f913e1793860075, 0x3f95f1d60e1f1fda],
+        0x774a9d487f963aa1,
     ),
 ];
 const TORUS_3X3: Recorded = [
     // dep
     (
-        0x3f9151962a0b3e7e,
-        &[0x3f8d22ccb9143425, 0x3f9151962a0b3e7e],
-        0xd7e67018ed1f07e3,
+        0x3f9151962a0b3e7f,
+        &[0x3f8d22ccb9143426, 0x3f9151962a0b3e7f],
+        0xcfba42644571d051,
     ),
     // sync+host
     (
         0x3fa4763632c7e21a,
         &[0x3f95798ee2308c3a, 0x3fa46e65d266f9d3],
-        0x82e318744c99998e,
+        0x2329cc0b00ba1f06,
     ),
     // dep+host
     (
         0x3fa386265e6d95de,
-        &[0x3f9803e35724ac94, 0x3fa386265e6d95de],
-        0x0eea2a7efac48da0,
+        &[0x3f9803e35724ac96, 0x3fa386265e6d95de],
+        0x863f4782436e72f2,
     ),
     // sync+qp
     (
         0x3fa0393842420a55,
         &[0x3f94c78ac8f554a0, 0x3fa03167e1e1220e],
-        0x6f20ab444de4778c,
+        0x76c3df8cbb57b746,
     ),
     // dep+qp
     (
-        0x3fa5d9cb6f08068b,
-        &[0x3fa3c9fff130d85f, 0x3fa5d9cb6f08068b],
-        0x6ce283c001b21555,
+        0x3fa5d9cb6f080690,
+        &[0x3fa3c9fff130d866, 0x3fa5d9cb6f080690],
+        0x99b35c0329e433b7,
     ),
     // sync+host+qp
     (
-        0x3f9435497a0f9ca4,
-        &[0x3f88ef73578ccbf2, 0x3f9425a8b94dcc15],
-        0x383b9be2bbbb4d11,
+        0x3f9435497a0f9ca5,
+        &[0x3f88ef73578ccbf3, 0x3f9425a8b94dcc16],
+        0x22f96aa366f07f96,
     ),
     // dep+host+qp
     (
-        0x3f9616769af19a3d,
-        &[0x3f9222376de8246d, 0x3f9616769af19a3d],
-        0x0bebd58220ca51be,
+        0x3f9616769af19a40,
+        &[0x3f9222376de82471, 0x3f9616769af19a40],
+        0xf82520f135cfac86,
     ),
 ];
 const RING_4: Recorded = [
     // dep
     (
-        0x3f971b66f0577247,
-        &[0x3f8ab76c953091c1, 0x3f943b755cf9c785, 0x3f971b66f0577247],
-        0x1b960a7cfe54105e,
+        0x3f971b66f0577246,
+        &[0x3f8ab76c953091c2, 0x3f943b755cf9c784, 0x3f971b66f0577246],
+        0xe0a329963e9eff3f,
     ),
     // sync+host
     (
-        0x3f94f5bdd77c1d22,
-        &[0x3f84c78ac8f554a0, 0x3f916059a4634ae9, 0x3f94e64e7a0a671e],
-        0x9efaf1293f4f0587,
+        0x3f94f5bdd77c1d21,
+        &[0x3f84c78ac8f554a0, 0x3f916059a4634ae8, 0x3f94e64e7a0a671d],
+        0xe698e1746a3e77ac,
     ),
     // dep+host
     (
-        0x3f96cc5349e65729,
-        &[0x3f8af56703a566df, 0x3f93ec61b688ac67, 0x3f96cc5349e65729],
-        0xec32709349aa3eb9,
+        0x3f96cc5349e6572a,
+        &[0x3f8af56703a566e0, 0x3f93ec61b688ac68, 0x3f96cc5349e6572a],
+        0xbc7e6e37c80396e8,
     ),
     // sync+qp
     (
         0x3fa1680d2eba801c,
-        &[0x3f94c78ac8f554a1, 0x3f9f3ab62a5c2dff, 0x3fa160558001a51a],
-        0x298165c15d394db4,
+        &[0x3f94c78ac8f554a0, 0x3f9f3ab62a5c2dfe, 0x3fa160558001a51a],
+        0xaa061b57d1b9da54,
     ),
     // dep+qp
     (
         0x3fa899c498c1f828,
-        &[0x3f9dd39c1ea69600, 0x3fa729cbcf1322c8, 0x3fa899c498c1f828],
-        0xea6df93df9c7a70d,
+        &[0x3f9dd39c1ea695ff, 0x3fa729cbcf1322c7, 0x3fa899c498c1f828],
+        0x7f3d70ddfd5efec8,
     ),
     // sync+host+qp
     (
         0x3f97bb038be11759,
-        &[0x3f88ef73578ccbf2, 0x3f94259f58c84520, 0x3f97ab942e6f6155],
-        0x412f2d74fe51dd34,
+        &[0x3f88ef73578ccbf3, 0x3f94259f58c84520, 0x3f97ab942e6f6155],
+        0xa718c795a4ca5729,
     ),
     // dep+host+qp
     (
-        0x3f9d41a846f6ae60,
-        &[0x3f93669260c2da67, 0x3f9a61b6b399039e, 0x3f9d41a846f6ae60],
-        0xfb3ddf2c7d4ccf27,
+        0x3f9d41a846f6ae5f,
+        &[0x3f93669260c2da66, 0x3f9a61b6b399039d, 0x3f9d41a846f6ae5f],
+        0x670f344f5c71709d,
     ),
 ];
