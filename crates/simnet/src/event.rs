@@ -22,33 +22,33 @@
 //!
 //! # Which path runs
 //!
-//! Each event makes one recompute of the rates, and the data picks how:
+//! Each event makes one recompute of the rates, and the data picks the kernel:
 //!
 //! * **No host cap** (every `BENCHMARK.json` workload, [`SimParams::default`]):
 //!   a flow's only finite resource is its link, so nothing couples two links and
 //!   max-min fair sharing is each link's even split `link_bw · qp(n) / n` over
 //!   its `n` flows — exactly the level progressive filling freezes such a link
-//!   at, since no other freeze charges it. The engine keeps per-link member
-//!   counts across events, refreshes the level only of links whose count or
-//!   bandwidth changed, takes the next drain as the least, over links, of the
-//!   least remaining bytes on a link divided by its level (exact, because
-//!   correctly rounded division by a positive number is monotone), and
-//!   advances, charges busy time and retires flows in one pass per link.
+//!   at, since no other freeze charges it. Only the links whose flows or
+//!   bandwidth changed get a new level.
 //! * **A host cap** ([`SimParams::tacc_cluster`], the figure binaries):
 //!   injection and ejection sides couple flows of different links, and every
 //!   recompute is progressive filling over all three resource families.
 //!
-//! The engine owns its active set, in the layout its path needs: per-link
-//! windows of flat arrays with no host cap, progressive filling's ordered flow
-//! list under one. The run loops start jobs, ask for the next drain and
-//! advance; besides that they only ask how many flows are active, whether one
-//! runs on a failed link, and how many bytes a cut job has left.
+//! Either kernel only produces rates. One byte ledger behind both owns every
+//! active flow's bytes, the next drain, retirement, busy time and the bytes of
+//! a cut job. A flow's bytes are re-marked only when its rate's bit pattern
+//! changes, and an indexed heap over links gives the next drain, so an
+//! uncapped event touches only the links whose flows changed. The run loops
+//! start jobs at the clock `t`, ask for the next drain time, and settle the
+//! ledger at the time they move the clock to. Besides that they only ask how
+//! many flows are active, whether one runs on a failed link, and how many
+//! bytes a cut job has left.
 //!
-//! Both paths give every rate, drain time, completion and busy time bit for
+//! Both kernels give every rate, drain time, completion and busy time bit for
 //! bit alike (a seeded differential test forces progressive filling onto
 //! uncapped runs), and debug builds certify every recompute of either as
-//! max-min fair. The kernels, the bottleneck tie rule and the cost of an event
-//! are documented in `fair_share.rs`.
+//! max-min fair. The ledger, the kernels, the bottleneck tie rule and the cost
+//! of an event are documented in `fair_share.rs`.
 //!
 //! # Execution models (the α–β split)
 //!

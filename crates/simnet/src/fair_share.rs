@@ -1,10 +1,58 @@
-//! The event engine's max-min fair-share kernels.
+//! The event engine's max-min fair-share kernels and its byte ledger.
 //!
 //! Between two events every active flow of [`crate::event`] drains at a
 //! constant rate: the max-min fair share over the finite resources it touches
 //! (its link, and under a host cap its sender's injection and its receiver's
-//! ejection side). Each event makes one recompute of these rates, on one of
-//! two paths the data picks.
+//! ejection side). Each event makes one recompute of these rates, by one of
+//! two kernels the data picks. The kernels only produce rates. Everything else
+//! an event does (bytes, the next drain, retirement, busy time, the bytes of a
+//! cut job) is one [`Ledger`]'s.
+//!
+//! # The ledger
+//!
+//! A flow's bytes are stored as `b` at a mark time `t_m`, and at time `t` it
+//! has `b − r·(t − t_m)` left at its rate `r`. They are re-marked
+//! (`b ← b − r·(t − t_m)`, `t_m ← t`) only when the bit pattern of the rate
+//! changes: after an arrival or retirement on the flow's link, a timeline
+//! rerate, or a progressive recompute that moves it. A flow whose rate did
+//! not change costs an event nothing. This is the per-link virtual time of
+//! generalized processor sharing (Parekh & Gallager, *IEEE/ACM ToN* 1(3),
+//! 1993).
+//!
+//! Each link keeps its flows in a window of one flat array, sized when the
+//! engine is built from how many of the run's jobs use the link; every job
+//! arrives once, so no window overflows. Two indexed min-heaps over links hold
+//! per-link keys, refreshed only for links whose flows changed:
+//!
+//! * *drain*: when the first of the link's flows empties, the least
+//!   `t_m + b / r` over them. The least over links is the next drain event.
+//! * *ready*: when the first of them reaches its drain threshold (a relative
+//!   byte tolerance for round-off). These are the links a retirement check
+//!   visits.
+//!
+//! At an event at time `t` a flow on a visited link retires when it is due by
+//! `t` or its bytes at `t` are at or below its threshold. The second half is
+//! the eager engine's predicate, evaluated without storing it, so drains that
+//! coincide up to round-off on different links retire together, as they did.
+//! The first half makes every drain event retire at least one flow: the first
+//! drain's link has its *ready* key at or before its *drain* key, so it is
+//! visited, and its first flow is due. The dependency-driven loop therefore
+//! keeps its `2n + 1` event bound. The clock is the run loop's absolute `t`,
+//! not a sum of event lengths. Busy time is charged per link when its last flow
+//! retires: `t` minus the time its first flow arrived.
+//!
+//! Flows retire link by link, in no fixed order, and no result sees it. Rates
+//! depend on per-link counts, or on progressive filling's own ordered list.
+//! Busy time and step completions are per-link sums and maxima. The
+//! dependency-driven ready queue is keyed by unique `(time, job)` pairs, so
+//! the order in which a retirement readies successors does not decide the
+//! order they start in.
+//!
+//! **Why the kernels stay bit-equal.** On an uncapped run both kernels give
+//! every flow the same rate bits (below). So a rate's bit pattern changes
+//! under one kernel exactly when it does under the other. The ledger then
+//! re-marks the same flows at the same clock, and everything it computes from
+//! there is shared code.
 //!
 //! # Per link, with no host cap ([`LinkShare`])
 //!
@@ -14,28 +62,9 @@
 //! infinite link). It is the level progressive filling would freeze the link
 //! at, bit for bit: the first pass computes `capacity / n` for every link, and
 //! since no flow of another link touches this one, no freeze charges it before
-//! its own. Member counts are kept across events (an arrival adds one, a
-//! retirement takes one away), and only the links whose count or bandwidth
-//! changed get their level recomputed.
-//!
-//! The next drain is the least, over links with flows, of the least remaining
-//! bytes on the link divided by its level. That equals the least of the
-//! per-flow quotients the progressive-filling path takes, because correctly
-//! rounded division by a positive number is monotone in the numerator (an
-//! infinite level contributes 0, as an infinite rate does).
-//!
-//! Each link keeps its flows in a window of flat arrays (remaining bytes,
-//! drain threshold, job), sized when the engine is built from how many of the
-//! run's jobs use the link; every job arrives once, so no window overflows.
-//! An advance walks the links with flows, charges each its busy time,
-//! computes `level · dt` once and updates the link's window in one tight pass
-//! that also gathers its least remaining bytes for the next drain search; a
-//! second pass compacts the window only where a flow drained. Flows therefore
-//! retire link by link rather than in the order they arrived, and no result
-//! sees it: rates depend only on per-link counts, busy time and step
-//! completions are per-link sums and maxima, and the dependency-driven ready
-//! queue is keyed by unique `(time, job)` pairs, so the order in which a
-//! retirement readies successors does not decide the order they start in.
+//! its own. The kernel keeps no state: it recomputes the level of the links
+//! the ledger lists as changed (a flow arrived or retired, or the bandwidth
+//! changed) from their member counts, and hands it to each flow of the link.
 //!
 //! # Progressive filling, under a host cap ([`Progressive`], [`FairShare`])
 //!
@@ -69,18 +98,16 @@
 //!
 //! # Checks and cost
 //!
-//! Debug builds certify every recompute of either path as max-min fair
-//! ([`certify_max_min`], without the kernels' tables) and hold every arrival
-//! inside its link's window, and a seeded test in `event.rs` forces
-//! progressive filling onto uncapped runs and compares every completion, busy
-//! time and recompute count bit for bit.
+//! Debug builds certify every recompute of either kernel as max-min fair
+//! ([`certify_max_min`], without the kernels' tables), hold every arrival
+//! inside its link's window and check that every drain event retires a flow.
+//! Seeded tests in `event.rs` force progressive filling onto uncapped runs and
+//! compare every completion, busy time, cut and recompute count bit for bit.
+//! They also hold the engine to the eager engine it replaced, kept in the
+//! tests (`event/eager.rs`): times within 1e-12 of the run's completion, cut
+//! bytes within 1e-12 of the job's bytes, recompute counts within 0.5 %.
 //!
-//! On the 27-node torus at 128 chunks (162 links, up to ~1.1k active flows)
-//! an uncapped run costs about 7 µs per event synchronized and 5 µs
-//! dependency-driven, the fixed per-run work (dependency extraction, job
-//! resolution) included; the level refresh is ~0.1 µs of it. Under host caps
-//! plus QP contention an event is 60–80 µs, most of it progressive filling
-//! (`cargo bench -p a2a_bench --bench fair_share`, 2-core Xeon box).
+//! COST_PARAGRAPH
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -523,7 +550,7 @@ impl LinkShare {
     }
 }
 
-/// Marks a job with no flow in the ledger, and a link outside a heap.
+/// Marks a link outside a [`LinkHeap`].
 const ABSENT: usize = usize::MAX;
 
 /// The bytes of every active flow, for both rate kernels (module docs, "The
@@ -539,14 +566,13 @@ const ABSENT: usize = usize::MAX;
 pub(crate) struct Ledger {
     /// Per job: bytes left at the mark, the mark's time, the rate since the
     /// mark (NaN until the first recompute after arrival), the drain
-    /// threshold, the link, and the slot in the link's window (`ABSENT` when
-    /// the job has no flow).
+    /// threshold, the link, and whether the job has a flow.
     bytes: Vec<f64>,
     mark: Vec<f64>,
     rate: Vec<f64>,
     threshold: Vec<f64>,
     link: Vec<EdgeId>,
-    slot: Vec<usize>,
+    active: Vec<bool>,
     start: Vec<usize>,
     len: Vec<usize>,
     members: Vec<usize>,
@@ -566,8 +592,6 @@ pub(crate) struct Ledger {
     busy: Vec<f64>,
     /// The earliest drain at the last refresh.
     next_drain: f64,
-    /// Scratch: the links a retirement check visits.
-    visit: Vec<EdgeId>,
 }
 
 impl Ledger {
@@ -586,7 +610,7 @@ impl Ledger {
             rate: vec![f64::NAN; jobs.len()],
             threshold: jobs.iter().map(SimJob::drain_threshold).collect(),
             link: jobs.iter().map(|job| job.link).collect(),
-            slot: vec![ABSENT; jobs.len()],
+            active: vec![false; jobs.len()],
             start,
             len: vec![0; num_edges],
             members: vec![0; jobs.len()],
@@ -598,7 +622,6 @@ impl Ledger {
             busy_since: vec![0.0; num_edges],
             busy: vec![0.0; num_edges],
             next_drain: f64::INFINITY,
-            visit: Vec::new(),
         }
     }
 
@@ -623,7 +646,7 @@ impl Ledger {
             self.busy_since[e] = t;
         }
         self.members[slot] = job;
-        self.slot[job] = slot;
+        self.active[job] = true;
         self.mark[job] = t;
         self.len[e] += 1;
         self.flows += 1;
@@ -637,7 +660,7 @@ impl Ledger {
 
     /// Whether `job` has a flow.
     pub(crate) fn is_active(&self, job: usize) -> bool {
-        self.slot[job] != ABSENT
+        self.active[job]
     }
 
     /// Whether an active flow runs on a link flagged in `failed`.
@@ -736,20 +759,15 @@ impl Ledger {
     /// visiting only the links the `ready` keys name, closes the busy period
     /// of every link left idle, and hands each retired job to `done`.
     pub(crate) fn settle(&mut self, t: f64, mut done: impl FnMut(usize)) {
-        while let Some(e) = self.ready.pop_at_most(t) {
-            self.visit.push(e);
-        }
         let mut retired = 0;
-        for vi in 0..self.visit.len() {
-            let e = self.visit[vi];
+        while let Some(e) = self.ready.pop_at_most(t) {
             let (mut i, mut end) = (self.start[e], self.start[e] + self.len[e]);
             while i < end {
                 let job = self.members[i];
                 if self.due(job).0 <= t || self.left(job, t) <= self.threshold[job] {
                     end -= 1;
                     self.members[i] = self.members[end];
-                    self.slot[self.members[i]] = i;
-                    self.slot[job] = ABSENT;
+                    self.active[job] = false;
                     retired += 1;
                     done(job);
                 } else {
@@ -764,7 +782,6 @@ impl Ledger {
             self.len[e] = kept;
             self.touch(e);
         }
-        self.visit.clear();
         // The first drain's link has its `ready` key at or before its drain,
         // and its first flow is due by then.
         debug_assert!(
