@@ -819,11 +819,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// The number of active flows.
-    fn flows(&self) -> usize {
-        self.ledger.flows()
-    }
-
     /// One recompute of the active flows' max-min fair rates at time `t`;
     /// returns the time at which the first of them drains.
     fn next_drain(&mut self, t: f64) -> f64 {
@@ -889,8 +884,8 @@ impl<'a> Engine<'a> {
                 self.activate(next_job, t);
                 next_job += 1;
             }
-            max_concurrent = max_concurrent.max(self.flows());
-            while self.flows() > 0 {
+            max_concurrent = max_concurrent.max(self.ledger.flows());
+            while self.ledger.flows() > 0 {
                 let drain = self.next_drain(t);
                 // Cut the drain at the next event boundary.
                 if bi < boundaries.len() && boundaries[bi].time <= drain {
@@ -977,7 +972,7 @@ impl<'a> Engine<'a> {
                     total: n,
                 });
             }
-            if self.flows() == 0 {
+            if self.ledger.flows() == 0 {
                 let Some(&Reverse((OrdF64(rt), _))) = ready.peek() else {
                     return Err(SimError::Stalled {
                         completed,
@@ -993,7 +988,7 @@ impl<'a> Engine<'a> {
                 ready.pop();
                 self.activate(id, t);
             }
-            max_concurrent = max_concurrent.max(self.flows());
+            max_concurrent = max_concurrent.max(self.ledger.flows());
 
             let drain = self.next_drain(t);
             // Stop early if a new job becomes ready mid-drain.

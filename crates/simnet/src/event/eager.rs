@@ -2,7 +2,8 @@
 //! advanced every active flow's remaining bytes by `rate · dt`, charged `dt` of
 //! busy time to every link with a flow, and searched every live link (per-link
 //! path) or every flow (progressive filling) for the next drain. Kept verbatim,
-//! but for the observability taps, as the reference the engine is held to
+//! but for the observability taps and the job-id list progressive filling
+//! takes, as the reference the engine is held to
 //! (`engine_matches_the_eager_reference`).
 
 use std::cmp::Reverse;
