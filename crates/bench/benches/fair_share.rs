@@ -14,15 +14,23 @@
 //! dependency-driven, 2.1k and 3.5k under host caps) next to the run's wall time
 //! per recompute, i.e. the cost of one whole event.
 //!
-//! Measured on a 2-core Xeon box (medians of 20 runs, the median of three
-//! alternated invocations per side): with each link's flows in a window of
-//! flat arrays the per-link path runs synchronized in 5.4 ms and
-//! dependency-driven in 15.7 ms, against 8.8 and 32.7 ms with one ordered flow
-//! list advanced through per-flow job lookups, i.e. ~7 and ~5 µs per event
-//! instead of ~11 and ~10 µs, of which the recompute is ~0.1 µs. Under host
-//! caps an event stays at 60–80 µs, most of it progressive filling (126 and
-//! 269 ms; 131 and 238 ms before, within the 109–285 ms spread of that side's
-//! invocations).
+//! Measured on a 2-core box: the median of three alternated invocations per
+//! side, each the median of 20 runs; per event is that over the run's
+//! recomputes. Eager accounting advanced every active flow and searched every
+//! live link at each event; the ledger re-marks only flows whose rate changed
+//! and keeps the next drain in a heap over links (module docs of
+//! `crates/simnet/src/fair_share.rs`).
+//!
+//! | case | eager, per run | per event | ledger, per run | per event |
+//! |---|---|---|---|---|
+//! | `sync/links` | 3.41 ms | 4.3 µs | 1.56 ms | 2.0 µs |
+//! | `dep/links` | 12.0 ms | 3.8 µs | 2.26 ms | 0.71 µs |
+//! | `sync/links+host+qp` | 109.5 ms | 52 µs | 119.3 ms | 56 µs |
+//! | `dep/links+host+qp` | 242.2 ms | 70 µs | 251.5 ms | 73 µs |
+//!
+//! The recompute itself is ~0.1 µs on the per-link path either way. Under
+//! host caps progressive filling moves most rates at every event, so the
+//! ledger re-marks and re-keys most links and the event costs a little more.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
