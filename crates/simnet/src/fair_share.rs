@@ -12,12 +12,12 @@
 //!
 //! A flow's bytes are stored as `b` at a mark time `t_m`, and at time `t` it
 //! has `b − r·(t − t_m)` left at its rate `r`. They are re-marked
-//! (`b ← b − r·(t − t_m)`, `t_m ← t`) only when the bit pattern of the rate
-//! changes: after an arrival or retirement on the flow's link, a timeline
-//! rerate, or a progressive recompute that moves it. A flow whose rate did
-//! not change costs an event nothing. This is the per-link virtual time of
-//! generalized processor sharing (Parekh & Gallager, *IEEE/ACM ToN* 1(3),
-//! 1993).
+//! (`b ← b − r·(t − t_m)` clamped at 0, `t_m ← t`) only when the bit pattern
+//! of the rate changes: after an arrival or retirement on the flow's link, a
+//! timeline rerate, or a progressive recompute that moves it. A flow whose
+//! rate did not change costs an event nothing. This is the per-link virtual
+//! time of generalized processor sharing (Parekh & Gallager, *IEEE/ACM ToN*
+//! 1(3), 1993).
 //!
 //! Each link keeps its flows in a window of one flat array, sized when the
 //! engine is built from how many of the run's jobs use the link; every job
@@ -32,8 +32,8 @@
 //!
 //! At an event at time `t` a flow on a visited link retires when it is due by
 //! `t` or its bytes at `t` are at or below its threshold. The second half is
-//! the eager engine's predicate, evaluated without storing it, so drains that
-//! coincide up to round-off on different links retire together, as they did.
+//! evaluated from the mark without storing the result, and it makes drains
+//! that coincide up to round-off on different links retire at one event.
 //! The first half makes every drain event retire at least one flow: the first
 //! drain's link has its *ready* key at or before its *drain* key, so it is
 //! visited, and its first flow is due. The dependency-driven loop therefore
