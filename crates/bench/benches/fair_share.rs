@@ -18,7 +18,7 @@
 //! side, each the median of 20 runs; per event is that over the run's
 //! recomputes. Eager accounting advanced every active flow and searched every
 //! live link at each event; the ledger re-marks only flows whose rate changed
-//! and keeps the next drain in a heap over links (module docs of
+//! and keeps the next drain in a min-tournament over links (module docs of
 //! `crates/simnet/src/fair_share.rs`).
 //!
 //! | case | eager, per run | per event | ledger, per run | per event |

@@ -37,7 +37,7 @@
 //! Either kernel only produces rates. One byte ledger behind both owns every
 //! active flow's bytes, the next drain, retirement, busy time and the bytes of
 //! a cut job. A flow's bytes are re-marked only when its rate's bit pattern
-//! changes, and an indexed heap over links gives the next drain, so an
+//! changes, and a min-tournament over links gives the next drain, so an
 //! uncapped event touches only the links whose flows changed. The run loops
 //! start jobs at the clock `t`, ask for the next drain time, and settle the
 //! ledger at the time they move the clock to. Besides that they only ask how

@@ -21,14 +21,22 @@
 //!
 //! Each link keeps its flows in a window of one flat array, sized when the
 //! engine is built from how many of the run's jobs use the link; every job
-//! arrives once, so no window overflows. Two indexed min-heaps over links hold
-//! per-link keys, refreshed only for links whose flows changed:
+//! arrives once, so no window overflows. Two keys per link are refreshed only
+//! for links whose flows changed:
 //!
 //! * *drain*: when the first of the link's flows empties, the least
 //!   `t_m + b / r` over them. The least over links is the next drain event.
 //! * *ready*: when the first of them reaches its drain threshold (a relative
 //!   byte tolerance for round-off). These are the links a retirement check
 //!   visits.
+//!
+//! Each key lives in a min-tournament over links ([`LinkKeys`]): the least key
+//! is its root, a changed link walks one leaf-to-root path (or, when an event
+//! changed an eighth of the links or more, the tree is rebuilt bottom-up in
+//! one pass), and the links due by `t` come out of one descent. While a link's
+//! flows share one mark and rate, as they always do on the per-link path, its
+//! keys take one division each: `t_m + min(b) / r` is the least `t_m + b / r`
+//! bit for bit, because rounded division and addition are monotone.
 //!
 //! At an event at time `t` a flow on a visited link retires when it is due by
 //! `t` or its bytes at `t` are at or below its threshold. The second half is
@@ -557,9 +565,6 @@ impl LinkShare {
     }
 }
 
-/// Marks a link outside a [`LinkHeap`].
-const ABSENT: usize = usize::MAX;
-
 /// The bytes of every active flow, for both rate kernels (module docs, "The
 /// ledger"). A flow's bytes are stored as `bytes` at its mark time and drain
 /// at `rate` from there; they are re-marked only when the rate's bit pattern
@@ -585,11 +590,11 @@ pub(crate) struct Ledger {
     members: Vec<usize>,
     /// Active flows over all links.
     flows: usize,
-    /// Links with flows, keyed by the time the first of their flows empties.
-    drains: LinkHeap,
-    /// Links with flows, keyed by the time the first of their flows reaches
-    /// its drain threshold: the links a retirement check must visit.
-    ready: LinkHeap,
+    /// Per link: when the first of its flows empties.
+    drains: LinkKeys,
+    /// Per link: when the first of its flows reaches its drain threshold; the
+    /// links a retirement check must visit.
+    ready: LinkKeys,
     /// Links whose flows arrived, retired or were re-marked, or whose
     /// bandwidth changed, since the keys were last refreshed (each once).
     changed: Vec<EdgeId>,
@@ -599,6 +604,8 @@ pub(crate) struct Ledger {
     busy: Vec<f64>,
     /// The earliest drain at the last refresh.
     next_drain: f64,
+    /// Scratch: the links a retirement check visits.
+    visit: Vec<EdgeId>,
 }
 
 impl Ledger {
@@ -622,13 +629,14 @@ impl Ledger {
             len: vec![0; num_edges],
             members: vec![0; jobs.len()],
             flows: 0,
-            drains: LinkHeap::new(num_edges),
-            ready: LinkHeap::new(num_edges),
+            drains: LinkKeys::new(num_edges),
+            ready: LinkKeys::new(num_edges),
             changed: Vec::new(),
             is_changed: vec![false; num_edges],
             busy_since: vec![0.0; num_edges],
             busy: vec![0.0; num_edges],
             next_drain: f64::INFINITY,
+            visit: Vec::new(),
         }
     }
 
@@ -719,45 +727,67 @@ impl Ledger {
         }
     }
 
-    /// When `job`'s flow empties, and when it reaches its drain threshold, at
-    /// its current rate.
-    fn due(&self, job: usize) -> (f64, f64) {
-        let (mark, rate) = (self.mark[job], self.rate[job]);
-        let after = |bytes: f64| {
-            if bytes > 0.0 {
-                mark + bytes / rate
-            } else {
-                mark
-            }
+    /// When `job`'s flow empties, at its current rate.
+    fn due(&self, job: usize) -> f64 {
+        after(self.mark[job], self.rate[job], self.bytes[job])
+    }
+
+    /// Refreshes link `e`'s *drain* and *ready* keys (`+inf` with no flow),
+    /// leaving the inner nodes to a rebuild when `bulk`.
+    fn refresh(&mut self, e: EdgeId, bulk: bool) {
+        let window = &self.members[self.window(e)];
+        let (drain, ready) = match window.first() {
+            None => (f64::INFINITY, f64::INFINITY),
+            Some(&first) => self.keys(window, first),
         };
-        (
-            after(self.bytes[job]),
-            after(self.bytes[job] - self.threshold[job]),
-        )
+        if bulk {
+            self.drains.set_leaf(e, drain);
+            self.ready.set_leaf(e, ready);
+        } else {
+            self.drains.set(e, drain);
+            self.ready.set(e, ready);
+        }
+    }
+
+    /// The *drain* and *ready* keys of the flows in `window`, `first` among
+    /// them: one division each while they share a mark and rate (module docs).
+    fn keys(&self, window: &[usize], first: usize) -> (f64, f64) {
+        let (mark, rate) = (self.mark[first], self.rate[first]);
+        let (mut least, mut least_slack, mut shared) = (f64::INFINITY, f64::INFINITY, true);
+        for &job in window {
+            shared &= self.mark[job].to_bits() == mark.to_bits()
+                && self.rate[job].to_bits() == rate.to_bits();
+            least = least.min(self.bytes[job]);
+            least_slack = least_slack.min(self.bytes[job] - self.threshold[job]);
+        }
+        if shared {
+            (after(mark, rate, least), after(mark, rate, least_slack))
+        } else {
+            window
+                .iter()
+                .fold((f64::INFINITY, f64::INFINITY), |(d, r), &job| {
+                    let (mark, rate) = (self.mark[job], self.rate[job]);
+                    let slack = self.bytes[job] - self.threshold[job];
+                    (d.min(self.due(job)), r.min(after(mark, rate, slack)))
+                })
+        }
     }
 
     /// Refreshes the keys of the changed links and returns the time at which
     /// the first active flow empties (`+inf` with no flow).
     pub(crate) fn next_drain(&mut self) -> f64 {
+        let bulk = 8 * self.changed.len() >= self.drains.size;
         for i in 0..self.changed.len() {
             let e = self.changed[i];
             self.is_changed[e] = false;
-            if self.len[e] == 0 {
-                self.drains.remove(e);
-                self.ready.remove(e);
-                continue;
-            }
-            let (mut drain, mut ready) = (f64::INFINITY, f64::INFINITY);
-            for &job in &self.members[self.window(e)] {
-                let (d, r) = self.due(job);
-                drain = drain.min(d);
-                ready = ready.min(r);
-            }
-            self.drains.set(e, drain);
-            self.ready.set(e, ready);
+            self.refresh(e, bulk);
+        }
+        if bulk {
+            self.drains.rebuild();
+            self.ready.rebuild();
         }
         self.changed.clear();
-        self.next_drain = self.drains.min().unwrap_or(f64::INFINITY);
+        self.next_drain = self.drains.min();
         self.next_drain
     }
 
@@ -767,11 +797,13 @@ impl Ledger {
     /// of every link left idle, and hands each retired job to `done`.
     pub(crate) fn settle(&mut self, t: f64, mut done: impl FnMut(usize)) {
         let mut retired = 0;
-        while let Some(e) = self.ready.pop_at_most(t) {
+        self.ready.collect_at_most(t, 1, &mut self.visit);
+        for vi in 0..self.visit.len() {
+            let e = self.visit[vi];
             let (mut i, mut end) = (self.start[e], self.start[e] + self.len[e]);
             while i < end {
                 let job = self.members[i];
-                if self.due(job).0 <= t || self.left(job, t) <= self.threshold[job] {
+                if self.left(job, t) <= self.threshold[job] || self.due(job) <= t {
                     end -= 1;
                     self.members[i] = self.members[end];
                     self.active[job] = false;
@@ -789,6 +821,7 @@ impl Ledger {
             self.len[e] = kept;
             self.touch(e);
         }
+        self.visit.clear();
         // The first drain's link has its `ready` key at or before its drain,
         // and its first flow is due by then.
         debug_assert!(
@@ -805,105 +838,77 @@ impl Ledger {
     }
 }
 
-/// An indexed binary min-heap of links keyed by a time, ties to the lower
-/// link id: set, remove and pop in `O(log links)`.
-struct LinkHeap {
-    heap: Vec<EdgeId>,
-    /// Per link: its place in `heap`, `ABSENT` outside it.
-    pos: Vec<usize>,
-    key: Vec<f64>,
+/// When a flow marked at `mark` with `bytes` over a threshold (or left)
+/// reaches it at `rate`: `mark` itself once there is nothing over it.
+fn after(mark: f64, rate: f64, bytes: f64) -> f64 {
+    if bytes > 0.0 {
+        mark + bytes / rate
+    } else {
+        mark
+    }
 }
 
-impl LinkHeap {
+/// Per-link keys in a min-tournament: leaf `size + e` holds link `e`'s key
+/// (`+inf` for none) and every inner node the lesser of its two children, so
+/// the least key is the root and a change walks one leaf-to-root path.
+struct LinkKeys {
+    /// Leaves: the least power of two at or above the link count.
+    size: usize,
+    tree: Vec<f64>,
+}
+
+impl LinkKeys {
     fn new(num_edges: usize) -> Self {
+        let size = num_edges.next_power_of_two();
         Self {
-            heap: Vec::new(),
-            pos: vec![ABSENT; num_edges],
-            key: vec![0.0; num_edges],
+            size,
+            tree: vec![f64::INFINITY; 2 * size],
         }
     }
 
-    /// The least key.
-    fn min(&self) -> Option<f64> {
-        self.heap.first().map(|&e| self.key[e])
+    /// The least key (`+inf` with none).
+    fn min(&self) -> f64 {
+        self.tree[1]
     }
 
-    /// Inserts link `e`, or moves it, at `key`.
+    /// Link `e`'s key becomes `key` (`+inf` removes it).
     fn set(&mut self, e: EdgeId, key: f64) {
-        self.key[e] = key;
-        if self.pos[e] == ABSENT {
-            self.pos[e] = self.heap.len();
-            self.heap.push(e);
+        let mut i = self.size + e;
+        self.tree[i] = key;
+        while i > 1 {
+            i /= 2;
+            let least = self.tree[2 * i].min(self.tree[2 * i + 1]);
+            if least.to_bits() == self.tree[i].to_bits() {
+                break;
+            }
+            self.tree[i] = least;
         }
-        let i = self.sift_up(self.pos[e]);
-        self.sift_down(i);
     }
 
-    fn remove(&mut self, e: EdgeId) {
-        let i = self.pos[e];
-        if i == ABSENT {
+    /// Link `e`'s key becomes `key` without updating the inner nodes; a
+    /// [`LinkKeys::rebuild`] must follow before the next read.
+    fn set_leaf(&mut self, e: EdgeId, key: f64) {
+        self.tree[self.size + e] = key;
+    }
+
+    /// Recomputes every inner node from the leaves.
+    fn rebuild(&mut self) {
+        for i in (1..self.size).rev() {
+            self.tree[i] = self.tree[2 * i].min(self.tree[2 * i + 1]);
+        }
+    }
+
+    /// Appends to `out` every link under node `i` whose key is at most `t`.
+    fn collect_at_most(&self, t: f64, i: usize, out: &mut Vec<EdgeId>) {
+        if self.tree[i] > t {
             return;
         }
-        self.pos[e] = ABSENT;
-        let last = self.heap.pop().expect("a link in the heap");
-        if i < self.heap.len() {
-            self.heap[i] = last;
-            self.pos[last] = i;
-            let i = self.sift_up(i);
-            self.sift_down(i);
+        if i >= self.size {
+            out.push(i - self.size);
+            return;
         }
-    }
-
-    /// Removes and returns the least link if its key is at most `t`.
-    fn pop_at_most(&mut self, t: f64) -> Option<EdgeId> {
-        let &e = self.heap.first()?;
-        (self.key[e] <= t).then(|| {
-            self.remove(e);
-            e
-        })
-    }
-
-    fn before(&self, a: EdgeId, b: EdgeId) -> bool {
-        self.key[a].total_cmp(&self.key[b]).then(a.cmp(&b)).is_lt()
-    }
-
-    fn swap(&mut self, i: usize, j: usize) {
-        self.heap.swap(i, j);
-        self.pos[self.heap[i]] = i;
-        self.pos[self.heap[j]] = j;
-    }
-
-    fn sift_up(&mut self, mut i: usize) -> usize {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if !self.before(self.heap[i], self.heap[parent]) {
-                break;
-            }
-            self.swap(i, parent);
-            i = parent;
-        }
-        i
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let left = 2 * i + 1;
-            if left >= self.heap.len() {
-                break;
-            }
-            let right = left + 1;
-            let child = if right < self.heap.len() && self.before(self.heap[right], self.heap[left])
-            {
-                right
-            } else {
-                left
-            };
-            if !self.before(self.heap[child], self.heap[i]) {
-                break;
-            }
-            self.swap(i, child);
-            i = child;
-        }
+        self.collect_at_most(t, 2 * i, out);
+        self.collect_at_most(t, 2 * i + 1, out);
     }
 }
 
