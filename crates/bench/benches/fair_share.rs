@@ -23,14 +23,16 @@
 //!
 //! | case | eager, per run | per event | ledger, per run | per event |
 //! |---|---|---|---|---|
-//! | `sync/links` | 3.41 ms | 4.3 µs | 1.56 ms | 2.0 µs |
-//! | `dep/links` | 12.0 ms | 3.8 µs | 2.26 ms | 0.71 µs |
-//! | `sync/links+host+qp` | 109.5 ms | 52 µs | 119.3 ms | 56 µs |
-//! | `dep/links+host+qp` | 242.2 ms | 70 µs | 251.5 ms | 73 µs |
+//! | `sync/links` | 3.87 ms | 4.9 µs | 1.40 ms | 1.8 µs |
+//! | `dep/links` | 12.8 ms | 4.0 µs | 2.09 ms | 0.66 µs |
+//! | `sync/links+host+qp` | 129.5 ms | 61 µs | 131.1 ms | 62 µs |
+//! | `dep/links+host+qp` | 261.8 ms | 76 µs | 273.3 ms | 79 µs |
 //!
 //! The recompute itself is ~0.1 µs on the per-link path either way. Under
 //! host caps progressive filling moves most rates at every event, so the
-//! ledger re-marks and re-keys most links and the event costs a little more.
+//! ledger re-marks most flows and re-keys most links; the capped rows moved
+//! within this box's run-to-run spread (another round read 123.5 → 124.1 and
+//! 267.0 → 237.8 ms).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

@@ -116,13 +116,12 @@
 //! bytes within 1e-12 of the job's bytes, recompute counts within 0.5 %.
 //!
 //! On the 27-node torus at 128 chunks (162 links, up to ~1.1k active flows)
-//! an uncapped run costs about 2.0 µs per event synchronized and 0.7 µs
+//! an uncapped run costs about 1.8 µs per event synchronized and 0.7 µs
 //! dependency-driven, the fixed per-run work (dependency extraction, job
 //! resolution) included; the level refresh is ~0.1 µs of it. Under host caps
-//! plus QP contention an event is 55–75 µs, most of it progressive filling.
-//! There the ledger re-marks and re-keys most links at every event, because
-//! progressive filling moves most rates, which costs ~5–10 % over eager
-//! accounting (`cargo bench -p a2a_bench --bench fair_share`, 2-core box).
+//! plus QP contention an event is 60–80 µs, most of it progressive filling,
+//! which moves most rates at every event, so there the ledger re-marks most
+//! flows (`cargo bench -p a2a_bench --bench fair_share`, 2-core box).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
