@@ -31,23 +31,25 @@
 //!   visits.
 //!
 //! Each key lives in a min-tournament over links ([`LinkKeys`]): the least key
-//! is its root, a changed link walks one leaf-to-root path (or, when an event
-//! changed an eighth of the links or more, the tree is rebuilt bottom-up in
-//! one pass), and the links due by `t` come out of one descent. While a link's
-//! flows share one mark and rate, as they always do on the per-link path, its
-//! keys take one division each: `t_m + min(b) / r` is the least `t_m + b / r`
-//! bit for bit, because rounded division and addition are monotone.
+//! is its root, a changed link walks one leaf-to-root path and stops at the
+//! first node it leaves unchanged, and the links due by `t` come out of one
+//! descent. While a link's flows share one mark and rate, as they always do on
+//! the per-link path, its keys take one division each: `t_m + min(b) / r` is
+//! the least `t_m + b / r` bit for bit, because rounded division and addition
+//! are monotone.
 //!
-//! At an event at time `t` a flow on a visited link retires when it is due by
-//! `t` or its bytes at `t` are at or below its threshold. The second half is
-//! evaluated from the mark without storing the result, and it makes drains
-//! that coincide up to round-off on different links retire at one event.
-//! The first half makes every drain event retire at least one flow: the first
-//! drain's link has its *ready* key at or before its *drain* key, so it is
-//! visited, and its first flow is due. The dependency-driven loop therefore
-//! keeps its `2n + 1` event bound. The clock is the run loop's absolute `t`,
-//! not a sum of event lengths. Busy time is charged per link when its last flow
-//! retires: `t` minus the time its first flow arrived.
+//! At an event at time `t` a flow retires when it reaches its drain threshold
+//! by `t`: `t_m + (b − threshold) / r ≤ t`, the predicate "bytes left at or
+//! below the threshold" solved for the time. It is the *ready* key's own
+//! expression, so the links the keys name hold every flow it retires, and
+//! drains that coincide up to round-off on different links retire at one
+//! event. A flow reaches its threshold no later than it empties (the
+//! expression is monotone in the bytes), so the first drain's link is visited
+//! and its first flow retires: every drain event retires at least one flow,
+//! and the dependency-driven loop keeps its `2n + 1` event bound. The clock is
+//! the run loop's absolute `t`, not a sum of event lengths. Busy time is
+//! charged per link when its last flow retires: `t` minus the time its first
+//! flow arrived.
 //!
 //! Flows retire link by link, in no fixed order, and no result sees it. Rates
 //! depend on per-link counts, or on progressive filling's own ordered list.
@@ -731,21 +733,25 @@ impl Ledger {
         after(self.mark[job], self.rate[job], self.bytes[job])
     }
 
-    /// Refreshes link `e`'s *drain* and *ready* keys (`+inf` with no flow),
-    /// leaving the inner nodes to a rebuild when `bulk`.
-    fn refresh(&mut self, e: EdgeId, bulk: bool) {
+    /// When `job`'s flow reaches its drain threshold, at its current rate: the
+    /// retirement predicate, and the expression of the *ready* keys.
+    fn ready(&self, job: usize) -> f64 {
+        after(
+            self.mark[job],
+            self.rate[job],
+            self.bytes[job] - self.threshold[job],
+        )
+    }
+
+    /// Refreshes link `e`'s *drain* and *ready* keys (`+inf` with no flow).
+    fn refresh(&mut self, e: EdgeId) {
         let window = &self.members[self.window(e)];
         let (drain, ready) = match window.first() {
             None => (f64::INFINITY, f64::INFINITY),
             Some(&first) => self.keys(window, first),
         };
-        if bulk {
-            self.drains.set_leaf(e, drain);
-            self.ready.set_leaf(e, ready);
-        } else {
-            self.drains.set(e, drain);
-            self.ready.set(e, ready);
-        }
+        self.drains.set(e, drain);
+        self.ready.set(e, ready);
     }
 
     /// The *drain* and *ready* keys of the flows in `window`, `first` among
@@ -765,9 +771,7 @@ impl Ledger {
             window
                 .iter()
                 .fold((f64::INFINITY, f64::INFINITY), |(d, r), &job| {
-                    let (mark, rate) = (self.mark[job], self.rate[job]);
-                    let slack = self.bytes[job] - self.threshold[job];
-                    (d.min(self.due(job)), r.min(after(mark, rate, slack)))
+                    (d.min(self.due(job)), r.min(self.ready(job)))
                 })
         }
     }
@@ -775,15 +779,10 @@ impl Ledger {
     /// Refreshes the keys of the changed links and returns the time at which
     /// the first active flow empties (`+inf` with no flow).
     pub(crate) fn next_drain(&mut self) -> f64 {
-        let bulk = 8 * self.changed.len() >= self.drains.size;
         for i in 0..self.changed.len() {
             let e = self.changed[i];
             self.is_changed[e] = false;
-            self.refresh(e, bulk);
-        }
-        if bulk {
-            self.drains.rebuild();
-            self.ready.rebuild();
+            self.refresh(e);
         }
         self.changed.clear();
         self.next_drain = self.drains.min();
@@ -791,9 +790,9 @@ impl Ledger {
     }
 
     /// Moves the clock to `t` (no earlier than the last recompute): retires
-    /// every flow that has emptied or is at or below its drain threshold,
-    /// visiting only the links the `ready` keys name, closes the busy period
-    /// of every link left idle, and hands each retired job to `done`.
+    /// every flow that reaches its drain threshold by `t`, visiting only the
+    /// links the `ready` keys name, closes the busy period of every link left
+    /// idle, and hands each retired job to `done`.
     pub(crate) fn settle(&mut self, t: f64, mut done: impl FnMut(usize)) {
         let mut retired = 0;
         self.ready.collect_at_most(t, 1, &mut self.visit);
@@ -802,7 +801,7 @@ impl Ledger {
             let (mut i, mut end) = (self.start[e], self.start[e] + self.len[e]);
             while i < end {
                 let job = self.members[i];
-                if self.left(job, t) <= self.threshold[job] || self.due(job) <= t {
+                if self.ready(job) <= t {
                     end -= 1;
                     self.members[i] = self.members[end];
                     self.active[job] = false;
@@ -822,7 +821,7 @@ impl Ledger {
         }
         self.visit.clear();
         // The first drain's link has its `ready` key at or before its drain,
-        // and its first flow is due by then.
+        // and its first flow reaches its threshold by then.
         debug_assert!(
             t < self.next_drain || retired > 0,
             "a drain event at {t} retired no flow"
@@ -881,19 +880,6 @@ impl LinkKeys {
                 break;
             }
             self.tree[i] = least;
-        }
-    }
-
-    /// Link `e`'s key becomes `key` without updating the inner nodes; a
-    /// [`LinkKeys::rebuild`] must follow before the next read.
-    fn set_leaf(&mut self, e: EdgeId, key: f64) {
-        self.tree[self.size + e] = key;
-    }
-
-    /// Recomputes every inner node from the leaves.
-    fn rebuild(&mut self) {
-        for i in (1..self.size).rev() {
-            self.tree[i] = self.tree[2 * i].min(self.tree[2 * i + 1]);
         }
     }
 
