@@ -774,16 +774,6 @@ enum Sharing {
     Progressive(Progressive),
 }
 
-/// The order in which a run loop retires drained flows, which progressive
-/// filling's resource numbering sees in the survivors.
-#[derive(Clone, Copy)]
-pub(crate) enum Retire {
-    /// Survivors keep their order (synchronized runs).
-    InOrder,
-    /// A drained flow's place goes to the last flow (dependency-driven runs).
-    SwapRemove,
-}
-
 impl<'a> Engine<'a> {
     fn new(
         topo: &Topology,
@@ -811,14 +801,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Starts a flow of `job`'s whole byte volume at time `t`.
-    fn activate(&mut self, job: usize, t: f64) {
-        self.ledger.arrive(job, t);
-        if let Sharing::Progressive(fill) = &mut self.sharing {
-            fill.arrive(job);
-        }
-    }
-
     /// One recompute of the active flows' max-min fair rates at time `t`;
     /// returns the time at which the first of them drains.
     fn next_drain(&mut self, t: f64) -> f64 {
@@ -832,15 +814,6 @@ impl<'a> Engine<'a> {
             Sharing::Progressive(fill) => fill.rates(&mut self.ledger, jobs, link_bw, params, t),
         }
         self.ledger.next_drain()
-    }
-
-    /// Moves the clock to `t` at the rates of the last recompute: retires the
-    /// drained flows, handing each job to `done`.
-    fn settle(&mut self, t: f64, retire: Retire, done: impl FnMut(usize)) {
-        self.ledger.settle(t, done);
-        if let Sharing::Progressive(fill) = &mut self.sharing {
-            fill.compact(&self.ledger, retire);
-        }
     }
 
     /// Installs the capacity table of a timeline boundary.
@@ -881,7 +854,7 @@ impl<'a> Engine<'a> {
             let mut step_alpha_factor = 1.0f64;
             while next_job < self.jobs.len() && self.jobs[next_job].step == step {
                 step_alpha_factor = step_alpha_factor.max(self.alpha_factor[next_job]);
-                self.activate(next_job, t);
+                self.ledger.arrive(next_job, t);
                 next_job += 1;
             }
             max_concurrent = max_concurrent.max(self.ledger.flows());
@@ -890,7 +863,7 @@ impl<'a> Engine<'a> {
                 // Cut the drain at the next event boundary.
                 if bi < boundaries.len() && boundaries[bi].time <= drain {
                     t = t.max(boundaries[bi].time);
-                    self.settle(t, Retire::InOrder, |_| {});
+                    self.ledger.settle(t, |_| {});
                     let b = &boundaries[bi];
                     self.rerate(&b.link_bw);
                     bi += 1;
@@ -910,7 +883,7 @@ impl<'a> Engine<'a> {
                     continue;
                 }
                 t = drain;
-                self.settle(t, Retire::InOrder, |_| {});
+                self.ledger.settle(t, |_| {});
             }
             step_completion[step] = t;
             // Events during the synchronization window fire at the barrier: no
@@ -986,7 +959,7 @@ impl<'a> Engine<'a> {
                     break;
                 }
                 ready.pop();
-                self.activate(id, t);
+                self.ledger.arrive(id, t);
             }
             max_concurrent = max_concurrent.max(self.ledger.flows());
 
@@ -997,7 +970,7 @@ impl<'a> Engine<'a> {
                 None => drain,
             };
             let (jobs, alpha_factor) = (self.jobs, self.alpha_factor);
-            self.settle(t, Retire::SwapRemove, |job| {
+            self.ledger.settle(t, |job| {
                 completed += 1;
                 let step = jobs[job].step;
                 step_completion[step] = step_completion[step].max(t);

@@ -2,9 +2,9 @@
 //! advanced every active flow's remaining bytes by `rate · dt`, charged `dt` of
 //! busy time to every link with a flow, and searched every live link (per-link
 //! path) or every flow (progressive filling) for the next drain. Kept verbatim,
-//! but for the observability taps and the job-id list progressive filling
-//! takes, as the reference the engine is held to
-//! (`engine_matches_the_eager_reference`).
+//! but for the observability taps, the job-id list progressive filling takes
+//! and the [`Retire`] order (the engine's own list is gone), as the reference
+//! the engine is held to (`engine_matches_the_eager_reference`).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -13,9 +13,7 @@ use std::ops::Range;
 use a2a_schedule::TransferDag;
 use a2a_topology::{EdgeId, Topology};
 
-use super::{
-    Boundary, Interrupt, OrdF64, Outcome, Retire, SimError, SimJob, SimResult, TimelineOutcome,
-};
+use super::{Boundary, Interrupt, OrdF64, Outcome, SimError, SimJob, SimResult, TimelineOutcome};
 use crate::fair_share::FairShare;
 use crate::SimParams;
 
@@ -25,6 +23,16 @@ impl SimJob {
     fn still_draining(&self, remaining: f64) -> bool {
         remaining > self.drain_threshold()
     }
+}
+
+/// The order in which a run loop retires drained flows, which progressive
+/// filling's resource numbering sees in the survivors.
+#[derive(Clone, Copy)]
+enum Retire {
+    /// Survivors keep their order (synchronized runs).
+    InOrder,
+    /// A drained flow's place goes to the last flow (dependency-driven runs).
+    SwapRemove,
 }
 
 /// A flow currently draining.

@@ -51,12 +51,13 @@
 //! charged per link when its last flow retires: `t` minus the time its first
 //! flow arrived.
 //!
-//! Flows retire link by link, in no fixed order, and no result sees it. Rates
-//! depend on per-link counts, or on progressive filling's own ordered list.
-//! Busy time and step completions are per-link sums and maxima. The
-//! dependency-driven ready queue is keyed by unique `(time, job)` pairs, so
-//! the order in which a retirement readies successors does not decide the
-//! order they start in.
+//! A link's window holds its flows in arrival order, except that a retired
+//! flow's slot goes to the link's last flow. Progressive filling walks the
+//! windows link by link in that order, which is the only list of active flows;
+//! the per-link levels depend on member counts only. Busy time and step
+//! completions are per-link sums and maxima. The dependency-driven ready queue
+//! is keyed by unique `(time, job)` pairs, so the order in which a retirement
+//! readies successors does not decide the order they start in.
 //!
 //! **Why the kernels stay bit-equal.** On an uncapped run both kernels give
 //! every flow the same rate bits (below). So a rate's bit pattern changes
@@ -95,8 +96,8 @@
 //! `f64` bit patterns of the test suites (and the equality with the
 //! table-rebuilding, linear-scan kernel kept as the tests' reference) rest on
 //! this rule. The order of the active flows is therefore part of the result
-//! here (each run loop retires in its own [`Retire`] order), and not on the
-//! per-link path.
+//! here, and it is the ledger's: ascending link, each link's window in order
+//! (above). On the per-link path it is not.
 //!
 //! With `F` active flows on `R` resources (`R ≤ edges + 2·nodes`), one
 //! recompute is `O(F + R log R)` and allocates nothing once the engine's scratch
@@ -131,7 +132,7 @@ use std::ops::Range;
 
 use a2a_topology::EdgeId;
 
-use crate::event::{OrdF64, Retire, SimJob};
+use crate::event::{OrdF64, SimJob};
 use crate::SimParams;
 
 // Observability taps (free while tracing is off; totals accumulate until
@@ -461,12 +462,12 @@ pub(crate) fn certify_max_min(
 
 /// The rates under a host cap, where one flow's rate can depend on flows of
 /// other links: progressive filling over the active flows, in the order the
-/// run loop retires them in.
+/// ledger's windows list them.
 pub(crate) struct Progressive {
     /// Boxed: the tables are large beside the per-link kernel, which has none.
     fair: Box<FairShare>,
-    /// The active jobs, in the order the resource numbering walks them.
-    active: Vec<usize>,
+    /// Scratch, refilled at each recompute: the active jobs, then their rates.
+    jobs: Vec<usize>,
     rates: Vec<f64>,
 }
 
@@ -474,14 +475,9 @@ impl Progressive {
     pub(crate) fn new(num_edges: usize, num_nodes: usize) -> Self {
         Self {
             fair: Box::new(FairShare::new(num_edges, num_nodes)),
-            active: Vec::new(),
+            jobs: Vec::new(),
             rates: Vec::new(),
         }
-    }
-
-    /// `job`'s flow joins the active set, last in the order.
-    pub(crate) fn arrive(&mut self, job: usize) {
-        self.active.push(job);
     }
 
     /// One recompute at time `t`: every active flow's max-min rate, handed to
@@ -494,30 +490,11 @@ impl Progressive {
         params: &SimParams,
         t: f64,
     ) {
+        ledger.active_jobs(&mut self.jobs);
         self.fair
-            .assign_rates(jobs, link_bw, params, &self.active, &mut self.rates);
-        for (&job, &rate) in self.active.iter().zip(&self.rates) {
+            .assign_rates(jobs, link_bw, params, &self.jobs, &mut self.rates);
+        for (&job, &rate) in self.jobs.iter().zip(&self.rates) {
             ledger.set_rate(job, rate, t);
-        }
-    }
-
-    /// Drops the flows the ledger retired; the survivors keep the order
-    /// `retire` leaves them in, which is the next recompute's resource
-    /// numbering.
-    pub(crate) fn compact(&mut self, ledger: &Ledger, retire: Retire) {
-        let active = &mut self.active;
-        match retire {
-            Retire::InOrder => active.retain(|&job| ledger.is_active(job)),
-            Retire::SwapRemove => {
-                let mut i = 0;
-                while i < active.len() {
-                    if ledger.is_active(active[i]) {
-                        i += 1;
-                    } else {
-                        active.swap_remove(i);
-                    }
-                }
-            }
         }
     }
 }
@@ -556,9 +533,8 @@ impl LinkShare {
         drop(recompute_timer);
         #[cfg(debug_assertions)]
         {
-            let active: Vec<usize> = (0..ledger.len.len())
-                .flat_map(|e| ledger.members[ledger.window(e)].iter().copied())
-                .collect();
+            let mut active = Vec::new();
+            ledger.active_jobs(&mut active);
             let rates: Vec<f64> = active.iter().map(|&job| ledger.rate[job]).collect();
             // No host cap, so no node-side resource to size.
             certify_max_min(jobs, link_bw, 0, params, &active, &rates);
@@ -674,9 +650,12 @@ impl Ledger {
         self.flows
     }
 
-    /// Whether `job` has a flow.
-    pub(crate) fn is_active(&self, job: usize) -> bool {
-        self.active[job]
+    /// Replaces `out` with the active jobs, link by link in window order.
+    fn active_jobs(&self, out: &mut Vec<usize>) {
+        out.clear();
+        for e in 0..self.len.len() {
+            out.extend_from_slice(&self.members[self.window(e)]);
+        }
     }
 
     /// Whether an active flow runs on a link flagged in `failed`.
@@ -703,7 +682,7 @@ impl Ledger {
 
     /// The remaining bytes of `job`'s flow at time `t`, 0 once it drained.
     pub(crate) fn remaining_of(&self, job: usize, t: f64) -> f64 {
-        if self.is_active(job) {
+        if self.active[job] {
             self.left(job, t)
         } else {
             0.0
