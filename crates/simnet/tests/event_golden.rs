@@ -186,8 +186,8 @@ const HYPERCUBE_3D: Recorded = [
     // dep+host
     (
         0x3fa16f93d9be197c,
-        &[0x3f9194e1295f509a, 0x3f9e5bd874b9f1c7, 0x3fa16f93d9be197c],
-        0xd179f3ecfebd6cd5,
+        &[0x3f9194e1295f509a, 0x3f9e5bd874b9f1c6, 0x3fa16f93d9be197c],
+        0x858094174ffa995d,
     ),
     // sync+qp
     (
@@ -211,7 +211,7 @@ const HYPERCUBE_3D: Recorded = [
     (
         0x3f95f1d60e1f1fda,
         &[0x3f8d9dbb3e047ca9, 0x3f913e1793860075, 0x3f95f1d60e1f1fda],
-        0x774a9d487f963aa1,
+        0xab39d1f8357208e7,
     ),
 ];
 const TORUS_3X3: Recorded = [
@@ -231,7 +231,7 @@ const TORUS_3X3: Recorded = [
     (
         0x3fa386265e6d95de,
         &[0x3f9803e35724ac96, 0x3fa386265e6d95de],
-        0x863f4782436e72f2,
+        0x6190b0693b858ca4,
     ),
     // sync+qp
     (
