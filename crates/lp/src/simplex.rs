@@ -2719,6 +2719,89 @@ mod tests {
         assert!(primal > 3_000 && dual > 1_000, "{primal} / {dual}");
     }
 
+    /// `dual_feasible` holds exactly when no nonbasic column is eligible to
+    /// enter under the reduced costs it refreshes (`eligibility_from` is
+    /// `None` for every variable), on seeded models with boxed, one-sided,
+    /// free and fixed columns and rows, from random starting bases and again
+    /// at the optimum. One sign rule serves both on this equivalence.
+    #[test]
+    fn dual_feasibility_is_no_eligible_column() {
+        let bounds = |rng: &mut ChaCha8Rng| match rng.random_range(0..5) {
+            0 => (0.0, INF),
+            1 => (0.0, rng.random_range(1..4) as f64),
+            2 => (-INF, rng.random_range(0..3) as f64),
+            3 => (-INF, INF),
+            _ => (1.0, 1.0),
+        };
+        let mut outcomes = [0usize; 2];
+        for seed in 0..300 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let nrows = rng.random_range(2..8);
+            let mut sf = StandardForm {
+                nrows,
+                cols: Vec::new(),
+                obj: Vec::new(),
+                lower: Vec::new(),
+                upper: Vec::new(),
+                row_lower: Vec::new(),
+                row_upper: Vec::new(),
+            };
+            for _ in 0..nrows {
+                let (l, u) = bounds(&mut rng);
+                sf.row_lower.push(l);
+                sf.row_upper.push(u);
+            }
+            for _ in 0..rng.random_range(2..12) {
+                let sign = if rng.random_range(0..4) == 0 {
+                    -1.0
+                } else {
+                    1.0
+                };
+                let mut c = session_column(&mut rng, nrows, sign);
+                (c.lower, c.upper) = bounds(&mut rng);
+                push_column(&mut sf, &c);
+            }
+            let ntotal = sf.cols.len() + nrows;
+            let statuses = if rng.random_range(0..2) == 0 {
+                slack_basis(&sf).statuses
+            } else {
+                let mut st: Vec<BasisStatus> = (0..ntotal)
+                    .map(|_| match rng.random_range(0..3) {
+                        0 => BasisStatus::AtLower,
+                        1 => BasisStatus::AtUpper,
+                        _ => BasisStatus::Free,
+                    })
+                    .collect();
+                let mut basic = 0;
+                while basic < nrows {
+                    let j = rng.random_range(0..ntotal);
+                    if st[j] != BasisStatus::Basic {
+                        st[j] = BasisStatus::Basic;
+                        basic += 1;
+                    }
+                }
+                st
+            };
+            let opts = SimplexOptions {
+                warm_start: Some(WarmStart { statuses }),
+                ..SimplexOptions::default()
+            };
+            let mut solver = Solver::new(&sf, opts).unwrap();
+            let mut check = |solver: &mut Solver<'_>| {
+                let feasible = solver.dual_feasible();
+                let none_eligible =
+                    (0..solver.ntotal).all(|j| solver.eligibility_from(j, solver.d[j]).is_none());
+                assert_eq!(feasible, none_eligible, "seed {seed}");
+                outcomes[usize::from(feasible)] += 1;
+            };
+            check(&mut solver);
+            if solver.reoptimize().is_ok() {
+                check(&mut solver);
+            }
+        }
+        assert!(outcomes.iter().all(|&n| n > 50), "{outcomes:?}");
+    }
+
     #[test]
     fn degenerate_transportation_lp_matches_reference() {
         // A degenerate transportation-style LP where many bases are optimal.

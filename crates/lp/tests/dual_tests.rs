@@ -509,3 +509,77 @@ fn covering_lp_dual_trajectory_is_pinned() {
         dual.objective
     );
 }
+
+/// A seeded covering LP on near-singular columns: entries drawn from ±1,
+/// `1 ± δ`, `±δ` (δ a few hundred multiples of 2⁻³⁶), 1/3, 3 and 0.1. Started
+/// from the slack basis it runs the dual phase, and at one dual pivot the
+/// FTRANed `w_r` falls within the pivot tolerance while the expanded row's
+/// `alpha_q` does not, so the loop refactorizes and retries, the path no
+/// other suite reaches (a bounded search found it on 6 of 3.5 million seeds).
+/// The primal two-phase method calls this model infeasible; the pin holds the
+/// retry's trajectory, not an answer: iterations, dual iterations, pivots,
+/// refactorizations and the objective bits.
+#[test]
+fn near_singular_dual_pivot_refactorizes_and_retries() {
+    let mut rng = ChaCha8Rng::seed_from_u64(340_360);
+    let m = rng.random_range(2..12);
+    let n = rng.random_range(m..3 * m + 2);
+    let delta = rng.random_range(1..400) as f64 * 2f64.powi(-36);
+    let entry = |rng: &mut ChaCha8Rng| match rng.random_range(0..12) {
+        0 => 1.0,
+        1 => -1.0,
+        2 => 1.0 + delta,
+        3 => 1.0 - delta,
+        4 => delta,
+        5 => -delta,
+        6 => 1.0 / 3.0,
+        7 => 3.0,
+        8 => 0.1,
+        _ => 0.0,
+    };
+    let cols = (0..n)
+        .map(|_| {
+            let entries: Vec<(usize, f64)> = (0..m)
+                .map(|i| (i, entry(&mut rng)))
+                .filter(|&(_, v)| v != 0.0)
+                .collect();
+            a2a_lp::sparse::SparseVec::from_entries(entries)
+        })
+        .collect();
+    let obj = (0..n).map(|_| rng.random_range(0..4) as f64).collect();
+    let upper = (0..n)
+        .map(|_| {
+            if rng.random_bool(0.3) {
+                rng.random_range(1..4) as f64
+            } else {
+                INF
+            }
+        })
+        .collect();
+    let sf = StandardForm {
+        nrows: m,
+        cols,
+        obj,
+        lower: vec![0.0; n],
+        upper,
+        row_lower: (0..m).map(|_| rng.random_range(0..6) as f64).collect(),
+        row_upper: vec![INF; m],
+    };
+    let options = SimplexOptions {
+        warm_start: Some(slack_basis(&sf)),
+        ..SimplexOptions::default()
+    };
+    let sol = a2a_lp::simplex::solve(&sf, &options).unwrap();
+    assert_eq!(
+        (
+            sol.iterations,
+            sol.dual_iterations,
+            sol.pivots,
+            sol.refactorizations,
+            sol.objective.to_bits()
+        ),
+        (6, 5, 6, 1, 0x41d4_46f8_6522_d9fb),
+        "near-singular covering LP: trajectory moved (objective now {})",
+        sol.objective
+    );
+}

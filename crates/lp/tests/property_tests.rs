@@ -350,3 +350,40 @@ fn monotonicity_in_capacity() {
         assert!(-tighter_sol.objective <= -sol.objective + 1e-7);
     }
 }
+
+/// A seeded chain `s_k (x_{k+1} − x_k) ≤ 0` over `n` variables, closed by
+/// `x_0 ≤ 1`, minimizing `−c · x_{n−1}`. From the slack basis exactly one
+/// column prices eligible at a time, the next link of the chain, and it enters
+/// at zero: the first `n − 1` pivots are degenerate in a row, so the run passes
+/// the stall escape (100) and the switch to Bland's rule (2,000), which no
+/// other suite reaches. The last pivot lifts every `x_k` to 1. Pinned: the
+/// iterations, the pivots and the objective bits.
+#[test]
+fn degenerate_chain_reaches_blands_rule() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xB1A4D);
+    let n = rng.random_range(2_100..2_400);
+    let mut lp = LpProblem::new();
+    let x: Vec<_> = (0..n)
+        .map(|k| {
+            let cost = if k == n - 1 {
+                -(rng.random_range(1..9) as f64)
+            } else {
+                0.0
+            };
+            lp.add_nonneg_var(cost)
+        })
+        .collect();
+    lp.add_constraint([(x[0], 1.0)], ConstraintSense::Le, 1.0);
+    for k in 0..n - 1 {
+        let s = rng.random_range(1..8) as f64;
+        lp.add_constraint([(x[k + 1], s), (x[k], -s)], ConstraintSense::Le, 0.0);
+    }
+    let sol = solve(&lp, &SimplexOptions::default()).unwrap();
+    assert_primal_feasible(&lp, &sol.x);
+    assert_eq!(
+        (sol.iterations, sol.pivots, sol.objective.to_bits()),
+        (2_190, 2_190, (-5.0f64).to_bits()),
+        "chain of {n}: trajectory moved (objective now {})",
+        sol.objective
+    );
+}

@@ -156,6 +156,36 @@ mod tests {
         assert!(xml.contains("a&lt;b&gt;&amp;&quot;c&quot;"));
     }
 
+    /// FNV-1a over a string's bytes.
+    fn fingerprint(xml: &str) -> u64 {
+        xml.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Both writers' bytes for a lowered torus-3x3 schedule at 64 chunks per
+    /// shard: `(length, FNV-1a)` of the MSCCL and the oneCCL program.
+    #[test]
+    fn torus_3x3_programs_are_pinned() {
+        let topo = generators::torus(&[3, 3]);
+        let sol = solve_tsmcf_colgen_auto(&topo).unwrap().solution;
+        let sched = ChunkedSchedule::from_tsmcf(&topo, &sol, 64).unwrap();
+        let (msccl, oneccl) = (
+            to_msccl_xml(&sched, "torus3x3"),
+            to_oneccl_xml(&sched, "torus3x3"),
+        );
+        assert_eq!(
+            [
+                (msccl.len(), fingerprint(&msccl)),
+                (oneccl.len(), fingerprint(&oneccl))
+            ],
+            [
+                (11_101, 0x81c3_b668_94b3_e8bd),
+                (14_732, 0xe386_02cf_b0e8_908e)
+            ]
+        );
+    }
+
     #[test]
     fn send_counts_match_schedule_totals() {
         let (_, sched) = sample_schedule();
