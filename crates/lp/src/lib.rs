@@ -17,8 +17,10 @@
 //!   simplex refactorizes exactly when the numerics demand it.
 //! * [`simplex`] — a bounded-variable revised simplex method with a two-phase
 //!   start and one pricing rule, devex with incrementally maintained reduced
-//!   costs in phase 2 (see the [`simplex`] module docs). Starts can be
-//!   warm ([`simplex::SimplexOptions::warm_start`], [`simplex::triangular_crash`])
+//!   costs in phase 2. Its primal and dual loops share one pivot core, and
+//!   basis maintenance, pricing, the ratio tests and the session each have a
+//!   private module (see the [`simplex`] module docs). Starts can be warm
+//!   ([`simplex::SimplexOptions::warm_start`], [`simplex::triangular_crash`])
 //!   and every solution exports its basis for reuse. A [`simplex::Solver`] can
 //!   also be held open as an incremental *session* for column generation:
 //!   [`simplex::Solver::add_columns`] appends structural columns without

@@ -5,10 +5,10 @@
 //! both stored column-wise in *pivot-position* ("step") space, plus the row
 //! permutation `P` and the pivot-order column permutation.
 //!
-//! Two dense solves serve one-off work (basic values, recovered duals):
-//! [`LuFactorization::solve`] (`B x = b`, "ftran") and
-//! [`LuFactorization::solve_transpose`] (`Bᵀ x = b`, "btran"). The per-pivot
-//! solves are [`LuFactorization::ftran_sparse`] /
+//! A dense solve serves one-off work (basic values, bound flips):
+//! [`LuFactorization::solve`] (`B x = b`, "ftran"); its transpose (`Bᵀ x = b`,
+//! "btran") is kept in test builds as the reference the sparse BTRAN is checked
+//! against. The per-pivot solves are [`LuFactorization::ftran_sparse`] /
 //! [`LuFactorization::btran_sparse`], which take a sparse right-hand side and
 //! run each of their triangular stages with one of two [`Kernel`]s.
 //!
@@ -252,13 +252,13 @@ pub struct LuScratch {
     /// Multipliers of the row eta under construction; copied out at its exact
     /// size when the update commits.
     ft_entries: Vec<(usize, f64)>,
-    /// Permuted work vector of the dense [`LuFactorization::solve`] /
-    /// [`LuFactorization::solve_transpose`].
+    /// Permuted work vector of the dense solves.
     dense: Vec<f64>,
     /// Running average of each [`Stage`]'s result density, updated after every
     /// stage whichever kernel ran it.
     density: [f64; 4],
     /// Stages run by the in-order and by the reach kernel since construction.
+    #[cfg(test)]
     kernel_runs: [u64; 2],
     /// Differential tests only: run the reach kernel as it was before its DFS
     /// and its numeric pass were trimmed (`tests::symbolic_reach_reference`, then the
@@ -280,6 +280,7 @@ impl LuScratch {
             ft_entries: Vec::new(),
             dense: Vec::new(),
             density: [0.0; 4],
+            #[cfg(test)]
             kernel_runs: [0; 2],
             #[cfg(test)]
             reference_reach: false,
@@ -287,7 +288,8 @@ impl LuScratch {
     }
 
     /// `(in-order, reach)` triangular stages run through this scratch so far.
-    pub fn kernel_runs(&self) -> (u64, u64) {
+    #[cfg(test)]
+    fn kernel_runs(&self) -> (u64, u64) {
         (self.kernel_runs[0], self.kernel_runs[1])
     }
 
@@ -317,12 +319,14 @@ impl LuScratch {
                     || self.density[stage as usize] >= IN_ORDER_DENSITY
             }
         };
+        #[cfg(test)]
+        {
+            self.kernel_runs[usize::from(!in_order)] += 1;
+        }
         if in_order {
             OBS_SOLVE_IN_ORDER.incr();
-            self.kernel_runs[0] += 1;
         } else {
             OBS_SOLVE_REACH.incr();
-            self.kernel_runs[1] += 1;
             #[cfg(test)]
             if self.reference_reach {
                 tests::symbolic_reach_reference(adj, b, self);
@@ -1031,7 +1035,8 @@ impl LuFactorization {
     }
 
     /// Solves `Bᵀ x = b` in place: on return `b` holds `x`.
-    pub fn solve_transpose(&self, b: &mut [f64], scratch: &mut LuScratch) {
+    #[cfg(test)]
+    fn solve_transpose(&self, b: &mut [f64], scratch: &mut LuScratch) {
         assert_eq!(b.len(), self.n);
         // Solve Uᵀ t = b (forward, in triangular order). Input component `b[j]`
         // belongs to factorization step `col_pos[j]`, i.e. step k reads

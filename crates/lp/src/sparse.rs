@@ -94,7 +94,8 @@ impl SparseVec {
     }
 
     /// Converts to a dense vector of length `len`.
-    pub fn to_dense(&self, len: usize) -> Vec<f64> {
+    #[cfg(test)]
+    fn to_dense(&self, len: usize) -> Vec<f64> {
         let mut out = vec![0.0; len];
         for (i, v) in self.iter() {
             out[i] = v;

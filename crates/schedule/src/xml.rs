@@ -7,7 +7,7 @@
 //! step. The emitters here produce the same structure as self-contained XML strings so
 //! they can be inspected, diffed and replayed by the simulator.
 
-use crate::ir::ChunkedSchedule;
+use crate::ir::{ChunkTransfer, ChunkedSchedule};
 
 /// Escapes the handful of XML-special characters that can appear in names.
 fn escape(s: &str) -> String {
@@ -15,6 +15,23 @@ fn escape(s: &str) -> String {
         .replace('<', "&lt;")
         .replace('>', "&gt;")
         .replace('"', "&quot;")
+}
+
+/// Each rank's program, built once for both writers: `programs[rank][t]` lists
+/// the rank's instructions at step `t` in transfer order, a send (`true`) or a
+/// receive of each transfer, the send first when a transfer is both.
+fn programs(schedule: &ChunkedSchedule) -> Vec<Vec<Vec<(bool, &ChunkTransfer)>>> {
+    let mut programs = vec![vec![Vec::new(); schedule.num_steps()]; schedule.num_ranks];
+    for (t, step) in schedule.steps.iter().enumerate() {
+        for tr in &step.transfers {
+            for (send, rank) in [(true, tr.from), (false, tr.to)] {
+                if let Some(program) = programs.get_mut(rank) {
+                    program[t].push((send, tr));
+                }
+            }
+        }
+    }
+    programs
 }
 
 /// Lowers a chunked schedule to an MSCCL-style XML program.
@@ -31,23 +48,16 @@ pub fn to_msccl_xml(schedule: &ChunkedSchedule, name: &str) -> String {
         schedule.num_ranks,
         schedule.num_steps()
     ));
-    for rank in 0..schedule.num_ranks {
+    for (rank, steps) in programs(schedule).iter().enumerate() {
         out.push_str(&format!("  <gpu id=\"{rank}\">\n"));
-        for (t, step) in schedule.steps.iter().enumerate() {
+        for (t, ops) in steps.iter().enumerate() {
             out.push_str(&format!("    <tb id=\"{t}\" step=\"{t}\">\n"));
-            for tr in &step.transfers {
-                if tr.from == rank {
-                    out.push_str(&format!(
-                        "      <s peer=\"{}\" origin=\"{}\" dst=\"{}\" cnt=\"{}\"/>\n",
-                        tr.to, tr.origin, tr.final_dest, tr.chunks
-                    ));
-                }
-                if tr.to == rank {
-                    out.push_str(&format!(
-                        "      <r peer=\"{}\" origin=\"{}\" dst=\"{}\" cnt=\"{}\"/>\n",
-                        tr.from, tr.origin, tr.final_dest, tr.chunks
-                    ));
-                }
+            for &(send, tr) in ops {
+                let (tag, peer) = if send { ("s", tr.to) } else { ("r", tr.from) };
+                out.push_str(&format!(
+                    "      <{tag} peer=\"{peer}\" origin=\"{}\" dst=\"{}\" cnt=\"{}\"/>\n",
+                    tr.origin, tr.final_dest, tr.chunks
+                ));
             }
             out.push_str("    </tb>\n");
         }
@@ -70,36 +80,26 @@ pub fn to_oneccl_xml(schedule: &ChunkedSchedule, name: &str) -> String {
         schedule.chunks_per_shard,
         schedule.num_steps()
     ));
-    for rank in 0..schedule.num_ranks {
+    for (rank, steps) in programs(schedule).iter().enumerate() {
         out.push_str(&format!(
             "  <rank id=\"{rank}\">\n    <scratch chunks=\"{}\"/>\n",
             schedule.chunks_per_shard * schedule.num_ranks
         ));
-        for (t, step) in schedule.steps.iter().enumerate() {
+        for (t, ops) in steps.iter().enumerate() {
             out.push_str(&format!("    <step id=\"{t}\">\n"));
-            for tr in &step.transfers {
-                if tr.from == rank {
-                    let buffer = if tr.origin == rank {
-                        "input"
-                    } else {
-                        "scratch"
-                    };
-                    out.push_str(&format!(
-                        "      <send to=\"{}\" origin=\"{}\" dst=\"{}\" cnt=\"{}\" buf=\"{}\"/>\n",
-                        tr.to, tr.origin, tr.final_dest, tr.chunks, buffer
-                    ));
-                }
-                if tr.to == rank {
-                    let buffer = if tr.final_dest == rank {
-                        "output"
-                    } else {
-                        "scratch"
-                    };
-                    out.push_str(&format!(
-                        "      <recv from=\"{}\" origin=\"{}\" dst=\"{}\" cnt=\"{}\" buf=\"{}\"/>\n",
-                        tr.from, tr.origin, tr.final_dest, tr.chunks, buffer
-                    ));
-                }
+            for &(send, tr) in ops {
+                // A rank sends its own shard from its input and forwards the
+                // rest from scratch; it receives its own chunks into its output.
+                let (tag, dir, peer, own, own_buffer) = if send {
+                    ("send", "to", tr.to, tr.origin == rank, "input")
+                } else {
+                    ("recv", "from", tr.from, tr.final_dest == rank, "output")
+                };
+                let buffer = if own { own_buffer } else { "scratch" };
+                out.push_str(&format!(
+                    "      <{tag} {dir}=\"{peer}\" origin=\"{}\" dst=\"{}\" cnt=\"{}\" buf=\"{buffer}\"/>\n",
+                    tr.origin, tr.final_dest, tr.chunks
+                ));
             }
             out.push_str("      <sync/>\n    </step>\n");
         }
