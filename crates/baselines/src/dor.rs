@@ -43,7 +43,7 @@ pub fn dimension_ordered_routing(topo: &Topology, dims: &[usize]) -> McfResult<P
 }
 
 /// The dimension-ordered path from `s` to `d` on a torus with the given dimensions.
-pub fn dor_path(s: usize, d: usize, dims: &[usize]) -> Path {
+fn dor_path(s: usize, d: usize, dims: &[usize]) -> Path {
     assert_ne!(s, d, "source and destination must differ");
     let mut cur = node_to_coords(s, dims);
     let target = node_to_coords(d, dims);

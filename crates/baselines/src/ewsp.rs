@@ -9,31 +9,14 @@ use a2a_topology::{paths, Path, Topology};
 
 /// Maximum number of shortest paths enumerated per commodity before giving up on
 /// exhaustive splitting (tori have exponentially many shortest paths).
-pub const DEFAULT_MAX_PATHS_PER_PAIR: usize = 512;
+const MAX_PATHS_PER_PAIR: usize = 512;
 
 /// Computes the EwSP schedule for an all-to-all among all nodes.
 pub fn equal_weight_shortest_paths(topo: &Topology) -> McfResult<PathSchedule> {
-    equal_weight_shortest_paths_among(
-        topo,
-        CommoditySet::all_pairs(topo.num_nodes()),
-        DEFAULT_MAX_PATHS_PER_PAIR,
-    )
-}
-
-/// Computes the EwSP schedule for an explicit commodity set and per-pair path cap.
-pub fn equal_weight_shortest_paths_among(
-    topo: &Topology,
-    commodities: CommoditySet,
-    max_paths_per_pair: usize,
-) -> McfResult<PathSchedule> {
-    if max_paths_per_pair == 0 {
-        return Err(McfError::BadArgument(
-            "max_paths_per_pair must be positive".into(),
-        ));
-    }
+    let commodities = CommoditySet::all_pairs(topo.num_nodes());
     let mut raw = Vec::with_capacity(commodities.len());
     for (_, s, d) in commodities.iter() {
-        let set = paths::all_shortest_paths(topo, s, d, max_paths_per_pair);
+        let set = paths::all_shortest_paths(topo, s, d, MAX_PATHS_PER_PAIR);
         if set.is_empty() {
             return Err(McfError::BadTopology(format!(
                 "destination {d} unreachable from {s}"
@@ -90,13 +73,5 @@ mod tests {
             time >= optimal_time - 1e-6,
             "EwSP time {time} cannot beat the optimum {optimal_time}"
         );
-    }
-
-    #[test]
-    fn zero_path_cap_is_rejected() {
-        let topo = generators::complete(3);
-        let err =
-            equal_weight_shortest_paths_among(&topo, CommoditySet::all_pairs(3), 0).unwrap_err();
-        assert!(matches!(err, McfError::BadArgument(_)));
     }
 }

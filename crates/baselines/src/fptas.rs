@@ -49,15 +49,7 @@ pub fn fptas_max_concurrent_flow(
     topo: &Topology,
     options: &FptasOptions,
 ) -> McfResult<FptasSolution> {
-    fptas_max_concurrent_flow_among(topo, CommoditySet::all_pairs(topo.num_nodes()), options)
-}
-
-/// Runs the FPTAS for an explicit commodity set.
-pub fn fptas_max_concurrent_flow_among(
-    topo: &Topology,
-    commodities: CommoditySet,
-    options: &FptasOptions,
-) -> McfResult<FptasSolution> {
+    let commodities = CommoditySet::all_pairs(topo.num_nodes());
     if !(0.0..1.0).contains(&options.epsilon) || options.epsilon <= 0.0 {
         return Err(McfError::BadArgument(format!(
             "epsilon must be in (0, 1), got {}",

@@ -65,15 +65,7 @@ pub fn ilp_path_selection(
     topo: &Topology,
     options: &IlpPathOptions,
 ) -> McfResult<(PathSchedule, IlpPathStats)> {
-    ilp_path_selection_among(topo, CommoditySet::all_pairs(topo.num_nodes()), options)
-}
-
-/// Runs the ILP path selection for an explicit commodity set.
-pub fn ilp_path_selection_among(
-    topo: &Topology,
-    commodities: CommoditySet,
-    options: &IlpPathOptions,
-) -> McfResult<(PathSchedule, IlpPathStats)> {
+    let commodities = CommoditySet::all_pairs(topo.num_nodes());
     let start = Instant::now();
     let kind = match options.candidates {
         PathCandidates::EdgeDisjoint => PathSetKind::EdgeDisjoint,

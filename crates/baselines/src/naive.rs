@@ -12,14 +12,7 @@ use a2a_topology::{paths, Topology};
 
 /// Computes the naive point-to-point schedule for an all-to-all among all nodes.
 pub fn naive_point_to_point(topo: &Topology) -> McfResult<PathSchedule> {
-    naive_point_to_point_among(topo, CommoditySet::all_pairs(topo.num_nodes()))
-}
-
-/// Computes the naive point-to-point schedule for an explicit commodity set.
-pub fn naive_point_to_point_among(
-    topo: &Topology,
-    commodities: CommoditySet,
-) -> McfResult<PathSchedule> {
+    let commodities = CommoditySet::all_pairs(topo.num_nodes());
     let mut raw = Vec::with_capacity(commodities.len());
     for (_, s, d) in commodities.iter() {
         let path = paths::shortest_path(topo, s, d).ok_or_else(|| {

@@ -146,7 +146,7 @@ impl Toolchain {
 
     /// Probes a sample of commodities and reports whether the number of shortest paths
     /// exceeds the threshold for any of them (the Fig. 1 "#(s,d) paths large?" test).
-    pub fn path_diversity_is_large(topo: &Topology, threshold: usize) -> bool {
+    fn path_diversity_is_large(topo: &Topology, threshold: usize) -> bool {
         let n = topo.num_nodes();
         let mut probes = 0usize;
         for s in 0..n {

@@ -41,7 +41,7 @@ impl FftCalibration {
 
     /// Predicted time of an FFT workload of `points` total points with transforms of
     /// length `transform_len`.
-    pub fn predict(&self, points: f64, transform_len: f64) -> f64 {
+    fn predict(&self, points: f64, transform_len: f64) -> f64 {
         self.seconds_per_point_log * points * transform_len.max(2.0).log2()
     }
 }

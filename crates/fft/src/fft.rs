@@ -20,12 +20,12 @@ impl Complex {
     }
 
     /// The additive identity.
-    pub fn zero() -> Self {
+    fn zero() -> Self {
         Self::default()
     }
 
     /// Complex multiplication.
-    pub fn mul(self, other: Self) -> Self {
+    fn mul(self, other: Self) -> Self {
         Self {
             re: self.re * other.re - self.im * other.im,
             im: self.re * other.im + self.im * other.re,
@@ -33,7 +33,7 @@ impl Complex {
     }
 
     /// Complex addition.
-    pub fn add(self, other: Self) -> Self {
+    fn add(self, other: Self) -> Self {
         Self {
             re: self.re + other.re,
             im: self.im + other.im,
@@ -41,20 +41,15 @@ impl Complex {
     }
 
     /// Complex subtraction.
-    pub fn sub(self, other: Self) -> Self {
+    fn sub(self, other: Self) -> Self {
         Self {
             re: self.re - other.re,
             im: self.im - other.im,
         }
     }
 
-    /// Magnitude.
-    pub fn abs(self) -> f64 {
-        self.re.hypot(self.im)
-    }
-
     /// `e^{i theta}`.
-    pub fn from_polar(theta: f64) -> Self {
+    fn from_polar(theta: f64) -> Self {
         Self {
             re: theta.cos(),
             im: theta.sin(),
@@ -179,10 +174,10 @@ mod tests {
         let input: Vec<Complex> = (0..32)
             .map(|i| Complex::new((i as f64).sqrt(), (i % 5) as f64))
             .collect();
-        let time_energy: f64 = input.iter().map(|x| x.abs().powi(2)).sum();
+        let time_energy: f64 = input.iter().map(|x| x.re.hypot(x.im).powi(2)).sum();
         let mut freq = input.clone();
         fft_forward(&mut freq);
-        let freq_energy: f64 = freq.iter().map(|x| x.abs().powi(2)).sum::<f64>() / 32.0;
+        let freq_energy: f64 = freq.iter().map(|x| x.re.hypot(x.im).powi(2)).sum::<f64>() / 32.0;
         assert!((time_energy - freq_energy).abs() < 1e-6 * time_energy);
     }
 

@@ -980,7 +980,8 @@ impl LuFactorization {
     }
 
     /// Dimension of the factorized matrix.
-    pub fn dim(&self) -> usize {
+    #[cfg(test)]
+    fn dim(&self) -> usize {
         self.n
     }
 
@@ -1385,12 +1386,14 @@ impl LuFactorization {
     }
 
     /// Original row index occupying pivot position `k`.
-    pub fn pivot_row(&self, k: usize) -> usize {
+    #[cfg(test)]
+    fn pivot_row(&self, k: usize) -> usize {
         self.row_perm[k]
     }
 
-    /// Pivot position assigned to original row `r` (inverse of [`Self::pivot_row`]).
-    pub fn row_position(&self, r: usize) -> usize {
+    /// Pivot position assigned to original row `r` (inverse of `pivot_row`).
+    #[cfg(test)]
+    fn row_position(&self, r: usize) -> usize {
         self.row_pos[r]
     }
 }

@@ -94,7 +94,7 @@ impl LpProblem {
     }
 
     /// Number of variables.
-    pub fn num_vars(&self) -> usize {
+    fn num_vars(&self) -> usize {
         self.obj.len()
     }
 

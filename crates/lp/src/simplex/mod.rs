@@ -916,16 +916,6 @@ impl<'a> Solver<'a> {
             }
         }
     }
-
-    /// Number of simplex iterations performed so far.
-    pub fn iterations(&self) -> usize {
-        self.iterations
-    }
-
-    /// Number of basis changes performed so far.
-    pub fn pivots(&self) -> usize {
-        self.pivots
-    }
 }
 
 #[cfg(test)]

@@ -6,11 +6,11 @@
 
 use a2a_topology::Topology;
 
-use crate::types::{LinkFlowSolution, PathSchedule};
+use crate::types::PathSchedule;
 
 /// Per-edge load induced by a weighted path schedule when every commodity ships one
 /// unit of data, indexed by edge id.
-pub fn edge_loads_of_paths(topo: &Topology, schedule: &PathSchedule) -> Vec<f64> {
+fn edge_loads_of_paths(topo: &Topology, schedule: &PathSchedule) -> Vec<f64> {
     let mut loads = vec![0.0; topo.num_edges()];
     for (idx, _, _) in schedule.commodities.iter() {
         for (path, weight) in &schedule.paths[idx] {
@@ -39,11 +39,6 @@ pub fn max_link_load_of_paths(topo: &Topology, schedule: &PathSchedule) -> f64 {
 /// `shard_bytes / link_bandwidth`): the bottleneck link has to carry its entire load.
 pub fn path_schedule_all_to_all_time(topo: &Topology, schedule: &PathSchedule) -> f64 {
     max_link_load_of_paths(topo, schedule)
-}
-
-/// All-to-all completion time implied by a link-flow solution: `1 / F`.
-pub fn link_flow_all_to_all_time(solution: &LinkFlowSolution) -> f64 {
-    1.0 / solution.flow_value
 }
 
 /// Converts a concurrent flow value into the paper's throughput metric
@@ -99,13 +94,6 @@ mod tests {
         // total: sum of distances 24 / 4 links = 6.
         assert!((max_link_load_of_paths(&topo, &sched) - 6.0).abs() < 1e-12);
         assert!((path_schedule_all_to_all_time(&topo, &sched) - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn link_flow_time_is_inverse_of_f() {
-        let topo = generators::complete(3);
-        let sol = crate::linkmcf::solve_link_mcf(&topo).unwrap();
-        assert!((link_flow_all_to_all_time(&sol) - 1.0 / sol.flow_value).abs() < 1e-12);
     }
 
     #[test]

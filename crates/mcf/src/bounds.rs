@@ -54,15 +54,6 @@ pub fn lower_bound_all_to_all_time(n: usize, d: usize) -> f64 {
     dist_sum / d as f64
 }
 
-/// The asymptotic `Θ(N log_d N)` scaling form of Theorem 1, convenient for plotting
-/// against measured all-to-all times at large `N`.
-pub fn lower_bound_scaling_form(n: usize, d: usize) -> f64 {
-    if n <= 1 || d < 2 {
-        return 0.0;
-    }
-    n as f64 * (n as f64).log(d as f64) / d as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,8 +127,9 @@ mod tests {
         let d = 4;
         let exact_100 = lower_bound_all_to_all_time(100, d);
         let exact_1000 = lower_bound_all_to_all_time(1000, d);
-        let scaling_100 = lower_bound_scaling_form(100, d);
-        let scaling_1000 = lower_bound_scaling_form(1000, d);
+        // The `Θ(N log_d N)` form of Theorem 1.
+        let scaling = |n: usize| n as f64 * (n as f64).log(d as f64) / d as f64;
+        let (scaling_100, scaling_1000) = (scaling(100), scaling(1000));
         // Ratio of exact bounds should track the ratio of the scaling form within a
         // modest constant factor.
         let exact_ratio = exact_1000 / exact_100;

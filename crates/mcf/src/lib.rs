@@ -30,7 +30,7 @@
 //!   group (one demand row per commodity orbit, one capacity row per arc orbit;
 //!   GenKautz-40's 1,560 commodities are 156 orbits). An explicit candidate path
 //!   set (edge-disjoint, shortest, bounded length —
-//!   [`pmcf::solve_path_mcf_with_paths`]) is that same master, unfolded, solved
+//!   [`pmcf::solve_path_mcf_among`]) is that same master, unfolded, solved
 //!   once.
 //! * [`colgen`] — the column-generation engine shared by `pmcf` and the
 //!   time-expanded master of `tscolgen`: one crate-private path master (the

@@ -21,7 +21,7 @@
 //! with link-MCF and decomposed-MCF on `F` on *any* topology.
 //!
 //! The path LP is written once: a fixed path set is that same master over the
-//! given paths, solved once ([`solve_path_mcf_with_paths`] — no pricing, so a
+//! given paths, solved once ([`solve_path_mcf_among`] — no pricing, so a
 //! one-shot solve instead of an incremental session), and both entry points share
 //! the weight extraction. Its capacity rows, dual weights, pricing sweep and
 //! path columns are the crate's one path master ([`crate::colgen`]) over the
@@ -60,9 +60,8 @@
 //! one image alone would load the arcs of an orbit unevenly wherever the
 //! stabilizer is not trivial (GenKautz-32, the tori). A fabric whose group is
 //! trivial folds nothing: `|K| = |A| = 1`, every scale factor is an exact
-//! `1.0`, and the master is the unfolded one bit for bit. A caller's fixed path
-//! sets ([`solve_path_mcf_with_paths`]) need not be invariant, so they are not
-//! folded.
+//! `1.0`, and the master is the unfolded one bit for bit. Fixed path sets
+//! ([`solve_path_mcf_among`]) need not be invariant, so they are not folded.
 
 use std::collections::HashMap;
 
@@ -150,7 +149,7 @@ pub fn build_path_sets(
 /// Solves pMCF over explicitly provided candidate path sets (one list per commodity,
 /// ordered as in the commodity set): the column-generation master over exactly
 /// these paths, solved once.
-pub fn solve_path_mcf_with_paths(
+fn solve_path_mcf_with_paths(
     topo: &Topology,
     commodities: CommoditySet,
     path_sets: Vec<Vec<Path>>,

@@ -133,17 +133,8 @@ pub struct LinkFlowSolution {
 }
 
 impl LinkFlowSolution {
-    /// Total flow of a commodity over a given edge (0 if absent).
-    pub fn flow_on(&self, commodity: usize, edge: EdgeId) -> f64 {
-        self.flows[commodity]
-            .iter()
-            .find(|&&(e, _)| e == edge)
-            .map(|&(_, f)| f)
-            .unwrap_or(0.0)
-    }
-
     /// Aggregate load per edge (sum over commodities), indexed by [`EdgeId`].
-    pub fn edge_loads(&self, topo: &Topology) -> Vec<f64> {
+    fn edge_loads(&self, topo: &Topology) -> Vec<f64> {
         let mut loads = vec![0.0; topo.num_edges()];
         for per_commodity in &self.flows {
             for &(e, f) in per_commodity {
@@ -335,7 +326,6 @@ mod tests {
         let loads = sol.edge_loads(&topo);
         assert_eq!(loads[e01], 0.5);
         assert_eq!(sol.max_link_utilization(&topo), 0.5);
-        assert_eq!(sol.flow_on(0, e01), 0.5);
     }
 
     #[test]

@@ -33,10 +33,6 @@ impl Counter {
         }
     }
 
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     #[inline]
     pub fn add(&'static self, n: u64) {
         if !crate::is_enabled() {

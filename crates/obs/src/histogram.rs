@@ -31,7 +31,7 @@ static HISTOGRAMS: Mutex<Vec<&'static Histogram>> = Mutex::new(Vec::new());
 /// Maps a value to its bucket index. Exact for `v < 16`, then the top
 /// [`SUB_BITS`] bits below the leading bit select the sub-bucket.
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+fn bucket_index(v: u64) -> usize {
     if v < SUB_BUCKETS as u64 {
         return v as usize;
     }
@@ -43,7 +43,7 @@ pub fn bucket_index(v: u64) -> usize {
 
 /// Inclusive lower bound of bucket `i` — the value quantiles report.
 #[inline]
-pub fn bucket_lower(i: usize) -> u64 {
+fn bucket_lower(i: usize) -> u64 {
     if i < SUB_BUCKETS {
         return i as u64;
     }
@@ -85,10 +85,6 @@ impl Histogram {
         }
     }
 
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     #[inline]
     pub fn record(&'static self, v: u64) {
         if !crate::is_enabled() {
@@ -114,10 +110,6 @@ impl Histogram {
         HistogramTimer {
             inner: Some((self, crate::now_nanos())),
         }
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
     }
 
     #[cold]

@@ -54,16 +54,6 @@ impl RouteTable {
         self.commodities.iter().map(|c| c.routes.len()).sum()
     }
 
-    /// The maximum number of routes any commodity uses (hardware limit on the Cerio
-    /// card: 8 routes per destination).
-    pub fn max_routes_per_commodity(&self) -> usize {
-        self.commodities
-            .iter()
-            .map(|c| c.routes.len())
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Validates that chunk assignments cover each shard exactly, that routes
     /// join their commodity's endpoints, and that every layer is deadlock-free
     /// (its channel dependency graph has no cycle).
@@ -238,30 +228,6 @@ pub fn lower_path_schedule(
     }
 }
 
-/// Renders the route table in the text format accepted by our OMPI/UCX interpreter
-/// stand-in (one line per route: `src dst layer chunks node0-node1-...`).
-pub fn route_table_to_text(table: &RouteTable) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "# chunks_per_shard={} layers={}\n",
-        table.chunks_per_shard, table.num_layers
-    ));
-    for c in &table.commodities {
-        for r in &c.routes {
-            let hops: Vec<String> = r.path.nodes().iter().map(usize::to_string).collect();
-            out.push_str(&format!(
-                "{} {} {} {} {}\n",
-                c.src,
-                c.dst,
-                r.layer,
-                r.chunks,
-                hops.join("-")
-            ));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,7 +244,7 @@ mod tests {
         assert_eq!(table.commodities.len(), 56);
         assert_eq!(table.chunks_per_shard, 12);
         assert!(
-            table.max_routes_per_commodity() <= 8,
+            table.commodities.iter().all(|c| c.routes.len() <= 8),
             "Cerio supports 8 routes/dst"
         );
     }
@@ -291,9 +257,6 @@ mod tests {
         let table = lower_path_schedule(&topo, &sched, 16, LashVariant::Basic);
         assert!(table.validate().is_empty());
         assert!(table.total_routes() >= table.commodities.len());
-        let text = route_table_to_text(&table);
-        assert!(text.lines().count() > table.commodities.len());
-        assert!(text.starts_with("# chunks_per_shard=16"));
     }
 
     #[test]

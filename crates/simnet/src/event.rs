@@ -140,7 +140,8 @@ pub enum SimError {
     /// A numeric input is outside the range the cost model is defined on (a
     /// non-finite or negative shard size, a bandwidth that is not finite and
     /// positive, a latency or contention penalty that is not finite and
-    /// non-negative).
+    /// non-negative, or a [`Scenario`] factor, range or event time outside its
+    /// domain).
     InvalidInput(String),
 }
 
@@ -284,8 +285,16 @@ pub fn simulate_chunked_event(
 
 /// Rejects numeric inputs the cost model is not defined on, before they turn
 /// into infinite, negative or NaN completion times (shared with the analytic
-/// model of [`crate::linksim`]).
-pub(crate) fn check_inputs(shard_bytes: f64, params: &SimParams) -> SimResult<()> {
+/// model of [`crate::linksim`]): the scenario's first invalid builder argument,
+/// then the shard size and the parameters.
+pub(crate) fn check_inputs(
+    shard_bytes: f64,
+    params: &SimParams,
+    scenario: &Scenario,
+) -> SimResult<()> {
+    if let Some(msg) = scenario.invalid_input() {
+        return Err(SimError::InvalidInput(msg.to_owned()));
+    }
     // `(name, value if set, must be strictly positive)`: bandwidths divide byte
     // counts, everything else may be zero; all must be finite.
     let qp_penalty = params.qp_contention.map(|qp| qp.penalty_per_flow);
@@ -494,12 +503,11 @@ pub enum TimelineRun {
 /// rejects the schedule up front with [`SimError::FailedLink`], exactly like the
 /// static engine; an event-free timeline reproduces [`simulate_chunked_event`]
 /// bit-for-bit. Dynamic events re-rate links at their event boundary (drains in
-/// progress are cut and rates recomputed). A dynamic [`LinkFail`] event checks
-/// whether any *remaining* transfer (active or in a future step) uses the dead
-/// link: if none does, the run continues; otherwise the run stops and returns an
-/// [`InFlightSnapshot`] with partial-transfer accounting.
-///
-/// [`LinkFail`]: crate::scenario::TimedEvent::LinkFail
+/// progress are cut and rates recomputed). A dynamic link failure
+/// ([`ScenarioTimeline::with_link_failure_at`]) checks whether any *remaining*
+/// transfer (active or in a future step) uses the dead link: if none does, the
+/// run continues; otherwise the run stops and returns an [`InFlightSnapshot`]
+/// with partial-transfer accounting.
 pub fn simulate_chunked_timeline(
     topo: &Topology,
     schedule: &ChunkedSchedule,
@@ -528,9 +536,10 @@ fn run_chunked(
     model: ExecutionModel,
 ) -> SimResult<TimelineRun> {
     let _obs = a2a_obs::span("simnet.run");
-    check_inputs(shard_bytes, params)?;
-    let dag = TransferDag::from_schedule(schedule).map_err(SimError::InvalidSchedule)?;
+    // The scenario at t = 0 carries the timeline's invalid input, if any.
     let start = timeline.scenario_at(0.0);
+    check_inputs(shard_bytes, params, &start)?;
+    let dag = TransferDag::from_schedule(schedule).map_err(SimError::InvalidSchedule)?;
     let (jobs, link_bw) = resolve_jobs(topo, schedule, shard_bytes, params, &start, &dag)?;
     // Per-message α multipliers (1.0 without jitter). Job ids are the
     // schedule's step-major transfer order, the message identity the scenario
@@ -2140,5 +2149,127 @@ mod tests {
         }
         let analytic = crate::simulate_chunked_schedule(&topo, &sched, 0.0, &ok);
         assert!(analytic.completion_seconds > 0.0);
+    }
+
+    /// Every scenario check, fed NaN, ±∞, 0 and a negative value at seeded
+    /// edges, nodes and seeds: each entry point returns the check's
+    /// `InvalidInput` (none panics), and an in-domain value of the same
+    /// builder runs. Event times of 0 and below are in the domain (they fold
+    /// into the base); a non-finite time is not, and is never applied.
+    #[test]
+    fn hostile_scenario_input_is_a_typed_error() {
+        use rand::{Rng, RngCore, SeedableRng};
+        let topo = generators::ring(4);
+        let sched = chunked(&topo, None);
+        let params = SimParams::default();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(41);
+        let outcome = |tl: &ScenarioTimeline, fixed: Option<&Scenario>| -> Vec<SimResult<()>> {
+            let mut runs = Vec::new();
+            if let Some(s) = fixed {
+                for model in [
+                    ExecutionModel::Synchronized,
+                    ExecutionModel::DependencyDriven,
+                ] {
+                    let options = EventSimOptions {
+                        model,
+                        scenario: s.clone(),
+                        ..EventSimOptions::default()
+                    };
+                    runs.push(
+                        simulate_chunked_event(&topo, &sched, 1024.0, &params, &options).map(drop),
+                    );
+                }
+                runs.push(
+                    crate::simulate_chunked_schedule_with(&topo, &sched, 1024.0, &params, s)
+                        .map(drop),
+                );
+            }
+            runs.push(
+                simulate_chunked_timeline(
+                    &topo,
+                    &sched,
+                    1024.0,
+                    &params,
+                    tl,
+                    ExecutionModel::Synchronized,
+                )
+                .map(drop),
+            );
+            let options = crate::ReplanOptions::default();
+            runs.push(
+                match crate::replan_run(&topo, &sched, 1024.0, &params, tl, None, &options) {
+                    Ok(_) => Ok(()),
+                    Err(crate::ReplanError::Sim(err)) => Err(err),
+                    Err(err) => panic!("replan: {err}"),
+                },
+            );
+            runs
+        };
+        let hostile = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.5];
+        for value in hostile.into_iter().chain([0.5]) {
+            let edge = rng.random_range(0..topo.num_edges());
+            let node = rng.random_range(0..topo.num_nodes());
+            let seed = rng.next_u64();
+            let at = 1e-7 * rng.random_f64();
+            let statics = [
+                (
+                    "slowdown factor",
+                    Scenario::nominal().with_link_slowdown(edge, value),
+                ),
+                (
+                    "straggler factor",
+                    Scenario::nominal().with_straggler(node, value),
+                ),
+                (
+                    "seeded slowdown factors",
+                    Scenario::seeded_slowdowns(&topo, seed, 2, value, 1.0),
+                ),
+                (
+                    "seeded slowdown factors",
+                    Scenario::seeded_slowdowns(&topo, seed, 2, 0.25, value),
+                ),
+                (
+                    "alpha jitter factors",
+                    Scenario::nominal().with_alpha_jitter(seed, value, 2.0),
+                ),
+                (
+                    "alpha jitter factors",
+                    Scenario::nominal().with_alpha_jitter(seed, 0.25, value),
+                ),
+            ];
+            let timelines = [
+                (
+                    "degrade factor",
+                    ScenarioTimeline::nominal().with_link_degrade_at(at, edge, value),
+                ),
+                (
+                    "event time",
+                    ScenarioTimeline::nominal().with_link_degrade_at(value, edge, 0.5),
+                ),
+            ];
+            let runs = statics
+                .iter()
+                .map(|(name, s)| (*name, outcome(&ScenarioTimeline::new(s.clone()), Some(s))))
+                .chain(
+                    timelines
+                        .iter()
+                        .map(|(name, tl)| (*name, outcome(tl, None))),
+                );
+            for (name, results) in runs {
+                let in_domain = value == 0.5 || (name == "event time" && value.is_finite());
+                for result in results {
+                    match result {
+                        Ok(()) => assert!(in_domain, "{name} = {value} was accepted"),
+                        Err(SimError::InvalidInput(msg)) => {
+                            assert!(
+                                !in_domain && msg.starts_with(name),
+                                "{name} = {value}: {msg}"
+                            )
+                        }
+                        Err(err) => panic!("{name} = {value}: {err}"),
+                    }
+                }
+            }
+        }
     }
 }

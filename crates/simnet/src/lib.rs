@@ -13,7 +13,7 @@
 //!   [`QpContention`] factor and host-injection caps), either step-synchronized or
 //!   data-dependency-driven (a chunk departs only after its inbound copy lands, per
 //!   the [`a2a_schedule::TransferDag`]). Supports degradation [`Scenario`]s — per-link
-//!   bandwidth overrides, seeded slowdowns and failures, straggler nodes — and
+//!   slowdowns (seeded or explicit), failures, straggler nodes, α jitter — and
 //!   reports per-link utilization and per-step completion times next to the headline
 //!   [`SimReport`].
 //! * [`linksim`] — the closed-form **analytic model** of synchronized
@@ -53,7 +53,7 @@ pub use linksim::{
 };
 pub use pathsim::simulate_path_schedule;
 pub use replan::{replan_run, IncumbentPool, ReplanAttempt, ReplanError, ReplanOptions, ReplanRun};
-pub use scenario::{Scenario, ScenarioTimeline, TimedEvent};
+pub use scenario::{Scenario, ScenarioTimeline};
 
 /// Cost-model parameters of the simulated fabric.
 ///

@@ -57,8 +57,8 @@ pub fn simulate_chunked_schedule(
         .expect("nominal scenario on a validated schedule with valid inputs cannot fail")
 }
 
-/// Scenario-aware variant of [`simulate_chunked_schedule`]: link bandwidth overrides,
-/// slowdowns and straggler factors reshape each step's busiest-link time; a transfer
+/// Scenario-aware variant of [`simulate_chunked_schedule`]: link slowdowns and
+/// straggler factors reshape each step's busiest-link time; a transfer
 /// over a failed (or missing) link is an error, so is a zero granularity
 /// ([`SimError::InvalidSchedule`], as in the event engine), and so is a numeric
 /// input the event engine rejects ([`SimError::InvalidInput`]: a non-finite or
@@ -71,7 +71,7 @@ pub fn simulate_chunked_schedule_with(
     params: &SimParams,
     scenario: &Scenario,
 ) -> SimResult<SimReport> {
-    crate::event::check_inputs(shard_bytes, params)?;
+    crate::event::check_inputs(shard_bytes, params, scenario)?;
     if schedule.chunks_per_shard == 0 {
         return Err(SimError::InvalidSchedule(
             "granularity must be positive".into(),

@@ -1,7 +1,7 @@
 //! Generators for every topology family used in the paper's evaluation (§5).
 //!
 //! All generators produce unit link capacities; callers can rescale with
-//! [`Topology::set_uniform_capacity`]. Bidirectional families (hypercube, torus,
+//! [`Topology::set_capacity`]. Bidirectional families (hypercube, torus,
 //! bipartite, expanders) are emitted as pairs of directed edges; the generalized Kautz
 //! family is genuinely directed.
 
@@ -242,12 +242,6 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> Topology {
     panic!("failed to generate a connected simple {d}-regular graph on {n} nodes");
 }
 
-/// A 2D torus with `rows x cols` nodes (degree 4 when both sides are >= 3), used as the
-/// non-expander comparison point in Fig. 10.
-pub fn torus_2d(rows: usize, cols: usize) -> Topology {
-    torus(&[rows, cols])
-}
-
 /// Picks a `rows x cols` factorization of `n` that is as square as possible and builds
 /// the corresponding 2D torus. Used for topology sweeps where only `n` is given.
 pub fn torus_2d_near_square(n: usize) -> Topology {
@@ -259,7 +253,7 @@ pub fn torus_2d_near_square(n: usize) -> Topology {
         }
         r += 1;
     }
-    torus_2d(best.0, best.1)
+    torus(&[best.0, best.1])
 }
 
 /// A folded-Clos / fat-tree fabric with two switching tiers: `leaves` leaf switches
@@ -269,7 +263,7 @@ pub fn torus_2d_near_square(n: usize) -> Topology {
 /// `h / hosts_per_leaf`), then leaf switches, then spine switches. Host links have
 /// unit capacity; each leaf–spine link carries `hosts_per_leaf / spines` so the
 /// fabric is exactly full-bisection (rescale with
-/// [`Topology::set_uniform_capacity`] for over/under-subscription studies).
+/// [`Topology::set_capacity`] for over/under-subscription studies).
 ///
 /// All-to-all traffic runs between the *hosts*; the switches are transit-only, so
 /// MCF solvers should be given the host set as commodities (for example

@@ -176,22 +176,6 @@ impl Topology {
         self.edges[e].capacity = capacity;
     }
 
-    /// Sets every edge capacity to `capacity`.
-    pub fn set_uniform_capacity(&mut self, capacity: f64) {
-        for e in &mut self.edges {
-            e.capacity = capacity;
-        }
-    }
-
-    /// Sum of capacities of edges leaving `node` (the node's injection bandwidth in the
-    /// paper's terminology when capacities are link bandwidths).
-    pub fn out_capacity(&self, node: NodeId) -> f64 {
-        self.out_adj[node]
-            .iter()
-            .map(|&e| self.edges[e].capacity)
-            .sum()
-    }
-
     /// BFS hop distances from `src` to every node (`None` if unreachable).
     pub fn bfs_distances(&self, src: NodeId) -> Vec<Option<usize>> {
         let mut dist = vec![None; self.num_nodes];
@@ -266,20 +250,6 @@ impl Topology {
         }
         (sub, keep.to_vec())
     }
-
-    /// All ordered node pairs `(s, d)` with `s != d` — the commodity list of an
-    /// all-to-all collective.
-    pub fn commodity_pairs(&self) -> Vec<(NodeId, NodeId)> {
-        let mut pairs = Vec::with_capacity(self.num_nodes * self.num_nodes.saturating_sub(1));
-        for s in 0..self.num_nodes {
-            for d in 0..self.num_nodes {
-                if s != d {
-                    pairs.push((s, d));
-                }
-            }
-        }
-        pairs
-    }
 }
 
 #[cfg(test)]
@@ -332,9 +302,6 @@ mod tests {
         let e = t.find_edge(0, 1).unwrap();
         t.set_capacity(e, 4.0);
         assert_eq!(t.edge(e).capacity, 4.0);
-        t.set_uniform_capacity(2.0);
-        assert!(t.edges().iter().all(|e| e.capacity == 2.0));
-        assert_eq!(t.out_capacity(0), 4.0);
     }
 
     #[test]
@@ -373,15 +340,6 @@ mod tests {
         assert!(sub.has_edge(0, 1));
         assert!(sub.has_edge(1, 0));
         assert_eq!(sub.num_edges(), 2);
-    }
-
-    #[test]
-    fn commodity_pairs_enumerates_all_ordered_pairs() {
-        let t = triangle();
-        let pairs = t.commodity_pairs();
-        assert_eq!(pairs.len(), 6);
-        assert!(pairs.contains(&(0, 2)));
-        assert!(!pairs.contains(&(1, 1)));
     }
 
     #[test]

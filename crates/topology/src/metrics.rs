@@ -14,7 +14,7 @@ pub fn diameter(topo: &Topology) -> Option<usize> {
 
 /// Eccentricity of `src` (longest shortest path leaving it), or `None` if some node is
 /// unreachable.
-pub fn eccentricity(topo: &Topology, src: NodeId) -> Option<usize> {
+fn eccentricity(topo: &Topology, src: NodeId) -> Option<usize> {
     let dist = topo.bfs_distances(src);
     let mut ecc = 0usize;
     for d in dist {
@@ -25,7 +25,7 @@ pub fn eccentricity(topo: &Topology, src: NodeId) -> Option<usize> {
 
 /// Sum of hop distances from `root` to every other node, or `None` if some node is
 /// unreachable. This is the `Σ_u D(r, u)` quantity in the Theorem-1 lower bound.
-pub fn distance_sum_from(topo: &Topology, root: NodeId) -> Option<usize> {
+fn distance_sum_from(topo: &Topology, root: NodeId) -> Option<usize> {
     let dist = topo.bfs_distances(root);
     let mut total = 0usize;
     for d in dist {
@@ -41,57 +41,6 @@ pub fn total_distance_sum(topo: &Topology) -> Option<usize> {
         total += distance_sum_from(topo, root)?;
     }
     Some(total)
-}
-
-/// Mean hop distance over all ordered pairs (excluding self pairs).
-pub fn average_distance(topo: &Topology) -> Option<f64> {
-    let n = topo.num_nodes();
-    if n < 2 {
-        return Some(0.0);
-    }
-    let total = total_distance_sum(topo)? as f64;
-    Some(total / (n * (n - 1)) as f64)
-}
-
-/// Histogram of out-degrees: `histogram[d]` = number of nodes with out-degree `d`.
-pub fn out_degree_histogram(topo: &Topology) -> Vec<usize> {
-    let max_d = topo.max_out_degree();
-    let mut hist = vec![0usize; max_d + 1];
-    for v in 0..topo.num_nodes() {
-        hist[topo.out_degree(v)] += 1;
-    }
-    hist
-}
-
-/// Number of edges crossing from `set` to its complement (directed, one way).
-pub fn cut_size(topo: &Topology, set: &[NodeId]) -> usize {
-    let mut in_set = vec![false; topo.num_nodes()];
-    for &v in set {
-        in_set[v] = true;
-    }
-    topo.edges()
-        .iter()
-        .filter(|e| in_set[e.src] && !in_set[e.dst])
-        .count()
-}
-
-/// Crude lower estimate of the (directed) bisection cut obtained by sampling random
-/// balanced bipartitions; the true bisection is NP-hard, and the toolchain only uses
-/// this figure qualitatively.
-pub fn bisection_estimate(topo: &Topology, samples: usize, seed: u64) -> usize {
-    use rand::seq::SliceRandom;
-    use rand::SeedableRng;
-    let n = topo.num_nodes();
-    let half = n / 2;
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let mut best = usize::MAX;
-    let mut nodes: Vec<NodeId> = (0..n).collect();
-    for _ in 0..samples.max(1) {
-        nodes.shuffle(&mut rng);
-        let cut = cut_size(topo, &nodes[..half]);
-        best = best.min(cut);
-    }
-    best
 }
 
 #[cfg(test)]
@@ -112,7 +61,6 @@ mod tests {
         let t = crate::Topology::new(3, "disconnected");
         assert_eq!(diameter(&t), None);
         assert_eq!(distance_sum_from(&t, 0), None);
-        assert_eq!(average_distance(&t), None);
     }
 
     #[test]
@@ -127,8 +75,6 @@ mod tests {
         // weights: 3 nodes at distance 1, 3 at 2, 1 at 3 -> 3 + 6 + 3 = 12.
         assert_eq!(s0, 12);
         assert_eq!(total_distance_sum(&t).unwrap(), 12 * 8);
-        let avg = average_distance(&t).unwrap();
-        assert!((avg - 12.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]
@@ -137,34 +83,5 @@ mod tests {
         for v in 0..6 {
             assert_eq!(eccentricity(&t, v), Some(3));
         }
-    }
-
-    #[test]
-    fn degree_histogram_counts_nodes() {
-        let m = generators::mesh(&[3, 3]);
-        let hist = out_degree_histogram(&m);
-        // 4 corners with degree 2, 4 sides with degree 3, 1 centre with degree 4.
-        assert_eq!(hist[2], 4);
-        assert_eq!(hist[3], 4);
-        assert_eq!(hist[4], 1);
-    }
-
-    #[test]
-    fn cut_size_counts_directed_crossings() {
-        let t = generators::complete_bipartite(2, 2);
-        // Cutting along the bipartition: every cross edge is cut, one direction = 4.
-        assert_eq!(cut_size(&t, &[0, 1]), 4);
-        // Cutting one node off: it has 2 outgoing edges.
-        assert_eq!(cut_size(&t, &[0]), 2);
-    }
-
-    #[test]
-    fn bisection_estimate_is_within_trivial_bounds() {
-        let t = generators::hypercube(3);
-        let est = bisection_estimate(&t, 50, 1);
-        // True bisection of Q3 is 4 (one direction); the sampled estimate can only
-        // overestimate the minimum but never go below it.
-        assert!(est >= 4);
-        assert!(est <= t.num_edges());
     }
 }

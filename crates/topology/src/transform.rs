@@ -113,11 +113,6 @@ impl HostNicAugmented {
             nic_out,
         }
     }
-
-    /// Number of original (NIC-level) nodes.
-    pub fn base_nodes(&self) -> usize {
-        self.hosts.len()
-    }
 }
 
 #[cfg(test)]
@@ -174,7 +169,7 @@ mod tests {
         let base = generators::bidirectional_ring(4);
         let aug = HostNicAugmented::build(&base, 2.0);
         assert_eq!(aug.graph.num_nodes(), 12);
-        assert_eq!(aug.base_nodes(), 4);
+        assert_eq!(aug.hosts.len(), 4);
         // Edges: 2 per node (in->host, host->out) + original fabric edges.
         assert_eq!(aug.graph.num_edges(), 2 * 4 + base.num_edges());
         // Traffic cannot bypass the host: no nic_in -> nic_out edge.
