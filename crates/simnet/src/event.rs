@@ -38,9 +38,9 @@
 //! active flow's bytes, the next drain, retirement, busy time and the bytes of
 //! a cut job. A flow's bytes are re-marked only when its rate's bit pattern
 //! changes, and a min-tournament over links gives the next drain, so an
-//! uncapped event touches only the links whose flows changed. The run loops
-//! start jobs at the clock `t`, ask for the next drain time, and settle the
-//! ledger at the time they move the clock to. Besides that they only ask how
+//! uncapped event touches only the links whose flows changed. The run loop
+//! starts jobs at the clock `t`, asks for the next drain time, and settles the
+//! ledger at the time it moves the clock to. Besides that it only asks how
 //! many flows are active, whether one runs on a failed link, and how many
 //! bytes a cut job has left.
 //!
@@ -52,15 +52,18 @@
 //!
 //! # Execution models (the α–β split)
 //!
+//! One run loop serves both models; the model only decides when a job is ready.
+//!
 //! * [`ExecutionModel::Synchronized`] — the MSCCL/oneCCL interpreter semantics: a
-//!   global barrier between steps, `α = `[`SimParams::step_sync_latency_s`] paid once
-//!   per step. On nominal fabrics with no injection/QP limits this reproduces the
-//!   analytic [`crate::simulate_chunked_schedule`] to round-off (both models charge
-//!   each step its busiest link's drain time plus the sync).
-//! * [`ExecutionModel::DependencyDriven`] — asynchronous execution: a transfer
-//!   departs as soon as the inbound copies it forwards have landed
-//!   (the [`TransferDag`] extracted from the IR), paying
-//!   `α = `[`SimParams::per_hop_latency_s`] per transfer instead of a global sync.
+//!   global barrier between steps. A step's jobs are ready together,
+//!   `α = `[`SimParams::step_sync_latency_s`] after the previous step's last flow
+//!   retired (an empty step completes as it starts). On nominal fabrics with no
+//!   injection/QP limits this reproduces the analytic
+//!   [`crate::simulate_chunked_schedule`] to round-off (both models charge each
+//!   step its busiest link's drain time plus the sync).
+//! * [`ExecutionModel::DependencyDriven`] — asynchronous execution: a transfer is
+//!   ready `α = `[`SimParams::per_hop_latency_s`] after the last inbound copy it
+//!   forwards has landed (the [`TransferDag`] extracted from the IR).
 //!   Steps overlap wherever the data dependencies allow — a clear win in the
 //!   latency-bound regime (no barriers), while at large buffers the overlap can
 //!   make later-step flows *contend* with the current bottleneck link, so the
@@ -548,17 +551,9 @@ fn run_chunked(
 
     let mut engine = Engine::new(topo, &jobs, &dag, link_bw.clone(), params, &alpha_factor);
     let boundaries = resolve_boundaries(topo, params, timeline, &link_bw);
-    let outcome = match model {
-        ExecutionModel::Synchronized => engine.run_synchronized_timeline(&boundaries),
-        ExecutionModel::DependencyDriven => {
-            TimelineOutcome::Completed(engine.run_dependency_driven()?)
-        }
-    };
-    Ok(match outcome {
-        TimelineOutcome::Completed(o) => {
-            TimelineRun::Completed(build_report(schedule, shard_bytes, &jobs, &link_bw, o))
-        }
-        TimelineOutcome::Interrupted(cut) => {
+    Ok(match engine.run(model, &boundaries)? {
+        Ok(o) => TimelineRun::Completed(build_report(schedule, shard_bytes, &jobs, &link_bw, o)),
+        Err(cut) => {
             let at = &boundaries[cut.boundary];
             TimelineRun::Interrupted(build_snapshot(schedule, shard_bytes, &jobs, &dag, at, &cut))
         }
@@ -575,33 +570,24 @@ fn resolve_boundaries(
 ) -> Vec<Boundary> {
     timeline
         .dynamic_event_times()
-        .iter()
-        .map(|&te| {
-            let sc = timeline.scenario_at(te);
-            let mut bw = vec![f64::INFINITY; topo.num_edges()];
-            let mut failed = vec![false; topo.num_edges()];
-            let mut failed_links = Vec::new();
-            for e in 0..topo.num_edges() {
-                match sc.effective_bandwidth(topo, e, params) {
-                    Some(b) => {
-                        // Only used links need a finite entry (matching the
-                        // static resolution); unused links stay +inf.
-                        if link_bw[e].is_finite() {
-                            bw[e] = b;
-                        }
-                    }
-                    None => {
-                        bw[e] = 0.0;
-                        failed[e] = true;
-                        failed_links.push(e);
-                    }
-                }
-            }
+        .into_iter()
+        .map(|time| {
+            let sc = timeline.scenario_at(time);
+            let bw: Vec<Option<f64>> = (0..link_bw.len())
+                .map(|e| sc.effective_bandwidth(topo, e, params))
+                .collect();
+            // A failed link has no bandwidth; only used links need a finite
+            // entry (matching the static resolution), unused ones stay +inf.
+            let entry = |(b, used): (&Option<f64>, &f64)| match b {
+                None => 0.0,
+                Some(b) if used.is_finite() => *b,
+                Some(_) => f64::INFINITY,
+            };
             Boundary {
-                time: te,
-                link_bw: bw,
-                failed,
-                failed_links,
+                time,
+                link_bw: bw.iter().zip(link_bw).map(entry).collect(),
+                failed: bw.iter().map(Option::is_none).collect(),
+                failed_links: (0..bw.len()).filter(|&e| bw[e].is_none()).collect(),
             }
         })
         .collect()
@@ -629,11 +615,6 @@ struct Interrupt {
     remaining: Vec<(usize, f64)>,
     /// Index of the triggering boundary.
     boundary: usize,
-}
-
-enum TimelineOutcome {
-    Completed(Outcome),
-    Interrupted(Interrupt),
 }
 
 /// Builds the [`InFlightSnapshot`] of an interrupted run: partial-transfer
@@ -765,7 +746,6 @@ struct Engine<'a> {
     /// Per-job α multiplier from the scenario's per-message jitter (all 1.0
     /// when jitter is off).
     alpha_factor: &'a [f64],
-    num_steps: usize,
     /// Every active flow's bytes, the drain search, retirement and busy time.
     ledger: Ledger,
     sharing: Sharing,
@@ -798,7 +778,6 @@ impl<'a> Engine<'a> {
             link_bw,
             params,
             alpha_factor,
-            num_steps: dag.num_steps,
             ledger: Ledger::new(topo.num_edges(), jobs),
             sharing: if params.host_injection_gbps.is_none() {
                 Sharing::PerLink(LinkShare)
@@ -836,172 +815,205 @@ impl<'a> Engine<'a> {
         OBS_BOUNDARY_REREADS.incr();
     }
 
-    /// True if any transfer that has not finished — an active flow of the current
-    /// step or any job of a later step — uses a failed link.
-    fn remaining_work_uses_failed(&self, next_job: usize, failed: &[bool]) -> bool {
-        self.ledger.uses_any(failed) || self.jobs[next_job..].iter().any(|j| failed[j.link])
-    }
-
-    /// Synchronized (barrier) execution: each step's flows start together and
-    /// the step ends when the last drains, plus the per-step synchronization
-    /// latency. Under timed capacity changes drains are cut at every boundary,
-    /// capacities are re-read, and a failure that strands remaining work
-    /// interrupts the run; with an empty boundary list (the static scenario)
-    /// the run always completes.
-    fn run_synchronized_timeline(&mut self, boundaries: &[Boundary]) -> TimelineOutcome {
-        let mut t = 0.0f64;
-        let mut step_completion = vec![0.0f64; self.num_steps];
-        let mut max_concurrent = 0usize;
-        let mut next_job = 0usize;
-        let mut bi = 0usize;
-        for step in 0..self.num_steps {
-            let _obs = a2a_obs::span("simnet.step");
-            let step_first_job = next_job;
-            // A barrier waits for its slowest participant, so the step's α is
-            // the per-step sync latency times the worst per-message jitter
-            // factor among the step's transfers (1.0 for an empty step).
-            let mut step_alpha_factor = 1.0f64;
-            while next_job < self.jobs.len() && self.jobs[next_job].step == step {
-                step_alpha_factor = step_alpha_factor.max(self.alpha_factor[next_job]);
-                self.ledger.arrive(next_job, t);
-                next_job += 1;
-            }
-            max_concurrent = max_concurrent.max(self.ledger.flows());
-            while self.ledger.flows() > 0 {
-                let drain = self.next_drain(t);
-                // Cut the drain at the next event boundary.
-                if bi < boundaries.len() && boundaries[bi].time <= drain {
-                    t = t.max(boundaries[bi].time);
-                    self.ledger.settle(t, |_| {});
-                    let b = &boundaries[bi];
-                    self.rerate(&b.link_bw);
-                    bi += 1;
-                    if !b.failed_links.is_empty()
-                        && self.remaining_work_uses_failed(next_job, &b.failed)
-                    {
-                        let remaining = (step_first_job..next_job)
-                            .map(|j| (j, self.ledger.remaining_of(j, t)))
-                            .collect();
-                        return TimelineOutcome::Interrupted(Interrupt {
-                            time: b.time,
-                            cut_step: step,
-                            remaining,
-                            boundary: bi - 1,
-                        });
-                    }
-                    continue;
-                }
-                t = drain;
-                self.ledger.settle(t, |_| {});
-            }
-            step_completion[step] = t;
-            // Events during the synchronization window fire at the barrier: no
-            // flow is in flight, so a failure only matters for future steps (the
-            // cut falls exactly on the step boundary, with no partial transfers).
-            let sync_end = t + self.params.step_sync_latency_s * step_alpha_factor;
-            while bi < boundaries.len() && boundaries[bi].time <= sync_end {
-                let b = &boundaries[bi];
-                self.rerate(&b.link_bw);
-                bi += 1;
-                if !b.failed_links.is_empty()
-                    && self.remaining_work_uses_failed(next_job, &b.failed)
-                {
-                    return TimelineOutcome::Interrupted(Interrupt {
-                        time: b.time.max(t),
-                        cut_step: step + 1,
-                        remaining: Vec::new(),
-                        boundary: bi - 1,
-                    });
-                }
-            }
-            t = sync_end;
-        }
-        TimelineOutcome::Completed(Outcome {
-            completion: t,
-            step_completion,
-            link_busy: self.ledger.take_busy(),
-            max_concurrent,
-        })
-    }
-
-    /// Dependency-driven execution: a job becomes ready `per_hop_latency_s` after its
-    /// last dependency drains; ready flows share the fabric max-min fairly.
-    fn run_dependency_driven(&mut self) -> SimResult<Outcome> {
-        let _obs = a2a_obs::span("simnet.dependency_run");
-        let n = self.jobs.len();
-        let alpha = self.params.per_hop_latency_s;
-        let mut indeg: Vec<usize> = self.dag.jobs.iter().map(|j| j.deps.len()).collect();
-        let succ = self.dag.successors();
-        let mut ready: BinaryHeap<Reverse<(OrdF64, usize)>> = BinaryHeap::new();
-        for (id, &deg) in indeg.iter().enumerate() {
-            if deg == 0 {
-                ready.push(Reverse((OrdF64(alpha * self.alpha_factor[id]), id)));
-            }
-        }
-
-        let mut t = 0.0f64;
-        let mut step_completion = vec![0.0f64; self.num_steps];
-        let mut completed = 0usize;
-        let mut max_concurrent = 0usize;
-        // Each iteration activates or completes at least one job, so 2n + 1 bounds the
-        // loop; the 4n + 16 guard turns any accounting bug into an error, not a hang.
-        let mut guard = 4 * n + 16;
-        while completed < n {
+    /// Runs the jobs to completion, or to the first timeline boundary whose
+    /// failure strands remaining work. Each pass is one event: the clock moves
+    /// to the next drain, readiness or boundary (an idle fabric waits for the
+    /// next readiness), the ledger settles there, a boundary re-rates the
+    /// links, and every job ready by then starts.
+    fn run(
+        &mut self,
+        model: ExecutionModel,
+        boundaries: &[Boundary],
+    ) -> SimResult<Result<Outcome, Interrupt>> {
+        let (jobs, alpha_factor, total) = (self.jobs, self.alpha_factor, self.jobs.len());
+        let first_job = |step| jobs.partition_point(|j: &SimJob| j.step < step);
+        let mut ready = Readiness::new(model, self.dag, self.params, alpha_factor);
+        let mut step_completion = vec![0.0f64; self.dag.num_steps];
+        let (mut t, mut completed, mut max_concurrent, mut bi) = (0.0f64, 0, 0, 0);
+        // A pass retires, starts, crosses a boundary or ends: the guard turns a
+        // bookkeeping bug into an error, not a hang.
+        let mut guard = 4 * total + 2 * (step_completion.len() + boundaries.len()) + 16;
+        loop {
             guard -= 1;
-            if guard == 0 {
-                return Err(SimError::Stalled {
-                    completed,
-                    total: n,
+            let stalled = SimError::Stalled { completed, total };
+            let idle = self.ledger.flows() == 0;
+            let next = match ready.next(idle, &step_completion) {
+                _ if guard == 0 => return Err(stalled),
+                rt if !idle => {
+                    let drain = self.next_drain(t);
+                    rt.map_or(drain, |rt| drain.min(rt))
+                }
+                Some(rt) => rt,
+                None if completed == total => break,
+                None => return Err(stalled),
+            };
+            let boundary = boundaries.get(bi).filter(|b| b.time <= next);
+            t = match boundary {
+                Some(b) => t.max(b.time),
+                None if idle => t.max(next),
+                None => next,
+            };
+            if !idle {
+                self.ledger.settle(t, |job| {
+                    completed += 1;
+                    let step = jobs[job].step;
+                    step_completion[step] = step_completion[step].max(t);
+                    if let Readiness::Dependencies(d) = &mut ready {
+                        for &s in &d.succ[job] {
+                            d.indeg[s] -= 1;
+                            if d.indeg[s] == 0 {
+                                let rt = t + d.per_hop * alpha_factor[s];
+                                d.heap.push(Reverse((OrdF64(rt), s)));
+                            }
+                        }
+                    }
                 });
             }
-            if self.ledger.flows() == 0 {
-                let Some(&Reverse((OrdF64(rt), _))) = ready.peek() else {
-                    return Err(SimError::Stalled {
-                        completed,
-                        total: n,
-                    });
+            if let Some(b) = boundary {
+                bi += 1;
+                self.rerate(&b.link_bw);
+                let Readiness::Barrier(barrier) = &ready else {
+                    unreachable!("only synchronized runs take a timeline")
                 };
-                t = t.max(rt);
-            }
-            while let Some(&Reverse((OrdF64(rt), id))) = ready.peek() {
-                if rt > t {
-                    break;
+                // Mid-drain the cut falls in the running step; in a sync
+                // window, on the boundary of the next one.
+                let cut_step = barrier.step - usize::from(!idle);
+                let started = first_job(cut_step)..first_job(barrier.step);
+                let unstarted = &jobs[started.end..];
+                if self.ledger.uses_any(&b.failed) || unstarted.iter().any(|j| b.failed[j.link]) {
+                    let remaining = started.map(|j| (j, self.ledger.remaining_of(j, t)));
+                    return Ok(Err(Interrupt {
+                        time: t,
+                        cut_step,
+                        remaining: remaining.collect(),
+                        boundary: bi - 1,
+                    }));
                 }
-                ready.pop();
-                self.ledger.arrive(id, t);
             }
-            max_concurrent = max_concurrent.max(self.ledger.flows());
-
-            let drain = self.next_drain(t);
-            // Stop early if a new job becomes ready mid-drain.
-            t = match ready.peek() {
-                Some(&Reverse((OrdF64(rt), _))) => drain.min(rt),
-                None => drain,
-            };
-            let (jobs, alpha_factor) = (self.jobs, self.alpha_factor);
-            self.ledger.settle(t, |job| {
-                completed += 1;
-                let step = jobs[job].step;
-                step_completion[step] = step_completion[step].max(t);
-                for &s in &succ[job] {
-                    indeg[s] -= 1;
-                    if indeg[s] == 0 {
-                        ready.push(Reverse((OrdF64(t + alpha * alpha_factor[s]), s)));
+            // Start every job ready by `t`: under the barrier whole steps in
+            // job order, cascading through empty steps whose sync ends by `t`.
+            while ready
+                .next(self.ledger.flows() == 0, &step_completion)
+                .is_some_and(|rt| rt <= t)
+            {
+                match &mut ready {
+                    Readiness::Barrier(b) => {
+                        b._span = None;
+                        if let Some(done) = step_completion.get_mut(b.step) {
+                            b._span = Some(a2a_obs::span("simnet.step"));
+                            let step = first_job(b.step)..first_job(b.step + 1);
+                            b.alpha = step.clone().fold(1.0, |a, job| a.max(alpha_factor[job]));
+                            if step.is_empty() {
+                                *done = t;
+                            }
+                            step.for_each(|job| self.ledger.arrive(job, t));
+                        }
+                        b.step += 1;
+                    }
+                    Readiness::Dependencies(d) => {
+                        let Reverse((_, id)) = d.heap.pop().expect("a ready job");
+                        self.ledger.arrive(id, t);
                     }
                 }
-            });
+            }
+            max_concurrent = max_concurrent.max(self.ledger.flows());
         }
-        Ok(Outcome {
+        Ok(Ok(Outcome {
             completion: t,
             step_completion,
             link_busy: self.ledger.take_busy(),
             max_concurrent,
+        }))
+    }
+}
+
+/// When jobs become ready: the one part of a run the execution model decides
+/// (module docs, "Execution models").
+enum Readiness {
+    Barrier(Barrier),
+    Dependencies(Dependencies),
+}
+
+/// The next step to start (past the last once the run has ended), the largest
+/// jitter factor of the step before it, and a span from one step's start to
+/// the next's.
+#[derive(Default)]
+struct Barrier {
+    sync: f64,
+    step: usize,
+    alpha: f64,
+    _span: Option<a2a_obs::Span>,
+}
+
+/// Each job's unretired dependencies and dependents, and the ready jobs not
+/// started yet, earliest first.
+struct Dependencies {
+    per_hop: f64,
+    indeg: Vec<usize>,
+    succ: Vec<Vec<usize>>,
+    heap: BinaryHeap<Reverse<(OrdF64, usize)>>,
+    _span: a2a_obs::Span,
+}
+
+impl Readiness {
+    fn new(model: ExecutionModel, dag: &TransferDag, params: &SimParams, alpha: &[f64]) -> Self {
+        if model == ExecutionModel::Synchronized {
+            return Self::Barrier(Barrier {
+                sync: params.step_sync_latency_s,
+                ..Barrier::default()
+            });
+        }
+        let _span = a2a_obs::span("simnet.dependency_run");
+        let per_hop = params.per_hop_latency_s;
+        let indeg: Vec<usize> = dag.jobs.iter().map(|j| j.deps.len()).collect();
+        let heap = (0..indeg.len())
+            .filter(|&id| indeg[id] == 0)
+            .map(|id| Reverse((OrdF64(per_hop * alpha[id]), id)))
+            .collect();
+        let succ = dag.successors();
+        Self::Dependencies(Dependencies {
+            per_hop,
+            indeg,
+            succ,
+            heap,
+            _span,
         })
+    }
+
+    /// When the next job (under the barrier: the next step, or the end of
+    /// the run) is ready; `None` if nothing is pending.
+    fn next(&self, idle: bool, step_completion: &[f64]) -> Option<f64> {
+        match self {
+            Self::Barrier(b) if idle && b.step <= step_completion.len() => {
+                let last = b.step.checked_sub(1);
+                Some(last.map_or(0.0, |s| step_completion[s] + b.sync * b.alpha))
+            }
+            Self::Barrier(_) => None,
+            Self::Dependencies(d) => d.heap.peek().map(|&Reverse((OrdF64(rt), _))| rt),
+        }
     }
 }
 
 #[cfg(test)]
 mod eager;
+
+/// The eager reference's result (test builds only); the engine's
+/// `Result<Outcome, Interrupt>` converts into it.
+#[cfg(test)]
+enum TimelineOutcome {
+    Completed(Outcome),
+    Interrupted(Interrupt),
+}
+
+#[cfg(test)]
+impl From<Result<Outcome, Interrupt>> for TimelineOutcome {
+    fn from(run: Result<Outcome, Interrupt>) -> Self {
+        match run {
+            Ok(outcome) => Self::Completed(outcome),
+            Err(cut) => Self::Interrupted(cut),
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -1652,12 +1664,7 @@ mod tests {
                 engine.sharing =
                     Sharing::Progressive(Progressive::new(topo.num_edges(), topo.num_nodes()));
             }
-            let outcome = match model {
-                ExecutionModel::Synchronized => engine.run_synchronized_timeline(&boundaries),
-                ExecutionModel::DependencyDriven => {
-                    TimelineOutcome::Completed(engine.run_dependency_driven().unwrap())
-                }
-            };
+            let outcome = engine.run(model, &boundaries).unwrap().into();
             let run = match outcome {
                 TimelineOutcome::Completed(o) => [
                     vec![o.completion.to_bits(), o.max_concurrent as u64],
@@ -1829,11 +1836,11 @@ mod tests {
                 eager::Engine::new(topo, &jobs, &dag, link_bw.clone(), params, &alpha_factor);
             let [a, b] = match model {
                 ExecutionModel::Synchronized => [
-                    engine.run_synchronized_timeline(&boundaries),
+                    engine.run(model, &boundaries).unwrap().into(),
                     reference.run_synchronized_timeline(&boundaries),
                 ],
                 ExecutionModel::DependencyDriven => [
-                    TimelineOutcome::Completed(engine.run_dependency_driven().unwrap()),
+                    engine.run(model, &boundaries).unwrap().into(),
                     TimelineOutcome::Completed(reference.run_dependency_driven().unwrap()),
                 ],
             };

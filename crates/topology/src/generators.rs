@@ -298,50 +298,6 @@ pub fn fat_tree_two_level(leaves: usize, spines: usize, hosts_per_leaf: usize) -
     }
 }
 
-/// The classic 3-tier `k`-ary fat tree (Al-Fares et al.): `k` pods of `k/2` edge and
-/// `k/2` aggregation switches, `(k/2)^2` core switches, `k^3/4` hosts. `k` must be
-/// even. Links between switching tiers carry unit capacity per physical link, hosts
-/// attach with unit links, so the fabric is non-blocking.
-pub fn fat_tree(k: usize) -> FatTree {
-    assert!(
-        k >= 2 && k.is_multiple_of(2),
-        "k-ary fat tree needs even k >= 2"
-    );
-    let half = k / 2;
-    let nhosts = k * half * half;
-    let nedge = k * half;
-    let nagg = k * half;
-    let ncore = half * half;
-    let n = nhosts + nedge + nagg + ncore;
-    let mut t = Topology::new(n, format!("fattree-k{k}"));
-    let edge_id = |pod: usize, e: usize| nhosts + pod * half + e;
-    let agg_id = |pod: usize, a: usize| nhosts + nedge + pod * half + a;
-    let core_id = |c: usize| nhosts + nedge + nagg + c;
-    for pod in 0..k {
-        for e in 0..half {
-            // Hosts under this edge switch.
-            for h in 0..half {
-                let host = pod * half * half + e * half + h;
-                t.add_bidirectional(host, edge_id(pod, e), 1.0);
-            }
-            // Edge to every aggregation switch of the pod.
-            for a in 0..half {
-                t.add_bidirectional(edge_id(pod, e), agg_id(pod, a), 1.0);
-            }
-        }
-        // Aggregation switch `a` connects to core group `a`.
-        for a in 0..half {
-            for i in 0..half {
-                t.add_bidirectional(agg_id(pod, a), core_id(a * half + i), 1.0);
-            }
-        }
-    }
-    FatTree {
-        graph: t,
-        hosts: (0..nhosts).collect(),
-    }
-}
-
 /// A random `d`-out-regular digraph: each node picks `d` distinct out-neighbours
 /// uniformly at random. Useful as a stress-test topology for the schedulers.
 pub fn random_directed(n: usize, d: usize, seed: u64) -> Topology {
@@ -390,19 +346,6 @@ mod tests {
             .find(|edge| edge.dst >= 16 + 4)
             .expect("leaf has a spine uplink");
         assert_eq!(uplink.capacity, 2.0);
-    }
-
-    #[test]
-    fn three_tier_fat_tree_shape() {
-        let ft = fat_tree(4);
-        // k=4: 16 hosts, 8 edge, 8 agg, 4 core.
-        assert_eq!(ft.hosts.len(), 16);
-        assert_eq!(ft.graph.num_nodes(), 16 + 8 + 8 + 4);
-        assert!(ft.graph.is_strongly_connected());
-        // Every host has exactly one attachment link.
-        for &h in &ft.hosts {
-            assert_eq!(ft.graph.out_degree(h), 1);
-        }
     }
 
     #[test]
