@@ -898,6 +898,7 @@ impl<'a> Engine<'a> {
             {
                 match &mut ready {
                     Readiness::Barrier(b) => {
+                        // Spans nest: close the last step's before the next opens.
                         b._span = None;
                         if let Some(done) = step_completion.get_mut(b.step) {
                             b._span = Some(a2a_obs::span("simnet.step"));
@@ -937,7 +938,6 @@ enum Readiness {
 /// The next step to start (past the last once the run has ended), the largest
 /// jitter factor of the step before it, and a span from one step's start to
 /// the next's.
-#[derive(Default)]
 struct Barrier {
     sync: f64,
     step: usize,
@@ -960,7 +960,9 @@ impl Readiness {
         if model == ExecutionModel::Synchronized {
             return Self::Barrier(Barrier {
                 sync: params.step_sync_latency_s,
-                ..Barrier::default()
+                step: 0,
+                alpha: 1.0,
+                _span: None,
             });
         }
         let _span = a2a_obs::span("simnet.dependency_run");
