@@ -5,15 +5,24 @@
 //! benchmark's `extp-torus8x8` lowering on its own input: the 4,032 widest
 //! paths extracted from the decomposed torus-8×8 solve, 16 chunks per shard,
 //! LASH-sequential (five layers).
+//!
+//! `transfer_dag`, `chunk_validate`, `msccl_xml` and `oneccl_xml` time the
+//! per-lowering layers of the benchmark's `simsweep-torus3x3x3` rep on its
+//! finest input: the pruned torus-3×3×3 tsMCF solve under the benchmark's
+//! colgen options, lowered at exactly 128 chunks per shard.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use a2a_mcf::pmcf::{solve_path_mcf, PathSetKind};
-use a2a_mcf::tscolgen::solve_tsmcf_colgen_auto;
-use a2a_mcf::{extract_widest_paths, solve_decomposed_mcf_with, CommoditySet, DecomposedOptions};
+use a2a_mcf::tscolgen::{solve_tsmcf_colgen_among_with, solve_tsmcf_colgen_auto};
+use a2a_mcf::tsmcf::minimum_steps;
+use a2a_mcf::{
+    extract_widest_paths, solve_decomposed_mcf_with, ColGenOptions, CommoditySet,
+    DecomposedOptions, Stabilization,
+};
 use a2a_schedule::{
-    lower_path_schedule, to_msccl_xml, to_oneccl_xml, ChunkedSchedule, LashVariant,
+    lower_path_schedule, to_msccl_xml, to_oneccl_xml, ChunkedSchedule, LashVariant, TransferDag,
 };
 use a2a_topology::generators;
 
@@ -75,5 +84,41 @@ fn bench_lowering_torus8x8_extp(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_lowering, bench_lowering_torus8x8_extp);
+fn bench_lowering_simsweep(c: &mut Criterion) {
+    let topo = generators::torus(&[3, 3, 3]);
+    let commodities = CommoditySet::all_pairs(topo.num_nodes());
+    let steps = minimum_steps(&topo, &commodities).unwrap();
+    // The benchmark's tsMCF colgen options.
+    let options = ColGenOptions {
+        partial_pricing: Some(7.0),
+        stabilization: Stabilization::Smoothing { alpha: 0.1 },
+        ..ColGenOptions::default()
+    };
+    let solved = solve_tsmcf_colgen_among_with(&topo, commodities, steps, &options).unwrap();
+    let pruned = solved.solution.pruned(&topo);
+    let sched = ChunkedSchedule::from_tsmcf_exact(&topo, &pruned, 128).unwrap();
+
+    let mut group = c.benchmark_group("simsweep_torus3x3x3_128");
+    group.sample_size(50);
+    group.bench_function("transfer_dag", |b| {
+        b.iter(|| black_box(TransferDag::from_schedule(&sched).unwrap().jobs.len()))
+    });
+    group.bench_function("chunk_validate", |b| {
+        b.iter(|| black_box(sched.validate(&topo).len()))
+    });
+    group.bench_function("msccl_xml", |b| {
+        b.iter(|| black_box(to_msccl_xml(&sched, "a2a-benchmark").len()))
+    });
+    group.bench_function("oneccl_xml", |b| {
+        b.iter(|| black_box(to_oneccl_xml(&sched, "a2a-benchmark").len()))
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_lowering,
+    bench_lowering_torus8x8_extp,
+    bench_lowering_simsweep
+);
 criterion_main!(benches);
