@@ -4,12 +4,21 @@
 //! A lowered program (MSCCL / oneCCL, §4) obeys three store-and-forward rules: every
 //! shard starts as `chunks_per_shard` chunks at its origin; a rank forwards only
 //! chunks of a commodity that it holds, oldest first; a step's arrivals land only
-//! after the whole step. `replay` owns these rules and every check on them, over
-//! one FIFO per `(commodity, rank)` buffer that stores runs of equally labelled
-//! chunks (one entry per arrival, not per chunk). The label is the caller's: unit
-//! labels for [`crate::ChunkedSchedule::validate`] (which collects every violation)
-//! and [`holdings_after`], the delivering job for [`TransferDag::from_schedule`], the
-//! trajectory for [`crate::splice::realized_route_table`].
+//! after the whole step. `replay` owns these rules and every check on them.
+//!
+//! # Buffer layout
+//!
+//! The `(commodity, rank)` buffers live flat, at `commodity * num_ranks + rank`:
+//! the replay keeps one chunk count per buffer and finds a transfer's commodity
+//! through a rank-to-endpoint table built once per call, so
+//! [`crate::ChunkedSchedule::validate`] and [`holdings_after`] allocate a few
+//! vectors whatever the schedule's size. A replay that needs to know *which*
+//! chunks a buffer holds passes a `Track`: `Labelled` keeps every buffer's
+//! chunks as a FIFO of runs of equally labelled chunks (one run per arrival,
+//! not per chunk), linked through one shared arena, so it allocates per
+//! transfer, not per buffer. The label is the caller's: the delivering job for
+//! [`TransferDag::from_schedule`], the trajectory for
+//! [`crate::splice::realized_route_table`].
 //!
 //! Real runtimes do not execute a global barrier between steps — a rank posts a
 //! send as soon as the chunks it forwards have landed. The DAG is that *data*
@@ -17,13 +26,16 @@
 //! exactly the earlier jobs that delivered the chunks it sends onward. Arrivals
 //! land after the whole step, so every dependency points to a job of a *strictly
 //! earlier* step: the DAG is acyclic with job ids already in topological order.
+//! The DAG keeps its dependencies and their reverse, the successor lists, as
+//! two compressed rows (one id array plus per-job offsets).
 
+use a2a_mcf::CommoditySet;
 use a2a_topology::NodeId;
 
 use crate::ir::{ChunkTransfer, ChunkedSchedule, ScheduleStep};
 
 /// One executable transfer: a [`crate::ChunkTransfer`] plus its position in the
-/// schedule and the jobs whose arrivals it consumes.
+/// schedule. Its dependencies are [`TransferDag::deps`].
 #[derive(Debug, Clone)]
 pub struct TransferJob {
     /// Step of the enclosing [`crate::ScheduleStep`].
@@ -40,10 +52,6 @@ pub struct TransferJob {
     pub final_dest: NodeId,
     /// Number of chunks moved.
     pub chunks: usize,
-    /// Ids of jobs (indices into [`TransferDag::jobs`]) that must complete before this
-    /// transfer can depart, sorted ascending and deduplicated. Empty for transfers that
-    /// only forward chunks resident at the commodity origin.
-    pub deps: Vec<usize>,
 }
 
 /// The data-dependency DAG of a chunked schedule.
@@ -61,95 +69,263 @@ pub struct TransferDag {
     pub chunks_per_shard: usize,
     /// Number of steps in the source schedule.
     pub num_steps: usize,
+    deps: Csr,
+    succ: Csr,
 }
 
-/// The chunks one rank buffers of one commodity, oldest first, as runs of
-/// `(label, chunk count)`. Every stored run is non-empty, and adjacent chunks
-/// with equal labels share one. A buffer holds few runs, so the front is
-/// removed by shifting.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct RunFifo<L> {
-    runs: Vec<(L, usize)>,
+/// Compressed rows: row `i` is `ids[offsets[i]..offsets[i + 1]]`.
+#[derive(Debug, Clone)]
+struct Csr {
+    offsets: Vec<usize>,
+    ids: Vec<usize>,
 }
 
-impl<L: Clone + PartialEq> RunFifo<L> {
-    /// Total chunks held.
-    pub(crate) fn chunks(&self) -> usize {
-        self.runs.iter().map(|&(_, chunks)| chunks).sum()
+impl Csr {
+    fn row(&self, i: usize) -> &[usize] {
+        &self.ids[self.offsets[i]..self.offsets[i + 1]]
     }
 
-    /// The runs, oldest first.
-    pub(crate) fn runs(&self) -> &[(L, usize)] {
-        &self.runs
+    /// The reverse rows over `0..rows`: row `j` lists every `i` whose row
+    /// holds `j`, ascending.
+    fn transpose(&self, rows: usize) -> Self {
+        let mut offsets = vec![0; rows + 1];
+        for &j in &self.ids {
+            offsets[j + 1] += 1;
+        }
+        for j in 0..rows {
+            offsets[j + 1] += offsets[j];
+        }
+        let mut next = offsets[..rows].to_vec();
+        let mut ids = vec![0; self.ids.len()];
+        for i in 0..self.offsets.len() - 1 {
+            for &j in self.row(i) {
+                ids[next[j]] = i;
+                next[j] += 1;
+            }
+        }
+        Self { offsets, ids }
+    }
+}
+
+/// Each commodity's index from its endpoints, by one table lookup for ranks
+/// in `0..num_ranks` (the same answers as [`CommoditySet::index_of`]).
+struct CommodityIndex<'a> {
+    commodities: &'a CommoditySet,
+    /// The endpoint position of each rank, `None` for a rank that is none.
+    position: Vec<Option<usize>>,
+}
+
+impl<'a> CommodityIndex<'a> {
+    fn new(commodities: &'a CommoditySet, num_ranks: usize) -> Self {
+        let mut position = vec![None; num_ranks];
+        for (p, &e) in commodities.endpoints().iter().enumerate() {
+            if let Some(slot) = position.get_mut(e) {
+                *slot = Some(p);
+            }
+        }
+        Self {
+            commodities,
+            position,
+        }
     }
 
-    fn push(&mut self, label: L, chunks: usize) {
+    fn of(&self, src: NodeId, dst: NodeId) -> Option<usize> {
+        let position = |rank: NodeId| match self.position.get(rank) {
+            Some(&p) => p,
+            None => self.commodities.endpoints().iter().position(|&e| e == rank),
+        };
+        if src == dst {
+            return None;
+        }
+        let (s, d) = (position(src)?, position(dst)?);
+        let k = self.commodities.num_endpoints();
+        Some(s * (k - 1) + d - usize::from(d > s))
+    }
+}
+
+/// What a replay keeps of its buffers beyond their chunk counts. Buffers are
+/// numbered `commodity * num_ranks + rank`.
+pub(crate) trait Track {
+    /// The commodity's `chunks` chunks start at their origin `rank`, in
+    /// `buffer`.
+    fn start(&mut self, buffer: usize, rank: NodeId, chunks: usize);
+    /// `tr` moves the oldest `tr.chunks` chunks of buffer `from` (which holds
+    /// at least that many) toward buffer `to`.
+    fn send(&mut self, tr: &ChunkTransfer, from: usize, to: usize);
+    /// The step's sends land.
+    fn land(&mut self);
+}
+
+/// Chunk counts only.
+impl Track for () {
+    fn start(&mut self, _: usize, _: NodeId, _: usize) {}
+    fn send(&mut self, _: &ChunkTransfer, _: usize, _: usize) {}
+    fn land(&mut self) {}
+}
+
+/// End of a run list.
+const NIL: u32 = u32::MAX;
+
+/// One run of a buffer: `chunks` chunks labelled `label`, then arena slot
+/// `next`.
+struct Run<L> {
+    label: L,
+    chunks: usize,
+    next: u32,
+}
+
+/// Labelled chunks: every buffer a FIFO of `(label, chunk count)` runs,
+/// oldest first, linked through one arena. Every stored run is non-empty, and
+/// adjacent chunks with equal labels share one. A drained run's slot is not
+/// reused: the arena grows by at most one slot per run that lands.
+pub(crate) struct Labelled<L, O, R> {
+    /// `(first, last)` arena slot of each buffer's runs, [`NIL`] when empty.
+    ends: Vec<(u32, u32)>,
+    arena: Vec<Run<L>>,
+    /// The label of the chunks at a commodity's origin.
+    origin: O,
+    /// Sees each transfer's drained runs, oldest first, and may rewrite their
+    /// labels before they land.
+    relabel: R,
+    moved: Vec<(L, usize)>,
+    arrivals: Vec<(usize, L, usize)>,
+}
+
+impl<L, O, R> Labelled<L, O, R>
+where
+    L: Default + PartialEq,
+    O: Fn(NodeId) -> L,
+    R: FnMut(&ChunkTransfer, &mut [(L, usize)]),
+{
+    /// Empty buffers for `schedule`.
+    pub(crate) fn new(schedule: &ChunkedSchedule, origin: O, relabel: R) -> Self {
+        Self {
+            ends: vec![(NIL, NIL); schedule.commodities.len() * schedule.num_ranks],
+            arena: Vec::with_capacity(schedule.commodities.len() + schedule.total_transfers()),
+            origin,
+            relabel,
+            moved: Vec::new(),
+            arrivals: Vec::new(),
+        }
+    }
+
+    /// The runs of `buffer`, oldest first.
+    pub(crate) fn runs(&self, buffer: usize) -> impl Iterator<Item = (&L, usize)> + '_ {
+        let mut at = self.ends[buffer].0;
+        std::iter::from_fn(move || {
+            let run = self.arena.get(at as usize)?;
+            at = run.next;
+            Some((&run.label, run.chunks))
+        })
+    }
+
+    fn push(&mut self, buffer: usize, label: L, chunks: usize) {
         if chunks == 0 {
             return;
         }
-        match self.runs.last_mut() {
-            Some((last, held)) if *last == label => *held += chunks,
-            _ => self.runs.push((label, chunks)),
+        let (first, last) = &mut self.ends[buffer];
+        if let Some(run) = self.arena.get_mut(*last as usize) {
+            if run.label == label {
+                run.chunks += chunks;
+                return;
+            }
         }
-    }
-
-    /// Moves the oldest `chunks` chunks (the caller has checked that many are
-    /// held) to the back of `out`, splitting the last run touched.
-    fn drain_into(&mut self, chunks: usize, out: &mut Vec<(L, usize)>) {
-        let mut wanted = chunks;
-        let mut whole = 0;
-        while wanted > 0 && self.runs[whole].1 <= wanted {
-            wanted -= self.runs[whole].1;
-            whole += 1;
+        let slot = u32::try_from(self.arena.len()).expect("fewer than 2^32 - 1 runs");
+        match self.arena.get_mut(*last as usize) {
+            Some(run) => run.next = slot,
+            None => *first = slot,
         }
-        out.extend(self.runs.drain(..whole));
-        if wanted > 0 {
-            let front = &mut self.runs[0];
-            front.1 -= wanted;
-            out.push((front.0.clone(), wanted));
-        }
+        *last = slot;
+        self.arena.push(Run {
+            label,
+            chunks,
+            next: NIL,
+        });
     }
 }
 
-/// One [`RunFifo`] per `(commodity, rank)` buffer, at `commodity * num_ranks + rank`.
-pub(crate) type Buffers<L> = Vec<RunFifo<L>>;
+impl<L, O, R> Track for Labelled<L, O, R>
+where
+    L: Clone + Default + PartialEq,
+    O: Fn(NodeId) -> L,
+    R: FnMut(&ChunkTransfer, &mut [(L, usize)]),
+{
+    fn start(&mut self, buffer: usize, rank: NodeId, chunks: usize) {
+        let label = (self.origin)(rank);
+        self.push(buffer, label, chunks);
+    }
+
+    /// Drains whole runs from the front and splits the last run touched.
+    fn send(&mut self, tr: &ChunkTransfer, from: usize, to: usize) {
+        let mut wanted = tr.chunks;
+        let (first, last) = &mut self.ends[from];
+        while wanted > 0 {
+            let run = &mut self.arena[*first as usize];
+            if run.chunks <= wanted {
+                wanted -= run.chunks;
+                self.moved
+                    .push((std::mem::take(&mut run.label), run.chunks));
+                *first = run.next;
+            } else {
+                run.chunks -= wanted;
+                self.moved.push((run.label.clone(), wanted));
+                wanted = 0;
+            }
+        }
+        if *first == NIL {
+            *last = NIL;
+        }
+        (self.relabel)(tr, &mut self.moved);
+        self.arrivals.extend(
+            self.moved
+                .drain(..)
+                .map(|(label, chunks)| (to, label, chunks)),
+        );
+    }
+
+    fn land(&mut self) {
+        let mut arrivals = std::mem::take(&mut self.arrivals);
+        for (buffer, label, chunks) in arrivals.drain(..) {
+            self.push(buffer, label, chunks);
+        }
+        self.arrivals = arrivals;
+    }
+}
 
 /// Replays `steps` under the store-and-forward rules (module docs) from the
-/// initial buffers of `schedule`: each commodity's `chunks_per_shard` chunks,
-/// labelled `origin(s)`, at its origin `s`. Returns the buffers after the last
-/// step.
+/// initial buffers of `schedule`: each commodity's `chunks_per_shard` chunks
+/// at its origin. Returns every buffer's chunk count after the last step; a
+/// `track` follows the chunks themselves.
 ///
-/// A transfer drains the oldest chunks of its commodity at its sender;
-/// `relabel` sees the drained runs, oldest first, and may rewrite their labels
-/// before they land at the receiver after the whole step. Each violation — zero
-/// granularity, a commodity endpoint or transfer end outside `0..num_ranks`, an
-/// unknown commodity, a send of chunks the sender does not hold — goes to
-/// `sink`, and the commodity or transfer at fault moves no chunks. An `Err`
-/// from `sink` stops the replay and is returned, so passing `Err` as the sink
-/// stops at the first violation.
-pub(crate) fn replay<L: Clone + Default + PartialEq, E>(
+/// Each violation — zero granularity, a commodity endpoint or transfer end
+/// outside `0..num_ranks`, an unknown commodity, a send of chunks the sender
+/// does not hold — goes to `sink`, and the commodity or transfer at fault
+/// moves no chunks. An `Err` from `sink` stops the replay and is returned, so
+/// passing `Err` as the sink stops at the first violation.
+pub(crate) fn replay<E>(
     schedule: &ChunkedSchedule,
     steps: &[ScheduleStep],
-    origin: impl Fn(NodeId) -> L,
-    mut relabel: impl FnMut(&ChunkTransfer, &mut [(L, usize)]),
+    track: &mut impl Track,
     mut sink: impl FnMut(String) -> Result<(), E>,
-) -> Result<Buffers<L>, E> {
+) -> Result<Vec<usize>, E> {
     let n = schedule.num_ranks;
     let cps = schedule.chunks_per_shard;
     if cps == 0 {
         sink("granularity must be positive".into())?;
     }
     let outside = |ranks: [NodeId; 2]| ranks.into_iter().find(|&r| r >= n);
-    let mut buffers = Buffers::new();
-    buffers.resize_with(schedule.commodities.len() * n, RunFifo::default);
+    let mut held = vec![0; schedule.commodities.len() * n];
     for (idx, s, d) in schedule.commodities.iter() {
         match outside([s, d]) {
-            None => buffers[idx * n + s].push(origin(s), cps),
+            None => {
+                held[idx * n + s] = cps;
+                track.start(idx * n + s, s, cps);
+            }
             Some(r) => sink(format!("commodity {s}->{d} names rank {r}, outside 0..{n}"))?,
         }
     }
-    let mut moved = Vec::new();
-    let mut arrivals: Vec<(usize, NodeId, L, usize)> = Vec::new();
+    let index = CommodityIndex::new(&schedule.commodities, n);
+    let mut arrivals: Vec<(usize, usize)> = Vec::new();
     for (t, step) in steps.iter().enumerate() {
         for tr in &step.transfers {
             if let Some(r) = outside([tr.from, tr.to]) {
@@ -159,35 +335,31 @@ pub(crate) fn replay<L: Clone + Default + PartialEq, E>(
                 ))?;
                 continue;
             }
-            let Some(idx) = schedule.commodities.index_of(tr.origin, tr.final_dest) else {
+            let Some(idx) = index.of(tr.origin, tr.final_dest) else {
                 sink(format!(
                     "step {t}: unknown commodity {}->{}",
                     tr.origin, tr.final_dest
                 ))?;
                 continue;
             };
-            let fifo = &mut buffers[idx * n + tr.from];
-            let held = fifo.chunks();
-            if held < tr.chunks {
+            let (from, to) = (idx * n + tr.from, idx * n + tr.to);
+            if held[from] < tr.chunks {
                 sink(format!(
-                    "step {t}: rank {} sends {} chunks of {}->{} but holds {held}",
-                    tr.from, tr.chunks, tr.origin, tr.final_dest
+                    "step {t}: rank {} sends {} chunks of {}->{} but holds {}",
+                    tr.from, tr.chunks, tr.origin, tr.final_dest, held[from]
                 ))?;
                 continue;
             }
-            fifo.drain_into(tr.chunks, &mut moved);
-            relabel(tr, &mut moved);
-            arrivals.extend(
-                moved
-                    .drain(..)
-                    .map(|(label, chunks)| (idx, tr.to, label, chunks)),
-            );
+            held[from] -= tr.chunks;
+            arrivals.push((to, tr.chunks));
+            track.send(tr, from, to);
         }
-        for (idx, rank, label, chunks) in arrivals.drain(..) {
-            buffers[idx * n + rank].push(label, chunks);
+        for (to, chunks) in arrivals.drain(..) {
+            held[to] += chunks;
         }
+        track.land();
     }
-    Ok(buffers)
+    Ok(held)
 }
 
 /// The chunks each rank holds of each commodity, indexed `[commodity][rank]`,
@@ -199,15 +371,10 @@ pub fn holdings_after(
     schedule: &ChunkedSchedule,
     prefix: &[ScheduleStep],
 ) -> Result<Vec<Vec<usize>>, String> {
-    let buffers = replay(schedule, prefix, |_| (), |_, _| {}, Err)?;
+    let held = replay(schedule, prefix, &mut (), Err)?;
     let n = schedule.num_ranks;
     Ok((0..schedule.commodities.len())
-        .map(|idx| {
-            buffers[idx * n..][..n]
-                .iter()
-                .map(RunFifo::chunks)
-                .collect()
-        })
+        .map(|idx| held[idx * n..][..n].to_vec())
         .collect())
 }
 
@@ -222,20 +389,28 @@ impl TransferDag {
     pub fn from_schedule(schedule: &ChunkedSchedule) -> Result<Self, String> {
         // Chunks are labelled with the job that delivered them, `None` at the
         // origin; a job depends on the labels of the chunks it forwards.
-        let mut deps: Vec<Vec<usize>> = Vec::new();
+        let total = schedule.total_transfers();
+        let mut offsets = Vec::with_capacity(total + 1);
+        offsets.push(0);
+        let mut ids = Vec::with_capacity(total);
+        let mut row = Vec::new();
         let relabel = |_: &ChunkTransfer, runs: &mut [(Option<usize>, usize)]| {
-            let job = deps.len();
-            let mut from: Vec<usize> = runs.iter().filter_map(|&(label, _)| label).collect();
-            from.sort_unstable();
-            from.dedup();
-            debug_assert!(from.iter().all(|&d| d < job));
-            deps.push(from);
+            let job = offsets.len() - 1;
+            row.clear();
+            row.extend(runs.iter().filter_map(|&(label, _)| label));
+            row.sort_unstable();
+            row.dedup();
+            debug_assert!(row.iter().all(|&d| d < job));
+            ids.extend_from_slice(&row);
+            offsets.push(ids.len());
             for run in runs {
                 run.0 = Some(job);
             }
         };
-        replay(schedule, &schedule.steps, |_| None, relabel, Err)?;
-        debug_assert_eq!(deps.len(), schedule.total_transfers());
+        let mut labelled = Labelled::new(schedule, |_| None, relabel);
+        replay(schedule, &schedule.steps, &mut labelled, Err)?;
+        drop(labelled);
+        debug_assert_eq!(offsets.len(), total + 1);
         let jobs = schedule
             .steps
             .iter()
@@ -244,37 +419,41 @@ impl TransferDag {
                 step.transfers
                     .iter()
                     .enumerate()
-                    .map(move |(i, tr)| (t, i, tr))
-            })
-            .zip(deps)
-            .map(|((step, index_in_step, tr), deps)| TransferJob {
-                step,
-                index_in_step,
-                from: tr.from,
-                to: tr.to,
-                origin: tr.origin,
-                final_dest: tr.final_dest,
-                chunks: tr.chunks,
-                deps,
+                    .map(move |(i, tr)| TransferJob {
+                        step: t,
+                        index_in_step: i,
+                        from: tr.from,
+                        to: tr.to,
+                        origin: tr.origin,
+                        final_dest: tr.final_dest,
+                        chunks: tr.chunks,
+                    })
             })
             .collect();
+        let deps = Csr { offsets, ids };
+        let succ = deps.transpose(total);
         Ok(Self {
             jobs,
             num_ranks: schedule.num_ranks,
             chunks_per_shard: schedule.chunks_per_shard,
             num_steps: schedule.steps.len(),
+            deps,
+            succ,
         })
     }
 
-    /// Reverse adjacency: for each job, the ids of jobs that depend on it.
-    pub fn successors(&self) -> Vec<Vec<usize>> {
-        let mut succ = vec![Vec::new(); self.jobs.len()];
-        for (id, job) in self.jobs.iter().enumerate() {
-            for &d in &job.deps {
-                succ[d].push(id);
-            }
-        }
-        succ
+    /// Ids of the jobs that must complete before job `job` can depart (indices
+    /// into [`TransferDag::jobs`]), sorted ascending and deduplicated. Empty
+    /// for a transfer that only forwards chunks resident at the commodity
+    /// origin.
+    pub fn deps(&self, job: usize) -> &[usize] {
+        self.deps.row(job)
+    }
+
+    /// Ids of the jobs that depend on job `job`, ascending: the reverse of
+    /// [`TransferDag::deps`].
+    pub fn successors(&self, job: usize) -> &[usize] {
+        self.succ.row(job)
     }
 }
 
@@ -292,7 +471,7 @@ mod tests {
         let sched = ChunkedSchedule::from_tsmcf(&topo, &sol, 8).unwrap();
         let dag = TransferDag::from_schedule(&sched).unwrap();
         assert_eq!(dag.jobs.len(), sched.total_transfers());
-        assert!(dag.jobs.iter().all(|j| j.deps.is_empty()));
+        assert!((0..dag.jobs.len()).all(|id| dag.deps(id).is_empty()));
     }
 
     #[test]
@@ -303,10 +482,10 @@ mod tests {
         let dag = TransferDag::from_schedule(&sched).unwrap();
         // The directed 3-ring must relay: some second-hop transfer depends on the
         // first hop of the same commodity.
-        let chained = dag.jobs.iter().any(|j| !j.deps.is_empty());
+        let chained = (0..dag.jobs.len()).any(|id| !dag.deps(id).is_empty());
         assert!(chained, "ring schedules relay chunks");
         for (id, job) in dag.jobs.iter().enumerate() {
-            for &d in &job.deps {
+            for &d in dag.deps(id) {
                 assert!(d < id, "dependency ids precede the job");
                 assert!(dag.jobs[d].step < job.step, "deps come from earlier steps");
                 // The dependency delivered chunks of the same commodity to the sender.
@@ -325,13 +504,15 @@ mod tests {
         let sol = solve_tsmcf_colgen_auto(&topo).unwrap().solution;
         let sched = ChunkedSchedule::from_tsmcf(&topo, &sol, 64).unwrap();
         let dag = TransferDag::from_schedule(&sched).unwrap();
-        let succ = dag.successors();
-        let forward: usize = dag.jobs.iter().map(|j| j.deps.len()).sum();
-        let backward: usize = succ.iter().map(Vec::len).sum();
+        let ids = 0..dag.jobs.len();
+        let forward: usize = ids.clone().map(|id| dag.deps(id).len()).sum();
+        let backward: usize = ids.clone().map(|id| dag.successors(id).len()).sum();
         assert_eq!(forward, backward);
-        for (id, list) in succ.iter().enumerate() {
+        for id in ids {
+            let list = dag.successors(id);
+            assert!(list.windows(2).all(|w| w[0] < w[1]), "ascending");
             for &s in list {
-                assert!(dag.jobs[s].deps.contains(&id));
+                assert!(dag.deps(s).contains(&id));
             }
         }
     }
@@ -383,8 +564,9 @@ mod tests {
     }
 
     /// Dependency extraction with one FIFO entry per *chunk* — the
-    /// implementation the run-length [`RunFifo`] replaced, kept as its
-    /// reference. Returns every job's `deps` (the schedule must be executable).
+    /// implementation the run-length [`Labelled`] buffers replaced, kept as
+    /// their reference. Returns every job's dependencies (the schedule must be
+    /// executable).
     fn per_chunk_deps(schedule: &ChunkedSchedule) -> Vec<Vec<usize>> {
         let ncomm = schedule.commodities.len();
         let mut buffers: Vec<Vec<VecDeque<Option<usize>>>> =
@@ -428,8 +610,8 @@ mod tests {
                 let dag = TransferDag::from_schedule(&sched).unwrap();
                 let expected = per_chunk_deps(&sched);
                 assert_eq!(dag.jobs.len(), expected.len());
-                for (id, (job, deps)) in dag.jobs.iter().zip(&expected).enumerate() {
-                    assert_eq!(&job.deps, deps, "{} @ {chunks}: job {id}", topo.name());
+                for (id, deps) in expected.iter().enumerate() {
+                    assert_eq!(dag.deps(id), deps, "{} @ {chunks}: job {id}", topo.name());
                 }
             }
         }
@@ -455,7 +637,7 @@ mod tests {
             .to_vec(),
         };
         let dag = TransferDag::from_schedule(&sched).unwrap();
-        let deps: Vec<&[usize]> = dag.jobs.iter().map(|j| j.deps.as_slice()).collect();
+        let deps: Vec<&[usize]> = (0..dag.jobs.len()).map(|id| dag.deps(id)).collect();
         assert_eq!(deps, [&[][..], &[], &[0, 1], &[1]]);
         assert_eq!(per_chunk_deps(&sched), deps);
     }

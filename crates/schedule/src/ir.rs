@@ -79,10 +79,11 @@ pub(crate) fn quantize_flows(
     check_flow_shape(topo, demands, steps, flows)?;
     let num_ranks = topo.num_nodes();
     let cps = chunks_per_shard as f64;
-    // Remaining chunks of each demand buffered at each rank.
-    let mut buffered: Vec<Vec<usize>> = vec![vec![0; num_ranks]; demands.len()];
+    // Remaining chunks of each demand buffered at each rank, at
+    // `demand * num_ranks + rank`.
+    let mut buffered = vec![0; demands.len() * num_ranks];
     for (k, dem) in demands.iter().enumerate() {
-        buffered[k][dem.at] = demand_chunks(dem, chunks_per_shard);
+        buffered[k * num_ranks + dem.at] = demand_chunks(dem, chunks_per_shard);
     }
     let mut out = Vec::with_capacity(steps);
     for t in 0..steps {
@@ -93,13 +94,14 @@ pub(crate) fn quantize_flows(
                 (k, edge.src, edge.dst, want.max(usize::from(amount > 1e-9)))
             })
         });
-        out.push(send_step(demands, &mut buffered, sends));
+        out.push(send_step(demands, num_ranks, &mut buffered, sends));
     }
     for _ in 0..=num_ranks {
         let mut stranded = Vec::new();
         for (k, dem) in demands.iter().enumerate() {
             for rank in 0..num_ranks {
-                if rank == dem.dest || buffered[k][rank] == 0 {
+                let held = buffered[k * num_ranks + rank];
+                if rank == dem.dest || held == 0 {
                     continue;
                 }
                 let path = paths::shortest_path(topo, rank, dem.dest).ok_or_else(|| {
@@ -108,13 +110,18 @@ pub(crate) fn quantize_flows(
                         dem.dest
                     )
                 })?;
-                stranded.push((k, rank, path.nodes()[1], buffered[k][rank]));
+                stranded.push((k, rank, path.nodes()[1], held));
             }
         }
         if stranded.is_empty() {
             return Ok(out);
         }
-        out.push(send_step(demands, &mut buffered, stranded.into_iter()));
+        out.push(send_step(
+            demands,
+            num_ranks,
+            &mut buffered,
+            stranded.into_iter(),
+        ));
     }
     Err("rounding residue failed to settle within the flush budget".into())
 }
@@ -124,18 +131,19 @@ pub(crate) fn quantize_flows(
 /// after the whole step, so a chunk moves at most one hop per step.
 fn send_step(
     demands: &[TsDemand],
-    buffered: &mut [Vec<usize>],
+    num_ranks: usize,
+    buffered: &mut [usize],
     sends: impl Iterator<Item = (usize, NodeId, NodeId, usize)>,
 ) -> ScheduleStep {
     let mut step = ScheduleStep::default();
-    let mut arrivals: Vec<(usize, NodeId, usize)> = Vec::new();
+    let mut arrivals: Vec<(usize, usize)> = Vec::new();
     for (k, from, to, want) in sends {
-        let chunks = want.min(buffered[k][from]);
+        let chunks = want.min(buffered[k * num_ranks + from]);
         if chunks == 0 {
             continue;
         }
-        buffered[k][from] -= chunks;
-        arrivals.push((k, to, chunks));
+        buffered[k * num_ranks + from] -= chunks;
+        arrivals.push((k * num_ranks + to, chunks));
         step.transfers.push(ChunkTransfer {
             from,
             to,
@@ -144,8 +152,8 @@ fn send_step(
             chunks,
         });
     }
-    for (k, node, chunks) in arrivals {
-        buffered[k][node] += chunks;
+    for (buffer, chunks) in arrivals {
+        buffered[buffer] += chunks;
     }
     step
 }
@@ -261,16 +269,10 @@ impl ChunkedSchedule {
     /// Returns every violation, human-readable.
     pub fn validate(&self, topo: &Topology) -> Vec<String> {
         let mut issues = Vec::new();
-        let Ok(buffers) = replay(
-            self,
-            &self.steps,
-            |_| (),
-            |_, _| {},
-            |issue| {
-                issues.push(issue);
-                Ok::<(), Infallible>(())
-            },
-        );
+        let Ok(held) = replay(self, &self.steps, &mut (), |issue| {
+            issues.push(issue);
+            Ok::<(), Infallible>(())
+        });
         for (t, step) in self.steps.iter().enumerate() {
             for tr in &step.transfers {
                 // A transfer end outside the ranks was reported by the replay.
@@ -284,7 +286,7 @@ impl ChunkedSchedule {
         }
         for (idx, s, d) in self.commodities.iter() {
             // An endpoint outside the ranks was reported by the replay.
-            match (d < self.num_ranks).then(|| buffers[idx * self.num_ranks + d].chunks()) {
+            match (d < self.num_ranks).then(|| held[idx * self.num_ranks + d]) {
                 Some(held) if held != self.chunks_per_shard => issues.push(format!(
                     "commodity {s}->{d}: destination holds {held}/{} chunks at the end",
                     self.chunks_per_shard

@@ -36,8 +36,8 @@ use a2a_mcf::residual::{ResidualSolution, TsDemand};
 use a2a_topology::{NodeId, Path, Topology};
 
 use crate::deadlock::{assign_virtual_channels, LashVariant};
-use crate::exec::replay;
-use crate::ir::{quantize_flows, ChunkedSchedule, ScheduleStep};
+use crate::exec::{replay, Labelled};
+use crate::ir::{quantize_flows, ChunkTransfer, ChunkedSchedule, ScheduleStep};
 use crate::routes::{CommodityRoutes, Route, RouteTable};
 
 /// A schedule stitched from the executed prefix of an interrupted run and a
@@ -160,32 +160,31 @@ pub fn splice_schedule(
 /// exactly its chunks — for a validated [`SplicedSchedule`] none can happen.
 pub fn realized_route_table(schedule: &ChunkedSchedule) -> Result<RouteTable, String> {
     let cps = schedule.chunks_per_shard;
-    let buffers = replay(
+    let mut trajectories = Labelled::new(
         schedule,
-        &schedule.steps,
         |s| vec![s],
-        |tr, runs: &mut [(Vec<NodeId>, usize)]| {
+        |tr: &ChunkTransfer, runs: &mut [(Vec<NodeId>, usize)]| {
             for (trajectory, _) in runs {
                 trajectory.push(tr.to);
             }
         },
-        Err,
-    )?;
+    );
+    let held = replay(schedule, &schedule.steps, &mut trajectories, Err)?;
     let mut table = Vec::with_capacity(schedule.commodities.len());
     for (idx, s, d) in schedule.commodities.iter() {
-        let delivered = &buffers[idx * schedule.num_ranks + d];
-        if delivered.chunks() != cps {
+        let delivered = idx * schedule.num_ranks + d;
+        if held[delivered] != cps {
             return Err(format!(
                 "commodity {s}->{d}: {} of {cps} chunks delivered",
-                delivered.chunks()
+                held[delivered]
             ));
         }
         // Aggregate identical trajectories into weighted routes.
         let mut routes: Vec<(&[NodeId], usize)> = Vec::new();
-        for (trajectory, chunks) in delivered.runs() {
+        for (trajectory, chunks) in trajectories.runs(delivered) {
             match routes.iter_mut().find(|(nodes, _)| nodes == trajectory) {
                 Some((_, count)) => *count += chunks,
-                None => routes.push((trajectory, *chunks)),
+                None => routes.push((trajectory, chunks)),
             }
         }
         table.push(CommodityRoutes {
@@ -241,7 +240,7 @@ fn with_lash_layers(
 mod tests {
     use super::*;
     use crate::exec::holdings_after;
-    use crate::ir::{demand_chunks, ChunkTransfer};
+    use crate::ir::demand_chunks;
     use a2a_mcf::residual::{residual_minimum_steps, solve_residual_colgen};
     use a2a_mcf::{solve_tsmcf_colgen_auto, ColGenOptions, CommoditySet};
     use a2a_topology::generators;

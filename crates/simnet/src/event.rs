@@ -542,7 +542,10 @@ fn run_chunked(
     // The scenario at t = 0 carries the timeline's invalid input, if any.
     let start = timeline.scenario_at(0.0);
     check_inputs(shard_bytes, params, &start)?;
-    let dag = TransferDag::from_schedule(schedule).map_err(SimError::InvalidSchedule)?;
+    let dag = {
+        let _obs = a2a_obs::span("simnet.dag");
+        TransferDag::from_schedule(schedule).map_err(SimError::InvalidSchedule)?
+    };
     let (jobs, link_bw) = resolve_jobs(topo, schedule, shard_bytes, params, &start, &dag)?;
     // Per-message α multipliers (1.0 without jitter). Job ids are the
     // schedule's step-major transfer order, the message identity the scenario
@@ -825,10 +828,11 @@ impl<'a> Engine<'a> {
         model: ExecutionModel,
         boundaries: &[Boundary],
     ) -> SimResult<Result<Outcome, Interrupt>> {
-        let (jobs, alpha_factor, total) = (self.jobs, self.alpha_factor, self.jobs.len());
+        let (jobs, dag, alpha_factor, total) =
+            (self.jobs, self.dag, self.alpha_factor, self.jobs.len());
         let first_job = |step| jobs.partition_point(|j: &SimJob| j.step < step);
-        let mut ready = Readiness::new(model, self.dag, self.params, alpha_factor);
-        let mut step_completion = vec![0.0f64; self.dag.num_steps];
+        let mut ready = Readiness::new(model, dag, self.params, alpha_factor);
+        let mut step_completion = vec![0.0f64; dag.num_steps];
         let (mut t, mut completed, mut max_concurrent, mut bi) = (0.0f64, 0, 0, 0);
         // A pass retires, starts, crosses a boundary or ends: the guard turns a
         // bookkeeping bug into an error, not a hang.
@@ -859,7 +863,7 @@ impl<'a> Engine<'a> {
                     let step = jobs[job].step;
                     step_completion[step] = step_completion[step].max(t);
                     if let Readiness::Dependencies(d) = &mut ready {
-                        for &s in &d.succ[job] {
+                        for &s in dag.successors(job) {
                             d.indeg[s] -= 1;
                             if d.indeg[s] == 0 {
                                 let rt = t + d.per_hop * alpha_factor[s];
@@ -945,12 +949,12 @@ struct Barrier {
     _span: Option<a2a_obs::Span>,
 }
 
-/// Each job's unretired dependencies and dependents, and the ready jobs not
-/// started yet, earliest first.
+/// Each job's unretired dependencies (its dependents are
+/// [`TransferDag::successors`]), and the ready jobs not started yet, earliest
+/// first.
 struct Dependencies {
     per_hop: f64,
     indeg: Vec<usize>,
-    succ: Vec<Vec<usize>>,
     heap: BinaryHeap<Reverse<(OrdF64, usize)>>,
     _span: a2a_obs::Span,
 }
@@ -967,16 +971,14 @@ impl Readiness {
         }
         let _span = a2a_obs::span("simnet.dependency_run");
         let per_hop = params.per_hop_latency_s;
-        let indeg: Vec<usize> = dag.jobs.iter().map(|j| j.deps.len()).collect();
+        let indeg: Vec<usize> = (0..dag.jobs.len()).map(|id| dag.deps(id).len()).collect();
         let heap = (0..indeg.len())
             .filter(|&id| indeg[id] == 0)
             .map(|id| Reverse((OrdF64(per_hop * alpha[id]), id)))
             .collect();
-        let succ = dag.successors();
         Self::Dependencies(Dependencies {
             per_hop,
             indeg,
-            succ,
             heap,
             _span,
         })

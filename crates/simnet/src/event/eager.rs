@@ -487,8 +487,8 @@ impl<'a> Engine<'a> {
     pub(super) fn run_dependency_driven(&mut self) -> SimResult<Outcome> {
         let n = self.jobs.len();
         let alpha = self.params.per_hop_latency_s;
-        let mut indeg: Vec<usize> = self.dag.jobs.iter().map(|j| j.deps.len()).collect();
-        let succ = self.dag.successors();
+        let dag = self.dag;
+        let mut indeg: Vec<usize> = (0..n).map(|id| dag.deps(id).len()).collect();
         let mut ready: BinaryHeap<Reverse<(OrdF64, usize)>> = BinaryHeap::new();
         for (id, &deg) in indeg.iter().enumerate() {
             if deg == 0 {
@@ -538,7 +538,7 @@ impl<'a> Engine<'a> {
                 completed += 1;
                 let step = jobs[job].step;
                 step_completion[step] = step_completion[step].max(t);
-                for &s in &succ[job] {
+                for &s in dag.successors(job) {
                     indeg[s] -= 1;
                     if indeg[s] == 0 {
                         ready.push(Reverse((OrdF64(t + alpha * alpha_factor[s]), s)));
