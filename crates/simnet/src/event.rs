@@ -192,7 +192,10 @@ pub struct EventReport {
     /// Per-link usage, indexed by [`EdgeId`].
     pub per_link: Vec<LinkUsage>,
     /// Wall time at which the last transfer of each schedule step finished (pre-sync
-    /// in synchronized mode; steps overlap in dependency-driven mode).
+    /// in synchronized mode; steps overlap in dependency-driven mode). An empty
+    /// step has no transfer: synchronized, it completes as it starts;
+    /// dependency-driven, when every earlier step has (their latest completion,
+    /// `0.0` for a leading empty step).
     pub step_completion_secs: Vec<f64>,
     /// Number of transfer jobs executed.
     pub num_jobs: usize,
@@ -923,12 +926,29 @@ impl<'a> Engine<'a> {
             }
             max_concurrent = max_concurrent.max(self.ledger.flows());
         }
+        if model == ExecutionModel::DependencyDriven {
+            complete_empty_steps(jobs, &mut step_completion);
+        }
         Ok(Ok(Outcome {
             completion: t,
             step_completion,
             link_busy: self.ledger.take_busy(),
             max_concurrent,
         }))
+    }
+}
+
+/// No job retires in an empty step, so under dependency-driven execution it
+/// completes when every earlier step has: at their latest completion, `0.0`
+/// for a leading one. `jobs` are in step-major order.
+fn complete_empty_steps(jobs: &[SimJob], step_completion: &mut [f64]) {
+    let (mut done, mut first) = (0.0f64, 0);
+    for (step, at) in step_completion.iter_mut().enumerate() {
+        let end = first + jobs[first..].partition_point(|j| j.step == step);
+        if end == first {
+            *at = done;
+        }
+        (done, first) = (done.max(*at), end);
     }
 }
 

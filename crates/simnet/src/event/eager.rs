@@ -546,6 +546,7 @@ impl<'a> Engine<'a> {
                 }
             });
         }
+        super::complete_empty_steps(self.jobs, &mut step_completion);
         Ok(Outcome {
             completion: t,
             step_completion,
