@@ -342,7 +342,7 @@ const TORUS_3X3_EMPTY: RecordedEmpty = [
         &[
             0x0000000000000000,
             0x3f8d22ccb9143426,
-            0x0000000000000000,
+            0x3f8d22ccb9143426,
             0x3f9151962a0b3e7f,
         ],
         0xcfba42644571d051,
@@ -367,7 +367,7 @@ const RING_4_EMPTY: RecordedEmpty = [
         &[
             0x0000000000000000,
             0x3f8ab76c953091c2,
-            0x0000000000000000,
+            0x3f8ab76c953091c2,
             0x3f943b755cf9c784,
             0x3f971b66f0577246,
         ],
