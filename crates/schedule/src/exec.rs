@@ -29,7 +29,6 @@
 //! The DAG keeps its dependencies and their reverse, the successor lists, as
 //! two compressed rows (one id array plus per-job offsets).
 
-use a2a_mcf::CommoditySet;
 use a2a_topology::NodeId;
 
 use crate::ir::{ChunkTransfer, ChunkedSchedule, ScheduleStep};
@@ -104,42 +103,6 @@ impl Csr {
             }
         }
         Self { offsets, ids }
-    }
-}
-
-/// Each commodity's index from its endpoints, by one table lookup for ranks
-/// in `0..num_ranks` (the same answers as [`CommoditySet::index_of`]).
-struct CommodityIndex<'a> {
-    commodities: &'a CommoditySet,
-    /// The endpoint position of each rank, `None` for a rank that is none.
-    position: Vec<Option<usize>>,
-}
-
-impl<'a> CommodityIndex<'a> {
-    fn new(commodities: &'a CommoditySet, num_ranks: usize) -> Self {
-        let mut position = vec![None; num_ranks];
-        for (p, &e) in commodities.endpoints().iter().enumerate() {
-            if let Some(slot) = position.get_mut(e) {
-                *slot = Some(p);
-            }
-        }
-        Self {
-            commodities,
-            position,
-        }
-    }
-
-    fn of(&self, src: NodeId, dst: NodeId) -> Option<usize> {
-        let position = |rank: NodeId| match self.position.get(rank) {
-            Some(&p) => p,
-            None => self.commodities.endpoints().iter().position(|&e| e == rank),
-        };
-        if src == dst {
-            return None;
-        }
-        let (s, d) = (position(src)?, position(dst)?);
-        let k = self.commodities.num_endpoints();
-        Some(s * (k - 1) + d - usize::from(d > s))
     }
 }
 
@@ -324,7 +287,24 @@ pub(crate) fn replay<E>(
             Some(r) => sink(format!("commodity {s}->{d} names rank {r}, outside 0..{n}"))?,
         }
     }
-    let index = CommodityIndex::new(&schedule.commodities, n);
+    // A commodity's index from its endpoints, as `CommoditySet::index_of`
+    // gives it, by one table lookup per endpoint in `0..n`.
+    let endpoints = schedule.commodities.endpoints();
+    let mut position = vec![None; n];
+    for (p, &e) in endpoints.iter().enumerate() {
+        if let Some(slot) = position.get_mut(e) {
+            *slot = Some(p);
+        }
+    }
+    let position = |rank: NodeId| match position.get(rank) {
+        Some(&p) => p,
+        None => endpoints.iter().position(|&e| e == rank),
+    };
+    let index_of = |src: NodeId, dst: NodeId| {
+        let (s, d) = (position(src)?, position(dst)?);
+        let k = endpoints.len();
+        (s != d).then(|| s * (k - 1) + d - usize::from(d > s))
+    };
     let mut arrivals: Vec<(usize, usize)> = Vec::new();
     for (t, step) in steps.iter().enumerate() {
         for tr in &step.transfers {
@@ -335,7 +315,7 @@ pub(crate) fn replay<E>(
                 ))?;
                 continue;
             }
-            let Some(idx) = index.of(tr.origin, tr.final_dest) else {
+            let Some(idx) = index_of(tr.origin, tr.final_dest) else {
                 sink(format!(
                     "step {t}: unknown commodity {}->{}",
                     tr.origin, tr.final_dest

@@ -332,3 +332,34 @@ const RING_4: [Verdict; 12] = [
         "step 1: rank 1 sends 4 chunks of 0->3 but holds 1",
     ),
 ];
+
+/// A transfer of a commodity whose endpoint lies outside the ranks is a known
+/// commodity that the sender does not hold, not an unknown one.
+#[test]
+fn commodity_endpoints_outside_the_ranks_keep_their_index() {
+    let topo = generators::ring(4);
+    let mut sched = hand_built(&topo, 2);
+    sched.commodities = CommoditySet::among(vec![0, 1, 2, 9]);
+    sched.steps[0].transfers.push(ChunkTransfer {
+        from: 0,
+        to: 1,
+        origin: 9,
+        final_dest: 1,
+        chunks: 1,
+    });
+    let issues = sched.validate(&topo);
+    let first_two: Vec<&str> = issues.iter().take(2).map(String::as_str).collect();
+    assert_eq!(
+        first_two,
+        [
+            "commodity 0->9 names rank 9, outside 0..4",
+            "commodity 1->9 names rank 9, outside 0..4"
+        ]
+    );
+    let stray = "step 0: rank 0 sends 1 chunks of 9->1 but holds 0";
+    assert!(issues.iter().any(|m| m == stray), "{issues:?}");
+    assert!(
+        !issues.iter().any(|m| m.contains("unknown commodity 9->")),
+        "{issues:?}"
+    );
+}
