@@ -8,10 +8,10 @@
 //!
 //! * torus-4×4, torus-8×8 and hypercube-4d: the decomposed link MCF, then
 //!   widest-path extraction (the benchmark's `extp` pipeline);
-//! * GenKautz-32: path-MCF column generation with the benchmark's pMCF
-//!   options.
+//! * GenKautz-32, -40 and -48 (the `pmcf-genkautz` sweep): path-MCF column
+//!   generation with the benchmark's pMCF options.
 //!
-//! The torus-8×8 and GenKautz-32 cases run in release builds only.
+//! The torus-8×8 and GenKautz cases run in release builds only.
 
 use a2a_mcf::{
     extract_widest_paths, solve_decomposed_mcf_with, CommoditySet, DecomposedOptions, PathSchedule,
@@ -110,5 +110,43 @@ fn genkautz_32_colgen_paths() {
         &topo,
         &solved.schedule,
         (1408, (4, 11829698551550713670), (6, 18439447461959846499)),
+    );
+}
+
+/// Path-MCF column generation under the benchmark's pMCF options (the
+/// GenKautz-32 case spells them out).
+#[cfg(not(debug_assertions))]
+fn colgen_paths(topo: &Topology) -> PathSchedule {
+    use a2a_mcf::{solve_path_mcf_colgen_among, ColGenOptions, Stabilization};
+    let options = ColGenOptions {
+        partial_pricing: Some(1e-1),
+        stabilization: Stabilization::Smoothing { alpha: 0.1 },
+        ..ColGenOptions::default()
+    };
+    let commodities = CommoditySet::all_pairs(topo.num_nodes());
+    solve_path_mcf_colgen_among(topo, commodities, &options)
+        .expect("pMCF colgen")
+        .schedule
+}
+
+#[cfg(not(debug_assertions))]
+#[test]
+fn genkautz_40_colgen_paths() {
+    let topo = generators::generalized_kautz(40, 4);
+    check(
+        &topo,
+        &colgen_paths(&topo),
+        (1680, (4, 15881064501833691364), (3, 12443231991351802087)),
+    );
+}
+
+#[cfg(not(debug_assertions))]
+#[test]
+fn genkautz_48_colgen_paths() {
+    let topo = generators::generalized_kautz(48, 4);
+    check(
+        &topo,
+        &colgen_paths(&topo),
+        (2818, (4, 17315124427403066436), (5, 10360644777780196673)),
     );
 }
