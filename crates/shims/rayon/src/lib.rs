@@ -5,6 +5,11 @@
 //! `enumerate` / `map` / `collect`. Work is genuinely parallel: items are split into
 //! contiguous chunks, one per available core, and executed on `std::thread::scope`
 //! threads. Results are returned in input order, matching rayon's indexed semantics.
+//!
+//! Every `collect` spawns its threads afresh (tens of microseconds), so only work
+//! far coarser than that belongs here. Its one user is `a2a_mcf::decomposed`,
+//! which solves its child LPs in parallel. Widest-path extraction used it once and
+//! runs serially now: its per-commodity work is a few microseconds.
 
 use std::num::NonZeroUsize;
 
