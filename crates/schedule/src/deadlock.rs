@@ -12,10 +12,29 @@
 //! later link `e_j` already reaches an earlier one `e_i` (`i < j`) in the layer.
 //! The test is exact: chain arcs only step forward along the route, so a new
 //! cycle must step back at least once, through the layer's old arcs; and any such
-//! path, closed by the chain from `e_i` to `e_j`, is a cycle. The search starts
-//! at `e_{k-1}` and works down, so each link is visited at most once per layer
-//! tried, and a layer's arcs live in a dense per-link adjacency that no trial
-//! copies.
+//! path, closed by the chain from `e_i` to `e_j`, is a cycle.
+//!
+//! *Ordered search.* Every layer keeps a topological order `ord` of all links
+//! under its arcs, maintained as arcs arrive by the dynamic topological sort of
+//! Pearce and Kelly ("A dynamic topological sort algorithm for directed acyclic
+//! graphs", *ACM J. Exp. Algorithmics* 11, 2006): an arc `x → y` that the order
+//! already respects costs nothing; otherwise the links reachable from `y` below
+//! `ord(x)` and the links reaching `x` above `ord(y)` swap their slots, the first
+//! group after the second, each in its old relative order. Since every path
+//! climbs in `ord`, `e_j` can reach an earlier link only through links ordered
+//! below `b_j = max_{i<j} ord(e_i)`. The search from `e_j` therefore expands only
+//! such links, and skips `e_j` outright when `ord(e_j) > b_j`. It runs from
+//! `e_{k-1}` down: what the search from `e_j` visited cannot reach a link before
+//! `j`, so it stays marked for every later start, and each link is visited at
+//! most once per layer tried.
+//!
+//! *Cost.* A layer test visits only links ordered between a route link and the
+//! highest-ordered link before it, instead of everything a route link reaches;
+//! an insertion reorders only the region between its arc's endpoints. On the
+//! 4,032 extracted torus-8×8 routes the tests visit ~66k links where the
+//! unordered search visited ~556k. A layer holds its out- and in-arcs in dense
+//! per-link lists (deduplicated) and its order in one array; no trial copies
+//! anything, and one [`Lash`] scratch serves the whole call.
 //!
 //! # Panics
 //! [`assign_virtual_channels`], and so [`crate::routes::lower_path_schedule`],
@@ -60,47 +79,111 @@ impl VcAssignment {
     }
 }
 
-/// Scratch of one [`assign_virtual_channels`] call, reused for every route and
-/// every layer tried.
-struct ChainSearch {
+/// One layer's channel dependency graph and a topological order of its links.
+struct Layer {
+    /// Dependency arcs out of each link (deduplicated).
+    out: Vec<Vec<EdgeId>>,
+    /// The same arcs, listed at their heads.
+    inc: Vec<Vec<EdgeId>>,
+    /// Each link's slot in a topological order: a permutation of the links
+    /// with `ord[a] < ord[b]` for every arc `a → b`.
+    ord: Vec<usize>,
+}
+
+impl Layer {
+    fn new(num_edges: usize) -> Self {
+        Self {
+            out: vec![Vec::new(); num_edges],
+            inc: vec![Vec::new(); num_edges],
+            ord: (0..num_edges).collect(),
+        }
+    }
+}
+
+/// First-fit layering state of one [`assign_virtual_channels`] call: the
+/// layers and the scratch reused for every route and every layer tried.
+struct Lash {
+    layers: Vec<Layer>,
+    num_edges: usize,
     /// Index of each link on the current route; `usize::MAX` off the route.
     pos: Vec<usize>,
-    /// `seen[e] == stamp` marks the links the current layer test has visited.
+    /// `seen[e] == stamp` marks the links the current search has visited.
     seen: Vec<usize>,
     stamp: usize,
     stack: Vec<EdgeId>,
+    /// `bounds[j]`: the highest slot among the current route's links before `j`.
+    bounds: Vec<usize>,
+    /// The two regions a reordering insertion moves, and their pooled slots.
+    forward: Vec<EdgeId>,
+    backward: Vec<EdgeId>,
+    slots: Vec<usize>,
 }
 
-impl ChainSearch {
+impl Lash {
     fn new(num_edges: usize) -> Self {
         Self {
+            layers: Vec::new(),
+            num_edges,
             pos: vec![usize::MAX; num_edges],
             seen: vec![0; num_edges],
             stamp: 0,
             stack: Vec::new(),
+            bounds: Vec::new(),
+            forward: Vec::new(),
+            backward: Vec::new(),
+            slots: Vec::new(),
         }
     }
 
-    /// True if adding the chain `route[0] → … → route[k-1]` to the acyclic
-    /// layer `adj` closes a cycle, i.e. some `route[j]` reaches an earlier
-    /// `route[i]` in `adj`. `pos` must hold the route's link indices.
-    fn closes_cycle(&mut self, adj: &[Vec<EdgeId>], route: &[EdgeId]) -> bool {
+    /// Puts the route over links `route` into the first layer that stays
+    /// acyclic with it, opening a new layer if none does, and returns the layer.
+    fn place(&mut self, route: &[EdgeId]) -> usize {
+        for (i, &link) in route.iter().enumerate() {
+            self.pos[link] = i;
+        }
+        let fits = (0..self.layers.len()).find(|&l| !self.closes_cycle(l, route));
+        let layer = fits.unwrap_or_else(|| {
+            self.layers.push(Layer::new(self.num_edges));
+            self.layers.len() - 1
+        });
+        for w in route.windows(2) {
+            self.insert_arc(layer, w[0], w[1]);
+        }
+        for &link in route {
+            self.pos[link] = usize::MAX;
+        }
+        layer
+    }
+
+    /// True if adding the chain `route[0] → … → route[k-1]` to layer `l`
+    /// closes a cycle, i.e. some `route[j]` reaches an earlier `route[i]`.
+    /// `pos` must hold the route's link indices.
+    fn closes_cycle(&mut self, l: usize, route: &[EdgeId]) -> bool {
+        let layer = &self.layers[l];
         self.stamp += 1;
+        self.bounds.clear();
+        let mut highest = 0;
+        for &link in route {
+            self.bounds.push(highest);
+            highest = highest.max(layer.ord[link]);
+        }
         // Latest link first: whatever the search from `route[j']` visited cannot
         // reach a link before `j'`, so nor one before `j < j'`, and stays marked.
         for j in (1..route.len()).rev() {
-            if self.seen[route[j]] == self.stamp {
+            let (start, bound) = (route[j], self.bounds[j]);
+            if layer.ord[start] > bound || self.seen[start] == self.stamp {
                 continue;
             }
-            self.seen[route[j]] = self.stamp;
-            self.stack.push(route[j]);
+            self.seen[start] = self.stamp;
+            self.stack.push(start);
             while let Some(link) = self.stack.pop() {
-                for &next in &adj[link] {
+                for &next in &layer.out[link] {
                     if self.pos[next] < j {
                         self.stack.clear();
                         return true;
                     }
-                    if self.seen[next] != self.stamp {
+                    // A link at `bound` is a route link before `j`, caught above.
+                    if layer.ord[next] < bound && self.seen[next] != self.stamp {
                         self.seen[next] = self.stamp;
                         self.stack.push(next);
                     }
@@ -108,6 +191,58 @@ impl ChainSearch {
             }
         }
         false
+    }
+
+    /// Adds the arc `x → y` to layer `l`, which must stay acyclic with it, and
+    /// repairs the layer's order (Pearce–Kelly).
+    fn insert_arc(&mut self, l: usize, x: EdgeId, y: EdgeId) {
+        let layer = &mut self.layers[l];
+        if layer.out[x].contains(&y) {
+            return;
+        }
+        layer.out[x].push(y);
+        layer.inc[y].push(x);
+        let (lower, upper) = (layer.ord[y], layer.ord[x]);
+        if upper < lower {
+            return;
+        }
+        // Links reachable from `y` and links reaching `x`, each between the
+        // two slots (a path climbs, so only that window can be out of order):
+        // disjoint, or the arc would close a cycle.
+        self.stamp += 1;
+        for (from, arcs, region) in [
+            (y, &layer.out, &mut self.forward),
+            (x, &layer.inc, &mut self.backward),
+        ] {
+            region.clear();
+            region.push(from);
+            self.seen[from] = self.stamp;
+            self.stack.push(from);
+            while let Some(link) = self.stack.pop() {
+                for &next in &arcs[link] {
+                    let slot = layer.ord[next];
+                    if lower < slot && slot < upper && self.seen[next] != self.stamp {
+                        self.seen[next] = self.stamp;
+                        region.push(next);
+                        self.stack.push(next);
+                    }
+                }
+            }
+            region.sort_unstable_by_key(|&link| layer.ord[link]);
+        }
+        // The regions' slots, pooled in order: first those reaching `x`, then
+        // those reachable from `y`.
+        self.slots.clear();
+        self.slots.extend(
+            self.backward
+                .iter()
+                .chain(&self.forward)
+                .map(|&e| layer.ord[e]),
+        );
+        self.slots.sort_unstable();
+        for (&link, &slot) in self.backward.iter().chain(&self.forward).zip(&self.slots) {
+            layer.ord[link] = slot;
+        }
     }
 }
 
@@ -126,10 +261,8 @@ pub fn assign_virtual_channels(
     if variant == LashVariant::Sequential {
         order.sort_by(|&a, &b| routes[b].hops().cmp(&routes[a].hops()).then(a.cmp(&b)));
     }
-    // Per layer, the dependency arcs out of each link (deduplicated).
-    let mut layer_arcs: Vec<Vec<Vec<EdgeId>>> = Vec::new();
+    let mut lash = Lash::new(topo.num_edges());
     let mut layers = vec![0usize; routes.len()];
-    let mut search = ChainSearch::new(topo.num_edges());
     let mut route: Vec<EdgeId> = Vec::new();
     for &idx in &order {
         route.clear();
@@ -138,33 +271,11 @@ pub fn assign_virtual_channels(
                 .links()
                 .map(|(u, v)| topo.find_edge(u, v).expect("routes use topology links")),
         );
-        for (i, &link) in route.iter().enumerate() {
-            search.pos[link] = i;
-        }
-        let layer = match layer_arcs
-            .iter()
-            .position(|adj| !search.closes_cycle(adj, &route))
-        {
-            Some(layer) => layer,
-            None => {
-                layer_arcs.push(vec![Vec::new(); topo.num_edges()]);
-                layer_arcs.len() - 1
-            }
-        };
-        for w in route.windows(2) {
-            let out = &mut layer_arcs[layer][w[0]];
-            if !out.contains(&w[1]) {
-                out.push(w[1]);
-            }
-        }
-        for &link in &route {
-            search.pos[link] = usize::MAX;
-        }
-        layers[idx] = layer;
+        layers[idx] = lash.place(&route);
     }
     VcAssignment {
         layers,
-        num_layers: layer_arcs.len().max(1),
+        num_layers: lash.layers.len().max(1),
     }
 }
 
@@ -359,6 +470,67 @@ mod tests {
                     topo.name()
                 );
                 layer_cdgs_are_acyclic(&topo, &routes, &vc);
+            }
+        }
+    }
+
+    /// Asserts that `layer.ord` is a permutation of the links that every arc
+    /// of the layer climbs.
+    fn assert_topological(layer: &Layer, context: &str) {
+        let mut slots = layer.ord.clone();
+        slots.sort_unstable();
+        assert!(
+            slots.iter().enumerate().all(|(i, &slot)| i == slot),
+            "{context}: order is not a permutation"
+        );
+        for (a, outs) in layer.out.iter().enumerate() {
+            for &b in outs {
+                assert!(
+                    layer.ord[a] < layer.ord[b],
+                    "{context}: arc {a} -> {b} descends ({} -> {})",
+                    layer.ord[a],
+                    layer.ord[b]
+                );
+                assert!(
+                    layer.inc[b].contains(&a),
+                    "{context}: arc {a} -> {b} not listed at its head"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_insertion_keeps_each_layer_topologically_ordered() {
+        for seed in 0..60u64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(1000 + seed);
+            let topo = random_fabric(seed, &mut rng);
+            let routes = random_routes(&topo, &mut rng);
+            let refs: Vec<&Path> = routes.iter().collect();
+            for variant in [LashVariant::Basic, LashVariant::Sequential] {
+                let mut order: Vec<usize> = (0..routes.len()).collect();
+                if variant == LashVariant::Sequential {
+                    order.sort_by(|&a, &b| routes[b].hops().cmp(&routes[a].hops()).then(a.cmp(&b)));
+                }
+                let mut lash = Lash::new(topo.num_edges());
+                let mut layers = vec![0usize; routes.len()];
+                for &idx in &order {
+                    let route = routes[idx]
+                        .edge_ids(&topo)
+                        .expect("routes use topology links");
+                    layers[idx] = lash.place(&route);
+                    for (l, layer) in lash.layers.iter().enumerate() {
+                        assert_topological(
+                            layer,
+                            &format!("seed {seed}, {variant:?}, route {idx}, layer {l}"),
+                        );
+                    }
+                }
+                assert_eq!(
+                    layers,
+                    reference_layers(&topo, &refs, variant),
+                    "seed {seed}, {}, {variant:?}",
+                    topo.name()
+                );
             }
         }
     }

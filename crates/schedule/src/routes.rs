@@ -182,7 +182,10 @@ pub fn lower_path_schedule(
         .iter()
         .flat_map(|list| list.iter().map(|(p, _)| p))
         .collect();
-    let vc = assign_virtual_channels(topo, &all_paths, lash);
+    let vc = {
+        let _obs = a2a_obs::span("schedule.lash");
+        assign_virtual_channels(topo, &all_paths, lash)
+    };
 
     let mut commodities = Vec::with_capacity(schedule.commodities.len());
     let mut flat_index = 0usize;
