@@ -6,7 +6,7 @@
 //! path with the maximum bottleneck flow (a widest-path / max-min Dijkstra), subtract
 //! its rate, and repeat until the flow is exhausted.
 //!
-//! One serial pass extracts every commodity through one [`Widest`] scratch sized
+//! One serial pass extracts every commodity through one `Widest` scratch sized
 //! by the fabric: a dense residual per edge (0 marks an absent edge, since a live
 //! entry always exceeds `EXTRACT_TOL`) with a count of its live entries, and the
 //! Dijkstra's node arrays, heap and path buffer. No commodity allocates beyond

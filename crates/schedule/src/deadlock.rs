@@ -31,10 +31,11 @@
 //! *Cost.* A layer test visits only links ordered between a route link and the
 //! highest-ordered link before it, instead of everything a route link reaches;
 //! an insertion reorders only the region between its arc's endpoints. On the
-//! 4,032 extracted torus-8×8 routes the tests visit ~66k links where the
-//! unordered search visited ~556k. A layer holds its out- and in-arcs in dense
-//! per-link lists (deduplicated) and its order in one array; no trial copies
-//! anything, and one [`Lash`] scratch serves the whole call.
+//! 4,032 extracted torus-8×8 routes (LASH-sequential) the layer tests visit
+//! 47,895 links and the 884 reordering insertions 18,059. A layer holds its
+//! out- and in-arcs in dense per-link lists (deduplicated) and its order in
+//! one array; no trial copies anything, and one `Lash` scratch serves the
+//! whole call.
 //!
 //! # Panics
 //! [`assign_virtual_channels`], and so [`crate::routes::lower_path_schedule`],
@@ -104,7 +105,6 @@ impl Layer {
 /// layers and the scratch reused for every route and every layer tried.
 struct Lash {
     layers: Vec<Layer>,
-    num_edges: usize,
     /// Index of each link on the current route; `usize::MAX` off the route.
     pos: Vec<usize>,
     /// `seen[e] == stamp` marks the links the current search has visited.
@@ -123,7 +123,6 @@ impl Lash {
     fn new(num_edges: usize) -> Self {
         Self {
             layers: Vec::new(),
-            num_edges,
             pos: vec![usize::MAX; num_edges],
             seen: vec![0; num_edges],
             stamp: 0,
@@ -143,7 +142,7 @@ impl Lash {
         }
         let fits = (0..self.layers.len()).find(|&l| !self.closes_cycle(l, route));
         let layer = fits.unwrap_or_else(|| {
-            self.layers.push(Layer::new(self.num_edges));
+            self.layers.push(Layer::new(self.pos.len()));
             self.layers.len() - 1
         });
         for w in route.windows(2) {

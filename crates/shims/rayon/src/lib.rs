@@ -8,8 +8,8 @@
 //!
 //! Every `collect` spawns its threads afresh (tens of microseconds), so only work
 //! far coarser than that belongs here. Its one user is `a2a_mcf::decomposed`,
-//! which solves its child LPs in parallel. Widest-path extraction used it once and
-//! runs serially now: its per-commodity work is a few microseconds.
+//! which solves its child LPs in parallel; loops of microsecond items, such as
+//! widest-path extraction's per-commodity passes, stay serial.
 
 use std::num::NonZeroUsize;
 
